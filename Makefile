@@ -2,13 +2,21 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench examples experiments clean
+.PHONY: install test bench examples experiments loc clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/
+
+# Source lines per src/repro package (the table shrink PRs quote in CHANGES.md).
+loc:
+	@for package in $$(ls -d src/repro/*/ | grep -v __pycache__); do \
+		printf '%-24s %6d\n' "$$package" "$$(find "$$package" -name '*.py' | xargs cat | wc -l)"; \
+	done
+	@printf '%-24s %6d\n' "src/repro/*.py" "$$(cat src/repro/*.py | wc -l)"
+	@printf '%-24s %6d\n' "total" "$$(find src -name '*.py' | xargs cat | wc -l)"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -68,7 +68,7 @@ class TestC5InterestDriven:
                 core.profiler.register_service(
                     f"svc{index}", lambda c, p: 1.0
                 )
-                core.profile_start(f"svc{index}", interval=1.0)
+                core.profile(f"svc{index}", interval=1.0)
             cluster.advance(10.0)
             total_evaluations = sum(core.profiler.evaluations.values())
             rows.append((started, total_evaluations))
@@ -83,9 +83,9 @@ class TestC5InterestDriven:
     def test_stop_reclaims_sampling(self, benchmark):
         cluster = Cluster(["a", "b"])
         core = cluster["a"]
-        core.profile_start("completLoad", interval=1.0)
+        session = core.profile("completLoad", interval=1.0)
         cluster.advance(5.0)
-        core.profile_stop("completLoad")
+        session.stop()
         before = core.profiler.evaluations["completLoad"]
         cluster.advance(50.0)
         assert core.profiler.evaluations["completLoad"] == before
@@ -98,7 +98,7 @@ class TestC5InterestDriven:
         core = cluster["a"]
         for index in range(32):
             core.profiler.register_service(f"svc{index}", lambda c, p: 1.0)
-            core.profile_start(f"svc{index}", interval=1.0)
+            core.profile(f"svc{index}", interval=1.0)
         benchmark(cluster.advance, 1.0)
 
 

@@ -69,7 +69,7 @@ def test_recovery_pass_cost(benchmark, payload):
         for _ in range(4):
             source = DataSource(payload, _core=cluster["a"], _at="a")
             cluster.checkpoints.protect(source)
-        cluster.network.set_node_down("a")
+        cluster.transport.set_node_down("a")
         return (cluster,), {}
 
     def recover(cluster):
@@ -89,7 +89,7 @@ def test_checkpoint_pass_cost(benchmark):
             for anchor_id in list(cluster["a"].repository.complet_ids()):
                 cluster.checkpoints.protect(anchor_id, CheckpointPolicy())
             stored = sum(
-                len(cluster.checkpoints.store.get(complet_id).data)
+                len(cluster.checkpoints.store.get(complet_id).snapshot.stream)
                 for complet_id in cluster.checkpoints.store.ids()
             )
             rows.append((payload, len(cluster.checkpoints.store), stored))

@@ -130,7 +130,7 @@ def test_resilience_to_path_death(benchmark):
             counter = Counter(0, _core=cluster["a"])
             cluster.move_via_host(counter, "b")
             cluster.move_via_host(counter, "c")
-            cluster.network.set_node_down("b")
+            cluster.transport.set_node_down("b")
             try:
                 counter.increment()
                 outcomes.append(("registry" if registry else "chains", "survives"))

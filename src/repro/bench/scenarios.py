@@ -706,9 +706,9 @@ def supervision() -> dict:
                 for _ in range(5):
                     counter.increment()
                 original_id = str(counter._fargo_target_id)
-                from repro.recovery import FileCheckpointStore
+                from repro.recovery import CheckpointStore
 
-                store = FileCheckpointStore(checkpoint_dir)
+                store = CheckpointStore(checkpoint_dir)
                 deadline = real_time.monotonic() + 20.0
                 while not store.hosted_at("w1") and real_time.monotonic() < deadline:
                     real_time.sleep(0.02)

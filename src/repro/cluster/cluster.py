@@ -73,7 +73,6 @@ class Cluster:
         store_threshold: int | None = None,
         batching: "bool | BatchPolicy" = False,
         sanitize: bool = False,
-        checkpoint_store: "str | CheckpointStore | None" = None,
     ) -> None:
         """``transport`` selects the substrate:
 
@@ -110,16 +109,6 @@ class Cluster:
         (``cluster.sanitizer.races``, the ``sanitizer.races`` metric,
         and FG410 diagnostics from :meth:`analyze`).  In-process
         backends only.
-
-        ``checkpoint_store`` selects the backend
-        :meth:`enable_recovery` checkpoints into: ``"memory"`` (the
-        default in-process :class:`~repro.recovery.CheckpointStore`),
-        ``"file"`` (a cluster-owned durable
-        :class:`~repro.recovery.FileCheckpointStore` in a temporary
-        directory, removed by :meth:`close`), a directory path (a
-        durable store there, left in place — the shape the
-        multi-process supervisor shares with its children), or a
-        :class:`~repro.recovery.CheckpointStore` instance.
         """
         if clock is None:
             clock = RealClock() if transport == "tcp" else VirtualClock()
@@ -177,27 +166,6 @@ class Cluster:
                 f"got {store!r}"
             )
         self._store_threshold = store_threshold
-        self._checkpoint_store: "CheckpointStore | None" = None
-        self._owned_checkpoint_dir: str | None = None
-        if checkpoint_store is not None:
-            from repro.recovery import CheckpointStore as _CkptStore
-            from repro.recovery import FileCheckpointStore
-
-            if checkpoint_store == "memory":
-                self._checkpoint_store = _CkptStore()
-            elif checkpoint_store == "file":
-                root = tempfile.mkdtemp(prefix="repro-ckpt-")
-                self._checkpoint_store = FileCheckpointStore(root)
-                self._owned_checkpoint_dir = root
-            elif isinstance(checkpoint_store, _CkptStore):
-                self._checkpoint_store = checkpoint_store
-            elif isinstance(checkpoint_store, str):
-                self._checkpoint_store = FileCheckpointStore(checkpoint_store)
-            else:
-                raise ConfigurationError(
-                    f"checkpoint_store must be 'memory', 'file', a path, a "
-                    f"CheckpointStore, or None; got {checkpoint_store!r}"
-                )
         self._eager_pointer_updates = eager_pointer_updates
         self._use_location_registry = use_location_registry
         self._profile_cache_ttl = profile_cache_ttl
@@ -280,11 +248,6 @@ class Cluster:
         if self._shared_transport is not None:
             return self._shared_transport
         return TransportGroup(dict(self.transports))
-
-    @property
-    def network(self) -> Transport:
-        """Deprecated alias for :attr:`transport` (pre-protocol name)."""
-        return self.transport
 
     def core(self, name: str) -> Core:
         try:
@@ -381,6 +344,11 @@ class Cluster:
         ``auto_recover=False``, in which case recovery runs only when
         asked (``cluster.recovery.recover_core(...)`` or a layout
         script's ``failover`` action).
+
+        ``store`` is where checkpoints go: a fresh in-memory
+        :class:`~repro.recovery.CheckpointStore` by default, or pass
+        ``CheckpointStore(path)`` for a durable directory — the shape the
+        multi-process supervisor shares with its children.
         """
         from repro.recovery import (
             CheckpointManager,
@@ -389,8 +357,6 @@ class Cluster:
         )
 
         self._detector_config = detector if detector is not None else DetectorConfig()
-        if store is None:
-            store = self._checkpoint_store
         self.checkpoints = CheckpointManager(self, store=store)
         self.recovery = RecoveryManager(
             self, self.checkpoints, auto_recover=auto_recover
@@ -707,9 +673,6 @@ class Cluster:
         if self._owned_store_dir is not None:
             shutil.rmtree(self._owned_store_dir, ignore_errors=True)
             self._owned_store_dir = None
-        if self._owned_checkpoint_dir is not None:
-            shutil.rmtree(self._owned_checkpoint_dir, ignore_errors=True)
-            self._owned_checkpoint_dir = None
 
     def __repr__(self) -> str:
         return f"<Cluster {self.core_names()} t={self.now:.3f}>"

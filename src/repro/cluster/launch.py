@@ -20,8 +20,8 @@ shared module) unpickle on the far side.
 
 Cross-process recovery rides on durable checkpoints: pass
 ``checkpoint_dir`` and every child periodically snapshots its hosted
-complets into a shared :class:`~repro.recovery.FileCheckpointStore`
-there; a child started with ``--recover`` (what the
+complets into a shared :class:`~repro.recovery.CheckpointStore`
+directory there; a child started with ``--recover`` (what the
 :class:`~repro.cluster.supervisor.Supervisor` does when it respawns a
 dead one) restores the complets its predecessor last checkpointed —
 identity preserved — before announcing READY (see docs/FAILURES.md).
@@ -30,6 +30,7 @@ identity preserved — before announcing READY (see docs/FAILURES.md).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import socket
@@ -37,16 +38,16 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.complet.stub import stub_target_id
 from repro.core.core import Core
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
+from repro.net.messages import MessageKind
 from repro.net.tcp import TcpTransport
+from repro.recovery.checkpoint import checkpoint_group, restore_record
+from repro.recovery.store import CheckpointStore
 from repro.sim.clock import RealClock
 from repro.sim.scheduler import Scheduler
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.recovery.store import FileCheckpointStore
 
 logger = logging.getLogger(__name__)
 
@@ -57,16 +58,23 @@ _SERVE_INTERVAL = 0.02
 READY_PREFIX = "READY"
 
 
-def free_port(host: str = "127.0.0.1") -> int:
-    """Reserve an ephemeral port number (bind-to-zero trick).
+def free_ports(host: str, count: int) -> list[int]:
+    """Reserve ``count`` distinct ephemeral port numbers (bind-to-zero trick).
 
-    The socket is closed again, so a race with another process is
-    possible but unlikely; good enough for localhost test deployments.
+    Every reservation socket stays open until all are bound, so the
+    kernel cannot hand one number out twice within a deployment.  They
+    are closed again before the Cores bind, so a race with another
+    process is possible but unlikely; good enough for localhost
+    deployments.
     """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
+    with contextlib.ExitStack() as held:
+        ports = []
+        for _ in range(count):
+            sock = held.enter_context(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, 0))
+            ports.append(sock.getsockname()[1])
+        return ports
 
 
 def _parse_peer(spec: str) -> tuple[str, tuple[str, int]]:
@@ -87,15 +95,13 @@ class ChildCheckpointer:
     individual complets through the cluster harness; a child process has
     no harness, so this standalone checkpointer sweeps the whole
     repository instead — every hosted complet, with its local pull-group
-    — into the shared :class:`~repro.recovery.FileCheckpointStore`.
+    — into the shared :class:`~repro.recovery.CheckpointStore` directory.
     Each record names this Core as host, which is exactly what a
     successor process (``--recover``) and the cluster-side
     :class:`~repro.recovery.RecoveryManager` key on.
     """
 
-    def __init__(
-        self, core: Core, store: "FileCheckpointStore", interval: float = 0.5
-    ) -> None:
+    def __init__(self, core: Core, store: CheckpointStore, interval: float = 0.5) -> None:
         if interval <= 0.0:
             raise ConfigurationError(f"checkpoint interval must be positive: {interval}")
         self.core = core
@@ -113,44 +119,20 @@ class ChildCheckpointer:
 
     def sweep(self) -> int:
         """Checkpoint every hosted complet once; records written."""
-        from repro.core import persistence
-        from repro.recovery.checkpoint import local_pull_group
-        from repro.recovery.store import CheckpointRecord
-
         core = self.core
         written = 0
-        now = core.scheduler.clock.now()
-        taken = core.metrics.counter("checkpoint.taken")
+        covered: set = set()
         for complet_id in core.repository.complet_ids():
             anchor = core.repository.get(complet_id)
-            if anchor is None:
-                continue
-            group = tuple(
-                member.complet_id for member in local_pull_group(core, anchor)
-            )
-            try:
-                snap = persistence.snapshot(core, anchor)
-            except FarGoError:
-                logger.warning(
-                    "durable checkpoint of %s at %s failed",
-                    complet_id, core.name, exc_info=True,
-                )
-                continue
-            self.store.put(
-                CheckpointRecord(
-                    complet_id=complet_id,
-                    data=snap.to_bytes(),
-                    taken_at=now,
-                    host=core.name,
-                    group=group,
-                )
-            )
-            taken.inc()
-            written += 1
+            if anchor is None or complet_id in covered:
+                continue  # gone, or captured with an earlier complet's group
+            group, count = checkpoint_group(core, anchor, self.store)
+            covered.update(group)
+            written += count
         return written
 
 
-def restore_from_store(core: Core, store: "FileCheckpointStore") -> list[str]:
+def restore_from_store(core: Core, store: CheckpointStore) -> list[str]:
     """Restore the complets ``core``'s predecessor last checkpointed.
 
     Runs in a freshly-started child before it announces READY: every
@@ -160,24 +142,17 @@ def restore_from_store(core: Core, store: "FileCheckpointStore") -> list[str]:
     ``keep_identity`` cannot be refused locally).  Returns the restored
     ids' display forms.
     """
-    from repro.core import persistence
-
     restored: list[str] = []
     for record in store.hosted_at(core.name):
         try:
-            snap = persistence.Snapshot.from_bytes(record.data)
-            stub = persistence.restore(core, snap, keep_identity=True)
+            stub = restore_record(core, record)
         except FarGoError:
             logger.warning(
                 "restore of %s at reborn %s failed",
                 record.complet_id, core.name, exc_info=True,
             )
             continue
-        from repro.complet.stub import stub_target_id, stub_tracker
-
-        new_id = stub_target_id(stub)
-        core.locator.publish(new_id, stub_tracker(stub).address)
-        restored.append(str(new_id))
+        restored.append(str(stub_target_id(stub)))
     return restored
 
 
@@ -199,19 +174,18 @@ def serve(
     a real-clock process.  With ``checkpoint_dir`` the Core durably
     checkpoints its hosted complets every ``checkpoint_interval``
     seconds; with ``recover`` it first restores whatever its predecessor
-    last checkpointed there (identity preserved), *before* READY — so a
-    supervisor's successful probe implies the state is back.
+    last checkpointed there (identity preserved), *before* READY.
     """
     scheduler = Scheduler(RealClock())
     transport = TcpTransport(scheduler, host=host, ports={name: port})
-    core = Core(name, transport, scheduler)
+    # Peers first: the listener accepts as soon as the Core registers, and
+    # a request that arrives then may already need an address to answer.
     for peer_name, address in peers.items():
         transport.add_peer(peer_name, address)
+    core = Core(name, transport, scheduler)
     checkpointer = None
     if checkpoint_dir is not None:
-        from repro.recovery.store import FileCheckpointStore
-
-        store = FileCheckpointStore(checkpoint_dir)
+        store = CheckpointStore(checkpoint_dir)
         if recover:
             restored = restore_from_store(core, store)
             if restored:
@@ -287,9 +261,9 @@ class CoreProcesses:
             raise ConfigurationError(
                 f"driver name {self.driver_name!r} collides with a child Core"
             )
-        for name in self.names:
-            self.addresses[name] = (self.host, free_port(self.host))
-        self.addresses[self.driver_name] = (self.host, free_port(self.host))
+        cores = [*self.names, self.driver_name]
+        for name, port in zip(cores, free_ports(self.host, len(cores))):
+            self.addresses[name] = (self.host, port)
 
         for name in self.names:
             self.spawn_child(name)
@@ -351,12 +325,25 @@ class CoreProcesses:
         return process
 
     def await_child(self, name: str, timeout: float | None = None) -> None:
-        """Block until child ``name``'s listener answers (probe)."""
-        assert self.transport is not None
+        """Block until child ``name`` has answered one request.
+
+        A listener that merely accepts is not enough: it does so before
+        the child's Core has registered its handlers.  ``ADMIN_QUERY`` is
+        the last one it registers, so an answered admin request means
+        every request the caller sends next finds its handler.
+        """
+        assert self.driver is not None
         budget = timeout if timeout is not None else self.startup_timeout
         deadline = time.monotonic() + budget
         process = self.processes[name]
-        while not self.transport.probe(name, timeout=1.0):
+        while True:
+            try:
+                self.driver.peer.request(
+                    name, MessageKind.ADMIN_QUERY, ("complets", {}), timeout=1.0
+                )
+                return
+            except (CoreError, TransportError):
+                pass  # not listening yet, or listening before its handlers are up
             if process.poll() is not None:
                 _out, err = process.communicate()
                 raise CoreError(
@@ -370,7 +357,7 @@ class CoreProcesses:
             time.sleep(0.05)
 
     def _await_ready(self) -> None:
-        """Block until every child's listener answers (READY + probe)."""
+        """Block until every child has answered one request."""
         deadline = time.monotonic() + self.startup_timeout
         for name in self.names:
             self.await_child(name, timeout=max(0.1, deadline - time.monotonic()))
@@ -418,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--checkpoint-dir", default=None,
-        help="shared FileCheckpointStore directory for durable checkpoints",
+        help="shared CheckpointStore directory for durable checkpoints",
     )
     parser.add_argument(
         "--checkpoint-interval", type=float, default=0.5,

@@ -25,7 +25,7 @@ that loop:
 
 - **Re-admit** — the respawned child restores its predecessor's durable
   checkpoints (``--recover`` against the shared
-  :class:`~repro.recovery.FileCheckpointStore`) under the *original*
+  :class:`~repro.recovery.CheckpointStore` directory) under the *original*
   identities before announcing READY; the supervisor then refreshes the
   driver's address book (invalidating stale pooled connections),
   fetches the reborn Core's tracker map (``hosted_trackers``), and
@@ -50,14 +50,12 @@ import signal as signal_module
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.cluster.launch import CoreProcesses, free_ports
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.retry import RetryPolicy
 from repro.recovery.detector import DetectorConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.launch import CoreProcesses
+from repro.recovery.store import CheckpointStore
 
 logger = logging.getLogger(__name__)
 
@@ -156,7 +154,7 @@ class Supervisor:
 
     def __init__(
         self,
-        procs: "CoreProcesses",
+        procs: CoreProcesses,
         *,
         policy: RestartPolicy | None = None,
         policies: dict[str, RestartPolicy] | None = None,
@@ -335,10 +333,8 @@ class Supervisor:
         # The preallocated port would not come back (e.g. still held by
         # a lingering socket) — fall back to a fresh port and tell the
         # whole deployment about the new address.
-        from repro.cluster.launch import free_port
-
         old = self.procs.addresses[name]
-        fresh = (old[0], free_port(old[0]))
+        fresh = (old[0], free_ports(old[0], 1)[0])
         self.procs.addresses[name] = fresh
         self._log(f"child {name} could not rebind {old[1]}; moving to port {fresh[1]}")
         self.procs.spawn_child(name, recover=recover)
@@ -409,7 +405,7 @@ class Supervisor:
                 try:
                     new_id = self.driver.admin(
                         destination, "restore_complet",
-                        data=record.data, keep_identity=False,
+                        data=record.snapshot.to_bytes(), keep_identity=False,
                     )
                     child.escalated_to.append(str(new_id))
                 except (CoreError, TransportError, FarGoError) as exc:
@@ -435,9 +431,7 @@ class Supervisor:
     def _durable_records(self, name: str) -> list:
         if self.procs.checkpoint_dir is None:
             return []
-        from repro.recovery.store import FileCheckpointStore
-
-        return FileCheckpointStore(self.procs.checkpoint_dir).hosted_at(name)
+        return CheckpointStore(self.procs.checkpoint_dir).hosted_at(name)
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -44,17 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.util.ids import CompletId
 
 
-def _warn_profile_shim(name: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"Core.{name}() is deprecated; use the session handle from "
-        "Core.profile() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class Core:
     """One stationary runtime node."""
 
@@ -137,6 +126,8 @@ class Core:
         self.peer.register_raw(MessageKind.INSTANTIATE, self._handle_instantiate)
         self.peer.register_raw(MessageKind.PROFILE_PROBE, self._handle_probe)
         self.peer.register(MessageKind.PROFILE_QUERY, self._handle_profile_query)
+        # Last on purpose: the multi-process launcher takes an answered admin
+        # query to mean every handler of this Core is registered.
         self.peer.register(MessageKind.ADMIN_QUERY, self._handle_admin)
         self.peer.endpoint.on_oneway_error = self._on_oneway_error
         self.peer.endpoint.on_retry = self._on_call_retried
@@ -282,23 +273,12 @@ class Core:
         """Open a continuous-monitoring session (preferred API).
 
         Use as a context manager — ``with core.profile("coreCPU") as s:
-        ... s.value`` — or call ``s.stop()`` explicitly.  Supersedes the
-        :meth:`profile_start`/:meth:`profile_stop` pair.
+        ... s.value`` — or call ``s.stop()`` explicitly.
         """
         return self.profiler.session(service, interval=interval, **params)
 
-    def profile_start(self, service: str, interval: float = 1.0, **params) -> tuple:
-        """Deprecated: use :meth:`profile` (returns a session handle)."""
-        _warn_profile_shim("profile_start")
-        return self.profiler.start(service, interval=interval, **params)
-
     def profile_get(self, service: str, **params) -> float:
         return self.profiler.get(service, **params)
-
-    def profile_stop(self, service: str, **params) -> None:
-        """Deprecated: use the session handle from :meth:`profile`."""
-        _warn_profile_shim("profile_stop")
-        self.profiler.stop(service, **params)
 
     # -- lifecycle -----------------------------------------------------------------------------------
 

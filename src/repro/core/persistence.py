@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor
-from repro.complet.marshal import CloneEntry, marshal_clone
+from repro.complet.marshal import CloneEntry, marshal_clone, unmarshal_clone
 from repro.complet.stub import Stub, stub_target_id
+from repro.core.events import COMPLET_RESTORED
 from repro.errors import CompletError
 from repro.net.serializer import PLAIN
 from repro.util.ids import CompletId
@@ -36,9 +37,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 
 #: Current snapshot wire-format version.  Bumped whenever the stream
-#: layout changes incompatibly; :meth:`Snapshot.from_bytes` refuses to
-#: load any other version instead of unpickling garbage.
+#: layout changes incompatibly; :func:`check_version` refuses any other
+#: version instead of unpickling garbage.
 SNAPSHOT_VERSION = 1
+
+
+def check_version(found: object, what: str) -> None:
+    """Raise the typed error for ``what`` written in another format version."""
+    if found != SNAPSHOT_VERSION:
+        raise CompletError(
+            f"{what} uses format version {found}, but this runtime reads "
+            f"version {SNAPSHOT_VERSION}; re-take it with the current runtime"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +64,8 @@ class Snapshot:
     version: int = SNAPSHOT_VERSION
 
     def to_bytes(self) -> bytes:
-        """Serialize the snapshot for storage (a file, a blob store...)."""
+        """Wire format of the admin ``checkpoint`` / ``restore_complet``
+        operations (a checkpoint at rest keeps ``stream`` as a blob instead)."""
         return PLAIN.dumps(self)
 
     @staticmethod
@@ -62,13 +73,7 @@ class Snapshot:
         snapshot = PLAIN.loads(data)
         if not isinstance(snapshot, Snapshot):
             raise CompletError("bytes do not contain a complet snapshot")
-        found = getattr(snapshot, "version", 0)
-        if found != SNAPSHOT_VERSION:
-            raise CompletError(
-                f"snapshot of {snapshot.original_id} uses format version "
-                f"{found}, but this runtime reads version {SNAPSHOT_VERSION}; "
-                f"re-take the snapshot with the current runtime"
-            )
+        check_version(getattr(snapshot, "version", 0), f"snapshot of {snapshot.original_id}")
         return snapshot
 
 
@@ -98,8 +103,6 @@ def restore(core: "Core", snapshot_: Snapshot, *, keep_identity: bool = False) -
     original identity — refused if the original is still hosted here or
     the location registry still knows where it lives.
     """
-    from repro.complet.marshal import unmarshal_clone
-
     if keep_identity:
         _check_identity_free(core, snapshot_.original_id)
 
@@ -112,8 +115,6 @@ def restore(core: "Core", snapshot_: Snapshot, *, keep_identity: bool = False) -
         stale = core.repository.existing_tracker(snapshot_.original_id)
         if stale is not None:
             stale.mark_dangling()
-    from repro.core.events import COMPLET_RESTORED
-
     tracker = core.repository.adopt(anchor)
     core.events.publish(
         COMPLET_RESTORED,

@@ -46,7 +46,7 @@ from repro.net.transport import (
     Transport,
     TransportGroup,
 )
-from repro.net.simnet import Link, SimNetwork, SimTransport, as_transport
+from repro.net.simnet import Link, SimTransport
 from repro.net.tcp import TcpTransport
 from repro.net.rpc import RpcEndpoint
 from repro.net.peer import PeerInterface
@@ -67,10 +67,8 @@ __all__ = [
     "TransportGroup",
     "TransportError",
     "TransportCapabilityError",
-    "SimNetwork",
     "SimTransport",
     "TcpTransport",
-    "as_transport",
     "FrameDecoder",
     "FramingError",
     "RpcEndpoint",

@@ -19,23 +19,17 @@ from repro.net.transport import LinkStats, Transport
 class PeerInterface:
     """Typed facade over one Core's RPC endpoint.
 
-    Works against any :class:`Transport`; passing a bare
-    :class:`~repro.net.simnet.SimNetwork` still works through a
-    deprecation adapter.  Besides the messaging calls this facade also
-    exposes the protocol-level topology accessors (:meth:`peers`,
-    :meth:`is_peer_up`, :meth:`can_reach`, :meth:`link_stats`) so the
-    layers above never have to reach into the transport themselves.
+    Works against any :class:`Transport`.  Besides the messaging calls
+    this facade also exposes the protocol-level topology accessors
+    (:meth:`peers`, :meth:`is_peer_up`, :meth:`can_reach`,
+    :meth:`link_stats`) so the layers above never have to reach into the
+    transport themselves.
     """
 
     def __init__(self, core_name: str, transport: Transport) -> None:
         self.core_name = core_name
         self.endpoint = RpcEndpoint(core_name, transport)
         self.transport = self.endpoint.transport
-
-    @property
-    def network(self) -> Transport:
-        """Deprecated alias for :attr:`transport` (pre-protocol name)."""
-        return self.transport
 
     # -- topology -------------------------------------------------------------
 

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 from repro.errors import DeadlineExceededError, RemoteInvocationError, TransportError
 from repro.net.messages import Envelope, MessageKind
 from repro.net.retry import RetryObserver, RetryPolicy
-from repro.net.simnet import as_transport
 from repro.net.transport import Transport
 from repro.trace.tracer import context_from_headers
 
@@ -83,15 +82,12 @@ class RpcEndpoint:
     """One node's request/reply port on a :class:`Transport`.
 
     Any transport implementation works — the deterministic simulated
-    network for tests, real TCP for multi-process deployments.  Passing
-    a bare :class:`~repro.net.simnet.SimNetwork` still works through a
-    deprecation adapter; new code should construct a
-    :class:`~repro.net.simnet.SimTransport`.
+    network for tests, real TCP for multi-process deployments.
     """
 
     def __init__(self, name: str, transport: Transport) -> None:
         self.name = name
-        self.transport = as_transport(transport)
+        self.transport = transport
         #: Observability hooks, attached by the owning Core (optional).
         self.tracer: "Tracer | None" = None
         self.metrics: "MetricsRegistry | None" = None
@@ -110,11 +106,6 @@ class RpcEndpoint:
         #: Called as ``(dst, kind, attempt, delay, error)`` before a retry sleep.
         self.on_retry: Callable[[str, MessageKind, int, float, BaseException], None] | None = None
         self.transport.register(name, self._dispatch)
-
-    @property
-    def network(self) -> Transport:
-        """Deprecated alias for :attr:`transport` (pre-protocol name)."""
-        return self.transport
 
     # -- configuration --------------------------------------------------------
 

@@ -46,17 +46,7 @@ from repro.sim.scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "Link",
-    "LinkStats",
-    "NetworkStats",
-    "NodeHandler",
-    "SimNetwork",
-    "SimTransport",
-    "TraceLog",
-    "UNLIMITED",
-    "as_transport",
-]
+__all__ = ["Link", "SimTransport"]
 
 
 @dataclass(slots=True)
@@ -76,13 +66,28 @@ class Link:
         return self.latency + nbytes / self.bandwidth
 
 
-class SimNetwork:
+class SimTransport(Transport):
     """A set of named nodes joined by configurable links.
 
     The network is synchronous: :meth:`send` delivers the envelope to the
     destination handler and returns its reply, charging virtual time for
     both directions.  :meth:`post` is fire-and-forget (one direction).
+
+    This is the deterministic default backend: every chaos capability is
+    supported and every delivery charges virtual time, so a failure
+    scenario replays identically on any machine.
     """
+
+    CAPABILITIES = frozenset(
+        {
+            CAP_NODE_DOWN,
+            CAP_LINK_STATE,
+            CAP_LATENCY,
+            CAP_BANDWIDTH,
+            CAP_PARTITION,
+            CAP_VIRTUAL_TIME,
+        }
+    )
 
     def __init__(
         self,
@@ -278,120 +283,7 @@ class SimNetwork:
             # mid-protocol; due work runs at the next explicit advance.
             self.scheduler.advance_quiet(seconds)
 
-
-class SimTransport(SimNetwork, Transport):
-    """The simulated network as a :class:`~repro.net.transport.Transport`.
-
-    This is the deterministic default backend: every chaos capability is
-    supported and every delivery charges virtual time, so a failure
-    scenario replays identically on any machine.  It *is* a
-    :class:`SimNetwork` — same links, partitions, and accounting — with
-    the protocol surface (capabilities, ``close``) added on top.
-    """
-
-    CAPABILITIES = frozenset(
-        {
-            CAP_NODE_DOWN,
-            CAP_LINK_STATE,
-            CAP_LATENCY,
-            CAP_BANDWIDTH,
-            CAP_PARTITION,
-            CAP_VIRTUAL_TIME,
-        }
-    )
-
     def close(self) -> None:
         """Detach every node; the simulated fabric itself has no resources."""
         for name in list(self._handlers):
             self.deregister(name)
-
-
-class _SimNetworkAdapter(Transport):
-    """Thin adapter presenting a bare :class:`SimNetwork` as a Transport.
-
-    Kept for compatibility with the pre-transport API where
-    ``PeerInterface``/``RpcEndpoint`` took a ``SimNetwork`` positionally;
-    new code should construct a :class:`SimTransport` (or any other
-    :class:`~repro.net.transport.Transport`) directly.
-    """
-
-    CAPABILITIES = SimTransport.CAPABILITIES
-
-    def __init__(self, network: SimNetwork) -> None:
-        self.network = network
-        self.scheduler = network.scheduler
-
-    @property
-    def stats(self) -> NetworkStats:  # type: ignore[override]
-        return self.network.stats
-
-    @property
-    def trace(self) -> TraceLog:  # type: ignore[override]
-        return self.network.trace
-
-    def register(self, name: str, handler: NodeHandler) -> None:
-        self.network.register(name, handler)
-
-    def deregister(self, name: str) -> None:
-        self.network.deregister(name)
-
-    def send(self, envelope: Envelope, timeout: float | None = None) -> bytes:
-        return self.network.send(envelope, timeout)
-
-    def post(self, envelope: Envelope) -> None:
-        self.network.post(envelope)
-
-    def nodes(self) -> list[str]:
-        return self.network.nodes()
-
-    def is_up(self, name: str) -> bool:
-        return self.network.is_up(name)
-
-    def can_reach(self, src: str, dst: str) -> bool:
-        return self.network.can_reach(src, dst)
-
-    def link_stats(self, src: str, dst: str) -> LinkStats:
-        return self.network.link_stats(src, dst)
-
-    def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
-        return self.network.transfer_time(src, dst, nbytes)
-
-    def reset_stats(self) -> None:
-        self.network.stats = NetworkStats()
-
-    def set_node_down(self, name: str, down: bool = True) -> None:
-        self.network.set_node_down(name, down)
-
-    def set_link(self, a: str, b: str, **kwargs) -> None:
-        self.network.set_link(a, b, **kwargs)
-
-    def partition(self, *groups: set[str]) -> None:
-        self.network.partition(*groups)
-
-    def heal_partition(self) -> None:
-        self.network.heal_partition()
-
-
-def as_transport(substrate: "Transport | SimNetwork") -> Transport:
-    """Coerce the pre-redesign positional ``SimNetwork`` into a Transport.
-
-    Passing a bare :class:`SimNetwork` (rather than a
-    :class:`SimTransport` or other :class:`~repro.net.transport.Transport`)
-    is deprecated; the adapter keeps the old call sites working while
-    they migrate (see docs/API.md).
-    """
-    if isinstance(substrate, Transport):
-        return substrate
-    if isinstance(substrate, SimNetwork):
-        import warnings
-
-        warnings.warn(
-            "passing a bare SimNetwork is deprecated; construct a "
-            "SimTransport (repro.net.SimTransport) or any Transport instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return _SimNetworkAdapter(substrate)
-    raise TransportError(
-        f"expected a Transport (or legacy SimNetwork), got {type(substrate).__name__}"
-    )

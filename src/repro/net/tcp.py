@@ -199,6 +199,7 @@ class TcpTransport(Transport):
     def _run(self, coro, timeout: float | None):
         """Run ``coro`` on the loop thread; block for its result."""
         if self._closed:
+            coro.close()  # never scheduled: close it so it is not "never awaited"
             raise TransportError("transport is closed")
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         return future.result(timeout)

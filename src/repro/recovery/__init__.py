@@ -10,7 +10,8 @@ and shutdown the monitoring layer already reports:
   monitor events per peer;
 - :class:`CheckpointManager` + :class:`CheckpointPolicy` — periodic and
   on-arrival complet snapshots (via :mod:`repro.core.persistence`) into
-  a cluster-survivable :class:`CheckpointStore`;
+  a :class:`CheckpointStore` that outlives the Cores (in memory, or a
+  directory shared across OS processes);
 - :class:`RecoveryManager` — reacts to ``coreFailed`` by restoring the
   dead Core's checkpointed complets on a survivor, repairing tracker
   chains and location-registry records, and reconciling identities when
@@ -22,11 +23,7 @@ Entry point: :meth:`repro.cluster.cluster.Cluster.enable_recovery`.
 from repro.recovery.checkpoint import CheckpointManager, CheckpointPolicy
 from repro.recovery.detector import DetectorConfig, FailureDetector
 from repro.recovery.recovery import RecoveryManager, RecoveryReport
-from repro.recovery.store import (
-    CheckpointRecord,
-    CheckpointStore,
-    FileCheckpointStore,
-)
+from repro.recovery.store import CheckpointRecord, CheckpointStore
 
 __all__ = [
     "CheckpointManager",
@@ -35,7 +32,6 @@ __all__ = [
     "CheckpointStore",
     "DetectorConfig",
     "FailureDetector",
-    "FileCheckpointStore",
     "RecoveryManager",
     "RecoveryReport",
 ]

@@ -28,10 +28,10 @@ from typing import TYPE_CHECKING
 from repro.complet.anchor import Anchor
 from repro.complet.closure import compute_closure
 from repro.complet.relocators import Pull
-from repro.complet.stub import Stub, stub_meta, stub_target_id
+from repro.complet.stub import Stub, stub_meta, stub_target_id, stub_tracker
 from repro.core import persistence
 from repro.core.events import COMPLET_ARRIVED
-from repro.errors import FarGoError
+from repro.errors import CompletError, FarGoError
 from repro.recovery.store import CheckpointRecord, CheckpointStore
 from repro.sim.scheduler import Timer
 from repro.util.ids import CompletId
@@ -44,12 +44,7 @@ logger = logging.getLogger(__name__)
 
 
 def local_pull_group(host: "Core", anchor: Anchor) -> list[Anchor]:
-    """``anchor`` plus local complets pulled along when it moves.
-
-    Shared by the cluster-wide :class:`CheckpointManager` and the
-    standalone child-process checkpointer in
-    :mod:`repro.cluster.launch`.
-    """
+    """``anchor`` plus local complets pulled along when it moves."""
     members = [anchor]
     seen = {anchor.complet_id}
     queue = [anchor]
@@ -67,6 +62,63 @@ def local_pull_group(host: "Core", anchor: Anchor) -> list[Anchor]:
             members.append(member)
             queue.append(member)
     return members
+
+
+def checkpoint_group(
+    host: "Core", anchor: Anchor, store: CheckpointStore
+) -> tuple[tuple[CompletId, ...], int]:
+    """Snapshot ``anchor``'s local pull-group at ``host`` into ``store``.
+
+    The one way a checkpoint is taken: the cluster-wide
+    :class:`CheckpointManager` and the child-process sweep in
+    :mod:`repro.cluster.launch` both call it.  Returns the group's ids
+    and how many of them were written; a member whose snapshot fails is
+    logged and left out, the rest of the group is still captured.
+    """
+    members = local_pull_group(host, anchor)
+    group = tuple(member.complet_id for member in members)
+    taken = host.metrics.counter("checkpoint.taken")
+    written = 0
+    with host.tracer.span(
+        "checkpoint", category="recovery", complet=str(anchor.complet_id), members=len(members)
+    ):
+        for member in members:
+            try:
+                snap = persistence.snapshot(host, member)
+            except FarGoError:
+                logger.warning(
+                    "checkpoint of %s at %s failed", member.complet_id, host.name, exc_info=True
+                )
+                continue
+            store.put(CheckpointRecord(snap, host.name, group))
+            taken.inc()
+            written += 1
+    return group, written
+
+
+def restore_record(core: "Core", record: CheckpointRecord, *, keep_identity: bool = True) -> Stub:
+    """Restore ``record`` on ``core``; returns a stub for the revival.
+
+    The one way a checkpoint comes back: the original identity is
+    reclaimed when asked for *and* free — ``core`` does not host it and
+    the location registry knows no live copy — otherwise the revival
+    gets a fresh identity (compare the stub's target id with
+    ``record.complet_id``).  Either way its location is published.
+    """
+    if core.sanitizer is not None:
+        core.sanitizer.record(
+            "restore", str(record.complet_id), core=core, detail=core.name, actor="recovery"
+        )
+    stub = None
+    if keep_identity:
+        try:
+            stub = persistence.restore(core, record.snapshot, keep_identity=True)
+        except CompletError:
+            pass  # the registry (or core itself) still knows a live copy
+    if stub is None:
+        stub = persistence.restore(core, record.snapshot)
+    core.locator.publish(stub_target_id(stub), stub_tracker(stub).address)
+    return stub
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,39 +206,21 @@ class CheckpointManager:
         ``at`` names the authoritative host when the caller knows it
         (mid-move, the departing copy still exists on the source).
         """
-        host = self._find_host(complet_id) if at is None else self._host_named(at, complet_id)
-        if host is None:
+        hosts = [
+            core
+            for core in self.cluster.running_cores()
+            if (at is None or core.name == at)
+            and self.cluster.transport.is_up(core.name)
+            and core.repository.hosts(complet_id)
+        ]
+        if len(hosts) != 1:
             self.skipped += 1
             return False
+        (host,) = hosts
         anchor = host.repository.get(complet_id)
         assert anchor is not None
-        members = self._pull_group(host, anchor)
-        group = tuple(member.complet_id for member in members)
-        now = self.cluster.scheduler.clock.now()
-        taken = host.metrics.counter("checkpoint.taken")
-        with host.tracer.span(
-            "checkpoint", category="recovery", complet=str(complet_id), members=len(members)
-        ):
-            for member in members:
-                try:
-                    snap = persistence.snapshot(host, member)
-                except FarGoError:
-                    logger.warning(
-                        "checkpoint of %s at %s failed", member.complet_id, host.name,
-                        exc_info=True,
-                    )
-                    self.skipped += 1
-                    continue
-                self.store.put(
-                    CheckpointRecord(
-                        complet_id=member.complet_id,
-                        data=snap.to_bytes(),
-                        taken_at=now,
-                        host=host.name,
-                        group=group,
-                    )
-                )
-                taken.inc()
+        group, written = checkpoint_group(host, anchor, self.store)
+        self.skipped += len(group) - written
         return True
 
     def checkpoint_all(self) -> int:
@@ -204,31 +238,6 @@ class CheckpointManager:
         except FarGoError:
             logger.warning("periodic checkpoint of %s failed", complet_id, exc_info=True)
             self.skipped += 1
-
-    def _host_named(self, name: str, complet_id: CompletId) -> "Core | None":
-        core = self.cluster.cores.get(name)
-        if (
-            core is None
-            or not core.is_running
-            or not self.cluster.transport.is_up(name)
-            or not core.repository.hosts(complet_id)
-        ):
-            return None
-        return core
-
-    def _find_host(self, complet_id: CompletId) -> "Core | None":
-        hosts = [
-            core
-            for core in self.cluster.running_cores()
-            if self.cluster.transport.is_up(core.name)
-            and core.repository.hosts(complet_id)
-        ]
-        if len(hosts) != 1:
-            return None
-        return hosts[0]
-
-    def _pull_group(self, host: "Core", anchor: Anchor) -> list[Anchor]:
-        return local_pull_group(host, anchor)
 
     # -- event hooks -------------------------------------------------------------
 

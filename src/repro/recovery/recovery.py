@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.complet.stub import stub_target_id, stub_tracker
-from repro.core import persistence
 from repro.core.events import (
     COMPLET_RECOVERED,
     CORE_FAILED,
@@ -49,7 +48,7 @@ from repro.core.events import (
     CORE_RECOVERED,
 )
 from repro.errors import CompletError, CoreNotFoundError, FarGoError
-from repro.recovery.checkpoint import CheckpointManager
+from repro.recovery.checkpoint import CheckpointManager, restore_record
 from repro.recovery.store import CheckpointRecord
 from repro.util.ids import CompletId
 
@@ -257,23 +256,8 @@ class RecoveryManager:
             report.skipped.append(str(original))
             return
         recovered = dest.metrics.counter("recovery.complets_recovered")
-        if dest.sanitizer is not None:
-            dest.sanitizer.record(
-                "restore", str(original), core=dest, detail=dest.name,
-                actor="recovery",
-            )
         try:
-            snap = persistence.Snapshot.from_bytes(record.data)
-            degraded = not identity_safe
-            if identity_safe:
-                try:
-                    stub = persistence.restore(dest, snap, keep_identity=True)
-                except CompletError:
-                    # The registry (or dest itself) still knows a live copy.
-                    degraded = True
-                    stub = persistence.restore(dest, snap)
-            else:
-                stub = persistence.restore(dest, snap)
+            stub = restore_record(dest, record, keep_identity=identity_safe)
         except FarGoError:
             logger.warning(
                 "recovery of %s at %s failed", original, dest.name, exc_info=True
@@ -281,13 +265,13 @@ class RecoveryManager:
             report.skipped.append(str(original))
             return
         new_id = stub_target_id(stub)
+        degraded = new_id != original
         address = stub_tracker(stub).address
         if not degraded:
             report.restored.append(str(new_id))
             report.relocated[original] = address
         else:
             report.degraded.append(str(new_id))
-        dest.locator.publish(new_id, address)
         recovered.inc()
         dest.events.publish(
             COMPLET_RECOVERED,
@@ -411,21 +395,8 @@ class RecoveryManager:
             if not candidates:
                 raise CoreNotFoundError("no running Core to restore on")
             dest = min(candidates, key=lambda core: (len(core.repository), core.name))
-        if dest.sanitizer is not None:
-            dest.sanitizer.record(
-                "restore", complet_id_str, core=dest, detail=dest.name,
-                actor="recovery",
-            )
-        snap = persistence.Snapshot.from_bytes(record.data)
-        if any(core.repository.hosts(record.complet_id) for core in candidates):
-            stub = persistence.restore(dest, snap)
-        else:
-            try:
-                stub = persistence.restore(dest, snap, keep_identity=True)
-            except CompletError:
-                stub = persistence.restore(dest, snap)
-        new_id = stub_target_id(stub)
-        dest.locator.publish(new_id, stub_tracker(stub).address)
+        alive = any(core.repository.hosts(record.complet_id) for core in candidates)
+        new_id = stub_target_id(restore_record(dest, record, keep_identity=not alive))
         self.log.append(
             (
                 self.cluster.scheduler.clock.now(),

@@ -1,26 +1,25 @@
-"""The checkpoint store: snapshot bytes that outlive their host Core.
+"""The checkpoint store: complet snapshots that outlive their host Core.
 
-The store lives with the cluster harness, not with any Core, so the
-snapshots it holds survive a Core crash — the stand-in for the durable
-replicated storage a real deployment would use.  Records are keyed by
-complet identity; each knows which Core hosted the complet when the
-checkpoint was taken (recovery restores exactly the complets whose last
-known host died) and which pull-group it was captured with (the group is
-restored together, honoring relocation semantics).
+A checkpoint is a :class:`~repro.core.persistence.Snapshot` — exactly
+what would have moved — plus the Core that hosted the complet when it
+was taken (recovery restores the complets whose last known host died)
+and the pull-group it was captured with.
 
-Two backends:
+The marshaled closure (``Snapshot.stream``) goes into a content-keyed,
+refcounted :mod:`repro.store` object store, so an unchanged complet
+re-checkpoints to the *same* blob; the rest is a small per-complet
+**generation manifest**.  ``CheckpointStore()`` holds both in memory: it
+survives simulated Core crashes (the harness outlives them) but not the
+process.  ``CheckpointStore(root)`` is durable and cross-process::
 
-- :class:`CheckpointStore` — the in-memory default; survives simulated
-  Core crashes (the harness outlives them) but not the process.
-- :class:`FileCheckpointStore` — durable and cross-process, layered on
-  the content-keyed :class:`~repro.store.store.FileStore`: snapshot
-  bytes land as refcounted blobs (an unchanged complet re-checkpoints
-  to the *same* blob), while a per-complet JSON manifest — written
-  atomically via rename — tracks generations.  Old generations are
-  garbage-collected past ``keep_generations``.  A respawned Core
-  process pointed at the same directory reads the newest generation
-  written by its predecessor, which is what makes supervised
-  crash-restart recovery possible.
+    root/blobs/                     FileStore (marshaled closures)
+    root/<id-digest>/MANIFEST.json  one manifest per complet
+
+Manifests are written through a temp file and :func:`os.replace`, so a
+reader in another process — or the respawned successor of a SIGKILLed
+writer — sees the previous manifest or the complete new one, never a
+torn write; every read consults the disk, so a record is at once
+visible to every handle on the directory.
 """
 
 from __future__ import annotations
@@ -28,253 +27,163 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
+from repro.core.persistence import Snapshot, check_version
+from repro.errors import StoreMissError
+from repro.store.store import FileStore, InMemoryStore, StoreKey
 from repro.util.ids import CompletId
 
 
 @dataclass(frozen=True, slots=True)
 class CheckpointRecord:
-    """One checkpointed complet: snapshot bytes plus placement facts."""
+    """One checkpointed complet: its snapshot plus placement facts."""
 
-    complet_id: CompletId
-    data: bytes
-    taken_at: float
+    snapshot: Snapshot
     host: str
     #: Identities of the pull-group captured in the same pass (self included).
     group: tuple[CompletId, ...] = ()
 
+    @property
+    def complet_id(self) -> CompletId:
+        return self.snapshot.original_id
+
+    @property
+    def taken_at(self) -> float:
+        return self.snapshot.taken_at
+
+
+def _slot(complet_id: CompletId) -> str:
+    # The display form contains "/", so directories use a digest of it.
+    return hashlib.sha256(str(complet_id).encode()).hexdigest()[:16]
+
 
 class CheckpointStore:
-    """Latest checkpoint per complet identity."""
+    """Generation manifests per complet identity over an object store."""
 
-    def __init__(self) -> None:
-        self._records: dict[CompletId, CheckpointRecord] = {}
+    MANIFEST = "MANIFEST.json"
+    #: Generations retained per complet; older ones give up their blob reference.
+    keep_generations = 3
+
+    def __init__(self, root: str | Path | None = None) -> None:
+        self.root = Path(root) if root is not None else None
+        #: slot -> manifest: the whole manifest table when there is no directory.
+        self._memory: dict[str, dict] = {}
+        self._blobs = InMemoryStore() if self.root is None else FileStore(self.root / "blobs")
+
+    # -- the manifest seam: nothing below it knows where manifests live -----
+
+    def _read(self, slot: str) -> dict | None:
+        """The manifest in ``slot``; ``None`` when absent, emptied or corrupt."""
+        if self.root is None:
+            manifest = self._memory.get(slot)
+        else:
+            try:
+                manifest = json.loads((self.root / slot / self.MANIFEST).read_text())
+            except (OSError, ValueError):
+                return None  # a corrupt slot heals on the next put
+        return manifest if isinstance(manifest, dict) and manifest.get("generations") else None
+
+    def _write(self, slot: str, manifest: dict) -> None:
+        if self.root is None:
+            self._memory[slot] = manifest
+            return
+        directory = self.root / slot
+        directory.mkdir(parents=True, exist_ok=True)
+        tmp = directory / f"{self.MANIFEST}.tmp.{os.getpid()}"
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        os.replace(tmp, directory / self.MANIFEST)
+
+    def _manifests(self) -> list[dict]:
+        """Every live manifest, ordered by complet id."""
+        slots = self._memory if self.root is None else [
+            path.parent.name for path in self.root.glob(f"*/{self.MANIFEST}")
+        ]
+        found = [manifest for slot in slots if (manifest := self._read(slot)) is not None]
+        return sorted(found, key=lambda manifest: manifest["display"])
+
+    def _record(self, manifest: dict) -> CheckpointRecord | None:
+        """The newest generation of ``manifest`` as a record."""
+        last = manifest["generations"][-1]
+        complet_id = CompletId(*manifest["complet_id"])
+        # Refused from the manifest alone: the blob is never unpickled.
+        check_version(last.get("version"), f"checkpoint of {complet_id}")
+        try:
+            stream = self._blobs.get(StoreKey(*last["blob"]))
+        except StoreMissError:
+            return None
+        snap = Snapshot(complet_id, last["anchor_ref"], stream, last["taken_at"], last["version"])
+        group = tuple(CompletId(*fields) for fields in last["group"])
+        return CheckpointRecord(snap, last["host"], group)
 
     def put(self, record: CheckpointRecord) -> None:
-        self._records[record.complet_id] = record
+        """Append a generation; an unchanged closure costs no new blob."""
+        snap = record.snapshot
+        slot = _slot(snap.original_id)
+        manifest = self._read(slot) or {
+            "complet_id": astuple(snap.original_id),
+            "display": str(snap.original_id),
+            "generations": [],
+        }
+        generations = manifest["generations"]
+        generations.append(
+            {
+                "gen": generations[-1]["gen"] + 1 if generations else 1,
+                "blob": astuple(self._blobs.put(snap.stream)),
+                "anchor_ref": snap.anchor_ref,
+                "version": snap.version,
+                "taken_at": snap.taken_at,
+                "host": record.host,
+                "group": [astuple(member) for member in record.group],
+            }
+        )
+        while len(generations) > self.keep_generations:
+            self._blobs.evict(StoreKey(*generations.pop(0)["blob"]))
+        self._write(slot, manifest)
 
     def get(self, complet_id: CompletId) -> CheckpointRecord | None:
-        return self._records.get(complet_id)
+        manifest = self._read(_slot(complet_id))
+        return self._record(manifest) if manifest is not None else None
 
     def by_str(self, complet_id_str: str) -> CheckpointRecord | None:
         """Resolve a record from the display form of its complet id."""
-        for complet_id, record in self._records.items():
-            if str(complet_id) == complet_id_str or complet_id.short() == complet_id_str:
-                return record
-        return None
-
-    def ids(self) -> list[CompletId]:
-        return sorted(self._records, key=str)
-
-    def hosted_at(self, core_name: str) -> list[CheckpointRecord]:
-        """Records whose complet last checkpointed while hosted at ``core_name``."""
-        return sorted(
-            (r for r in self._records.values() if r.host == core_name),
-            key=lambda r: str(r.complet_id),
-        )
-
-    def discard(self, complet_id: CompletId) -> None:
-        self._records.pop(complet_id, None)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, complet_id: CompletId) -> bool:
-        return complet_id in self._records
-
-    def __repr__(self) -> str:
-        return f"<CheckpointStore {len(self._records)} records>"
-
-
-# -- durable, cross-process backend -------------------------------------------
-
-
-def _id_to_json(complet_id: CompletId) -> list:
-    return [complet_id.birth_core, complet_id.serial, complet_id.type_name]
-
-
-def _id_from_json(fields: list) -> CompletId:
-    return CompletId(str(fields[0]), int(fields[1]), str(fields[2]))
-
-
-class FileCheckpointStore(CheckpointStore):
-    """Durable checkpoints in a directory shared across OS processes.
-
-    Layout under ``root``::
-
-        blobs/                   content-keyed FileStore (snapshot bytes)
-        <id-digest>/MANIFEST.json   per-complet generation manifest
-
-    The manifest names the complet (its id contains ``/`` so directories
-    use a digest of the display form instead), the latest generation,
-    and per-generation blob keys + placement facts.  Writes go through a
-    temp file and :func:`os.replace`, so a reader in another process —
-    or a respawned successor of a SIGKILLed writer — always sees either
-    the previous manifest or the complete new one, never a torn write.
-    Every read consults the disk, so records written by one process are
-    immediately visible to every other one pointed at the directory.
-    """
-
-    MANIFEST = "MANIFEST.json"
-
-    def __init__(self, root: str | Path, keep_generations: int = 3) -> None:
-        super().__init__()
-        from repro.store.store import FileStore
-
-        if keep_generations < 1:
-            raise ValueError(f"keep_generations must be >= 1, got {keep_generations}")
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.keep_generations = keep_generations
-        self._blobs = FileStore(self.root / "blobs")
-
-    # -- directory layout --------------------------------------------------
-
-    def _slot(self, complet_id: CompletId) -> Path:
-        digest = hashlib.sha256(str(complet_id).encode()).hexdigest()[:16]
-        return self.root / digest
-
-    def _manifest_path(self, slot: Path) -> Path:
-        return slot / self.MANIFEST
-
-    def _read_manifest(self, slot: Path) -> dict | None:
-        try:
-            return json.loads(self._manifest_path(slot).read_text())
-        except (OSError, ValueError):
-            return None
-
-    def _write_manifest(self, slot: Path, manifest: dict) -> None:
-        slot.mkdir(parents=True, exist_ok=True)
-        tmp = slot / f"{self.MANIFEST}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-        os.replace(tmp, self._manifest_path(slot))
-
-    def _record_from(self, manifest: dict, generation: dict) -> CheckpointRecord:
-        from repro.store.store import StoreKey
-
-        data = self._blobs.get(StoreKey(generation["digest"], generation["size"]))
-        return CheckpointRecord(
-            complet_id=_id_from_json(manifest["complet_id"]),
-            data=data,
-            taken_at=float(generation["taken_at"]),
-            host=str(generation["host"]),
-            group=tuple(_id_from_json(g) for g in generation["group"]),
-        )
-
-    def _latest(self, manifest: dict) -> dict | None:
-        for generation in manifest.get("generations", []):
-            if generation["gen"] == manifest.get("latest"):
-                return generation
-        return None
-
-    # -- CheckpointStore API ----------------------------------------------
-
-    def put(self, record: CheckpointRecord) -> None:
-        slot = self._slot(record.complet_id)
-        manifest = self._read_manifest(slot) or {
-            "complet_id": _id_to_json(record.complet_id),
-            "display": str(record.complet_id),
-            "latest": 0,
-            "generations": [],
-        }
-        key = self._blobs.put(record.data)
-        generation = {
-            "gen": int(manifest["latest"]) + 1,
-            "digest": key.digest,
-            "size": key.size,
-            "taken_at": record.taken_at,
-            "host": record.host,
-            "group": [_id_to_json(g) for g in record.group],
-        }
-        manifest["latest"] = generation["gen"]
-        manifest["generations"].append(generation)
-        # Generation GC: evict blob references past the retention window.
-        from repro.store.store import StoreKey
-
-        while len(manifest["generations"]) > self.keep_generations:
-            stale = manifest["generations"].pop(0)
-            self._blobs.evict(StoreKey(stale["digest"], stale["size"]))
-        self._write_manifest(slot, manifest)
-
-    def get(self, complet_id: CompletId) -> CheckpointRecord | None:
-        manifest = self._read_manifest(self._slot(complet_id))
-        if manifest is None:
-            return None
-        generation = self._latest(manifest)
-        if generation is None:
-            return None
-        try:
-            return self._record_from(manifest, generation)
-        except Exception:
-            return None
-
-    def generations(self, complet_id: CompletId) -> list[dict]:
-        """Retained generation metadata, oldest first (admin surface)."""
-        manifest = self._read_manifest(self._slot(complet_id))
-        if manifest is None:
-            return []
-        return list(manifest.get("generations", []))
-
-    def _manifests(self) -> list[dict]:
-        manifests = []
-        for slot in sorted(self.root.iterdir()):
-            if not slot.is_dir() or slot.name == "blobs":
-                continue
-            manifest = self._read_manifest(slot)
-            if manifest is not None:
-                manifests.append(manifest)
-        return manifests
-
-    def by_str(self, complet_id_str: str) -> CheckpointRecord | None:
-        for manifest in self._manifests():
-            complet_id = _id_from_json(manifest["complet_id"])
-            if (
-                str(complet_id) == complet_id_str
-                or complet_id.short() == complet_id_str
-            ):
+        for complet_id in self.ids():
+            if complet_id_str in (str(complet_id), complet_id.short()):
                 return self.get(complet_id)
         return None
 
     def ids(self) -> list[CompletId]:
-        found = []
-        for manifest in self._manifests():
-            complet_id = _id_from_json(manifest["complet_id"])
-            if self._latest(manifest) is not None:
-                found.append(complet_id)
-        return sorted(found, key=str)
+        return [CompletId(*manifest["complet_id"]) for manifest in self._manifests()]
 
     def hosted_at(self, core_name: str) -> list[CheckpointRecord]:
-        records = []
-        for manifest in self._manifests():
-            generation = self._latest(manifest)
-            if generation is None or generation["host"] != core_name:
-                continue
-            try:
-                records.append(self._record_from(manifest, generation))
-            except Exception:
-                continue
-        return sorted(records, key=lambda r: str(r.complet_id))
+        """Records whose complet last checkpointed while hosted at ``core_name``."""
+        records = [
+            self._record(manifest)
+            for manifest in self._manifests()
+            if manifest["generations"][-1]["host"] == core_name
+        ]
+        return [record for record in records if record is not None]
+
+    def generations(self, complet_id: CompletId) -> list[dict]:
+        """Retained generation metadata, oldest first (admin surface)."""
+        manifest = self._read(_slot(complet_id))
+        return list(manifest["generations"]) if manifest is not None else []
 
     def discard(self, complet_id: CompletId) -> None:
-        from repro.store.store import StoreKey
-
-        slot = self._slot(complet_id)
-        manifest = self._read_manifest(slot)
+        slot = _slot(complet_id)
+        manifest = self._read(slot)
         if manifest is None:
             return
-        for generation in manifest.get("generations", []):
-            self._blobs.evict(StoreKey(generation["digest"], generation["size"]))
-        manifest["generations"] = []
-        manifest["latest"] = 0
-        self._write_manifest(slot, manifest)
+        for generation in manifest["generations"]:
+            self._blobs.evict(StoreKey(*generation["blob"]))
+        self._write(slot, {**manifest, "generations": []})
 
     def __len__(self) -> int:
-        return len(self.ids())
+        return len(self._manifests())
 
     def __contains__(self, complet_id: CompletId) -> bool:
-        return self.get(complet_id) is not None
+        return self._read(_slot(complet_id)) is not None
 
     def __repr__(self) -> str:
-        return f"<FileCheckpointStore {self.root} ({len(self)} records)>"
+        return f"<CheckpointStore {self.root or 'memory'} ({len(self)} records)>"

@@ -33,8 +33,8 @@ class TestConstruction:
 
     def test_custom_link_defaults(self):
         cluster = Cluster(["a", "b"], bandwidth=500.0, latency=0.2)
-        assert cluster.network.link("a", "b").bandwidth == 500.0
-        assert cluster.network.link("a", "b").latency == 0.2
+        assert cluster.transport.link("a", "b").bandwidth == 500.0
+        assert cluster.transport.link("a", "b").latency == 0.2
 
 
 class TestTimeDriving:
@@ -45,7 +45,7 @@ class TestTimeDriving:
 
     def test_advance_fires_profilers(self):
         cluster = Cluster(["a"])
-        cluster["a"].profile_start("completLoad", interval=1.0)
+        cluster["a"].profile("completLoad", interval=1.0)
         cluster.advance(5.0)
         assert cluster["a"].profiler.evaluations["completLoad"] == 5
 

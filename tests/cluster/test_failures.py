@@ -18,9 +18,9 @@ class TestLinkFailures:
     def test_scheduled_degradation(self, rig):
         cluster, inject = rig
         inject.degrade_link_at(5.0, "a", "b", bandwidth=100.0)
-        assert cluster.network.link("a", "b").bandwidth == 1_000_000.0
+        assert cluster.transport.link("a", "b").bandwidth == 1_000_000.0
         cluster.advance(5.0)
-        assert cluster.network.link("a", "b").bandwidth == 100.0
+        assert cluster.transport.link("a", "b").bandwidth == 100.0
 
     def test_cut_and_restore(self, rig):
         cluster, inject = rig
@@ -135,5 +135,5 @@ class TestCancellation:
         inject.cut_link_at(1.0, "a", "b")
         inject.cancel_all()
         cluster.advance(5.0)
-        assert cluster.network.link("a", "b").up
+        assert cluster.transport.link("a", "b").up
         assert inject.log == []

@@ -3,21 +3,19 @@
 The end-to-end kill/restart/escalate paths live in
 ``tests/integration/test_supervised.py`` (tcp marker) and the chaos
 ``--real`` mode; here we pin down the pure parts: restart policies,
-exit-cause decoding, backoff schedules, state reporting, and the
-``Cluster(checkpoint_store=...)`` wiring.
+exit-cause decoding, backoff schedules, state reporting, and handing a
+directory-backed checkpoint store to ``enable_recovery``.
 """
 
 from __future__ import annotations
-
-import os
-from pathlib import Path
 
 import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
 from repro.cluster.supervisor import DEFAULT_BACKOFF, _ChildState, describe_exit
+from repro.cluster.workload import Counter
 from repro.errors import ConfigurationError
-from repro.recovery import CheckpointStore, FileCheckpointStore
+from repro.recovery import CheckpointStore
 
 
 class TestRestartPolicy:
@@ -78,45 +76,17 @@ class TestSupervisorConstruction:
             Supervisor(procs)
 
 
-class TestClusterCheckpointStoreWiring:
-    def test_memory_backend(self):
-        cluster = Cluster(["a"], checkpoint_store="memory")
-        try:
-            manager = cluster.enable_recovery()
-            assert type(manager.store) is CheckpointStore
-        finally:
-            cluster.close()
-
-    def test_file_backend_owns_a_tempdir(self):
-        cluster = Cluster(["a"], checkpoint_store="file")
-        try:
-            manager = cluster.enable_recovery()
-            assert isinstance(manager.store, FileCheckpointStore)
-            owned = cluster._owned_checkpoint_dir
-            assert owned is not None and os.path.isdir(owned)
-        finally:
-            cluster.close()
-        assert not os.path.isdir(owned)
-
-    def test_explicit_directory_left_in_place(self, tmp_path):
+class TestRecoveryStoreWiring:
+    def test_directory_store_through_enable_recovery(self, tmp_path):
         target = tmp_path / "checkpoints"
-        cluster = Cluster(["a"], checkpoint_store=str(target))
+        store = CheckpointStore(target)
+        cluster = Cluster(["a"])
         try:
-            manager = cluster.enable_recovery()
-            assert isinstance(manager.store, FileCheckpointStore)
-            assert manager.store.root == Path(target)
+            manager = cluster.enable_recovery(store=store)
+            assert manager.store is store
+            complet_id = cluster.checkpoints.protect(Counter(3, _core=cluster["a"]))
         finally:
             cluster.close()
-        assert target.is_dir()  # close() must not delete a caller's directory
-
-    def test_store_instance_passthrough(self):
-        store = CheckpointStore()
-        cluster = Cluster(["a"], checkpoint_store=store)
-        try:
-            assert cluster.enable_recovery().store is store
-        finally:
-            cluster.close()
-
-    def test_invalid_value_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Cluster(["a"], checkpoint_store=123)
+        # close() leaves a caller's directory alone, and a fresh handle
+        # (the shape a respawned process uses) reads what was written.
+        assert [r.complet_id for r in CheckpointStore(target).hosted_at("a")] == [complet_id]

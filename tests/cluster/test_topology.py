@@ -12,7 +12,7 @@ class TestUniform:
         cluster = Cluster(["a", "b", "c"])
         configure_uniform(cluster, bandwidth=123.0, latency=0.5)
         for src, dst in (("a", "b"), ("b", "c"), ("a", "c"), ("c", "a")):
-            link = cluster.network.link(src, dst)
+            link = cluster.transport.link(src, dst)
             assert link.bandwidth == 123.0
             assert link.latency == 0.5
 
@@ -21,8 +21,8 @@ class TestStar:
     def test_hub_links_fast(self):
         cluster = Cluster(["hub", "s1", "s2"])
         configure_star(cluster, "hub", hub_bandwidth=1e7, spoke_bandwidth=1e5)
-        assert cluster.network.link("hub", "s1").bandwidth == 1e7
-        assert cluster.network.link("s1", "s2").bandwidth == 1e5
+        assert cluster.transport.link("hub", "s1").bandwidth == 1e7
+        assert cluster.transport.link("s1", "s2").bandwidth == 1e5
 
     def test_unknown_hub_rejected(self):
         cluster = Cluster(["a", "b"])
@@ -45,13 +45,13 @@ class TestWan:
 
     def test_intra_site_fast(self):
         cluster, _profile = self._cluster()
-        assert cluster.network.link("a1", "a2").bandwidth == 1e8
-        assert cluster.network.link("b1", "b2").latency == 0.001
+        assert cluster.transport.link("a1", "a2").bandwidth == 1e8
+        assert cluster.transport.link("b1", "b2").latency == 0.001
 
     def test_cross_site_slow(self):
         cluster, _profile = self._cluster()
-        assert cluster.network.link("a1", "b1").bandwidth == 1e5
-        assert cluster.network.link("a2", "b2").latency == 0.1
+        assert cluster.transport.link("a1", "b1").bandwidth == 1e5
+        assert cluster.transport.link("a2", "b2").latency == 0.1
 
     def test_site_of(self):
         _cluster, profile = self._cluster()
@@ -72,6 +72,6 @@ class TestWan:
 
     def test_wan_transfer_cost_asymmetry(self):
         cluster, _profile = self._cluster()
-        lan = cluster.network.transfer_time("a1", "a2", 100_000)
-        wan = cluster.network.transfer_time("a1", "b1", 100_000)
+        lan = cluster.transport.transfer_time("a1", "a2", 100_000)
+        wan = cluster.transport.transfer_time("a1", "b1", 100_000)
         assert wan > 100 * lan

@@ -106,7 +106,7 @@ class TestShutdown:
             cluster["alpha"].admin("beta", "snapshot")
 
     def test_shutdown_stops_profiling(self, cluster):
-        cluster["alpha"].profile_start("completLoad")
+        cluster["alpha"].profile("completLoad")
         cluster["alpha"].shutdown()
         assert cluster["alpha"].profiler.active_profiles() == 0
         assert cluster.scheduler.pending == 0

@@ -82,9 +82,9 @@ class TestRemoteListeners:
     def test_dead_subscriber_dropped(self, cluster3):
         seen = []
         cluster3["gamma"].events.subscribe_remote("alpha", "e", seen.append)
-        cluster3.network.set_node_down("gamma")
+        cluster3.transport.set_node_down("gamma")
         cluster3["alpha"].events.publish("e")  # must not raise
-        cluster3.network.set_node_down("gamma", down=False)
+        cluster3.transport.set_node_down("gamma", down=False)
         cluster3["alpha"].events.publish("e")
         assert seen == []  # subscription was dropped on first failure
 

@@ -61,9 +61,9 @@ class TestRegistryMaintenance:
         cluster = registry_cluster
         counter = Counter(0, _core=cluster["a"])
         cluster.move(counter, "b")
-        cluster.network.set_node_down("a")  # home offline
+        cluster.transport.set_node_down("a")  # home offline
         cluster["b"].move(counter._fargo_target_id, "c")  # update dropped
-        cluster.network.set_node_down("a", down=False)
+        cluster.transport.set_node_down("a", down=False)
         assert counter.increment() == 1  # chain still resolves
 
 
@@ -93,7 +93,7 @@ class TestRegistryResolution:
         counter = Counter(0, _core=cluster["a"])
         cluster.move_via_host(counter, "b")
         cluster.move_via_host(counter, "c")
-        cluster.network.set_node_down("b")  # the chain a->b->c is cut
+        cluster.transport.set_node_down("b")  # the chain a->b->c is cut
         assert counter.increment() == 1  # recovered via the registry
 
     def test_chain_mode_fails_same_scenario(self):
@@ -101,7 +101,7 @@ class TestRegistryResolution:
         counter = Counter(0, _core=chain_cluster["a"])
         chain_cluster.move_via_host(counter, "b")
         chain_cluster.move_via_host(counter, "c")
-        chain_cluster.network.set_node_down("b")
+        chain_cluster.transport.set_node_down("b")
         with pytest.raises(CoreDownError):
             counter.increment()
 
@@ -110,8 +110,8 @@ class TestRegistryResolution:
         counter = Counter(0, _core=cluster["a"])
         cluster.move_via_host(counter, "b")
         cluster.move_via_host(counter, "c")
-        cluster.network.set_node_down("b")
-        cluster.network.set_node_down("a")  # home gone too
+        cluster.transport.set_node_down("b")
+        cluster.transport.set_node_down("a")  # home gone too
         with pytest.raises(CoreDownError):
             counter.increment()
 

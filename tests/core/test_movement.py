@@ -159,7 +159,7 @@ class TestAbortedMoves:
         from repro.errors import CoreDownError
 
         counter = Counter(0, _core=cluster["alpha"])
-        cluster.network.set_node_down("beta")
+        cluster.transport.set_node_down("beta")
         with pytest.raises(CoreDownError):
             cluster.move(counter, "beta")
         assert cluster.locate(counter) == "alpha"

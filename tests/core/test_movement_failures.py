@@ -207,7 +207,7 @@ class TestInvocationRelocation:
 
     def test_registry_recovers_a_route_through_a_dead_hop(self):
         cluster, echo = self._scattered_cluster(use_location_registry=True)
-        cluster.network.set_node_down("b")
+        cluster.transport.set_node_down("b")
         assert echo.ping() == "x"  # re-located via the home registry
         # The tracker was shortened to c; the dead hop is out of the path.
         assert cluster["a"].repository.existing_tracker(
@@ -217,7 +217,7 @@ class TestInvocationRelocation:
     def test_without_registry_a_dead_hop_still_fails(self):
         """Chain walking cannot skip a dead intermediate Core (§7)."""
         cluster, echo = self._scattered_cluster()
-        cluster.network.set_node_down("b")
+        cluster.transport.set_node_down("b")
         with pytest.raises(CoreDownError):
             echo.ping()
 

@@ -99,7 +99,7 @@ class TestClusterWideLookup:
     def test_lookup_anywhere_skips_dead_cores(self, cluster3):
         echo = Echo("x", _core=cluster3["gamma"], _at="gamma")
         cluster3["gamma"].bind("svc", echo)
-        cluster3.network.set_node_down("beta")
+        cluster3.transport.set_node_down("beta")
         found = cluster3["alpha"].naming.lookup_anywhere("svc")
         assert found.ping() == "x"
 

@@ -127,7 +127,7 @@ class TestRestore:
         counter = Counter(5, _core=cluster["a"])
         original_id = counter._fargo_target_id
         snap = snapshot(cluster["a"], counter)
-        cluster.network.set_node_down("a")  # home (and host) crashes
+        cluster.transport.set_node_down("a")  # home (and host) crashes
         revenant = restore(cluster["b"], snap, keep_identity=True)
         assert revenant._fargo_target_id == original_id
         assert revenant.read() == 5
@@ -153,7 +153,7 @@ class TestCrashRecoveryScenario:
         for round_number in range(3):
             counter.increment(10)
             checkpoints.append(snapshot(cluster3["alpha"], counter).to_bytes())
-        cluster3.network.set_node_down("alpha")  # crash: no shutdown event
+        cluster3.transport.set_node_down("alpha")  # crash: no shutdown event
         snap = Snapshot.from_bytes(checkpoints[-1])
         recovered = restore(cluster3["beta"], snap)
         assert recovered.read() == 30

@@ -112,7 +112,7 @@ class TestPointerBookkeeping:
         from repro.complet.tracker import TrackerAddress
 
         counter = Counter(0, _core=cluster["alpha"])
-        cluster.network.set_node_down("beta")
+        cluster.transport.set_node_down("beta")
         cluster["alpha"].references._notify_pointer(
             TrackerAddress("beta", 1), counter._fargo_tracker.address, register=True
         )  # must not raise
@@ -126,11 +126,11 @@ class TestPointerBookkeeping:
         counter = Counter(0, _core=cluster3["alpha"])
         cluster3.move_via_host(counter, "beta")
         cluster3.move_via_host(counter, "gamma")
-        cluster3.network.set_node_down("beta")
+        cluster3.transport.set_node_down("beta")
         with pytest.raises(CoreDownError):
             counter.increment()
         # Shortened references made beforehand would have survived:
-        cluster3.network.set_node_down("beta", down=False)
+        cluster3.transport.set_node_down("beta", down=False)
         counter.increment()  # shortens alpha -> gamma
-        cluster3.network.set_node_down("beta")
+        cluster3.transport.set_node_down("beta")
         assert counter.increment() == 2  # no longer routed through beta

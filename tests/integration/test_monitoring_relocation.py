@@ -36,7 +36,7 @@ class ColocationPolicy:
         self.core = core
         self.cid = str(client._fargo_target_id)
         self.sid = str(server._fargo_target_id)
-        core.profile_start("invocationRate", interval=1.0, src=self.cid, dst=self.sid)
+        core.profile("invocationRate", interval=1.0, src=self.cid, dst=self.sid)
 
     def evaluate(self):
         server_site = self.cluster.locate(self.server)

@@ -29,7 +29,7 @@ class TestScriptedCheckpoints:
         cluster.advance(2.5)
         assert len(vault) == 1
         # The checkpoint captured the pre-crash state:
-        cluster.network.set_node_down("alpha")
+        cluster.transport.set_node_down("alpha")
         recovered = restore(cluster["beta"], Snapshot.from_bytes(vault[-1]))
         assert recovered.read() == 5
 

@@ -47,7 +47,7 @@ class TestCrashSurvival:
             hosts = [
                 core.name
                 for core in cluster.running_cores()
-                if cluster.network.is_up(core.name)
+                if cluster.transport.is_up(core.name)
                 and core.repository.hosts(counter._fargo_target_id)
             ]
             assert len(hosts) == 1 and hosts[0] != "gamma"

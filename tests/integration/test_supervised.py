@@ -4,7 +4,7 @@ Each test SIGKILLs (or exhausts the restart budget of) a real child
 process and checks the :class:`~repro.cluster.supervisor.Supervisor`
 end-to-end: death detected via ``waitpid``, the successor respawned on
 the preallocated port, durable checkpoints replayed identity-preserving
-from the shared :class:`~repro.recovery.FileCheckpointStore`, and the
+from the shared :class:`~repro.recovery.CheckpointStore`, and the
 surviving deployment repaired so pre-kill references keep working.
 """
 
@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.cluster import CoreProcesses, RestartPolicy, Supervisor
-from repro.recovery import FileCheckpointStore
+from repro.recovery import CheckpointStore
 from tests.anchors import Holder, Probe
 
 pytestmark = pytest.mark.tcp
@@ -41,7 +41,7 @@ def hosted_at(procs: CoreProcesses, core_name: str) -> set[str]:
 
 def wait_for_checkpoint(checkpoint_dir: str, core_name: str) -> None:
     """Block until the child's periodic sweep has persisted something."""
-    store = FileCheckpointStore(checkpoint_dir)
+    store = CheckpointStore(checkpoint_dir)
     assert wait_until(lambda: len(store.hosted_at(core_name)) > 0), (
         f"no durable checkpoint for {core_name} appeared in {checkpoint_dir}"
     )
@@ -155,20 +155,20 @@ class TestDurableCheckpoints:
         probe.note("persisted")
         wait_for_checkpoint(checkpoint_dir, "alpha")
 
-        store = FileCheckpointStore(checkpoint_dir)
+        store = CheckpointStore(checkpoint_dir)
         records = store.hosted_at("alpha")
         assert [str(record.complet_id) for record in records] == [
             str(probe._fargo_target_id)
         ]
         assert records[0].host == "alpha"
-        assert len(records[0].data) > 0
+        assert len(records[0].snapshot.stream) > 0
 
     def test_regenerating_state_advances_generations(self, deployment):
         procs, checkpoint_dir = deployment
         probe = Probe(_core=procs.driver, _at="alpha")
         probe.note("gen-1")
         wait_for_checkpoint(checkpoint_dir, "alpha")
-        store = FileCheckpointStore(checkpoint_dir)
+        store = CheckpointStore(checkpoint_dir)
         cid = store.by_str(str(probe._fargo_target_id)).complet_id
         first = store.generations(cid)[-1]["gen"]
         probe.note("gen-2")

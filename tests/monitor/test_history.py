@@ -11,7 +11,7 @@ from repro.cluster.workload import Echo
 class TestHistory:
     def test_samples_recorded_with_times(self, cluster):
         core = cluster["alpha"]
-        core.profile_start("completLoad", interval=1.0)
+        core.profile("completLoad", interval=1.0)
         Echo("x", _core=core)
         cluster.advance(3.0)
         history = core.profiler.history("completLoad")
@@ -20,7 +20,7 @@ class TestHistory:
 
     def test_history_tracks_changes(self, cluster):
         core = cluster["alpha"]
-        core.profile_start("completLoad", interval=1.0)
+        core.profile("completLoad", interval=1.0)
         cluster.advance(1.0)
         Echo("x", _core=core)
         Echo("y", _core=core)
@@ -30,7 +30,7 @@ class TestHistory:
 
     def test_history_is_bounded(self, cluster):
         core = cluster["alpha"]
-        core.profile_start("completLoad", interval=1.0)
+        core.profile("completLoad", interval=1.0)
         cluster.advance(HISTORY_CAPACITY + 50.0)
         history = core.profiler.history("completLoad")
         assert len(history) == HISTORY_CAPACITY
@@ -43,7 +43,7 @@ class TestHistory:
 
     def test_history_returns_copy(self, cluster):
         core = cluster["alpha"]
-        core.profile_start("completLoad", interval=1.0)
+        core.profile("completLoad", interval=1.0)
         cluster.advance(2.0)
         first = core.profiler.history("completLoad")
         first.clear()
@@ -65,7 +65,7 @@ class TestSparkline:
 
     def test_accepts_time_value_pairs(self, cluster):
         core = cluster["alpha"]
-        core.profile_start("completLoad", interval=1.0)
+        core.profile("completLoad", interval=1.0)
         Echo("x", _core=core)
         cluster.advance(5.0)
         line = render_sparkline(core.profiler.history("completLoad"))

@@ -17,7 +17,7 @@ class TestProbeEdges:
     def test_probe_of_dead_peer_raises(self, cluster):
         from repro.errors import CoreDownError
 
-        cluster.network.set_node_down("beta")
+        cluster.transport.set_node_down("beta")
         with pytest.raises(CoreDownError):
             cluster["alpha"].profile_instant("bandwidth", peer="beta")
 

@@ -1,4 +1,4 @@
-"""Tests for the ProfilingSession handle and the deprecated start/stop shims."""
+"""Tests for the ProfilingSession handle."""
 
 import pytest
 
@@ -58,26 +58,13 @@ class TestSessionHandle:
         assert core.profiler.active_profiles() == 0
 
 
-class TestDeprecatedShims:
-    def test_start_stop_still_work_but_warn(self, cluster):
+class TestSharedRefcounts:
+    def test_profiler_start_and_session_share_refcounts(self, cluster):
         core = cluster["alpha"]
-        Echo("x", _core=core)
-        with pytest.deprecated_call():
-            core.profile_start("completLoad", interval=1.0)
-        cluster.advance(3.0)
-        assert core.profile_get("completLoad") == pytest.approx(1.0)
-        with pytest.deprecated_call():
-            core.profile_stop("completLoad")
-        assert core.profiler.active_profiles() == 0
-
-    def test_shim_and_session_share_refcounts(self, cluster):
-        core = cluster["alpha"]
-        with pytest.deprecated_call():
-            core.profile_start("completLoad", interval=1.0)
+        core.profiler.start("completLoad", interval=1.0)
         session = core.profile("completLoad", interval=1.0)
         assert core.profiler.active_profiles() == 1
         session.stop()
-        assert core.profiler.active_profiles() == 1  # shim client remains
-        with pytest.deprecated_call():
-            core.profile_stop("completLoad")
+        assert core.profiler.active_profiles() == 1  # the start() client remains
+        core.profiler.stop("completLoad")
         assert core.profiler.active_profiles() == 0

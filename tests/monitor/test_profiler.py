@@ -58,11 +58,11 @@ class TestInstantInterface:
 class TestContinuousInterface:
     def test_start_get_stop_cycle(self, cluster):
         core = cluster["alpha"]
-        core.profile_start("completLoad", interval=1.0)
+        session = core.profile("completLoad", interval=1.0)
         Echo("x", _core=core)
         cluster.advance(3.0)
         assert core.profile_get("completLoad") == pytest.approx(1.0)
-        core.profile_stop("completLoad")
+        session.stop()
         assert core.profiler.active_profiles() == 0
 
     def test_get_without_start(self, cluster):
@@ -71,7 +71,7 @@ class TestContinuousInterface:
 
     def test_stop_without_start(self, cluster):
         with pytest.raises(ProfilingNotStartedError):
-            cluster["alpha"].profile_stop("completLoad")
+            cluster["alpha"].profiler.stop("completLoad")
 
     def test_sampling_only_when_started(self, cluster):
         """§4.1: the Core monitors only resources of declared interest."""
@@ -103,7 +103,7 @@ class TestContinuousInterface:
 
     def test_exponential_average_smooths(self, cluster):
         core = cluster["alpha"]
-        core.profile_start("completLoad", interval=1.0, alpha=0.5)
+        core.profile("completLoad", interval=1.0, alpha=0.5)
         cluster.advance(1.0)  # sample: 0 complets
         for _ in range(3):
             Echo("x", _core=core)

@@ -95,7 +95,7 @@ class TestApplicationServices:
     def test_invocation_rate(self, cluster):
         client, server, cid, sid = self._chatty_pair(cluster)
         core = cluster["alpha"]
-        core.profile_start("invocationRate", interval=1.0, src=cid, dst=sid)
+        core.profile("invocationRate", interval=1.0, src=cid, dst=sid)
         cluster.advance(1.0)
         client.run(10)
         cluster.advance(1.0)
@@ -110,7 +110,7 @@ class TestApplicationServices:
     def test_byte_rate_scales_with_payload(self, cluster):
         client, server, cid, sid = self._chatty_pair(cluster)
         core = cluster["alpha"]
-        core.profile_start("byteRate", interval=1.0, src=cid, dst=sid)
+        core.profile("byteRate", interval=1.0, src=cid, dst=sid)
         cluster.advance(1.0)
         client.run(5)
         cluster.advance(1.0)
@@ -128,7 +128,7 @@ class TestApplicationServices:
     def test_cpu_load(self, cluster):
         echo = Echo("x", _core=cluster["alpha"])
         core = cluster["alpha"]
-        core.profile_start("cpuLoad", interval=1.0)
+        core.profile("cpuLoad", interval=1.0)
         cluster.advance(1.0)
         for _ in range(20):
             echo.ping()
@@ -139,7 +139,7 @@ class TestApplicationServices:
         echo = Echo("x", _core=cluster["alpha"])
         core = cluster["alpha"]
         eid = str(echo._fargo_target_id)
-        core.profile_start("servedRate", interval=1.0, complet=eid)
+        core.profile("servedRate", interval=1.0, complet=eid)
         cluster.advance(1.0)
         for _ in range(10):
             echo.ping()

@@ -9,7 +9,7 @@ from repro.errors import (
     DuplicateCoreError,
 )
 from repro.net.messages import Envelope, MessageKind
-from repro.net.simnet import Link, SimNetwork
+from repro.net.simnet import Link, SimTransport
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
 
@@ -17,7 +17,7 @@ from repro.sim.scheduler import Scheduler
 @pytest.fixture
 def net():
     scheduler = Scheduler(VirtualClock())
-    network = SimNetwork(scheduler, default_bandwidth=1000.0, default_latency=0.1)
+    network = SimTransport(scheduler, default_bandwidth=1000.0, default_latency=0.1)
     return network
 
 
@@ -45,7 +45,7 @@ class TestLink:
         assert Link(bandwidth=100.0, latency=0.25).transfer_time(0) == 0.25
 
     def test_unlimited_bandwidth(self):
-        from repro.net.simnet import UNLIMITED
+        from repro.net.transport import UNLIMITED
 
         assert Link(bandwidth=UNLIMITED, latency=0.1).transfer_time(10**9) == 0.1
 

@@ -1,4 +1,4 @@
-"""The abstract Transport protocol, adapter, capabilities, and group."""
+"""The abstract Transport protocol, capabilities, and group."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from repro.net import (
     Transport,
     TransportGroup,
 )
-from repro.net.rpc import RpcEndpoint
-from repro.net.simnet import SimNetwork, as_transport
 from repro.net.transport import LinkStats, NetworkStats, NodeHandler
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
@@ -70,9 +68,6 @@ class TestProtocol:
     def test_sim_transport_is_a_transport(self):
         assert isinstance(fresh_sim(), Transport)
 
-    def test_bare_simnetwork_is_not_a_transport(self):
-        assert not isinstance(SimNetwork(Scheduler(VirtualClock())), Transport)
-
     def test_sim_capabilities_include_virtual_time_and_bandwidth(self):
         net = fresh_sim()
         assert net.supports(CAP_VIRTUAL_TIME)
@@ -110,47 +105,6 @@ class TestProtocol:
         assert net.stats.messages > 0
         net.reset_stats()
         assert net.stats.messages == 0
-
-
-class TestAdapter:
-    def test_bare_simnetwork_warns_and_adapts(self):
-        network = SimNetwork(Scheduler(VirtualClock()))
-        with pytest.deprecated_call():
-            adapted = as_transport(network)
-        assert isinstance(adapted, Transport)
-        assert adapted.network is network
-
-    def test_transport_passes_through_unwrapped(self):
-        net = fresh_sim()
-        assert as_transport(net) is net
-
-    def test_other_objects_are_rejected(self):
-        with pytest.raises(TransportError):
-            as_transport(object())
-
-    def test_rpc_endpoint_accepts_bare_simnetwork(self):
-        network = SimNetwork(Scheduler(VirtualClock()))
-        with pytest.deprecated_call():
-            endpoint = RpcEndpoint("a", network)
-        RpcEndpoint("b", endpoint.transport)
-        endpoint.register(MessageKind.HEARTBEAT, lambda src, payload: b"up")
-        other = endpoint.transport
-        reply = other.send(envelope("b", "a"))
-        assert reply.endswith(b"up")
-
-    def test_adapter_delegates_chaos_and_queries(self):
-        network = SimNetwork(Scheduler(VirtualClock()))
-        with pytest.deprecated_call():
-            adapted = as_transport(network)
-        adapted.register("a", lambda env: b"ok")
-        adapted.register("b", lambda env: b"ok")
-        adapted.set_node_down("a")
-        assert not adapted.is_up("a")
-        assert not adapted.can_reach("b", "a")
-        adapted.set_node_down("a", down=False)
-        assert adapted.is_up("a")
-        assert adapted.nodes() == ["a", "b"]
-        assert adapted.stats is network.stats
 
 
 class TestTransportGroup:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.net.messages import Envelope, MessageKind
-from repro.net.simnet import Link, SimNetwork
+from repro.net.simnet import Link, SimTransport
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
 
@@ -43,7 +43,7 @@ class TestAccountingProperties:
     @given(payloads=st.lists(st.binary(max_size=2_000), min_size=1, max_size=20))
     def test_bytes_accounting_is_exact(self, payloads):
         scheduler = Scheduler(VirtualClock())
-        network = SimNetwork(scheduler)
+        network = SimTransport(scheduler)
         network.register("a", lambda e: b"")
         network.register("b", lambda e: b"ok")
         for payload in payloads:
@@ -59,7 +59,7 @@ class TestAccountingProperties:
     @given(payloads=st.lists(st.binary(max_size=2_000), min_size=1, max_size=20))
     def test_clock_advances_by_total_transfer_time(self, payloads):
         scheduler = Scheduler(VirtualClock())
-        network = SimNetwork(scheduler)
+        network = SimTransport(scheduler)
         network.register("a", lambda e: b"")
         network.register("b", lambda e: b"ok")
         for payload in payloads:
@@ -72,7 +72,7 @@ class TestAccountingProperties:
     @given(count=st.integers(min_value=1, max_value=50))
     def test_trace_is_bounded(self, count):
         scheduler = Scheduler(VirtualClock())
-        network = SimNetwork(scheduler, trace_capacity=16)
+        network = SimTransport(scheduler, trace_capacity=16)
         network.register("a", lambda e: b"")
         network.register("b", lambda e: b"")
         for _ in range(count):

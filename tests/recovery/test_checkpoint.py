@@ -4,7 +4,6 @@ import pytest
 
 from repro.complet.relocators import Pull
 from repro.core.core import Core
-from repro.core.persistence import Snapshot
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter, DataSource
 from repro.recovery import CheckpointPolicy
@@ -43,7 +42,7 @@ class TestProtect:
         complet_id = checkpoints.protect(counter, CheckpointPolicy(interval=2.0))
         counter.increment(by=37)
         cluster.advance(2.5)
-        snap = Snapshot.from_bytes(checkpoints.store.get(complet_id).data)
+        snap = checkpoints.store.get(complet_id).snapshot
         from repro.core.persistence import restore
 
         revived = restore(cluster["beta"], snap)
@@ -122,7 +121,7 @@ class TestSkipWindows:
         counter = Counter(5, _core=cluster["alpha"])
         complet_id = checkpoints.protect(counter, CheckpointPolicy(interval=1.0))
         before = checkpoints.skipped
-        cluster.network.set_node_down("alpha")
+        cluster.transport.set_node_down("alpha")
         cluster.advance(3.0)
         assert checkpoints.skipped > before
         assert checkpoints.checkpoint(complet_id) is False

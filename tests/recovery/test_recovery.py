@@ -74,8 +74,8 @@ class TestCrashRecovery:
         cluster = Cluster(["alpha", "beta"])
         cluster.enable_recovery(auto_recover=False)
         _protected_counter(cluster, "beta")
-        cluster.network.set_node_down("alpha")
-        cluster.network.set_node_down("beta")
+        cluster.transport.set_node_down("alpha")
+        cluster.transport.set_node_down("beta")
         with pytest.raises(CoreNotFoundError):
             cluster.recovery.recover_core("beta")
 
@@ -84,7 +84,7 @@ class TestCrashRecovery:
         cluster.recovery.auto_recover = False
         counter = _protected_counter(cluster, "gamma")
         cluster.advance(1.5)  # let the interval checkpoint capture 42
-        cluster.network.set_node_down("gamma")
+        cluster.transport.set_node_down("gamma")
         report = cluster.recovery.recover_core("gamma", destination="beta")
         assert report.destination == "beta"
         assert cluster.stub_at("alpha", counter).read() == 42
@@ -191,7 +191,7 @@ class TestManualRestore:
         cluster.recovery.auto_recover = False
         counter = _protected_counter(cluster, "gamma")
         cluster.advance(1.5)  # let the interval checkpoint capture 42
-        cluster.network.set_node_down("gamma")
+        cluster.transport.set_node_down("gamma")
         new_id = cluster.recovery.restore_complet(
             counter._fargo_target_id.short(), destination="beta"
         )

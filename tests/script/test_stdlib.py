@@ -87,7 +87,7 @@ class TestFailoverAction:
     def test_failover_with_explicit_core(self, cluster3, engine, recovering):
         counter, _ = recovering
         cluster3.advance(1.5)  # interval checkpoint captures 42
-        cluster3.network.set_node_down("gamma")
+        cluster3.transport.set_node_down("gamma")
         engine.run('on timer(1) do call failover("gamma") end')
         cluster3.advance(1.0)
         assert cluster3.recovery.reports
@@ -104,7 +104,7 @@ class TestFailoverAction:
     def test_restore_action(self, cluster3, engine, recovering):
         counter, _ = recovering
         cluster3.advance(1.5)
-        cluster3.network.set_node_down("gamma")
+        cluster3.transport.set_node_down("gamma")
         short = counter._fargo_target_id.short()
         engine.run(f'on timer(1) do call restore("{short}", "beta") end')
         cluster3.advance(1.0)

@@ -235,7 +235,7 @@ class TestRecoveryCommands:
         counter.increment(by=2)
         complet_id = str(counter._fargo_target_id)
         recovering.execute(f"snapshot {complet_id}")
-        cluster3.network.set_node_down("beta")
+        cluster3.transport.set_node_down("beta")
         out = recovering.execute(f"restore {complet_id} alpha keep")
         assert f"restored {complet_id} as {complet_id}" in out
         assert counter.read() == 42  # the old reference works again
