@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench examples experiments loc clean
+.PHONY: install test bench realpath-quick examples experiments loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -20,6 +20,13 @@ loc:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The wall-clock benchmark of BENCHMARK.json at 2 s per run, then its own unit
+# tests: fails when a transport change breaks a name benchmarks/realpath/sut.py
+# wraps, or fails an op.
+realpath-quick:
+	$(PYTHON) benchmarks/realpath/run.py --quick
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q benchmarks/realpath/tests
 
 # Benchmark run with the experiment tables printed (EXPERIMENTS.md data).
 experiments:

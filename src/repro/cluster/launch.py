@@ -33,6 +33,7 @@ import argparse
 import contextlib
 import logging
 import os
+import selectors
 import socket
 import subprocess
 import sys
@@ -324,26 +325,37 @@ class CoreProcesses:
         self.processes[name] = process
         return process
 
-    def await_child(self, name: str, timeout: float | None = None) -> None:
+    def await_child(
+        self, name: str, timeout: float | None = None, *, restored: bool = False
+    ) -> None:
         """Block until child ``name`` has answered one request.
 
         A listener that merely accepts is not enough: it does so before
         the child's Core has registered its handlers.  ``ADMIN_QUERY`` is
         the last one it registers, so an answered admin request means
-        every request the caller sends next finds its handler.
+        every request the caller sends next finds its handler.  Until the
+        listener is there, one refused connect every 10 ms is all it
+        costs to notice it promptly.
+
+        A ``--recover`` child answers while it is still restoring and
+        prints READY only afterwards; with ``restored`` (whoever respawns
+        one and then asks what it hosts) the READY line is waited for as
+        well.  :meth:`start` never reads a child's stdout — that stream
+        belongs to its caller.
         """
-        assert self.driver is not None
+        assert self.driver is not None and self.transport is not None
         budget = timeout if timeout is not None else self.startup_timeout
         deadline = time.monotonic() + budget
         process = self.processes[name]
         while True:
-            try:
-                self.driver.peer.request(
-                    name, MessageKind.ADMIN_QUERY, ("complets", {}), timeout=1.0
-                )
-                return
-            except (CoreError, TransportError):
-                pass  # not listening yet, or listening before its handlers are up
+            if self.transport.probe(name, timeout=1.0):
+                try:
+                    self.driver.peer.request(
+                        name, MessageKind.ADMIN_QUERY, ("complets", {}), timeout=1.0
+                    )
+                    break
+                except (CoreError, TransportError):
+                    pass  # listening before its handlers are up
             if process.poll() is not None:
                 _out, err = process.communicate()
                 raise CoreError(
@@ -354,7 +366,20 @@ class CoreProcesses:
                 raise CoreError(
                     f"child Core {name!r} did not come up within {budget}s"
                 )
-            time.sleep(0.05)
+            time.sleep(0.01)
+        if restored:
+            assert process.stdout is not None
+            with selectors.DefaultSelector() as readable:
+                readable.register(process.stdout, selectors.EVENT_READ)
+                line = "nothing"
+                # READY is the only line a child prints there, whole and flushed.
+                if readable.select(max(0.0, deadline - time.monotonic())):
+                    line = process.stdout.readline()
+            if not line.startswith(READY_PREFIX):
+                raise CoreError(
+                    f"child Core {name!r} printed {line!r} where READY was "
+                    f"expected within {budget}s"
+                )
 
     def _await_ready(self) -> None:
         """Block until every child has answered one request."""

@@ -26,7 +26,9 @@ that loop:
 - **Re-admit** — the respawned child restores its predecessor's durable
   checkpoints (``--recover`` against the shared
   :class:`~repro.recovery.CheckpointStore` directory) under the *original*
-  identities before announcing READY; the supervisor then refreshes the
+  identities before announcing READY; the supervisor waits for that
+  line (the child answers requests sooner, with the restore still
+  running, and would report half a tracker map), then refreshes the
   driver's address book (invalidating stale pooled connections),
   fetches the reborn Core's tracker map (``hosted_trackers``), and
   repairs every survivor's trackers and location records exactly as
@@ -323,7 +325,7 @@ class Supervisor:
         """Spawn the successor on the preallocated port, or a fresh one."""
         self.procs.spawn_child(name, recover=recover)
         try:
-            self.procs.await_child(name)
+            self.procs.await_child(name, restored=recover)
             return
         except CoreError:
             process = self.procs.processes.get(name)
@@ -338,7 +340,7 @@ class Supervisor:
         self.procs.addresses[name] = fresh
         self._log(f"child {name} could not rebind {old[1]}; moving to port {fresh[1]}")
         self.procs.spawn_child(name, recover=recover)
-        self.procs.await_child(name)
+        self.procs.await_child(name, restored=recover)
 
     def _readmit(self, name: str) -> None:
         """Reconnect and repair the deployment around the reborn Core."""

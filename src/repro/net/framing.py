@@ -44,6 +44,7 @@ MAX_FRAME_BYTES = 1 << 30
 
 _LENGTH = struct.Struct("<I")
 _HEAD = struct.Struct("<BBQ")       # version, type, request id
+_PREFIXED_HEAD = struct.Struct("<IBBQ")  # _LENGTH then _HEAD, no padding
 _SHORT = struct.Struct("<H")        # length of one UTF-8 field / count
 _TYPES = frozenset({REQUEST, REPLY, ONEWAY, ERROR})
 
@@ -85,6 +86,7 @@ def _pack_str(text: str) -> bytes:
 def encode_request(envelope: Envelope, request_id: int, *, oneway: bool = False) -> bytes:
     """Frame an outgoing envelope (REQUEST, or ONEWAY when ``oneway``)."""
     parts = [
+        b"",  # the length prefix, known once the rest is
         _HEAD.pack(VERSION, ONEWAY if oneway else REQUEST, request_id),
         _pack_str(envelope.src),
         _pack_str(envelope.dst),
@@ -95,14 +97,18 @@ def encode_request(envelope: Envelope, request_id: int, *, oneway: bool = False)
         parts.append(_pack_str(key))
         parts.append(_pack_str(value))
     parts.append(envelope.payload)
-    body = b"".join(parts)
-    return _LENGTH.pack(len(body)) + body
+    parts[0] = _LENGTH.pack(sum(map(len, parts)))
+    return b"".join(parts)  # the one copy of the payload
+
+
+def _prefixed(frame_type: int, request_id: int, body: bytes) -> bytes:
+    """A whole REPLY/ERROR frame; ``body`` is copied once."""
+    return _PREFIXED_HEAD.pack(_HEAD.size + len(body), VERSION, frame_type, request_id) + body
 
 
 def encode_reply(request_id: int, payload: bytes) -> bytes:
     """Frame the reply bytes for request ``request_id``."""
-    body = _HEAD.pack(VERSION, REPLY, request_id) + payload
-    return _LENGTH.pack(len(body)) + body
+    return _prefixed(REPLY, request_id, payload)
 
 
 def encode_error(request_id: int, error: BaseException) -> bytes:
@@ -111,8 +117,7 @@ def encode_error(request_id: int, error: BaseException) -> bytes:
         body = pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # noqa: BLE001 - exotic exception state
         body = pickle.dumps(TransportError(repr(error)))
-    frame = _HEAD.pack(VERSION, ERROR, request_id) + body
-    return _LENGTH.pack(len(frame)) + frame
+    return _prefixed(ERROR, request_id, body)
 
 
 def decode_error(payload: bytes) -> BaseException:
@@ -126,7 +131,8 @@ def decode_error(payload: bytes) -> BaseException:
     return error
 
 
-def _decode_body(body: bytes) -> Frame:
+def _decode_body(body: memoryview) -> Frame:
+    """Decode what follows the length prefix; the payload is copied out once."""
     version, frame_type, request_id = _HEAD.unpack_from(body)
     if version != VERSION:
         raise FramingError(f"unsupported frame version {version} (expected {VERSION})")
@@ -134,7 +140,7 @@ def _decode_body(body: bytes) -> Frame:
         raise FramingError(f"unknown frame type {frame_type}")
     offset = _HEAD.size
     if frame_type in (REPLY, ERROR):
-        return Frame(type=frame_type, request_id=request_id, payload=body[offset:])
+        return Frame(type=frame_type, request_id=request_id, payload=bytes(body[offset:]))
 
     def take_str() -> str:
         nonlocal offset
@@ -142,7 +148,7 @@ def _decode_body(body: bytes) -> Frame:
         offset += _SHORT.size
         if offset + length > len(body):
             raise FramingError("truncated string field inside frame")
-        text = body[offset:offset + length].decode("utf-8")
+        text = str(body[offset:offset + length], "utf-8")
         offset += length
         return text
 
@@ -158,7 +164,7 @@ def _decode_body(body: bytes) -> Frame:
     return Frame(
         type=frame_type,
         request_id=request_id,
-        payload=body[offset:],
+        payload=bytes(body[offset:]),
         src=src,
         dst=dst,
         kind=kind,
@@ -200,9 +206,12 @@ class FrameDecoder:
         end = _LENGTH.size + length
         if len(self._buffer) < end:
             return None
-        body = bytes(self._buffer[_LENGTH.size:end])
+        # Decoded in place: the payload is the only part copied, and once.
+        # Every view is gone again before the buffer is resized.
+        with memoryview(self._buffer) as view:
+            frame = _decode_body(view[_LENGTH.size:end])
         del self._buffer[:end]
-        return _decode_body(body)
+        return frame
 
     @property
     def pending_bytes(self) -> int:

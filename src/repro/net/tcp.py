@@ -1,4 +1,4 @@
-"""Real asyncio/TCP transport: Cores as separate OS processes.
+"""Real TCP transport: Cores as separate OS processes.
 
 One :class:`TcpTransport` is a *hub* for the Cores of one process —
 usually exactly one.  Each registered node gets its own listener socket;
@@ -8,32 +8,49 @@ the RPC payload bytes (struct-framed INVOKE, 1-byte status-prefix
 replies) passed through untouched, so application-level encoding is
 byte-identical with the simulated backend.
 
-Threading model: a private asyncio event loop runs on a daemon thread
-and only moves bytes; incoming frames are handed to a dispatcher thread
-pool, where node handlers (and any nested synchronous calls they make
-back across the network) execute.  The synchronous
-:meth:`TcpTransport.send` blocks its calling thread on the reply, which
-is exactly the RMI-style semantics the RPC layer expects.
+Threading model — who writes, who reads, who runs handlers:
+
+- The **calling thread** of :meth:`TcpTransport.send` / ``post`` writes
+  its own frame to the cached per-peer socket (under that connection's
+  write lock) and then sleeps on a lock until its reply arrives — the
+  RMI-style blocking call the RPC layer expects.
+- **One I/O thread per hub** (``fargo-tcp-io``) runs a ``selectors``
+  loop that only accepts and reads.  A REPLY/ERROR frame releases the
+  caller waiting under its request id; a REQUEST/ONEWAY frame is handed
+  to the dispatch pool.  Handlers never run here: a re-entrant chain
+  A→B→A→B shares one connection per direction, so a handler blocked on a
+  nested call would stop the very thread that must read its reply.
+- A **dispatch thread** (``fargo-tcp-dispatch``) runs the node handler —
+  and any nested synchronous calls it makes back across the network —
+  and writes the reply itself.
+
+A round trip therefore wakes two threads besides the two endpoints
+(receiver's I/O thread → dispatch thread, sender's I/O thread →
+caller).  The sockets are non-blocking underneath so that every write
+and wait can honour the caller's deadline; only the I/O thread ever
+touches the selector.
 
 Failure semantics mirror the simulated network's types: a refused or
 lost connection raises :class:`~repro.errors.CoreUnreachableError`, a
 node administratively marked down answers (or refuses) with
 :class:`~repro.errors.CoreDownError`, and an expired round-trip budget
-raises :class:`~repro.errors.DeadlineExceededError`.  Outgoing
-connections reconnect per peer under a
-:class:`~repro.net.retry.RetryPolicy`.  Chaos hooks support node
-crash/revive, link cuts, injected latency, and partitions; bandwidth
-shaping is simnet-only and raises
+— connect, write and wait together — raises
+:class:`~repro.errors.DeadlineExceededError`.  Outgoing connections
+reconnect per peer under a :class:`~repro.net.retry.RetryPolicy`.
+Chaos hooks support node crash/revive, link cuts, injected latency, and
+partitions; bandwidth shaping is simnet-only and raises
 :class:`~repro.errors.TransportCapabilityError`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import logging
+import selectors
+import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
@@ -70,78 +87,134 @@ logger = logging.getLogger(__name__)
 Address = tuple[str, int]
 
 #: Reconnect schedule applied per peer when a connection cannot be
-#: established; real-time sleeps on the event loop.
+#: established; real-time sleeps on the calling thread, inside its deadline.
 DEFAULT_RECONNECT = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0, max_delay=0.5)
 
-_READ_CHUNK = 1 << 16
+#: Size of the I/O thread's one receive buffer.
+_READ_CHUNK = 1 << 18
+
+_LISTEN_BACKLOG = 100
+
+
+class _Waiter:
+    """A caller asleep on its reply: a held lock that the settler releases."""
+
+    __slots__ = ("lock", "frame", "error")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.frame: framing.Frame | None = None
+        self.error: BaseException | None = None
 
 
 class _Connection:
-    """One established outgoing connection, multiplexing requests.
+    """One established socket, outgoing or accepted.
 
-    Lives entirely on the event loop thread: replies are matched to
-    pending futures by request id, so many blocked senders share one
-    socket per peer.
+    Any thread may write a whole frame under ``write_lock``; only the I/O
+    thread reads, feeds ``decoder`` and closes the socket.  On an
+    outgoing connection many blocked senders share the socket, matched
+    to their replies by request id in ``pending``.
     """
 
-    def __init__(
-        self,
-        peer: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
-        self.peer = peer
-        self.reader = reader
-        self.writer = writer
-        self.loop = loop
-        self.closed = False
-        self.pending: dict[int, asyncio.Future] = {}
-        self.reader_task = loop.create_task(self._read_loop())
+    __slots__ = ("sock", "peer", "write_lock", "decoder", "pending", "closed")
 
-    async def request(self, request_id: int, data: bytes) -> framing.Frame:
-        future: asyncio.Future = self.loop.create_future()
-        self.pending[request_id] = future
+    def __init__(self, sock: socket.socket, peer: str) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
+        self.sock = sock
+        self.peer = peer
+        self.write_lock = threading.Lock()
+        self.decoder = framing.FrameDecoder()
+        self.pending: dict[int, _Waiter] = {}
+        self.closed = False
+
+    def write(self, data: bytes, deadline: float) -> None:
+        """Put one whole frame on the wire by ``deadline``.
+
+        Raises :class:`TimeoutError` past the deadline and ``OSError`` on
+        a dead socket.  A frame written in part poisons the stream, so
+        either failure aborts the connection.
+        """
+        if not self.write_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+            raise TimeoutError("write lock not free by the deadline")
         try:
-            self.writer.write(data)
-            await self.writer.drain()
-            return await future
+            try:
+                sent = self.sock.send(data)
+            except BlockingIOError:
+                sent = 0
+            if sent < len(data):
+                self._write_rest(memoryview(data)[sent:], deadline)
+        except OSError:
+            self.abort()
+            raise
+        finally:
+            self.write_lock.release()
+
+    def _write_rest(self, rest: memoryview, deadline: float) -> None:
+        """The send buffer is full: wait for room, never past ``deadline``."""
+        with selectors.DefaultSelector() as writable:
+            writable.register(self.sock, selectors.EVENT_WRITE)
+            while rest:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0 or not writable.select(remaining):
+                    raise TimeoutError("peer did not drain the socket by the deadline")
+                try:
+                    rest = rest[self.sock.send(rest):]
+                except BlockingIOError:
+                    pass
+
+    def request(self, request_id: int, data: bytes, deadline: float) -> framing.Frame:
+        """Write a REQUEST frame and sleep until its reply or ``deadline``."""
+        waiter = self.pending[request_id] = _Waiter()
+        try:
+            if self.closed:  # torn down before the waiter was visible to fail()
+                raise ConnectionResetError(f"connection to {self.peer!r} lost")
+            self.write(data, deadline)
+            if not waiter.lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+                if self.pending.pop(request_id, None) is not None:
+                    raise TimeoutError("no reply by the deadline")
+                waiter.lock.acquire()  # settled between the timeout and the pop
         finally:
             self.pending.pop(request_id, None)
+        if waiter.error is not None:
+            raise waiter.error
+        assert waiter.frame is not None
+        return waiter.frame
 
-    async def post(self, data: bytes) -> None:
-        self.writer.write(data)
-        await self.writer.drain()
+    def settle(self, frame: framing.Frame) -> None:
+        """Hand a REPLY/ERROR frame to the caller waiting for it, if any."""
+        waiter = self.pending.pop(frame.request_id, None)
+        if waiter is not None:
+            waiter.frame = frame
+            waiter.lock.release()
 
-    async def _read_loop(self) -> None:
-        decoder = framing.FrameDecoder()
-        error: BaseException = ConnectionResetError(f"connection to {self.peer!r} lost")
-        try:
-            while True:
-                chunk = await self.reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    future = self.pending.get(frame.request_id)
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-        except Exception as exc:  # noqa: BLE001 - socket teardown races
-            error = exc
-        finally:
-            self.closed = True
-            for future in list(self.pending.values()):
-                if not future.done():
-                    future.set_exception(error)
-            self.writer.close()
-
-    def close(self) -> None:
+    def fail(self, error: BaseException) -> None:
+        """Mark closed and wake every waiting caller with ``error``."""
         self.closed = True
-        self.reader_task.cancel()
-        self.writer.close()
+        while self.pending:
+            try:
+                _request_id, waiter = self.pending.popitem()
+            except KeyError:  # a timed-out caller took the last one
+                break
+            waiter.error = error
+            waiter.lock.release()
+
+    def abort(self) -> None:
+        """Give the connection up from any thread.
+
+        Shutting the socket down makes it readable, so the I/O thread —
+        which alone may unregister and close it — tears it down next.
+        """
+        self.closed = True
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
 
 class TcpTransport(Transport):
-    """Asyncio TCP hub implementing the :class:`Transport` protocol."""
+    """TCP hub implementing the :class:`Transport` protocol."""
 
     CAPABILITIES = frozenset({CAP_NODE_DOWN, CAP_LINK_STATE, CAP_LATENCY, CAP_PARTITION})
 
@@ -173,7 +246,7 @@ class TcpTransport(Transport):
         self._request_timeout = request_timeout
         self._connect_timeout = connect_timeout
         self._handlers: dict[str, NodeHandler] = {}
-        self._servers: dict[str, asyncio.AbstractServer] = {}
+        self._listeners: dict[str, socket.socket] = {}
         self._peers: dict[str, Address] = {}
         self._down: set[str] = set()
         self._blocked: set[tuple[str, str]] = set()
@@ -184,54 +257,155 @@ class TcpTransport(Transport):
         self._request_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
         self._connections: dict[str, _Connection] = {}
+        self._connect_locks: dict[str, threading.Lock] = {}
         self._closed = False
         self._executor = ThreadPoolExecutor(
             max_workers=max_dispatch_threads, thread_name_prefix="fargo-tcp-dispatch"
         )
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="fargo-tcp-loop", daemon=True
+        # The selector belongs to the I/O thread.  Other threads ask it
+        # to watch or drop a socket through _io_calls and the wake pair.
+        self._selector = selectors.DefaultSelector()
+        self._io_calls: deque[tuple] = deque()
+        self._io_calls_lock = threading.Lock()
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
+        self._selector.register(self._wake_recv, selectors.EVENT_READ, None)
+        self._io_thread = threading.Thread(
+            target=self._io_loop, name="fargo-tcp-io", daemon=True
         )
-        self._loop_thread.start()
+        self._io_thread.start()
 
-    # -- event loop plumbing -------------------------------------------------
+    # -- the I/O thread: accept and read, nothing else -----------------------
 
-    def _run(self, coro, timeout: float | None):
-        """Run ``coro`` on the loop thread; block for its result."""
-        if self._closed:
-            coro.close()  # never scheduled: close it so it is not "never awaited"
-            raise TransportError("transport is closed")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout)
+    def _io_call(self, function, *args) -> None:
+        """Have the I/O thread run ``function(*args)`` (control path only)."""
+        with self._io_calls_lock:
+            if self._closed:
+                raise TransportError("transport is closed")
+            self._io_calls.append((function, args))
+            self._wake()
+
+    def _wake(self) -> None:
+        """Make the selector return; call with ``_io_calls_lock`` held.
+
+        close() takes the same lock before it lets go of the wake pair,
+        so no wake-up is ever sent into a closed socket.
+        """
+        try:
+            self._wake_send.send(b"\0")
+        except BlockingIOError:
+            pass  # enough wake-ups are already queued
+
+    def _io_loop(self) -> None:
+        selector = self._selector
+        buffer = memoryview(bytearray(_READ_CHUNK))
+        while not self._closed or self._io_calls:
+            for key, _events in selector.select():
+                target = key.data
+                try:
+                    if target is None:
+                        self._run_io_calls()
+                    elif isinstance(target, _Connection):
+                        self._read_ready(target, buffer)
+                    else:
+                        self._accept_ready(key.fileobj, target)
+                except Exception:  # noqa: BLE001 - the hub is deaf without this thread
+                    logger.exception("TcpTransport I/O thread: event on %r failed", target)
+        selector.unregister(self._wake_recv)  # close() owns the wake pair
+        for key in list(selector.get_map().values()):
+            self._drop(key.fileobj)
+        selector.close()
+
+    def _run_io_calls(self) -> None:
+        try:
+            self._wake_recv.recv(4096)
+        except BlockingIOError:
+            pass
+        while self._io_calls:
+            function, args = self._io_calls.popleft()
+            function(*args)
+
+    def _watch(self, sock: socket.socket, target) -> None:
+        """Start reading ``sock``: a :class:`_Connection`, or a listener's node name."""
+        self._selector.register(sock, selectors.EVENT_READ, target)
+
+    def _drop(self, sock: socket.socket) -> None:
+        """Stop watching ``sock`` and close it, failing whoever waits on it."""
+        try:
+            key = self._selector.unregister(sock)
+        except (KeyError, ValueError):
+            return  # never watched, or dropped already
+        sock.close()
+        if isinstance(key.data, _Connection):
+            key.data.fail(ConnectionResetError(f"connection to {key.data.peer!r} lost"))
+
+    def _accept_ready(self, listener: socket.socket, name: str) -> None:
+        try:
+            sock, address = listener.accept()
+        except OSError:
+            return  # the connecting peer gave up first
+        self._watch(sock, _Connection(sock, f"{address[0]}:{address[1]} (calling {name!r})"))
+
+    def _read_ready(self, connection: _Connection, buffer: memoryview) -> None:
+        try:
+            count = connection.sock.recv_into(buffer)
+        except BlockingIOError:
+            return
+        except OSError:
+            count = 0
+        if count and not connection.closed:
+            try:
+                frames = connection.decoder.feed(buffer[:count])
+            except framing.FramingError:
+                logger.warning("undecodable stream from peer; dropping connection",
+                               exc_info=True)
+            else:
+                for frame in frames:
+                    if frame.type in (framing.REPLY, framing.ERROR):
+                        connection.settle(frame)
+                    else:
+                        self._executor.submit(self._dispatch_frame, frame, connection)
+                return
+        self._drop(connection.sock)
 
     # -- attachment ----------------------------------------------------------
 
     def register(self, name: str, handler: NodeHandler) -> None:
-        """Attach a local node: starts its listener socket immediately.
+        """Attach a local node: its listener socket is bound immediately.
 
         The port comes from the ``ports`` map given at construction
         (fixed ports for multi-process deployments) or is ephemeral.
         """
         if name in self._handlers:
             raise DuplicateCoreError(f"node {name!r} is already registered")
-        port = self._ports.get(name, 0)
-        server = self._run(
-            self._start_server(port), timeout=self._connect_timeout
+        family = socket.AF_INET6 if ":" in self._host else socket.AF_INET
+        listener = socket.create_server(
+            (self._host, self._ports.get(name, 0)), family=family, backlog=_LISTEN_BACKLOG
         )
-        bound = server.sockets[0].getsockname()
-        self._servers[name] = server
+        listener.setblocking(False)
+        try:
+            self._io_call(self._watch, listener, name)
+        except TransportError:
+            listener.close()
+            raise
+        self._listeners[name] = listener
         self._handlers[name] = handler
-        self._peers[name] = (self._host, bound[1])
+        self._peers[name] = (self._host, listener.getsockname()[1])
         self._down.discard(name)
-
-    async def _start_server(self, port: int) -> asyncio.AbstractServer:
-        return await asyncio.start_server(self._serve_connection, self._host, port)
 
     def deregister(self, name: str) -> None:
         """Detach a local node: close its listener, refuse its traffic."""
-        server = self._servers.pop(name, None)
-        if server is not None:
-            self._loop.call_soon_threadsafe(server.close)
+        listener = self._listeners.pop(name, None)
+        if listener is not None:
+            dropped = threading.Event()
+            try:
+                self._io_call(self._drop, listener)
+                self._io_call(dropped.set)
+            except TransportError:
+                pass  # closed: the I/O thread dropped it on its way out
+            else:
+                dropped.wait(self._connect_timeout)  # the port is free on return
         self._handlers.pop(name, None)
         self._down.add(name)
 
@@ -239,11 +413,11 @@ class TcpTransport(Transport):
         """Record (or update) the address of a remote node."""
         self._peers[name] = (address[0], int(address[1]))
         # A re-announced peer may have restarted: drop any stale connection.
-        self._loop.call_soon_threadsafe(self._invalidate, name)
+        self._invalidate(name)
 
     def local_address(self, name: str) -> Address:
         """The (host, port) a registered local node is listening on."""
-        if name not in self._servers:
+        if name not in self._listeners:
             raise TransportError(f"node {name!r} is not served by this transport")
         return self._peers[name]
 
@@ -323,20 +497,24 @@ class TcpTransport(Transport):
         data = framing.encode_request(envelope, request_id)
         limit = self._effective_timeout(timeout)
         started = time.monotonic()
+        deadline = started + limit
+        dst = envelope.dst
         try:
-            frame = self._run(
-                self._request(envelope.dst, request_id, data, limit), timeout=None
-            )
-        except asyncio.TimeoutError:
+            frame = self._acquire(dst, deadline).request(request_id, data, deadline)
+        except TimeoutError:
             raise DeadlineExceededError(
                 f"{envelope.kind.value!r} call from {envelope.src!r} to "
-                f"{envelope.dst!r} exceeded its {limit:.3f}s transport deadline"
+                f"{dst!r} exceeded its {limit:.3f}s transport deadline"
             ) from None
+        except OSError as exc:
+            raise CoreUnreachableError(
+                f"connection to node {dst!r} failed mid-request: {exc!r}"
+            ) from exc
         elapsed = time.monotonic() - started
-        self._charge(envelope.src, envelope.dst, envelope.kind, len(envelope.payload), elapsed)
+        self._charge(envelope.src, dst, envelope.kind, len(envelope.payload), elapsed)
         if frame.type == framing.ERROR:
-            raise self._remote_refusal(envelope.dst, frame)
-        self._charge(envelope.dst, envelope.src, envelope.kind, len(frame.payload), 0.0)
+            raise self._remote_refusal(dst, frame)
+        self._charge(dst, envelope.src, envelope.kind, len(frame.payload), 0.0)
         return frame.payload
 
     def post(self, envelope: Envelope) -> None:
@@ -348,7 +526,13 @@ class TcpTransport(Transport):
         request_id = next(self._request_ids)
         data = framing.encode_request(envelope, request_id, oneway=True)
         started = time.monotonic()
-        self._run(self._post(envelope.dst, data), timeout=None)
+        deadline = started + self._request_timeout
+        try:
+            self._acquire(envelope.dst, deadline).write(data, deadline)
+        except OSError as exc:  # a TimeoutError too: nothing was delivered
+            raise CoreUnreachableError(
+                f"connection to node {envelope.dst!r} failed while posting: {exc!r}"
+            ) from exc
         self._charge(
             envelope.src, envelope.dst, envelope.kind,
             len(envelope.payload), time.monotonic() - started,
@@ -372,112 +556,96 @@ class TcpTransport(Transport):
             return error
         return TransportError(f"transport-level failure at {dst!r}: {error!r}")
 
-    async def _request(
-        self, dst: str, request_id: int, data: bytes, limit: float
-    ) -> framing.Frame:
-        return await asyncio.wait_for(
-            self._request_once(dst, request_id, data), timeout=limit
-        )
+    def _acquire(self, dst: str, deadline: float, attempts: int | None = None) -> _Connection:
+        """Cached connection to ``dst``, (re)connecting inside ``deadline``.
 
-    async def _request_once(self, dst: str, request_id: int, data: bytes) -> framing.Frame:
-        connection = await self._acquire(dst)
-        try:
-            return await connection.request(request_id, data)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
-            self._invalidate(dst)
-            raise CoreUnreachableError(
-                f"connection to node {dst!r} failed mid-request: {exc!r}"
-            ) from exc
-
-    async def _post(self, dst: str, data: bytes) -> None:
-        connection = await self._acquire(dst)
-        try:
-            await connection.post(data)
-        except (ConnectionError, OSError) as exc:
-            self._invalidate(dst)
-            raise CoreUnreachableError(
-                f"connection to node {dst!r} failed while posting: {exc!r}"
-            ) from exc
-
-    async def _acquire(self, dst: str) -> _Connection:
-        """Cached connection to ``dst``, reconnecting under the RetryPolicy."""
+        Raises :class:`TimeoutError` when the deadline passes first and
+        :class:`~repro.errors.CoreUnreachableError` when ``attempts``
+        connects (default: the reconnect policy's) all failed.  The
+        per-peer lock makes concurrent callers share one new connection;
+        it is free during the back-off sleeps.
+        """
         connection = self._connections.get(dst)
         if connection is not None and not connection.closed:
             return connection
-        address = self._peers.get(dst)
-        if address is None:
-            raise CoreUnreachableError(f"node {dst!r} is not on the network")
-        policy = self._reconnect
+        lock = self._connect_locks.setdefault(dst, threading.Lock())
+        attempts = attempts or self._reconnect.max_attempts
         attempt = 1
         while True:
+            if not lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+                raise TimeoutError("connect lock not free by the deadline")
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(address[0], address[1]),
-                    timeout=self._connect_timeout,
-                )
-                connection = _Connection(dst, reader, writer, self._loop)
-                self._connections[dst] = connection
-                return connection
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                if attempt >= policy.max_attempts:
-                    raise CoreUnreachableError(
-                        f"cannot connect to node {dst!r} at "
-                        f"{address[0]}:{address[1]} after {attempt} attempts: {exc!r}"
-                    ) from exc
-                await asyncio.sleep(policy.backoff(attempt))
-                attempt += 1
+                connection = self._connections.get(dst)
+                if connection is not None and not connection.closed:
+                    return connection  # connected by whoever held the lock
+                if self._closed:
+                    raise TransportError("transport is closed")
+                address = self._peers.get(dst)
+                if address is None:
+                    raise CoreUnreachableError(f"node {dst!r} is not on the network")
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    raise TimeoutError("not connected by the deadline")
+                try:
+                    sock = socket.create_connection(
+                        address, timeout=min(self._connect_timeout, remaining)
+                    )
+                except OSError as exc:
+                    if attempt >= attempts:
+                        raise CoreUnreachableError(
+                            f"cannot connect to node {dst!r} at "
+                            f"{address[0]}:{address[1]} after {attempt} attempts: {exc!r}"
+                        ) from exc
+                else:
+                    connection = _Connection(sock, dst)
+                    try:
+                        self._io_call(self._watch, sock, connection)
+                    except TransportError:
+                        sock.close()
+                        raise
+                    self._connections[dst] = connection
+                    return connection
+            finally:
+                lock.release()
+            backoff = self._reconnect.backoff(attempt)
+            time.sleep(max(0.0, min(backoff, deadline - time.monotonic())))
+            attempt += 1
 
     def _invalidate(self, dst: str) -> None:
         connection = self._connections.pop(dst, None)
         if connection is not None:
-            connection.close()
+            connection.abort()
 
     def probe(self, dst: str, timeout: float | None = None) -> bool:
-        """Try to establish (or reuse) a connection to ``dst``.
+        """Reuse the connection to ``dst``, or try once to establish it.
 
-        Readiness check for process bring-up: True once the peer's
-        listener accepts.  Never raises on ordinary connection failure.
+        Readiness and liveness check: True once the peer's listener
+        accepts.  One connect attempt, no back-off — callers bring their
+        own cadence.  Never raises on ordinary connection failure.
         """
+        deadline = time.monotonic() + (timeout or self._connect_timeout)
         try:
-            self._run(self._acquire(dst), timeout=timeout or self._connect_timeout)
-        except (CoreError, TransportError, TimeoutError, OSError):
+            self._acquire(dst, deadline, attempts=1)
+        except (CoreError, TransportError, OSError):
             return False
         return True
 
     # -- delivery: receiving side --------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = framing.FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                try:
-                    frames = decoder.feed(chunk)
-                except framing.FramingError:
-                    logger.warning("undecodable stream from peer; dropping connection",
-                                   exc_info=True)
-                    break
-                for frame in frames:
-                    self._executor.submit(self._dispatch_frame, frame, writer)
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - teardown race
-                pass
-
-    def _dispatch_frame(self, frame: framing.Frame, writer: asyncio.StreamWriter) -> None:
-        """Run one incoming frame through its node handler (executor thread)."""
+    def _dispatch_frame(self, frame: framing.Frame, connection: _Connection) -> None:
+        """Run one incoming frame through its node handler (dispatch thread)."""
         oneway = frame.type == framing.ONEWAY
 
         def respond(data: bytes) -> None:
-            if not oneway:
-                self._loop.call_soon_threadsafe(self._write_reply, writer, data)
+            if oneway:
+                return
+            try:
+                # No caller's deadline is known here; the hub's backstop
+                # keeps a peer that stopped reading from pinning the pool.
+                connection.write(data, time.monotonic() + self._request_timeout)
+            except OSError:
+                logger.debug("reply to %s could not be written", connection.peer,
+                             exc_info=True)
 
         error = self._refusal(frame.src, frame.dst)
         if error is None and frame.dst not in self._handlers:
@@ -514,10 +682,6 @@ class TcpTransport(Transport):
             ))
             return
         respond(framing.encode_reply(frame.request_id, reply))
-
-    def _write_reply(self, writer: asyncio.StreamWriter, data: bytes) -> None:
-        if not writer.is_closing():
-            writer.write(data)
 
     # -- chaos hooks -----------------------------------------------------------
 
@@ -572,34 +736,24 @@ class TcpTransport(Transport):
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop listeners, drop connections, and join the loop thread."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
-            future.result(self._connect_timeout)
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            logger.warning("TcpTransport shutdown was not clean", exc_info=True)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=self._connect_timeout)
-        if not self._loop.is_running():
-            self._loop.close()
+        """Close every socket, fail pending requests, join the I/O thread."""
+        with self._io_calls_lock:
+            if self._closed:
+                return
+            self._closed = True  # no _io_call is accepted from here on
+            self._wake()
+        # The I/O thread never runs a handler, so it is never far from its
+        # selector: it drops every socket it watches on the way out.
+        self._io_thread.join(timeout=self._connect_timeout)
+        if self._io_thread.is_alive():
+            logger.warning("TcpTransport I/O thread did not stop")
+        self._wake_send.close()
+        self._wake_recv.close()
+        self._connections.clear()
+        self._listeners.clear()
         self._executor.shutdown(wait=False, cancel_futures=True)
         self._handlers.clear()
 
-    async def _shutdown(self) -> None:
-        for server in self._servers.values():
-            server.close()
-        for connection in list(self._connections.values()):
-            connection.close()
-        self._connections.clear()
-        self._servers.clear()
-        current = asyncio.current_task()
-        for task in asyncio.all_tasks(self._loop):
-            if task is not current:
-                task.cancel()
-
     def __repr__(self) -> str:
-        local = sorted(self._servers)
+        local = sorted(self._listeners)
         return f"<TcpTransport host={self._host} local={local} peers={len(self._peers)}>"

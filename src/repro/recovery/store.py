@@ -24,7 +24,6 @@ visible to every handle on the directory.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import astuple, dataclass
@@ -56,7 +55,7 @@ class CheckpointRecord:
 
 def _slot(complet_id: CompletId) -> str:
     # The display form contains "/", so directories use a digest of it.
-    return hashlib.sha256(str(complet_id).encode()).hexdigest()[:16]
+    return StoreKey.for_data(str(complet_id).encode()).digest[:16]
 
 
 class CheckpointStore:

@@ -28,7 +28,6 @@ Two backends ship:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 import weakref
@@ -52,6 +51,11 @@ class StoreKey:
 
     @classmethod
     def for_data(cls, data: bytes) -> "StoreKey":
+        # Imported at first use: hashlib maps OpenSSL's libcrypto, about
+        # 3.6 MiB resident, into the process, and a Core with neither a
+        # store nor a checkpoint directory never hashes anything.
+        import hashlib
+
         return cls(hashlib.sha256(data).hexdigest(), len(data))
 
     def short(self) -> str:

@@ -1,7 +1,7 @@
 """Integration: the same application scenarios over both transports.
 
 Every test here is parametrized over the transport backend — the
-deterministic simnet and the real asyncio/TCP hubs (one per Core,
+deterministic simnet and the real TCP hubs (one per Core,
 in-process, real sockets on loopback).  The application code is
 byte-for-byte identical; only the ``transport=`` knob differs, which is
 the point of the pluggable transport seam.

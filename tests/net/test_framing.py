@@ -59,6 +59,30 @@ class TestRoundTrip:
         assert frame.request_id == 9
         assert frame.payload == b"\x00result"
 
+    def test_wire_layout_is_length_then_head_then_body(self):
+        """The bytes on the wire, spelled out: encoders may not drift from them."""
+        request = framing.encode_request(request_envelope(b"pay", {"k": "v"}), 0x0102)
+        body = (
+            bytes([framing.VERSION, framing.REQUEST]) + (0x0102).to_bytes(8, "little")
+            + b"\x05\x00alpha" + b"\x04\x00beta"
+            + len(MessageKind.INVOKE.value).to_bytes(2, "little")
+            + MessageKind.INVOKE.value.encode()
+            + b"\x01\x00" + b"\x01\x00k" + b"\x01\x00v" + b"pay"
+        )
+        assert request == len(body).to_bytes(4, "little") + body
+        reply = framing.encode_reply(7, b"xyz")
+        head = bytes([framing.VERSION, framing.REPLY]) + (7).to_bytes(8, "little")
+        assert reply == (len(head) + 3).to_bytes(4, "little") + head + b"xyz"
+
+    def test_payload_is_plain_bytes_and_the_decoder_stays_usable(self):
+        """Frames are decoded in place; nothing may keep the buffer pinned."""
+        decoder = FrameDecoder()
+        data = framing.encode_request(request_envelope(b"one"), 1) + framing.encode_reply(1, b"two")
+        first, second = decoder.feed(data + data[:3])
+        assert type(first.payload) is bytes and type(second.payload) is bytes
+        assert decoder.pending_bytes == 3
+        assert [f.payload for f in decoder.feed(data[3:])] == [b"one", b"two"]
+
     def test_empty_payloads(self):
         data = framing.encode_request(request_envelope(b""), 1)
         data += framing.encode_reply(2, b"")

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -36,6 +41,14 @@ def pair():
     yield hub_a, hub_b
     hub_a.close()
     hub_b.close()
+
+
+@pytest.fixture
+def refusing_address():
+    """A loopback port that is reserved but not listening: connects are refused."""
+    with socket.socket() as unbound:
+        unbound.bind(("127.0.0.1", 0))
+        yield unbound.getsockname()
 
 
 class TestRequestReply:
@@ -133,13 +146,31 @@ class TestErrors:
             hub.close()
 
     def test_timeout_raises_deadline_exceeded(self, pair):
-        import time
-
         hub_a, hub_b = pair
+        entered = threading.Event()
+
+        def slow(env):
+            entered.set()
+            time.sleep(3.0)
+            return b"late"
+
         hub_a.deregister("a")
-        hub_a.register("a", lambda env: time.sleep(3.0) or b"late")
+        hub_a.register("a", slow)
+        hub_b.add_peer("a", hub_a.local_address("a"))  # listener moved ports
         with pytest.raises(DeadlineExceededError):
             hub_b.send(envelope("b", "a"), timeout=0.3)
+        assert entered.is_set()  # the slow handler is what ran out the budget
+
+    def test_deadline_shorter_than_the_reconnect_ladder(self, pair, refusing_address):
+        """Connecting is inside the budget: the deadline wins over the ladder."""
+        _hub_a, hub_b = pair  # default ladder: 0.05 + 0.1 + 0.2 s of back-off
+        hub_b.add_peer("ghost", refusing_address)
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            hub_b.send(envelope("b", "ghost"), timeout=0.12)
+        assert 0.12 <= time.monotonic() - started < 0.3
+        with pytest.raises(CoreUnreachableError):  # this budget outlasts the ladder
+            hub_b.send(envelope("b", "ghost"), timeout=5.0)
 
     def test_duplicate_registration(self, pair):
         hub_a, _hub_b = pair
@@ -265,3 +296,148 @@ class TestLifecycle:
         _hub_a, hub_b = pair
         assert hub_b.probe("a", timeout=5.0)
         assert not hub_b.probe("nonexistent", timeout=1.0)
+
+    def test_probe_is_one_attempt_without_backoff(self, pair, refusing_address):
+        _hub_a, hub_b = pair
+        hub_b.add_peer("ghost", refusing_address)
+        started = time.monotonic()
+        assert not hub_b.probe("ghost", timeout=5.0)
+        assert time.monotonic() - started < 0.04  # the ladder's first rung is 0.05 s
+
+
+def io_threads() -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate() if thread.name == "fargo-tcp-io"]
+
+
+class TestThreading:
+    """Callers write, dispatch threads reply, one I/O thread per hub reads."""
+
+    def test_reentrant_chain_over_two_connections(self, pair):
+        """a -> b -> a -> b: every hop waits on a reply only the I/O thread can read."""
+        hub_a, hub_b = pair
+        hub_a.deregister("a")
+        hub_b.deregister("b")
+        hub_a.register("a", lambda env: b"a(" + hub_a.send(envelope("a", "b", b"last")) + b")")
+        hub_b.register(
+            "b",
+            lambda env: b"end" if env.payload == b"last"
+            else b"b(" + hub_b.send(envelope("b", "a")) + b")",
+        )
+        hub_a.add_peer("b", hub_b.local_address("b"))
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        assert hub_a.send(envelope("a", "b", b"first"), timeout=10.0) == b"b(a(end))"
+
+    def test_no_thread_per_request_or_connection(self, pair):
+        _hub_a, hub_b = pair
+
+        def others() -> list[str]:
+            return sorted(
+                thread.name for thread in threading.enumerate()
+                if not thread.name.startswith("fargo-tcp-dispatch")
+            )
+
+        assert hub_b.send(envelope("b", "a", b"warm")) == b"a-got:warm"
+        baseline = others()
+        mismatches: list[bytes] = []
+
+        def call(worker: int) -> None:
+            for i in range(200):
+                payload = b"%d:%d" % (worker, i)
+                if hub_b.send(envelope("b", "a", payload)) != b"a-got:" + payload:
+                    mismatches.append(payload)
+
+        threads = [threading.Thread(target=call, args=(w,), name=f"caller-{w}") for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches  # each caller got its own reply
+        assert others() == baseline  # the pool aside, no thread was made
+
+    def test_one_io_thread_per_hub_gone_after_close(self):
+        before = len(io_threads())
+        hub = TcpTransport()
+        assert len(io_threads()) == before + 1
+        hub.register("x", lambda env: b"")
+        hub.register("y", lambda env: b"")
+        assert hub.send(envelope("x", "y")) == b""
+        assert len(io_threads()) == before + 1
+        hub.close()
+        assert len(io_threads()) == before
+
+    def test_stalled_peer_fails_the_write_then_reconnects(self):
+        """A peer that accepts and never reads cannot hold a sender past its budget."""
+        hub = TcpTransport()
+        with socket.create_server(("127.0.0.1", 0)) as stalled:
+            try:
+                hub.register("x", lambda env: b"")
+                hub.add_peer("stalled", stalled.getsockname())
+                bulk = bytes(32 << 20)  # more than loopback's socket buffers hold
+                started = time.monotonic()
+                with pytest.raises(DeadlineExceededError):
+                    hub.send(envelope("x", "stalled", bulk), timeout=0.5)
+                assert time.monotonic() - started < 3.0
+                first, _ = stalled.accept()
+                first.close()
+                with pytest.raises(DeadlineExceededError):  # nobody answers here either
+                    hub.send(envelope("x", "stalled"), timeout=0.2)
+                stalled.settimeout(5.0)
+                second, _ = stalled.accept()  # the half-written stream was given up
+                second.close()
+            finally:
+                hub.close()
+
+    @pytest.mark.parametrize("closing", ["sender", "receiver"])
+    def test_send_and_post_racing_close_never_hang(self, closing):
+        hub_a = TcpTransport()
+        hub_b = TcpTransport()
+        hub_a.register("a", lambda env: b"ok")
+        hub_b.register("b", lambda env: b"")
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        outcomes: list[BaseException | None] = []
+
+        def hammer(operation) -> None:
+            try:
+                for _ in range(100_000):
+                    operation(envelope("b", "a"))
+            except (TransportError, CoreUnreachableError) as exc:
+                outcomes.append(exc)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                outcomes.append(AssertionError(f"unexpected {exc!r}"))
+            else:
+                outcomes.append(None)
+
+        def send(env):
+            return hub_b.send(env, timeout=20.0)
+
+        threads = [threading.Thread(target=hammer, args=(op,)) for op in (send, send, hub_b.post)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.1)
+            (hub_b if closing == "sender" else hub_a).close()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+            hub_a.close()
+            hub_b.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 3
+        for outcome in outcomes:
+            assert isinstance(outcome, (TransportError, CoreUnreachableError)), outcome
+
+
+def test_import_repro_loads_neither_asyncio_nor_hashlib():
+    """Child Cores pay every import in their bring-up and their resident set."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import repro, sys; assert not {'asyncio', 'ssl', 'hashlib'} & set(sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    )
