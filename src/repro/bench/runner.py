@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="compare a fresh run against the committed BENCH_*.json baselines "
-        f"and fail on >{REGRESSION_TOLERANCE:.0%} regression",
+        f"and fail on >{REGRESSION_TOLERANCE:.0%}% regression",
     )
     parser.add_argument(
         "--update",

@@ -2,26 +2,38 @@
 
 This is the deployment shape of the paper — one stationary Core runtime
 per machine/process, complets moving between them — realised with
-:class:`~repro.net.tcp.TcpTransport`.  Two halves:
+:class:`~repro.net.tcp.TcpTransport`.  Three roles:
 
-- **Child**: ``python -m repro.cluster.launch --serve --name B --port N
-  --peer A=127.0.0.1:M ...`` runs one Core until it is shut down
-  (remotely via the ``shutdown`` admin operation, or by signal).  It
-  prints ``READY <name> <port>`` on stdout once its listener accepts.
-- **Parent**: :class:`CoreProcesses` preallocates a port per Core,
-  spawns the children with the full peer map, runs a local *driver*
-  Core on its own hub (the experimenter's seat: instantiate, move,
-  admin — everything goes through ordinary Core APIs over TCP), and
-  tears everything down on exit.
+- **Child**: one Core per process, running :func:`serve` until it is
+  shut down (remotely via the ``shutdown`` admin operation, or by
+  signal).  It prints ``READY <name> <port>`` on stdout once its
+  listener accepts.
+- **Template**: ``python -m repro.cluster.launch --template FD``, one
+  per deployment and its only ``exec``.  It imports this package once
+  and then, on each request read from the control socket ``FD``,
+  ``fork()``s one child that starts from the imported image
+  (:func:`run_template`).  It is the children's parent: it reaps them
+  and reports every exit back, and when the control socket reaches end
+  of file — the driver is gone, however it went — it terminates them.
+- **Driver**: :class:`CoreProcesses` preallocates a port per Core,
+  starts the template, asks it for the children with the full peer map,
+  runs a local *driver* Core on its own hub (the experimenter's seat:
+  instantiate, move, admin — everything goes through ordinary Core APIs
+  over TCP), and tears everything down on exit.
 
-The children inherit the parent's ``sys.path`` via ``PYTHONPATH`` so
+``python -m repro.cluster.launch --serve --name B --port N --peer
+A=127.0.0.1:M ...`` runs one Core by hand over the same :func:`serve`,
+for a deployment whose Cores are started from a shell or on other
+machines.
+
+The template inherits the driver's ``sys.path`` via ``PYTHONPATH`` so
 anchor classes defined in the driving program (e.g. a test suite's
-shared module) unpickle on the far side.
+shared module) unpickle in the children.
 
 Cross-process recovery rides on durable checkpoints: pass
 ``checkpoint_dir`` and every child periodically snapshots its hosted
 complets into a shared :class:`~repro.recovery.CheckpointStore`
-directory there; a child started with ``--recover`` (what the
+directory there; a child started with ``recover`` (what the
 :class:`~repro.cluster.supervisor.Supervisor` does when it respawns a
 dead one) restores the complets its predecessor last checkpointed —
 identity preserved — before announcing READY (see docs/FAILURES.md).
@@ -31,13 +43,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import logging
 import os
+import queue
 import selectors
+import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from repro.complet.stub import stub_target_id
@@ -216,6 +233,290 @@ def serve(
         transport.close()
 
 
+# -- the template: one import, one fork per child -----------------------------
+
+#: How long the template lets its children die of SIGTERM before SIGKILL.
+_TERMINATE_GRACE = 2.0
+
+
+def _fork_child(spec: dict, stdout_fd: int, stderr_fd: int, inherited) -> int:
+    """Fork one child that runs ``serve(**spec)``; its pid, in the template.
+
+    The child writes to the two pipes it was sent instead of the
+    template's stdout and stderr, and closes ``inherited`` — whatever of
+    the template's it must not hold open: the control socket (or the
+    driver would not see the template go) and the wake-up pair.  It
+    never returns into the template's loop: it leaves through
+    ``os._exit``.
+    """
+    if threading.active_count() != 1:
+        # fork() copies the calling thread alone; a lock another thread
+        # holds at that instant stays locked in the child for ever.
+        raise CoreError(
+            f"the template runs {threading.active_count()} threads and "
+            "forks only while it runs one"
+        )
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for resource in inherited:
+            resource.close()
+        os.dup2(stdout_fd, 1)
+        os.dup2(stderr_fd, 2)
+        os.close(stdout_fd)
+        os.close(stderr_fd)
+        spec["peers"] = {name: tuple(address) for name, address in spec["peers"].items()}
+        serve(**spec)
+        status = 0
+    except BaseException:  # noqa: BLE001 - the process ends here, saying why
+        traceback.print_exc()
+    finally:
+        with contextlib.suppress(OSError, ValueError):
+            sys.stdout.flush()
+            sys.stderr.flush()
+        os._exit(status)
+
+
+def _report(control: socket.socket, message: dict) -> None:
+    """Send one line to the driver; a driver that is gone is found by the read."""
+    with contextlib.suppress(OSError):
+        control.sendall(json.dumps(message).encode() + b"\n")
+
+
+def _answer_request(control: socket.socket, children: set[int], inherited) -> bool:
+    """Read one fork request and answer it; False at end of file.
+
+    A request is one JSON line of :func:`serve`'s arguments, and comes
+    with the write ends of the child's stdout and stderr pipes.  The
+    template closes its copies at once, so that no later sibling
+    inherits them and a dead child's pipes reach end of file.
+    """
+    data, fds = b"", []
+    while not data.endswith(b"\n"):
+        chunk, received, _flags, _address = socket.recv_fds(control, 65536, 2)
+        if not chunk:
+            return False
+        data += chunk
+        fds += received
+    try:
+        stdout_fd, stderr_fd = fds
+        pid = _fork_child(json.loads(data), stdout_fd, stderr_fd, inherited)
+        children.add(pid)
+        reply = {"pid": pid}
+    except Exception as exc:  # noqa: BLE001 - the driver raises it; the template serves on
+        reply = {"error": f"{type(exc).__name__}: {exc}"}
+    finally:
+        for fd in fds:
+            os.close(fd)
+    _report(control, reply)
+    return True
+
+
+def _reap(children: set[int], control: socket.socket, *, block: bool = False) -> None:
+    """Collect the children that have exited and report each exit code."""
+    while children:
+        pid, status = os.waitpid(-1, 0 if block else os.WNOHANG)
+        if pid == 0:
+            return
+        children.discard(pid)
+        _report(control, {"exit": pid, "status": os.waitstatus_to_exitcode(status)})
+
+
+def _terminate(children: set[int], control: socket.socket) -> None:
+    """SIGTERM every child, SIGKILL what is left after the grace, reap all."""
+    for pid in children:
+        os.kill(pid, signal.SIGTERM)
+    deadline = time.monotonic() + _TERMINATE_GRACE
+    while children and time.monotonic() < deadline:
+        _reap(children, control)
+        time.sleep(0.01)
+    for pid in children:
+        os.kill(pid, signal.SIGKILL)
+    _reap(children, control, block=True)
+
+
+def run_template(control_fd: int) -> int:
+    """Serve fork requests from socket ``control_fd`` until it is hung up.
+
+    Single-threaded on purpose (see :func:`_fork_child`): one selector
+    waits for requests and for the signals' wake-up bytes.  SIGCHLD means
+    there is an exit to report; SIGTERM and end of file on the control
+    socket both mean the deployment is over, and no child outlives it.
+    """
+    control = socket.socket(fileno=control_fd)
+    wake_in, wake_out = socket.socketpair()
+    wake_in.setblocking(False)
+    wake_out.setblocking(False)
+    signal.set_wakeup_fd(wake_out.fileno())
+    for signum in (signal.SIGCHLD, signal.SIGTERM):
+        signal.signal(signum, lambda *_: None)  # the wake-up byte is the message
+    children: set[int] = set()
+    with selectors.DefaultSelector() as ready, control, wake_in, wake_out:
+        ready.register(control, selectors.EVENT_READ)
+        ready.register(wake_in, selectors.EVENT_READ)
+        inherited = (ready, control, wake_in, wake_out)
+        try:
+            while True:
+                for key, _events in ready.select():
+                    if key.fileobj is wake_in:
+                        if signal.SIGTERM in wake_in.recv(4096):
+                            return 0
+                        _reap(children, control)
+                    elif not _answer_request(control, children, inherited):
+                        return 0
+        finally:
+            _terminate(children, control)
+
+
+# -- the driver's side --------------------------------------------------------
+
+
+class ChildProcess:
+    """The driver's handle on one child Core, shaped like ``subprocess``'s.
+
+    The child's parent is the template, so nothing here can ``waitpid``:
+    the exit code is whatever the template reported (negative for a
+    signal, as ``subprocess`` has it).  ``stdout`` carries the ``READY`` line,
+    ``stderr`` the child's last words.
+    """
+
+    def __init__(self, template: "_Template", pid: int, stdout, stderr) -> None:
+        self._template = template
+        self.pid = pid
+        self.stdout = stdout
+        self.stderr = stderr
+        self.returncode: int | None = None
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            self.returncode = self._template.exit_code(self.pid, 0.0)
+        return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        if self.returncode is None:
+            self.returncode = self._template.exit_code(self.pid, timeout)
+        if self.returncode is None:
+            raise subprocess.TimeoutExpired(f"child Core (pid {self.pid})", timeout or 0.0)
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+
+    def close(self) -> None:
+        self.stdout.close()
+        self.stderr.close()
+
+
+class _Template:
+    """The driver's end of the fork server: its process and control socket.
+
+    One request is in flight at a time.  A reader thread sorts what the
+    template sends into replies and exit reports, so that ``poll()`` is a
+    dictionary lookup and ``wait()`` sleeps on a condition.
+    """
+
+    def __init__(self, command: list[str], env: dict[str, str]) -> None:
+        self._control, theirs = socket.socketpair()
+        with theirs:
+            self.process = subprocess.Popen(
+                [*command, "--template", str(theirs.fileno())],
+                pass_fds=[theirs.fileno()],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        self._request = threading.Lock()
+        self._replies: queue.SimpleQueue[dict] = queue.SimpleQueue()
+        self._exited = threading.Condition()
+        self._exit_codes: dict[int, int] = {}
+        self._gone = False
+        self._reader = threading.Thread(
+            target=self._read, name="template-reader", daemon=True
+        )
+        self._reader.start()
+
+    def _read(self) -> None:
+        try:
+            with self._control.makefile("rb") as lines:
+                for line in lines:
+                    message = json.loads(line)
+                    if "exit" in message:
+                        with self._exited:
+                            self._exit_codes[message["exit"]] = message["status"]
+                            self._exited.notify_all()
+                    else:
+                        self._replies.put(message)
+        except OSError:
+            pass  # a template killed with bytes unread resets the socket
+        # End of file: the template is gone and nothing more will be reported.
+        assert self.process.stderr is not None
+        last_words = self.process.stderr.read().strip()
+        with self._exited:
+            self._gone = True
+            self._exited.notify_all()
+        self._replies.put({"error": f"the template process is gone: {last_words}"})
+
+    def spawn(self, spec: dict, timeout: float) -> ChildProcess:
+        """Have the template fork a child running ``serve(**spec)``."""
+        stdout, stdout_w = os.pipe()
+        stderr, stderr_w = os.pipe()
+        pipes = [
+            open(fd, encoding="utf-8", errors="replace") for fd in (stdout, stderr)  # noqa: SIM115
+        ]
+        try:
+            with self._request:
+                try:
+                    socket.send_fds(
+                        self._control, [json.dumps(spec).encode() + b"\n"], [stdout_w, stderr_w]
+                    )
+                except OSError:
+                    pass  # the template hung up: the reader's last reply says why
+                reply = self._replies.get(timeout=timeout)
+        except queue.Empty:
+            # A reply that came later would answer the wrong request.
+            self.process.terminate()
+            reply = {"error": f"no answer from the template within {timeout}s"}
+        finally:
+            os.close(stdout_w)
+            os.close(stderr_w)
+        if "error" in reply:
+            for pipe in pipes:
+                pipe.close()
+            raise CoreError(
+                f"child Core {spec['name']!r} could not be forked: {reply['error']}"
+            )
+        return ChildProcess(self, reply["pid"], *pipes)
+
+    def exit_code(self, pid: int, timeout: float | None) -> int | None:
+        """The exit code reported for ``pid``; None if none came in ``timeout``."""
+        with self._exited:
+            self._exited.wait_for(lambda: pid in self._exit_codes or self._gone, timeout)
+            return self._exit_codes.pop(pid, None)
+
+    def close(self, timeout: float) -> None:
+        """Hang up: the template terminates the children left, reports and exits."""
+        with contextlib.suppress(OSError):
+            self._control.shutdown(socket.SHUT_WR)
+        try:
+            self.process.wait(timeout)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self._reader.join(timeout)
+        self._control.close()
+        assert self.process.stderr is not None
+        self.process.stderr.close()
+
+
 @dataclass
 class CoreProcesses:
     """A localhost multi-process deployment of Cores, driven in-process.
@@ -227,10 +528,10 @@ class CoreProcesses:
             stub = driver.instantiate(Message, "hello", at="A")
             driver.move(stub, "B")
 
-    Every child is a separate Python interpreter running
-    :func:`serve`; the driver Core lives on its own
-    :class:`~repro.net.tcp.TcpTransport` hub in the calling process, so
-    all interaction is genuine TCP traffic.
+    Every child is a separate process running :func:`serve`, forked from
+    the deployment's template process (POSIX only); the driver Core lives
+    on its own :class:`~repro.net.tcp.TcpTransport` hub in the calling
+    process, so all interaction is genuine TCP traffic.
     """
 
     names: list[str]
@@ -246,8 +547,10 @@ class CoreProcesses:
 
     driver: Core | None = field(default=None, init=False)
     transport: TcpTransport | None = field(default=None, init=False)
-    processes: dict[str, subprocess.Popen] = field(default_factory=dict, init=False)
+    processes: dict[str, ChildProcess] = field(default_factory=dict, init=False)
     addresses: dict[str, tuple[str, int]] = field(default_factory=dict, init=False)
+    # The fork server, while started.  Not in ``processes`` and not a field.
+    _template = None  # type: _Template | None
 
     def __enter__(self) -> "CoreProcesses":
         return self.start()
@@ -262,48 +565,37 @@ class CoreProcesses:
             raise ConfigurationError(
                 f"driver name {self.driver_name!r} collides with a child Core"
             )
+        if not hasattr(os, "fork"):
+            raise ConfigurationError(
+                "CoreProcesses forks its children from a template process, "
+                "and this platform has no os.fork"
+            )
         cores = [*self.names, self.driver_name]
         for name, port in zip(cores, free_ports(self.host, len(cores))):
             self.addresses[name] = (self.host, port)
 
-        for name in self.names:
-            self.spawn_child(name)
-
-        scheduler = Scheduler(RealClock())
-        self.transport = TcpTransport(
-            scheduler, host=self.host,
-            ports={self.driver_name: self.addresses[self.driver_name][1]},
-        )
-        self.driver = Core(self.driver_name, self.transport, scheduler)
-        for name in self.names:
-            self.transport.add_peer(name, self.addresses[name])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        # The template imports while the driver Core is built here.
+        self._template = _Template([self.python, "-m", "repro.cluster.launch"], env)
         try:
+            scheduler = Scheduler(RealClock())
+            self.transport = TcpTransport(
+                scheduler, host=self.host,
+                ports={self.driver_name: self.addresses[self.driver_name][1]},
+            )
+            self.driver = Core(self.driver_name, self.transport, scheduler)
+            for name in self.names:
+                self.transport.add_peer(name, self.addresses[name])
+            for name in self.names:
+                self.spawn_child(name)
             self._await_ready()
         except Exception:
             self.stop()
             raise
         return self
 
-    def command_for(self, name: str, *, recover: bool = False) -> list[str]:
-        """The argv that runs child Core ``name`` (used for respawns too)."""
-        command = [
-            self.python, "-m", "repro.cluster.launch",
-            "--serve", "--name", name, "--host", self.host,
-            "--port", str(self.addresses[name][1]),
-        ]
-        for peer_name, (peer_host, peer_port) in self.addresses.items():
-            if peer_name != name:
-                command += ["--peer", f"{peer_name}={peer_host}:{peer_port}"]
-        if self.checkpoint_dir is not None:
-            command += [
-                "--checkpoint-dir", self.checkpoint_dir,
-                "--checkpoint-interval", str(self.checkpoint_interval),
-            ]
-            if recover:
-                command.append("--recover")
-        return command
-
-    def spawn_child(self, name: str, *, recover: bool = False) -> subprocess.Popen:
+    def spawn_child(self, name: str, *, recover: bool = False) -> ChildProcess:
         """(Re-)spawn child Core ``name`` on its preallocated address.
 
         With ``recover=True`` the child restores its predecessor's
@@ -313,15 +605,23 @@ class CoreProcesses:
         """
         if name not in self.addresses:
             raise ConfigurationError(f"unknown child Core {name!r}")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        process = subprocess.Popen(
-            self.command_for(name, recover=recover),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        if self._template is None:
+            raise ConfigurationError("CoreProcesses is not started")
+        spec = {
+            "name": name,
+            "port": self.addresses[name][1],
+            "peers": {
+                peer: address for peer, address in self.addresses.items() if peer != name
+            },
+            "host": self.host,
+            "checkpoint_dir": self.checkpoint_dir,
+            "checkpoint_interval": self.checkpoint_interval,
+            "recover": recover,
+        }
+        process = self._template.spawn(spec, self.startup_timeout)
+        previous = self.processes.get(name)
+        if previous is not None:
+            previous.close()
         self.processes[name] = process
         return process
 
@@ -337,7 +637,7 @@ class CoreProcesses:
         listener is there, one refused connect every 10 ms is all it
         costs to notice it promptly.
 
-        A ``--recover`` child answers while it is still restoring and
+        A ``recover`` child answers while it is still restoring and
         prints READY only afterwards; with ``restored`` (whoever respawns
         one and then asks what it hosts) the READY line is waited for as
         well.  :meth:`start` never reads a child's stdout — that stream
@@ -357,10 +657,9 @@ class CoreProcesses:
                 except (CoreError, TransportError):
                     pass  # listening before its handlers are up
             if process.poll() is not None:
-                _out, err = process.communicate()
                 raise CoreError(
                     f"child Core {name!r} exited with status "
-                    f"{process.returncode} during startup:\n{err}"
+                    f"{process.returncode} during startup:\n{process.stderr.read()}"
                 )
             if time.monotonic() > deadline:
                 raise CoreError(
@@ -405,7 +704,12 @@ class CoreProcesses:
                 process.wait(timeout=self.shutdown_timeout)
             except subprocess.TimeoutExpired:
                 process.kill()
-                process.wait(timeout=self.shutdown_timeout)
+        if self._template is not None:
+            # Returns once the template has reaped every child and exited.
+            self._template.close(self.shutdown_timeout)
+            self._template = None
+        for process in self.processes.values():
+            process.close()
         self.processes.clear()
         if driver is not None and driver.is_running:
             driver.shutdown()
@@ -418,9 +722,15 @@ class CoreProcesses:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.launch",
-        description="Run one FarGo Core as an OS process over TCP.",
+        description="Run one FarGo Core as an OS process over TCP, "
+        "or the template process a CoreProcesses deployment forks its Cores from.",
     )
     parser.add_argument("--serve", action="store_true", help="run a Core until shut down")
+    parser.add_argument(
+        "--template", type=int, metavar="FD",
+        help="fork Cores on the requests read from this inherited socket "
+        "(what CoreProcesses starts; not for the command line)",
+    )
     parser.add_argument("--name", help="Core name")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="listener port (0 = ephemeral)")
@@ -441,6 +751,8 @@ def main(argv: list[str] | None = None) -> int:
         help="restore this Core's last durable checkpoints before READY",
     )
     args = parser.parse_args(argv)
+    if args.template is not None:
+        return run_template(args.template)
     if not args.serve or not args.name:
         parser.error("--serve and --name are required")
     if args.recover and not args.checkpoint_dir:

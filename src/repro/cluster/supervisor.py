@@ -6,8 +6,9 @@ children from the recovery layer" open.  The :class:`Supervisor` closes
 that loop:
 
 - **Watch** — a monitor thread fuses two liveness sources per child:
-  ``waitpid`` (``Popen.poll``: the OS says the process exited, with an
-  exit code or signal) and failure-detector-style probe verdicts over
+  ``waitpid`` (``poll()`` on the child's handle, fed by the template
+  process that forked it: the OS says the process exited, with an exit
+  code or signal) and failure-detector-style probe verdicts over
   the driver's :class:`~repro.net.tcp.TcpTransport` (the network says
   the Core stopped answering).  A SIGKILLed child is *dead* (poll
   reports the signal) and gets restarted; a child that is alive but

@@ -103,6 +103,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "marshal" in out and "tracker_chains" in out
 
+    def test_help_shows_the_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0 and "15%" in capsys.readouterr().out
+
     def test_unknown_area_is_rejected(self):
         with pytest.raises(SystemExit):
             main(["--areas", "nonsense"])

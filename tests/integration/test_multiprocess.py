@@ -1,18 +1,26 @@
 """Integration: Cores as separate OS processes, talking real TCP.
 
-``CoreProcesses`` spawns each named Core as its own Python interpreter
-(``python -m repro.cluster.launch --serve ...``) and keeps a driver
-Core in this process on its own hub.  Everything below — remote
-instantiation, invocation, movement, admin — crosses genuine process
-and socket boundaries.
+``CoreProcesses`` runs each named Core in a process of its own, forked
+from the deployment's template process (``python -m
+repro.cluster.launch --template``), and keeps a driver Core in this
+process on its own hub.  Everything below — remote instantiation,
+invocation, movement, admin — crosses genuine process and socket
+boundaries.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.cluster import CoreProcesses
 from tests.anchors import Failing, Holder, Probe
+from tests.procfs import is_running, parent_of
 
 pytestmark = pytest.mark.tcp
 
@@ -28,9 +36,7 @@ def hosted_at(procs: CoreProcesses, core_name: str) -> set[str]:
 
 
 class TestAcrossProcesses:
-    def test_children_are_separate_interpreters(self, procs):
-        import os
-
+    def test_children_are_separate_processes(self, procs):
         pids = {process.pid for process in procs.processes.values()}
         assert len(pids) == 2
         assert os.getpid() not in pids
@@ -76,3 +82,37 @@ class TestAcrossProcesses:
     def test_admin_snapshot(self, procs):
         snapshot = procs.driver.admin("alpha", "snapshot")
         assert snapshot["core"] == "alpha"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads Linux /proc")
+def test_no_core_outlives_a_killed_driver():
+    """SIGKILL runs no ``stop()``: the template notices the hang-up instead."""
+    driving_program = (
+        "import time\n"
+        "from repro.cluster import CoreProcesses\n"
+        "procs = CoreProcesses(['alpha', 'beta']).start()\n"
+        "print(*(child.pid for child in procs.processes.values()), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    driver = subprocess.Popen(
+        [sys.executable, "-c", driving_program], stdout=subprocess.PIPE, text=True, env=env
+    )
+    pids: list[int] = []
+    try:
+        pids += [int(pid) for pid in driver.stdout.readline().split()]
+        assert len(pids) == 2
+        pids.append(parent_of(pids[0]))  # the template
+        assert all(is_running(pid) for pid in pids)
+        driver.kill()
+        driver.wait(timeout=5.0)
+        deadline = time.monotonic() + 2.0
+        while any(is_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert [pid for pid in pids if is_running(pid)] == []
+    finally:
+        driver.kill()
+        driver.wait(timeout=5.0)
+        driver.stdout.close()
+        for pid in filter(is_running, pids):  # only a failed run leaves any
+            os.kill(pid, signal.SIGKILL)
