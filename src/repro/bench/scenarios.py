@@ -86,6 +86,52 @@ def _collect(
     return metrics
 
 
+def _pull_group(core, members: int, member_bytes: int):
+    """A head complet at ``core`` pulling ``members`` data holders; its stub."""
+    from repro.cluster.workload import DataSource, Echo
+    from repro.complet.relocators import Pull
+    from repro.core.core import Core
+
+    head = Echo("head", _core=core)
+    anchor = core.repository.get(head._fargo_target_id)
+    anchor.members = [DataSource(member_bytes, _core=core) for _ in range(members)]
+    for stub in anchor.members:
+        Core.get_meta_ref(stub).set_relocator(Pull())
+    return head
+
+
+def move_peak_ratio(transport: str) -> float:
+    """Peak memory one group move allocates, per payload byte (lower is better).
+
+    The group is realpath's ``move_group``: a root pulling three 256 KiB
+    leaves between two Cores, over ``"sim"`` or ``"tcp"`` hubs.  The
+    ``tracemalloc`` peak above the level before the move counts every
+    payload-sized copy alive at once on either side, whatever the host's
+    allocator does with them; tier-1 bounds it (tests/integration/
+    test_move_memory.py).
+    """
+    import tracemalloc
+
+    from repro.sim.clock import VirtualClock
+
+    leaves, leaf_bytes = 3, 256 * 1024
+    cluster = Cluster(["a", "b"], transport=transport, clock=VirtualClock())
+    try:
+        root = _pull_group(cluster["a"], leaves, leaf_bytes)
+        cluster.move(root, "b")  # connections, thread pools and caches exist from here on
+        cluster.move(root, "a")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cluster.move(root, "b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        cluster.close()
+    return round((peak - before) / (leaves * leaf_bytes), 2)
+
+
 # -- the four fix-targeted areas -------------------------------------------------------
 
 
@@ -197,16 +243,10 @@ def monitoring() -> dict:
 
 def movement() -> dict:
     """A pull group of nine complets ping-ponged between two Cores."""
-    from repro.complet.relocators import Pull
-    from repro.core.core import Core
-    from repro.cluster.workload import DataSource, Echo
+    from repro.cluster.workload import DataSource
 
     cluster = Cluster(["a", "b"])
-    head = Echo("head", _core=cluster["a"])
-    anchor = cluster["a"].repository.get(head._fargo_target_id)
-    anchor.members = [DataSource(512, _core=cluster["a"]) for _ in range(8)]
-    for stub in anchor.members:
-        Core.get_meta_ref(stub).set_relocator(Pull())
+    head = _pull_group(cluster["a"], 8, 512)
     _reset_counters(cluster)
     t0 = cluster.now
     for destination in ("b", "a", "b", "a", "b", "a"):
@@ -229,6 +269,7 @@ def movement() -> dict:
         100.0 * heavy["heavy_store_net_bytes"] / heavy["heavy_eager_net_bytes"], 6
     )
     metrics.update(heavy)
+    metrics["move_peak_bytes_per_payload_byte"] = move_peak_ratio("sim")
     return metrics
 
 
@@ -574,6 +615,9 @@ def transport() -> dict:
     metrics["batch_mean_occupancy_inv"] = round(
         1.0 / max(batched.batch_stats.mean_occupancy, 1.0), 6
     )
+    # The one part of this area on real sockets (TCP hubs on loopback, on
+    # the virtual clock): counted in bytes, not timed.
+    metrics["move_peak_bytes_per_payload_byte"] = move_peak_ratio("tcp")
     return metrics
 
 

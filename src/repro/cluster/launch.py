@@ -694,9 +694,9 @@ class CoreProcesses:
                 continue
             if driver is not None and driver.is_running:
                 try:
-                    # The delay lets the reply escape before the child's
-                    # listener closes.
-                    driver.admin(name, "shutdown", delay=0.1)
+                    # Any positive delay defers the shutdown to the child's
+                    # next serve tick, after its dispatch thread wrote the reply.
+                    driver.admin(name, "shutdown", delay=1e-9)
                 except (CoreError, TransportError):
                     pass
         for process in self.processes.values():

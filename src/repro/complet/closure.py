@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.complet.anchor import Anchor
 from repro.complet.stub import Stub
 from repro.errors import CompletBoundaryError, SerializationError
+from repro.net.serializer import BULK_BYTES
 
 
 @dataclass(slots=True)
@@ -46,10 +47,15 @@ class _ClosureScanner(pickle.Pickler):
         self._root = root
         self.outgoing: list[Stub] = []
         self._seen_stub_ids: set[int] = set()
+        #: Bulk buffers met, by id: counted, not copied into the scan.
+        self.bulk: dict[int, bytes] = {}
 
     def persistent_id(self, obj: object) -> object | None:
         if obj is self._root:
             return None
+        if type(obj) is bytes and len(obj) >= BULK_BYTES:
+            self.bulk[id(obj)] = obj
+            return "closure-bulk"
         if isinstance(obj, Stub):
             if id(obj) not in self._seen_stub_ids:
                 self._seen_stub_ids.add(id(obj))
@@ -82,7 +88,7 @@ def compute_closure(anchor: Anchor) -> ClosureInfo:
             f"closure of {anchor!r} cannot be marshaled: {exc}"
         ) from exc
     info = ClosureInfo(anchor=anchor)
-    info.size_bytes = buffer.tell()
+    info.size_bytes = buffer.tell() + sum(map(len, scanner.bulk.values()))
     # The pickle memo holds every memoized object the traversal visited;
     # it slightly undercounts (small immutables are not memoized) but is
     # a stable, cheap proxy for closure population.

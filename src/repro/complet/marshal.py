@@ -36,7 +36,7 @@ from repro.complet.stub import Stub
 from repro.complet.tokens import CloneToken, InGroupToken, RefToken, StampToken
 from repro.complet.tracker import Tracker, TrackerAddress
 from repro.errors import CompletBoundaryError, CompletError, SerializationError
-from repro.net.serializer import Serializer
+from repro.net.serializer import Segments, Serializer
 from repro.store.proxy import StoreProxy
 from repro.util.ids import CompletId
 
@@ -53,17 +53,20 @@ _OFFLOADED_PREFIX = b"\x01"
 
 
 def _offload_stream(
-    core: "Core", stream: bytes, kind: str
-) -> "bytes | StoreProxy":
-    """Substitute a store proxy for ``stream`` when the Core offloads."""
+    core: "Core", stream: "bytes | Segments", kind: str
+) -> "bytes | Segments | StoreProxy":
+    """Substitute a store proxy for ``stream`` when the Core offloads.
+
+    The store keys content, so a segmented stream is joined for it, once.
+    """
     client = getattr(core, "store_client", None)
     if client is None:
         return stream
-    return client.offload(stream, kind=kind)
+    return client.offload(bytes(stream), kind=kind)
 
 
-def _resolve_stream(core: "Core", obj: "bytes | StoreProxy") -> bytes:
-    """Payload bytes for ``obj``, releasing the store reference if proxied."""
+def _resolve_stream(core: "Core", obj: "bytes | Segments | StoreProxy") -> "bytes | Segments":
+    """The stream ``obj`` stands for, releasing the store reference if proxied."""
     if not isinstance(obj, StoreProxy):
         return obj
     client = getattr(core, "store_client", None)
@@ -114,7 +117,7 @@ class MovementPayload:
 
     source_core: str
     members: list[MemberInfo]
-    stream: "bytes | StoreProxy"
+    stream: "bytes | Segments | StoreProxy"
     clones: list[CloneEntry] = field(default_factory=list)
 
     @property
@@ -204,7 +207,7 @@ class MovementMarshaler:
             ref = _anchor_ref(anchor)
             source = self.core.repository.tracker_for(cid, ref).address
             members.append(MemberInfo(cid, ref, source))
-        stream = self._serializer.dumps((self.plan.movers, continuation))
+        stream = self._serializer.dumps_segments((self.plan.movers, continuation))
         clones = list(self.plan.remote_clones)
         for target_id, (clone_id, anchor) in self.plan.local_clones.items():
             if anchor is None:

@@ -45,7 +45,7 @@ from repro.core.events import MOVE_COMPLETED, MOVE_FAILED
 from repro.errors import CompletError, MovementDeniedError
 from repro.net.messages import MessageKind
 from repro.net.rpc import NO_DEADLINE
-from repro.net.serializer import PLAIN
+from repro.net.serializer import PLAIN, Segments
 from repro.util.ids import CompletId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -186,7 +186,7 @@ class MovementUnit:
             raw_reply = self.core.peer.request_raw(
                 destination,
                 MessageKind.MOVE_COMPLET,
-                PLAIN.dumps(payload),
+                PLAIN.dumps_segments(payload),  # bulk beside the stream, uncopied
                 timeout=NO_DEADLINE,
             )
         except Exception as exc:
@@ -306,7 +306,7 @@ class MovementUnit:
 
     # -- receiving side ------------------------------------------------------------------
 
-    def _handle_move_complet(self, src: str, raw: bytes) -> bytes:
+    def _handle_move_complet(self, src: str, raw: bytes | memoryview | Segments) -> bytes:
         payload = PLAIN.loads(raw)
         assert isinstance(payload, MovementPayload)
         result = MovementUnmarshaler(self.core, payload).load()

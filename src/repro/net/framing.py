@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import TransportError
 from repro.net.messages import Envelope, MessageKind
+from repro.net.serializer import BULK_BYTES, Segments
 
 #: Frame types.
 REQUEST = 1
@@ -44,7 +45,6 @@ MAX_FRAME_BYTES = 1 << 30
 
 _LENGTH = struct.Struct("<I")
 _HEAD = struct.Struct("<BBQ")       # version, type, request id
-_PREFIXED_HEAD = struct.Struct("<IBBQ")  # _LENGTH then _HEAD, no padding
 _SHORT = struct.Struct("<H")        # length of one UTF-8 field / count
 _TYPES = frozenset({REQUEST, REPLY, ONEWAY, ERROR})
 
@@ -59,7 +59,7 @@ class Frame:
 
     type: int
     request_id: int
-    payload: bytes
+    payload: bytes | memoryview
     src: str = ""
     dst: str = ""
     kind: str = ""
@@ -83,10 +83,27 @@ def _pack_str(text: str) -> bytes:
     return _SHORT.pack(len(data)) + data
 
 
-def encode_request(envelope: Envelope, request_id: int, *, oneway: bool = False) -> bytes:
+def _frame(head: bytes, payload: bytes | memoryview | Segments) -> bytes | list[bytes]:
+    """The frame of ``head`` (what goes between length prefix and payload) and ``payload``.
+
+    One ``bytes``, the one copy of the payload — or, for :class:`Segments`,
+    the frame's buffers in order, uncopied.  An oversized frame is
+    refused here, before a byte of it is written.
+    """
+    length = len(head) + len(payload)
+    if length > MAX_FRAME_BYTES:
+        raise FramingError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
+    head = _LENGTH.pack(length) + head
+    if isinstance(payload, Segments):
+        return [head, *payload.wire()]
+    return head + payload
+
+
+def encode_request(
+    envelope: Envelope, request_id: int, *, oneway: bool = False
+) -> bytes | list[bytes]:
     """Frame an outgoing envelope (REQUEST, or ONEWAY when ``oneway``)."""
     parts = [
-        b"",  # the length prefix, known once the rest is
         _HEAD.pack(VERSION, ONEWAY if oneway else REQUEST, request_id),
         _pack_str(envelope.src),
         _pack_str(envelope.dst),
@@ -96,19 +113,14 @@ def encode_request(envelope: Envelope, request_id: int, *, oneway: bool = False)
     for key, value in envelope.headers.items():
         parts.append(_pack_str(key))
         parts.append(_pack_str(value))
-    parts.append(envelope.payload)
-    parts[0] = _LENGTH.pack(sum(map(len, parts)))
-    return b"".join(parts)  # the one copy of the payload
+    return _frame(b"".join(parts), envelope.payload)
 
 
-def _prefixed(frame_type: int, request_id: int, body: bytes) -> bytes:
-    """A whole REPLY/ERROR frame; ``body`` is copied once."""
-    return _PREFIXED_HEAD.pack(_HEAD.size + len(body), VERSION, frame_type, request_id) + body
-
-
-def encode_reply(request_id: int, payload: bytes) -> bytes:
+def encode_reply(
+    request_id: int, payload: bytes | memoryview | Segments
+) -> bytes | list[bytes]:
     """Frame the reply bytes for request ``request_id``."""
-    return _prefixed(REPLY, request_id, payload)
+    return _frame(_HEAD.pack(VERSION, REPLY, request_id), payload)
 
 
 def encode_error(request_id: int, error: BaseException) -> bytes:
@@ -117,7 +129,7 @@ def encode_error(request_id: int, error: BaseException) -> bytes:
         body = pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # noqa: BLE001 - exotic exception state
         body = pickle.dumps(TransportError(repr(error)))
-    return _prefixed(ERROR, request_id, body)
+    return _frame(_HEAD.pack(VERSION, ERROR, request_id), body)  # type: ignore[return-value]
 
 
 def decode_error(payload: bytes) -> BaseException:
@@ -131,8 +143,9 @@ def decode_error(payload: bytes) -> BaseException:
     return error
 
 
-def _decode_body(body: memoryview) -> Frame:
-    """Decode what follows the length prefix; the payload is copied out once."""
+def _decode_body(body: memoryview, own=bytes) -> Frame:
+    """Decode what follows the length prefix; the payload is ``own(its part of body)``:
+    copied out once by ``bytes``, kept in place by ``memoryview.toreadonly``."""
     version, frame_type, request_id = _HEAD.unpack_from(body)
     if version != VERSION:
         raise FramingError(f"unsupported frame version {version} (expected {VERSION})")
@@ -140,7 +153,7 @@ def _decode_body(body: memoryview) -> Frame:
         raise FramingError(f"unknown frame type {frame_type}")
     offset = _HEAD.size
     if frame_type in (REPLY, ERROR):
-        return Frame(type=frame_type, request_id=request_id, payload=bytes(body[offset:]))
+        return Frame(type=frame_type, request_id=request_id, payload=own(body[offset:]))
 
     def take_str() -> str:
         nonlocal offset
@@ -164,7 +177,7 @@ def _decode_body(body: memoryview) -> Frame:
     return Frame(
         type=frame_type,
         request_id=request_id,
-        payload=bytes(body[offset:]),
+        payload=own(body[offset:]),
         src=src,
         dst=dst,
         kind=kind,
@@ -178,42 +191,84 @@ class FrameDecoder:
     Handles arbitrary fragmentation — a frame split across reads, or
     several frames arriving in one read — which is exactly what a TCP
     stream does and what the unit tests exercise byte by byte.
+
+    A frame of :data:`BULK_BYTES` or more gets a buffer of exactly its
+    size once its length prefix is known; a reader that asks for
+    :meth:`tail` receives the rest of the frame straight into it.  The
+    payload is a read-only view of that buffer, which is the frame's
+    alone: whoever holds the view may keep it, and the memory with it.
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_buffer", "_bulk", "_filled")
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: The bulk frame being received (``_buffer`` is empty meanwhile).
+        self._bulk: memoryview | None = None
+        self._filled = 0
 
-    def feed(self, data: bytes) -> list[Frame]:
-        """Append ``data``; return every frame completed by it."""
-        self._buffer.extend(data)
+    def feed(self, data: bytes | memoryview) -> list[Frame]:
+        """Take in ``data``; return every frame completed by it."""
         frames: list[Frame] = []
-        while True:
-            frame = self._next()
-            if frame is None:
-                return frames
-            frames.append(frame)
+        if self._buffer:  # the start of a frame is waiting for its rest
+            self._buffer.extend(data)
+            # Every view is gone again before the buffer is resized.
+            with memoryview(self._buffer) as view:
+                used = self._take(view, frames)
+            del self._buffer[:used]
+        else:  # decoded where it is; only an incomplete start is kept
+            view = memoryview(data)
+            self._buffer.extend(view[self._take(view, frames):])
+        return frames
 
-    def _next(self) -> Frame | None:
-        if len(self._buffer) < _LENGTH.size:
-            return None
-        (length,) = _LENGTH.unpack_from(self._buffer)
-        if length > MAX_FRAME_BYTES:
-            raise FramingError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
-        if length < _HEAD.size:
-            raise FramingError(f"frame of {length} bytes is shorter than its header")
-        end = _LENGTH.size + length
-        if len(self._buffer) < end:
-            return None
-        # Decoded in place: the payload is the only part copied, and once.
-        # Every view is gone again before the buffer is resized.
-        with memoryview(self._buffer) as view:
-            frame = _decode_body(view[_LENGTH.size:end])
-        del self._buffer[:end]
-        return frame
+    def tail(self) -> memoryview | None:
+        """Where the next bytes belong while a bulk frame is incomplete, else None.
+
+        Receive into it, any number of bytes, then call :meth:`landed`.
+        """
+        return None if self._bulk is None else self._bulk[self._filled:]
+
+    def landed(self, count: int) -> list[Frame]:
+        """``count`` bytes were received into :meth:`tail`; the frame, if complete."""
+        assert self._bulk is not None
+        self._filled += count
+        if self._filled < len(self._bulk):
+            return []
+        body, self._bulk = self._bulk, None
+        return [_decode_body(body, memoryview.toreadonly)]
+
+    def _take(self, view: memoryview, frames: list[Frame]) -> int:
+        """Decode the frames in ``view`` onto ``frames``; how much of it is used up."""
+        at = 0
+        while True:
+            tail = self.tail()
+            if tail is not None:  # what is here of a bulk frame moves over
+                count = min(len(view) - at, len(tail))
+                tail[:count] = view[at:at + count]
+                frames += self.landed(count)
+                at += count
+                if self._bulk is not None:
+                    return at  # all of it; the rest lands in place
+            if len(view) - at < _LENGTH.size:
+                return at
+            (length,) = _LENGTH.unpack_from(view, at)
+            if length > MAX_FRAME_BYTES:
+                raise FramingError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
+            if length < _HEAD.size:
+                raise FramingError(f"frame of {length} bytes is shorter than its header")
+            end = at + _LENGTH.size + length
+            if length >= BULK_BYTES:
+                self._bulk, self._filled = memoryview(bytearray(length)), 0
+                at += _LENGTH.size
+            elif len(view) < end:
+                return at
+            else:  # the payload is the only part copied, and once
+                frames.append(_decode_body(view[at + _LENGTH.size:end]))
+                at = end
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
+        """Bytes received towards an incomplete frame."""
+        if self._bulk is not None:
+            return _LENGTH.size + self._filled
         return len(self._buffer)

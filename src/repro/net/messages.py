@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.net.serializer import Segments
+
 
 class MessageKind(str, Enum):
     """Every message kind of the Core-to-Core protocol."""
@@ -62,7 +64,7 @@ class Envelope:
     src: str
     dst: str
     kind: MessageKind
-    payload: bytes
+    payload: bytes | memoryview | Segments
     msg_id: int = 0
     headers: dict[str, str] = field(default_factory=dict)
 

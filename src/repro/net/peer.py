@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.net.messages import MessageKind
 from repro.net.retry import RetryPolicy
 from repro.net.rpc import RpcEndpoint, RpcHandler
-from repro.net.serializer import PLAIN, Serializer
+from repro.net.serializer import PLAIN, Segments, Serializer
 from repro.net.transport import LinkStats, Transport
 
 
@@ -99,12 +99,12 @@ class PeerInterface:
         self,
         dst: str,
         kind: MessageKind,
-        payload: bytes,
+        payload: bytes | Segments,
         *,
         timeout: float | None = None,
         retry: RetryPolicy | None = None,
     ) -> bytes:
-        """Send pre-encoded bytes and return raw reply bytes."""
+        """Send a pre-encoded payload and return raw reply bytes."""
         return self.endpoint.call(dst, kind, payload, timeout=timeout, retry=retry)
 
     def notify(

@@ -44,12 +44,14 @@ from repro.trace.tracer import context_from_headers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.registry import MetricsRegistry
+    from repro.net.serializer import Segments
     from repro.trace.tracer import Tracer
 
 logger = logging.getLogger(__name__)
 
-#: A handler consumes (source core name, payload bytes) and returns reply bytes.
-RpcHandler = Callable[[str, bytes], bytes]
+#: A handler consumes (source core name, payload) and returns reply bytes;
+#: a payload that arrived in a bulk TCP frame is a read-only view.
+RpcHandler = Callable[[str, "bytes | memoryview | Segments"], "bytes | memoryview"]
 
 #: Envelope header marking fire-and-forget traffic.
 ONEWAY_HEADER = "oneway"
@@ -149,7 +151,7 @@ class RpcEndpoint:
         self,
         dst: str,
         kind: MessageKind,
-        payload: bytes,
+        payload: bytes | Segments,
         *,
         timeout: float | None = None,
         retry: RetryPolicy | None = None,
@@ -172,7 +174,7 @@ class RpcEndpoint:
         self,
         dst: str,
         kind: MessageKind,
-        payload: bytes,
+        payload: bytes | Segments,
         *,
         timeout: float | None,
         retry: RetryPolicy | None,
@@ -214,7 +216,7 @@ class RpcEndpoint:
         return pair
 
     def _attempt(
-        self, dst: str, kind: MessageKind, payload: bytes, limit: float | None
+        self, dst: str, kind: MessageKind, payload: bytes | Segments, limit: float | None
     ) -> bytes:
         envelope = Envelope(src=self.name, dst=dst, kind=kind, payload=payload)
         tracer = self.tracer
@@ -301,7 +303,7 @@ class RpcEndpoint:
             reply = handler(envelope.src, envelope.payload)
         except BaseException as exc:  # noqa: BLE001 - crossing by value
             return self._error_frame(envelope, exc)
-        if not isinstance(reply, bytes):
+        if not isinstance(reply, (bytes, memoryview)):
             error = TransportError(
                 f"handler for {envelope.kind.value!r} at {self.name!r} returned "
                 f"{type(reply).__name__}, expected bytes"

@@ -10,12 +10,24 @@ the pickler visits (returning a token diverts the object out of the
 stream) and a *decode hook* that materializes tokens on the other side.
 The complet layer (:mod:`repro.complet.marshal`) supplies hooks bound to
 the operation in progress; plain control messages use no hooks.
+
+There are two ways out.  :meth:`Serializer.dumps` is in-band, one
+``bytes``: what the store, checkpoints, the clone-stream cache and every
+control message use.  :meth:`Serializer.dumps_segments` is for a payload
+on its way to a transport: exact ``bytes`` of :data:`BULK_BYTES` or more
+(and the parts of a nested :class:`Segments`) travel *beside* the pickle
+stream as protocol 5 out-of-band buffers, uncopied down to the socket.
+Mutable buffers stay in-band, so a dump is still a snapshot.
+:meth:`Serializer.loads` takes either form; a bulk buffer comes back as
+``bytes(view)``, the one copy of it that is left.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import pickle
+import struct
 from collections.abc import Callable
 
 from repro.errors import FarGoError, SerializationError
@@ -25,6 +37,57 @@ from repro.errors import FarGoError, SerializationError
 EncodeHook = Callable[[object], object | None]
 #: A decode hook maps a token back to a live object at the receiving side.
 DecodeHook = Callable[[object], object]
+
+#: Size from which bulk is not copied: a buffer travels beside the stream,
+#: a frame is received in place, the closure scanner counts instead of
+#: scanning.  Pickle's own large-object size and the store's offload size.
+BULK_BYTES = 1 << 16
+
+#: Persistent id of a diverted bulk ``bytes``: ``(tag, ordinal, buffer | None if met before)``.
+_BULK_TAG = "fargo-bulk"
+#: First byte of a joined :class:`Segments`; no pickle starts with it.
+_JOINED = 0xFF
+_TABLE = struct.Struct("<BI")  # _JOINED, number of parts; then a u64 length for each
+
+
+class Segments:
+    """A payload in parts: the head pickle, then the buffers beside it.
+
+    ``len()`` is its size on the wire and ``bytes()`` the joined form (a
+    table of lengths, then the parts), which ``loads`` accepts like the parts.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list) -> None:
+        self.parts = parts
+
+    def wire(self) -> list:
+        """What a transport writes, in order; the parts are not copied."""
+        lengths = [len(part) for part in self.parts]
+        table = struct.pack(f"<BI{len(lengths)}Q", _JOINED, len(lengths), *lengths)
+        return [table, *self.parts]
+
+    def __len__(self) -> int:
+        return _TABLE.size + sum(8 + len(part) for part in self.parts)
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.wire())
+
+    def __reduce__(self) -> tuple:
+        # Out-of-band again inside an outer segment dump; copied in by ``dumps``.
+        return Segments, ([pickle.PickleBuffer(part) for part in self.parts],)
+
+
+def _split(data: bytes | memoryview) -> list:
+    """The parts of a joined :class:`Segments`, as views."""
+    view = memoryview(data)
+    _tag, count = _TABLE.unpack_from(view)
+    lengths = struct.unpack_from(f"<{count}Q", view, _TABLE.size)
+    ends = list(itertools.accumulate(lengths, initial=_TABLE.size + 8 * count))
+    if ends[-1] != len(view):
+        raise SerializationError("segment lengths do not add up to the payload")
+    return [view[begin:end] for begin, end in itertools.pairwise(ends)]
 
 
 class SerializerStats:
@@ -60,8 +123,11 @@ STATS = SerializerStats()
 
 
 class _HookedPickler(pickle.Pickler):
-    def __init__(self, buffer: io.BytesIO, encode_hook: EncodeHook | None) -> None:
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    #: What the last dump put beside the stream: nothing, in-band.
+    beside: tuple | list = ()
+
+    def __init__(self, buffer: io.BytesIO, encode_hook: EncodeHook | None, **options) -> None:
+        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL, **options)
         self._encode_hook = encode_hook
 
     def persistent_id(self, obj: object) -> object | None:  # noqa: D102
@@ -70,12 +136,53 @@ class _HookedPickler(pickle.Pickler):
         return self._encode_hook(obj)
 
 
+class _SegmentPickler(_HookedPickler):
+    """Puts immutable bulk beside the stream, in :attr:`beside`."""
+
+    def __init__(self, buffer: io.BytesIO, encode_hook: EncodeHook | None) -> None:
+        #: Views that left the stream during this dump, in stream order, and
+        #: id() -> ordinal of each diverted ``bytes`` (kept alive by its view).
+        self.beside: list[memoryview] = []
+        self._ordinals: dict[int, int] = {}
+        beside = self.beside  # a callback holding the pickler would be a cycle
+
+        def collect(buffer: pickle.PickleBuffer) -> bool:
+            view = buffer.raw()
+            if not view.readonly:
+                return True  # in-band: what can still change is copied now
+            beside.append(view)
+            return False
+
+        super().__init__(buffer, encode_hook, buffer_callback=collect)
+
+    def persistent_id(self, obj: object) -> object | None:  # noqa: D102
+        if type(obj) is bytes and len(obj) >= BULK_BYTES:
+            ordinal = self._ordinals.get(id(obj))
+            if ordinal is not None:
+                return (_BULK_TAG, ordinal, None)
+            ordinal = self._ordinals[id(obj)] = len(self._ordinals)
+            return (_BULK_TAG, ordinal, pickle.PickleBuffer(obj))
+        return super().persistent_id(obj)
+
+    def clear_memo(self) -> None:
+        """Also forget what the last dump put beside the stream."""
+        super().clear_memo()
+        self.beside.clear()
+        self._ordinals.clear()
+
+
 class _HookedUnpickler(pickle.Unpickler):
-    def __init__(self, buffer: io.BytesIO, decode_hook: DecodeHook | None) -> None:
-        super().__init__(buffer)
-        self._decode_hook = decode_hook
+    """Constructed bare (no Python-level ``__init__`` on the hot path); ``loads`` sets the hook."""
+
+    _decode_hook: DecodeHook | None = None
 
     def persistent_load(self, token: object) -> object:  # noqa: D102
+        if type(token) is tuple and token[:1] == (_BULK_TAG,):
+            _tag, ordinal, view = token
+            bulk = self.__dict__.setdefault("_bulk", {})  # ordinal -> bytes, this load
+            if view is not None:
+                bulk[ordinal] = bytes(view)  # the one copy of a bulk buffer
+            return bulk[ordinal]
         if self._decode_hook is None:
             raise SerializationError(
                 "stream contains persistent tokens but no decode hook was given"
@@ -98,54 +205,55 @@ class Serializer:
     ) -> None:
         self._encode_hook = encode_hook
         self._decode_hook = decode_hook
-        self._buffer: io.BytesIO | None = None
-        self._pickler: _HookedPickler | None = None
-        self._busy = False
+        #: The idle (buffer, pickler) per pickler class.  A dump takes its
+        #: pair out, so a re-entrant or concurrent dump builds its own.
+        self._idle: dict[type, tuple[io.BytesIO, _HookedPickler]] = {}
 
     def dumps(self, obj: object) -> bytes:
+        return self._dump(obj, _HookedPickler)  # type: ignore[return-value]
+
+    def dumps_segments(self, obj: object) -> bytes | Segments:
+        """:meth:`dumps` with immutable bulk beside the stream: :class:`Segments`,
+        or the same ``bytes`` as :meth:`dumps` when nothing large was met."""
+        return self._dump(obj, _SegmentPickler)
+
+    def _dump(self, obj: object, kind: type[_HookedPickler]) -> bytes | Segments:
         STATS.dumps_calls += 1
-        if self._busy:
-            # An encode hook re-entered dumps() on the same serializer
-            # (e.g. a nested marshal); fall back to a throwaway buffer
-            # rather than corrupt the in-flight stream.
+        idle = self._idle.pop(kind, None)
+        if idle is None:
             STATS.buffers_allocated += 1
             buffer = io.BytesIO()
-            pickler = _HookedPickler(buffer, self._encode_hook)
-            reusing = False
-        else:
-            buffer_opt = self._buffer
-            pickler_opt = self._pickler
-            if buffer_opt is None or pickler_opt is None:
-                STATS.buffers_allocated += 1
-                buffer = self._buffer = io.BytesIO()
-                pickler = self._pickler = _HookedPickler(buffer, self._encode_hook)
-            else:
-                buffer, pickler = buffer_opt, pickler_opt
-                buffer.seek(0)
-                buffer.truncate()
-                pickler.clear_memo()
-            self._busy = True
-            reusing = True
-        try:
+            idle = buffer, kind(buffer, self._encode_hook)
+        buffer, pickler = idle
+        try:  # a failed dump does not return its pair: framer state is suspect
             pickler.dump(obj)
         except FarGoError:
-            self._buffer = self._pickler = None  # framer state is suspect
             raise  # hook errors (boundary violations, ...) keep their type
         except Exception as exc:  # noqa: BLE001 - pickle raises many types
-            self._buffer = self._pickler = None
             raise SerializationError(f"cannot serialize {type(obj).__name__}: {exc}") from exc
-        finally:
-            if reusing:
-                self._busy = False
-        data = buffer.getvalue()
+        data: bytes | Segments = buffer.getvalue()
+        beside = pickler.beside
+        if beside:
+            data = Segments([data, *beside])
         STATS.bytes_out += len(data)
+        # Emptied before it idles, not to keep a whole movement group alive.
+        buffer.seek(0)
+        buffer.truncate()
+        pickler.clear_memo()
+        self._idle[kind] = idle
         return data
 
-    def loads(self, data: bytes) -> object:
+    def loads(self, data: bytes | memoryview | Segments) -> object:
         STATS.loads_calls += 1
-        buffer = io.BytesIO(data)
         try:
-            return _HookedUnpickler(buffer, self._decode_hook).load()
+            segmented = isinstance(data, Segments)
+            if not segmented and data[0] != _JOINED:  # a plain pickle, the usual case
+                unpickler = _HookedUnpickler(io.BytesIO(data))
+            else:
+                head, *buffers = data.parts if segmented else _split(data)
+                unpickler = _HookedUnpickler(io.BytesIO(head), buffers=buffers)
+            unpickler._decode_hook = self._decode_hook
+            return unpickler.load()
         except FarGoError:
             raise  # hook errors (stamp resolution, ...) keep their type
         except Exception as exc:  # noqa: BLE001

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
 import selectors
 import socket
 import threading
@@ -95,6 +96,9 @@ _READ_CHUNK = 1 << 18
 
 _LISTEN_BACKLOG = 100
 
+#: Most buffers one ``sendmsg`` takes; a longer list is EMSGSIZE.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
 
 class _Waiter:
     """A caller asleep on its reply: a held lock that the settler releases."""
@@ -129,9 +133,11 @@ class _Connection:
         self.pending: dict[int, _Waiter] = {}
         self.closed = False
 
-    def write(self, data: bytes, deadline: float) -> None:
+    def write(self, data: bytes | list[bytes], deadline: float) -> None:
         """Put one whole frame on the wire by ``deadline``.
 
+        ``data`` is what :mod:`repro.net.framing` encoded: one ``bytes``,
+        or the buffers of a frame, which are gathered, not joined.
         Raises :class:`TimeoutError` past the deadline and ``OSError`` on
         a dead socket.  A frame written in part poisons the stream, so
         either failure aborts the connection.
@@ -139,19 +145,35 @@ class _Connection:
         if not self.write_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
             raise TimeoutError("write lock not free by the deadline")
         try:
-            try:
-                sent = self.sock.send(data)
-            except BlockingIOError:
-                sent = 0
-            if sent < len(data):
-                self._write_rest(memoryview(data)[sent:], deadline)
+            if isinstance(data, bytes):  # the usual frame: one send, no list to build
+                try:
+                    sent = self.sock.send(data)
+                except BlockingIOError:
+                    sent = 0
+                rest = [memoryview(data)[sent:]] if sent < len(data) else None
+            else:
+                rest = self._gather(data)
+            if rest:
+                self._write_rest(rest, deadline)
         except OSError:
             self.abort()
             raise
         finally:
             self.write_lock.release()
 
-    def _write_rest(self, rest: memoryview, deadline: float) -> None:
+    def _gather(self, buffers: list) -> list:
+        """One non-blocking gather write; what of ``buffers`` is still to go."""
+        try:
+            sent = self.sock.sendmsg(buffers[:_IOV_MAX])
+        except BlockingIOError:
+            return buffers
+        for index, buffer in enumerate(buffers):
+            if sent < len(buffer):
+                return [memoryview(buffer)[sent:], *buffers[index + 1:]]
+            sent -= len(buffer)
+        return []
+
+    def _write_rest(self, rest: list, deadline: float) -> None:
         """The send buffer is full: wait for room, never past ``deadline``."""
         with selectors.DefaultSelector() as writable:
             writable.register(self.sock, selectors.EVENT_WRITE)
@@ -159,12 +181,11 @@ class _Connection:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0.0 or not writable.select(remaining):
                     raise TimeoutError("peer did not drain the socket by the deadline")
-                try:
-                    rest = rest[self.sock.send(rest):]
-                except BlockingIOError:
-                    pass
+                rest = self._gather(rest)
 
-    def request(self, request_id: int, data: bytes, deadline: float) -> framing.Frame:
+    def request(
+        self, request_id: int, data: bytes | list[bytes], deadline: float
+    ) -> framing.Frame:
         """Write a REQUEST frame and sleep until its reply or ``deadline``."""
         waiter = self.pending[request_id] = _Waiter()
         try:
@@ -348,15 +369,17 @@ class TcpTransport(Transport):
         self._watch(sock, _Connection(sock, f"{address[0]}:{address[1]} (calling {name!r})"))
 
     def _read_ready(self, connection: _Connection, buffer: memoryview) -> None:
+        decoder = connection.decoder
+        tail = decoder.tail()  # of a bulk frame: the bytes land where they stay
         try:
-            count = connection.sock.recv_into(buffer)
+            count = connection.sock.recv_into(buffer if tail is None else tail)
         except BlockingIOError:
             return
         except OSError:
             count = 0
         if count and not connection.closed:
             try:
-                frames = connection.decoder.feed(buffer[:count])
+                frames = decoder.feed(buffer[:count]) if tail is None else decoder.landed(count)
             except framing.FramingError:
                 logger.warning("undecodable stream from peer; dropping connection",
                                exc_info=True)
@@ -515,7 +538,8 @@ class TcpTransport(Transport):
         if frame.type == framing.ERROR:
             raise self._remote_refusal(dst, frame)
         self._charge(dst, envelope.src, envelope.kind, len(frame.payload), 0.0)
-        return frame.payload
+        # A bulk reply arrives as a view; callers of send() are promised bytes.
+        return bytes(frame.payload)
 
     def post(self, envelope: Envelope) -> None:
         """Fire-and-forget: blocks only until the frame is on the wire."""
@@ -636,7 +660,7 @@ class TcpTransport(Transport):
         """Run one incoming frame through its node handler (dispatch thread)."""
         oneway = frame.type == framing.ONEWAY
 
-        def respond(data: bytes) -> None:
+        def respond(data: bytes | list[bytes]) -> None:
             if oneway:
                 return
             try:
@@ -672,7 +696,7 @@ class TcpTransport(Transport):
             return
         if oneway:
             return
-        if not isinstance(reply, bytes):
+        if not isinstance(reply, (bytes, memoryview)):  # a view: part of a bulk request
             respond(framing.encode_error(
                 frame.request_id,
                 TransportError(
@@ -681,7 +705,11 @@ class TcpTransport(Transport):
                 ),
             ))
             return
-        respond(framing.encode_reply(frame.request_id, reply))
+        try:
+            data = framing.encode_reply(frame.request_id, reply)
+        except framing.FramingError as exc:  # too large to frame: say so, typed
+            data = framing.encode_error(frame.request_id, exc)
+        respond(data)
 
     # -- chaos hooks -----------------------------------------------------------
 

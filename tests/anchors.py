@@ -6,6 +6,8 @@ importable — and therefore marshalable — at any Core.
 
 from __future__ import annotations
 
+import zlib
+
 from repro.complet.anchor import Anchor
 from repro.complet.relocators import Link, Relocator
 from repro.complet.stub import compile_complet
@@ -170,6 +172,26 @@ class Roamer_(Anchor):
         return self.visited
 
 
+class Leaf_(Anchor):
+    """One pulled member of the realpath benchmark's group: a blob of state."""
+
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+
+    def where(self) -> tuple[str, int]:
+        return self.core.name, zlib.crc32(self.blob)
+
+
+class Root_(Anchor):
+    """The moved complet of that group; tests retype its references to ``pull``."""
+
+    def __init__(self, leaves: list) -> None:
+        self.leaves = leaves
+
+    def report(self) -> tuple[str, list[tuple[str, int]]]:
+        return self.core.name, [leaf.where() for leaf in self.leaves]
+
+
 class SizeBound_(Relocator):
     """User-defined relocator: pull small targets, link big ones.
 
@@ -204,3 +226,5 @@ Chatty = compile_complet(Chatty_)
 Listener = compile_complet(Listener_)
 Spawner = compile_complet(Spawner_)
 Roamer = compile_complet(Roamer_)
+Leaf = compile_complet(Leaf_)
+Root = compile_complet(Root_)

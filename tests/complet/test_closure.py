@@ -4,6 +4,7 @@ import pytest
 
 from repro.complet.closure import compute_closure
 from repro.errors import CompletBoundaryError, SerializationError
+from repro.net.serializer import BULK_BYTES
 from repro.cluster.workload import DataSource, Echo, Echo_, Worker
 from tests.anchors import Holder, Pair
 
@@ -15,6 +16,14 @@ class TestClosureScan:
         big_anchor.blob = bytes(50_000)
         big = compute_closure(big_anchor)
         assert big.size_bytes > small.size_bytes + 49_000
+
+    def test_bulk_buffer_is_counted_once_not_scanned(self):
+        anchor = Echo_("x")
+        empty = compute_closure(anchor).size_bytes
+        anchor.blob = bytes(4 * BULK_BYTES)
+        anchor.again = [anchor.blob]  # the same object: in one closure once
+        anchor.other = bytes([1]) * BULK_BYTES
+        assert 0 <= compute_closure(anchor).size_bytes - empty - 5 * BULK_BYTES < 100
 
     def test_object_count_grows_with_graph(self):
         flat = Echo_("x")
@@ -68,6 +77,16 @@ class TestBoundaryEnforcement:
         offender = Echo("o", _core=cluster["alpha"])
         offender_anchor = cluster["alpha"].repository.get(offender._fargo_target_id)
         offender_anchor.leak = victim_anchor  # direct anchor reference!
+        with pytest.raises(CompletBoundaryError):
+            compute_closure(offender_anchor)
+
+    def test_foreign_anchor_behind_bulk_still_rejected(self, cluster):
+        victim = Echo("v", _core=cluster["alpha"])
+        offender = Echo("o", _core=cluster["alpha"])
+        offender_anchor = cluster["alpha"].repository.get(offender._fargo_target_id)
+        offender_anchor.state = [
+            bytes(BULK_BYTES), cluster["alpha"].repository.get(victim._fargo_target_id)
+        ]
         with pytest.raises(CompletBoundaryError):
             compute_closure(offender_anchor)
 

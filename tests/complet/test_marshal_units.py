@@ -13,8 +13,9 @@ from repro.complet.marshal import (
 from repro.complet.relocators import Duplicate, Pull
 from repro.complet.tokens import InGroupToken, RefToken
 from repro.core.core import Core
-from repro.errors import SerializationError
-from repro.net.serializer import PLAIN
+from repro.complet.continuation import Continuation
+from repro.errors import CompletBoundaryError, SerializationError
+from repro.net.serializer import BULK_BYTES, PLAIN, Segments
 from repro.cluster.workload import Counter, DataSource, Echo, Worker
 from tests.anchors import Holder
 
@@ -161,3 +162,101 @@ class TestUnmarshaler:
         # counter that travelled in the same stream:
         assert arrived_holder.ref._fargo_target_id == target._fargo_target_id
         assert arrived_counter.value == 3
+
+
+class TestBulkBesideTheStream:
+    """A group's bulk buffers travel beside both pickle streams (dumps_segments)."""
+
+    LEAF = 4 * BULK_BYTES
+
+    def _group(self, cluster, relocator):
+        """A worker whose source (a bulk blob) follows it by ``relocator``; the
+        worker carries a bulk buffer of its own."""
+        source = DataSource(self.LEAF, _core=cluster["alpha"])
+        worker = Worker(source, _core=cluster["alpha"])
+        anchor = _anchor(cluster, worker)
+        anchor.scratch = bytes([5]) * self.LEAF
+        Core.get_meta_ref(anchor.source).set_relocator(relocator)
+        return source, worker, anchor
+
+    def _ship(self, payload):
+        """Through PLAIN the way the movement unit sends it, in every arrival form."""
+        wire = PLAIN.dumps_segments(payload)
+        assert isinstance(wire, Segments)
+        return [PLAIN.loads(form) for form in (wire, bytes(wire), memoryview(bytes(wire)))]
+
+    def test_pull_group_streams_are_segments_that_hold_the_very_buffers(self, cluster):
+        source, _worker, anchor = self._group(cluster, Pull())
+        plan = MovementPlan(cluster["alpha"], anchor)
+        payload = MovementMarshaler(cluster["alpha"], plan).payload(None)
+        assert isinstance(payload.stream, Segments)
+        blob = _anchor(cluster, source).blob
+        assert [part.obj for part in payload.stream.parts[1:]] == [anchor.scratch, blob]
+        wire = PLAIN.dumps_segments(payload)
+        assert [part.obj for part in wire.parts[-2:]] == [anchor.scratch, blob]
+        assert sum(map(len, wire.parts[:-2])) < 2_000  # neither pickle holds a copy
+        for shipped in self._ship(payload):
+            result = MovementUnmarshaler(cluster["beta"], shipped).load()
+            arrived = result.movers[source._fargo_target_id]
+            assert type(arrived.blob) is bytes and arrived.blob == blob
+            assert arrived.blob is not blob
+
+    def test_duplicate_clone_entry_round_trips(self, cluster):
+        source, worker, anchor = self._group(cluster, Duplicate())
+        plan = MovementPlan(cluster["alpha"], anchor)
+        payload = MovementMarshaler(cluster["alpha"], plan).payload(None)
+        (entry,) = payload.clones
+        assert type(entry.stream) is bytes and len(entry.stream) > self.LEAF  # in-band, cacheable
+        for shipped in self._ship(payload):
+            result = MovementUnmarshaler(cluster["beta"], shipped).load()
+            (clone,) = result.clones
+            assert clone.complet_id == entry.clone_id
+            assert clone.blob == _anchor(cluster, source).blob
+            arrived = result.movers[worker._fargo_target_id]
+            assert arrived.scratch == anchor.scratch
+            assert arrived.source._fargo_target_id == entry.clone_id
+
+    def test_continuation_round_trips(self, cluster):
+        _source, worker, anchor = self._group(cluster, Pull())
+        plan = MovementPlan(cluster["alpha"], anchor)
+        continuation = Continuation("work", (2,), {"label": bytes([6]) * self.LEAF})
+        payload = MovementMarshaler(cluster["alpha"], plan).payload(continuation)
+        for shipped in self._ship(payload):
+            result = MovementUnmarshaler(cluster["beta"], shipped).load()
+            assert result.continuation.method == "work"
+            assert result.continuation.args == (2,)
+            assert result.continuation.kwargs == {"label": bytes([6]) * self.LEAF}
+            assert worker._fargo_target_id in result.movers
+
+    def test_whole_move_with_bulk_over_the_sim(self, cluster):
+        source, worker, anchor = self._group(cluster, Pull())
+        checksum = source.checksum()
+        cluster.move(worker, "beta")
+        assert cluster.locate(source) == "beta" and source.checksum() == checksum
+
+    def test_boundary_checks_fire_on_the_segment_path(self, cluster):
+        _source, _worker, anchor = self._group(cluster, Pull())
+        victim = _anchor(cluster, Echo("v", _core=cluster["alpha"]))
+        plan = MovementPlan(cluster["alpha"], anchor)
+        anchor.leak = victim  # after planning: only the marshaler's hook can see it
+        with pytest.raises(CompletBoundaryError):
+            MovementMarshaler(cluster["alpha"], plan).payload(None)
+        anchor.leak = cluster["alpha"].repository.tracker_for(
+            victim.complet_id, "repro.cluster.workload:Echo_"
+        )
+        with pytest.raises(SerializationError, match="Tracker reached the wire"):
+            MovementMarshaler(cluster["alpha"], plan).payload(None)
+        anchor.leak = cluster["alpha"]
+        with pytest.raises(SerializationError, match="Core reached the wire"):
+            MovementMarshaler(cluster["alpha"], plan).payload(None)
+
+    def test_a_core_with_a_store_joins_once_and_offloads_by_content(self, make_cluster):
+        cluster = make_cluster(["alpha", "beta"], store="memory")
+        source, worker, anchor = self._group(cluster, Pull())
+        plan = MovementPlan(cluster["alpha"], anchor)
+        first = MovementMarshaler(cluster["alpha"], plan).payload(None)
+        second = MovementMarshaler(cluster["alpha"], plan).payload(None)
+        assert not isinstance(first.stream, (bytes, Segments))  # a StoreProxy
+        assert first.stream.key == second.stream.key  # same content, same key
+        result = MovementUnmarshaler(cluster["beta"], PLAIN.roundtrip(first)).load()
+        assert result.movers[source._fargo_target_id].blob == _anchor(cluster, source).blob

@@ -10,6 +10,7 @@ from repro.errors import CoreDownError, TransportError
 from repro.net import framing
 from repro.net.framing import Frame, FrameDecoder, FramingError
 from repro.net.messages import Envelope, MessageKind
+from repro.net.serializer import BULK_BYTES, PLAIN, Segments
 
 
 def request_envelope(payload: bytes = b"body", headers: dict | None = None) -> Envelope:
@@ -195,3 +196,157 @@ def test_framing_error_is_transport_error():
 def test_frame_dataclass_defaults():
     frame = Frame(type=framing.REPLY, request_id=1, payload=b"")
     assert frame.src == "" and frame.headers == {}
+
+
+# -- bulk frames: gathered out, received in place ------------------------------
+
+LEAF = 256 * 1024
+
+
+def bulk_payload() -> Segments:
+    """Shaped like a group move: a small head and three 256 KiB buffers."""
+    payload = PLAIN.dumps_segments({"leaves": [bytes([seed]) * LEAF for seed in (1, 2, 3)]})
+    assert isinstance(payload, Segments) and len(payload.parts) == 4
+    return payload
+
+
+def feed_in_place(decoder: FrameDecoder, chunks) -> list[Frame]:
+    """What the TCP I/O thread does: receive into the tail where one is offered."""
+    frames: list[Frame] = []
+    for chunk in chunks:
+        chunk = memoryview(chunk)
+        while len(chunk):
+            tail = decoder.tail()
+            if tail is None:
+                # A read never knows where a frame ends: offer everything.
+                frames += decoder.feed(chunk)
+                break
+            count = min(len(tail), len(chunk))
+            tail[:count] = chunk[:count]
+            frames += decoder.landed(count)
+            chunk = chunk[count:]
+    return frames
+
+
+def split_at(data: bytes, *offsets: int) -> list[bytes]:
+    bounds = [0, *sorted(offsets), len(data)]
+    return [data[begin:end] for begin, end in zip(bounds, bounds[1:])]
+
+
+def summary(frames: list[Frame]) -> list[tuple]:
+    return [(f.type, f.request_id, f.src, f.dst, f.kind, f.headers, bytes(f.payload))
+            for f in frames]
+
+
+class TestBulkFrames:
+    def test_segments_encode_to_the_buffers_of_the_same_frame(self):
+        payload = bulk_payload()
+        parts = framing.encode_request(request_envelope(payload, {"k": "v"}), 5)
+        assert isinstance(parts, list)
+        assert [part.obj for part in parts[-3:]] == [part.obj for part in payload.parts[1:]]
+        assert sum(map(len, parts[:-3])) < 200  # everything else is small
+        joined = framing.encode_request(request_envelope(bytes(payload), {"k": "v"}), 5)
+        assert type(joined) is bytes and joined == b"".join(parts)
+        reply = framing.encode_reply(5, payload)
+        assert b"".join(reply) == framing.encode_reply(5, bytes(payload))
+
+    def test_frame_header_and_version_are_unchanged(self):
+        parts = framing.encode_request(request_envelope(bulk_payload()), 0x0102)
+        head = parts[0]
+        assert int.from_bytes(head[:4], "little") == sum(map(len, parts)) - 4
+        assert head[4:6] == bytes([framing.VERSION, framing.REQUEST])
+        assert int.from_bytes(head[6:14], "little") == 0x0102
+
+    def test_bulk_payload_is_a_read_only_view_that_outlives_the_decoder(self):
+        decoder = FrameDecoder()
+        data = framing.encode_reply(1, bytes(BULK_BYTES)) + framing.encode_reply(2, b"small")
+        bulk, small = decoder.feed(data)
+        assert isinstance(bulk.payload, memoryview) and bulk.payload.readonly
+        assert type(small.payload) is bytes
+        first = bytes(bulk.payload)
+        assert decoder.feed(framing.encode_reply(3, bytes([7]) * BULK_BYTES))[0].payload[0] == 7
+        del decoder
+        assert bulk.payload == first  # its buffer was its own
+
+    def test_threshold_is_the_frame_length(self):
+        head = 10  # version, type, request id
+        below = FrameDecoder().feed(framing.encode_reply(1, bytes(BULK_BYTES - head - 1)))[0]
+        at = FrameDecoder().feed(framing.encode_reply(1, bytes(BULK_BYTES - head)))[0]
+        assert type(below.payload) is bytes and isinstance(at.payload, memoryview)
+
+    @pytest.mark.parametrize("feeder", ["feed", "in_place"])
+    def test_bulk_then_small_decodes_the_same_however_it_is_split(self, feeder):
+        payload = bulk_payload()
+        parts = framing.encode_request(request_envelope(payload, {"trace": "t"}), 11)
+        data = b"".join(parts) + framing.encode_reply(12, b"after")
+
+        def decode(chunks) -> list[tuple]:
+            decoder = FrameDecoder()
+            if feeder == "feed":
+                frames = [frame for chunk in chunks for frame in decoder.feed(chunk)]
+            else:
+                frames = feed_in_place(decoder, chunks)
+            assert decoder.pending_bytes == 0 and decoder.tail() is None
+            return summary(frames)
+
+        whole = decode([data])
+        assert [entry[1] for entry in whole] == [11, 12]
+        assert whole[0][-1] == bytes(payload) and whole[1][-1] == b"after"
+        assert PLAIN.loads(whole[0][-1]) == PLAIN.loads(payload)
+        assert decode([data[i:i + 1] for i in range(len(data))]) == whole  # byte by byte
+        # The prefix, the end of the frame head, every segment boundary, the frame's end.
+        boundaries = {4, 14}
+        position = 0
+        for part in parts:
+            position += len(part)
+            boundaries.add(position)
+        for boundary in sorted(boundaries):
+            for offset in range(max(1, boundary - 8), min(len(data), boundary + 9)):
+                assert decode(split_at(data, offset)) == whole, offset
+                assert decode(split_at(data, offset, min(len(data) - 1, offset + 70_000))) == whole
+
+    def test_pending_bytes_counts_a_bulk_frame_in_progress(self):
+        decoder = FrameDecoder()
+        data = framing.encode_reply(1, bytes(BULK_BYTES))
+        assert decoder.feed(data[:3]) == [] and decoder.pending_bytes == 3
+        assert decoder.tail() is None  # the length is not known yet
+        assert decoder.feed(data[3:100]) == [] and decoder.pending_bytes == 100
+        assert len(decoder.tail()) == len(data) - 100
+        assert len(decoder.feed(data[100:])) == 1 and decoder.pending_bytes == 0
+
+    def test_malformed_bulk_frame_is_refused_and_the_decoder_left_clean(self):
+        data = bytearray(framing.encode_reply(1, bytes(BULK_BYTES)))
+        data[4] = framing.VERSION + 1
+        decoder = FrameDecoder()
+        with pytest.raises(FramingError):
+            decoder.feed(bytes(data))
+        assert decoder.tail() is None and decoder.pending_bytes == 0
+
+
+class TestOversizedFrames:
+    """Refused where they are built, typed, before a byte is written."""
+
+    @pytest.fixture(autouse=True)
+    def small_ceiling(self, monkeypatch):
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 4 * LEAF)
+
+    @pytest.mark.parametrize("form", ["bytes", "segments"])
+    def test_request_reply_and_error(self, form):
+        big = PLAIN.dumps_segments([bytes([seed]) * LEAF for seed in range(5)])
+        assert isinstance(big, Segments) and len(big) > framing.MAX_FRAME_BYTES
+        payload = big if form == "segments" else bytes(big)
+        with pytest.raises(FramingError, match="MAX_FRAME_BYTES"):
+            framing.encode_request(request_envelope(payload), 1)
+        with pytest.raises(FramingError, match="MAX_FRAME_BYTES"):
+            framing.encode_reply(1, payload)
+
+    def test_a_frame_of_exactly_the_ceiling_passes(self):
+        overhead = len(framing.encode_reply(1, b"")) - 4
+        frame = framing.encode_reply(1, bytes(framing.MAX_FRAME_BYTES - overhead))
+        assert len(FrameDecoder().feed(frame)) == 1
+        with pytest.raises(FramingError):
+            framing.encode_reply(1, bytes(framing.MAX_FRAME_BYTES - overhead + 1))
+
+    def test_oversized_error_body(self):
+        with pytest.raises(FramingError, match="MAX_FRAME_BYTES"):
+            framing.encode_error(1, TransportError("x" * (5 * LEAF)))

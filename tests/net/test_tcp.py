@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -19,8 +20,9 @@ from repro.errors import (
     TransportCapabilityError,
     TransportError,
 )
-from repro.net import Envelope, MessageKind, TcpTransport
+from repro.net import Envelope, MessageKind, TcpTransport, framing
 from repro.net.retry import RetryPolicy
+from repro.net.serializer import BULK_BYTES, PLAIN, Segments
 
 pytestmark = pytest.mark.tcp
 
@@ -429,6 +431,170 @@ class TestThreading:
         assert len(outcomes) == 3
         for outcome in outcomes:
             assert isinstance(outcome, (TransportError, CoreUnreachableError)), outcome
+
+
+def crc_handler(env: Envelope) -> bytes:
+    return b"%d" % zlib.crc32(env.payload)
+
+
+def group_payload(tag: int = 0, leaf: int = 256 * 1024) -> Segments:
+    """Shaped like a group move: a small head and three buffers beside it."""
+    payload = PLAIN.dumps_segments([bytes([tag + i]) * (leaf + i) for i in range(3)])
+    assert isinstance(payload, Segments) and len(payload.parts) == 4
+    return payload
+
+
+@pytest.fixture
+def crc_pair():
+    """Hub b calls node a, which answers the CRC-32 of what arrived."""
+    hub_a = TcpTransport(request_timeout=10.0, connect_timeout=5.0)
+    hub_b = TcpTransport(request_timeout=10.0, connect_timeout=5.0)
+    hub_a.register("a", crc_handler)
+    hub_b.register("b", lambda env: b"")
+    hub_a.add_peer("b", hub_b.local_address("b"))
+    hub_b.add_peer("a", hub_a.local_address("a"))
+    assert hub_b.send(envelope("b", "a", b"warm")) == b"%d" % zlib.crc32(b"warm")
+    yield hub_a, hub_b
+    hub_a.close()
+    hub_b.close()
+
+
+def shrink_send_buffer(hub: TcpTransport, dst: str) -> None:
+    """Every write of a bulk frame now stops part-way, many times."""
+    hub._connections[dst].sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+
+class TestBulk:
+    """Segments go out in one gather write; bulk frames are received in place."""
+
+    def test_gather_write_through_a_tiny_send_buffer_arrives_intact(self, crc_pair):
+        _hub_a, hub_b = crc_pair
+        shrink_send_buffer(hub_b, "a")
+        payload = group_payload()
+        before = hub_b.stats.bytes
+        reply = hub_b.send(envelope("b", "a", payload))
+        assert reply == b"%d" % zlib.crc32(bytes(payload))
+        assert hub_b.stats.bytes - before == len(payload) + len(reply)  # charged its wire size
+
+    def test_handler_sees_a_read_only_view_and_may_answer_with_a_slice(self):
+        """The benchmark's echo handler: ``envelope.payload[:64]``."""
+        hub = TcpTransport()
+        seen: list = []
+
+        def echo(env: Envelope):
+            seen.append(env.payload)
+            return env.payload[:64]
+
+        try:
+            hub.register("x", lambda env: b"")
+            hub.register("y", echo)
+            blob = bytes(range(256)) * 1024
+            assert hub.send(envelope("x", "y", blob)) == blob[:64]
+            assert hub.send(envelope("x", "y", b"small")) == b"small"
+            assert isinstance(seen[0], memoryview) and seen[0].readonly and seen[0] == blob
+            assert type(seen[1]) is bytes
+        finally:
+            hub.close()
+
+    def test_bulk_reply_is_bytes(self, pair):
+        hub_a, hub_b = pair
+        hub_a.deregister("a")
+        hub_a.register("a", lambda env: bytes([9]) * (4 * BULK_BYTES))
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        reply = hub_b.send(envelope("b", "a"))
+        assert type(reply) is bytes and reply == bytes([9]) * (4 * BULK_BYTES)
+
+    def test_more_segments_than_one_sendmsg_takes(self, crc_pair):
+        _hub_a, hub_b = crc_pair
+        payload = Segments([bytes([i % 251]) * (i % 97) for i in range(1500)])
+        assert len(payload.parts) > os.sysconf("SC_IOV_MAX")
+        assert hub_b.send(envelope("b", "a", payload)) == b"%d" % zlib.crc32(bytes(payload))
+        shrink_send_buffer(hub_b, "a")
+        wide = Segments([bytes([i % 251]) * 300 for i in range(1500)])
+        assert hub_b.send(envelope("b", "a", wide)) == b"%d" % zlib.crc32(bytes(wide))
+
+    def test_threads_gathering_into_one_connection_never_interleave(self, crc_pair):
+        _hub_a, hub_b = crc_pair
+        shrink_send_buffer(hub_b, "a")
+        mismatches: list = []
+        errors: list[BaseException] = []
+
+        def call(worker: int) -> None:
+            payload = group_payload(tag=10 * worker, leaf=BULK_BYTES + worker)
+            expected = b"%d" % zlib.crc32(bytes(payload))
+            try:
+                for _ in range(3):
+                    if hub_b.send(envelope("b", "a", payload)) != expected:
+                        mismatches.append(worker)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not mismatches
+
+    def test_gather_write_to_a_stalled_peer_honours_its_deadline(self):
+        hub = TcpTransport()
+        with socket.create_server(("127.0.0.1", 0)) as stalled:
+            try:
+                hub.register("x", lambda env: b"")
+                hub.add_peer("stalled", stalled.getsockname())
+                bulk = Segments([bytes([i]) * (8 << 20) for i in range(4)])  # > loopback's buffers
+                started = time.monotonic()
+                with pytest.raises(DeadlineExceededError):
+                    hub.send(envelope("x", "stalled", bulk), timeout=0.5)
+                assert time.monotonic() - started < 3.0
+                assert "stalled" not in hub._connections or hub._connections["stalled"].closed
+                first, _ = stalled.accept()
+                first.close()
+                with pytest.raises(DeadlineExceededError):  # nobody answers here either
+                    hub.send(envelope("x", "stalled"), timeout=0.2)
+                stalled.settimeout(5.0)
+                second, _ = stalled.accept()  # the half-written stream was given up
+                second.close()
+            finally:
+                hub.close()
+
+
+class TestOversizedFrames:
+    """Refused by the encoder, typed, and the connection is none the worse."""
+
+    @pytest.fixture(autouse=True)
+    def small_ceiling(self, monkeypatch):
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 1 << 20)
+
+    @pytest.mark.parametrize("form", ["bytes", "segments"])
+    def test_request_is_refused_before_a_byte_is_written(self, crc_pair, form):
+        _hub_a, hub_b = crc_pair
+        connection = hub_b._connections["a"]
+        big = group_payload(leaf=512 * 1024)
+        with pytest.raises(framing.FramingError, match="MAX_FRAME_BYTES"):
+            hub_b.send(envelope("b", "a", big if form == "segments" else bytes(big)))
+        with pytest.raises(framing.FramingError, match="MAX_FRAME_BYTES"):
+            hub_b.post(envelope("b", "a", big if form == "segments" else bytes(big)))
+        assert hub_b.send(envelope("b", "a", b"next")) == b"%d" % zlib.crc32(b"next")
+        assert hub_b._connections["a"] is connection and not connection.closed
+
+    def test_reply_is_refused_typed_at_the_caller(self, pair):
+        hub_a, hub_b = pair
+        hub_a.deregister("a")
+        hub_a.register("a", lambda env: bytes(2 << 20) if env.payload == b"big" else b"ok")
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        assert hub_b.send(envelope("b", "a")) == b"ok"
+        connection = hub_b._connections["a"]
+        with pytest.raises(framing.FramingError, match="MAX_FRAME_BYTES"):
+            hub_b.send(envelope("b", "a", b"big"), timeout=5.0)
+        assert hub_b.send(envelope("b", "a")) == b"ok"
+        assert hub_b._connections["a"] is connection and not connection.closed
 
 
 def test_import_repro_loads_neither_asyncio_nor_hashlib():
