@@ -132,6 +132,32 @@ def move_peak_ratio(transport: str) -> float:
     return round((peak - before) / (leaves * leaf_bytes), 2)
 
 
+def bulk_bytes_echoes(echoes: int = 8) -> tuple[list[int], int]:
+    """Echoes of one 256 KiB ``bytes`` object to a remote complet, over ``store="memory"``.
+
+    Returns the bytes the store hashed during each echo and the bytes the
+    network carried over all of them.  A buffer a Core still caches keeps
+    its key, so only the first echo hashes, and it hashes the buffer once;
+    tier-1 pins that (tests/integration/test_store_matrix.py).
+    """
+    from repro.cluster.workload import Echo
+
+    cluster = Cluster(["a", "b"], store="memory")
+    try:
+        echo = Echo("bulk", _core=cluster["a"], _at="b")
+        buffer = bytes(range(256)) * 1024
+        stats = cluster["a"].store_client.store.stats  # the one store both Cores share
+        _reset_counters(cluster)
+        hashed = []
+        for _ in range(echoes):
+            before = stats.bytes_hashed
+            assert echo.echo(buffer) == buffer
+            hashed.append(stats.bytes_hashed - before)
+        return hashed, cluster.stats.bytes
+    finally:
+        cluster.close()
+
+
 # -- the four fix-targeted areas -------------------------------------------------------
 
 
@@ -624,7 +650,7 @@ def transport() -> dict:
 def store() -> dict:
     """Large-payload offloading through the object store (repro.store).
 
-    Three segments, all virtual-clock deterministic:
+    Four segments, all virtual-clock deterministic:
 
     - a 1 MiB complet moved eagerly vs offloaded (the headline
       transport-byte reduction; ``store_move_pct_of_eager`` is the
@@ -633,7 +659,10 @@ def store() -> dict:
       content keying makes every re-ship the same digest, so repeat
       destinations resolve from their local cache (copy-on-first-read);
     - a burst of large remote calls where arguments and replies cross
-      as proxies.
+      as proxies;
+    - the same burst with one ``bytes`` object as the argument, which is
+      offloaded on its own beside the pickle and hashed once in all
+      (``bulk_bytes_hashed``; see :func:`bulk_bytes_echoes`).
     """
     from repro.cluster.workload import DataSource, Echo
 
@@ -702,6 +731,12 @@ def store() -> dict:
     metrics["store_dedup_puts"] = store_backend["dedup_puts"]
     metrics["store_misses"] = store_backend["misses"]
     cluster.close()
+
+    # Segment 4: the same burst, the argument one 256 KiB bytes object.
+    hashed, net_bytes = bulk_bytes_echoes(8)
+    metrics["ops"] += len(hashed)
+    metrics["bulk_bytes_hashed"] = sum(hashed)
+    metrics["bulk_bytes_net_bytes"] = net_bytes
     return metrics
 
 

@@ -66,6 +66,7 @@ from repro.recovery.checkpoint import checkpoint_group, restore_record
 from repro.recovery.store import CheckpointStore
 from repro.sim.clock import RealClock
 from repro.sim.scheduler import Scheduler
+from repro.store.store import FileStore
 
 logger = logging.getLogger(__name__)
 
@@ -184,6 +185,7 @@ def serve(
     checkpoint_dir: str | None = None,
     checkpoint_interval: float = 0.5,
     recover: bool = False,
+    store_dir: str | None = None,
 ) -> None:
     """Run one Core in this process until it shuts down.
 
@@ -192,7 +194,9 @@ def serve(
     a real-clock process.  With ``checkpoint_dir`` the Core durably
     checkpoints its hosted complets every ``checkpoint_interval``
     seconds; with ``recover`` it first restores whatever its predecessor
-    last checkpointed there (identity preserved), *before* READY.
+    last checkpointed there (identity preserved), *before* READY.  With
+    ``store_dir`` it offloads large payloads to the ``FileStore`` there,
+    the same directory for every Core of the deployment.
     """
     scheduler = Scheduler(RealClock())
     transport = TcpTransport(scheduler, host=host, ports={name: port})
@@ -200,7 +204,10 @@ def serve(
     # a request that arrives then may already need an address to answer.
     for peer_name, address in peers.items():
         transport.add_peer(peer_name, address)
-    core = Core(name, transport, scheduler)
+    core = Core(
+        name, transport, scheduler,
+        store=FileStore(store_dir) if store_dir is not None else None,
+    )
     checkpointer = None
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
@@ -544,6 +551,8 @@ class CoreProcesses:
     #: hosted complets there and a respawned child restores from it.
     checkpoint_dir: str | None = None
     checkpoint_interval: float = 0.5
+    #: Shared ``FileStore`` directory: driver and children offload large payloads.
+    store_dir: str | None = None
 
     driver: Core | None = field(default=None, init=False)
     transport: TcpTransport | None = field(default=None, init=False)
@@ -584,7 +593,10 @@ class CoreProcesses:
                 scheduler, host=self.host,
                 ports={self.driver_name: self.addresses[self.driver_name][1]},
             )
-            self.driver = Core(self.driver_name, self.transport, scheduler)
+            self.driver = Core(
+                self.driver_name, self.transport, scheduler,
+                store=FileStore(self.store_dir) if self.store_dir is not None else None,
+            )
             for name in self.names:
                 self.transport.add_peer(name, self.addresses[name])
             for name in self.names:
@@ -617,6 +629,7 @@ class CoreProcesses:
             "checkpoint_dir": self.checkpoint_dir,
             "checkpoint_interval": self.checkpoint_interval,
             "recover": recover,
+            "store_dir": self.store_dir,
         }
         process = self._template.spawn(spec, self.startup_timeout)
         previous = self.processes.get(name)
@@ -750,6 +763,10 @@ def main(argv: list[str] | None = None) -> int:
         "--recover", action="store_true",
         help="restore this Core's last durable checkpoints before READY",
     )
+    parser.add_argument(
+        "--store-dir", default=None,
+        help="shared FileStore directory for offloaded payloads (every Core the same)",
+    )
     args = parser.parse_args(argv)
     if args.template is not None:
         return run_template(args.template)
@@ -763,6 +780,7 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         recover=args.recover,
+        store_dir=args.store_dir,
     )
     return 0
 

@@ -23,6 +23,7 @@ choosing each boundary reference's token.
 
 from __future__ import annotations
 
+import pickle
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -48,7 +49,8 @@ _REF_TAG = "fargo-ref"
 
 #: Invocation-payload prefix: the marshaled body follows inline.
 _INLINE_PREFIX = b"\x00"
-#: Invocation-payload prefix: a pickled StoreProxy for the body follows.
+#: Invocation-payload prefix: the pickled list of the body's parts follows,
+#: each part its bytes or the StoreProxy standing for them.
 _OFFLOADED_PREFIX = b"\x01"
 
 
@@ -501,11 +503,16 @@ class InvocationMarshaler:
     target happens to be colocated, because complets are "always
     considered remote to each other with respect to parameter passing".
 
-    Every payload carries a one-byte prefix: inline bodies follow it
-    directly; bodies above the Core's store ``offload_threshold`` are put
-    into the object store and the prefix is followed by a pickled
-    :class:`~repro.store.StoreProxy` instead, so a bulky argument or
-    result crosses the transport as a reference.
+    Every payload carries a one-byte prefix: an inline body follows it
+    directly, and that is all a Core without a store ever sends.  A Core
+    with a store client marshals with the bulk ``bytes`` *beside* the
+    pickle (``Serializer.dumps_segments``) and puts each part at or above
+    the client's ``threshold`` into the store on its own, keyed by its
+    own content; the prefix is then followed by the pickled list of
+    parts, a :class:`~repro.store.StoreProxy` where one was offloaded.
+    ``loads`` hands such a buffer on as the object the store client
+    holds, shared, which nothing can observe of ``bytes``; a ``bytearray``
+    travels inside the pickle and arrives as a copy, as §3.1 has it.
     """
 
     def __init__(self, core: "Core") -> None:
@@ -513,25 +520,27 @@ class InvocationMarshaler:
         self._encoder = Serializer(encode_hook=self._encode)
 
     def dumps(self, obj: object) -> bytes:
-        data = self._encoder.dumps(obj)
-        wire = _offload_stream(self.core, data, "invoke")
-        if isinstance(wire, StoreProxy):
-            import pickle
-
-            return _OFFLOADED_PREFIX + pickle.dumps(wire)
-        return _INLINE_PREFIX + data
+        client = getattr(self.core, "store_client", None)
+        if client is None:
+            return _INLINE_PREFIX + self._encoder.dumps(obj)
+        data = self._encoder.dumps_segments(obj)
+        parts = data.parts if isinstance(data, Segments) else [data]
+        threshold = client.threshold
+        if all(len(part) < threshold for part in parts):
+            return _INLINE_PREFIX + bytes(data)
+        return _OFFLOADED_PREFIX + pickle.dumps([
+            client.offload(_whole(part), kind="invoke") if len(part) >= threshold else bytes(part)
+            for part in parts
+        ])
 
     def loads(self, data: bytes) -> object:
         prefix, body = data[:1], data[1:]
         if prefix == _OFFLOADED_PREFIX:
-            import pickle
-
-            proxy = pickle.loads(body)
-            if not isinstance(proxy, StoreProxy):
-                raise SerializationError(
-                    "offloaded invocation payload did not contain a store proxy"
-                )
-            body = _resolve_stream(self.core, proxy)
+            parts = pickle.loads(body)
+            if not (isinstance(parts, list) and parts):
+                raise SerializationError("offloaded invocation payload is not a list of parts")
+            parts = [_resolve_stream(self.core, part) for part in parts]
+            body = parts[0] if len(parts) == 1 else Segments(parts)
         elif prefix != _INLINE_PREFIX:
             raise SerializationError(
                 f"invocation payload has unknown prefix {prefix!r}"
@@ -573,6 +582,13 @@ class InvocationMarshaler:
             return (_REF_TAG, token)
         _reject_runtime_object(obj)
         return None
+
+
+def _whole(part: "bytes | memoryview") -> bytes:
+    """``part`` as the ``bytes`` object it is or views, which the store client may know."""
+    owner = getattr(part, "obj", part)
+    return owner if type(owner) is bytes and len(owner) == len(part) else bytes(part)
+
 
 def _unwrap(wrapped: object) -> object:
     if not (isinstance(wrapped, tuple) and len(wrapped) == 2 and wrapped[0] == _REF_TAG):

@@ -8,15 +8,16 @@ resolves them back on the receiving side (see
 :mod:`repro.complet.marshal`).
 
 The :class:`StoreClient` is one Core's seat at the store: it applies the
-threshold, keeps a small LRU *resolve cache* so repeat readers of an
-unchanged payload (the ``duplicate``/``stamp`` copy-on-first-read case)
-pay store-hit latency at most once, and feeds hit/miss/bytes-saved
-counters into the Core's :class:`~repro.metrics.registry.MetricsRegistry`
-and spans into its tracer.
+threshold, keeps a small LRU cache of key <-> bytes so repeat readers of
+an unchanged payload (the ``duplicate``/``stamp`` copy-on-first-read
+case) pay store-hit latency at most once and a buffer sent on unchanged
+is not hashed again, and feeds hit/miss/bytes-saved counters into the
+Core's :class:`~repro.metrics.registry.MetricsRegistry` and its tracer.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -63,10 +64,19 @@ class StoreClient:
 
     ``offload`` turns large payload bytes into proxies on the sending
     side; ``resolve`` turns proxies back into bytes on the receiving
-    side, consulting the LRU resolve cache first.  With ``release=True``
-    (the movement/invocation protocol's mode) a resolve also drops the
+    side, consulting the LRU cache first.  With ``release=True`` (the
+    movement/invocation protocol's mode) a resolve also drops the
     proxy's store reference, balancing the sender's put so transient
     payloads never accumulate.
+
+    The cache holds what was resolved *and* what was offloaded (exact
+    ``bytes`` only), and ``_ids`` maps ``id(buffer)`` to the key of every
+    cached buffer, so ``offload`` of the very object this Core resolved or
+    offloaded before passes ``put`` the known key instead of hashing
+    again.  That is sound while ``cache[key] is buffer``: the cache's
+    reference keeps the id from being reused, ``bytes`` cannot change,
+    and an id entry goes when its cache entry goes.  An equal but
+    distinct object is hashed like any new one and takes over the entry.
     """
 
     def __init__(
@@ -83,6 +93,8 @@ class StoreClient:
         self.cache_capacity = cache_capacity
         self.tracer = tracer
         self._cache: OrderedDict[StoreKey, bytes] = OrderedDict()
+        self._ids: dict[int, StoreKey] = {}
+        self._lock = threading.Lock()  # for writes to both; never held across store I/O
 
         class _LocalCounter:
             """Standalone accumulator when no registry is attached."""
@@ -112,13 +124,20 @@ class StoreClient:
         """``data`` itself below the threshold, else a proxy for it."""
         if len(data) < self.threshold:
             return data
+        # Unlocked reads: the cache holding this very object under ``key`` is
+        # proof enough, whatever another thread does to either table next.
+        key = self._ids.get(id(data))
+        if key is not None and self._cache.get(key) is not data:
+            key = None
         if self.tracer is not None and self.tracer.enabled:
             with self.tracer.span(
                 "store:offload", category="store", kind=kind, size=len(data)
             ):
-                key = self.store.put(data)
+                key = self.store.put(data, key)
         else:
-            key = self.store.put(data)
+            key = self.store.put(data, key)
+        if type(data) is bytes:  # what can change, or is a view, is not cached
+            self._remember(key, data)
         proxy = StoreProxy(key, self.store.locator())
         self._offloads.inc()
         # What the transport will not carry: the payload minus the proxy's
@@ -145,7 +164,7 @@ class StoreClient:
         key = proxy.key
         data = self._cache.get(key)
         if data is not None:
-            self._cache.move_to_end(key)
+            self._remember(key, data)
             self._cache_hits.inc()
         else:
             try:
@@ -157,13 +176,24 @@ class StoreClient:
                 self._misses.inc()
                 raise
             self._store_hits.inc()
-            self._cache[key] = data
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_capacity:
-                self._cache.popitem(last=False)
+            self._remember(key, data)
         if release:
             self.release(proxy)
         return data
+
+    def _remember(self, key: StoreKey, data: bytes) -> None:
+        """Make ``data`` the newest cache entry, and the object ``key`` is known by."""
+        cache, ids = self._cache, self._ids
+        with self._lock:
+            held = cache.get(key)
+            if held is not data:
+                if held is not None:
+                    del ids[id(held)]
+                cache[key] = data
+                ids[id(data)] = key
+            cache.move_to_end(key)
+            while len(cache) > self.cache_capacity:
+                del ids[id(cache.popitem(last=False)[1])]
 
     def release(self, proxy: StoreProxy) -> None:
         """Drop ``proxy``'s store reference (read accounting is settled)."""

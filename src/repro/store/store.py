@@ -22,18 +22,18 @@ Two backends ship:
 
 - :class:`InMemoryStore` — one shared dict, for the in-process backends
   (the simulated network, loopback TCP hubs in one process).
-- :class:`FileStore` — a directory of blob files with sidecar refcounts,
-  readable across OS processes (the multi-process launcher's shape).
+- :class:`FileStore` — a directory of blob files (and sidecar counts above
+  one), readable across OS processes (the multi-process launcher's shape).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import StoreError, StoreMissError
 
@@ -83,7 +83,7 @@ class StoreStats:
     """Cumulative counters for one store instance."""
 
     __slots__ = ("puts", "dedup_puts", "gets", "misses", "evictions",
-                 "bytes_put", "bytes_served")
+                 "bytes_put", "bytes_served", "bytes_hashed")
 
     def __init__(self) -> None:
         self.reset()
@@ -96,6 +96,7 @@ class StoreStats:
         self.evictions = 0
         self.bytes_put = 0
         self.bytes_served = 0
+        self.bytes_hashed = 0  # by ``put``; none when the key came with the data
 
     def snapshot(self) -> dict[str, int]:
         return {
@@ -106,6 +107,7 @@ class StoreStats:
             "evictions": self.evictions,
             "bytes_put": self.bytes_put,
             "bytes_served": self.bytes_served,
+            "bytes_hashed": self.bytes_hashed,
         }
 
 
@@ -120,10 +122,19 @@ class ObjectStore(ABC):
     """
 
     stats: StoreStats
+    _lock: threading.Lock  # guards ``stats`` and the backend's own tables
 
     @abstractmethod
-    def put(self, data: bytes) -> StoreKey:
-        """Store ``data`` (or bump its refcount) and return its key."""
+    def put(self, data: bytes, key: StoreKey | None = None) -> StoreKey:
+        """Store ``data`` (or bump its refcount) and return its key; ``key`` is
+        that key, when :meth:`StoreClient.offload` knows it of this very object."""
+
+    def _key_for(self, data: bytes, key: StoreKey | None) -> StoreKey:
+        if key is None:
+            key = StoreKey.for_data(data)  # outside the lock: sha256 lets other threads run
+            with self._lock:
+                self.stats.bytes_hashed += key.size
+        return key
 
     @abstractmethod
     def get(self, key: StoreKey) -> bytes:
@@ -186,8 +197,8 @@ class InMemoryStore(ObjectStore):
         self._lock = threading.Lock()
         _MEMORY_STORES[self.store_id] = self
 
-    def put(self, data: bytes) -> StoreKey:
-        key = StoreKey.for_data(data)
+    def put(self, data: bytes, key: StoreKey | None = None) -> StoreKey:
+        key = self._key_for(data, key)
         with self._lock:
             entry = self._entries.get(key.digest)
             if entry is None:
@@ -247,106 +258,160 @@ class InMemoryStore(ObjectStore):
 class FileStore(ObjectStore):
     """A directory of content-addressed blobs, shared across processes.
 
-    Each entry is a ``<digest>.blob`` file plus a ``<digest>.ref``
-    sidecar holding the reference count, so any process pointed at the
-    same directory (the multi-process launcher gives every Core the same
-    path) resolves proxies written by any other.  Refcount updates are
-    read-modify-write without inter-process locking: the movement
-    protocol's put-then-evict pairs are serialized per entry by the
-    protocol itself, which is all the accounting needs.
+    An entry is one ``<digest>.blob`` file, so any process pointed at the
+    same directory (``CoreProcesses(store_dir=...)``) resolves proxies
+    written by any other.  A blob is written under a ``*.tmp.*`` name and
+    published with :func:`os.replace`: under its digest it is whole or
+    absent, whichever writer was killed when.  ``get`` still serves it
+    only at its key's length; a put that finds another length replaces it.
+
+    A ``<digest>.ref`` sidecar holds the reference count only while that
+    is above one: no sidecar means one reference, so a transient
+    put/evict pair is one create, one rename and one unlink.  Counts are
+    read-modify-write without inter-process locking: the protocol's
+    put-then-evict pairs are serialized per entry by the protocol itself.
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: "str | os.PathLike[str]") -> None:
+        self.root = os.fspath(root)
+        os.makedirs(self.root, exist_ok=True)
+        self._prefix = os.path.join(self.root, "")
         self.stats = StoreStats()
         self._lock = threading.Lock()
         #: digest -> hits (local accounting only; blobs are shared).
         self._hits: dict[str, int] = {}
 
-    def _blob(self, digest: str) -> Path:
-        return self.root / f"{digest}.blob"
-
-    def _ref(self, digest: str) -> Path:
-        return self.root / f"{digest}.ref"
-
-    def _read_refcount(self, digest: str) -> int:
+    @staticmethod
+    def _write(path: str, data: bytes) -> None:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            return int(self._ref(digest).read_text())
-        except (OSError, ValueError):
-            return 0
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
 
-    def put(self, data: bytes) -> StoreKey:
-        key = StoreKey.for_data(data)
+    @staticmethod
+    def _read(path: str, size: int | None = None) -> bytes | None:
+        """The file's bytes; ``None`` when it is absent or, given ``size``, not that long."""
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            return None
+        try:
+            held = os.fstat(fd).st_size
+            if size is not None and held != size:
+                return None
+            data = os.read(fd, held)
+            while len(data) < held and (more := os.read(fd, held - len(data))):
+                data += more
+            return data if len(data) == held else None
+        finally:
+            os.close(fd)
+
+    def _refs(self, ref: str) -> int | None:
+        """The count in sidecar ``ref``; ``None`` without one, which means one."""
+        text = self._read(ref)
+        try:
+            return int(text) if text is not None else None
+        except ValueError:
+            return 1
+
+    def put(self, data: bytes, key: StoreKey | None = None) -> StoreKey:
+        key = self._key_for(data, key)
+        stem = self._prefix + key.digest
+        blob = stem + ".blob"
         with self._lock:
-            blob = self._blob(key.digest)
-            if blob.exists():
-                self._ref(key.digest).write_text(
-                    str(self._read_refcount(key.digest) + 1)
-                )
+            try:
+                held = os.stat(blob).st_size
+            except OSError:
+                held = None
+            if held == key.size:
+                ref = stem + ".ref"
+                self._write(ref, b"%d" % ((self._refs(ref) or 1) + 1))
                 self.stats.dedup_puts += 1
             else:
-                blob.write_bytes(data)
-                self._ref(key.digest).write_text("1")
+                tmp = f"{blob}.tmp.{os.getpid()}.{threading.get_ident()}"
+                self._write(tmp, data)
+                os.replace(tmp, blob)
+                if held is not None:  # took a torn blob's place, and its count's
+                    _unlink(stem + ".ref")
                 self.stats.puts += 1
                 self.stats.bytes_put += key.size
         return key
 
     def get(self, key: StoreKey) -> bytes:
         with self._lock:
-            try:
-                data = self._blob(key.digest).read_bytes()
-            except OSError:
+            data = self._read(f"{self._prefix}{key.digest}.blob", key.size)
+            if data is None:
                 self.stats.misses += 1
                 raise StoreMissError(
-                    f"store entry {key.short()} ({key.size}B) is not present "
-                    f"under {self.root}"
-                ) from None
+                    f"store entry {key.short()} is not present at {key.size}B under {self.root}"
+                )
             self._hits[key.digest] = self._hits.get(key.digest, 0) + 1
             self.stats.gets += 1
-            self.stats.bytes_served += len(data)
+            self.stats.bytes_served += key.size
             return data
 
     def evict(self, key: StoreKey) -> bool:
+        stem = self._prefix + key.digest
+        ref = stem + ".ref"
         with self._lock:
-            blob = self._blob(key.digest)
-            if not blob.exists():
+            refs = self._refs(ref)
+            if refs is not None and refs > 1:
+                if refs > 2:
+                    self._write(ref, b"%d" % (refs - 1))
+                else:
+                    _unlink(ref)
                 return False
-            remaining = self._read_refcount(key.digest) - 1
-            if remaining > 0:
-                self._ref(key.digest).write_text(str(remaining))
+            if not _unlink(stem + ".blob"):
                 return False
-            blob.unlink(missing_ok=True)
-            self._ref(key.digest).unlink(missing_ok=True)
+            if refs is not None:  # an explicit count of one, as older directories hold
+                _unlink(ref)
             self._hits.pop(key.digest, None)
             self.stats.evictions += 1
             return True
 
     def contains(self, key: StoreKey) -> bool:
-        return self._blob(key.digest).exists()
+        return os.path.exists(f"{self._prefix}{key.digest}.blob")
 
     def entries(self) -> list[StoreEntryInfo]:
         with self._lock:
             infos = []
-            for blob in sorted(self.root.glob("*.blob")):
-                digest = blob.stem
+            for name in sorted(os.listdir(self.root)):
+                digest, extension = os.path.splitext(name)
+                if extension != ".blob":
+                    continue  # sidecars, and temporaries a killed writer left
+                try:
+                    size = os.stat(self._prefix + name).st_size
+                except OSError:
+                    continue  # evicted by another process since the listing
                 infos.append(
                     StoreEntryInfo(
-                        StoreKey(digest, blob.stat().st_size),
-                        self._read_refcount(digest),
+                        StoreKey(digest, size),
+                        self._refs(f"{self._prefix}{digest}.ref") or 1,
                         self._hits.get(digest, 0),
                     )
                 )
             return infos
 
     def locator(self) -> tuple:
-        return (FILE_BACKEND, str(self.root))
+        return (FILE_BACKEND, self.root)
 
     def close(self) -> None:
         """Forget the handle; the directory (shared) is left in place."""
 
     def __repr__(self) -> str:
         return f"<FileStore {self.root}>"
+
+
+def _unlink(path: str) -> bool:
+    """Remove ``path``; False when it was not there."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        return False
+    return True
 
 
 # -- locator resolution --------------------------------------------------------

@@ -113,6 +113,10 @@ class Failing_(Anchor):
     def custom(self) -> None:
         raise KeyError("missing-key")
 
+    def refuse(self, *args) -> None:
+        """Raises after its arguments arrived (whatever they were)."""
+        raise ValueError(f"refused {len(args)} arguments")
+
 
 class Chatty_(Anchor):
     """Calls a collaborator repeatedly (application profiling tests)."""

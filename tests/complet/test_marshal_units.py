@@ -1,9 +1,12 @@
 """Unit tests for the movement planner and marshaler internals."""
 
+import pickle
+
 import pytest
 
 from repro.complet.marshal import (
     CloneEntry,
+    InvocationMarshaler,
     MovementMarshaler,
     MovementPlan,
     MovementUnmarshaler,
@@ -15,6 +18,7 @@ from repro.complet.tokens import InGroupToken, RefToken
 from repro.core.core import Core
 from repro.complet.continuation import Continuation
 from repro.errors import CompletBoundaryError, SerializationError
+from repro.store import StoreProxy
 from repro.net.serializer import BULK_BYTES, PLAIN, Segments
 from repro.cluster.workload import Counter, DataSource, Echo, Worker
 from tests.anchors import Holder
@@ -260,3 +264,94 @@ class TestBulkBesideTheStream:
         assert first.stream.key == second.stream.key  # same content, same key
         result = MovementUnmarshaler(cluster["beta"], PLAIN.roundtrip(first)).load()
         assert result.movers[source._fargo_target_id].blob == _anchor(cluster, source).blob
+
+
+class TestInvocationPartsThroughTheStore:
+    """A Core with a store offloads each bulk part of a call on its own."""
+
+    BULK = 4 * BULK_BYTES
+
+    @pytest.fixture
+    def ends(self, make_cluster):
+        cluster = make_cluster(["alpha", "beta"], store="memory")
+        store = cluster["alpha"].store_client.store
+        return InvocationMarshaler(cluster["alpha"]), InvocationMarshaler(cluster["beta"]), store
+
+    @staticmethod
+    def _parts(wire: bytes) -> list:
+        assert wire[:1] == b"\x01"
+        return pickle.loads(wire[1:])
+
+    def test_small_invoke_is_the_same_bytes_with_and_without_a_store(self, cluster, ends):
+        """Golden: what the parent of PR 18 put on the wire for this call."""
+        golden = (
+            b"\x00\x80\x05\x95/\x00\x00\x00\x00\x00\x00\x00\x8c\x04ping\x94K\x01\x8c\x03two"
+            b"\x94C\x05three\x94\x87\x94}\x94\x8c\x04four\x94G@\x10\x00\x00\x00\x00\x00\x00s\x87\x94."
+        )
+        call = ("ping", (1, "two", b"three"), {"four": 4.0})
+        assert InvocationMarshaler(cluster["alpha"]).dumps(call) == golden
+        sender, receiver, store = ends
+        assert sender.dumps(call) == golden
+        assert receiver.loads(golden) == call
+        assert store.stats.puts == 0
+
+    def test_each_distinct_buffer_is_put_once_and_the_store_drains(self, ends):
+        sender, receiver, store = ends
+        first, second = bytes([1]) * self.BULK, bytes([2]) * self.BULK
+        wire = sender.dumps(("echo", (first, second, first), {}))
+        head, *proxies = self._parts(wire)
+        assert type(head) is bytes and len(wire) < 1_000
+        assert [proxy.key.size for proxy in proxies] == [self.BULK, self.BULK]
+        assert all(isinstance(proxy, StoreProxy) for proxy in proxies)
+        assert store.stats.puts == 2
+        _method, args, _kwargs = receiver.loads(wire)
+        assert args == (first, second, first) and args[0] is args[2]
+        assert all(type(arg) is bytes for arg in args)
+        assert len(store) == 0 and store.stats.evictions == 2
+
+    def test_a_buffer_sent_again_or_sent_back_is_not_hashed_again(self, ends):
+        sender, receiver, store = ends
+        buffer = bytes([3]) * self.BULK
+        arrived = receiver.loads(sender.dumps(buffer))
+        assert store.stats.bytes_hashed == self.BULK
+        assert sender.loads(receiver.dumps(arrived)) is buffer  # the caller's own object
+        receiver.loads(sender.dumps(buffer))
+        assert store.stats.bytes_hashed == self.BULK
+        assert len(store) == 0
+
+    def test_bytearray_arrives_as_a_copy_the_callee_may_change(self, ends):
+        sender, receiver, store = ends
+        argument = bytearray(bytes([4]) * self.BULK)
+        wire = sender.dumps(("fill", (argument,), {}))
+        (whole,) = self._parts(wire)  # in the pickle, and the pickle in the store
+        assert isinstance(whole, StoreProxy) and whole.key.size > self.BULK
+        _method, (arrived,), _kwargs = receiver.loads(wire)
+        assert type(arrived) is bytearray and arrived == argument
+        arrived[0] = 99
+        assert argument[0] == 4
+        assert len(store) == 0
+
+    def test_bulk_str_still_ships_as_one_proxy(self, ends):
+        sender, receiver, store = ends
+        text = "z" * self.BULK
+        (whole,) = self._parts(sender.dumps(text))
+        assert isinstance(whole, StoreProxy)
+        assert store.stats.puts == 1
+        assert receiver.loads(b"\x01" + pickle.dumps([whole])) == text
+        assert len(store) == 0
+
+    def test_parts_below_a_higher_threshold_stay_inline(self, make_cluster):
+        cluster = make_cluster(["alpha", "beta"], store="memory", store_threshold=8 * BULK_BYTES)
+        buffer = bytes([5]) * self.BULK
+        wire = InvocationMarshaler(cluster["alpha"]).dumps(("echo", (buffer,), {}))
+        assert wire[:1] == b"\x00" and len(wire) > self.BULK
+        assert InvocationMarshaler(cluster["beta"]).loads(wire) == ("echo", (buffer,), {})
+        assert cluster["alpha"].store_client.store.stats.puts == 0
+
+    @pytest.mark.parametrize(
+        "body", [StoreProxy, [], ["text"], [b"head", 7]], ids=["bare", "empty", "str", "int"]
+    )
+    def test_offloaded_body_that_is_not_a_part_list_is_refused(self, ends, body):
+        _sender, receiver, _store = ends
+        with pytest.raises(SerializationError):
+            receiver.loads(b"\x01" + pickle.dumps(body))

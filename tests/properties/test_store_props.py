@@ -1,9 +1,12 @@
 """Property-based tests for store offloading and envelope batching.
 
-Three invariants the ISSUE pins down:
+Four invariants the ISSUEs pin down:
 
 - a proxied payload resolves to *byte-identical* content vs the eager
   marshal, for any payload;
+- a store client's id table names exactly the buffers its cache holds,
+  each under the key its content hashes to, after any sequence of
+  offloads, resolves and releases;
 - copy-on-first-read is version-stamped: an unchanged complet marshals
   under one content key, and any mutation (or reference retarget) lands
   the next marshal under a new key;
@@ -22,7 +25,7 @@ from repro.complet.stub import stub_target_id
 from repro.net import BatchPolicy, BatchingTransport, Envelope, MessageKind, SimTransport
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
-from repro.store import InMemoryStore, StoreClient, StoreProxy
+from repro.store import InMemoryStore, StoreClient, StoreKey, StoreProxy
 
 THRESHOLD = 1_024
 
@@ -49,6 +52,54 @@ class TestProxyRoundTrip:
             assert _resolve_stream(core, offloaded.stream) == eager.stream
         finally:
             cluster.close()
+
+
+# One client step: (action, which of five contents, a fresh equal object or the shared one)
+_client_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["offload", "offload", "resolve", "release"]),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+class TestKeptKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_client_steps)
+    def test_id_table_and_cache_agree_after_any_sequence(self, steps):
+        """Whatever is offloaded, resolved and released in whatever order, on a
+        cache small enough to overflow: the id table names exactly the cached
+        objects, every cached object hashes to its key, and every proxy handed
+        out stands for the bytes it was made from."""
+        backend = InMemoryStore()
+        clients = [
+            StoreClient(backend, threshold=THRESHOLD, cache_capacity=3) for _ in range(2)
+        ]
+        shared = [bytes([value]) * (THRESHOLD + value) for value in range(5)]
+        outstanding: list[tuple[StoreProxy, bytes]] = []
+        for turn, (action, which, fresh) in enumerate(steps):
+            client = clients[turn % 2]
+            if action == "offload":
+                data = bytes(bytearray(shared[which])) if fresh else shared[which]
+                proxy = client.offload(data)
+                assert proxy.key == StoreKey.for_data(data)
+                outstanding.append((proxy, data))
+            elif outstanding:
+                proxy, data = outstanding[which % len(outstanding)]
+                if action == "resolve":
+                    assert client.resolve(proxy) == data
+                else:
+                    outstanding.remove((proxy, data))
+                    assert client.resolve(proxy, release=True) == data
+            for each in clients:
+                assert {id(held): key for key, held in each._cache.items()} == each._ids
+                assert all(StoreKey.for_data(held) == key for key, held in each._cache.items())
+                assert len(each._cache) <= 3
+        assert backend.stats.puts + backend.stats.dedup_puts == sum(
+            action == "offload" for action, _, _ in steps
+        )
 
 
 class TestVersionStampedInvalidation:

@@ -210,6 +210,23 @@ class TestDirectory:
         assert store.hosted_at("alpha") == []
 
 
+    def test_torn_blob_reads_as_absent_and_the_next_put_heals_it(self, tmp_path):
+        """A blob cut short (a writer SIGKILLed mid-write, before blobs were
+        renamed into place) is never unpickled, and the successor's put of
+        the same closure writes it again instead of deduplicating onto it."""
+        store = CheckpointStore(tmp_path)
+        stream = bytes(range(256)) * 40
+        store.put(record(1, stream=stream))
+        (blob,) = (tmp_path / "blobs").glob("*.blob")
+        blob.write_bytes(stream[:4_000])
+        assert store.get(cid(1)) is None
+        assert store.hosted_at("alpha") == []
+        successor = CheckpointStore(tmp_path)
+        successor.put(record(1, stream=stream))
+        assert successor.get(cid(1)).snapshot.stream == stream
+        assert blob.read_bytes() == stream
+
+
 class TestRealClockSweep:
     """The child-process sweep, on the clock it really runs on.
 

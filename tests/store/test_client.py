@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import StoreMissError
 from repro.metrics.registry import MetricsRegistry
-from repro.store import InMemoryStore, StoreClient, StoreProxy
+from repro.store import InMemoryStore, StoreClient, StoreKey, StoreProxy
 
 
 @pytest.fixture
@@ -16,6 +19,12 @@ def backend():
 
 @pytest.fixture
 def client(backend):
+    return StoreClient(backend, threshold=1_024, cache_capacity=2)
+
+
+@pytest.fixture
+def receiver(backend):
+    """A second Core's client on the same store: it has cached nothing yet."""
     return StoreClient(backend, threshold=1_024, cache_capacity=2)
 
 
@@ -46,19 +55,19 @@ class TestResolve:
     def test_inline_bytes_pass_through(self, client):
         assert client.resolve(b"inline") == b"inline"
 
-    def test_proxy_resolves_to_original_bytes(self, client):
+    def test_proxy_resolves_to_original_bytes(self, client, receiver):
         data = b"r" * 5_000
         proxy = client.offload(data)
-        assert client.resolve(proxy) == data
-        snap = client.stats_snapshot()
+        assert receiver.resolve(proxy) == data
+        snap = receiver.stats_snapshot()
         assert snap["store_hits"] == 1
         assert snap["cache_hits"] == 0
 
-    def test_repeat_resolve_hits_cache(self, client):
+    def test_repeat_resolve_hits_cache(self, client, receiver):
         proxy = client.offload(b"c" * 5_000)
-        client.resolve(proxy)
-        client.resolve(proxy)
-        snap = client.stats_snapshot()
+        receiver.resolve(proxy)
+        receiver.resolve(proxy)
+        snap = receiver.stats_snapshot()
         assert snap["store_hits"] == 1
         assert snap["cache_hits"] == 1
 
@@ -101,6 +110,94 @@ class TestResolve:
         other_client = StoreClient(InMemoryStore(), threshold=1_024)
         other_client.resolve(proxy, release=True)
         assert not backend.contains(proxy.key)
+
+
+def assert_cache_consistent(client: StoreClient) -> None:
+    """The id table and the cache hold the same entries, each under its own key."""
+    assert {id(data): key for key, data in client._cache.items()} == client._ids
+    for key, data in client._cache.items():
+        assert StoreKey.for_data(data) == key
+    assert len(client._cache) <= client.cache_capacity
+
+
+class TestKeptKey:
+    """A buffer the client still caches keeps its key: no second hash."""
+
+    def test_offloaded_buffer_is_not_hashed_again(self, client, backend):
+        data = b"k" * 5_000
+        first = client.offload(data)
+        assert backend.stats.bytes_hashed == len(data)
+        assert client.offload(data) == first
+        assert backend.stats.bytes_hashed == len(data)
+        assert backend.stats.dedup_puts == 1
+        assert_cache_consistent(client)
+
+    def test_resolved_buffer_is_not_hashed_when_forwarded(self, client, receiver, backend):
+        proxy = client.offload(b"f" * 5_000)
+        data = receiver.resolve(proxy, release=True)
+        hashed = backend.stats.bytes_hashed
+        assert receiver.offload(data) == proxy
+        assert backend.stats.bytes_hashed == hashed
+        assert backend.get(proxy.key) == data
+        assert_cache_consistent(receiver)
+
+    def test_equal_but_distinct_buffer_is_hashed_onto_the_same_key(self, client, backend):
+        data = b"e" * 5_000
+        twin = bytes(bytearray(data))
+        assert twin is not data
+        first = client.offload(data)
+        assert client.offload(twin) == first
+        assert backend.stats.bytes_hashed == 2 * len(data)
+        assert_cache_consistent(client)
+        assert client._cache[first.key] is twin  # the newest object holds the entry
+
+    def test_buffer_pushed_out_of_the_cache_is_hashed_again(self, client, backend):
+        data = b"a" * 2_000
+        client.offload(data)
+        for filler in (b"b" * 2_000, b"c" * 2_000):  # capacity is two
+            client.offload(filler)
+        hashed = backend.stats.bytes_hashed
+        client.offload(data)
+        assert backend.stats.bytes_hashed == hashed + len(data)
+        assert_cache_consistent(client)
+
+    def test_mutable_buffer_is_hashed_every_time_and_never_cached(self, client, backend):
+        data = bytearray(b"m" * 2_000)
+        first = client.offload(data)
+        data[0] = 0
+        second = client.offload(data)
+        assert first.key != second.key
+        assert backend.stats.bytes_hashed == 2 * len(data)
+        assert client.cache_len() == 0
+
+    def test_concurrent_offload_and_resolve_keep_the_tables_in_step(self, backend):
+        """More threads than cores on a two-entry cache, switching every 10 us."""
+        client = StoreClient(backend, threshold=1_024, cache_capacity=2)
+        buffers = [bytes([value]) * 2_000 for value in range(6)]
+        failures: list[BaseException] = []
+
+        def churn(offset: int) -> None:
+            try:
+                for step in range(300):
+                    data = buffers[(offset + step) % len(buffers)]
+                    assert client.resolve(client.offload(data), release=True) == data
+            except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert_cache_consistent(client)
+        assert len(backend) == 0  # every put met its evict
 
 
 class TestSnapshot:

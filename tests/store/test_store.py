@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 
 import pytest
 
@@ -66,6 +67,14 @@ class TestBackends:
         entries = store.entries()
         assert len(entries) == 1
         assert entries[0].refcount == 2
+
+    def test_put_given_the_key_hashes_nothing(self, store):
+        data = b"k" * 4_096
+        key = store.put(data)
+        assert store.stats.bytes_hashed == len(data)
+        assert store.put(data, key) == key
+        assert store.stats.bytes_hashed == len(data)
+        assert store.entries()[0].refcount == 2
 
     def test_evict_balances_refcount(self, store):
         data = b"e" * 2_048
@@ -132,6 +141,78 @@ class TestFileStoreSharing:
         reader = FileStore(tmp_path / "shared")
         assert reader.evict(key) is False
         assert reader.evict(key) is True
+
+
+class TestFileStoreLayout:
+    """What a put, a repeat put and an evict leave in the directory."""
+
+    def test_single_reference_is_one_file(self, tmp_path):
+        store = FileStore(tmp_path)
+        data = b"one reference" * 100
+        key = store.put(data)
+        assert os.listdir(tmp_path) == [f"{key.digest}.blob"]
+        store.put(data)
+        assert sorted(os.listdir(tmp_path)) == [f"{key.digest}.blob", f"{key.digest}.ref"]
+        assert (tmp_path / f"{key.digest}.ref").read_text() == "2"
+        assert store.evict(key) is False
+        assert os.listdir(tmp_path) == [f"{key.digest}.blob"]  # the sidecar went
+        assert store.evict(key) is True
+        assert os.listdir(tmp_path) == []
+
+    def test_sidecar_saying_one_still_reads(self, tmp_path):
+        """The layout before the sidecar became optional."""
+        store = FileStore(tmp_path)
+        key = store.put(b"old layout" * 50)
+        (tmp_path / f"{key.digest}.ref").write_text("1")
+        assert store.entries()[0].refcount == 1
+        store.put(b"old layout" * 50)
+        assert store.entries()[0].refcount == 2
+        assert store.evict(key) is False
+        (tmp_path / f"{key.digest}.ref").write_text("1")
+        assert store.evict(key) is True
+        assert os.listdir(tmp_path) == []
+
+
+class TestTornBlob:
+    """A blob shorter than its key says: a writer killed mid-write, before
+    blobs were written aside and renamed, leaves exactly that."""
+
+    def test_truncated_blob_misses_and_the_next_put_replaces_it(self, tmp_path):
+        store = FileStore(tmp_path)
+        data = bytes(range(256)) * 64
+        key = store.put(data)
+        blob = tmp_path / f"{key.digest}.blob"
+        blob.write_bytes(data[:1000])
+        with pytest.raises(StoreMissError):
+            store.get(key)
+        assert store.stats.misses == 1
+        assert store.put(data) == key
+        assert store.stats.puts == 2 and store.stats.dedup_puts == 0
+        assert store.get(key) == data
+        assert store.entries()[0].refcount == 1
+
+    def test_replacing_a_torn_blob_voids_its_count(self, tmp_path):
+        store = FileStore(tmp_path)
+        data = b"t" * 5_000
+        key = store.put(data)
+        store.put(data)
+        (tmp_path / f"{key.digest}.blob").write_bytes(data + b"trailing")
+        store.put(data)
+        assert store.get(key) == data
+        assert store.evict(key) is True
+        assert os.listdir(tmp_path) == []
+
+    def test_temporaries_are_neither_listed_nor_served(self, tmp_path):
+        store = FileStore(tmp_path)
+        data = b"whole" * 1_000
+        key = StoreKey.for_data(data)
+        (tmp_path / f"{key.digest}.blob.tmp.4242.1").write_bytes(data)
+        assert store.entries() == []
+        assert not store.contains(key)
+        with pytest.raises(StoreMissError):
+            store.get(key)
+        store.put(data)
+        assert [info.key for info in store.entries()] == [key]
 
 
 class TestLocatorResolution:
