@@ -11,13 +11,19 @@ point of the bench baselines):
 - resolve-cache hits when several holders duplicate one unchanged
   original;
 - wire messages for a 64-envelope one-way storm, raw vs batched.
+
+One case is wall-clock, on a real directory: what a ``FileStore`` put and
+evict cost on an entry that two other references hold.
 """
+
+import os
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import DataSource, Echo
 from repro.net import BatchPolicy, BatchingTransport, Envelope, MessageKind, SimTransport
 from repro.sim.clock import VirtualClock, forbid_real_clocks
 from repro.sim.scheduler import Scheduler
+from repro.store import FileStore
 from benchmarks.conftest import print_table
 
 PAYLOAD = 1_048_576  # 1 MiB: ×16 the default offload threshold
@@ -135,3 +141,20 @@ def test_batching_message_count(benchmark):
     assert len(delivered) == 64, "batching must not lose messages"
     assert batched <= unbatched / 8
     benchmark(lambda: None)
+
+
+def test_dedup_put_refcount3(benchmark, tmp_path):
+    """A put and an evict that take a count 2 -> 3 -> 2: the sidecar stays, and is
+    overwritten in place (a truncating rewrite costs an ext4 flush each time)."""
+    store = FileStore(tmp_path)
+    data = b"third reference" * 1_000
+    key = store.put(data)
+    store.put(data, key)
+
+    def third_reference_comes_and_goes():
+        store.put(data, key)
+        store.evict(key)
+
+    benchmark(third_reference_comes_and_goes)
+    assert store.entries()[0].refcount == 2
+    assert sorted(os.listdir(tmp_path)) == [f"{key.digest}.blob", f"{key.digest}.ref"]

@@ -763,7 +763,10 @@ def supervision() -> dict:
     Timing metrics carry the ``_wall_seconds`` suffix (recorded for
     context, never compared across machines); the counts — restarts,
     restored identities, completed post-rebirth invocations — are
-    deterministic and regression-checked.
+    deterministic and regression-checked.  So is ``interpreter_starts``:
+    a second deployment comes up once the first has stopped, and the
+    count is of the processes the children of both were forked from (one:
+    the template belongs to the process, not to the deployment).
     """
     import os
     import shutil
@@ -773,6 +776,13 @@ def supervision() -> dict:
 
     from repro.cluster import CoreProcesses, Supervisor
     from repro.cluster.workload import Counter as WorkCounter
+
+    def forked_from(procs: CoreProcesses) -> set[int]:
+        parents = set()
+        for child in procs.processes.values():
+            with open(f"/proc/{child.pid}/stat", encoding="ascii") as stat:
+                parents.add(int(stat.read().rpartition(")")[2].split()[1]))
+        return parents
 
     checkpoint_dir = tempfile.mkdtemp(prefix="repro-bench-supervision-")
     metrics: dict = {}
@@ -812,6 +822,14 @@ def supervision() -> dict:
                 )
                 mttr = child["last_mttr"]
                 metrics["mttr_wall_seconds"] = round(mttr, 4) if mttr else 0.0
+            interpreters = forked_from(procs)
+        started_at = real_time.monotonic()
+        with CoreProcesses(["w1", "w2"]) as second:
+            metrics["second_bring_up_wall_seconds"] = round(
+                real_time.monotonic() - started_at, 4
+            )
+            interpreters |= forked_from(second)
+        metrics["interpreter_starts"] = len(interpreters)
     finally:
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
     return metrics

@@ -9,26 +9,33 @@ per machine/process, complets moving between them — realised with
   signal).  It prints ``READY <name> <port>`` on stdout once its
   listener accepts.
 - **Template**: ``python -m repro.cluster.launch --template FD``, one
-  per deployment and its only ``exec``.  It imports this package once
-  and then, on each request read from the control socket ``FD``,
-  ``fork()``s one child that starts from the imported image
-  (:func:`run_template`).  It is the children's parent: it reaps them
-  and reports every exit back, and when the control socket reaches end
-  of file — the driver is gone, however it went — it terminates them.
+  per driver *process* and its only ``exec``: the first deployment
+  starts it, every later one uses it, and it stays until the driver
+  exits.  It imports this package once and then, on each request read
+  from the control socket ``FD``, ``fork()``s one child that starts from
+  the imported image (:func:`run_template`).  It is the children's
+  parent: it reaps them and reports every exit back, it terminates the
+  ones a stopping deployment names, and when the control socket reaches
+  end of file — the driver is gone, however it went — it terminates
+  them all.
 - **Driver**: :class:`CoreProcesses` preallocates a port per Core,
-  starts the template, asks it for the children with the full peer map,
+  asks the process's template for the children with the full peer map,
   runs a local *driver* Core on its own hub (the experimenter's seat:
   instantiate, move, admin — everything goes through ordinary Core APIs
-  over TCP), and tears everything down on exit.
+  over TCP), and tears its own children down on exit.
 
 ``python -m repro.cluster.launch --serve --name B --port N --peer
 A=127.0.0.1:M ...`` runs one Core by hand over the same :func:`serve`,
 for a deployment whose Cores are started from a shell or on other
 machines.
 
-The template inherits the driver's ``sys.path`` via ``PYTHONPATH`` so
-anchor classes defined in the driving program (e.g. a test suite's
-shared module) unpickle in the children.
+The template inherits the driver's ``sys.path`` via ``PYTHONPATH`` and
+every fork request carries the path of that moment, so anchor classes
+defined in the driving program (e.g. a test suite's shared module)
+unpickle in the children, also when their directory was added after
+the template had started.  Everything else a child sees is the
+template's: its environment, its working directory, and the code it
+imported (a module edited since is not read again).
 
 Cross-process recovery rides on durable checkpoints: pass
 ``checkpoint_dir`` and every child periodically snapshots its hosted
@@ -42,6 +49,7 @@ identity preserved — before announcing READY (see docs/FAILURES.md).
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import json
 import logging
@@ -246,15 +254,16 @@ def serve(
 _TERMINATE_GRACE = 2.0
 
 
-def _fork_child(spec: dict, stdout_fd: int, stderr_fd: int, inherited) -> int:
+def _fork_child(spec: dict, stdout_fd: int, stderr_fd: int, inherited, path=()) -> int:
     """Fork one child that runs ``serve(**spec)``; its pid, in the template.
 
     The child writes to the two pipes it was sent instead of the
     template's stdout and stderr, and closes ``inherited`` — whatever of
     the template's it must not hold open: the control socket (or the
-    driver would not see the template go) and the wake-up pair.  It
-    never returns into the template's loop: it leaves through
-    ``os._exit``.
+    driver would not see the template go) and the wake-up pair.  It puts
+    what ``path`` (the requester's ``sys.path``) has and its own lacks in
+    front of its own.  It never returns into the template's loop: it
+    leaves through ``os._exit``.
     """
     if threading.active_count() != 1:
         # fork() copies the calling thread alone; a lock another thread
@@ -277,6 +286,7 @@ def _fork_child(spec: dict, stdout_fd: int, stderr_fd: int, inherited) -> int:
         os.dup2(stderr_fd, 2)
         os.close(stdout_fd)
         os.close(stderr_fd)
+        sys.path[:0] = [entry for entry in path if entry not in sys.path]
         spec["peers"] = {name: tuple(address) for name, address in spec["peers"].items()}
         serve(**spec)
         status = 0
@@ -296,12 +306,14 @@ def _report(control: socket.socket, message: dict) -> None:
 
 
 def _answer_request(control: socket.socket, children: set[int], inherited) -> bool:
-    """Read one fork request and answer it; False at end of file.
+    """Read one request and answer it; False at end of file.
 
-    A request is one JSON line of :func:`serve`'s arguments, and comes
-    with the write ends of the child's stdout and stderr pipes.  The
-    template closes its copies at once, so that no later sibling
-    inherits them and a dead child's pipes reach end of file.
+    A request is one JSON line.  ``{"spec": ..., "path": ...}`` asks for a
+    fork (:func:`_fork_child`) and comes with the write ends of the
+    child's stdout and stderr pipes; the template closes its copies at
+    once, so that no later sibling inherits them and a dead child's
+    pipes reach end of file.  ``{"terminate": pids}`` ends those children
+    (:func:`_terminate`) and is answered once they are reaped.
     """
     data, fds = b"", []
     while not data.endswith(b"\n"):
@@ -311,10 +323,15 @@ def _answer_request(control: socket.socket, children: set[int], inherited) -> bo
         data += chunk
         fds += received
     try:
-        stdout_fd, stderr_fd = fds
-        pid = _fork_child(json.loads(data), stdout_fd, stderr_fd, inherited)
-        children.add(pid)
-        reply = {"pid": pid}
+        request = json.loads(data)
+        if "terminate" in request:
+            _terminate(request["terminate"], children, control)
+            reply = {}
+        else:
+            stdout_fd, stderr_fd = fds
+            pid = _fork_child(request["spec"], stdout_fd, stderr_fd, inherited, request["path"])
+            children.add(pid)
+            reply = {"pid": pid}
     except Exception as exc:  # noqa: BLE001 - the driver raises it; the template serves on
         reply = {"error": f"{type(exc).__name__}: {exc}"}
     finally:
@@ -324,36 +341,38 @@ def _answer_request(control: socket.socket, children: set[int], inherited) -> bo
     return True
 
 
-def _reap(children: set[int], control: socket.socket, *, block: bool = False) -> None:
-    """Collect the children that have exited and report each exit code."""
+def _reap(children: set[int], control: socket.socket, until_gone=frozenset()) -> None:
+    """Collect the children that have exited and report each exit code; waits
+    for an exit while one of ``until_gone`` is still a child."""
     while children:
-        pid, status = os.waitpid(-1, 0 if block else os.WNOHANG)
+        pid, status = os.waitpid(-1, 0 if until_gone & children else os.WNOHANG)
         if pid == 0:
             return
         children.discard(pid)
         _report(control, {"exit": pid, "status": os.waitstatus_to_exitcode(status)})
 
 
-def _terminate(children: set[int], control: socket.socket) -> None:
-    """SIGTERM every child, SIGKILL what is left after the grace, reap all."""
-    for pid in children:
+def _terminate(doomed, children: set[int], control: socket.socket) -> None:
+    """SIGTERM the ``doomed`` children, SIGKILL what is left after the grace, reap them."""
+    doomed = children.intersection(doomed)  # once reaped, a pid may be another process's
+    for pid in doomed:
         os.kill(pid, signal.SIGTERM)
     deadline = time.monotonic() + _TERMINATE_GRACE
-    while children and time.monotonic() < deadline:
+    while doomed & children and time.monotonic() < deadline:
         _reap(children, control)
         time.sleep(0.01)
-    for pid in children:
+    for pid in doomed & children:
         os.kill(pid, signal.SIGKILL)
-    _reap(children, control, block=True)
+    _reap(children, control, doomed)
 
 
 def run_template(control_fd: int) -> int:
-    """Serve fork requests from socket ``control_fd`` until it is hung up.
+    """Serve the requests from socket ``control_fd`` until it is hung up.
 
     Single-threaded on purpose (see :func:`_fork_child`): one selector
     waits for requests and for the signals' wake-up bytes.  SIGCHLD means
     there is an exit to report; SIGTERM and end of file on the control
-    socket both mean the deployment is over, and no child outlives it.
+    socket both mean the driver is done, and no child outlives it.
     """
     control = socket.socket(fileno=control_fd)
     wake_in, wake_out = socket.socketpair()
@@ -377,7 +396,7 @@ def run_template(control_fd: int) -> int:
                     elif not _answer_request(control, children, inherited):
                         return 0
         finally:
-            _terminate(children, control)
+            _terminate(children, children, control)
 
 
 # -- the driver's side --------------------------------------------------------
@@ -445,7 +464,7 @@ class _Template:
         self._replies: queue.SimpleQueue[dict] = queue.SimpleQueue()
         self._exited = threading.Condition()
         self._exit_codes: dict[int, int] = {}
-        self._gone = False
+        self._gone = ""  # why, once the template is
         self._reader = threading.Thread(
             target=self._read, name="template-reader", daemon=True
         )
@@ -468,9 +487,30 @@ class _Template:
         assert self.process.stderr is not None
         last_words = self.process.stderr.read().strip()
         with self._exited:
-            self._gone = True
+            self._gone = f"the template process is gone: {last_words}"
             self._exited.notify_all()
-        self._replies.put({"error": f"the template process is gone: {last_words}"})
+        self._replies.put({"error": self._gone})  # to the request in flight, if any
+
+    @property
+    def dead(self) -> bool:
+        """Whether the next request needs another template."""
+        return bool(self._gone) or self.process.poll() is not None
+
+    def _ask(self, request: dict, fds: list[int], timeout: float) -> dict:
+        """Send one request, with ``fds``; its reply, or the error there is instead."""
+        with self._request:
+            if self._gone:
+                return {"error": self._gone}
+            try:
+                socket.send_fds(self._control, [json.dumps(request).encode() + b"\n"], fds)
+            except OSError:
+                pass  # the template hung up: the reader's last reply says why
+            try:
+                return self._replies.get(timeout=timeout)
+            except queue.Empty:
+                # A reply that came later would answer the wrong request.
+                self.process.terminate()
+                return {"error": f"no answer from the template within {timeout}s"}
 
     def spawn(self, spec: dict, timeout: float) -> ChildProcess:
         """Have the template fork a child running ``serve(**spec)``."""
@@ -480,18 +520,8 @@ class _Template:
             open(fd, encoding="utf-8", errors="replace") for fd in (stdout, stderr)  # noqa: SIM115
         ]
         try:
-            with self._request:
-                try:
-                    socket.send_fds(
-                        self._control, [json.dumps(spec).encode() + b"\n"], [stdout_w, stderr_w]
-                    )
-                except OSError:
-                    pass  # the template hung up: the reader's last reply says why
-                reply = self._replies.get(timeout=timeout)
-        except queue.Empty:
-            # A reply that came later would answer the wrong request.
-            self.process.terminate()
-            reply = {"error": f"no answer from the template within {timeout}s"}
+            request = {"spec": spec, "path": [entry for entry in sys.path if entry]}
+            reply = self._ask(request, [stdout_w, stderr_w], timeout)
         finally:
             os.close(stdout_w)
             os.close(stderr_w)
@@ -509,6 +539,11 @@ class _Template:
             self._exited.wait_for(lambda: pid in self._exit_codes or self._gone, timeout)
             return self._exit_codes.pop(pid, None)
 
+    def terminate(self, pids: list[int], timeout: float) -> None:
+        """Have the template end its children ``pids``; back once they are reaped and
+        reported, or at once when it is gone (it ends nothing; the caller has the pids)."""
+        self._ask({"terminate": pids}, [], timeout + _TERMINATE_GRACE)
+
     def close(self, timeout: float) -> None:
         """Hang up: the template terminates the children left, reports and exits."""
         with contextlib.suppress(OSError):
@@ -524,6 +559,29 @@ class _Template:
         self.process.stderr.close()
 
 
+#: The process's template: started by its first deployment, used by every
+#: later one, replaced once found dead.  Nothing is started at import.
+_shared: _Template | None = None
+_shared_lock = threading.Lock()
+
+
+def _shared_template() -> _Template:
+    """The process's template, started or replaced if need be."""
+    global _shared
+    with _shared_lock:
+        if _shared is not None and _shared.dead:
+            logger.warning("starting another template: %s", _shared._gone or "it exited")
+            _shared.close(_TERMINATE_GRACE + 1.0)
+            _shared = None
+        if _shared is None:
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+            _shared = _Template([sys.executable, "-m", "repro.cluster.launch"], env)
+            # The hang-up of a driver that exits in good order: no Popen left un-waited.
+            atexit.register(_shared.close, _TERMINATE_GRACE + 1.0)
+        return _shared
+
+
 @dataclass
 class CoreProcesses:
     """A localhost multi-process deployment of Cores, driven in-process.
@@ -536,15 +594,15 @@ class CoreProcesses:
             driver.move(stub, "B")
 
     Every child is a separate process running :func:`serve`, forked from
-    the deployment's template process (POSIX only); the driver Core lives
-    on its own :class:`~repro.net.tcp.TcpTransport` hub in the calling
-    process, so all interaction is genuine TCP traffic.
+    the calling process's template process (POSIX only; the first
+    deployment of a process starts it); the driver Core lives on its own
+    :class:`~repro.net.tcp.TcpTransport` hub in the calling process, so
+    all interaction is genuine TCP traffic.
     """
 
     names: list[str]
     driver_name: str = "driver"
     host: str = "127.0.0.1"
-    python: str = sys.executable
     startup_timeout: float = 20.0
     shutdown_timeout: float = 10.0
     #: Shared durable-checkpoint directory; children checkpoint their
@@ -558,7 +616,8 @@ class CoreProcesses:
     transport: TcpTransport | None = field(default=None, init=False)
     processes: dict[str, ChildProcess] = field(default_factory=dict, init=False)
     addresses: dict[str, tuple[str, int]] = field(default_factory=dict, init=False)
-    # The fork server, while started.  Not in ``processes`` and not a field.
+    # The fork server this deployment's children come from, while started.
+    # Not in ``processes`` and not a field.
     _template = None  # type: _Template | None
 
     def __enter__(self) -> "CoreProcesses":
@@ -583,10 +642,9 @@ class CoreProcesses:
         for name, port in zip(cores, free_ports(self.host, len(cores))):
             self.addresses[name] = (self.host, port)
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        # The template imports while the driver Core is built here.
-        self._template = _Template([self.python, "-m", "repro.cluster.launch"], env)
+        # If this is the one that starts it, the template imports while the
+        # driver Core is built here.
+        self._template = _shared_template()
         try:
             scheduler = Scheduler(RealClock())
             self.transport = TcpTransport(
@@ -700,7 +758,7 @@ class CoreProcesses:
             self.await_child(name, timeout=max(0.1, deadline - time.monotonic()))
 
     def stop(self) -> None:
-        """Shut children down gracefully, then release the driver hub."""
+        """Shut this deployment's children down, then release the driver hub."""
         driver = self.driver
         for name, process in self.processes.items():
             if process.poll() is not None:
@@ -713,15 +771,15 @@ class CoreProcesses:
                 except (CoreError, TransportError):
                     pass
         for process in self.processes.values():
-            try:
+            with contextlib.suppress(subprocess.TimeoutExpired):
                 process.wait(timeout=self.shutdown_timeout)
-            except subprocess.TimeoutExpired:
-                process.kill()
-        if self._template is not None:
-            # Returns once the template has reaped every child and exited.
-            self._template.close(self.shutdown_timeout)
-            self._template = None
+        left = [process.pid for process in self.processes.values() if process.returncode is None]
+        if left and self._template is not None:
+            # These and no others: the template serves the process's next deployment.
+            self._template.terminate(left, self.shutdown_timeout)
+        self._template = None
         for process in self.processes.values():
+            process.kill()  # by pid, when the template is gone and ended nothing
             process.close()
         self.processes.clear()
         if driver is not None and driver.is_running:

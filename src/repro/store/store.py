@@ -267,7 +267,8 @@ class FileStore(ObjectStore):
 
     A ``<digest>.ref`` sidecar holds the reference count only while that
     is above one: no sidecar means one reference, so a transient
-    put/evict pair is one create, one rename and one unlink.  Counts are
+    put/evict pair is one create, one rename and one unlink.  A count
+    that changes above two is overwritten in place, space-padded.  Counts are
     read-modify-write without inter-process locking: the protocol's
     put-then-evict pairs are serialized per entry by the protocol itself.
     """
@@ -282,8 +283,8 @@ class FileStore(ObjectStore):
         self._hits: dict[str, int] = {}
 
     @staticmethod
-    def _write(path: str, data: bytes) -> None:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    def _write(path: str, data: bytes, truncate: int = os.O_TRUNC) -> None:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | truncate, 0o666)
         try:
             view = memoryview(data)
             while view:
@@ -309,6 +310,11 @@ class FileStore(ObjectStore):
         finally:
             os.close(fd)
 
+    def _set_refs(self, ref: str, count: int) -> None:
+        """Overwrite the count in sidecar ``ref`` in place, padded (``int`` strips it):
+        truncating a non-empty file has ext4 flush it on close, 190 us against 3."""
+        self._write(ref, b"%-20d" % count, truncate=0)
+
     def _refs(self, ref: str) -> int | None:
         """The count in sidecar ``ref``; ``None`` without one, which means one."""
         text = self._read(ref)
@@ -328,7 +334,11 @@ class FileStore(ObjectStore):
                 held = None
             if held == key.size:
                 ref = stem + ".ref"
-                self._write(ref, b"%d" % ((self._refs(ref) or 1) + 1))
+                refs = self._refs(ref)
+                if refs is None:
+                    self._write(ref, b"2")
+                else:
+                    self._set_refs(ref, refs + 1)
                 self.stats.dedup_puts += 1
             else:
                 tmp = f"{blob}.tmp.{os.getpid()}.{threading.get_ident()}"
@@ -360,7 +370,7 @@ class FileStore(ObjectStore):
             refs = self._refs(ref)
             if refs is not None and refs > 1:
                 if refs > 2:
-                    self._write(ref, b"%d" % (refs - 1))
+                    self._set_refs(ref, refs - 1)
                 else:
                     _unlink(ref)
                 return False

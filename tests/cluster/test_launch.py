@@ -1,15 +1,17 @@
 """The fork-server launcher: the child handle, and what a fork must not share.
 
-``CoreProcesses`` starts one template process and has it fork every
+``CoreProcesses`` has the process's one template process fork every
 child Core.  The children are therefore not the driver's own, and the
 handle in ``processes`` stands in for what ``subprocess`` would have
 given; the first class checks the part of that surface deployments use.
 The second checks, through ``/proc``, what each child keeps and drops of
-the template it was forked from.
+the template it was forked from; the third, what deployments that share
+the template may and may not share with it.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import select
 import signal
@@ -17,6 +19,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -24,7 +27,7 @@ from repro.cluster import CoreProcesses
 from repro.cluster import launch
 from repro.cluster.supervisor import describe_exit
 from repro.errors import ConfigurationError, CoreError
-from tests.procfs import catches, is_running, open_files, parent_of
+from tests.procfs import catches, children_of, is_running, open_files, parent_of
 
 pytestmark = [
     pytest.mark.tcp,
@@ -36,6 +39,21 @@ pytestmark = [
 def procs():
     with CoreProcesses(["alpha", "beta"]) as deployment:
         yield deployment
+
+
+def template_of(procs: CoreProcesses) -> int:
+    """The pid of the process ``procs``' children were forked from."""
+    parents = {parent_of(child.pid) for child in procs.processes.values()}
+    assert len(parents) == 1
+    return parents.pop()
+
+
+def gone_within(pids, seconds: float) -> bool:
+    """Whether none of ``pids`` is running any more, ``seconds`` from now at the latest."""
+    deadline = time.monotonic() + seconds
+    while any(is_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not any(is_running(pid) for pid in pids)
 
 
 class TestChildHandle:
@@ -73,10 +91,11 @@ class TestChildHandle:
             assert procs.driver.admin("alpha", "complets") == []
 
     def test_stop_leaves_no_process_and_no_descriptor(self):
+        with CoreProcesses(["alpha"]):
+            pass  # the template is running now, and its descriptors are the process's
         before = len(os.listdir("/proc/self/fd"))
         procs = CoreProcesses(["alpha", "beta"]).start()
         pids = [child.pid for child in procs.processes.values()]
-        pids.append(parent_of(pids[0]))
         assert all(is_running(pid) for pid in pids)
         procs.stop()
         assert not any(is_running(pid) for pid in pids)
@@ -174,3 +193,111 @@ class TestForkHygiene:
         with pytest.raises(ConfigurationError, match="os.fork"):
             procs.start()
         assert procs.addresses == {} and procs.processes == {}
+
+
+class TestOneTemplatePerProcess:
+    def test_a_second_deployment_starts_no_interpreter(self, monkeypatch):
+        with CoreProcesses(["alpha"]) as first:
+            template = template_of(first)
+
+        def no_second_interpreter(*args, **kwargs):
+            raise AssertionError(f"a deployment after the first ran Popen{args}")
+
+        monkeypatch.setattr(subprocess, "Popen", no_second_interpreter)
+        with CoreProcesses(["alpha", "beta"]) as second:
+            assert template_of(second) == template
+        assert is_running(template)
+
+    def test_deployments_alive_at_once_stop_independently(self):
+        first = CoreProcesses(["alpha", "beta"]).start()
+        try:
+            with CoreProcesses(["alpha", "beta"]) as second:  # the same names, other ports
+                template = template_of(first)
+                assert template_of(second) == template
+                gone = [child.pid for child in first.processes.values()]
+                first.stop()
+                assert not any(is_running(pid) for pid in gone)
+                assert children_of(template) == {c.pid for c in second.processes.values()}
+                for name in second.names:
+                    assert second.driver.admin(name, "complets") == []
+            assert is_running(template) and not children_of(template)
+        finally:
+            first.stop()
+
+    def test_a_child_that_ignores_shutdown_and_sigterm_is_gone_after_stop(self, monkeypatch):
+        procs = CoreProcesses(["alpha", "beta"], shutdown_timeout=0.2).start()
+        alpha, beta = procs.processes["alpha"], procs.processes["beta"]
+        template = template_of(procs)
+        try:
+            # alpha never sees the shutdown message, and a stopped process
+            # takes no SIGTERM: the template has to go as far as SIGKILL.
+            admin = procs.driver.admin
+            monkeypatch.setattr(
+                procs.driver, "admin",
+                lambda name, *args, **kwargs: name == "alpha" or admin(name, *args, **kwargs),
+            )
+            os.kill(alpha.pid, signal.SIGSTOP)
+        finally:
+            procs.stop()
+        assert not is_running(alpha.pid) and not is_running(beta.pid)
+        assert (alpha.returncode, beta.returncode) == (-signal.SIGKILL, 0)
+        assert alpha.stdout.closed and alpha.stderr.closed
+        # The template outlives them, and keeps nothing of theirs to be collected.
+        assert is_running(template) and not children_of(template)
+        assert not launch._shared._exit_codes.keys() & {alpha.pid, beta.pid}
+
+    def test_a_path_entry_added_after_the_template_started_reaches_the_children(
+        self, tmp_path, monkeypatch
+    ):
+        with CoreProcesses(["alpha"]):
+            pass  # the template has the sys.path of this moment
+        (tmp_path / "latecomer.py").write_text(
+            "from repro.complet.anchor import Anchor\n"
+            "from repro.complet.stub import compile_complet\n"
+            "class Late_(Anchor):\n"
+            "    def where(self):\n"
+            "        return self.core.name\n"
+            "Late = compile_complet(Late_)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            latecomer = importlib.import_module("latecomer")
+            with CoreProcesses(["alpha"]) as procs:
+                late = latecomer.Late(_core=procs.driver, _at="alpha")
+                assert late.where() == "alpha"
+        finally:
+            sys.modules.pop("latecomer", None)
+
+    def test_a_killed_template_is_replaced_and_its_deployment_still_stops(self):
+        orphaned = CoreProcesses(["alpha", "beta"]).start()
+        try:
+            template = template_of(orphaned)
+            pids = [child.pid for child in orphaned.processes.values()]
+            os.kill(template, signal.SIGKILL)
+            assert gone_within([template], 5.0)
+            with CoreProcesses(["alpha"]) as procs:
+                fresh = template_of(procs)
+                assert fresh != template and parent_of(fresh) == os.getpid()
+                assert procs.driver.admin("alpha", "complets") == []
+            assert all(is_running(pid) for pid in pids)  # nobody was there to end them
+        finally:
+            started = time.monotonic()
+            orphaned.stop()
+        assert time.monotonic() - started < orphaned.shutdown_timeout
+        # SIGKILLed by pid, and nobody reports when that has taken effect.
+        assert gone_within(pids, 2.0)
+        assert is_running(fresh)
+
+    def test_importing_the_launcher_starts_nothing(self):
+        program = (
+            "import os, threading\n"
+            "import repro.cluster.launch\n"
+            "from tests.procfs import children_of\n"
+            "print(threading.active_count(), len(children_of(os.getpid())))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        fresh = subprocess.run(
+            [sys.executable, "-c", program],
+            env=env, capture_output=True, text=True, timeout=60.0, check=True,
+        )
+        assert fresh.stdout.split() == ["1", "0"]

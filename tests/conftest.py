@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.cluster import launch
 from repro.cluster.cluster import Cluster
+from tests.procfs import children_of
 
 
 @pytest.fixture
@@ -31,3 +35,26 @@ def make_cluster():
         return Cluster(names, **kwargs)
 
     return factory
+
+
+def _template_children() -> set[int]:
+    template = launch._shared
+    if template is None or template.process.poll() is not None:
+        return set()
+    return children_of(template.process.pid)
+
+
+@pytest.fixture(autouse=True)
+def no_child_core_left_behind(request):
+    """A tcp-marked test leaves the process's template no child of its own.
+
+    The template outlives the deployment that started it, so a child Core
+    one test forgot would run beside every later test's.  Children that
+    were there before the test (a module-scoped deployment) are not its.
+    """
+    if request.node.get_closest_marker("tcp") is None or not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _template_children()
+    yield
+    assert _template_children() <= before, "child Cores outlived the test that started them"

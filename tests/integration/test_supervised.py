@@ -39,11 +39,22 @@ def hosted_at(procs: CoreProcesses, core_name: str) -> set[str]:
     return set(procs.driver.admin(core_name, "complets"))
 
 
-def wait_for_checkpoint(checkpoint_dir: str, core_name: str) -> None:
-    """Block until the child's periodic sweep has persisted something."""
+def wait_for_checkpoint(checkpoint_dir: str, complet_id) -> None:
+    """Block until a sweep that began after this call has persisted the complet.
+
+    Every sweep appends a generation.  The sweep that writes the next one
+    may have taken its snapshot before the caller's last invocation
+    returned; the one after it cannot have.  No clock is compared.
+    """
     store = CheckpointStore(checkpoint_dir)
-    assert wait_until(lambda: len(store.hosted_at(core_name)) > 0), (
-        f"no durable checkpoint for {core_name} appeared in {checkpoint_dir}"
+
+    def newest() -> int:
+        generations = store.generations(complet_id)
+        return generations[-1]["gen"] if generations else 0
+
+    seen = newest()
+    assert wait_until(lambda: newest() >= seen + 2), (
+        f"{complet_id} was not checkpointed twice more in {checkpoint_dir}"
     )
 
 
@@ -77,7 +88,7 @@ class TestIdentityPreservingRestart:
             probe = Probe(_core=procs.driver, _at="alpha")
             probe.note("pre-kill")
             original_id = str(probe._fargo_target_id)
-            wait_for_checkpoint(checkpoint_dir, "alpha")
+            wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
 
             old_pid = procs.processes["alpha"].pid
             os.kill(old_pid, signal.SIGKILL)
@@ -106,7 +117,7 @@ class TestIdentityPreservingRestart:
         with Supervisor(procs) as supervisor:
             probe = Probe(_core=procs.driver, _at="beta")
             probe.note("x")
-            wait_for_checkpoint(checkpoint_dir, "beta")
+            wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
             procs.processes["beta"].kill()
             assert wait_until(
                 lambda: child_state(supervisor, "beta")["restarts"] >= 1
@@ -127,7 +138,7 @@ class TestEscalation:
             probe = Probe(_core=procs.driver, _at="alpha")
             probe.note("will-be-escalated")
             original_id = str(probe._fargo_target_id)
-            wait_for_checkpoint(checkpoint_dir, "alpha")
+            wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
 
             procs.processes["alpha"].kill()
             # "failed" is set the moment the decision is made; the
@@ -153,7 +164,7 @@ class TestDurableCheckpoints:
         procs, checkpoint_dir = deployment
         probe = Probe(_core=procs.driver, _at="alpha")
         probe.note("persisted")
-        wait_for_checkpoint(checkpoint_dir, "alpha")
+        wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
 
         store = CheckpointStore(checkpoint_dir)
         records = store.hosted_at("alpha")
@@ -167,7 +178,7 @@ class TestDurableCheckpoints:
         procs, checkpoint_dir = deployment
         probe = Probe(_core=procs.driver, _at="alpha")
         probe.note("gen-1")
-        wait_for_checkpoint(checkpoint_dir, "alpha")
+        wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
         store = CheckpointStore(checkpoint_dir)
         cid = store.by_str(str(probe._fargo_target_id)).complet_id
         first = store.generations(cid)[-1]["gen"]
@@ -187,7 +198,7 @@ class TestTransportReconnect:
             holder = Holder(_core=procs.driver, _at="beta")
             holder.set_ref(probe)
             holder.get_ref().note("before-kill")
-            wait_for_checkpoint(checkpoint_dir, "alpha")
+            wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
 
             procs.processes["alpha"].kill()
             assert wait_until(
@@ -204,8 +215,8 @@ class TestTransportReconnect:
     def test_driver_probe_and_admin_after_rebirth(self, deployment):
         procs, checkpoint_dir = deployment
         with Supervisor(procs) as supervisor:
-            Probe(_core=procs.driver, _at="alpha")
-            wait_for_checkpoint(checkpoint_dir, "alpha")
+            probe = Probe(_core=procs.driver, _at="alpha")
+            wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
             procs.processes["alpha"].kill()
             assert wait_until(
                 lambda: child_state(supervisor, "alpha")["restarts"] >= 1

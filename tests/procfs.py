@@ -17,6 +17,19 @@ def parent_of(pid: int) -> int:
     return int(status_field(pid, "PPid"))
 
 
+def children_of(pid: int) -> set[int]:
+    """The processes whose parent is ``pid``, those waiting to be reaped included."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                if parent_of(int(entry)) == pid:
+                    children.add(int(entry))
+            except (FileNotFoundError, ProcessLookupError):
+                continue  # gone while listing
+    return children
+
+
 def is_running(pid: int) -> bool:
     """False once ``pid`` is gone or only waits to be reaped."""
     try:

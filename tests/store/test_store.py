@@ -159,6 +159,42 @@ class TestFileStoreLayout:
         assert store.evict(key) is True
         assert os.listdir(tmp_path) == []
 
+    def test_counts_above_two_leave_one_sidecar_and_then_nothing(self, tmp_path):
+        store = FileStore(tmp_path)
+        data = b"four references" * 100
+        key = store.put(data)
+        blob, ref = f"{key.digest}.blob", f"{key.digest}.ref"
+        for count in (2, 3, 4):
+            store.put(data)
+            assert sorted(os.listdir(tmp_path)) == [blob, ref]
+            assert store.entries()[0].refcount == count
+            assert int((tmp_path / ref).read_text()) == count
+        for count in (3, 2):
+            assert store.evict(key) is False
+            assert store.entries()[0].refcount == count
+        assert store.evict(key) is False
+        assert os.listdir(tmp_path) == [blob]
+        assert store.evict(key) is True
+        assert os.listdir(tmp_path) == []
+        assert store.stats.snapshot()["dedup_puts"] == 3
+
+    @pytest.mark.parametrize("text", [b"3", b"%-20d" % 3], ids=["bare", "padded"])
+    def test_a_count_reads_the_same_bare_or_padded(self, tmp_path, text):
+        """Bare is how a count above two was written before it was overwritten in place."""
+        store = FileStore(tmp_path)
+        key = store.put(b"either form" * 50)
+        (tmp_path / f"{key.digest}.ref").write_bytes(text)
+        assert store.entries()[0].refcount == 3
+        store.put(b"either form" * 50)
+        assert store.entries()[0].refcount == 4
+
+    def test_a_bare_ten_overwritten_in_place_reads_nine(self, tmp_path):
+        store = FileStore(tmp_path)
+        key = store.put(b"one digit fewer" * 50)
+        (tmp_path / f"{key.digest}.ref").write_bytes(b"10")
+        assert store.evict(key) is False
+        assert store.entries()[0].refcount == 9  # not 90: the field is wider than any count
+
     def test_sidecar_saying_one_still_reads(self, tmp_path):
         """The layout before the sidecar became optional."""
         store = FileStore(tmp_path)
