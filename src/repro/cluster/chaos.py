@@ -29,13 +29,15 @@ Run from the command line (exits non-zero on any violation)::
 
     python -m repro.cluster.chaos --seeds 1,2,3 --trace chaos_trace.json
 
-With ``--real`` the harness leaves the simulation: a
-:class:`ProcessChaosRun` spawns the Cores as OS processes
-(:class:`~repro.cluster.launch.CoreProcesses` with a shared durable
-checkpoint directory), puts them under a
-:class:`~repro.cluster.supervisor.Supervisor`, and the seeded schedule
-SIGKILLs/SIGTERMs children mid-workload.  The invariants gain a real
-**MTTR bound**: after every kill the deployment must return to
+Both runs hold their deployment through the one handle, a
+:class:`~repro.cluster.cluster.Cluster`, and look at it through the
+handle's observations only.  With ``--real`` the harness leaves the
+simulation: a :class:`ProcessChaosRun` asks the cluster for the Cores as
+OS processes (a :class:`~repro.cluster.launch.CoreProcesses` with a
+shared durable checkpoint directory as its ``transport=``), puts them
+under a :class:`~repro.cluster.supervisor.Supervisor`, and the seeded
+schedule SIGKILLs/SIGTERMs children mid-workload.  The invariants gain a
+real **MTTR bound**: after every kill the deployment must return to
 full-heal reachability — child respawned, checkpoints restored with
 identity preserved, pre-kill references answering — within
 ``mttr_budget`` wall seconds, or the run fails.
@@ -54,7 +56,10 @@ from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureInjector
+from repro.cluster.launch import CoreProcesses
+from repro.cluster.supervisor import RestartPolicy, Supervisor
 from repro.cluster.workload import Counter
+from repro.complet.stub import stub_target_id
 from repro.errors import FarGoError
 from repro.recovery import CheckpointPolicy, DetectorConfig
 
@@ -74,6 +79,8 @@ class ChaosReport:
     injections: int = 0
     recoveries: int = 0
     duration: float = 0.0
+    #: The clock ``duration`` was read on: "virtual", or "wall" for a --real run.
+    clock: str = "virtual"
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -85,7 +92,7 @@ class ChaosReport:
         line = (
             f"seed {self.seed}: {state} — {self.requests_ok} ok, "
             f"{self.typed_errors} typed errors, {self.injections} injections, "
-            f"{self.recoveries} recoveries over {self.duration:.1f}s virtual"
+            f"{self.recoveries} recoveries over {self.duration:.1f}s {self.clock}"
         )
         for violation in self.violations:
             line += f"\n  violation: {violation}"
@@ -158,14 +165,10 @@ class ChaosRun:
     def _drive(self) -> None:
         counter = self._counters[self._next_counter % len(self._counters)]
         self._next_counter += 1
-        up = [
-            core.name
-            for core in self.cluster.running_cores()
-            if self.cluster.transport.is_up(core.name)
-        ]
+        up = self._up()
         if not up:
             return
-        seat = self.rng.choice(sorted(up))
+        seat = self.rng.choice(up)
         try:
             fresh = self.cluster.stub_at(seat, counter)
             fresh.increment()
@@ -177,16 +180,17 @@ class ChaosRun:
                 f"untyped failure at t={self.cluster.now:.2f}: {exc!r}"
             )
 
+    def _up(self) -> list[str]:
+        """Sorted names of the Cores that are neither shut down nor crashed."""
+        return sorted(filter(self.cluster.is_core_up, self.cluster.running_names()))
+
     # -- invariants ------------------------------------------------------------------
 
     def _check_invariants(self) -> None:
-        network = self.cluster.transport
         hosts: dict = {}
-        for core in self.cluster.running_cores():
-            if not network.is_up(core.name):
-                continue
-            for complet_id in core.repository.complet_ids():
-                hosts.setdefault(complet_id, []).append(core.name)
+        for name in self._up():
+            for complet_id in self.cluster.complets_at(name):
+                hosts.setdefault(complet_id, []).append(name)
         duplicated = {cid for cid, names in hosts.items() if len(names) > 1}
         # One check of grace: a revived Core holds its stale copies until
         # a detector notices it and reconciliation runs (≤ one interval).
@@ -210,12 +214,7 @@ class ChaosRun:
     def _check_final_reachability(self) -> None:
         for counter in self._counters:
             try:
-                seat = min(
-                    core.name
-                    for core in self.cluster.running_cores()
-                    if self.cluster.transport.is_up(core.name)
-                )
-                fresh = self.cluster.stub_at(seat, counter)
+                fresh = self.cluster.stub_at(self._up()[0], counter)
                 fresh.read()
             except Exception as exc:  # noqa: BLE001 - report, do not raise
                 self.report.violations.append(
@@ -254,6 +253,9 @@ class ChaosRun:
         self.report.duration = self.cluster.now
         return self.report
 
+    def chrome_trace_json(self) -> str:
+        return self.cluster.chrome_trace_json(indent=2)
+
 
 class ProcessChaosRun:
     """Seeded kill-and-heal chaos against real OS-process Cores.
@@ -275,25 +277,17 @@ class ProcessChaosRun:
         mttr_budget: float = 20.0,
         tracing: bool = False,
     ) -> None:
-        from repro.cluster.launch import CoreProcesses
-
         self.seed = seed
         self.rng = random.Random(seed)
         self.names = [f"core{i}" for i in range(cores)]
         self.kills = kills
         self.mttr_budget = mttr_budget
         self.tracing = tracing
-        self.checkpoint_dir = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
-        self.procs = CoreProcesses(
-            self.names,
-            checkpoint_dir=self.checkpoint_dir,
-            checkpoint_interval=0.2,
-        )
-        self.supervisor = None
-        self.report = ChaosReport(seed=seed)
-        self._counters = []
-        self._ids: list[str] = []
-        self._spans: list = []
+        self.cluster: Cluster | None = None
+        self.supervisor: Supervisor | None = None
+        self.report = ChaosReport(seed=seed, clock="wall")
+        self._counters: list = []
+        self._trace_json = ""
 
     # -- workload ----------------------------------------------------------
 
@@ -328,29 +322,28 @@ class ProcessChaosRun:
     # -- execution ---------------------------------------------------------
 
     def execute(self) -> ChaosReport:
-        from repro.cluster.supervisor import RestartPolicy, Supervisor
-
         started = time.monotonic()
+        checkpoint_dir = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
         try:
-            self.procs.start()
-            if self.tracing:
-                self.procs.driver.tracer.enabled = True
+            self.cluster = cluster = Cluster(
+                transport=CoreProcesses(
+                    self.names, checkpoint_dir=checkpoint_dir, checkpoint_interval=0.2
+                ),
+                tracing=self.tracing,
+            )
+            assert cluster.processes is not None
             self.supervisor = Supervisor(
-                self.procs,
+                cluster.processes,
                 policy=RestartPolicy(max_restarts=self.kills + 1, window=300.0),
             ).start()
             for name in self.names:
-                counter = Counter(0, _core=self.procs.driver, _at=name)
-                self._counters.append(counter)
-                self._ids.append(str(counter._fargo_target_id))
+                self._counters.append(Counter(0, _core=cluster.seat, _at=name))
             self._drive(5)
             time.sleep(0.5)  # first durable checkpoints land
-            restart_total = 0
             for _ in range(self.kills):
                 victim = self.rng.choice(self.names)
                 kind = self.rng.choice((signal.SIGKILL, signal.SIGTERM))
-                process = self.procs.processes[victim]
-                os.kill(process.pid, kind)
+                os.kill(cluster.processes.processes[victim].pid, kind)
                 self.report.injections += 1
                 mttr = self._await_heal(victim)
                 if mttr is None:
@@ -359,93 +352,62 @@ class ProcessChaosRun:
                         f"heal within the {self.mttr_budget:.0f}s MTTR budget"
                     )
                     break
-                restart_total += 1
+                self.report.recoveries += 1
+                if self.tracing:
+                    cluster.set_tracing(True)  # the successor was born with it off
                 self._drive(5)
                 time.sleep(0.3)  # fresh checkpoints before the next kill
-            self.report.recoveries = restart_total
-            self._check_final_reachability()
+            self._check_final_reachability(cluster)
+            if self.tracing:
+                # Before close(): afterwards the children's spans are gone.
+                self._trace_json = cluster.chrome_trace_json(indent=2)
         finally:
             self.report.duration = time.monotonic() - started
-            if self.procs.driver is not None:
-                self._spans = self.procs.driver.tracer.spans()
-            self.close()
+            if self.supervisor is not None:
+                self.supervisor.stop()
+            if self.cluster is not None:
+                self.cluster.close()
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
         return self.report
 
-    def _check_final_reachability(self) -> None:
-        for counter, original_id in zip(self._counters, self._ids):
+    def _check_final_reachability(self, cluster: Cluster) -> None:
+        for counter in self._counters:
             try:
                 counter.read()
             except Exception as exc:  # noqa: BLE001 - report, do not raise
                 self.report.violations.append(
-                    f"counter {original_id} unreachable after heal: {exc!r}"
+                    f"counter {stub_target_id(counter)} unreachable after heal: {exc!r}"
                 )
         # Identity preservation: the reborn hosts answer for the same ids.
         hosted: set[str] = set()
         for name in self.names:
             try:
-                hosted.update(self.procs.driver.admin(name, "complets"))
+                hosted.update(cluster.complets_at(name))
             except FarGoError:
                 continue
-        for original_id in self._ids:
-            if original_id not in hosted:
+        for counter in self._counters:
+            if str(stub_target_id(counter)) not in hosted:
                 self.report.violations.append(
-                    f"identity {original_id} lost across process restarts"
+                    f"identity {stub_target_id(counter)} lost across process restarts"
                 )
 
-    def chrome_trace_json(self, *, indent: int | None = None) -> str:
-        """Driver-side spans (supervisor:restart included) as Chrome JSON."""
-        from repro.trace.export import chrome_trace_json
-
-        driver = self.procs.driver
-        spans = driver.tracer.spans() if driver is not None else self._spans
-        return chrome_trace_json(spans, indent=indent)
-
-    def close(self) -> None:
-        if self.supervisor is not None:
-            self.supervisor.stop()
-        self.procs.stop()
-        shutil.rmtree(self.checkpoint_dir, ignore_errors=True)
-
-
-def run_process_seeds(
-    seeds: list[int],
-    *,
-    cores: int = 2,
-    kills: int = 2,
-    mttr_budget: float = 20.0,
-    tracing: bool = False,
-) -> tuple[list[ChaosReport], "ProcessChaosRun | None"]:
-    """Run each seed against real processes; reports + first failing run."""
-    reports: list[ChaosReport] = []
-    first_failure: ProcessChaosRun | None = None
-    for seed in seeds:
-        run = ProcessChaosRun(
-            seed, cores=cores, kills=kills, mttr_budget=mttr_budget, tracing=tracing
-        )
-        reports.append(run.execute())
-        if not reports[-1].passed and first_failure is None:
-            first_failure = run
-    return reports, first_failure
+    def chrome_trace_json(self) -> str:
+        """Every Core's spans (the driver's supervisor:restart included), as
+        read just before the deployment closed."""
+        return self._trace_json
 
 
 def run_seeds(
-    seeds: list[int],
-    *,
-    cores: int = 4,
-    events: int = 6,
-    tracing: bool = False,
-    sanitize: bool = False,
-) -> tuple[list[ChaosReport], "ChaosRun | None"]:
-    """Run each seed; returns the reports and the first failing run."""
+    seeds: list[int], run: type = ChaosRun, **options
+) -> "tuple[list[ChaosReport], ChaosRun | ProcessChaosRun | None]":
+    """Run each seed as ``run(seed, **options)``; the reports and the first failing run."""
     reports: list[ChaosReport] = []
-    first_failure: ChaosRun | None = None
+    first_failure = None
     for seed in seeds:
-        run = ChaosRun(
-            seed, cores=cores, events=events, tracing=tracing, sanitize=sanitize
-        )
-        reports.append(run.execute())
+        chaos = run(seed, **options)
+        reports.append(chaos.execute())
         if not reports[-1].passed and first_failure is None:
-            first_failure = run
+            first_failure = chaos
     return reports, first_failure
 
 
@@ -483,8 +445,8 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
     seeds = [int(s) for s in options.seeds.split(",") if s.strip()]
     if options.real:
-        reports, first_failure = run_process_seeds(
-            seeds, cores=options.cores, kills=options.kills,
+        reports, first_failure = run_seeds(
+            seeds, ProcessChaosRun, cores=options.cores, kills=options.kills,
             mttr_budget=options.mttr_budget, tracing=options.trace is not None,
         )
     else:
@@ -496,12 +458,8 @@ def main(argv: list[str] | None = None) -> int:
         print(report.summary())
     failed = [r for r in reports if not r.passed]
     if failed and first_failure is not None and options.trace:
-        if isinstance(first_failure, ProcessChaosRun):
-            trace_json = first_failure.chrome_trace_json(indent=2)
-        else:
-            trace_json = first_failure.cluster.chrome_trace_json(indent=2)
         with open(options.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_json)
+            handle.write(first_failure.chrome_trace_json())
         print(f"wrote Chrome trace of seed {first_failure.seed} to {options.trace}")
     print(f"{len(reports) - len(failed)}/{len(reports)} seeds passed")
     return 1 if failed else 0

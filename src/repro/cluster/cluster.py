@@ -1,10 +1,16 @@
-"""The Cluster: a set of Cores over one transport and clock.
+"""The Cluster: one handle on a deployment of Cores, wherever they run.
 
-The transport backend is pluggable (``transport=`` below): the default
-is the deterministic simulated network; ``transport="tcp"`` gives every
-Core its own real TCP hub (one listener socket per Core, loopback
-wiring), which is the in-process variant of the multi-process deployment
-in :mod:`repro.cluster.launch`.
+``transport=`` picks the deployment shape (docs/TRANSPORT.md): every Core
+in this process over the deterministic simulated network (``"sim"``, the
+default), every Core in this process on a real TCP hub of its own
+(``"tcp"``), or every Core in an OS process of its own with a driver Core
+here (``"procs"``, :mod:`repro.cluster.launch`).  What the cluster
+*observes* — where a complet is, what a Core hosts, its metrics, spans
+and store view — it asks through :class:`~repro.core.admin.CoreAdmin`,
+which answers without a hop for a Core of this process and over the wire
+for a child, so those members are written once and work on all three.
+What reads a Core's objects (``cluster[name]``, recovery, analysis, the
+sanitizer) refuses, typed, for a Core that is not in this process.
 """
 
 from __future__ import annotations
@@ -15,14 +21,13 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
+from repro.cluster.launch import CoreProcesses
 from repro.complet.anchor import Anchor
 from repro.complet.stub import Stub, stub_core, stub_target_id, stub_tracker
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
-from repro.errors import ConfigurationError, CoreNotFoundError
+from repro.errors import ConfigurationError, CoreError, CoreNotFoundError, TransportError
 from repro.metrics.registry import merge_snapshots
-from repro.net.batching import BatchingTransport, BatchPolicy
-from repro.net.retry import RetryPolicy
 from repro.net.simnet import SimTransport
 from repro.net.tcp import TcpTransport
 from repro.net.transport import NetworkStats, Transport, TransportGroup
@@ -32,13 +37,11 @@ from repro.sim.scheduler import Scheduler
 from repro.trace.export import Trace, assemble_traces, chrome_trace_json
 from repro.trace.tracer import Span
 
-#: Factory signature for ``transport=``: builds one hub per Core.
-TransportFactory = Callable[[str, Scheduler], Transport]
-
 #: Granularity of the real-clock :meth:`Cluster.advance` pump.
 _PUMP_INTERVAL = 0.02
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.complet.tracker import TrackerAddress
     from repro.recovery import (
         CheckpointManager,
         CheckpointStore,
@@ -52,7 +55,10 @@ class Cluster:
 
     The cluster is the experimenter's handle: it creates Cores, shapes
     links, advances virtual time, injects failures, and reads network
-    accounting.  Application code only ever sees Cores and stubs.
+    accounting.  Application code only ever sees Cores and stubs.  A
+    program that places its complets from :attr:`seat` with ``_at=`` and
+    looks at the deployment through the cluster's observations runs
+    unchanged on every ``transport=``.
     """
 
     def __init__(
@@ -62,17 +68,10 @@ class Cluster:
         bandwidth: float = 1_000_000.0,
         latency: float = 0.01,
         clock: Clock | None = None,
-        transport: str | Transport | TransportFactory = "sim",
-        eager_pointer_updates: bool = True,
-        use_location_registry: bool = False,
-        profile_cache_ttl: float = 1.0,
-        retry_policy: RetryPolicy | None = None,
-        rpc_timeout: float | None = None,
-        tracing: bool = False,
+        transport: "str | Transport | CoreProcesses" = "sim",
         store: "str | bool | ObjectStore | None" = None,
-        store_threshold: int | None = None,
-        batching: "bool | BatchPolicy" = False,
         sanitize: bool = False,
+        **core_options,
     ) -> None:
         """``transport`` selects the substrate:
 
@@ -83,24 +82,25 @@ class Cluster:
           per Core on loopback; the clock defaults to a
           :class:`~repro.sim.clock.RealClock` and :meth:`advance`
           becomes a real-time pump.
+        - ``"procs"`` — every named Core in an OS process of its own
+          (:class:`~repro.cluster.launch.CoreProcesses`) and a driver
+          Core in this one, the only Core :meth:`core` can hand out.
+          Pass a not-yet-started ``CoreProcesses`` instead to choose its
+          checkpoint directory; either way the cluster starts it, keeps
+          it as :attr:`processes` and stops it in :meth:`close`.
         - a :class:`~repro.net.transport.Transport` instance — shared
-          by every Core (it must host multiple nodes).
-        - a callable ``(name, scheduler) -> Transport`` — builds one
-          hub per Core; hubs exposing ``local_address``/``add_peer``
-          (the TCP shape) are wired to each other automatically.
+          by every Core (it must host multiple nodes).  The cluster runs
+          on the transport's scheduler, so ``clock`` cannot be given as
+          well.  Decorators compose here:
+          ``BatchingTransport(SimTransport(Scheduler(VirtualClock())))``.
 
         ``store`` enables large-payload offloading (:mod:`repro.store`):
         ``"memory"`` (or ``True``) shares one
         :class:`~repro.store.InMemoryStore` across the Cores, ``"file"``
         a cluster-owned :class:`~repro.store.FileStore` in a temporary
         directory (removed by :meth:`close`), or pass an
-        :class:`~repro.store.ObjectStore` instance.  ``store_threshold``
-        overrides the per-Core offload threshold in bytes.
-
-        ``batching`` wraps every transport hub in a
-        :class:`~repro.net.batching.BatchingTransport`; pass ``True``
-        for the default :class:`~repro.net.batching.BatchPolicy` or a
-        policy instance for custom flush thresholds.
+        :class:`~repro.store.ObjectStore` instance.  Processes share a
+        directory and nothing else: on ``procs`` only ``"file"``.
 
         ``sanitize`` attaches a shared
         :class:`~repro.analysis.sanitizer.LayoutSanitizer`: every move,
@@ -109,40 +109,66 @@ class Cluster:
         (``cluster.sanitizer.races``, the ``sanitizer.races`` metric,
         and FG410 diagnostics from :meth:`analyze`).  In-process
         backends only.
+
+        ``core_options`` are the keyword options of
+        :class:`~repro.core.core.Core` (``rpc_timeout``, ``retry_policy``,
+        ``tracing``, ``store_threshold``, ``use_location_registry``, ...),
+        given to every Core the cluster builds.  On ``procs`` the
+        launcher builds them, so only ``tracing`` is taken there.
         """
-        if clock is None:
-            clock = RealClock() if transport == "tcp" else VirtualClock()
-        self.scheduler = Scheduler(clock)
-        #: Per-Core hubs (empty when one shared transport carries all Cores).
-        self.transports: dict[str, Transport] = {}
+        unknown = core_options.keys() - Core.__init__.__kwdefaults__.keys()
+        if unknown:
+            raise TypeError(f"Cluster() got unexpected keyword arguments {sorted(unknown)}")
+        self._core_options = core_options
+        names = list(names)
+        if transport == "procs":
+            transport = CoreProcesses(names)
+        #: The multi-process deployment behind ``transport="procs"``, else None.
+        self.processes = procs = transport if isinstance(transport, CoreProcesses) else None
+        if procs is not None:
+            # Refused before anything is started: what needs an object shared
+            # with, or an option handed to, a Core of another process.
+            refused = {
+                "a CoreProcesses that is already started": procs.driver is not None,
+                f"names {names} beside a CoreProcesses of {procs.names}":
+                    names and names != procs.names,
+                "clock= (every process runs on its own real clock)": clock is not None,
+                "sanitize=True (the Cores share one LayoutSanitizer object)": sanitize,
+                f"store={store!r} (processes share a directory: 'file', or the "
+                "CoreProcesses' own store_dir)":
+                    store not in (None, False, "file") or (store and procs.store_dir),
+                f"Core options {sorted(core_options.keys() - {'tracing'})} (the launcher "
+                "builds the Cores)": core_options.keys() - {"tracing"},
+            }
+            for what, applies in refused.items():
+                if applies:
+                    raise ConfigurationError(f"transport='procs' cannot take {what}")
+        #: Per-Core TCP hubs (empty when one shared transport carries all Cores).
+        self.transports: dict[str, TcpTransport] = {}
         self._shared_transport: Transport | None = None
-        self._transport_factory: TransportFactory | None = None
-        if transport == "sim":
+        if isinstance(transport, Transport):
+            # It brings its scheduler: on a second one, timers, detectors and
+            # span timestamps would run on a clock no delivery advances.
+            if clock is not None:
+                raise ConfigurationError(
+                    "clock= cannot be given with a Transport instance: "
+                    "the cluster runs on transport.scheduler"
+                )
+            self._shared_transport, self.scheduler = transport, transport.scheduler
+        elif transport == "sim":
+            self.scheduler = Scheduler(clock if clock is not None else VirtualClock())
             self._shared_transport = SimTransport(
                 self.scheduler,
                 default_bandwidth=bandwidth,
                 default_latency=latency,
             )
         elif transport == "tcp":
-            self._transport_factory = lambda name, scheduler: TcpTransport(scheduler)
-        elif isinstance(transport, Transport):
-            self._shared_transport = transport
-        elif callable(transport):
-            self._transport_factory = transport
-        else:
+            self.scheduler = Scheduler(clock if clock is not None else RealClock())
+        elif procs is None:
             raise ConfigurationError(
-                f"transport must be 'sim', 'tcp', a Transport, or a factory; "
-                f"got {transport!r}"
+                f"transport must be 'sim', 'tcp', 'procs', a CoreProcesses, or a "
+                f"Transport; got {transport!r}"
             )
-        self._batch_policy: BatchPolicy | None = None
-        if batching:
-            self._batch_policy = (
-                batching if isinstance(batching, BatchPolicy) else BatchPolicy()
-            )
-            if self._shared_transport is not None:
-                self._shared_transport = BatchingTransport(
-                    self._shared_transport, self._batch_policy
-                )
         self._store: ObjectStore | None = None
         self._owned_store_dir: str | None = None
         self._owns_store = False
@@ -165,13 +191,7 @@ class Cluster:
                 f"store must be 'memory', 'file', an ObjectStore, or None; "
                 f"got {store!r}"
             )
-        self._store_threshold = store_threshold
-        self._eager_pointer_updates = eager_pointer_updates
-        self._use_location_registry = use_location_registry
-        self._profile_cache_ttl = profile_cache_ttl
-        self._retry_policy = retry_policy
-        self._rpc_timeout = rpc_timeout
-        self._tracing = tracing
+        #: The Cores of this process: all of them, or on ``procs`` the driver.
         self.cores: dict[str, Core] = {}
         #: Recovery layer, attached by :meth:`enable_recovery`.
         self.recovery: "RecoveryManager | None" = None
@@ -186,27 +206,54 @@ class Cluster:
             from repro.analysis.sanitizer import LayoutSanitizer
 
             self.sanitizer = LayoutSanitizer()
-        for name in names:
-            self.add_core(name)
+        if procs is not None:
+            self._start_processes(procs)
+        else:
+            for name in names:
+                self.add_core(name)
 
     # -- construction ---------------------------------------------------------------
 
+    def _start_processes(self, procs: CoreProcesses) -> None:
+        """Start the children; their driver is this process's one Core."""
+        procs.store_dir = procs.store_dir or self._owned_store_dir
+        try:
+            procs.start()
+        except BaseException:
+            self.close()  # the store directory, if the cluster made one
+            raise
+        assert procs.driver is not None and procs.transport is not None
+        self.scheduler = procs.driver.scheduler
+        self.cores[procs.driver.name] = procs.driver
+        self.transports[procs.driver.name] = procs.transport
+        if self._core_options.get("tracing"):
+            self.set_tracing(True)
+
+    def _local(self, what: str) -> dict[str, Core]:
+        """The Cores, for ``what`` reads their objects: refused on ``procs``."""
+        if self.processes is not None:
+            raise ConfigurationError(
+                f"{what} needs every Core in this process; on transport='procs' "
+                f"only {self.seat.name!r} is, and admin(name) reaches the others"
+            )
+        return self.cores
+
     def add_core(self, name: str, **core_kwargs) -> Core:
-        """Create and register a new Core."""
-        core_kwargs.setdefault("eager_pointer_updates", self._eager_pointer_updates)
-        core_kwargs.setdefault("use_location_registry", self._use_location_registry)
-        core_kwargs.setdefault("profile_cache_ttl", self._profile_cache_ttl)
-        core_kwargs.setdefault("retry_policy", self._retry_policy)
-        core_kwargs.setdefault("rpc_timeout", self._rpc_timeout)
-        core_kwargs.setdefault("tracing", self._tracing)
-        core_kwargs.setdefault("store", self._store)
-        core_kwargs.setdefault("store_threshold", self._store_threshold)
-        hub = self._transport_for(name)
-        core = Core(name, hub, self.scheduler, **core_kwargs)
+        """Create and register a new Core (the cluster's options unless overridden)."""
+        self._local("add_core()")
+        hub = self._shared_transport
+        if hub is None:
+            hub = self.transports[name] = TcpTransport(self.scheduler)
+        options = {**self._core_options, "store": self._store, **core_kwargs}
+        core = Core(name, hub, self.scheduler, **options)
         core.sanitizer = self.sanitizer
         self.cores[name] = core
         if self._shared_transport is None:
-            self._wire_hub(name, hub)
+            # Per-Core hubs learn each other's listener addresses.
+            for other, other_hub in self.transports.items():
+                if other != name:
+                    other_hub.add_peer(name, hub.local_address(name))
+                    hub.add_peer(other, other_hub.local_address(other))
         if self._detector_config is not None:
             self._attach_detector(core)
         if self.checkpoints is not None:
@@ -215,57 +262,51 @@ class Cluster:
             self.recovery.attach(core)
         return core
 
-    def _transport_for(self, name: str) -> Transport:
-        if self._shared_transport is not None:
-            return self._shared_transport
-        assert self._transport_factory is not None
-        hub = self._transport_factory(name, self.scheduler)
-        if self._batch_policy is not None:
-            hub = BatchingTransport(hub, self._batch_policy)
-        self.transports[name] = hub
-        return hub
-
-    def _wire_hub(self, name: str, hub: Transport) -> None:
-        """Teach per-Core hubs each other's addresses (TCP-shaped hubs)."""
-        local_address = getattr(hub, "local_address", None)
-        if local_address is None:
-            return
-        address = local_address(name)
-        for other, other_hub in self.transports.items():
-            if other == name:
-                continue
-            other_hub.add_peer(name, address)  # type: ignore[attr-defined]
-            hub.add_peer(other, other_hub.local_address(other))  # type: ignore[attr-defined]
-
     @property
     def transport(self) -> Transport:
         """The cluster-wide transport view.
 
         The shared hub when one transport carries every Core; otherwise
-        a :class:`~repro.net.transport.TransportGroup` over the per-Core
-        hubs (fresh each access, so it tracks Cores added later).
+        a :class:`~repro.net.transport.TransportGroup` over the hubs of
+        this process (fresh each access, so it tracks Cores added later).
         """
         if self._shared_transport is not None:
             return self._shared_transport
         return TransportGroup(dict(self.transports))
 
     def core(self, name: str) -> Core:
+        """Core ``name`` of this process; a child's is reached by :meth:`admin`."""
         try:
             return self.cores[name]
         except KeyError:
-            raise CoreNotFoundError(f"cluster has no Core named {name!r}") from None
+            why = "runs in a child process" if name in self._children() else "is not in the cluster"
+            raise CoreNotFoundError(f"Core {name!r} {why}") from None
 
     def __getitem__(self, name: str) -> Core:
         return self.core(name)
 
     def __iter__(self) -> Iterator[Core]:
-        return iter(self.cores.values())
+        return iter(self._local("iteration").values())
+
+    @property
+    def seat(self) -> Core:
+        """Where the experimenter sits: the driver on ``procs``, else the first Core by name."""
+        return self.core(min(self.cores, default=""))
+
+    def _children(self) -> dict:
+        """Child Core name -> process handle (``procs`` while started, else empty)."""
+        return self.processes.processes if self.processes is not None else {}
 
     def core_names(self) -> list[str]:
-        return sorted(self.cores)
+        return sorted([*self.cores, *(self.processes.names if self.processes is not None else ())])
+
+    def running_names(self) -> list[str]:
+        """The Cores that are up: not shut down, and a child's process not exited."""
+        local = [name for name, core in self.cores.items() if core.is_running]
+        return local + [name for name, child in self._children().items() if child.poll() is None]
 
     def running_cores(self) -> list[Core]:
-        return [core for core in self.cores.values() if core.is_running]
+        return [core for core in self._local("running_cores()").values() if core.is_running]
 
     # -- time ---------------------------------------------------------------------------
 
@@ -356,6 +397,7 @@ class Cluster:
             RecoveryManager,
         )
 
+        self._local("enable_recovery()")
         self._detector_config = detector if detector is not None else DetectorConfig()
         self.checkpoints = CheckpointManager(self, store=store)
         self.recovery = RecoveryManager(
@@ -399,10 +441,8 @@ class Cluster:
         way genuine tracker chains form (Figure 2).
         """
         target_id = stub_target_id(stub)
-        host = self._find_host(target_id)
-        if host is None:
-            raise CoreNotFoundError(f"no running Core hosts {target_id}")
-        self.core(host).move(target_id, destination)
+        host, _ = self._find_host(target_id)
+        self.admin(host).move(str(target_id), destination)
 
     def locate(self, stub: Stub) -> str:
         """Name of the Core currently hosting ``stub``'s complet.
@@ -414,11 +454,7 @@ class Cluster:
         core = stub_core(stub)
         if core is not None and core.is_running:
             return core.references.locate(stub_tracker(stub))
-        target_id = stub_target_id(stub)
-        host = self._find_host(target_id)
-        if host is None:
-            raise CoreNotFoundError(f"no running Core hosts {target_id}")
-        return host
+        return self._find_host(stub_target_id(stub))[0]
 
     def stub_at(self, core_name: str, stub: Stub) -> Stub:
         """A fresh reference to ``stub``'s complet, wired to ``core_name``.
@@ -426,31 +462,29 @@ class Cluster:
         Needed when the Core a stub was wired to shuts down: references
         die with their Core (they live inside complets or programs hosted
         there), so a surviving program re-acquires the complet from a
-        living Core.
+        living Core — one of this process, which is where stubs live.
         """
         from repro.complet.relocators import Link
         from repro.complet.tokens import RefToken
 
         target_id = stub_target_id(stub)
         via = self.core(core_name)
-        if via.repository.hosts(target_id):
+        if self.admin(core_name).hosted_tracker(target_id) is not None:
             return via.references.stub_for_local(target_id)
-        host = self._find_host(target_id)
-        if host is None:
-            raise CoreNotFoundError(f"no running Core hosts {target_id}")
-        anchor_ref = stub_tracker(stub).anchor_ref
-        address = self.core(host).repository.tracker_for(target_id, anchor_ref).address
-        token = RefToken(target_id, anchor_ref, address, Link())
+        _, address = self._find_host(target_id)
+        token = RefToken(target_id, stub_tracker(stub).anchor_ref, address, Link())
         return via.references.materialize(token)
 
-    def _find_host(self, target_id) -> str | None:
-        for core in self.running_cores():
-            if core.repository.hosts(target_id):
-                return core.name
-        return None
+    def _find_host(self, target_id) -> "tuple[str, TrackerAddress]":
+        """The first running Core hosting ``target_id``, and its tracker's address there."""
+        for name in self.running_names():
+            address = self.admin(name).hosted_tracker(target_id)
+            if address is not None:
+                return name, address
+        raise CoreNotFoundError(f"no running Core hosts {target_id}")
 
     def complets_at(self, name: str) -> list[str]:
-        return [str(cid) for cid in self.core(name).repository.complet_ids()]
+        return self.admin(name).complets()
 
     def collect_all_trackers(self) -> int:
         """Run tracker GC to a fixpoint across all Cores; total collected.
@@ -462,7 +496,7 @@ class Cluster:
         total = 0
         while True:
             collected = sum(
-                core.repository.collect_trackers() for core in self.running_cores()
+                self.admin(name).collect_trackers() for name in self.running_names()
             )
             total += collected
             if collected == 0:
@@ -475,10 +509,12 @@ class Cluster:
 
         ``via`` names the Core issuing the queries (the administrator's
         seat); it defaults to the target itself, in which case the
-        operations run locally.
+        operations run locally with no envelope sent, and for a child
+        process to :attr:`seat`.
         """
-        via_core = self.core(via) if via is not None else self.core(target)
-        return CoreAdmin(via_core, target)
+        if via is None:
+            via = self.seat.name if target in self._children() else target
+        return CoreAdmin(self.core(via), target)
 
     def register_engine(self, engine) -> None:
         """Attach a :class:`~repro.script.ScriptEngine` for analysis.
@@ -521,6 +557,7 @@ class Cluster:
             sort_diagnostics,
         )
 
+        self._local("analyze()")
         topology = TopologyInfo.from_cluster(self)
         diagnostics = list(check_relocation(self))
         for core in self.running_cores():
@@ -552,17 +589,28 @@ class Cluster:
 
     # -- observability -------------------------------------------------------------------------
 
+    def _ask(self, question: Callable[[CoreAdmin], object]) -> dict:
+        """``question(admin)`` per Core that answers, by name: every Core of
+        this process, shut down or not, and every child that is reachable."""
+        answers = {name: question(self.admin(name)) for name in self.cores}
+        for name in self.running_names():
+            if name not in self.cores:
+                try:
+                    answers[name] = question(self.admin(name))
+                except (CoreError, TransportError):
+                    pass  # died since the poll, or not yet listening again
+        return answers
+
     def set_tracing(self, enabled: bool) -> None:
         """Toggle span recording on every Core (including ones added later)."""
-        self._tracing = enabled
-        for core in self.cores.values():
-            core.tracer.enabled = enabled
+        self._core_options["tracing"] = enabled
+        self._ask(lambda admin: admin.set_tracing(enabled))
 
     def spans(self) -> list[Span]:
         """Every finished span of every Core, ordered by start time."""
-        collected: list[Span] = []
-        for core in self.cores.values():
-            collected.extend(core.tracer.spans())
+        collected = [
+            Span(**fields) for spans in self._ask(CoreAdmin.spans).values() for fields in spans
+        ]
         collected.sort(key=lambda span: (span.start, span.span_id))
         return collected
 
@@ -571,8 +619,7 @@ class Cluster:
         return assemble_traces(self.spans())
 
     def clear_spans(self) -> None:
-        for core in self.cores.values():
-            core.tracer.clear()
+        self._ask(CoreAdmin.clear_spans)
 
     def chrome_trace_json(self, *, indent: int | None = None) -> str:
         """All spans in Chrome ``trace_event`` JSON (about://tracing)."""
@@ -580,68 +627,28 @@ class Cluster:
 
     def metrics_snapshot(self) -> dict:
         """Per-Core metrics snapshots plus the cluster-wide aggregate."""
-        per_core = [core.metrics.snapshot() for core in self.cores.values()]
+        per_core = list(self._ask(CoreAdmin.metrics).values())
         return {"cores": per_core, "cluster": merge_snapshots(per_core)}
 
     @property
     def store(self) -> "ObjectStore | None":
-        """The shared object store, or ``None`` when offloading is off."""
+        """The shared object store (on ``procs`` the cluster's own handle on
+        the shared directory), or ``None`` when the cluster set none up."""
         return self._store
 
     def store_snapshot(self) -> dict:
         """Object-store state: backend contents plus per-Core client stats.
 
-        ``{"enabled": False}`` when the cluster runs without a store;
-        otherwise the store's entry table and statistics under
-        ``"store"`` and each Core's resolve-cache counters under
-        ``"cores"``.
+        ``{"enabled": False}`` when the Cores run without a store;
+        otherwise the store's entry table and statistics, as the
+        :attr:`seat` sees them, under ``"store"`` and each Core's
+        resolve-cache counters under ``"cores"``.
         """
-        if self._store is None:
+        views = self._ask(CoreAdmin.store)
+        seat_view = views[self.seat.name]
+        if not seat_view["enabled"]:
             return {"enabled": False}
-        return {
-            "enabled": True,
-            "store": self._store.snapshot(),
-            "cores": {
-                name: core.store_view() for name, core in self.cores.items()
-            },
-        }
-
-    def _batching_transports(self) -> list[BatchingTransport]:
-        hubs: list[Transport | None] = [self._shared_transport]
-        hubs.extend(self.transports.values())
-        return [hub for hub in hubs if isinstance(hub, BatchingTransport)]
-
-    def batch_snapshot(self) -> dict:
-        """Aggregated envelope-batching statistics across all hubs."""
-        hubs = self._batching_transports()
-        if not hubs:
-            return {"enabled": False}
-        merged = {
-            "batches": 0,
-            "batched_messages": 0,
-            "passthrough_posts": 0,
-            "dropped_messages": 0,
-            "flush_triggers": {},
-        }
-        for hub in hubs:
-            snap = hub.batch_stats.snapshot()
-            for key in ("batches", "batched_messages",
-                        "passthrough_posts", "dropped_messages"):
-                merged[key] += snap[key]
-            for trigger, count in snap["flush_triggers"].items():
-                merged["flush_triggers"][trigger] = (
-                    merged["flush_triggers"].get(trigger, 0) + count
-                )
-        batches = merged["batches"]
-        merged["mean_occupancy"] = (
-            round(merged["batched_messages"] / batches, 6) if batches else 0.0
-        )
-        return {"enabled": True, **merged}
-
-    def flush_batches(self) -> None:
-        """Flush every pending batch queue now (test/benchmark barriers)."""
-        for hub in self._batching_transports():
-            hub.flush_all()
+        return {"enabled": True, "store": seat_view["store"], "cores": views}
 
     # -- accounting -----------------------------------------------------------------------------
 
@@ -654,16 +661,20 @@ class Cluster:
         self.transport.reset_stats()
 
     def shutdown_all(self) -> None:
-        for core in self.running_cores():
-            core.shutdown()
+        for core in self._local("shutdown_all()").values():
+            core.shutdown()  # a no-op at a Core that already has
 
     def close(self) -> None:
         """Shut every Core down and release the transport(s).
 
         A no-op beyond :meth:`shutdown_all` on the simulated backend;
-        on TCP it closes listener sockets and joins the loop threads.
+        on TCP it closes listener sockets and joins the I/O threads, and
+        on ``procs`` it first ends the child processes.
         """
-        self.shutdown_all()
+        if self.processes is not None:
+            self.processes.stop()  # the children, then the driver and its hub
+        else:
+            self.shutdown_all()
         if self._shared_transport is not None:
             self._shared_transport.close()
         for hub in self.transports.values():

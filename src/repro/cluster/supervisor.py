@@ -55,6 +55,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cluster.launch import CoreProcesses, free_ports
+from repro.core.admin import CoreAdmin
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.retry import RetryPolicy
 from repro.recovery.detector import DetectorConfig
@@ -352,16 +353,15 @@ class Supervisor:
         # The reborn Core restored its complets under fresh tracker
         # serials; survivors' trackers still carry the predecessor's.
         try:
-            relocated = self.driver.admin(name, "hosted_trackers")
+            relocated = CoreAdmin(self.driver, name).hosted_trackers()
         except (CoreError, TransportError):
             relocated = {}
         for survivor in self._survivors(name):
+            admin = CoreAdmin(self.driver, survivor)
             try:
-                self.driver.admin(survivor, "add_peer", peer=name, address=address)
-                self.driver.admin(survivor, "locator_forget", core=name)
-                self.driver.admin(
-                    survivor, "repair_trackers", failed=name, relocated=relocated
-                )
+                admin.add_peer(name, address)
+                admin.locator_forget(name)
+                admin.repair_trackers(name, relocated)
             except (CoreError, TransportError) as exc:
                 self._log(f"re-admission repair at {survivor} failed: {exc}")
         # The driver itself is a survivor too.
@@ -406,21 +406,18 @@ class Supervisor:
         ):
             for record in records:
                 try:
-                    new_id = self.driver.admin(
-                        destination, "restore_complet",
-                        data=record.snapshot.to_bytes(), keep_identity=False,
+                    new_id = CoreAdmin(self.driver, destination).restore(
+                        record.snapshot.to_bytes(), keep_identity=False
                     )
-                    child.escalated_to.append(str(new_id))
+                    child.escalated_to.append(new_id)
                 except (CoreError, TransportError, FarGoError) as exc:
                     self._log(
                         f"fresh-identity restore of {record.complet_id} failed: {exc}"
                     )
             for survivor in survivors:
                 try:
-                    self.driver.admin(survivor, "locator_forget", core=name)
-                    self.driver.admin(
-                        survivor, "repair_trackers", failed=name, relocated={}
-                    )
+                    CoreAdmin(self.driver, survivor).locator_forget(name)
+                    CoreAdmin(self.driver, survivor).repair_trackers(name, {})
                 except (CoreError, TransportError):
                     pass
             self.driver.locator.forget_core(name)

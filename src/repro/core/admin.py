@@ -21,7 +21,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.complet.tracker import TrackerAddress
     from repro.core.core import Core
+    from repro.util.ids import CompletId
 
 
 class CoreAdmin:
@@ -160,6 +162,10 @@ class CoreAdmin:
         result = self._op("hosted_trackers")
         assert isinstance(result, dict)
         return result
+
+    def hosted_tracker(self, complet: "CompletId") -> "TrackerAddress | None":
+        """The target's local TrackerAddress for ``complet`` if it hosts it, else None."""
+        return self._op("hosted_tracker", complet=complet)  # type: ignore[return-value]
 
     def add_peer(self, peer: str, address: tuple) -> None:
         """Update the target Core's address book for a (re)spawned peer."""

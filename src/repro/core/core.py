@@ -461,6 +461,9 @@ class Core:
             else:
                 self.shutdown()
             return None
+        if operation == "hosted_tracker":  # by CompletId, O(1); None unless hosted here
+            tracker = self.repository.existing_tracker(kwargs["complet"])
+            return tracker.address if tracker is not None and tracker.is_local else None
         raise CompletError(f"unknown admin operation {operation!r}")
 
     def _admin_checkpoint(self, complet_id_str: str) -> bytes:

@@ -1,8 +1,10 @@
 """Tests for the seeded chaos harness (and its invariants)."""
 
+import json
+
 import pytest
 
-from repro.cluster.chaos import ChaosRun, main, run_seeds
+from repro.cluster.chaos import ChaosReport, ChaosRun, ProcessChaosRun, main, run_seeds
 
 #: The fixed seed battery CI soaks; every seed must pass.
 SOAK_SEEDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
@@ -32,6 +34,24 @@ def test_run_seeds_reports_first_failure_or_none():
     assert len(reports) == 1
     assert reports[0].passed
     assert first_failure is None
+
+
+def test_summary_names_the_clock_the_run_was_timed_on():
+    assert "over 36.4s virtual" in ChaosReport(seed=3, duration=36.4).summary()
+    assert "over 2.2s wall" in ChaosReport(seed=1, duration=2.2, clock="wall").summary()
+
+
+@pytest.mark.tcp
+def test_real_run_holds_its_deployment_through_the_handle():
+    """And reads every Core's spans for the trace before it closes it."""
+    run = ProcessChaosRun(1, kills=1, tracing=True)
+    report = run.execute()
+    assert report.passed, report.summary()
+    assert report.recoveries == 1 and "s wall" in report.summary()
+    events = json.loads(run.chrome_trace_json())["traceEvents"]
+    processes = {event["args"]["name"] for event in events if event["ph"] == "M"}
+    assert processes == {"Core core0", "Core core1", "Core driver"}
+    assert any(event["name"] == "supervisor:restart" for event in events)
 
 
 def test_main_exit_codes(tmp_path, capsys):

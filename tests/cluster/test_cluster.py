@@ -1,10 +1,20 @@
 """Tests for the cluster harness."""
 
+import inspect
+import os
+import signal
+
 import pytest
 
-from repro.errors import CoreNotFoundError, DuplicateCoreError
+from repro.errors import ConfigurationError, CoreNotFoundError, DuplicateCoreError, FarGoError
+from repro.cluster import CoreProcesses
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter, Echo
+from repro.net import BatchingTransport, SimTransport
+from repro.net.retry import RetryPolicy
+from repro.sim.clock import VirtualClock
+from repro.sim.scheduler import Scheduler
+from tests.anchors import Holder
 
 
 class TestConstruction:
@@ -35,6 +45,57 @@ class TestConstruction:
         cluster = Cluster(["a", "b"], bandwidth=500.0, latency=0.2)
         assert cluster.transport.link("a", "b").bandwidth == 500.0
         assert cluster.transport.link("a", "b").latency == 0.2
+
+
+    def test_unknown_option_is_a_type_error_at_construction(self):
+        with pytest.raises(TypeError, match="bogus"):
+            Cluster(["a"], bogus=1)
+
+    def test_six_parameters_and_the_cores_own_options(self):
+        parameters = inspect.signature(Cluster.__init__).parameters.values()
+        assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == [
+            "bandwidth", "latency", "clock", "transport", "store", "sanitize",
+        ]
+        cluster = Cluster(["a"], rpc_timeout=2.5, use_location_registry=True)
+        assert cluster["a"].use_location_registry
+        assert cluster["a"].peer.endpoint.default_timeout == 2.5
+
+    def test_seat_is_the_first_core_by_name(self):
+        assert Cluster(["b", "a", "c"]).seat.name == "a"
+
+
+class TestTransportInstance:
+    """``transport=`` given a Transport: the cluster runs on that transport's clock."""
+
+    def test_cluster_adopts_the_transports_scheduler(self):
+        transport = SimTransport(Scheduler(VirtualClock()))
+        cluster = Cluster(["a", "b"], transport=transport)
+        assert cluster.scheduler is transport.scheduler
+        assert cluster["a"].scheduler is transport.scheduler
+        counter = Counter(0, _core=cluster["a"], _at="b")
+        before = cluster.now
+        counter.increment()
+        assert cluster.now > before  # the parent read 0.0 here: a second clock
+        assert cluster.now == transport.scheduler.clock.now()
+
+    def test_a_clock_beside_a_transport_instance_is_refused(self):
+        transport = SimTransport(Scheduler(VirtualClock()))
+        with pytest.raises(ConfigurationError, match="transport.scheduler"):
+            Cluster(["a"], transport=transport, clock=VirtualClock())
+
+    def test_batching_composes_as_a_transport_decorator(self):
+        transport = BatchingTransport(SimTransport(Scheduler(VirtualClock())))
+        cluster = Cluster(["a", "b"], transport=transport)
+        heard = []
+        cluster["b"].events.subscribe_remote("a", "tick", heard.append)
+        for n in range(5):
+            cluster["a"].events.publish("tick", n=n)
+        assert heard == []  # queued on the a -> b link, not yet on the wire
+        cluster.advance(0.01)  # past BatchPolicy.max_delay, on the adopted clock
+        assert [event.data["n"] for event in heard] == [0, 1, 2, 3, 4]
+        stats = transport.batch_stats
+        assert (stats.batches, stats.batched_messages) == (1, 5)
+        assert stats.flush_triggers == {"deadline": 1}
 
 
 class TestTimeDriving:
@@ -101,3 +162,85 @@ class TestAccounting:
 
     def test_repr(self, cluster):
         assert "alpha" in repr(cluster)
+
+
+class TestObservationsOutliveACore:
+    def test_spans_of_a_core_that_has_shut_down(self, make_cluster):
+        cluster = make_cluster(["alpha", "beta"], tracing=True)
+        Echo("x", _core=cluster["alpha"], _at="beta").ping()
+        cluster.shutdown_core("beta")
+        assert {span.core for span in cluster.spans()} == {"alpha", "beta"}
+        assert len(cluster.metrics_snapshot()["cores"]) == 2
+        assert cluster.running_names() == ["alpha"]
+
+
+@pytest.mark.tcp
+class TestProcesses:
+    """``transport="procs"``: the same handle over Cores in OS processes of their own."""
+
+    @pytest.fixture
+    def procs_cluster(self):
+        cluster = Cluster(["alpha", "beta"], transport="procs", tracing=True)
+        yield cluster
+        cluster.close()
+
+    def test_names_and_seat(self, procs_cluster):
+        assert procs_cluster.core_names() == ["alpha", "beta", "driver"]
+        assert procs_cluster.seat is procs_cluster.processes.driver
+        assert procs_cluster["driver"] is procs_cluster.seat
+        assert sorted(procs_cluster.running_names()) == ["alpha", "beta", "driver"]
+
+    def test_what_needs_a_core_of_this_process_says_so(self, procs_cluster):
+        with pytest.raises(CoreNotFoundError, match="child process"):
+            procs_cluster["alpha"]
+        with pytest.raises(CoreNotFoundError, match="not in the cluster"):
+            procs_cluster["nowhere"]
+        for refused in (
+            lambda: procs_cluster.add_core("gamma"),
+            procs_cluster.enable_recovery,
+            procs_cluster.analyze,
+            lambda: list(procs_cluster),
+            procs_cluster.running_cores,
+        ):
+            with pytest.raises(ConfigurationError, match="only 'driver' is"):
+                refused()
+
+    @pytest.mark.parametrize(
+        "options, reason",
+        [
+            ({"sanitize": True}, "LayoutSanitizer"),
+            ({"store": "memory"}, "share a directory"),
+            ({"retry_policy": RetryPolicy()}, "retry_policy"),
+            ({"clock": VirtualClock()}, "real clock"),
+        ],
+    )
+    def test_refusals_come_before_anything_is_started(self, options, reason):
+        with pytest.raises(ConfigurationError, match=reason) as refusal:
+            Cluster(["alpha"], transport="procs", **options)
+        assert isinstance(refusal.value, FarGoError)
+
+    def test_a_started_deployment_is_refused(self):
+        with CoreProcesses(["alpha"]) as procs:
+            with pytest.raises(ConfigurationError, match="already started"):
+                Cluster(transport=procs)
+            assert procs.driver is not None  # and left as it was
+
+    def test_fleet_view_has_one_entry_per_answering_core(self, procs_cluster):
+        assert len(procs_cluster.metrics_snapshot()["cores"]) == 3
+        victim = procs_cluster.processes.processes["alpha"]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.wait(timeout=5.0)
+        assert sorted(procs_cluster.running_names()) == ["beta", "driver"]
+        snapshot = procs_cluster.metrics_snapshot()
+        assert sorted(core["core"] for core in snapshot["cores"]) == ["beta", "driver"]
+
+    def test_one_connected_trace_across_three_processes(self, procs_cluster):
+        echo = Echo("far", _core=procs_cluster.seat, _at="alpha")
+        holder = Holder(echo, _core=procs_cluster.seat, _at="beta")
+        procs_cluster.clear_spans()
+        assert holder.call_ref() == "far"  # driver -> beta -> alpha
+        (trace,) = (
+            trace for trace in procs_cluster.traces().values() if len(trace.cores()) == 3
+        )
+        assert trace.is_connected()
+        assert trace.cores() == ["alpha", "beta", "driver"]

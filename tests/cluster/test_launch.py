@@ -57,6 +57,13 @@ def gone_within(pids, seconds: float) -> bool:
 
 
 class TestChildHandle:
+    def test_children_are_separate_processes(self, procs):
+        pids = {process.pid for process in procs.processes.values()}
+        assert len(pids) == 2
+        assert os.getpid() not in pids
+        for process in procs.processes.values():
+            assert process.poll() is None  # still serving
+
     def test_sigkill_is_reported_as_minus_nine(self, procs):
         child = procs.processes["alpha"]
         assert child.poll() is None

@@ -197,6 +197,26 @@ class TestChildProcesses:
             assert child["store"]["stats"]["bytes_hashed"] == 0
         assert os.listdir(store_dir) == []
 
+    def test_procs_cluster_with_the_file_store_ships_proxies(self):
+        """The same through the handle: the cluster makes the directory and removes it."""
+        cluster = Cluster(["alpha", "beta"], transport="procs", store="file")
+        try:
+            store_dir = cluster.processes.store_dir
+            echo = Echo("e", _core=cluster.seat, _at="beta")
+            buffer = os.urandom(PAYLOAD)
+            echo.echo(buffer)  # connections and caches exist from here on
+            base = cluster.stats.bytes
+            assert zlib.crc32(echo.echo(buffer)) == zlib.crc32(buffer)
+            assert cluster.stats.bytes - base < 2_048  # over the driver's hub
+            assert cluster.admin("beta").store()["enabled"]
+            snapshot = cluster.store_snapshot()
+            assert snapshot["enabled"] and snapshot["store"]["backend"] == "file"
+            assert sorted(snapshot["cores"]) == ["alpha", "beta", "driver"]
+            assert snapshot["store"]["entries"] == [] and os.listdir(store_dir) == []
+        finally:
+            cluster.close()
+        assert not os.path.exists(store_dir)
+
     def test_procs_without_a_store_dir_build_store_less_cores(self):
         with CoreProcesses(["child"]) as procs:
             assert procs.driver.store_client is None

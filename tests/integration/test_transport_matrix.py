@@ -1,10 +1,13 @@
-"""Integration: the same application scenarios over both transports.
+"""Integration: the same application scenarios over all three deployments.
 
-Every test here is parametrized over the transport backend — the
-deterministic simnet and the real TCP hubs (one per Core,
-in-process, real sockets on loopback).  The application code is
-byte-for-byte identical; only the ``transport=`` knob differs, which is
-the point of the pluggable transport seam.
+Every test here is parametrized over the deployment shape — the
+deterministic simnet, the real TCP hubs (one per Core, in-process, real
+sockets on loopback), and Cores in OS processes of their own with a
+driver Core in this one.  The application code is byte-for-byte
+identical; only the ``transport=`` knob differs, which is the point of
+the one deployment handle.  The program sits at ``cluster.seat`` (the
+first Core by name, or the driver) and places its complets with ``_at=``,
+so nothing below knows which side of a process boundary a Core is on.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from tests.anchors import Failing, Holder, Leaf, Probe, Root
 BACKENDS = [
     pytest.param("sim", id="sim"),
     pytest.param("tcp", id="tcp", marks=pytest.mark.tcp),
+    pytest.param("procs", id="procs", marks=pytest.mark.tcp),
 ]
 
 
@@ -35,19 +39,19 @@ def cluster(request):
 
 class TestRpc:
     def test_remote_invocation(self, cluster):
-        probe = Probe(_core=cluster["alpha"])
+        probe = Probe(_core=cluster.seat, _at="alpha")
         Carrier.move(probe, "beta")
         probe.note("over-the-wire")
         assert "over-the-wire" in probe.get_history()
 
     def test_application_exception_propagates_by_value(self, cluster):
-        failing = Failing(_core=cluster["alpha"], _at="beta")
+        failing = Failing(_core=cluster.seat, _at="beta")
         with pytest.raises(ValueError, match="boom"):
             failing.boom()
 
     def test_complet_reference_as_argument_and_result(self, cluster):
-        probe = Probe(_core=cluster["alpha"], _at="beta")
-        holder = Holder(_core=cluster["alpha"])
+        probe = Probe(_core=cluster.seat, _at="beta")
+        holder = Holder(_core=cluster.seat, _at="alpha")
         holder.set_ref(probe)
         Carrier.move(holder, "gamma")
         returned = holder.get_ref()
@@ -57,9 +61,12 @@ class TestRpc:
 
 class TestMovement:
     def test_move_then_invoke(self, cluster):
-        probe = Probe(_core=cluster["alpha"])
+        probe = Probe(_core=cluster.seat, _at="alpha")
+        identity = str(probe._fargo_target_id)
         Carrier.move(probe, "beta")
         assert cluster.locate(probe) == "beta"
+        assert identity in cluster.complets_at("beta")
+        assert identity not in cluster.complets_at("alpha")
         Carrier.move(probe, "gamma")
         assert cluster.locate(probe) == "gamma"
         history = probe.get_history()
@@ -67,7 +74,7 @@ class TestMovement:
         assert "post_arrival:gamma" in history
 
     def test_move_to_unknown_core_is_refused(self, cluster):
-        probe = Probe(_core=cluster["alpha"])
+        probe = Probe(_core=cluster.seat, _at="alpha")
         with pytest.raises((RelocationError, CoreError)):
             Carrier.move(probe, "nowhere")
         assert cluster.locate(probe) == "alpha"
@@ -75,12 +82,13 @@ class TestMovement:
 
 class TestRemoteInstantiation:
     def test_instantiate_at(self, cluster):
-        probe = Probe(_core=cluster["alpha"], _at="gamma")
+        probe = Probe(_core=cluster.seat, _at="gamma")
         assert cluster.locate(probe) == "gamma"
+        assert str(probe._fargo_target_id) in cluster.complets_at("gamma")
         assert "post_arrival:gamma" not in probe.get_history()  # born there
 
     def test_state_survives_round_trip(self, cluster):
-        probe = Probe(_core=cluster["alpha"], _at="beta")
+        probe = Probe(_core=cluster.seat, _at="beta")
         probe.note("first")
         Carrier.move(probe, "alpha")
         Carrier.move(probe, "beta")
@@ -89,15 +97,15 @@ class TestRemoteInstantiation:
 
 class TestNaming:
     def test_locate_tracks_movement(self, cluster):
-        probe = Probe(_core=cluster["alpha"])
+        probe = Probe(_core=cluster.seat, _at="alpha")
         assert cluster.locate(probe) == "alpha"
         Carrier.move(probe, "beta")
         assert cluster.locate(probe) == "beta"
 
     def test_stale_tracker_chases_forwarding_pointers(self, cluster):
         """A reference held at gamma keeps working as the target roams."""
-        probe = Probe(_core=cluster["alpha"])
-        holder = Holder(_core=cluster["alpha"], _at="gamma")
+        probe = Probe(_core=cluster.seat, _at="alpha")
+        holder = Holder(_core=cluster.seat, _at="gamma")
         holder.set_ref(probe)
         Carrier.move(probe, "beta")
         holder.get_ref().note("chased")
@@ -107,7 +115,7 @@ class TestNaming:
 
 class TestAccounting:
     def test_traffic_is_metered_on_both_backends(self, cluster):
-        probe = Probe(_core=cluster["alpha"], _at="beta")
+        probe = Probe(_core=cluster.seat, _at="beta")
         cluster.reset_stats()
         probe.note("metered")
         stats = cluster.stats
@@ -115,10 +123,16 @@ class TestAccounting:
         assert stats.bytes > 0
 
     def test_tracing_is_identical_surface(self, cluster):
-        probe = Probe(_core=cluster["alpha"], _at="beta")
+        probe = Probe(_core=cluster.seat, _at="beta")
         probe.note("traced")
         trace = list(cluster.transport.trace)
-        assert any("alpha" in line and "beta" in line for line in trace)
+        assert any(cluster.seat.name in line and "beta" in line for line in trace)
+
+
+class TestAdministration:
+    def test_admin_snapshot_names_the_core_that_answered(self, cluster):
+        assert cluster.admin("alpha").snapshot()["core"] == "alpha"
+        assert cluster.admin(cluster.seat.name).snapshot()["core"] == cluster.seat.name
 
 
 def move_realpath_group(backend: str) -> dict:
