@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
 from repro.core import events as core_events
+from repro.core.admin import CoreAdmin
 from repro.monitor import profiler as monitor_profiler
 from repro.net import serializer
 
@@ -813,9 +814,8 @@ def supervision() -> dict:
                 child = supervisor.state()["children"]["w1"]
                 post_value = counter.read()  # pre-kill stub, reborn host
                 metrics["supervisor_restarts"] = child["restarts"]
-                metrics["identity_preserved"] = int(
-                    original_id in procs.driver.admin("w1", "complets")
-                )
+                hosted = CoreAdmin(procs.driver, "w1").complets()
+                metrics["identity_preserved"] = int(original_id in hosted)
                 metrics["post_rebirth_reads"] = int(post_value >= 0)
                 metrics["kill_to_healed_wall_seconds"] = round(
                     healed_at - killed_at, 4

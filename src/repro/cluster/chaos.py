@@ -353,8 +353,6 @@ class ProcessChaosRun:
                     )
                     break
                 self.report.recoveries += 1
-                if self.tracing:
-                    cluster.set_tracing(True)  # the successor was born with it off
                 self._drive(5)
                 time.sleep(0.3)  # fresh checkpoints before the next kill
             self._check_final_reachability(cluster)

@@ -41,7 +41,7 @@ from repro.trace.tracer import Span
 _PUMP_INTERVAL = 0.02
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.complet.tracker import TrackerAddress
+    from repro.util.ids import CompletId
     from repro.recovery import (
         CheckpointManager,
         CheckpointStore,
@@ -69,7 +69,7 @@ class Cluster:
         latency: float = 0.01,
         clock: Clock | None = None,
         transport: "str | Transport | CoreProcesses" = "sim",
-        store: "str | bool | ObjectStore | None" = None,
+        store: "str | ObjectStore | None" = None,
         sanitize: bool = False,
         **core_options,
     ) -> None:
@@ -95,12 +95,12 @@ class Cluster:
           ``BatchingTransport(SimTransport(Scheduler(VirtualClock())))``.
 
         ``store`` enables large-payload offloading (:mod:`repro.store`):
-        ``"memory"`` (or ``True``) shares one
-        :class:`~repro.store.InMemoryStore` across the Cores, ``"file"``
-        a cluster-owned :class:`~repro.store.FileStore` in a temporary
-        directory (removed by :meth:`close`), or pass an
-        :class:`~repro.store.ObjectStore` instance.  Processes share a
-        directory and nothing else: on ``procs`` only ``"file"``.
+        ``"memory"`` shares one :class:`~repro.store.InMemoryStore` across
+        the Cores, ``"file"`` a cluster-owned
+        :class:`~repro.store.FileStore` in a temporary directory (removed
+        by :meth:`close`), or pass an :class:`~repro.store.ObjectStore`
+        instance.  Processes share a directory and nothing else: on
+        ``procs`` only ``"file"``.
 
         ``sanitize`` attaches a shared
         :class:`~repro.analysis.sanitizer.LayoutSanitizer`: every move,
@@ -136,7 +136,7 @@ class Cluster:
                 "sanitize=True (the Cores share one LayoutSanitizer object)": sanitize,
                 f"store={store!r} (processes share a directory: 'file', or the "
                 "CoreProcesses' own store_dir)":
-                    store not in (None, False, "file") or (store and procs.store_dir),
+                    store not in (None, "file") or (store and procs.store_dir),
                 f"Core options {sorted(core_options.keys() - {'tracing'})} (the launcher "
                 "builds the Cores)": core_options.keys() - {"tracing"},
             }
@@ -172,9 +172,7 @@ class Cluster:
         self._store: ObjectStore | None = None
         self._owned_store_dir: str | None = None
         self._owns_store = False
-        if store is True:
-            store = "memory"
-        if store in (None, False):
+        if store is None:
             pass
         elif store == "memory":
             self._store = InMemoryStore()
@@ -441,8 +439,7 @@ class Cluster:
         way genuine tracker chains form (Figure 2).
         """
         target_id = stub_target_id(stub)
-        host, _ = self._find_host(target_id)
-        self.admin(host).move(str(target_id), destination)
+        self.admin(self.find_host(target_id)).move(str(target_id), destination)
 
     def locate(self, stub: Stub) -> str:
         """Name of the Core currently hosting ``stub``'s complet.
@@ -454,7 +451,7 @@ class Cluster:
         core = stub_core(stub)
         if core is not None and core.is_running:
             return core.references.locate(stub_tracker(stub))
-        return self._find_host(stub_target_id(stub))[0]
+        return self.find_host(stub_target_id(stub))
 
     def stub_at(self, core_name: str, stub: Stub) -> Stub:
         """A fresh reference to ``stub``'s complet, wired to ``core_name``.
@@ -471,17 +468,22 @@ class Cluster:
         via = self.core(core_name)
         if self.admin(core_name).hosted_tracker(target_id) is not None:
             return via.references.stub_for_local(target_id)
-        _, address = self._find_host(target_id)
+        address = self.admin(self.find_host(target_id)).hosted_tracker(target_id)
         token = RefToken(target_id, stub_tracker(stub).anchor_ref, address, Link())
         return via.references.materialize(token)
 
-    def _find_host(self, target_id) -> "tuple[str, TrackerAddress]":
-        """The first running Core hosting ``target_id``, and its tracker's address there."""
+    def find_host(self, complet: "CompletId | str") -> str:
+        """The first running Core hosting ``complet``: its id, or the string
+        form of it that the shell and scripts speak."""
         for name in self.running_names():
-            address = self.admin(name).hosted_tracker(target_id)
-            if address is not None:
-                return name, address
-        raise CoreNotFoundError(f"no running Core hosts {target_id}")
+            admin = self.admin(name)
+            if isinstance(complet, str):
+                hosts = complet in admin.complets()
+            else:
+                hosts = admin.hosted_tracker(complet) is not None
+            if hosts:
+                return name
+        raise CoreNotFoundError(f"no running Core hosts {complet}")
 
     def complets_at(self, name: str) -> list[str]:
         return self.admin(name).complets()

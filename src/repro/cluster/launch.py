@@ -66,6 +66,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro.complet.stub import stub_target_id
+from repro.core.admin import CoreAdmin
 from repro.core.core import Core
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.messages import MessageKind
@@ -767,7 +768,7 @@ class CoreProcesses:
                 try:
                     # Any positive delay defers the shutdown to the child's
                     # next serve tick, after its dispatch thread wrote the reply.
-                    driver.admin(name, "shutdown", delay=1e-9)
+                    CoreAdmin(driver, name).shutdown(delay=1e-9)
                 except (CoreError, TransportError):
                     pass
         for process in self.processes.values():

@@ -31,9 +31,10 @@ that loop:
   line (the child answers requests sooner, with the restore still
   running, and would report half a tracker map), then refreshes the
   driver's address book (invalidating stale pooled connections),
-  fetches the reborn Core's tracker map (``hosted_trackers``), and
-  repairs every survivor's trackers and location records exactly as
-  simulated recovery does (``repair_trackers`` / ``locator_forget``).
+  hands the successor the driver's tracing setting, fetches its tracker map
+  (``hosted_trackers``), and repairs every survivor's trackers and
+  location records with the sequence simulated recovery runs
+  (:func:`repro.recovery.recovery.written_off`).
 
 - **Escalate** — a child that exhausts its restart budget is declared
   permanently failed; its last durable checkpoints are restored on a
@@ -59,6 +60,7 @@ from repro.core.admin import CoreAdmin
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.retry import RetryPolicy
 from repro.recovery.detector import DetectorConfig
+from repro.recovery.recovery import written_off
 from repro.recovery.store import CheckpointStore
 
 logger = logging.getLogger(__name__)
@@ -350,32 +352,32 @@ class Supervisor:
         # Refresh the driver's address book: even on the same port, the
         # pooled connections point at the dead predecessor.
         self.procs.transport.add_peer(name, address)
-        # The reborn Core restored its complets under fresh tracker
-        # serials; survivors' trackers still carry the predecessor's.
-        try:
-            relocated = CoreAdmin(self.driver, name).hosted_trackers()
-        except (CoreError, TransportError):
-            relocated = {}
-        for survivor in self._survivors(name):
-            admin = CoreAdmin(self.driver, survivor)
+        reborn = CoreAdmin(self.driver, name)
+        children = self._survivors(name)
+        for admin in children:
             try:
                 admin.add_peer(name, address)
-                admin.locator_forget(name)
-                admin.repair_trackers(name, relocated)
             except (CoreError, TransportError) as exc:
-                self._log(f"re-admission repair at {survivor} failed: {exc}")
-        # The driver itself is a survivor too.
-        self.driver.locator.forget_core(name)
-        self.driver.references.repair_dead_core(name, relocated)
+                self._log(f"address of {name} did not reach {admin.target}: {exc}")
 
-    def _survivors(self, failed: str) -> list[str]:
+        relocated: dict = {}
+        with written_off([CoreAdmin(self.driver), *children], name, relocated):
+            try:
+                if self.driver.tracer.enabled:
+                    reborn.set_tracing(True)  # a successor is born with it off
+                # The reborn Core restored its complets under fresh tracker
+                # serials; survivors' trackers still carry the predecessor's.
+                relocated.update(reborn.hosted_trackers())
+            except (CoreError, TransportError) as exc:
+                self._log(f"reborn {name} did not answer the driver: {exc}")
+
+    def _survivors(self, failed: str) -> list[CoreAdmin]:
+        """The driver's handles on the children that outlived ``failed``."""
         alive = []
         for name in self.procs.names:
-            if name == failed:
-                continue
             process = self.procs.processes.get(name)
-            if process is not None and process.poll() is None:
-                alive.append(name)
+            if name != failed and process is not None and process.poll() is None:
+                alive.append(CoreAdmin(self.driver, name))
         return alive
 
     # -- escalation --------------------------------------------------------
@@ -398,34 +400,26 @@ class Supervisor:
         )
         self.driver.metrics.counter("supervisor.escalations").inc()
         records = self._durable_records(name)
-        survivors = self._survivors(name)
-        destination = survivors[0] if survivors else self.driver.name
+        children = self._survivors(name)
+        destination = children[0] if children else CoreAdmin(self.driver)
+
+        # Fresh identities: nothing relocated for the old references to follow.
         with self.driver.tracer.span(
             "supervisor:escalate", category="supervision",
-            child=name, cause=cause, records=len(records), destination=destination,
-        ):
+            child=name, cause=cause, records=len(records), destination=destination.target,
+        ), written_off([CoreAdmin(self.driver), *children], name, {}):
             for record in records:
                 try:
-                    new_id = CoreAdmin(self.driver, destination).restore(
-                        record.snapshot.to_bytes(), keep_identity=False
-                    )
+                    new_id = destination.restore(record.snapshot.to_bytes(), keep_identity=False)
                     child.escalated_to.append(new_id)
                 except (CoreError, TransportError, FarGoError) as exc:
                     self._log(
                         f"fresh-identity restore of {record.complet_id} failed: {exc}"
                     )
-            for survivor in survivors:
-                try:
-                    CoreAdmin(self.driver, survivor).locator_forget(name)
-                    CoreAdmin(self.driver, survivor).repair_trackers(name, {})
-                except (CoreError, TransportError):
-                    pass
-            self.driver.locator.forget_core(name)
-            self.driver.references.repair_dead_core(name, {})
         if child.escalated_to:
             self._log(
                 f"escalation restored {len(child.escalated_to)} complets "
-                f"on {destination} under fresh identities"
+                f"on {destination.target} under fresh identities"
             )
 
     def _durable_records(self, name: str) -> list:

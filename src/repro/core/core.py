@@ -17,7 +17,8 @@ from repro.complet.marshal import CloneStreamCache
 from repro.complet.continuation import Continuation
 from repro.complet.metaref import MetaRef
 from repro.complet.relocators import relocator_from_name
-from repro.complet.stub import Stub, stub_class_for, stub_core, stub_meta, stub_target_id, stub_tracker
+from repro.complet.stub import Stub, stub_class_for, stub_core, stub_meta, stub_tracker
+from repro.core.admin import CoreAdmin, dispatch
 from repro.core.events import CALL_RETRIED, CORE_SHUTDOWN, ONEWAY_FAILED, EventBus
 from repro.core.invocation import InvocationUnit
 from repro.core.locator import LocationRegistry
@@ -125,7 +126,6 @@ class Core:
         self.peer.register(MessageKind.HEARTBEAT, self._handle_heartbeat)
         self.peer.register_raw(MessageKind.INSTANTIATE, self._handle_instantiate)
         self.peer.register_raw(MessageKind.PROFILE_PROBE, self._handle_probe)
-        self.peer.register(MessageKind.PROFILE_QUERY, self._handle_profile_query)
         # Last on purpose: the multi-process launcher takes an answered admin
         # query to mean every handler of this Core is registered.
         self.peer.register(MessageKind.ADMIN_QUERY, self._handle_admin)
@@ -320,29 +320,13 @@ class Core:
             "active_profiles": self.profiler.active_profiles(),
         }
 
-    def store_view(self) -> dict:
-        """This Core's object-store view: client counters + store entries."""
-        if self.store_client is None:
-            return {"enabled": False}
-        return {
-            "enabled": True,
-            "client": self.store_client.stats_snapshot(),
-            "store": self.store_client.store.snapshot(),
-        }
-
     def admin(self, core_name: str, operation: str, **kwargs) -> object:
         """Run an administration operation on this or a remote Core."""
-        if core_name == self.name:
-            return self._admin_op(operation, kwargs)
-        return self.peer.request(core_name, MessageKind.ADMIN_QUERY, (operation, kwargs))
+        return dispatch(CoreAdmin(self, core_name), operation, kwargs)
 
     def _handle_admin(self, src: str, body: object) -> object:
         operation, kwargs = body  # type: ignore[misc]
-        return self._admin_op(operation, kwargs)
-
-    def _handle_profile_query(self, src: str, body: object) -> float:
-        service, params = body  # type: ignore[misc]
-        return self.profiler.instant(service, **params)
+        return dispatch(CoreAdmin(self), operation, kwargs)
 
     def _handle_probe(self, src: str, payload: bytes) -> bytes:
         # Echo probe: first 8 bytes carry the size already received; the
@@ -352,174 +336,6 @@ class Core:
     def _handle_heartbeat(self, src: str, body: object) -> str:
         """Answer a failure-detector ping; reachability is the answer."""
         return self.name
-
-    def _admin_op(self, operation: str, kwargs: dict) -> object:
-        if operation == "snapshot":
-            return self.snapshot()
-        if operation == "complets":
-            return [str(cid) for cid in self.repository.complet_ids()]
-        if operation == "move":
-            anchor = self.repository.find_by_str(kwargs["complet"])
-            if anchor is None:
-                raise CompletError(
-                    f"Core {self.name!r} does not host complet {kwargs['complet']!r}"
-                )
-            self.move(anchor, kwargs["destination"])
-            return None
-        if operation == "watch":
-            return self.monitor.watch(
-                kwargs["service"],
-                kwargs["op"],
-                kwargs["threshold"],
-                interval=kwargs.get("interval", 1.0),
-                event_name=kwargs.get("event_name"),
-                repeat=kwargs.get("repeat", False),
-                **kwargs.get("params", {}),
-            )
-        if operation == "unwatch":
-            self.monitor.unwatch(kwargs["watch_id"])
-            return None
-        if operation == "references":
-            return self._admin_references(kwargs["complet"])
-        if operation == "retype":
-            return self._admin_retype(
-                kwargs["complet"], kwargs["target"], kwargs["type"]
-            )
-        if operation == "collect_trackers":
-            return self.repository.collect_trackers()
-        if operation == "services":
-            return self.profiler.services()
-        if operation == "profile_instant":
-            return self.profiler.instant(kwargs["service"], **kwargs.get("params", {}))
-        if operation == "profile_start":
-            return self.profiler.start(
-                kwargs["service"],
-                interval=kwargs.get("interval", 1.0),
-                **kwargs.get("params", {}),
-            )
-        if operation == "profile_history":
-            return self.profiler.history(kwargs["service"], **kwargs.get("params", {}))
-        if operation == "store":
-            return self.store_view()
-        if operation == "metrics":
-            return self.metrics.snapshot()
-        if operation == "spans":
-            return [span.to_dict() for span in self.tracer.spans()]
-        if operation == "set_tracing":
-            self.tracer.enabled = bool(kwargs["enabled"])
-            return None
-        if operation == "clear_spans":
-            self.tracer.clear()
-            return None
-        if operation == "checkpoint":
-            return self._admin_checkpoint(kwargs["complet"])
-        if operation == "restore_complet":
-            return self._admin_restore(
-                kwargs["data"], kwargs.get("keep_identity", False)
-            )
-        if operation == "detector":
-            if self.detector is None:
-                return {}
-            return self.detector.state()  # type: ignore[attr-defined]
-        if operation == "supervisor":
-            if self.supervisor is None:
-                return {}
-            return self.supervisor.state()  # type: ignore[attr-defined]
-        if operation == "hosted_trackers":
-            # Original CompletId -> local TrackerAddress, for every
-            # complet hosted here.  The supervisor repairs survivors'
-            # trackers toward a reborn Core with exactly this map.
-            hosted = {}
-            for complet_id in self.repository.complet_ids():
-                tracker = self.repository.existing_tracker(complet_id)
-                if tracker is not None and tracker.is_local:
-                    hosted[complet_id] = tracker.address
-            return hosted
-        if operation == "add_peer":
-            # Address-book update: a peer respawned (possibly on a fresh
-            # port); stale pooled connections to it are invalidated.
-            add_peer = getattr(self.peer.transport, "add_peer", None)
-            if add_peer is None:
-                raise CompletError(
-                    f"transport of Core {self.name!r} has no address book"
-                )
-            add_peer(kwargs["peer"], tuple(kwargs["address"]))
-            return None
-        if operation == "repair_trackers":
-            return self.references.repair_dead_core(
-                kwargs["failed"], kwargs.get("relocated", {})
-            )
-        if operation == "locator_forget":
-            return self.locator.forget_core(kwargs["core"])
-        if operation == "shutdown":
-            # Remote shutdown (used by the multi-process launcher).  A
-            # small delay lets this reply reach the requester before the
-            # Core leaves the network and closes its listener.
-            delay = float(kwargs.get("delay", 0.0))
-            if delay > 0.0:
-                self.scheduler.call_after(delay, self.shutdown)
-            else:
-                self.shutdown()
-            return None
-        if operation == "hosted_tracker":  # by CompletId, O(1); None unless hosted here
-            tracker = self.repository.existing_tracker(kwargs["complet"])
-            return tracker.address if tracker is not None and tracker.is_local else None
-        raise CompletError(f"unknown admin operation {operation!r}")
-
-    def _admin_checkpoint(self, complet_id_str: str) -> bytes:
-        """Snapshot a hosted complet to portable bytes (shell/recovery)."""
-        from repro.core import persistence
-
-        anchor = self.repository.find_by_str(complet_id_str)
-        if anchor is None:
-            raise CompletError(
-                f"Core {self.name!r} does not host complet {complet_id_str!r}"
-            )
-        return persistence.snapshot(self, anchor).to_bytes()
-
-    def _admin_restore(self, data: bytes, keep_identity: bool) -> str:
-        """Restore snapshot bytes here; returns the live complet's id."""
-        from repro.core import persistence
-
-        snap = persistence.Snapshot.from_bytes(data)
-        stub = persistence.restore(self, snap, keep_identity=keep_identity)
-        return str(stub_target_id(stub))
-
-    def _outgoing_stubs(self, complet_id_str: str) -> list[Stub]:
-        from repro.complet.closure import compute_closure
-
-        anchor = self.repository.find_by_str(complet_id_str)
-        if anchor is None:
-            raise CompletError(
-                f"Core {self.name!r} does not host complet {complet_id_str!r}"
-            )
-        return compute_closure(anchor).outgoing
-
-    def _admin_references(self, complet_id_str: str) -> list[dict]:
-        """Describe a hosted complet's outgoing references (viewer/shell)."""
-        rows = []
-        for stub in self._outgoing_stubs(complet_id_str):
-            meta = stub_meta(stub)
-            rows.append(
-                {
-                    "target": str(stub_target_id(stub)),
-                    "type": meta.type_name,
-                    "invocations": meta.invocation_count,
-                    "bytes": meta.bytes_transferred,
-                    "local": meta.is_local,
-                }
-            )
-        return rows
-
-    def _admin_retype(self, complet_id_str: str, target: str, type_name: str) -> bool:
-        """Retype a hosted complet's outgoing reference by target id."""
-        for stub in self._outgoing_stubs(complet_id_str):
-            if str(stub_target_id(stub)) == target:
-                stub_meta(stub).set_relocator(relocator_from_name(type_name))
-                return True
-        raise CompletError(
-            f"complet {complet_id_str!r} has no reference to {target!r}"
-        )
 
     def __repr__(self) -> str:
         state = "up" if self.is_running else "down"

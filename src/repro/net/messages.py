@@ -46,10 +46,8 @@ class MessageKind(str, Enum):
     EVENT_SUBSCRIBE_COMPLET = "event_subscribe_complet"  # register a complet listener
     EVENT_UNSUBSCRIBE = "event_unsubscribe"
     PROFILE_PROBE = "profile_probe"         # measure latency/bandwidth
-    PROFILE_QUERY = "profile_query"         # read a remote Core's profile value
     # Administration (shell / viewer)
     ADMIN_QUERY = "admin_query"             # layout snapshots, complet lists
-    CORE_SHUTDOWN = "core_shutdown"         # shutdown notification
     # Transport-level aggregation (repro.net.batching)
     BATCH = "batch"                         # several one-way envelopes, one transfer
 

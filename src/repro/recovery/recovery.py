@@ -36,27 +36,53 @@ false positive) get their dangling trackers repaired instead.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.complet.stub import stub_target_id, stub_tracker
+from repro.core.admin import CoreAdmin
 from repro.core.events import (
     COMPLET_RECOVERED,
     CORE_FAILED,
     CORE_RECONCILED,
     CORE_RECOVERED,
 )
-from repro.errors import CompletError, CoreNotFoundError, FarGoError
+from repro.errors import CompletError, CoreError, CoreNotFoundError, FarGoError, TransportError
 from repro.recovery.checkpoint import CheckpointManager, restore_record
 from repro.recovery.store import CheckpointRecord
-from repro.util.ids import CompletId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.core.core import Core
 
 logger = logging.getLogger(__name__)
+
+
+@contextlib.contextmanager
+def written_off(survivors: list[CoreAdmin], failed: str, relocated: dict) -> Iterator[None]:
+    """Write the dead Core ``failed`` off at every survivor, around its revival.
+
+    Location records naming it go on entry (a restore under the original
+    identity is refused while the registry knows a copy).  The body
+    revives its complets and fills ``relocated``, original id -> tracker
+    address, for those that kept theirs; on exit each survivor's trackers
+    into the grave are re-pointed there, or marked dangling.  An
+    unreachable survivor is logged and skipped.
+    """
+
+    def at_each(step: Callable[[CoreAdmin], object]) -> None:
+        for admin in survivors:
+            try:
+                step(admin)
+            except (CoreError, TransportError):
+                logger.warning("writing %s off at %s failed", failed, admin.target, exc_info=True)
+
+    at_each(lambda admin: admin.locator_forget(failed))
+    yield
+    at_each(lambda admin: admin.repair_trackers(failed, relocated))
 
 
 @dataclass(slots=True)
@@ -199,22 +225,17 @@ class RecoveryManager:
         # Originals may survive the "failure" if it is only a partition,
         # or live on a survivor this side cannot see; then a revival must
         # not claim the original identity.
-        unreachable = [
-            core.name
-            for core in self.cluster.running_cores()
-            if core.name != failed and core not in survivors
-        ]
-        identity_safe = not network.is_up(failed) and not unreachable
+        identity_safe = not network.is_up(failed) and all(
+            core in survivors for core in self.cluster.running_cores() if core.name != failed
+        )
 
         with dest.tracer.span(
             "recovery:core", category="recovery", failed=failed, records=len(records)
         ):
-            for survivor in survivors:
-                survivor.locator.forget_core(failed)
-            for record in records:
-                self._recover_record(record, dest, survivors, identity_safe, report)
-            for survivor in survivors:
-                survivor.references.repair_dead_core(failed, report.relocated)
+            handles = [CoreAdmin(core) for core in survivors]
+            with written_off(handles, failed, report.relocated):
+                for record in records:
+                    self._recover_record(record, dest, survivors, identity_safe, report)
             # Post-condition: no survivor tracker for a relocated complet
             # may still forward into the grave.  (Checked synchronously —
             # references minted later from stale tokens are out of scope;
@@ -232,15 +253,15 @@ class RecoveryManager:
         report.duration = self.cluster.scheduler.clock.now() - started
         dest.metrics.histogram("recovery.duration").observe(report.duration)
         self.reports.append(report)
-        self.log.append(
-            (
-                report.at,
-                f"recovered core {failed}: {len(report.restored)} restored, "
-                f"{len(report.degraded)} degraded, {len(report.skipped)} skipped "
-                f"-> {dest.name}",
-            )
+        self._note(
+            f"recovered core {failed}: {len(report.restored)} restored, "
+            f"{len(report.degraded)} degraded, {len(report.skipped)} skipped -> {dest.name}",
+            at=report.at,
         )
         return report
+
+    def _note(self, message: str, at: float | None = None) -> None:
+        self.log.append((self.cluster.now if at is None else at, message))
 
     def _recover_record(
         self,
@@ -313,9 +334,16 @@ class RecoveryManager:
         network = self.cluster.transport
         if core is None or not core.is_running or not network.is_up(revived):
             return []
+        peers = [
+            other
+            for other in self.cluster.running_cores()
+            if other is not core
+            and network.is_up(other.name)
+            and network.can_reach(core.name, other.name)
+        ]
         dropped: list[str] = []
         for complet_id in core.repository.complet_ids():
-            winner = self._live_copy_elsewhere(complet_id, core)
+            winner = next((peer for peer in peers if peer.repository.hosts(complet_id)), None)
             if winner is None:
                 continue
             core.repository.release(complet_id)
@@ -330,44 +358,19 @@ class RecoveryManager:
         # Inverse repair: complets this Core still hosts were declared
         # dead by a degraded recovery — un-dangle the cluster's trackers
         # and restore the registry entries survivors forgot.
-        hosted: dict = {}
-        for complet_id in core.repository.complet_ids():
-            tracker = core.repository.existing_tracker(complet_id)
-            if tracker is None or not tracker.is_local:
-                continue
-            hosted[complet_id] = tracker.address
-            core.locator.publish(complet_id, tracker.address)
-        repaired = 0
-        if hosted:
-            for other in self.cluster.running_cores():
-                if other is core or not network.is_up(other.name):
-                    continue
-                if not network.can_reach(core.name, other.name):
-                    continue
-                repaired += other.references.repair_revived(hosted)
+        hosted = CoreAdmin(core).hosted_trackers()
+        for complet_id, address in hosted.items():
+            core.locator.publish(complet_id, address)
+        repaired = sum(peer.references.repair_revived(hosted) for peer in peers)
         if dropped or repaired:
-            self.log.append(
-                (
-                    self.cluster.scheduler.clock.now(),
-                    f"reconciled revived core {revived}: dropped {len(dropped)} "
-                    f"stale copies, repaired {repaired} trackers",
-                )
+            self._note(
+                f"reconciled revived core {revived}: dropped {len(dropped)} "
+                f"stale copies, repaired {repaired} trackers"
             )
             core.events.publish(
                 CORE_RECONCILED, core=revived, dropped=dropped, repaired=repaired
             )
         return dropped
-
-    def _live_copy_elsewhere(self, complet_id: CompletId, core: "Core") -> "Core | None":
-        network = self.cluster.transport
-        for other in self.cluster.running_cores():
-            if other is core or not network.is_up(other.name):
-                continue
-            if not network.can_reach(core.name, other.name):
-                continue
-            if other.repository.hosts(complet_id):
-                return other
-        return None
 
     # -- manual restore (shell / scripts) ------------------------------------------
 
@@ -397,12 +400,7 @@ class RecoveryManager:
             dest = min(candidates, key=lambda core: (len(core.repository), core.name))
         alive = any(core.repository.hosts(record.complet_id) for core in candidates)
         new_id = stub_target_id(restore_record(dest, record, keep_identity=not alive))
-        self.log.append(
-            (
-                self.cluster.scheduler.clock.now(),
-                f"restored {complet_id_str} as {new_id} at {dest.name}",
-            )
-        )
+        self._note(f"restored {complet_id_str} as {new_id} at {dest.name}")
         return str(new_id)
 
     def __repr__(self) -> str:

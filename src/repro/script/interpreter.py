@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 
 from repro.complet.relocators import relocator_from_name
 from repro.complet.stub import Stub, stub_core, stub_target_id
+from repro.core.admin import CoreAdmin
 from repro.core.core import Core
 from repro.core.events import (
     CALL_RETRIED,
@@ -49,7 +50,7 @@ from repro.core.events import (
     REFERENCE_RETYPED,
     Event,
 )
-from repro.errors import FarGoError, ScriptRuntimeError, UnknownActionError
+from repro.errors import CoreNotFoundError, FarGoError, ScriptRuntimeError, UnknownActionError
 from repro.script.ast import (
     Action,
     ArgRef,
@@ -139,8 +140,7 @@ class ScriptEngine:
 
     def __init__(self, cluster: "Cluster", home: str | None = None) -> None:
         self.cluster = cluster
-        home_name = home if home is not None else cluster.core_names()[0]
-        self.core: Core = cluster.core(home_name)
+        self.core: Core = cluster.core(home) if home is not None else cluster.seat
         #: ``log <expr>`` output, in order.
         self.log: list[str] = []
         self._globals: dict[str, object] = {}
@@ -209,7 +209,7 @@ class ScriptEngine:
                 self.core.events.unsubscribe_remote((core_name, callback_id))
             for core_name, watch_id in active.watches:
                 try:
-                    self.core.admin(core_name, "unwatch", watch_id=watch_id)
+                    CoreAdmin(self.core, core_name).unwatch(watch_id)
                 except FarGoError:
                     logger.debug("unwatch at %s failed", core_name, exc_info=True)
             for timer in active.timers:
@@ -260,7 +260,7 @@ class ScriptEngine:
 
     def _listen_cores(self, rule: Rule) -> list[str]:
         if rule.listen_at is None:
-            return [c.name for c in self.cluster.running_cores()]
+            return self.cluster.running_names()
         value = self._eval(rule.listen_at, self._globals)
         if isinstance(value, str):
             return [value]
@@ -324,16 +324,8 @@ class ScriptEngine:
         event_name: str,
         params: dict,
     ) -> None:
-        watch_id = self.core.admin(
-            core_name,
-            "watch",
-            service=service,
-            op=op,
-            threshold=threshold,
-            interval=interval,
-            event_name=event_name,
-            repeat=False,
-            params=params,
+        watch_id = CoreAdmin(self.core, core_name).watch(
+            service, op, threshold, interval=interval, event_name=event_name, **params
         )
         active.watches.append((core_name, watch_id))
 
@@ -401,7 +393,7 @@ class ScriptEngine:
             installed = [(c, w) for (c, w) in active.watches]
             for core_name, watch_id in installed:
                 try:
-                    self.core.admin(core_name, "unwatch", watch_id=watch_id)
+                    CoreAdmin(self.core, core_name).unwatch(watch_id)
                 except FarGoError:
                     logger.debug("unwatch at %s failed", core_name, exc_info=True)
             active.watches.clear()
@@ -410,7 +402,7 @@ class ScriptEngine:
             )
             self._subscribe_watch(active, new_host, event_name, callback)
 
-        for core_name in [c.name for c in self.cluster.running_cores()]:
+        for core_name in self.cluster.running_names():
             handle = self.core.events.subscribe_remote(
                 core_name, COMPLET_ARRIVED, on_arrival
             )
@@ -501,18 +493,15 @@ class ScriptEngine:
             core.move(target, destination)
             return
         if isinstance(target, str):
-            host = self._find_host(target)
-            if host is None:
-                raise ScriptRuntimeError(f"no running Core hosts complet {target!r}")
-            self.core.admin(host, "move", complet=target, destination=destination)
+            CoreAdmin(self.core, self._find_host(target)).move(target, destination)
             return
         raise ScriptRuntimeError(f"cannot move {target!r}")
 
-    def _find_host(self, complet_id: str) -> str | None:
-        for core in self.cluster.running_cores():
-            if complet_id in self.cluster.complets_at(core.name):
-                return core.name
-        return None
+    def _find_host(self, complet_id: str) -> str:
+        try:
+            return self.cluster.find_host(complet_id)
+        except CoreNotFoundError as exc:
+            raise ScriptRuntimeError(str(exc)) from None
 
     # -- expression evaluation ------------------------------------------------------------------------
 
@@ -540,16 +529,13 @@ class ScriptEngine:
             return [self._eval(item, env) for item in expr.items]
         if isinstance(expr, CompletsIn):
             core_name = str(self._eval(expr.core, env))
-            return list(self.core.admin(core_name, "complets"))
+            return CoreAdmin(self.core, core_name).complets()
         if isinstance(expr, CoreOf):
             value = self._eval(expr.complet, env)
             if isinstance(value, Stub):
                 return self.cluster.locate(value)
             if isinstance(value, str):
-                host = self._find_host(value)
-                if host is None:
-                    raise ScriptRuntimeError(f"no running Core hosts complet {value!r}")
-                return host
+                return self._find_host(value)
             raise ScriptRuntimeError(f"coreOf expects a complet, got {value!r}")
         raise ScriptRuntimeError(f"unknown expression node {expr!r}")
 

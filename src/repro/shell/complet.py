@@ -16,6 +16,7 @@ import shlex
 
 from repro.complet.anchor import Anchor
 from repro.complet.stub import compile_complet
+from repro.core.admin import CoreAdmin
 from repro.errors import FarGoError
 
 
@@ -76,12 +77,12 @@ class ShellComplet_(Anchor):
 
     def _cmd_complets(self, args: list[str]) -> str:
         core_name = args[0] if args else self.core.name
-        listed = self.core.admin(core_name, "complets")
+        listed = CoreAdmin(self.core, core_name).complets()
         return "\n".join(listed) or "(none)"
 
     def _cmd_snapshot(self, args: list[str]) -> str:
         core_name = args[0] if args else self.core.name
-        snap = self.core.admin(core_name, "snapshot")
+        snap = CoreAdmin(self.core, core_name).snapshot()
         complets = ", ".join(c["id"] for c in snap["complets"]) or "(none)"
         return (
             f"core {snap['core']}: {len(snap['complets'])} complets "
@@ -93,11 +94,11 @@ class ShellComplet_(Anchor):
         host = self._find_host(complet_id)
         if host is None:
             return f"error: no reachable Core hosts {complet_id!r}"
-        self.core.admin(host, "move", complet=complet_id, destination=destination)
+        CoreAdmin(self.core, host).move(complet_id, destination)
         return f"moved {complet_id} to {destination}"
 
     def _cmd_refs(self, args: list[str]) -> str:
-        rows = self.core.admin(args[0], "references", complet=args[1])
+        rows = CoreAdmin(self.core, args[0]).references(args[1])
         if not rows:
             return "(none)"
         return "\n".join(
@@ -107,26 +108,22 @@ class ShellComplet_(Anchor):
 
     def _cmd_retype(self, args: list[str]) -> str:
         core_name, complet_id, target_id, type_name = args[:4]
-        self.core.admin(
-            core_name, "retype", complet=complet_id, target=target_id, type=type_name
-        )
+        CoreAdmin(self.core, core_name).retype(complet_id, target_id, type_name)
         return f"{complet_id} -> {target_id} is now {type_name}"
 
     def _cmd_profile(self, args: list[str]) -> str:
         core_name, service = args[0], args[1]
         params = dict(part.split("=", 1) for part in args[2:])
-        value = self.core.admin(
-            core_name, "profile_instant", service=service, params=params
-        )
+        value = CoreAdmin(self.core, core_name).profile_instant(service, **params)
         return f"{service}@{core_name} = {value:g}"
 
     def _cmd_services(self, args: list[str]) -> str:
         core_name = args[0] if args else self.core.name
-        return "\n".join(self.core.admin(core_name, "services"))
+        return "\n".join(CoreAdmin(self.core, core_name).services())
 
     def _cmd_collect(self, args: list[str]) -> str:
         core_name = args[0] if args else self.core.name
-        collected = self.core.admin(core_name, "collect_trackers")
+        collected = CoreAdmin(self.core, core_name).collect_trackers()
         return f"collected {collected} trackers at {core_name}"
 
     def _cmd_goto(self, args: list[str]) -> str:
@@ -140,13 +137,13 @@ class ShellComplet_(Anchor):
 
     def _find_host(self, complet_id: str) -> str | None:
         peer = self.core.peer
-        if complet_id in self.core.admin(self.core.name, "complets"):
+        if complet_id in CoreAdmin(self.core).complets():
             return self.core.name
         for core_name in peer.peers():
             if core_name == self.core.name or not peer.is_peer_up(core_name):
                 continue
             try:
-                if complet_id in self.core.admin(core_name, "complets"):
+                if complet_id in CoreAdmin(self.core, core_name).complets():
                     return core_name
             except FarGoError:
                 continue

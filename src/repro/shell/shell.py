@@ -62,11 +62,10 @@ class FarGoShell:
 
     def __init__(self, cluster: "Cluster", home: str | None = None) -> None:
         self.cluster = cluster
-        home_name = home if home is not None else cluster.core_names()[0]
-        self.core = cluster.core(home_name)
-        self.monitor = LayoutMonitor(cluster, home_name)
+        self.core = cluster.core(home) if home is not None else cluster.seat
+        self.monitor = LayoutMonitor(cluster, self.core.name)
         self.monitor.watch_all()
-        self.engine = ScriptEngine(cluster, home_name)
+        self.engine = ScriptEngine(cluster, self.core.name)
         self._commands: dict[str, Callable[[list[str]], str]] = {
             "cores": self._cmd_cores,
             "complets": self._cmd_complets,
@@ -143,16 +142,17 @@ class FarGoShell:
 
     def _cmd_cores(self, args: list[str]) -> str:
         lines = []
+        running = self.cluster.running_names()
         for name in self.cluster.core_names():
-            core = self.cluster.core(name)
-            state = "up" if core.is_running else "down"
-            lines.append(f"{name:<14} {state:<5} {len(core.repository)} complets")
+            state = "up" if name in running else "down"
+            # A Core of this process keeps its repository when shut down; a child's dies with it.
+            answers = name in running or name in self.cluster.cores
+            hosted = len(self.cluster.complets_at(name)) if answers else 0
+            lines.append(f"{name:<14} {state:<5} {hosted} complets")
         return "\n".join(lines)
 
     def _cmd_complets(self, args: list[str]) -> str:
-        names = args if args else [
-            c.name for c in self.cluster.running_cores()
-        ]
+        names = args if args else self.cluster.running_names()
         lines = []
         for name in names:
             for complet in self.cluster.complets_at(name):
@@ -168,9 +168,7 @@ class FarGoShell:
 
     def _cmd_move(self, args: list[str]) -> str:
         complet_id, destination = args[0], args[1]
-        host = self._host_of(complet_id)
-        if host is None:
-            return f"error: no running Core hosts {complet_id!r}"
+        host = self.cluster.find_host(complet_id)
         self.admin(host).move(complet_id, destination)
         return f"moved {complet_id} from {host} to {destination}"
 
@@ -195,9 +193,7 @@ class FarGoShell:
 
         core_name, service = args[0], args[1]
         params = _parse_params(args[2:])
-        self.core.admin(
-            core_name, "profile_start", service=service, params=params
-        )
+        self.admin(core_name).profile_start(service, **params)
         samples = self.admin(core_name).profile_history(service, **params)
         return f"{service}@{core_name}: {render_sparkline(samples)}"
 
@@ -314,9 +310,7 @@ class FarGoShell:
         """snapshot <complet-id> — checkpoint via the hosting Core's admin
         facade; the bytes are held by the shell for a later ``restore``."""
         complet_id = args[0]
-        host = self._host_of(complet_id)
-        if host is None:
-            return f"error: no running Core hosts {complet_id!r}"
+        host = self.cluster.find_host(complet_id)
         data = self.admin(host).checkpoint(complet_id)
         self._snapshots[complet_id] = data
         return f"snapshot of {complet_id} taken at {host} ({len(data)} bytes)"
@@ -347,10 +341,7 @@ class FarGoShell:
             lines.extend(
                 f"  {t:8.2f}  {desc}" for t, desc in self._injector.log
             )
-        for name in self.cluster.core_names():
-            core = self.cluster.cores[name]
-            if not core.is_running:
-                continue
+        for name in sorted(self.cluster.running_names()):
             try:
                 state = self.admin(name).detector_state()
             except FarGoError:  # crashed or unreachable: nothing to show
@@ -420,14 +411,6 @@ class FarGoShell:
 
     def _cmd_help(self, args: list[str]) -> str:
         return _HELP.strip("\n")
-
-    # -- helpers ---------------------------------------------------------------------------------
-
-    def _host_of(self, complet_id: str) -> str | None:
-        for core in self.cluster.running_cores():
-            if complet_id in self.cluster.complets_at(core.name):
-                return core.name
-        return None
 
 
 def _render_store_backend(snapshot: dict) -> list[str]:

@@ -55,8 +55,7 @@ class MovementTimeline:
 
     def __init__(self, cluster: "Cluster", home: str | None = None) -> None:
         self.cluster = cluster
-        home_name = home if home is not None else cluster.core_names()[0]
-        self.core: Core = cluster.core(home_name)
+        self.core: Core = cluster.core(home) if home is not None else cluster.seat
         self._histories: dict[str, _History] = {}
         self._subscriptions: list[tuple[str, int]] = []
 
@@ -64,11 +63,9 @@ class MovementTimeline:
 
     def watch_all(self) -> None:
         """Subscribe to movement events at every running Core."""
-        for core in self.cluster.running_cores():
+        for name in self.cluster.running_names():
             for event_name in (COMPLET_ARRIVED, COMPLET_DEPARTED):
-                handle = self.core.events.subscribe_remote(
-                    core.name, event_name, self.record
-                )
+                handle = self.core.events.subscribe_remote(name, event_name, self.record)
                 self._subscriptions.append(handle)
 
     def track(self, complet_id: str, type_name: str, core: str, *, since: float | None = None) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.admin import CoreAdmin
 from repro.core.core import Core
 from repro.core.events import (
     COMPLET_ARRIVED,
@@ -39,8 +40,7 @@ class LayoutMonitor:
 
     def __init__(self, cluster: "Cluster", home: str | None = None) -> None:
         self.cluster = cluster
-        home_name = home if home is not None else cluster.core_names()[0]
-        self.core: Core = cluster.core(home_name)
+        self.core: Core = cluster.core(home) if home is not None else cluster.seat
         #: Live feed of observed events, rendered lines in arrival order.
         self.feed: list[str] = []
         self._subscriptions: list[tuple[str, int]] = []
@@ -62,7 +62,7 @@ class LayoutMonitor:
 
     def watch_all(self) -> None:
         """Connect to every running Core of the cluster."""
-        self.connect(*[c.name for c in self.cluster.running_cores()])
+        self.connect(*self.cluster.running_names())
 
     def disconnect(self) -> None:
         for handle in self._subscriptions:
@@ -80,12 +80,8 @@ class LayoutMonitor:
 
     def snapshots(self) -> list[dict]:
         """Admin snapshots of every running Core, in name order."""
-        result = []
-        for name in self.cluster.core_names():
-            if not self.cluster.core(name).is_running:
-                continue
-            result.append(self.core.admin(name, "snapshot"))
-        return result
+        names = sorted(self.cluster.running_names())
+        return [CoreAdmin(self.core, name).snapshot() for name in names]
 
     def render(self) -> str:
         """The main layout panel."""
@@ -98,7 +94,7 @@ class LayoutMonitor:
 
     def references(self, core_name: str, complet_id: str) -> str:
         """The reference-properties panel for one complet."""
-        rows = self.core.admin(core_name, "references", complet=complet_id)
+        rows = CoreAdmin(self.core, core_name).references(complet_id)
         return render_references(complet_id, rows)
 
     def render_links(self) -> str:
@@ -110,7 +106,7 @@ class LayoutMonitor:
         from repro.util.bytesize import human_bytes
 
         transport = self.cluster.transport
-        names = [c.name for c in self.cluster.running_cores()]
+        names = self.cluster.running_names()
         # Configured bandwidth/latency only exist where the backend
         # models links (simnet); elsewhere show observed traffic and
         # live reachability instead of configuration.
@@ -143,16 +139,14 @@ class LayoutMonitor:
 
     def move_complet(self, core_name: str, complet_id: str, destination: str) -> None:
         """Drag-and-drop: move a complet between Cores."""
-        self.core.admin(core_name, "move", complet=complet_id, destination=destination)
+        CoreAdmin(self.core, core_name).move(complet_id, destination)
 
     def retype_reference(
         self, core_name: str, complet_id: str, target_id: str, type_name: str
     ) -> None:
         """Change the relocator of one outgoing reference."""
-        self.core.admin(
-            core_name, "retype", complet=complet_id, target=target_id, type=type_name
-        )
+        CoreAdmin(self.core, core_name).retype(complet_id, target_id, type_name)
 
     def profile(self, core_name: str, service: str, **params) -> float:
         """Read a profiling value of a connected Core (instant interface)."""
-        return self.core.admin(core_name, "profile_instant", service=service, params=params)
+        return CoreAdmin(self.core, core_name).profile_instant(service, **params)

@@ -63,6 +63,11 @@ class TestConstruction:
     def test_seat_is_the_first_core_by_name(self):
         assert Cluster(["b", "a", "c"]).seat.name == "a"
 
+    @pytest.mark.parametrize("value", [True, False, "disk", 0])
+    def test_store_takes_a_backend_name_or_a_store(self, value):
+        with pytest.raises(ConfigurationError, match="store must be"):
+            Cluster(["a"], store=value)
+
 
 class TestTransportInstance:
     """``transport=`` given a Transport: the cluster runs on that transport's clock."""

@@ -11,13 +11,14 @@ surviving deployment repaired so pre-kill references keep working.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import tempfile
 import time
 
 import pytest
 
-from repro.cluster import CoreProcesses, RestartPolicy, Supervisor
+from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
 from repro.recovery import CheckpointStore
 from tests.anchors import Holder, Probe
 
@@ -76,8 +77,6 @@ def deployment():
         checkpoint_interval=CHECKPOINT_INTERVAL,
     ) as procs:
         yield procs, checkpoint_dir
-    import shutil
-
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
 
 
@@ -127,6 +126,36 @@ class TestIdentityPreservingRestart:
             assert histogram.count >= 1
             names = [span.name for span in procs.driver.tracer.spans()]
             assert "supervisor:restart" in names
+
+
+    def test_successor_inherits_the_deployments_tracing(self):
+        """Spans of an invocation the successor serves reach ``cluster.spans()``."""
+        checkpoint_dir = tempfile.mkdtemp(prefix="repro-supervised-")
+        cluster = Cluster(
+            transport=CoreProcesses(
+                ["alpha", "beta"],
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_interval=CHECKPOINT_INTERVAL,
+            ),
+            tracing=True,
+        )
+        try:
+            with Supervisor(cluster.processes) as supervisor:
+                probe = Probe(_core=cluster.seat, _at="alpha")
+                probe.note("pre-kill")
+                wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
+                os.kill(cluster.processes.processes["alpha"].pid, signal.SIGKILL)
+                assert wait_until(
+                    lambda: child_state(supervisor, "alpha")["restarts"] >= 1
+                    and child_state(supervisor, "alpha")["status"] == "running"
+                ), f"alpha never healed: {child_state(supervisor, 'alpha')}"
+                cluster.clear_spans()  # alpha's can only be the successor's anyway
+                probe.note("post-rebirth")
+                served = [span for span in cluster.spans() if span.core == "alpha"]
+                assert any(span.name == "exec:note" for span in served), cluster.spans()
+        finally:
+            cluster.close()
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
 
 
 class TestEscalation:

@@ -21,6 +21,8 @@ from repro import Carrier, Cluster
 from repro.complet.relocators import Pull
 from repro.core.core import Core
 from repro.errors import CoreError, RelocationError
+from repro.shell.shell import FarGoShell
+from repro.viewer.timeline import MovementTimeline
 from tests.anchors import Failing, Holder, Leaf, Probe, Root
 
 BACKENDS = [
@@ -133,6 +135,46 @@ class TestAdministration:
     def test_admin_snapshot_names_the_core_that_answered(self, cluster):
         assert cluster.admin("alpha").snapshot()["core"] == "alpha"
         assert cluster.admin(cluster.seat.name).snapshot()["core"] == cluster.seat.name
+
+
+class TestTools:
+    """Shell, layout monitor, timeline and script engine speak to Cores by name."""
+
+    def test_shell_administers_the_deployment(self, cluster):
+        shell = FarGoShell(cluster)
+        timeline = MovementTimeline(cluster)
+        timeline.watch_all()
+        probe = Probe(_core=cluster.seat, _at="alpha")
+        identity = str(probe._fargo_target_id)
+        timeline.track(identity, "Probe", "alpha")
+
+        listed = shell.execute("cores")
+        assert all(f"{name:<14} up" in listed for name in cluster.core_names())
+        assert f"alpha          {identity}" in shell.execute("complets")
+        assert "completLoad" in shell.execute("services alpha")
+        assert "script active: 1 rules" in shell.execute(
+            'script on completArrived listenAt [beta] do log "arrived" end'
+        )
+
+        assert shell.execute(f"move {identity} beta") == f"moved {identity} from alpha to beta"
+        for _ in range(100):  # a child's events reach the seat in their own time
+            if shell.engine.log and timeline.move_count(identity) and len(shell.monitor.feed) >= 2:
+                break
+            cluster.advance(0.05)
+        assert cluster.locate(probe) == "beta"
+        assert shell.engine.log == ["arrived"]
+        feed = shell.execute("feed")
+        assert "completDeparted" in feed and "completArrived" in feed
+        stays = timeline.residencies(identity)
+        assert [stay.core for stay in stays] == ["alpha", "beta"] and stays[0].until is not None
+
+        hosted = {
+            snapshot["core"]: [row["id"] for row in snapshot["complets"]]
+            for snapshot in shell.monitor.snapshots()
+        }
+        assert list(hosted) == sorted(cluster.running_names())
+        assert identity in hosted["beta"] and identity not in hosted["alpha"]
+        assert identity in shell.execute("layout")
 
 
 def move_realpath_group(backend: str) -> dict:

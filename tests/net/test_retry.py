@@ -162,13 +162,13 @@ class TestCallTimeouts:
     def test_per_kind_timeout_configuration(self, net, pair):
         a, b = pair
         b.register(MessageKind.ADMIN_QUERY, lambda s, p: b"ok")
-        b.register(MessageKind.PROFILE_QUERY, lambda s, p: b"ok")
+        b.register(MessageKind.PROFILE_PROBE, lambda s, p: b"ok")
         net.set_link("a", "b", latency=2.0)
         a.set_timeout(1.0, MessageKind.ADMIN_QUERY)
         with pytest.raises(DeadlineExceededError):
             a.call("b", MessageKind.ADMIN_QUERY, b"")
         # Other kinds keep the (absent) default.
-        assert a.call("b", MessageKind.PROFILE_QUERY, b"") == b"ok"
+        assert a.call("b", MessageKind.PROFILE_PROBE, b"") == b"ok"
 
     def test_default_timeout_with_per_kind_override(self, pair):
         a, _b = pair
