@@ -15,8 +15,6 @@ sanitizer) refuses, typed, for a Core that is not in this process.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
@@ -178,6 +176,8 @@ class Cluster:
             self._store = InMemoryStore()
             self._owns_store = True
         elif store == "file":
+            import tempfile  # with shutil, bz2 and lzma: 0.7 MiB no Core without a file store needs
+
             root = tempfile.mkdtemp(prefix="repro-store-")
             self._store = FileStore(root)
             self._owned_store_dir = root
@@ -670,7 +670,7 @@ class Cluster:
         """Shut every Core down and release the transport(s).
 
         A no-op beyond :meth:`shutdown_all` on the simulated backend;
-        on TCP it closes listener sockets and joins the I/O threads, and
+        on TCP it closes listener sockets and joins the hubs' threads, and
         on ``procs`` it first ends the child processes.
         """
         if self.processes is not None:
@@ -684,6 +684,8 @@ class Cluster:
         if self._store is not None and self._owns_store:
             self._store.close()
         if self._owned_store_dir is not None:
+            import shutil
+
             shutil.rmtree(self._owned_store_dir, ignore_errors=True)
             self._owned_store_dir = None
 

@@ -450,6 +450,9 @@ class _Template:
     """
 
     def __init__(self, command: list[str], env: dict[str, str]) -> None:
+        #: The process that started it: a forked copy of that process holds
+        #: copies of this handle's descriptors and must not speak through them.
+        self.owner = os.getpid()
         self._control, theirs = socket.socketpair()
         with theirs:
             self.process = subprocess.Popen(
@@ -546,15 +549,20 @@ class _Template:
         self._ask({"terminate": pids}, [], timeout + _TERMINATE_GRACE)
 
     def close(self, timeout: float) -> None:
-        """Hang up: the template terminates the children left, reports and exits."""
-        with contextlib.suppress(OSError):
-            self._control.shutdown(socket.SHUT_WR)
-        try:
-            self.process.wait(timeout)
-        except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait()
-        self._reader.join(timeout)
+        """Hang up: the template terminates the children left, reports and exits.
+
+        In a forked copy of the owner only the copies of the descriptors
+        are closed, which tells the owner's template nothing.
+        """
+        if self.owner == os.getpid():
+            with contextlib.suppress(OSError):
+                self._control.shutdown(socket.SHUT_WR)
+            try:
+                self.process.wait(timeout)
+            except subprocess.TimeoutExpired:
+                self.process.kill()
+                self.process.wait()
+            self._reader.join(timeout)
         self._control.close()
         assert self.process.stderr is not None
         self.process.stderr.close()
@@ -570,6 +578,9 @@ def _shared_template() -> _Template:
     """The process's template, started or replaced if need be."""
     global _shared
     with _shared_lock:
+        if _shared is not None and _shared.owner != os.getpid():
+            _shared.close(0.0)  # inherited over a fork: the parent's, which goes on using it
+            _shared = None
         if _shared is not None and _shared.dead:
             logger.warning("starting another template: %s", _shared._gone or "it exited")
             _shared.close(_TERMINATE_GRACE + 1.0)
@@ -767,7 +778,7 @@ class CoreProcesses:
             if driver is not None and driver.is_running:
                 try:
                     # Any positive delay defers the shutdown to the child's
-                    # next serve tick, after its dispatch thread wrote the reply.
+                    # next serve tick, after its serving thread wrote the reply.
                     CoreAdmin(driver, name).shutdown(delay=1e-9)
                 except (CoreError, TransportError):
                     pass

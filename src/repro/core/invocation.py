@@ -226,8 +226,7 @@ class InvocationUnit:
     def _execute_call(
         self, tracker: Tracker, anchor, method: str, args: tuple, kwargs: dict
     ) -> bytes:
-        self._check_invocable(type(anchor), method)
-        attribute = getattr_static(type(anchor), method)
+        attribute = self._check_invocable(type(anchor), method)
         with execution_context(self.core, anchor.complet_id):
             if isinstance(attribute, property):
                 result = getattr(anchor, method)
@@ -243,13 +242,14 @@ class InvocationUnit:
         return self.marshaler.dumps(result)
 
     @staticmethod
-    def _check_invocable(anchor_cls: type, method: str) -> None:
+    def _check_invocable(anchor_cls: type, method: str) -> object:
+        """The class attribute a call of ``method`` reaches, found without running it."""
         if method.startswith("_"):
             raise NoSuchMethodError(
                 f"{anchor_cls.__name__}.{method} is not part of the complet interface"
             )
         try:
-            getattr_static(anchor_cls, method)
+            return getattr_static(anchor_cls, method)
         except AttributeError:
             raise NoSuchMethodError(
                 f"{anchor_cls.__name__} has no method {method!r}"

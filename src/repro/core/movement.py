@@ -266,7 +266,7 @@ class MovementUnit:
     ) -> None:
         if isinstance(target, Stub):
             target_id = stub_target_id(target)
-            host = self.core.references.locate(stub_tracker(target))
+            tracker = stub_tracker(target)
         elif isinstance(target, CompletId):
             tracker = self.core.repository.existing_tracker(target)
             if tracker is None:
@@ -274,13 +274,15 @@ class MovementUnit:
                     f"Core {self.core.name!r} holds no reference to {target}"
                 )
             target_id = target
-            host = self.core.references.locate(tracker)
         else:
             raise CompletError(f"cannot forward a move of {target!r}")
-        if host == destination:
-            return  # the complet is already at the requested destination
+        # No lookup first: the tracker's next hop gets the request, chases
+        # the complet if it has moved on, and does nothing if it is in place.
+        address, _final = self.core.references.first_hop(tracker)
         self.core.peer.request(
-            host, MessageKind.MOVE_REQUEST, self._request_body(target_id, destination, continuation)
+            address.core,
+            MessageKind.MOVE_REQUEST,
+            self._request_body(target_id, destination, continuation),
         )
 
     def _request_body(

@@ -141,16 +141,9 @@ class ReferenceHandler:
         """
         if tracker.is_local:
             return tracker.address
-        if self.core.use_location_registry:
-            registered = self.core.locator.resolve(tracker.target_id)
-            if registered is not None and registered != tracker.address:
-                self.shorten(tracker, registered)
-                return registered
-        if tracker.next_hop is None:
-            raise DanglingReferenceError(
-                f"reference to {tracker.target_id} dangles: target was destroyed"
-            )
-        address = tracker.next_hop
+        address, final = self.first_hop(tracker)
+        if final:
+            return address
         for _ in range(MAX_CHAIN_HOPS):
             state, next_hop = self.core.peer.request(
                 address.core, MessageKind.TRACKER_LOOKUP, address.serial
@@ -175,6 +168,24 @@ class ReferenceHandler:
             f"tracker chain for {tracker.target_id} exceeds {MAX_CHAIN_HOPS} hops; "
             "routing loop suspected"
         )
+
+    def first_hop(self, tracker: Tracker) -> tuple[TrackerAddress, bool]:
+        """Where the chain of a remote ``tracker`` starts, and whether that is its end.
+
+        No message, unless the location registry is enabled: then the
+        home Core is asked, and its answer is final.  A request sent
+        to the first hop is forwarded by a Core the target has left.
+        """
+        if self.core.use_location_registry:
+            registered = self.core.locator.resolve(tracker.target_id)
+            if registered is not None and registered != tracker.address:
+                self.shorten(tracker, registered)
+                return registered, True
+        if tracker.next_hop is None:
+            raise DanglingReferenceError(
+                f"reference to {tracker.target_id} dangles: target was destroyed"
+            )
+        return tracker.next_hop, False
 
     def shorten(self, tracker: Tracker, final: TrackerAddress) -> None:
         """Point ``tracker`` directly at ``final`` (§3.1 chain shortening).

@@ -8,27 +8,42 @@ the RPC payload bytes (struct-framed INVOKE, 1-byte status-prefix
 replies) passed through untouched, so application-level encoding is
 byte-identical with the simulated backend.
 
-Threading model — who writes, who reads, who runs handlers:
+Threading model — a connection carries one call at a time, as an RMI
+connection does, so a round trip wakes its two endpoints and no other
+thread (docs/TRANSPORT.md has the measurements and the dead ends):
 
-- The **calling thread** of :meth:`TcpTransport.send` / ``post`` writes
-  its own frame to the cached per-peer socket (under that connection's
-  write lock) and then sleeps on a lock until its reply arrives — the
-  RMI-style blocking call the RPC layer expects.
-- **One I/O thread per hub** (``fargo-tcp-io``) runs a ``selectors``
-  loop that only accepts and reads.  A REPLY/ERROR frame releases the
-  caller waiting under its request id; a REQUEST/ONEWAY frame is handed
-  to the dispatch pool.  Handlers never run here: a re-entrant chain
-  A→B→A→B shares one connection per direction, so a handler blocked on a
-  nested call would stop the very thread that must read its reply.
-- A **dispatch thread** (``fargo-tcp-dispatch``) runs the node handler —
-  and any nested synchronous calls it makes back across the network —
-  and writes the reply itself.
-
-A round trip therefore wakes two threads besides the two endpoints
-(receiver's I/O thread → dispatch thread, sender's I/O thread →
-caller).  The sockets are non-blocking underneath so that every write
-and wait can honour the caller's deadline; only the I/O thread ever
-touches the selector.
+- **Who connects, writes and reads.**  The thread that calls
+  :meth:`TcpTransport.send` / ``post`` checks a connection out of the
+  destination's idle pool (the one returned last, first) or connects,
+  inside its own deadline.  The connection is then that thread's alone:
+  it writes its frame and, for ``send``, reads its own reply until the
+  deadline.  The one frame that may arrive is the REPLY or ERROR with its
+  request id; anything else closes the connection and is a
+  :class:`~repro.errors.CoreUnreachableError`.  After the call the
+  connection returns to the pool, which keeps :data:`_IDLE_CAP` per peer.
+- **What a timeout does.**  A connection whose call ran out of time, lost
+  its peer or was written in part is closed, never reused: the late reply
+  dies with the socket.  An *idle* connection whose peer hung up (a
+  restarted child) is found at check-out by one zero-timeout poll and
+  replaced unseen; :meth:`add_peer` drops the peer's idle connections.
+- **Who runs handlers.**  Each accepted connection has one serving thread
+  (``fargo-tcp-conn``) that blocks in ``recv_into``, runs a REQUEST
+  through the node handler *itself* and writes the reply.  A handler
+  that calls back (A→B→A→B) finds A→B checked out and opens a second
+  connection, with a serving thread of its own: re-entrancy needs no more.
+- **Why ONEWAY frames alone change threads.**  Their sender returned the
+  connection once the frame was written, so the next frame may arrive
+  while the handler runs, and a handler that calls its sender back would
+  block the thread that has to read that call.  They are queued for
+  ``fargo-tcp-dispatch`` threads; one more starts when more frames are
+  outstanding than there are threads, up to ``max_dispatch_threads``.
+- **Who accepts and who closes.**  One I/O thread per hub
+  (``fargo-tcp-io``) accepts, starts serving threads and runs control
+  calls; it reads no connection and runs no handler.  A connection is
+  closed by its owner: a caller its failed one, a serving thread its own
+  when the peer hangs up, the hub the idle ones.  :meth:`TcpTransport.close`
+  shuts every socket down, which wakes every serving thread and every
+  caller blocked on a reply, and joins the hub's threads.
 
 Failure semantics mirror the simulated network's types: a refused or
 lost connection raises :class:`~repro.errors.CoreUnreachableError`, a
@@ -47,12 +62,13 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import queue
+import select
 import selectors
 import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -91,8 +107,11 @@ Address = tuple[str, int]
 #: established; real-time sleeps on the calling thread, inside its deadline.
 DEFAULT_RECONNECT = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0, max_delay=0.5)
 
-#: Size of the I/O thread's one receive buffer.
-_READ_CHUNK = 1 << 18
+#: Size of each connection's receive buffer; a bulk frame bypasses it.
+_READ_CHUNK = 1 << 16
+
+#: Most idle connections kept per peer; one returned beyond it is closed.
+_IDLE_CAP = 8
 
 _LISTEN_BACKLOG = 100
 
@@ -100,38 +119,27 @@ _LISTEN_BACKLOG = 100
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
-class _Waiter:
-    """A caller asleep on its reply: a held lock that the settler releases."""
-
-    __slots__ = ("lock", "frame", "error")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.lock.acquire()
-        self.frame: framing.Frame | None = None
-        self.error: BaseException | None = None
-
-
 class _Connection:
-    """One established socket, outgoing or accepted.
+    """One established socket, outgoing or accepted, owned by one thread at a time.
 
-    Any thread may write a whole frame under ``write_lock``; only the I/O
-    thread reads, feeds ``decoder`` and closes the socket.  On an
-    outgoing connection many blocked senders share the socket, matched
-    to their replies by request id in ``pending``.
+    Only the owner — the caller that checked it out, or an accepted one's
+    serving thread — writes, reads and closes it; any thread may
+    :meth:`abort` it to wake the owner.  Reads block; writes pass
+    ``MSG_DONTWAIT`` and wait for room themselves, to honour a deadline.
     """
 
-    __slots__ = ("sock", "peer", "write_lock", "decoder", "pending", "closed")
+    __slots__ = ("sock", "peer", "address", "decoder", "buffer", "poller")
 
-    def __init__(self, sock: socket.socket, peer: str) -> None:
+    def __init__(self, sock: socket.socket, peer: str, address: Address | None = None) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.setblocking(False)
+        sock.settimeout(None)
         self.sock = sock
         self.peer = peer
-        self.write_lock = threading.Lock()
+        self.address = address  # what an outgoing connection connected to
         self.decoder = framing.FrameDecoder()
-        self.pending: dict[int, _Waiter] = {}
-        self.closed = False
+        self.buffer = memoryview(bytearray(_READ_CHUNK))
+        self.poller = select.poll()
+        self.poller.register(sock, select.POLLIN)
 
     def write(self, data: bytes | list[bytes], deadline: float) -> None:
         """Put one whole frame on the wire by ``deadline``.
@@ -139,32 +147,30 @@ class _Connection:
         ``data`` is what :mod:`repro.net.framing` encoded: one ``bytes``,
         or the buffers of a frame, which are gathered, not joined.
         Raises :class:`TimeoutError` past the deadline and ``OSError`` on
-        a dead socket.  A frame written in part poisons the stream, so
-        either failure aborts the connection.
+        a dead socket; either way the stream is poisoned by half a frame.
         """
-        if not self.write_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
-            raise TimeoutError("write lock not free by the deadline")
-        try:
-            if isinstance(data, bytes):  # the usual frame: one send, no list to build
-                try:
-                    sent = self.sock.send(data)
-                except BlockingIOError:
-                    sent = 0
-                rest = [memoryview(data)[sent:]] if sent < len(data) else None
-            else:
-                rest = self._gather(data)
-            if rest:
-                self._write_rest(rest, deadline)
-        except OSError:
-            self.abort()
-            raise
-        finally:
-            self.write_lock.release()
+        if isinstance(data, bytes):  # the usual frame: one send, no list to build
+            try:
+                sent = self.sock.send(data, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                sent = 0
+            rest = [memoryview(data)[sent:]] if sent < len(data) else None
+        else:
+            rest = self._gather(data)
+        if not rest:
+            return
+        writable = select.poll()  # the send buffer is full: wait for room
+        writable.register(self.sock, select.POLLOUT)
+        while rest:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0 or not writable.poll(remaining * 1000.0):
+                raise TimeoutError("peer did not drain the socket by the deadline")
+            rest = self._gather(rest)
 
     def _gather(self, buffers: list) -> list:
         """One non-blocking gather write; what of ``buffers`` is still to go."""
         try:
-            sent = self.sock.sendmsg(buffers[:_IOV_MAX])
+            sent = self.sock.sendmsg(buffers[:_IOV_MAX], (), socket.MSG_DONTWAIT)
         except BlockingIOError:
             return buffers
         for index, buffer in enumerate(buffers):
@@ -173,65 +179,42 @@ class _Connection:
             sent -= len(buffer)
         return []
 
-    def _write_rest(self, rest: list, deadline: float) -> None:
-        """The send buffer is full: wait for room, never past ``deadline``."""
-        with selectors.DefaultSelector() as writable:
-            writable.register(self.sock, selectors.EVENT_WRITE)
-            while rest:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0 or not writable.select(remaining):
-                    raise TimeoutError("peer did not drain the socket by the deadline")
-                rest = self._gather(rest)
+    def receive(self) -> list[framing.Frame]:
+        """Block in one ``recv_into`` (a bulk frame's rest lands in ``FrameDecoder.tail()``,
+        where it stays); the frames it completed.  ``OSError`` at the end of the stream."""
+        decoder = self.decoder
+        tail = decoder.tail()
+        count = self.sock.recv_into(self.buffer if tail is None else tail)
+        if not count:
+            raise ConnectionResetError(f"connection to {self.peer!r} lost")
+        return decoder.feed(self.buffer[:count]) if tail is None else decoder.landed(count)
 
-    def request(
-        self, request_id: int, data: bytes | list[bytes], deadline: float
-    ) -> framing.Frame:
-        """Write a REQUEST frame and sleep until its reply or ``deadline``."""
-        waiter = self.pending[request_id] = _Waiter()
-        try:
-            if self.closed:  # torn down before the waiter was visible to fail()
-                raise ConnectionResetError(f"connection to {self.peer!r} lost")
-            self.write(data, deadline)
-            if not waiter.lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
-                if self.pending.pop(request_id, None) is not None:
-                    raise TimeoutError("no reply by the deadline")
-                waiter.lock.acquire()  # settled between the timeout and the pop
-        finally:
-            self.pending.pop(request_id, None)
-        if waiter.error is not None:
-            raise waiter.error
-        assert waiter.frame is not None
-        return waiter.frame
-
-    def settle(self, frame: framing.Frame) -> None:
-        """Hand a REPLY/ERROR frame to the caller waiting for it, if any."""
-        waiter = self.pending.pop(frame.request_id, None)
-        if waiter is not None:
-            waiter.frame = frame
-            waiter.lock.release()
-
-    def fail(self, error: BaseException) -> None:
-        """Mark closed and wake every waiting caller with ``error``."""
-        self.closed = True
-        while self.pending:
+    def read_reply(self, request_id: int, deadline: float) -> framing.Frame:
+        """The reply to ``request_id``, the one frame that may arrive now: :class:`TimeoutError`
+        past ``deadline``, ``OSError`` when the stream ends, does not decode or carries more."""
+        frames: list[framing.Frame] = []
+        while not frames:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0 or not self.poller.poll(remaining * 1000.0):
+                raise TimeoutError("no reply by the deadline")
             try:
-                _request_id, waiter = self.pending.popitem()
-            except KeyError:  # a timed-out caller took the last one
-                break
-            waiter.error = error
-            waiter.lock.release()
+                frames = self.receive()
+            except framing.FramingError as exc:
+                raise ConnectionAbortedError(f"undecodable reply from {self.peer!r}") from exc
+        frame = frames[0]
+        due = frame.request_id == request_id and frame.type in (framing.REPLY, framing.ERROR)
+        if len(frames) > 1 or not due:
+            raise ConnectionAbortedError(
+                f"{self.peer!r} sent {len(frames)} frame(s) where the reply to {request_id} was due"
+            )
+        return frame
 
     def abort(self) -> None:
-        """Give the connection up from any thread.
-
-        Shutting the socket down makes it readable, so the I/O thread —
-        which alone may unregister and close it — tears it down next.
-        """
-        self.closed = True
+        """Wake the owner from any thread: its read ends, and it closes the socket."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # closed already, or never connected
 
 
 class TcpTransport(Transport):
@@ -277,14 +260,18 @@ class TcpTransport(Transport):
         self._stats_lock = threading.Lock()
         self._request_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
-        self._connections: dict[str, _Connection] = {}
-        self._connect_locks: dict[str, threading.Lock] = {}
         self._closed = False
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_dispatch_threads, thread_name_prefix="fargo-tcp-dispatch"
-        )
+        # Connections, hub threads and the ONEWAY load change hands under _lock.
+        self._lock = threading.Lock()
+        self._idle: dict[str, list[_Connection]] = {}
+        self._live: set[_Connection] = set()
+        self._threads: set[threading.Thread] = set()
+        self._oneway: queue.SimpleQueue = queue.SimpleQueue()
+        self._oneway_load = 0  # ONEWAY frames queued or running
+        self._dispatchers = 0
+        self._max_dispatch_threads = max_dispatch_threads
         # The selector belongs to the I/O thread.  Other threads ask it
-        # to watch or drop a socket through _io_calls and the wake pair.
+        # to watch or drop a listener through _io_calls and the wake pair.
         self._selector = selectors.DefaultSelector()
         self._io_calls: deque[tuple] = deque()
         self._io_calls_lock = threading.Lock()
@@ -292,12 +279,10 @@ class TcpTransport(Transport):
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
         self._selector.register(self._wake_recv, selectors.EVENT_READ, None)
-        self._io_thread = threading.Thread(
-            target=self._io_loop, name="fargo-tcp-io", daemon=True
-        )
+        self._io_thread = threading.Thread(target=self._io_loop, name="fargo-tcp-io", daemon=True)
         self._io_thread.start()
 
-    # -- the I/O thread: accept and read, nothing else -----------------------
+    # -- the I/O thread: accept, nothing else ----------------------------------
 
     def _io_call(self, function, *args) -> None:
         """Have the I/O thread run ``function(*args)`` (control path only)."""
@@ -308,35 +293,27 @@ class TcpTransport(Transport):
             self._wake()
 
     def _wake(self) -> None:
-        """Make the selector return; call with ``_io_calls_lock`` held.
-
-        close() takes the same lock before it lets go of the wake pair,
-        so no wake-up is ever sent into a closed socket.
-        """
+        """Make the selector return; call with ``_io_calls_lock`` held: close() takes it
+        before it lets go of the wake pair, so no wake-up is sent into a closed socket."""
         try:
             self._wake_send.send(b"\0")
         except BlockingIOError:
             pass  # enough wake-ups are already queued
 
     def _io_loop(self) -> None:
-        selector = self._selector
-        buffer = memoryview(bytearray(_READ_CHUNK))
         while not self._closed or self._io_calls:
-            for key, _events in selector.select():
-                target = key.data
+            for key, _events in self._selector.select():
                 try:
-                    if target is None:
+                    if key.data is None:
                         self._run_io_calls()
-                    elif isinstance(target, _Connection):
-                        self._read_ready(target, buffer)
                     else:
-                        self._accept_ready(key.fileobj, target)
+                        self._accept_ready(key.fileobj, key.data)
                 except Exception:  # noqa: BLE001 - the hub is deaf without this thread
-                    logger.exception("TcpTransport I/O thread: event on %r failed", target)
-        selector.unregister(self._wake_recv)  # close() owns the wake pair
-        for key in list(selector.get_map().values()):
+                    logger.exception("TcpTransport I/O thread: event on %r failed", key.data)
+        self._selector.unregister(self._wake_recv)  # close() owns the wake pair
+        for key in list(self._selector.get_map().values()):
             self._drop(key.fileobj)
-        selector.close()
+        self._selector.close()
 
     def _run_io_calls(self) -> None:
         try:
@@ -347,50 +324,88 @@ class TcpTransport(Transport):
             function, args = self._io_calls.popleft()
             function(*args)
 
-    def _watch(self, sock: socket.socket, target) -> None:
-        """Start reading ``sock``: a :class:`_Connection`, or a listener's node name."""
-        self._selector.register(sock, selectors.EVENT_READ, target)
-
-    def _drop(self, sock: socket.socket) -> None:
-        """Stop watching ``sock`` and close it, failing whoever waits on it."""
+    def _drop(self, listener: socket.socket) -> None:
+        """Stop watching ``listener`` and close it."""
         try:
-            key = self._selector.unregister(sock)
+            self._selector.unregister(listener)
         except (KeyError, ValueError):
             return  # never watched, or dropped already
-        sock.close()
-        if isinstance(key.data, _Connection):
-            key.data.fail(ConnectionResetError(f"connection to {key.data.peer!r} lost"))
+        listener.close()
 
     def _accept_ready(self, listener: socket.socket, name: str) -> None:
         try:
             sock, address = listener.accept()
         except OSError:
             return  # the connecting peer gave up first
-        self._watch(sock, _Connection(sock, f"{address[0]}:{address[1]} (calling {name!r})"))
+        connection = _Connection(sock, f"{address[0]}:{address[1]} (calling {name!r})")
+        if self._adopt(connection) and not self._start_thread(
+            "fargo-tcp-conn", self._serve, connection
+        ):
+            self._discard(connection)  # closing: the connecting peer sees the end of the stream
 
-    def _read_ready(self, connection: _Connection, buffer: memoryview) -> None:
-        decoder = connection.decoder
-        tail = decoder.tail()  # of a bulk frame: the bytes land where they stay
+    # -- connections and the threads that own them ----------------------------
+
+    def _adopt(self, connection: _Connection) -> bool:
+        """Count ``connection`` among those :meth:`close` shuts down; closes it once closed."""
+        with self._lock:
+            if not self._closed:
+                self._live.add(connection)
+                return True
+        connection.sock.close()
+        return False
+
+    def _discard(self, connection: _Connection) -> None:
+        """Close a connection its owner is done with; it is never used again."""
+        with self._lock:
+            self._live.discard(connection)
+        connection.sock.close()
+
+    def _start_thread(self, name: str, target, *args) -> bool:
+        """Start a daemon thread that :meth:`close` joins; False once closed."""
+        thread = threading.Thread(target=target, args=args, name=name, daemon=True)
+        with self._lock:
+            if self._closed:
+                return False
+            self._threads.add(thread)
+            thread.start()  # under the lock: close() joins only started threads
+        return True
+
+    def _serve(self, connection: _Connection) -> None:
+        """Serving thread of one accepted connection: read a frame, run it, reply."""
         try:
-            count = connection.sock.recv_into(buffer if tail is None else tail)
-        except BlockingIOError:
-            return
-        except OSError:
-            count = 0
-        if count and not connection.closed:
-            try:
-                frames = decoder.feed(buffer[:count]) if tail is None else decoder.landed(count)
-            except framing.FramingError:
-                logger.warning("undecodable stream from peer; dropping connection",
-                               exc_info=True)
-            else:
-                for frame in frames:
-                    if frame.type in (framing.REPLY, framing.ERROR):
-                        connection.settle(frame)
+            while True:
+                for frame in connection.receive():
+                    if frame.type == framing.REQUEST:
+                        self._dispatch_frame(frame, connection)
+                    elif frame.type == framing.ONEWAY:
+                        self._submit_oneway(frame, connection)
                     else:
-                        self._executor.submit(self._dispatch_frame, frame, connection)
-                return
-        self._drop(connection.sock)
+                        raise framing.FramingError(f"frame of type {frame.type} at a listener")
+        except framing.FramingError:
+            logger.warning("undecodable stream from %s", connection.peer, exc_info=True)
+        except OSError:
+            pass  # the peer hung up, or close() shut the socket down
+        finally:
+            self._discard(connection)
+            with self._lock:
+                self._threads.discard(threading.current_thread())
+
+    def _submit_oneway(self, frame: framing.Frame, connection: _Connection) -> None:
+        """Queue a ONEWAY frame; start a dispatch thread if none is free for it."""
+        with self._lock:
+            self._oneway_load += 1
+            spawn = self._dispatchers < min(self._oneway_load, self._max_dispatch_threads)
+            if spawn:
+                self._dispatchers += 1
+        self._oneway.put((frame, connection))
+        if spawn:
+            self._start_thread("fargo-tcp-dispatch", self._dispatch_loop)
+
+    def _dispatch_loop(self) -> None:
+        while (item := self._oneway.get()) is not None:
+            self._dispatch_frame(*item)
+            with self._lock:
+                self._oneway_load -= 1
 
     # -- attachment ----------------------------------------------------------
 
@@ -408,7 +423,7 @@ class TcpTransport(Transport):
         )
         listener.setblocking(False)
         try:
-            self._io_call(self._watch, listener, name)
+            self._io_call(self._selector.register, listener, selectors.EVENT_READ, name)
         except TransportError:
             listener.close()
             raise
@@ -435,8 +450,11 @@ class TcpTransport(Transport):
     def add_peer(self, name: str, address: Address) -> None:
         """Record (or update) the address of a remote node."""
         self._peers[name] = (address[0], int(address[1]))
-        # A re-announced peer may have restarted: drop any stale connection.
-        self._invalidate(name)
+        # A re-announced peer may have restarted: drop its idle connections.
+        with self._lock:
+            stale = self._idle.pop(name, ())
+        for connection in stale:
+            self._discard(connection)
 
     def local_address(self, name: str) -> Address:
         """The (host, port) a registered local node is listening on."""
@@ -482,11 +500,6 @@ class TcpTransport(Transport):
                 )
         return None
 
-    def _check(self, src: str, dst: str) -> None:
-        error = self._refusal(src, dst)
-        if error is not None:
-            raise error
-
     # -- accounting ----------------------------------------------------------
 
     def link_stats(self, src: str, dst: str) -> LinkStats:
@@ -502,28 +515,24 @@ class TcpTransport(Transport):
             return 0.0
         return self._latency.get((src, dst), 0.0)
 
-    def _charge(self, src: str, dst: str, kind, nbytes: int, seconds: float) -> None:
+    def _charge(self, *messages: tuple) -> None:
+        """Account each ``(src, dst, kind, nbytes, seconds)`` under one hold of the lock."""
         with self._stats_lock:
-            self.stats.record(kind, nbytes, seconds)
-            if src != dst:
-                self.link_stats(src, dst).record(nbytes, seconds)
+            for src, dst, kind, nbytes, seconds in messages:
+                self.stats.record(kind, nbytes, seconds)
+                if src != dst:
+                    self.link_stats(src, dst).record(nbytes, seconds)
 
     # -- delivery: sending side ----------------------------------------------
 
     def send(self, envelope: Envelope, timeout: float | None = None) -> bytes:
-        """Request/reply over the socket; blocks the calling thread."""
-        self._check(envelope.src, envelope.dst)
-        self._sleep_injected_latency(envelope.src, envelope.dst)
-        envelope.msg_id = next(self._msg_ids)
-        self.trace.append(envelope)
-        request_id = next(self._request_ids)
-        data = framing.encode_request(envelope, request_id)
-        limit = self._effective_timeout(timeout)
+        """Request/reply over one connection; blocks the calling thread."""
+        request_id, data = self._admit(envelope)
+        limit = self._request_timeout if timeout in (None, float("inf")) else timeout
         started = time.monotonic()
-        deadline = started + limit
         dst = envelope.dst
         try:
-            frame = self._acquire(dst, deadline).request(request_id, data, deadline)
+            frame = self._carry(dst, data, started + limit, request_id)
         except TimeoutError:
             raise DeadlineExceededError(
                 f"{envelope.kind.value!r} call from {envelope.src!r} to "
@@ -533,45 +542,52 @@ class TcpTransport(Transport):
             raise CoreUnreachableError(
                 f"connection to node {dst!r} failed mid-request: {exc!r}"
             ) from exc
-        elapsed = time.monotonic() - started
-        self._charge(envelope.src, dst, envelope.kind, len(envelope.payload), elapsed)
+        request = (envelope.src, dst, envelope.kind, len(envelope.payload),
+                   time.monotonic() - started)
         if frame.type == framing.ERROR:
+            self._charge(request)
             raise self._remote_refusal(dst, frame)
-        self._charge(dst, envelope.src, envelope.kind, len(frame.payload), 0.0)
+        self._charge(request, (dst, envelope.src, envelope.kind, len(frame.payload), 0.0))
         # A bulk reply arrives as a view; callers of send() are promised bytes.
         return bytes(frame.payload)
 
     def post(self, envelope: Envelope) -> None:
         """Fire-and-forget: blocks only until the frame is on the wire."""
-        self._check(envelope.src, envelope.dst)
-        self._sleep_injected_latency(envelope.src, envelope.dst)
-        envelope.msg_id = next(self._msg_ids)
-        self.trace.append(envelope)
-        request_id = next(self._request_ids)
-        data = framing.encode_request(envelope, request_id, oneway=True)
+        _request_id, data = self._admit(envelope, oneway=True)
         started = time.monotonic()
-        deadline = started + self._request_timeout
         try:
-            self._acquire(envelope.dst, deadline).write(data, deadline)
+            self._carry(envelope.dst, data, started + self._request_timeout)
         except OSError as exc:  # a TimeoutError too: nothing was delivered
             raise CoreUnreachableError(
                 f"connection to node {envelope.dst!r} failed while posting: {exc!r}"
             ) from exc
-        self._charge(
-            envelope.src, envelope.dst, envelope.kind,
-            len(envelope.payload), time.monotonic() - started,
-        )
+        self._charge((envelope.src, envelope.dst, envelope.kind, len(envelope.payload),
+                      time.monotonic() - started))
 
-    def _effective_timeout(self, timeout: float | None) -> float:
-        """The per-request wall-clock budget; the backstop bounds hangs."""
-        if timeout is None or timeout == float("inf"):
-            return self._request_timeout
-        return timeout
-
-    def _sleep_injected_latency(self, src: str, dst: str) -> None:
-        delay = self._latency.get((src, dst), 0.0)
+    def _admit(self, envelope: Envelope, oneway: bool = False) -> tuple[int, bytes | list[bytes]]:
+        """Refuse, typed, what cannot be delivered; else delay, trace and frame the envelope."""
+        error = self._refusal(envelope.src, envelope.dst)
+        if error is not None:
+            raise error
+        delay = self._latency.get((envelope.src, envelope.dst), 0.0)
         if delay > 0.0:
             time.sleep(delay)
+        envelope.msg_id = next(self._msg_ids)
+        self.trace.append(envelope)
+        request_id = next(self._request_ids)
+        return request_id, framing.encode_request(envelope, request_id, oneway=oneway)
+
+    def _carry(self, dst: str, data, deadline: float, request_id: int | None = None):
+        """One call on a connection of its own: write, and read the reply to ``request_id``."""
+        connection = self._checkout(dst, deadline)
+        try:
+            connection.write(data, deadline)
+            frame = None if request_id is None else connection.read_reply(request_id, deadline)
+        except BaseException:
+            self._discard(connection)  # its stream is of no use to the next call
+            raise
+        self._checkin(connection)
+        return frame
 
     @staticmethod
     def _remote_refusal(dst: str, frame: framing.Frame) -> BaseException:
@@ -580,68 +596,66 @@ class TcpTransport(Transport):
             return error
         return TransportError(f"transport-level failure at {dst!r}: {error!r}")
 
-    def _acquire(self, dst: str, deadline: float, attempts: int | None = None) -> _Connection:
-        """Cached connection to ``dst``, (re)connecting inside ``deadline``.
+    def _checkout(self, dst: str, deadline: float, attempts: int | None = None) -> _Connection:
+        """A connection to ``dst`` for this thread alone, until :meth:`_checkin`.
 
-        Raises :class:`TimeoutError` when the deadline passes first and
-        :class:`~repro.errors.CoreUnreachableError` when ``attempts``
-        connects (default: the reconnect policy's) all failed.  The
-        per-peer lock makes concurrent callers share one new connection;
-        it is free during the back-off sleeps.
+        The idle one returned last, if its peer has not hung up on it; else a new
+        one.  Raises :class:`TimeoutError` when ``deadline`` passes first and
+        :class:`~repro.errors.CoreUnreachableError` when ``attempts`` connects
+        (default: the reconnect policy's) all failed.
         """
-        connection = self._connections.get(dst)
-        if connection is not None and not connection.closed:
-            return connection
-        lock = self._connect_locks.setdefault(dst, threading.Lock())
+        while True:
+            with self._lock:
+                pool = self._idle.get(dst)
+                connection = pool.pop() if pool else None
+            if connection is None:
+                break
+            if not connection.poller.poll(0):  # open, and nothing to read: fit for a call
+                return connection
+            self._discard(connection)  # the peer restarted, or sent what nobody asked for
         attempts = attempts or self._reconnect.max_attempts
         attempt = 1
         while True:
-            if not lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
-                raise TimeoutError("connect lock not free by the deadline")
+            if self._closed:
+                raise TransportError("transport is closed")
+            address = self._peers.get(dst)
+            if address is None:
+                raise CoreUnreachableError(f"node {dst!r} is not on the network")
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                raise TimeoutError("not connected by the deadline")
             try:
-                connection = self._connections.get(dst)
-                if connection is not None and not connection.closed:
-                    return connection  # connected by whoever held the lock
-                if self._closed:
+                timeout = min(self._connect_timeout, remaining)
+                sock = socket.create_connection(address, timeout=timeout)
+            except OSError as exc:
+                if attempt >= attempts:
+                    raise CoreUnreachableError(
+                        f"cannot connect to node {dst!r} at "
+                        f"{address[0]}:{address[1]} after {attempt} attempts: {exc!r}"
+                    ) from exc
+            else:
+                connection = _Connection(sock, dst, address)
+                if not self._adopt(connection):
                     raise TransportError("transport is closed")
-                address = self._peers.get(dst)
-                if address is None:
-                    raise CoreUnreachableError(f"node {dst!r} is not on the network")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    raise TimeoutError("not connected by the deadline")
-                try:
-                    sock = socket.create_connection(
-                        address, timeout=min(self._connect_timeout, remaining)
-                    )
-                except OSError as exc:
-                    if attempt >= attempts:
-                        raise CoreUnreachableError(
-                            f"cannot connect to node {dst!r} at "
-                            f"{address[0]}:{address[1]} after {attempt} attempts: {exc!r}"
-                        ) from exc
-                else:
-                    connection = _Connection(sock, dst)
-                    try:
-                        self._io_call(self._watch, sock, connection)
-                    except TransportError:
-                        sock.close()
-                        raise
-                    self._connections[dst] = connection
-                    return connection
-            finally:
-                lock.release()
+                return connection
             backoff = self._reconnect.backoff(attempt)
             time.sleep(max(0.0, min(backoff, deadline - time.monotonic())))
             attempt += 1
 
-    def _invalidate(self, dst: str) -> None:
-        connection = self._connections.pop(dst, None)
-        if connection is not None:
-            connection.abort()
+    def _checkin(self, connection: _Connection) -> None:
+        """Return a connection whose call completed; the next caller takes it first."""
+        with self._lock:
+            pool = self._idle.setdefault(connection.peer, [])
+            # Not once closed, beyond the cap, or when the peer was re-announced elsewhere.
+            keep = (not self._closed and len(pool) < _IDLE_CAP
+                    and self._peers.get(connection.peer) == connection.address)
+            if keep:
+                pool.append(connection)
+        if not keep:
+            self._discard(connection)
 
     def probe(self, dst: str, timeout: float | None = None) -> bool:
-        """Reuse the connection to ``dst``, or try once to establish it.
+        """Reuse an idle connection to ``dst``, or try once to establish one.
 
         Readiness and liveness check: True once the peer's listener
         accepts.  One connect attempt, no back-off — callers bring their
@@ -649,7 +663,7 @@ class TcpTransport(Transport):
         """
         deadline = time.monotonic() + (timeout or self._connect_timeout)
         try:
-            self._acquire(dst, deadline, attempts=1)
+            self._checkin(self._checkout(dst, deadline, attempts=1))
         except (CoreError, TransportError, OSError):
             return False
         return True
@@ -657,59 +671,43 @@ class TcpTransport(Transport):
     # -- delivery: receiving side --------------------------------------------
 
     def _dispatch_frame(self, frame: framing.Frame, connection: _Connection) -> None:
-        """Run one incoming frame through its node handler (dispatch thread)."""
+        """Run one incoming frame through its node handler and write the reply: on the
+        connection's serving thread for a REQUEST, on a dispatch thread for a ONEWAY."""
         oneway = frame.type == framing.ONEWAY
-
-        def respond(data: bytes | list[bytes]) -> None:
+        error = self._refusal(frame.src, frame.dst)
+        handler = self._handlers.get(frame.dst)
+        if error is None and handler is None:
+            error = CoreUnreachableError(f"node {frame.dst!r} is not served by this transport")
+        try:
+            if error is not None:
+                raise error
+            envelope = frame.to_envelope()
+            envelope.msg_id = next(self._msg_ids)
+            self.trace.append(envelope)
+            reply = handler(envelope)
             if oneway:
                 return
-            try:
-                # No caller's deadline is known here; the hub's backstop
-                # keeps a peer that stopped reading from pinning the pool.
-                connection.write(data, time.monotonic() + self._request_timeout)
-            except OSError:
-                logger.debug("reply to %s could not be written", connection.peer,
-                             exc_info=True)
-
-        error = self._refusal(frame.src, frame.dst)
-        if error is None and frame.dst not in self._handlers:
-            error = CoreUnreachableError(
-                f"node {frame.dst!r} is not served by this transport"
-            )
-        if error is not None:
-            respond(framing.encode_error(frame.request_id, error))
-            return
-        envelope = frame.to_envelope()
-        envelope.msg_id = next(self._msg_ids)
-        self.trace.append(envelope)
-        handler = self._handlers[frame.dst]
-        try:
-            reply = handler(envelope)
+            if not isinstance(reply, (bytes, memoryview)):  # a view: part of a bulk request
+                raise TransportError(
+                    f"handler at {frame.dst!r} returned {type(reply).__name__}, expected bytes"
+                )
+            data = framing.encode_reply(frame.request_id, reply)  # too large: FramingError, typed
         except BaseException as exc:  # noqa: BLE001 - crossing by value
             # Node handlers (RpcEndpoint._dispatch) serialize their own
             # failures; anything escaping is a transport-level fault.
             if oneway:
-                logger.warning("one-way %s handler at %r failed",
-                               frame.kind, frame.dst, exc_info=True)
+                if error is None:
+                    logger.warning("one-way %s handler at %r failed", frame.kind, frame.dst,
+                                   exc_info=True)
                 return
-            respond(framing.encode_error(frame.request_id, exc))
-            return
-        if oneway:
-            return
-        if not isinstance(reply, (bytes, memoryview)):  # a view: part of a bulk request
-            respond(framing.encode_error(
-                frame.request_id,
-                TransportError(
-                    f"handler at {frame.dst!r} returned "
-                    f"{type(reply).__name__}, expected bytes"
-                ),
-            ))
-            return
-        try:
-            data = framing.encode_reply(frame.request_id, reply)
-        except framing.FramingError as exc:  # too large to frame: say so, typed
             data = framing.encode_error(frame.request_id, exc)
-        respond(data)
+        try:
+            # No caller's deadline is known here; the hub's backstop keeps a
+            # peer that stopped reading from pinning the thread.
+            connection.write(data, time.monotonic() + self._request_timeout)
+        except OSError:
+            connection.abort()  # the serving thread's next read ends, and it closes
+            logger.debug("reply to %s could not be written", connection.peer, exc_info=True)
 
     # -- chaos hooks -----------------------------------------------------------
 
@@ -764,22 +762,35 @@ class TcpTransport(Transport):
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every socket, fail pending requests, join the I/O thread."""
+        """Close every socket, wake whoever is blocked on one, join the hub's threads."""
         with self._io_calls_lock:
             if self._closed:
                 return
             self._closed = True  # no _io_call is accepted from here on
             self._wake()
-        # The I/O thread never runs a handler, so it is never far from its
-        # selector: it drops every socket it watches on the way out.
+        # Never far from its selector, the I/O thread drops every listener on the way out.
         self._io_thread.join(timeout=self._connect_timeout)
-        if self._io_thread.is_alive():
-            logger.warning("TcpTransport I/O thread did not stop")
         self._wake_send.close()
         self._wake_recv.close()
-        self._connections.clear()
+        with self._lock:  # nothing is adopted, started or pooled once _closed is seen here
+            idle = [connection for pool in self._idle.values() for connection in pool]
+            self._idle.clear()
+            live = [*self._live]
+            # A thread inside a handler leaves when that returns; close() called from one
+            # cannot join itself.
+            threads = [t for t in self._threads if t is not threading.current_thread()]
+        for connection in live:
+            connection.abort()  # its owner wakes with the end of the stream and closes it
+        for connection in idle:
+            self._discard(connection)  # these have no owner
+        for _ in range(self._dispatchers):
+            self._oneway.put(None)
+        deadline = time.monotonic() + self._connect_timeout
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        if self._io_thread.is_alive() or any(thread.is_alive() for thread in threads):
+            logger.warning("TcpTransport threads still running after close()")
         self._listeners.clear()
-        self._executor.shutdown(wait=False, cancel_futures=True)
         self._handlers.clear()
 
     def __repr__(self) -> str:

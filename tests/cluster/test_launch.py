@@ -295,6 +295,32 @@ class TestOneTemplatePerProcess:
         assert gone_within(pids, 2.0)
         assert is_running(fresh)
 
+    def test_a_forked_copy_of_the_driver_starts_a_template_of_its_own(self, monkeypatch):
+        with CoreProcesses(["alpha"]) as first:
+            template = template_of(first)
+        pid = os.fork()
+        if pid == 0:  # the copy: it inherited launch._shared, the parent's handle
+            status = 1
+            try:
+                with CoreProcesses(["a"]) as procs:
+                    own = template_of(procs)
+                    assert own != template and parent_of(own) == os.getpid()
+                    assert procs.driver.admin("a", "complets") == []
+                launch._shared.close(5.0)
+                status = 0
+            finally:
+                os._exit(status)  # no pytest teardown, no atexit, in the copy
+        assert os.waitpid(pid, 0)[1] == 0
+        assert is_running(template) and not children_of(template)  # it was told nothing
+
+        def no_second_interpreter(*args, **kwargs):
+            raise AssertionError(f"the parent's next deployment ran Popen{args}")
+
+        monkeypatch.setattr(subprocess, "Popen", no_second_interpreter)
+        with CoreProcesses(["alpha"]) as second:
+            assert template_of(second) == template
+            assert second.driver.admin("alpha", "complets") == []
+
     def test_importing_the_launcher_starts_nothing(self):
         program = (
             "import os, threading\n"

@@ -124,6 +124,22 @@ class TestExceptions:
             echo._fargo_invoke("_complet_id", (), {})
 
 
+    def test_a_served_call_looks_its_method_up_once(self, cluster, monkeypatch):
+        from repro.core import invocation
+
+        lookups = []
+        getattr_static = invocation.getattr_static
+        monkeypatch.setattr(
+            invocation, "getattr_static",
+            lambda cls, name: lookups.append(name) or getattr_static(cls, name),
+        )
+        echo = Echo("e", _core=cluster["alpha"])
+        cluster.move(echo, "beta")
+        del lookups[:]
+        assert echo.ping() == "e"
+        assert lookups == ["ping"]
+
+
 class TestNestedInvocation:
     def test_complet_calls_complet(self, cluster):
         echo = Echo("deep", _core=cluster["beta"], _at="beta")

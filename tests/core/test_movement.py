@@ -77,6 +77,38 @@ class TestRemoteInitiatedMoves:
         assert cluster3.locate(counter) == "alpha"
 
 
+    def test_forwarded_move_asks_no_one_where_the_complet_is(self, cluster3):
+        """The request goes to the tracker's next hop: no TRACKER_LOOKUP round trip first."""
+        counter = Counter(0, _core=cluster3["alpha"])
+        cluster3.move(counter, "beta")
+        lookups = cluster3.stats.by_kind[MessageKind.TRACKER_LOOKUP]
+        requests = cluster3.stats.by_kind[MessageKind.MOVE_REQUEST]
+        cluster3["alpha"].move(counter._fargo_target_id, "gamma")
+        assert cluster3.stats.by_kind[MessageKind.TRACKER_LOOKUP] == lookups
+        assert cluster3.stats.by_kind[MessageKind.MOVE_REQUEST] - requests == 2  # and its reply
+        assert cluster3["gamma"].repository.get(counter._fargo_target_id) is not None
+
+    def test_forwarded_move_through_a_dangling_tracker(self, cluster):
+        from repro.errors import DanglingReferenceError
+
+        counter = Counter(0, _core=cluster["alpha"])
+        cluster.move(counter, "beta")
+        tracker = cluster["alpha"].repository.existing_tracker(counter._fargo_target_id)
+        tracker.next_hop = None  # what destroying the target leaves behind
+        with pytest.raises(DanglingReferenceError):
+            cluster["alpha"].move(counter._fargo_target_id, "alpha")
+
+    def test_forwarded_move_asks_the_location_registry_first(self, make_cluster):
+        cluster = make_cluster(["a", "b", "c"], use_location_registry=True)
+        counter = Counter(0, _core=cluster["a"])
+        cluster.move_via_host(counter, "b")
+        cluster.move_via_host(counter, "c")  # a's tracker still says b; a's registry says c
+        requests = cluster.stats.by_kind[MessageKind.MOVE_REQUEST]
+        cluster["a"].move(counter._fargo_target_id, "a")
+        assert cluster.stats.by_kind[MessageKind.MOVE_REQUEST] - requests == 2  # straight to c
+        assert cluster["a"].repository.get(counter._fargo_target_id) is not None
+
+
 class TestGroupMovement:
     def test_group_single_message(self, cluster):
         """One MOVE_COMPLET round trip no matter how many complets move."""

@@ -222,6 +222,106 @@ class TestReconnect:
             hub_b.close()
 
 
+    def test_peer_restarted_on_its_port_is_reached_by_the_next_send(self):
+        """No add_peer, no retry: the idle connection is found stale at check-out."""
+        hub_a = TcpTransport()
+        hub_b = TcpTransport()
+        try:
+            hub_a.register("a", lambda env: b"v1:" + env.payload)
+            hub_b.register("b", lambda env: b"")
+            hub_b.add_peer("a", hub_a.local_address("a"))
+            hub_a.add_peer("b", hub_b.local_address("b"))
+            assert hub_b.send(envelope("b", "a", b"one")) == b"v1:one"
+            port = hub_a.local_address("a")[1]
+            hub_a.close()
+            hub_a = TcpTransport(ports={"a": port})
+            hub_a.register("a", lambda env: b"v2:" + env.payload)
+            hub_a.add_peer("b", hub_b.local_address("b"))
+            assert hub_b.send(envelope("b", "a", b"two")) == b"v2:two"
+            assert hub_b.probe("a")
+        finally:
+            hub_a.close()
+            hub_b.close()
+
+
+def answer_with(listener: socket.socket, answers: list, accepted: list) -> None:
+    """Serve ``listener``: the n-th request gets ``answers[n](frame)`` written back, raw."""
+    while True:
+        try:
+            sock, _ = listener.accept()
+        except OSError:
+            return  # the test closed the listener
+        accepted.append(sock)
+        decoder = framing.FrameDecoder()
+        with sock:
+            while data := sock.recv(4096):
+                for frame in decoder.feed(data):
+                    sock.sendall(answers.pop(0)(frame))
+
+
+class TestOneCallPerConnection:
+    """What a peer may put on a checked-out connection: the one reply that is due."""
+
+    @pytest.mark.parametrize("bad_answer", [
+        pytest.param(lambda frame: b"\xff" * 64, id="garbage"),
+        pytest.param(lambda frame: framing.encode_reply(frame.request_id + 1, b"other"),
+                     id="wrong-id"),
+        pytest.param(lambda frame: framing.encode_reply(frame.request_id, b"one")
+                     + framing.encode_reply(frame.request_id, b"two"), id="two-frames"),
+        pytest.param(lambda frame: framing.encode_request(envelope("a", "x"), frame.request_id),
+                     id="request"),
+    ])
+    def test_anything_else_is_typed_and_the_next_call_reconnects(self, bad_answer):
+        hub = TcpTransport()
+        accepted: list = []
+        answers = [bad_answer, lambda frame: framing.encode_reply(frame.request_id, b"ok")]
+        listener = socket.create_server(("127.0.0.1", 0))
+        server = threading.Thread(target=answer_with, args=(listener, answers, accepted))
+        server.start()
+        try:
+            hub.register("x", lambda env: b"")
+            hub.add_peer("a", listener.getsockname())
+            with pytest.raises(CoreUnreachableError):
+                hub.send(envelope("x", "a"), timeout=5.0)
+            assert not hub._idle.get("a")  # closed, not kept
+            assert hub.send(envelope("x", "a"), timeout=5.0) == b"ok"
+            assert len(accepted) == 2
+        finally:
+            hub.close()
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+            listener.close()
+            server.join(timeout=5)
+        assert not server.is_alive()
+
+    def test_close_wakes_a_caller_waiting_on_a_silent_peer(self):
+        hub = TcpTransport(connect_timeout=2.0)
+        outcomes: list = []
+
+        def call() -> None:
+            try:
+                outcomes.append(hub.send(envelope("x", "silent"), timeout=30.0))
+            except (CoreUnreachableError, TransportError) as exc:
+                outcomes.append(exc)
+
+        with socket.create_server(("127.0.0.1", 0)) as silent:  # connects, never answers
+            hub.register("x", lambda env: b"")
+            hub.add_peer("silent", silent.getsockname())
+            caller = threading.Thread(target=call)
+            caller.start()
+            try:
+                first, _ = silent.accept()  # the caller is connected, and now waits
+                time.sleep(0.1)
+                started = time.monotonic()
+                hub.close()
+                caller.join(timeout=2.0)
+                assert not caller.is_alive() and time.monotonic() - started < 2.0
+                first.close()
+            finally:
+                hub.close()
+                caller.join(timeout=30)
+        assert len(outcomes) == 1 and isinstance(outcomes[0], CoreUnreachableError)
+
+
 class TestChaos:
     def test_node_down_refuses_at_sender(self, pair):
         _hub_a, hub_b = pair
@@ -311,8 +411,34 @@ def io_threads() -> list[threading.Thread]:
     return [thread for thread in threading.enumerate() if thread.name == "fargo-tcp-io"]
 
 
+def hub_threads(*kinds: str) -> list[threading.Thread]:
+    """Live threads of any hub: ``fargo-tcp-<kind>`` for each of ``kinds``, or all."""
+    prefixes = tuple(f"fargo-tcp-{kind}" for kind in kinds) or "fargo-tcp-"
+    return [thread for thread in threading.enumerate() if thread.name.startswith(prefixes)]
+
+
+def idle_connection(hub: TcpTransport, dst: str):
+    """The connection the hub's next call to ``dst`` takes: checked out, and returned."""
+    connection = hub._checkout(dst, time.monotonic() + 5.0)
+    hub._checkin(connection)
+    return connection
+
+
+def count_accepted(hub: TcpTransport) -> list:
+    """Every connection ``hub`` accepts from now on is appended to the returned list."""
+    accepted: list = []
+    serve = hub._serve
+
+    def counting(connection) -> None:
+        accepted.append(connection)
+        serve(connection)
+
+    hub._serve = counting
+    return accepted
+
+
 class TestThreading:
-    """Callers write, dispatch threads reply, one I/O thread per hub reads."""
+    """A caller reads its own reply; the thread that read a request runs it."""
 
     def test_reentrant_chain_over_two_connections(self, pair):
         """a -> b -> a -> b: every hop waits on a reply only the I/O thread can read."""
@@ -330,16 +456,10 @@ class TestThreading:
         assert hub_a.send(envelope("a", "b", b"first"), timeout=10.0) == b"b(a(end))"
 
     def test_no_thread_per_request_or_connection(self, pair):
-        _hub_a, hub_b = pair
-
-        def others() -> list[str]:
-            return sorted(
-                thread.name for thread in threading.enumerate()
-                if not thread.name.startswith("fargo-tcp-dispatch")
-            )
-
-        assert hub_b.send(envelope("b", "a", b"warm")) == b"a-got:warm"
-        baseline = others()
+        """Eight callers share at most eight connections, each with one serving thread."""
+        hub_a, hub_b = pair
+        before = len(hub_threads("conn", "dispatch"))
+        accepted = count_accepted(hub_a)
         mismatches: list[bytes] = []
 
         def call(worker: int) -> None:
@@ -355,18 +475,88 @@ class TestThreading:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert not mismatches  # each caller got its own reply
-        assert others() == baseline  # the pool aside, no thread was made
+        assert 1 <= len(accepted) <= 8  # no connect per request
+        assert len(hub_threads("conn", "dispatch")) - before == len(accepted)  # nor a thread
+        hub_b.close()
+        hub_a.close()
+        assert len(hub_threads("conn", "dispatch")) == before
+        assert not any(thread.is_alive() for thread in hub_a._threads | hub_b._threads)
+
+    def test_sequential_calls_run_on_one_thread_and_start_none(self, pair):
+        """The count this model pins: one serving thread per connection, none per call."""
+        hub_a, hub_b = pair
+        ran_on: set[int] = set()
+        hub_a.deregister("a")
+        hub_a.register("a", lambda env: ran_on.add(threading.get_ident()) or b"ok")
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        accepted = count_accepted(hub_a)
+        assert hub_b.send(envelope("b", "a", b"warm")) == b"ok"
+        threads = sorted(thread.name for thread in threading.enumerate())
+        for _ in range(200):
+            assert hub_b.send(envelope("b", "a")) == b"ok"
+        assert len(ran_on) == 1 and len(accepted) == 1
+        assert sorted(thread.name for thread in threading.enumerate()) == threads
+        assert threading.get_ident() not in ran_on and io_threads()[0].ident not in ran_on
+
+    def test_oneway_handler_calls_its_sender_back_which_calls_again(self, pair):
+        """post, then b -> a -> b: the ONEWAY handler is off the thread that reads a's call."""
+        hub_a, hub_b = pair
+        answers: list[bytes] = []
+        done = threading.Event()
+
+        def b_handler(env):
+            if env.payload == b"last":
+                return b"end"
+            answers.append(hub_b.send(envelope("b", "a"), timeout=10.0))
+            done.set()
+            return b""
+
+        hub_a.deregister("a")
+        hub_b.deregister("b")
+        hub_a.register("a", lambda env: b"a(" + hub_a.send(envelope("a", "b", b"last")) + b")")
+        hub_b.register("b", b_handler)
+        hub_a.add_peer("b", hub_b.local_address("b"))
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        hub_a.post(envelope("a", "b", b"go"))
+        assert done.wait(timeout=10) and answers == [b"a(end)"]
+        assert len(hub_threads("dispatch")) == 1
+
+    def test_a_timed_out_call_does_not_leave_its_reply_to_the_next(self, pair):
+        hub_a, hub_b = pair
+        release = threading.Event()
+
+        def handler(env):
+            if env.payload == b"slow":
+                release.wait(timeout=10)
+            return b"a-got:" + env.payload
+
+        hub_a.deregister("a")
+        hub_a.register("a", handler)
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        accepted = count_accepted(hub_a)
+        try:
+            with pytest.raises(DeadlineExceededError):
+                hub_b.send(envelope("b", "a", b"slow"), timeout=0.2)
+            # The slow handler still runs; this call neither waits for it nor meets its reply.
+            assert hub_b.send(envelope("b", "a", b"fast"), timeout=5.0) == b"a-got:fast"
+            assert len(accepted) == 2  # the connection that timed out was given up
+        finally:
+            release.set()
 
     def test_one_io_thread_per_hub_gone_after_close(self):
         before = len(io_threads())
+        others = len(hub_threads("conn", "dispatch"))
         hub = TcpTransport()
         assert len(io_threads()) == before + 1
         hub.register("x", lambda env: b"")
         hub.register("y", lambda env: b"")
         assert hub.send(envelope("x", "y")) == b""
+        hub.post(envelope("x", "y"))
         assert len(io_threads()) == before + 1
+        assert len(hub_threads("conn")) == others + 1
         hub.close()
         assert len(io_threads()) == before
+        assert len(hub_threads("conn", "dispatch")) == others
 
     def test_stalled_peer_fails_the_write_then_reconnects(self):
         """A peer that accepts and never reads cannot hold a sender past its budget."""
@@ -459,9 +649,16 @@ def crc_pair():
     hub_b.close()
 
 
-def shrink_send_buffer(hub: TcpTransport, dst: str) -> None:
-    """Every write of a bulk frame now stops part-way, many times."""
-    hub._connections[dst].sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+def shrink_send_buffer(hub: TcpTransport, dst: str, callers: int = 1) -> None:
+    """Every write of a bulk frame now stops part-way, many times.
+
+    On the connections the next ``callers`` concurrent calls to ``dst`` take.
+    """
+    deadline = time.monotonic() + 5.0
+    connections = [hub._checkout(dst, deadline) for _ in range(callers)]
+    for connection in connections:
+        connection.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        hub._checkin(connection)
 
 
 class TestBulk:
@@ -514,8 +711,10 @@ class TestBulk:
         assert hub_b.send(envelope("b", "a", wide)) == b"%d" % zlib.crc32(bytes(wide))
 
     def test_threads_gathering_into_one_connection_never_interleave(self, crc_pair):
-        _hub_a, hub_b = crc_pair
-        shrink_send_buffer(hub_b, "a")
+        """Each caller has a connection to itself, so nothing can."""
+        hub_a, hub_b = crc_pair
+        accepted = count_accepted(hub_a)
+        shrink_send_buffer(hub_b, "a", callers=8)
         mismatches: list = []
         errors: list[BaseException] = []
 
@@ -541,6 +740,7 @@ class TestBulk:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors and not mismatches
+        assert len(accepted) == 7  # with the fixture's: all over the eight shrunk connections
 
     def test_gather_write_to_a_stalled_peer_honours_its_deadline(self):
         hub = TcpTransport()
@@ -553,7 +753,7 @@ class TestBulk:
                 with pytest.raises(DeadlineExceededError):
                     hub.send(envelope("x", "stalled", bulk), timeout=0.5)
                 assert time.monotonic() - started < 3.0
-                assert "stalled" not in hub._connections or hub._connections["stalled"].closed
+                assert not hub._idle.get("stalled")  # not kept for the next caller
                 first, _ = stalled.accept()
                 first.close()
                 with pytest.raises(DeadlineExceededError):  # nobody answers here either
@@ -575,14 +775,14 @@ class TestOversizedFrames:
     @pytest.mark.parametrize("form", ["bytes", "segments"])
     def test_request_is_refused_before_a_byte_is_written(self, crc_pair, form):
         _hub_a, hub_b = crc_pair
-        connection = hub_b._connections["a"]
+        connection = idle_connection(hub_b, "a")
         big = group_payload(leaf=512 * 1024)
         with pytest.raises(framing.FramingError, match="MAX_FRAME_BYTES"):
             hub_b.send(envelope("b", "a", big if form == "segments" else bytes(big)))
         with pytest.raises(framing.FramingError, match="MAX_FRAME_BYTES"):
             hub_b.post(envelope("b", "a", big if form == "segments" else bytes(big)))
         assert hub_b.send(envelope("b", "a", b"next")) == b"%d" % zlib.crc32(b"next")
-        assert hub_b._connections["a"] is connection and not connection.closed
+        assert idle_connection(hub_b, "a") is connection
 
     def test_reply_is_refused_typed_at_the_caller(self, pair):
         hub_a, hub_b = pair
@@ -590,11 +790,11 @@ class TestOversizedFrames:
         hub_a.register("a", lambda env: bytes(2 << 20) if env.payload == b"big" else b"ok")
         hub_b.add_peer("a", hub_a.local_address("a"))
         assert hub_b.send(envelope("b", "a")) == b"ok"
-        connection = hub_b._connections["a"]
+        connection = idle_connection(hub_b, "a")
         with pytest.raises(framing.FramingError, match="MAX_FRAME_BYTES"):
             hub_b.send(envelope("b", "a", b"big"), timeout=5.0)
         assert hub_b.send(envelope("b", "a")) == b"ok"
-        assert hub_b._connections["a"] is connection and not connection.closed
+        assert idle_connection(hub_b, "a") is connection
 
 
 def test_import_repro_loads_neither_asyncio_nor_hashlib():
@@ -604,6 +804,7 @@ def test_import_repro_loads_neither_asyncio_nor_hashlib():
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     subprocess.run(
         [sys.executable, "-c",
-         "import repro, sys; assert not {'asyncio', 'ssl', 'hashlib'} & set(sys.modules)"],
+         "import repro, sys; assert not "
+         "{'asyncio', 'ssl', 'hashlib', 'concurrent.futures'} & set(sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
     )
