@@ -770,8 +770,21 @@ class CoreProcesses:
             self.await_child(name, timeout=max(0.1, deadline - time.monotonic()))
 
     def stop(self) -> None:
-        """Shut this deployment's children down, then release the driver hub."""
+        """Shut this deployment's children down, then release the driver hub.
+
+        In a forked copy of the process that started them (the hub is
+        :attr:`~repro.net.tcp.TcpTransport.forked`) the children are that
+        process's: the copy closes its copies of the hub and of the
+        children's pipes, and asks, ends or kills nothing.
+        """
         driver = self.driver
+        if self.transport is not None and self.transport.forked:
+            for process in self.processes.values():
+                process.close()
+            self.processes.clear()
+            self.transport.close()
+            self._template = self.driver = self.transport = None
+            return
         for name, process in self.processes.items():
             if process.poll() is not None:
                 continue

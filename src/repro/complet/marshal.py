@@ -86,11 +86,14 @@ class MemberInfo:
     ``source_tracker`` is the sending Core's tracker for the member; the
     receiving Core pre-registers it as a remote pointer because the
     sender will re-point that tracker here the moment the move commits.
+    ``requester`` is the tracker of the Core whose MOVE_REQUEST this move
+    serves, which re-points here on the answer: it is registered beside.
     """
 
     complet_id: CompletId
     anchor_ref: str
     source_tracker: "TrackerAddress | None" = None
+    requester: "TrackerAddress | None" = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,15 +204,22 @@ class MovementMarshaler:
         self._clone_ids = {
             target: clone_id for target, (clone_id, _) in plan.local_clones.items()
         }
-        self._serializer = Serializer(encode_hook=self._encode)
 
-    def payload(self, continuation: Continuation | None) -> MovementPayload:
+    def payload(
+        self, continuation: Continuation | None, requester: "TrackerAddress | None" = None
+    ) -> MovementPayload:
+        """The payload; ``requester`` travels on the root, the first member."""
         members = []
         for cid, anchor in self.plan.movers.items():
             ref = _anchor_ref(anchor)
             source = self.core.repository.tracker_for(cid, ref).address
-            members.append(MemberInfo(cid, ref, source))
-        stream = self._serializer.dumps_segments((self.plan.movers, continuation))
+            members.append(MemberInfo(cid, ref, source, None if members else requester))
+        # A serializer of its own, not an attribute: one holding this
+        # marshaler's hook would be a cycle keeping the departed group in
+        # memory until the next garbage collection.
+        stream = Serializer(encode_hook=self._encode).dumps_segments(
+            (self.plan.movers, continuation)
+        )
         clones = list(self.plan.remote_clones)
         for target_id, (clone_id, anchor) in self.plan.local_clones.items():
             if anchor is None:

@@ -7,7 +7,11 @@ because complets are always mutually remote with respect to parameter
 passing.  Remote calls are forwarded along the tracker chain; the reply
 carries the address of the tracker colocated with the target, and every
 tracker on the chain re-points directly at it on the way back — the
-paper's chain shortening.
+paper's chain shortening.  A forwarder resolves the rest of the chain
+with TRACKER_LOOKUPs before the call crosses, and those carry its
+caller's tracker to the target's Core to be registered there; the reply
+header's handover bit then tells the caller that its re-point is settled
+and nothing needs posting (:meth:`~repro.core.references.ReferenceHandler.shorten`).
 
 Fault tolerance: a forward that hits a reachability failure (after the
 RPC layer's own retries, if the Core carries a
@@ -31,6 +35,7 @@ from repro.complet.anchor import bump_state_version, current_complet, execution_
 from repro.complet.marshal import InvocationMarshaler
 from repro.complet.stub import Stub, stub_meta, stub_tracker
 from repro.complet.tracker import Tracker, TrackerAddress
+from repro.core.references import INDETERMINATE_ERRORS
 from repro.errors import (
     CompletError,
     CoreError,
@@ -49,6 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: prefixes instead of pickling a wrapper tuple around every hop.
 _REQ_HEADER = struct.Struct("<q")
 _REPLY_HEADER = struct.Struct("<Hq")
+#: Top bit of the reply's core-name length: the forwarder that answered
+#: handed its caller's tracker over to the final one.
+_HANDED_OVER = 0x8000
 
 
 def _pack_request(serial: int, request: bytes) -> bytes:
@@ -60,16 +68,20 @@ def _unpack_request(frame: bytes) -> tuple[int, bytes]:
     return serial, frame[_REQ_HEADER.size:]
 
 
-def _pack_reply(result_bytes: bytes, final: TrackerAddress) -> bytes:
+def _pack_reply(result_bytes: bytes, final: TrackerAddress, handed_over: bool = False) -> bytes:
     core_bytes = final.core.encode("utf-8")
-    return _REPLY_HEADER.pack(len(core_bytes), final.serial) + core_bytes + result_bytes
+    if len(core_bytes) >= _HANDED_OVER:
+        raise CompletError(f"Core name of {len(core_bytes)} bytes does not fit an INVOKE reply")
+    length = len(core_bytes) | _HANDED_OVER if handed_over else len(core_bytes)
+    return _REPLY_HEADER.pack(length, final.serial) + core_bytes + result_bytes
 
 
-def _unpack_reply(frame: bytes) -> tuple[bytes, TrackerAddress]:
-    core_len, serial = _REPLY_HEADER.unpack_from(frame)
+def _unpack_reply(frame: bytes) -> tuple[bytes, TrackerAddress, bool]:
+    length, serial = _REPLY_HEADER.unpack_from(frame)
+    core_len = length & ~_HANDED_OVER
     start = _REPLY_HEADER.size
     core = frame[start:start + core_len].decode("utf-8")
-    return frame[start + core_len:], TrackerAddress(core, serial)
+    return frame[start + core_len:], TrackerAddress(core, serial), bool(length & _HANDED_OVER)
 
 
 class InvocationUnit:
@@ -121,17 +133,12 @@ class InvocationUnit:
 
     # -- routing ----------------------------------------------------------------------
 
-    def _route(
-        self, tracker: Tracker, request: bytes, *, collapse: bool = False
-    ) -> tuple[bytes, TrackerAddress]:
+    def _route(self, tracker: Tracker, request: bytes) -> tuple[bytes, TrackerAddress]:
         """Deliver ``request`` to the target, however many hops away.
 
         Returns the marshaled result together with the address of the
-        tracker colocated with the target, which callers use to shorten.
-
-        With ``collapse`` (set by forwarders), the chain is resolved with
-        cheap TRACKER_LOOKUP messages *before* the payload is sent, so
-        the request body crosses one link instead of riding every hop.
+        tracker colocated with the target, at which ``tracker`` is
+        re-pointed on the way back.
         """
         if tracker.is_local:
             return self._execute(tracker, request), tracker.address
@@ -139,33 +146,30 @@ class InvocationUnit:
             raise DanglingReferenceError(
                 f"reference to {tracker.target_id} dangles: target was destroyed"
             )
-        if collapse:
-            try:
-                self.core.references.resolve_final(tracker)
-            except DanglingReferenceError:
-                raise
-            except (CoreError, CompletError):
-                # Collapse is an optimization only: if the chain cannot
-                # be resolved up front (a hop briefly unreachable), fall
-                # through and forward hop by hop as before.
-                pass
         try:
-            reply = self._forward(tracker.next_hop, request)
-        except REACHABILITY_ERRORS:
-            # A hop on the chain is gone (the RPC layer already spent its
-            # retries).  Re-locate the target and go direct: through the
-            # location registry (the paper's future-work naming scheme)
-            # when enabled, else by re-walking the tracker chain.  Only
-            # reachability failures qualify: they are raised before the
-            # remote handler ran, so the retry cannot duplicate work.  A
-            # timeout (DeadlineExceededError) is indeterminate — the call
-            # may have executed — and propagates to the caller instead.
-            recovered = self._recover_route(tracker)
-            if recovered is None:
-                raise
-            reply = self._forward(recovered, request)
-        result_bytes, final = _unpack_reply(reply)
-        self.core.references.shorten(tracker, final)
+            try:
+                reply = self._forward(tracker.next_hop, request)
+            except REACHABILITY_ERRORS:
+                # A hop on the chain is gone (the RPC layer already spent its
+                # retries).  Re-locate the target and go direct: through the
+                # location registry (the paper's future-work naming scheme)
+                # when enabled, else by re-walking the tracker chain.  Only
+                # reachability failures qualify: they are raised before the
+                # remote handler ran, so the retry cannot duplicate work.  A
+                # timeout (DeadlineExceededError) is indeterminate — the call
+                # may have executed — and propagates to the caller instead.
+                recovered = self._recover_route(tracker)
+                if recovered is None:
+                    raise
+                reply = self._forward(recovered, request)
+        except INDETERMINATE_ERRORS:
+            # A forwarder may have handed this tracker over before the reply was lost.
+            self.core.references.reclaim(tracker)
+            raise
+        result_bytes, final, handed_over = _unpack_reply(reply)
+        self.core.references.shorten(
+            tracker, final, registered=handed_over, released=handed_over
+        )
         return result_bytes, final
 
     def _forward(self, address: TrackerAddress, request: bytes) -> bytes:
@@ -201,11 +205,41 @@ class InvocationUnit:
             raise DanglingReferenceError(
                 f"Core {self.core.name!r} has no tracker #{serial}; target destroyed"
             )
-        if not tracker.is_local:
-            tracker.forwarded_invocations += 1
-            self._forwarded.inc()
-        result_bytes, final = self._route(tracker, request, collapse=not tracker.is_local)
-        return _pack_reply(result_bytes, final)
+        if tracker.is_local:
+            return _pack_reply(self._execute(tracker, request), tracker.address)
+        tracker.forwarded_invocations += 1
+        self._forwarded.inc()
+        references = self.core.references
+        caller = references.pointer_from(tracker, src)
+        with references.handing_over(tracker, caller) as handover:
+            holder = self._collapse(tracker, caller)
+            try:
+                result_bytes, final = self._route(tracker, request)
+                handover.settled = final == holder
+            finally:
+                if holder is not None and not handover.settled:
+                    # The call ended elsewhere, or not at all: the caller still points here.
+                    references.unregister_remote_pointer(holder, caller)
+        return _pack_reply(result_bytes, final, handover.settled)
+
+    def _collapse(self, tracker: Tracker, caller: TrackerAddress | None) -> TrackerAddress | None:
+        """Resolve a forwarder's chain with TRACKER_LOOKUPs before the call crosses.
+
+        The request body then crosses one link instead of riding every
+        hop.  ``caller``, the calling Core's tracker, rides the LOOKUPs;
+        returns the final tracker, which registered it, if it rode.
+        """
+        carried = (caller,) if caller is not None else ()
+        try:
+            final = self.core.references.resolve_final(tracker, carried)
+        except DanglingReferenceError:
+            raise
+        except (CoreError, CompletError):
+            # Collapse is an optimization only: if the chain cannot be
+            # resolved up front (a hop briefly unreachable), forward hop
+            # by hop as before.
+            return None
+        return final if carried else None
 
     # -- execution ---------------------------------------------------------------------
 

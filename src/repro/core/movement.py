@@ -12,7 +12,17 @@ move requests to the same destination.
 The receiving side pre-registers the sender's trackers as remote
 pointers, installs the arrivals between their ``pre_arrival`` and
 ``post_arrival`` callbacks, fires ``completArrived`` events, and invokes
-the continuation, if one travelled along.
+the continuation, if one travelled along.  Its commit reply names the
+arrivals' trackers; an arrival's stale tracker here is reused, so when it
+pointed at the sender's own tracker the sender discards it from that
+tracker's pointers as it re-points there, and nothing is posted.
+
+A move requested by another Core (MOVE_REQUEST to the tracker's next hop)
+is answered, when the host serves it itself, with the root's new tracker
+address.  The requester's tracker rides the MOVE_COMPLET to be registered
+at the destination, the host discards it from its own tracker, and the
+requester re-points on the answer: its next call goes straight to the new
+host and no TRACKER_UPDATE is sent.
 
 Sending is an *abortable two-phase protocol*: phase one runs the
 ``pre_departure`` hooks and marshals the group, phase two ships the
@@ -41,7 +51,9 @@ from repro.complet.marshal import (
     MovementUnmarshaler,
 )
 from repro.complet.stub import Stub, stub_target_id, stub_tracker
+from repro.complet.tracker import TrackerAddress
 from repro.core.events import MOVE_COMPLETED, MOVE_FAILED
+from repro.core.references import INDETERMINATE_ERRORS
 from repro.errors import CompletError, MovementDeniedError
 from repro.net.messages import MessageKind
 from repro.net.rpc import NO_DEADLINE
@@ -142,8 +154,12 @@ class MovementUnit:
     # -- sending side ------------------------------------------------------------------
 
     def _move_local(
-        self, anchor: Anchor, destination: str, continuation: Continuation | None
-    ) -> None:
+        self,
+        anchor: Anchor,
+        destination: str,
+        continuation: Continuation | None,
+        requester: TrackerAddress | None = None,
+    ) -> TrackerAddress:
         tracer = self.core.tracer
         if tracer.enabled:
             with tracer.span(
@@ -152,13 +168,21 @@ class MovementUnit:
                 complet=anchor.complet_id.short(),
                 destination=destination,
             ):
-                self._move_twophase(anchor, destination, continuation)
-        else:
-            self._move_twophase(anchor, destination, continuation)
+                return self._move_twophase(anchor, destination, continuation, requester)
+        return self._move_twophase(anchor, destination, continuation, requester)
 
     def _move_twophase(
-        self, anchor: Anchor, destination: str, continuation: Continuation | None
-    ) -> None:
+        self,
+        anchor: Anchor,
+        destination: str,
+        continuation: Continuation | None,
+        requester: TrackerAddress | None,
+    ) -> TrackerAddress:
+        """Move ``anchor``'s group; returns the root's tracker at ``destination``.
+
+        ``requester`` is the tracker whose MOVE_REQUEST this serves: the
+        destination registers it.
+        """
         plan = MovementPlan(self.core, anchor)
         sanitizer = self.core.sanitizer
         stamps: dict[str, dict] = {}
@@ -177,7 +201,7 @@ class MovementUnit:
                 mover.pre_departure(destination)
                 bump_state_version(mover)
         try:
-            payload = MovementMarshaler(self.core, plan).payload(continuation)
+            payload = MovementMarshaler(self.core, plan).payload(continuation, requester)
             # The commit request is deadline-exempt: once the destination's
             # reply is in hand the group is installed *there*, so a timeout
             # raised here would abort the departure while the arrivals stay
@@ -196,7 +220,8 @@ class MovementUnit:
                     sanitizer.abort_move(subject, destination)
             self._abort_departure(plan, anchor, destination, exc)
             raise
-        addresses: dict[CompletId, object] = PLAIN.loads(raw_reply)  # type: ignore[assignment]
+        addresses: dict[CompletId, TrackerAddress]
+        addresses = PLAIN.loads(raw_reply)  # type: ignore[assignment]
         self._moves_sent.inc()
         if sanitizer is not None:
             # The commit orders everything the sender publishes next
@@ -207,7 +232,10 @@ class MovementUnit:
         for complet_id, mover in plan.movers.items():
             tracker = self.core.repository.existing_tracker(complet_id)
             assert tracker is not None
-            tracker.point_to(addresses[complet_id])  # type: ignore[arg-type]
+            tracker.point_to(addresses[complet_id])
+            # The destination reused its stale tracker, which may have
+            # pointed here: a tracker is not pointed at by its own pointee.
+            tracker.remote_pointers.discard(addresses[complet_id])
             with execution_context(self.core, complet_id):
                 mover.post_departure()
             self.core.repository.release(complet_id)
@@ -226,6 +254,7 @@ class MovementUnit:
         )
         for stub in plan.remote_pulls:
             self._forward_request(stub, destination, None)
+        return addresses[anchor.complet_id]
 
     def _abort_departure(
         self, plan: MovementPlan, root: Anchor, destination: str, error: BaseException
@@ -279,11 +308,19 @@ class MovementUnit:
         # No lookup first: the tracker's next hop gets the request, chases
         # the complet if it has moved on, and does nothing if it is in place.
         address, _final = self.core.references.first_hop(tracker)
-        self.core.peer.request(
-            address.core,
-            MessageKind.MOVE_REQUEST,
-            self._request_body(target_id, destination, continuation),
-        )
+        pointer = tracker.address if self.core.eager_pointer_updates else None
+        try:
+            moved_to = self.core.peer.request(
+                address.core,
+                MessageKind.MOVE_REQUEST,
+                self._request_body(target_id, destination, continuation, pointer=pointer),
+            )
+        except INDETERMINATE_ERRORS:
+            self.core.references.reclaim(tracker)
+            raise
+        if moved_to is not None:
+            # The host that moved it handed this tracker over to the destination.
+            self.core.references.shorten(tracker, moved_to, registered=True, released=True)
 
     def _request_body(
         self,
@@ -291,20 +328,23 @@ class MovementUnit:
         destination: str,
         continuation: Continuation | None,
         hops: int = 0,
+        pointer: TrackerAddress | None = None,
     ) -> tuple:
         """Encode a forwarded move request.
 
         Continuation arguments may contain complet references, so they are
         marshaled with the invocation marshaler rather than pickled raw.
         ``hops`` counts tracker-chain forwards so a cycle of stale
-        trackers cannot bounce the request forever.
+        trackers cannot bounce the request forever.  ``pointer`` is the
+        requesting tracker, to be handed over, when the requester keeps
+        pointer sets.
         """
         if continuation is None:
-            return (target_id, destination, None, None, hops)
+            return (target_id, destination, None, None, hops, pointer)
         args_bytes = self.core.invocation.marshaler.dumps(
             (continuation.args, continuation.kwargs)
         )
-        return (target_id, destination, continuation.method, args_bytes, hops)
+        return (target_id, destination, continuation.method, args_bytes, hops, pointer)
 
     # -- receiving side ------------------------------------------------------------------
 
@@ -318,24 +358,25 @@ class MovementUnit:
             with execution_context(self.core, anchor._complet_id):
                 anchor.pre_arrival()
 
-        addresses: dict[CompletId, object] = {}
+        sources = {member.complet_id: member.source_tracker for member in payload.members}
+        addresses: dict[CompletId, TrackerAddress] = {}
         for anchor in arrivals:
             # If this Core already tracked the arriving complet through a
-            # chain, it stops forwarding now — tell the old pointee so its
-            # remote-pointer set (and hence tracker GC) stays accurate.
+            # chain, it stops forwarding now.  The old pointee must learn
+            # it: the sender does so itself from the commit reply when it
+            # is that pointee; any other is told.
             stale = self.core.repository.existing_tracker(anchor.complet_id)
-            if stale is not None and stale.next_hop is not None:
+            if stale is not None and stale.next_hop not in (None, sources.get(anchor.complet_id)):
                 self.core.references.unregister_remote_pointer(
                     stale.next_hop, stale.address
                 )
             tracker = self.core.repository.adopt(anchor)
             addresses[anchor.complet_id] = tracker.address
         for member in payload.members:
-            if member.source_tracker is not None:
-                tracker = self.core.repository.tracker_for(
-                    member.complet_id, member.anchor_ref
-                )
-                self.core.references.register_pointer(tracker, member.source_tracker)
+            tracker = self.core.repository.tracker_for(member.complet_id, member.anchor_ref)
+            for pointer in (member.source_tracker, member.requester):
+                if pointer is not None and pointer != tracker.address:
+                    tracker.remote_pointers.add(pointer)
         if self.core.use_location_registry:
             for complet_id, address in addresses.items():
                 self.core.locator.publish(complet_id, address)  # type: ignore[arg-type]
@@ -387,7 +428,7 @@ class MovementUnit:
             )
 
     def _handle_move_request(self, src: str, body: object):
-        target_id, destination, method, args_bytes, hops = body  # type: ignore[misc]
+        target_id, destination, method, args_bytes, hops, pointer = body  # type: ignore[misc]
         if hops >= MAX_FORWARD_HOPS:
             raise CompletError(
                 f"move request for {target_id} reached the forward bound of "
@@ -398,12 +439,18 @@ class MovementUnit:
             args, kwargs = self.core.invocation.marshaler.loads(args_bytes)  # type: ignore[misc]
             continuation = Continuation(method, args, kwargs)
         anchor = self.core.repository.get(target_id)
-        if anchor is not None:
-            if destination != self.core.name:
-                self._move_local(anchor, destination, continuation)
-            return None
-        # The complet moved on; chase it via our tracker if we have one.
         tracker = self.core.repository.existing_tracker(target_id)
+        if anchor is not None:
+            if destination == self.core.name:
+                return None
+            assert tracker is not None  # a hosted complet's own tracker
+            # Discarded from the root's tracker once the whole move is done,
+            # so a failure anywhere leaves the requester registered here.
+            with self.core.references.handing_over(tracker, pointer) as handover:
+                moved_to = self._move_local(anchor, destination, continuation, pointer)
+                handover.settled = True
+            return moved_to
+        # The complet moved on; chase it via our tracker if we have one.
         if tracker is None:
             raise CompletError(
                 f"Core {self.core.name!r} does not host (or track) {target_id}"

@@ -9,16 +9,29 @@ This unit of Figure 1 realizes complet references at runtime:
 - it maintains the distributed remote-pointer sets that make
   unreferenced trackers collectable.
 
-Pointer bookkeeping is *eager* by default — every repoint sends small
-one-way notifications so the pointed-at Cores know who references them —
-and can be disabled per Core (``eager_pointer_updates=False``) for the
-ablation benchmark.
+Pointer bookkeeping is *eager* by default: every tracker knows which
+remote trackers forward to it.  A re-point is settled by the message that
+causes it: the Core that answers "the target is at F" discards the
+requester from its own tracker and has F register it, inside a message it
+sends toward F anyway — the LOOKUPs of a chain walk, the collapse of a
+forwarded call, the commit of a requested move.  A one-way TRACKER_UPDATE
+is left only where no message of the operation reaches the Core that must
+learn (collection, failure repairs, a token materialized at a new Core, a
+stale arrival pointing at a third Core, the old hop of a ``forward``
+answer, a registry-resolved shortening) and after a request that may have
+handed a tracker over failed (:meth:`ReferenceHandler.reclaim`); a
+reclaim that reaches the hop while its handler still runs cancels the
+handover (:meth:`ReferenceHandler.handing_over`).  Lazy mode
+(``eager_pointer_updates=False``, the ablation) carries and posts nothing.
 """
 
 from __future__ import annotations
 
+import collections
 import logging
-from typing import TYPE_CHECKING
+import threading
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 from repro.complet.anchor import resolve_class_ref
 from repro.complet.stub import Stub, stub_class_for
@@ -27,7 +40,9 @@ from repro.complet.tracker import Tracker, TrackerAddress
 from repro.errors import (
     CompletError,
     CoreError,
+    CoreUnreachableError,
     DanglingReferenceError,
+    DeadlineExceededError,
     SerializationError,
     StampResolutionError,
 )
@@ -41,6 +56,24 @@ logger = logging.getLogger(__name__)
 #: Hard limit on chain walks; a longer chain indicates a routing loop.
 MAX_CHAIN_HOPS = 64
 
+#: Failures after which the request may have run at its destination: a
+#: deadline that passed, or a connection lost (over TCP, possibly after the
+#: write).  A handover the request carried may have been taken, its answer lost.
+INDETERMINATE_ERRORS: tuple[type[BaseException], ...] = (
+    DeadlineExceededError,
+    CoreUnreachableError,
+)
+
+
+class Handover:
+    """A handler's hold on a requester's pointer; see :meth:`ReferenceHandler.handing_over`."""
+
+    __slots__ = ("settled",)
+
+    def __init__(self) -> None:
+        #: Set by the handler once the final tracker registered the pointer.
+        self.settled = False
+
 
 class ReferenceHandler:
     """One Core's reference-handling unit."""
@@ -50,6 +83,11 @@ class ReferenceHandler:
         #: Serials with a lookup in flight; guards the recursive collapse
         #: in :meth:`_handle_lookup` against chain cycles re-entering it.
         self._resolving: set[int] = set()
+        #: ``(serial, pointer)`` pairs a handler here is handing over, with
+        #: how many handlers do, and those registered again meanwhile.
+        self._in_flight: collections.Counter = collections.Counter()
+        self._reclaimed: set[tuple[int, TrackerAddress]] = set()
+        self._handovers_lock = threading.Lock()
         core.peer.register(MessageKind.TRACKER_LOOKUP, self._handle_lookup)
         core.peer.register(MessageKind.TRACKER_UPDATE, self._handle_update)
 
@@ -71,16 +109,12 @@ class ReferenceHandler:
         tracker = self.core.repository.existing_tracker(token.target_id)
         if tracker is None:
             tracker = self.core.repository.tracker_for(token.target_id, token.anchor_ref)
-            if token.last_known.core == self.core.name:
-                # The token points back at this very Core; adopt the
-                # referenced tracker's knowledge instead of forwarding to
-                # ourselves.
-                local = self.core.repository.tracker_by_serial(token.last_known.serial)
-                if local is not None and local is not tracker and local.next_hop is not None:
-                    tracker.point_to(local.next_hop)
-            else:
-                tracker.point_to(token.last_known)
+            # A token naming a tracker of this very Core names one collected
+            # since (there is one tracker per target per Core): nothing is
+            # left to follow, and the reference dangles.
+            if token.last_known.core != self.core.name:
                 self._notify_pointer(token.last_known, tracker.address, register=True)
+                tracker.point_to(token.last_known)
         return self._stub_for(tracker, token.relocator)
 
     def _materialize_stamp(self, token: StampToken) -> Stub:
@@ -132,38 +166,59 @@ class ReferenceHandler:
         final = self.resolve_final(tracker)
         return final.core
 
-    def resolve_final(self, tracker: Tracker) -> TrackerAddress:
+    def resolve_final(
+        self, tracker: Tracker, carried: tuple[TrackerAddress, ...] = ()
+    ) -> TrackerAddress:
         """Walk the chain to the tracker colocated with the target.
 
         When the location registry is enabled, the home Core is asked
         first — one message, independent of migration history — and the
         chain is only walked when the registry has no answer.
+
+        With eager bookkeeping a walk hands its pointers over: every
+        TRACKER_LOOKUP carries the trackers that re-point at the final —
+        ``carried`` (a collapsing hop's requesters), then ``tracker`` —
+        the hop that answers ``local`` registers them all, and a hop that
+        answers ``final`` discards its requester.  Re-pointing ``tracker``
+        then posts nothing, unless a ``forward`` answer sent the walk past
+        its old hop, which must still be told.  ``carried`` that the
+        registry resolved are registered with a post each.
         """
         if tracker.is_local:
             return tracker.address
-        address, final = self.first_hop(tracker)
-        if final:
+        address, known = self.first_hop(tracker)
+        if known:
+            for pointer in carried:  # no LOOKUP takes them to the final
+                self._notify_pointer(address, pointer, register=True)
             return address
+        pointers = (*carried, tracker.address) if self.core.eager_pointer_updates else ()
+        forwarded = False
         for _ in range(MAX_CHAIN_HOPS):
-            state, next_hop = self.core.peer.request(
-                address.core, MessageKind.TRACKER_LOOKUP, address.serial
-            )
-            if state == "local":
-                self.shorten(tracker, address)
-                return address
-            if state == "final":
-                # The queried tracker collapsed the rest of the chain on
-                # our behalf and answered with the target's own address.
-                assert next_hop is not None
-                self.shorten(tracker, next_hop)
-                return next_hop
+            try:
+                state, next_hop = self.core.peer.request(
+                    address.core, MessageKind.TRACKER_LOOKUP, (address.serial, pointers)
+                )
+            except INDETERMINATE_ERRORS:
+                if pointers and not forwarded:
+                    self.reclaim(tracker)
+                raise
             if state == "forward":
                 assert next_hop is not None
-                address = next_hop
+                address, forwarded = next_hop, True
                 continue
-            raise DanglingReferenceError(
-                f"reference to {tracker.target_id} dangles at {address}"
+            if state not in ("local", "final"):
+                raise DanglingReferenceError(
+                    f"reference to {tracker.target_id} dangles at {address}"
+                )
+            # "final": the queried tracker collapsed the rest of the chain
+            # on our behalf and answered with the target's own address.
+            final = address if state == "local" else next_hop
+            assert final is not None
+            handed_over = bool(pointers)
+            self.shorten(
+                tracker, final, registered=handed_over, released=handed_over and not forwarded
             )
+            return final
         raise CompletError(
             f"tracker chain for {tracker.target_id} exceeds {MAX_CHAIN_HOPS} hops; "
             "routing loop suspected"
@@ -187,22 +242,86 @@ class ReferenceHandler:
             )
         return tracker.next_hop, False
 
-    def shorten(self, tracker: Tracker, final: TrackerAddress) -> None:
+    def shorten(
+        self,
+        tracker: Tracker,
+        final: TrackerAddress,
+        *,
+        registered: bool = False,
+        released: bool = False,
+    ) -> None:
         """Point ``tracker`` directly at ``final`` (§3.1 chain shortening).
 
-        The previously pointed-at tracker is told it lost a pointer and
-        the final tracker is told it gained one, so both Cores' garbage
-        collection stays accurate.
+        Both Cores' pointer sets must learn it: ``final``'s tracker gains
+        ``tracker`` before the re-point, the previously pointed-at one
+        loses it after.  ``registered`` and ``released`` say the message
+        that brought ``final`` already did either; what is left goes as one
+        TRACKER_UPDATE each.
         """
-        if tracker.is_local or tracker.next_hop == final:
-            return
-        if final == tracker.address:
+        if tracker.is_local or tracker.next_hop == final or final == tracker.address:
             return
         old = tracker.next_hop
+        if not registered:
+            self._notify_pointer(final, tracker.address, register=True)
         tracker.point_to(final)
-        if old is not None and old != final:
+        if old is not None and not released:
             self._notify_pointer(old, tracker.address, register=False)
-        self._notify_pointer(final, tracker.address, register=True)
+
+    def reclaim(self, tracker: Tracker) -> None:
+        """Have ``tracker``'s unchanged next hop register it again.
+
+        For a request that may have handed ``tracker`` over and then
+        failed: the hop may have run it and discarded ``tracker`` before
+        the reply was lost, or may still be running it, and a hop nobody
+        is registered at can be collected under a live reference.  A
+        duplicate registration is harmless, and one that arrives while
+        the hop's handler runs cancels its discard (:meth:`handing_over`).
+        """
+        if tracker.next_hop is not None:
+            self._notify_pointer(tracker.next_hop, tracker.address, register=True)
+
+    def pointer_from(self, tracker: Tracker, core: str) -> TrackerAddress | None:
+        """The tracker of ``core`` that points at ``tracker``, to hand over.
+
+        None in lazy mode, and unless exactly one is registered.
+        """
+        if not self.core.eager_pointer_updates:
+            return None
+        # A snapshot: one-way updates change the set from other threads.
+        found = [pointer for pointer in tuple(tracker.remote_pointers) if pointer.core == core]
+        return found[0] if len(found) == 1 else None
+
+    @contextmanager
+    def handing_over(self, tracker: Tracker, pointer: TrackerAddress | None) -> Iterator[Handover]:
+        """Run a handler that may hand ``pointer``, registered at ``tracker``, over.
+
+        The handler sets ``settled`` once the final tracker has registered
+        ``pointer`` and the answer naming it is about to go back; on exit
+        ``tracker`` then lets ``pointer`` go.  Unless ``pointer`` was
+        registered again while the handler ran: its requester gave up on
+        the request (a deadline passed meanwhile), still points here, and
+        :meth:`reclaim`\\ ed it.  The final then keeps a registration it
+        may not need, which only delays collection there.  Without a
+        ``pointer`` there is nothing to hand over.
+        """
+        handover = Handover()
+        if pointer is None:
+            yield handover
+            return
+        key = (tracker.address.serial, pointer)
+        with self._handovers_lock:
+            self._in_flight[key] += 1
+        try:
+            yield handover
+        finally:
+            with self._handovers_lock:
+                reclaimed = key in self._reclaimed
+                self._in_flight[key] -= 1
+                if not self._in_flight[key]:
+                    del self._in_flight[key]
+                    self._reclaimed.discard(key)
+                if handover.settled and not reclaimed:
+                    tracker.remote_pointers.discard(pointer)
 
     def repair_dead_core(
         self, failed: str, relocated: dict[object, TrackerAddress]
@@ -223,8 +342,8 @@ class ReferenceHandler:
                 continue
             replacement = relocated.get(tracker.target_id)
             if replacement is not None and replacement != tracker.address:
-                tracker.point_to(replacement)
                 self._notify_pointer(replacement, tracker.address, register=True)
+                tracker.point_to(replacement)
             else:
                 tracker.mark_dangling()
             repaired += 1
@@ -248,8 +367,8 @@ class ReferenceHandler:
             replacement = hosted.get(tracker.target_id)
             if replacement is None or replacement == tracker.address:
                 continue
-            tracker.point_to(replacement)
             self._notify_pointer(replacement, tracker.address, register=True)
+            tracker.point_to(replacement)
             repaired += 1
         return repaired
 
@@ -270,14 +389,12 @@ class ReferenceHandler:
                 (target.serial, pointer, register),
             )
         except CoreError:
-            # Best-effort bookkeeping: an unreachable Core merely delays
-            # tracker collection there.
+            # Best effort: an unreachable Core cannot be told.  A dropped
+            # unregister only delays collection there; a dropped register
+            # lets the pointee be collected under a live reference.
             logger.debug(
                 "pointer update to %s dropped (unreachable)", target.core, exc_info=True
             )
-
-    def register_pointer(self, tracker: Tracker, pointer: TrackerAddress) -> None:
-        tracker.remote_pointers.add(pointer)
 
     def unregister_remote_pointer(
         self, target: TrackerAddress, pointer: TrackerAddress
@@ -291,41 +408,48 @@ class ReferenceHandler:
         tracker = self.core.repository.tracker_by_serial(serial)
         if tracker is None:
             return
-        if register:
-            tracker.remote_pointers.add(pointer)
-        else:
+        if not register:
             tracker.remote_pointers.discard(pointer)
+            return
+        with self._handovers_lock:
+            if (serial, pointer) in self._in_flight:
+                self._reclaimed.add((serial, pointer))
+            # A tracker is not pointed at by the tracker it points at: such
+            # a registration was overtaken by a move that settled it.
+            if pointer != tracker.next_hop:
+                tracker.remote_pointers.add(pointer)
 
     # -- message handlers ------------------------------------------------------------------
 
-    def _handle_lookup(self, src: str, serial: object) -> tuple[str, TrackerAddress | None]:
-        assert isinstance(serial, int)
+    def _handle_lookup(self, src: str, body: object) -> tuple[str, TrackerAddress | None]:
+        serial, pointers = body  # type: ignore[misc]
         tracker = self.core.repository.tracker_by_serial(serial)
-        if tracker is None:
+        if tracker is None or (tracker.next_hop is None and not tracker.is_local):
             return ("dangling", None)
         if tracker.is_local:
+            tracker.remote_pointers.update(p for p in pointers if p != tracker.address)
             return ("local", None)
-        if tracker.next_hop is not None:
-            if serial not in self._resolving:
-                # Collapse the remainder of the chain on the caller's
-                # behalf: resolve to the final tracker (shortening this
-                # tracker as a side effect) and answer with the target's
-                # address directly, so the caller repoints in one hop
-                # instead of walking every forwarder itself.
-                self._resolving.add(serial)
-                try:
-                    final = self.resolve_final(tracker)
-                except DanglingReferenceError:
-                    return ("dangling", None)
-                except (CoreError, CompletError):
-                    # Downstream unreachable or looping — fall back to
-                    # the plain one-hop answer and let the caller cope.
-                    return ("forward", tracker.next_hop)
-                finally:
-                    self._resolving.discard(serial)
-                return ("final", final)
+        if serial in self._resolving:
             return ("forward", tracker.next_hop)
-        return ("dangling", None)
+        # Collapse the remainder of the chain on the caller's behalf:
+        # resolve to the final tracker (shortening this tracker as a side
+        # effect) and answer with the target's address directly, so the
+        # caller repoints in one hop instead of walking every forwarder.
+        self._resolving.add(serial)
+        try:
+            # The requester, last, is registered at the final by the walk.
+            with self.handing_over(tracker, pointers[-1] if pointers else None) as handover:
+                final = self.resolve_final(tracker, pointers)
+                handover.settled = True
+        except DanglingReferenceError:
+            return ("dangling", None)
+        except (CoreError, CompletError):
+            # Downstream unreachable or looping — fall back to the plain
+            # one-hop answer and let the caller cope.
+            return ("forward", tracker.next_hop)
+        finally:
+            self._resolving.discard(serial)
+        return ("final", final)
 
     def _handle_update(self, src: str, body: object) -> None:
         serial, pointer, register = body  # type: ignore[misc]

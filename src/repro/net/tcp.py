@@ -261,6 +261,9 @@ class TcpTransport(Transport):
         self._request_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
         self._closed = False
+        #: The process that built the hub: a forked copy holds copies of its
+        #: sockets, and closing them there must not touch the owner's.
+        self._owner = os.getpid()
         # Connections, hub threads and the ONEWAY load change hands under _lock.
         self._lock = threading.Lock()
         self._idle: dict[str, list[_Connection]] = {}
@@ -762,7 +765,19 @@ class TcpTransport(Transport):
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every socket, wake whoever is blocked on one, join the hub's threads."""
+        """Close every socket, wake whoever is blocked on one, join the hub's threads.
+
+        In a :attr:`forked` copy only the copy's descriptors are closed: the
+        threads are not there, and shutting a socket down would end the
+        owner's connection too.
+        """
+        if self.forked:
+            self._closed = True
+            for connection in self._live:
+                connection.sock.close()
+            self._selector.close()
+            self._release_descriptors()
+            return
         with self._io_calls_lock:
             if self._closed:
                 return
@@ -770,8 +785,6 @@ class TcpTransport(Transport):
             self._wake()
         # Never far from its selector, the I/O thread drops every listener on the way out.
         self._io_thread.join(timeout=self._connect_timeout)
-        self._wake_send.close()
-        self._wake_recv.close()
         with self._lock:  # nothing is adopted, started or pooled once _closed is seen here
             idle = [connection for pool in self._idle.values() for connection in pool]
             self._idle.clear()
@@ -790,8 +803,20 @@ class TcpTransport(Transport):
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         if self._io_thread.is_alive() or any(thread.is_alive() for thread in threads):
             logger.warning("TcpTransport threads still running after close()")
+        self._release_descriptors()
+
+    def _release_descriptors(self) -> None:
+        """Close the listeners (the I/O thread's way out closed them already) and the
+        wake pair, and forget the local nodes: the end of either way to close."""
+        for sock in (*self._listeners.values(), self._wake_send, self._wake_recv):
+            sock.close()
         self._listeners.clear()
         self._handlers.clear()
+
+    @property
+    def forked(self) -> bool:
+        """True in a forked copy of the process that built the hub."""
+        return self._owner != os.getpid()
 
     def __repr__(self) -> str:
         local = sorted(self._listeners)

@@ -321,6 +321,23 @@ class TestOneTemplatePerProcess:
             assert template_of(second) == template
             assert second.driver.admin("alpha", "complets") == []
 
+    def test_a_forked_copy_stops_none_of_the_parents_children(self):
+        with CoreProcesses(["alpha", "beta"]) as procs:
+            children = [child.pid for child in procs.processes.values()]
+            pid = os.fork()
+            if pid == 0:  # the copy: it holds the parent's deployment
+                status = 1
+                try:
+                    procs.stop()
+                    status = 0
+                finally:
+                    os._exit(status)  # no pytest teardown, no atexit, in the copy
+            assert os.waitpid(pid, 0)[1] == 0
+            assert all(is_running(child) for child in children)
+            for name in ("alpha", "beta"):  # over the parent's hub, as before
+                assert procs.driver.admin(name, "complets") == []
+        assert gone_within(children, 5.0)  # the parent's own stop() ends them
+
     def test_importing_the_launcher_starts_nothing(self):
         program = (
             "import os, threading\n"

@@ -37,6 +37,20 @@ def make_cluster():
     return factory
 
 
+@pytest.fixture
+def deploy():
+    """Factory for a cluster on a named backend, closed after the test."""
+    made: list[Cluster] = []
+
+    def factory(names, transport="sim", **kwargs) -> Cluster:
+        made.append(Cluster(names, transport=transport, **kwargs))
+        return made[-1]
+
+    yield factory
+    for cluster in made:
+        cluster.close()
+
+
 def _template_children() -> set[int]:
     template = launch._shared
     if template is None or template.process.poll() is not None:

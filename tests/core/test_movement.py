@@ -6,6 +6,15 @@ from repro.errors import CompletError, MovementDeniedError
 from repro.net.messages import MessageKind
 from repro.cluster.workload import Counter, DataSource, Echo, Worker
 from tests.anchors import Holder, Probe
+from tests.pointers import (
+    BACKENDS,
+    MODES,
+    eventually,
+    kinds,
+    pointer_set_violations,
+    pointer_sets,
+    settle,
+)
 
 
 class TestBasicMovement:
@@ -225,9 +234,104 @@ class TestMovementAccounting:
         cluster.move(big, "beta")
         assert cluster.stats.bytes - small_bytes > 90_000
 
+    def test_a_departed_group_is_freed_at_once(self, cluster):
+        """Nothing the move built keeps the group's old objects in a reference
+        cycle: they go when the move returns, not at the next collection."""
+        import gc
+        import weakref
+
+        from repro.complet.relocators import Pull
+        from repro.core.core import Core
+
+        head = Holder(None, _core=cluster["alpha"])
+        anchor = cluster["alpha"].repository.get(head._fargo_target_id)
+        anchor.refs = [DataSource(1000, _core=cluster["alpha"]) for _ in range(3)]
+        for stub in anchor.refs:
+            Core.get_meta_ref(stub).set_relocator(Pull())
+        departed = [weakref.ref(a) for a in cluster["alpha"].repository.anchors()]
+        del anchor
+        gc.disable()
+        try:
+            cluster.move(head, "beta")
+            assert [ref() for ref in departed] == [None] * 4
+        finally:
+            gc.enable()
+
     def test_probe_history_travels(self, cluster):
         probe = Probe(_core=cluster["alpha"])
         cluster.move(probe, "beta")
         cluster.move(probe, "alpha")
         history = probe.get_history()
         assert history.count("pre_arrival") == 2
+
+
+class TestHandover:
+    """The move's own messages settle the pointer sets: nothing is posted.
+
+    Each scenario runs per bookkeeping mode on the simulated network and,
+    as its ``tcp`` twin, on TCP hubs.
+    """
+
+    #: The move back of a four-member pull group (head and three members)
+    #: that left alpha for beta, in every mode: the messages of that move
+    #: and every pointer set afterwards.  Eager and registry posted four
+    #: TRACKER_UPDATEs; lazy left each beta tracker listing its alpha one.
+    GROUP_BACK = (
+        {"MOVE_REQUEST": 2, "MOVE_COMPLET": 2},
+        {**{f"alpha/t{i}": [f"beta/t{i}"] for i in range(1, 5)},
+         **{f"beta/t{i}": [] for i in range(1, 5)}},
+    )
+
+    #: ``driver.move`` then one call, three times over a <-> b: the messages
+    #: of each round.  Each mode sent two INVOKEs and a TRACKER_LOOKUP more
+    #: per round, and eager and registry two or three TRACKER_UPDATEs.
+    MOVE_THEN_CALL = {
+        "eager": [{"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2}] * 3,
+        "lazy": [{"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2}] * 3,
+        "registry": [
+            {"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2,
+             "LOCATION_QUERY": 2, "LOCATION_UPDATE": 1},
+            {"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2, "LOCATION_QUERY": 2},
+            {"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2,
+             "LOCATION_QUERY": 2, "LOCATION_UPDATE": 1},
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("transport", BACKENDS)
+    def test_a_pull_group_moved_back(self, deploy, transport, mode):
+        from repro.complet.relocators import Pull
+        from repro.core.core import Core
+
+        cluster = deploy(["alpha", "beta"], transport, **MODES[mode])
+        head = Holder(None, _core=cluster["alpha"])
+        anchor = cluster["alpha"].repository.get(head._fargo_target_id)
+        anchor.refs = [Counter(i, _core=cluster["alpha"]) for i in range(3)]
+        for stub in anchor.refs:
+            Core.get_meta_ref(stub).set_relocator(Pull())
+        cluster.move(head, "beta")
+        settle(cluster, head)
+        cluster.reset_stats()
+        cluster.move(head, "alpha")
+        sent, sets = self.GROUP_BACK
+        assert kinds(cluster) == sent
+        assert eventually(lambda: pointer_sets(cluster) == sets), pointer_sets(cluster)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("transport", BACKENDS)
+    def test_a_requested_move_shortens_the_requester(self, deploy, transport, mode):
+        """The answer to MOVE_REQUEST names the new host: the next call goes straight there."""
+        cluster = deploy(["driver", "a", "b"], transport, **MODES[mode])
+        counter = Counter(0, _core=cluster["driver"], _at="a")
+        rounds = []
+        for calls, destination in enumerate(["b", "a", "b"], 1):
+            settle(cluster, counter)
+            cluster.reset_stats()
+            cluster.move(counter, destination)
+            settle(cluster, counter)
+            assert counter.increment() == calls
+            rounds.append(kinds(cluster))
+        assert rounds == self.MOVE_THEN_CALL[mode]
+        assert counter._fargo_tracker.next_hop.core == "b"
+        if mode != "lazy":
+            assert eventually(lambda: not pointer_set_violations(cluster.cores.values()))

@@ -184,14 +184,14 @@ class TestForwardHopBound:
         """A request that already took MAX_FORWARD_HOPS forwards is rejected."""
         cluster = Cluster(["a", "b"])
         echo = Echo("x", _core=cluster["a"])
-        body = (echo._fargo_target_id, "b", None, None, MAX_FORWARD_HOPS)
+        body = (echo._fargo_target_id, "b", None, None, MAX_FORWARD_HOPS, None)
         with pytest.raises(CompletError, match="stale-tracker cycle"):
             cluster["a"].movement._handle_move_request("b", body)
 
     def test_last_permitted_hop_still_moves(self):
         cluster = Cluster(["a", "b"])
         echo = Echo("x", _core=cluster["a"])
-        body = (echo._fargo_target_id, "b", None, None, MAX_FORWARD_HOPS - 1)
+        body = (echo._fargo_target_id, "b", None, None, MAX_FORWARD_HOPS - 1, None)
         cluster["a"].movement._handle_move_request("b", body)
         assert cluster.locate(echo) == "b"
 

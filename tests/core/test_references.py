@@ -1,11 +1,20 @@
 """Tests for the reference handler: materialization, location, pointers."""
 
+import threading
+
 import pytest
 
 from repro.complet.relocators import Link, Pull
 from repro.complet.tokens import RefToken, StampToken
-from repro.errors import DanglingReferenceError, SerializationError, StampResolutionError
+from repro.errors import (
+    DanglingReferenceError,
+    DeadlineExceededError,
+    SerializationError,
+    StampResolutionError,
+)
 from repro.cluster.workload import Counter, Echo, Printer, Printer_
+from repro.net.messages import MessageKind
+from tests.pointers import BACKENDS, MODES, eventually, kinds, pointer_sets, settle
 
 
 class TestMaterialization:
@@ -134,3 +143,133 @@ class TestPointerBookkeeping:
         counter.increment()  # shortens alpha -> gamma
         cluster3.transport.set_node_down("beta")
         assert counter.increment() == 2  # no longer routed through beta
+
+
+class TestHandover:
+    """A re-point is settled by the message that causes it: nothing is posted."""
+
+    #: One ping through a -> b -> c -> d -> e, per mode: the messages it sends
+    #: (request and reply each) and every pointer set afterwards.  Lazy is
+    #: what it was before the handover; eager sent six TRACKER_UPDATEs and
+    #: registry four (its driver's shortening, resolved by the registry,
+    #: still posts), each leaving the same sets.
+    STALE_PING = {
+        "eager": (
+            {"INVOKE": 4, "TRACKER_LOOKUP": 6},
+            {"a/t1": [], "b/t1": [], "c/t1": [], "d/t1": [],
+             "e/t1": ["a/t1", "b/t1", "c/t1", "d/t1"]},
+        ),
+        "lazy": (
+            {"INVOKE": 4, "TRACKER_LOOKUP": 6},
+            {"a/t1": [], "b/t1": [], "c/t1": ["b/t1"], "d/t1": ["c/t1"], "e/t1": ["d/t1"]},
+        ),
+        "registry": (
+            {"INVOKE": 4, "TRACKER_UPDATE": 3},
+            {"a/t1": [], "b/t1": [], "c/t1": [], "d/t1": ["c/t1"],
+             "e/t1": ["a/t1", "b/t1", "d/t1"]},
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("transport", BACKENDS)
+    def test_ping_through_a_four_hop_stale_chain(self, deploy, transport, mode):
+        cluster = deploy(["a", "b", "c", "d", "e"], transport, **MODES[mode])
+        counter = Counter(0, _core=cluster["a"], _at="b")
+        for host in ("c", "d", "e"):
+            cluster.move_via_host(counter, host)
+        settle(cluster, counter)
+        cluster.reset_stats()
+        assert counter.increment() == 1
+        sent, sets = self.STALE_PING[mode]
+        assert kinds(cluster) == sent
+        assert eventually(lambda: pointer_sets(cluster) == sets), pointer_sets(cluster)
+
+    @pytest.mark.parametrize("lost", [MessageKind.TRACKER_LOOKUP, MessageKind.INVOKE])
+    @pytest.mark.parametrize("transport", BACKENDS)
+    def test_a_lost_answer_leaves_the_requester_registered(self, deploy, transport, lost):
+        """The forwarder ran the request, discarded its caller, and the answer
+        never arrived: the caller has it register the pointer again."""
+        cluster = deploy(["a", "b", "c"], transport)
+        counter = Counter(0, _core=cluster["a"], _at="b")
+        cluster.move_via_host(counter, "c")  # a -> b -> c
+        settle(cluster, counter)
+        pointer = counter._fargo_tracker.address
+        forwarder = cluster["b"].repository.existing_tracker(counter._fargo_target_id)
+        handlers = cluster["b"].peer.endpoint._handlers
+        handler = handlers[lost]
+
+        def answered_then_lost(src, payload):
+            handler(src, payload)
+            raise DeadlineExceededError("the answer was lost")
+
+        handlers[lost] = answered_then_lost
+        with pytest.raises(DeadlineExceededError):
+            if lost is MessageKind.INVOKE:
+                counter.increment()
+            else:
+                cluster.locate(counter)
+        handlers[lost] = handler
+        assert counter._fargo_tracker.next_hop == forwarder.address
+        assert eventually(lambda: pointer in forwarder.remote_pointers)
+        cluster.collect_all_trackers()
+        assert cluster["b"].repository.tracker_by_serial(forwarder.address.serial) is forwarder
+        assert counter.increment() == (2 if lost is MessageKind.INVOKE else 1)
+
+    @pytest.mark.tcp
+    @pytest.mark.parametrize(
+        "kind", [MessageKind.TRACKER_LOOKUP, MessageKind.INVOKE, MessageKind.MOVE_REQUEST]
+    )
+    def test_a_caller_that_gives_up_while_the_hop_still_runs(self, deploy, kind):
+        """a's deadline passes while b's handler waits on c.  a registers its
+        tracker at b again, and that reaches b before b's handler ends: the
+        handler keeps the pointer it would have handed over."""
+        cluster = deploy(["a", "b", "c"], "tcp")
+        counter = Counter(0, _core=cluster["a"], _at="b")
+        moving = kind is MessageKind.MOVE_REQUEST
+        if not moving:
+            cluster.move_via_host(counter, "c")  # a -> b -> c: b forwards
+        settle(cluster, counter)
+        pointer = counter._fargo_tracker.address
+        hop = cluster["b"].repository.existing_tracker(counter._fargo_target_id)
+        at_b = cluster["b"].peer.endpoint._handlers
+        at_c = cluster["c"].peer.endpoint._handlers
+        reregistered, finished = threading.Event(), threading.Event()
+        update, handler = at_b[MessageKind.TRACKER_UPDATE], at_b[kind]
+        # What b asks of c on a's behalf: the rest of the chain, or the move's commit.
+        asked = MessageKind.MOVE_COMPLET if moving else MessageKind.TRACKER_LOOKUP
+        answer = at_c[asked]
+
+        def update_then_signal(src, payload):
+            result = update(src, payload)
+            reregistered.set()
+            return result
+
+        def handle_then_signal(src, payload):
+            try:
+                return handler(src, payload)
+            finally:
+                finished.set()
+
+        def answer_once_reregistered(src, payload):
+            reregistered.wait(5.0)
+            return answer(src, payload)
+
+        at_b[MessageKind.TRACKER_UPDATE] = update_then_signal
+        at_b[kind] = handle_then_signal
+        at_c[asked] = answer_once_reregistered
+        cluster["a"].peer.endpoint.set_timeout(0.2, kind)
+        with pytest.raises(DeadlineExceededError):
+            if kind is MessageKind.INVOKE:
+                counter.increment()
+            elif moving:
+                cluster.move(counter, "c")
+            else:
+                cluster.locate(counter)
+        assert finished.wait(10.0) and reregistered.is_set()
+        cluster["a"].peer.endpoint.set_timeout(None, kind)
+        at_b[MessageKind.TRACKER_UPDATE], at_b[kind], at_c[asked] = update, handler, answer
+        assert counter._fargo_tracker.next_hop == hop.address
+        assert pointer in hop.remote_pointers
+        cluster.collect_all_trackers()
+        assert cluster["b"].repository.tracker_by_serial(hop.address.serial) is hop
+        assert counter.increment() == (2 if kind is MessageKind.INVOKE else 1)

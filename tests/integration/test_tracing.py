@@ -41,7 +41,9 @@ class TestChainedInvocationTrace:
         cluster = Cluster(["alpha", "beta", "gamma"], tracing=True)
         echo = Echo("x", _core=cluster["alpha"])
         cluster.move(echo, "beta")
-        cluster.move(echo, "gamma")  # the alpha stub still points at beta
+        # Moved by its host, so the alpha stub still points at beta (a move
+        # alpha requests re-points it at the new host on the answer).
+        cluster.move_via_host(echo, "gamma")
         cluster.clear_spans()
         assert echo.echo("hi") == "hi"
         trace = the_trace_containing(cluster, "invoke:echo")
@@ -81,7 +83,7 @@ class TestMoveTrace:
         cluster = Cluster(["alpha", "beta", "gamma"], tracing=True)
         echo = Echo("x", _core=cluster["alpha"])
         cluster.move(echo, "beta")
-        cluster.move(echo, "gamma")
+        cluster.move_via_host(echo, "gamma")  # alpha's tracker still says beta
         cluster.clear_spans()
         cluster.move(echo, "alpha")  # resolved through the stale chain
         trace = the_trace_containing(cluster, "move")

@@ -1,9 +1,17 @@
 """Property-based tests: tracker-chain invariants under random itineraries."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter
+from repro.complet.relocators import Link
+from repro.complet.tokens import RefToken
+from repro.complet.tracker import TrackerAddress
+from repro.net.serializer import PLAIN
+from repro.util.ids import CompletId
 
 CORES = ["a", "b", "c", "d"]
 
@@ -110,3 +118,24 @@ class TestChainInvariants:
                 t for t in core.repository.trackers() if t.target_id == target_id
             ]
             assert len(trackers) <= 1
+
+
+addresses = st.builds(TrackerAddress, st.text(min_size=1, max_size=16), st.integers(0, 2**63 - 1))
+
+
+class TestAddressWireForm:
+    """A tracker address pickles as its two fields; what it is does not change."""
+
+    @given(address=addresses)
+    def test_round_trips_through_plain(self, address):
+        back = PLAIN.loads(PLAIN.dumps(address))
+        assert type(back) is TrackerAddress
+        assert back == address and hash(back) == hash(address) and str(back) == str(address)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.serial = address.serial + 1  # type: ignore[misc]
+
+    @given(address=addresses)
+    def test_round_trips_inside_a_ref_token(self, address):
+        token = RefToken(CompletId("a", 1, "Echo"), "repro.cluster.workload:Echo_", address, Link())
+        back = PLAIN.loads(PLAIN.dumps(token))
+        assert back == token and type(back.last_known) is TrackerAddress
