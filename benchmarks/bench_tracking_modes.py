@@ -16,6 +16,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter
+from repro.core.locator import LocationRegistry, Locator
 from repro.net.messages import MessageKind
 from repro.sim.clock import forbid_real_clocks
 from benchmarks.conftest import print_table
@@ -23,8 +24,12 @@ from benchmarks.conftest import print_table
 CORE_NAMES = [f"c{i}" for i in range(10)]
 
 
+def _cluster(names, registry: bool) -> Cluster:
+    return Cluster(names, locator=LocationRegistry if registry else Locator)
+
+
 def _wandered(hops: int, *, registry: bool):
-    cluster = Cluster(CORE_NAMES[: hops + 2], use_location_registry=registry)
+    cluster = _cluster(CORE_NAMES[: hops + 2], registry)
     counter = Counter(0, _core=cluster["c0"])
     for i in range(1, hops + 1):
         cluster.move_via_host(counter, f"c{i}")
@@ -108,7 +113,7 @@ def test_maintenance_cost_per_move(benchmark):
 
 def _measure_maintenance(rows):
     for registry in (False, True):
-        cluster = Cluster(["a", "b", "c"], use_location_registry=registry)
+        cluster = _cluster(["a", "b", "c"], registry)
         counter = Counter(0, _core=cluster["a"])
         cluster.move(counter, "b")
         cluster.reset_stats()
@@ -126,7 +131,7 @@ def test_resilience_to_path_death(benchmark):
     outcomes = []
     with forbid_real_clocks():
         for registry in (False, True):
-            cluster = Cluster(["a", "b", "c"], use_location_registry=registry)
+            cluster = _cluster(["a", "b", "c"], registry)
             counter = Counter(0, _core=cluster["a"])
             cluster.move_via_host(counter, "b")
             cluster.move_via_host(counter, "c")
@@ -142,38 +147,4 @@ def test_resilience_to_path_death(benchmark):
         outcomes,
     )
     assert outcomes == [("chains", "breaks"), ("registry", "survives")]
-    benchmark(lambda: None)
-
-
-def test_pointer_update_ablation(benchmark):
-    """Eager pointer bookkeeping: GC accuracy vs what it costs on the wire.
-
-    The chain walk carries eager bookkeeping in-band (the LOOKUPs name the
-    trackers that re-point), so it posts no TRACKER_UPDATE in either mode;
-    eager pays in bytes, and collects at least as many trackers.
-    """
-    rows = []
-    with forbid_real_clocks():
-        for eager in (True, False):
-            cluster = Cluster(["a", "b", "c", "d"], eager_pointer_updates=eager)
-            counter = Counter(0, _core=cluster["a"])
-            for destination in ("b", "c", "d"):
-                cluster.move_via_host(counter, destination)
-            cluster.reset_stats()
-            counter.increment()
-            housekeeping = cluster.stats.by_kind[MessageKind.TRACKER_UPDATE]
-            wire_bytes = cluster.stats.bytes
-            collected = cluster.collect_all_trackers()
-            rows.append(
-                ("eager" if eager else "lazy", housekeeping, wire_bytes, collected)
-            )
-    print_table(
-        "pointer-update ablation: shorten housekeeping vs GC yield",
-        ["mode", "update msgs", "wire bytes", "trackers GC'd"],
-        rows,
-    )
-    eager_row, lazy_row = rows
-    assert eager_row[1] == lazy_row[1] == 0  # no post on the chain walk ...
-    assert eager_row[2] >= lazy_row[2]       # ... eager pays in bytes ...
-    assert eager_row[3] >= lazy_row[3]       # ... and collects at least as much
     benchmark(lambda: None)

@@ -303,12 +303,11 @@ def movement() -> dict:
 def tracking_modes() -> dict:
     """Chain-following vs location-registry resolution, side by side."""
     from repro.cluster.workload import Counter
+    from repro.core.locator import LocationRegistry, Locator
 
     results = {}
-    for label, use_registry in (("chain", False), ("registry", True)):
-        cluster = Cluster(
-            ["a", "b", "c", "d"], use_location_registry=use_registry
-        )
+    for label, locator in (("chain", Locator), ("registry", LocationRegistry)):
+        cluster = Cluster(["a", "b", "c", "d"], locator=locator)
         counter = Counter(0, _core=cluster["a"])
         for dest in ("b", "c", "d"):
             cluster.move_via_host(counter, dest)

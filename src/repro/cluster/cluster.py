@@ -110,8 +110,8 @@ class Cluster:
 
         ``core_options`` are the keyword options of
         :class:`~repro.core.core.Core` (``rpc_timeout``, ``retry_policy``,
-        ``tracing``, ``store_threshold``, ``use_location_registry``, ...),
-        given to every Core the cluster builds.  On ``procs`` the
+        ``tracing``, ``store_threshold``, ``locator``, ...), given to every
+        Core the cluster builds.  On ``procs`` the
         launcher builds them, so only ``tracing`` is taken there.
         """
         unknown = core_options.keys() - Core.__init__.__kwdefaults__.keys()

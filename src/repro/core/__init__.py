@@ -13,7 +13,7 @@ in the :class:`~repro.core.naming.NamingService`.
 from repro.core.core import Core
 from repro.core.carrier import Carrier
 from repro.core.events import Event
-from repro.core.locator import LocationRegistry
+from repro.core.locator import LocationRegistry, Locator
 from repro.core.persistence import Snapshot, restore, snapshot
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "Carrier",
     "Event",
     "LocationRegistry",
+    "Locator",
     "Snapshot",
     "restore",
     "snapshot",

@@ -21,7 +21,7 @@ from repro.complet.stub import Stub, stub_class_for, stub_core, stub_meta, stub_
 from repro.core.admin import CoreAdmin, dispatch
 from repro.core.events import CALL_RETRIED, CORE_SHUTDOWN, ONEWAY_FAILED, EventBus
 from repro.core.invocation import InvocationUnit
-from repro.core.locator import LocationRegistry
+from repro.core.locator import Locator
 from repro.core.movement import MovementUnit
 from repro.core.naming import NamingService
 from repro.core.references import ReferenceHandler
@@ -54,8 +54,7 @@ class Core:
         transport: Transport,
         scheduler: Scheduler,
         *,
-        eager_pointer_updates: bool = True,
-        use_location_registry: bool = False,
+        locator: type[Locator] = Locator,
         profile_cache_ttl: float = 1.0,
         retry_policy: RetryPolicy | None = None,
         rpc_timeout: float | None = None,
@@ -65,11 +64,6 @@ class Core:
     ) -> None:
         self.name = name
         self.scheduler = scheduler
-        #: Eagerly maintain distributed remote-pointer sets (tracker GC).
-        self.eager_pointer_updates = eager_pointer_updates
-        #: Resolve references through the home-based location registry
-        #: (the paper's future-work naming scheme) before chain walking.
-        self.use_location_registry = use_location_registry
         #: Default retry policy for this Core's outgoing cross-Core calls.
         self.retry_policy = retry_policy
         self.is_running = True
@@ -107,7 +101,9 @@ class Core:
         self.profiler = Profiler(self, cache_ttl=profile_cache_ttl)
         self.monitor = MonitorEventEngine(self)
         self.references = ReferenceHandler(self)
-        self.locator = LocationRegistry(self)
+        #: Where walks start, calls re-route and arrivals are announced:
+        #: tracker chains, or the home registry (:mod:`repro.core.locator`).
+        self.locator = locator(self)
         self.invocation = InvocationUnit(self)
         self.movement = MovementUnit(self)
         self.naming = NamingService(self)

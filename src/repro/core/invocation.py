@@ -15,14 +15,15 @@ and nothing needs posting (:meth:`~repro.core.references.ReferenceHandler.shorte
 
 Fault tolerance: a forward that hits a reachability failure (after the
 RPC layer's own retries, if the Core carries a
-:class:`~repro.net.retry.RetryPolicy`) *re-locates* the target — through
-the location registry when enabled, else by re-walking the tracker
-chain — and retries once against the recovered address, so a complet
-that moved away while a hop was unreachable is found again.  Only
-reachability errors (raised before the remote handler ran) take this
-path; a :class:`~repro.errors.DeadlineExceededError` propagates to the
-caller, because the handler may well have executed and a transparent
-retry would silently duplicate non-idempotent work.
+:class:`~repro.net.retry.RetryPolicy`) *re-locates* the target, as the
+Core's :meth:`~repro.core.locator.Locator.recover_route` says (a chain
+re-walk, or the home registry's record), and retries once against the
+recovered address, so a complet that moved away while a hop was
+unreachable is found again.  Only reachability errors (raised before the
+remote handler ran) take this path; a
+:class:`~repro.errors.DeadlineExceededError` propagates to the caller,
+because the handler may well have executed and a transparent retry would
+silently duplicate non-idempotent work.
 """
 
 from __future__ import annotations
@@ -151,14 +152,12 @@ class InvocationUnit:
                 reply = self._forward(tracker.next_hop, request)
             except REACHABILITY_ERRORS:
                 # A hop on the chain is gone (the RPC layer already spent its
-                # retries).  Re-locate the target and go direct: through the
-                # location registry (the paper's future-work naming scheme)
-                # when enabled, else by re-walking the tracker chain.  Only
+                # retries).  Re-locate the target and go direct.  Only
                 # reachability failures qualify: they are raised before the
                 # remote handler ran, so the retry cannot duplicate work.  A
                 # timeout (DeadlineExceededError) is indeterminate — the call
                 # may have executed — and propagates to the caller instead.
-                recovered = self._recover_route(tracker)
+                recovered = self.core.locator.recover_route(tracker)
                 if recovered is None:
                     raise
                 reply = self._forward(recovered, request)
@@ -175,28 +174,6 @@ class InvocationUnit:
     def _forward(self, address: TrackerAddress, request: bytes) -> bytes:
         frame = _pack_request(address.serial, request)
         return self.core.peer.request_raw(address.core, MessageKind.INVOKE, frame)
-
-    def _recover_route(self, tracker: Tracker) -> TrackerAddress | None:
-        failed = tracker.next_hop
-        if self.core.use_location_registry:
-            try:
-                registered = self.core.locator.resolve(tracker.target_id)
-            except CoreError:
-                registered = None
-            if registered is not None and registered != failed:
-                self.core.references.shorten(tracker, registered)
-                return registered
-            return None
-        # No registry: re-walk the chain.  This only helps when the chain
-        # no longer runs through the failed hop (it was shortened, or the
-        # failure happened downstream of a live forwarder).
-        try:
-            final = self.core.references.resolve_final(tracker)
-        except (CoreError, CompletError):
-            return None
-        if final != failed:
-            return final
-        return None
 
     def _handle_invoke(self, src: str, raw: bytes) -> bytes:
         serial, request = _unpack_request(raw)

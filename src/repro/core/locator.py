@@ -1,25 +1,24 @@
-"""The location registry: the paper's future-work naming scheme, built.
+"""Where a search for a complet starts: the locating strategy of a Core.
 
-§7: "We intend to design a global location-independent naming scheme,
-which will present an alternative to tracking complet objects using
-chains."  This module is that alternative: every complet's *birth Core*
-(encoded in its immutable :class:`~repro.util.ids.CompletId`) acts as
-its home registrar.  Whenever the complet arrives somewhere, the
-receiving Core posts one LOCATION_UPDATE to the home; anyone holding a
-reference can then resolve the current location with a single
-LOCATION_QUERY instead of walking a tracker chain.
+The paper follows tracker chains (§3.1); :class:`Locator`, the default,
+does too.  :class:`LocationRegistry` builds what §7 leaves as future
+work, "a global location-independent naming scheme, which will present an
+alternative to tracking complet objects using chains": each complet's
+*birth Core* (named in its :class:`~repro.util.ids.CompletId`) is its
+home registrar, each arrival posts it one LOCATION_UPDATE, and a walk
+starts at the home's record (one LOCATION_QUERY) rather than at the
+tracker's next hop.  The record is only a start: after a dropped update
+it names a Core the complet has left, whose tracker sends the walk on.
+The registry survives dead Cores on the migration path, depends on the
+home, and costs one update per move (``benchmarks/bench_tracking_modes.py``).
 
-Trade-offs versus chains (measured in ``benchmarks/bench_tracking_modes.py``):
-
-- resolution is O(1) messages regardless of migration history;
-- references survive the death of *intermediate* Cores on the migration
-  path (a chain breaks there), at the price of depending on the home
-  Core's availability — so the runtime keeps chains as the fallback and
-  uses the registry opportunistically;
-- every move costs one extra (one-way, best-effort) update message.
-
-Enable per Core with ``use_location_registry=True`` (the cluster harness
-forwards the flag to every Core it creates).
+A strategy makes the three locating choices of the units that route:
+where a walk starts (:meth:`Locator.first_hop`), where a call goes after
+an unreachable hop (:meth:`Locator.recover_route`), and what an arrival
+announces (:meth:`Locator.announce`).  Every Core serves registrar
+traffic for the complets born on it, whatever its strategy: homes cannot
+know where their offspring's references live, and recovery republishes.
+Pick per Core with ``Core(..., locator=LocationRegistry)``.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from __future__ import annotations
 import logging
 from typing import TYPE_CHECKING
 
-from repro.complet.tracker import TrackerAddress
-from repro.errors import CoreError
+from repro.complet.tracker import Tracker, TrackerAddress
+from repro.errors import CompletError, CoreError, DanglingReferenceError
 from repro.net.messages import MessageKind
 from repro.util.ids import CompletId
 
@@ -38,36 +37,48 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 logger = logging.getLogger(__name__)
 
 
-class LocationRegistry:
-    """One Core's slice of the global location registry.
-
-    Every Core *serves* registry traffic for the complets born on it,
-    whether or not it uses the registry to resolve its own references —
-    homes cannot predict where their offspring's references live.
-    """
+class Locator:
+    """Tracker chains (§3.1), and this Core's slice of the home registry."""
 
     def __init__(self, core: "Core") -> None:
         self.core = core
         #: Authoritative locations of complets born on this Core.
         self._locations: dict[CompletId, TrackerAddress] = {}
-        #: Updates served / queries answered (for the benchmarks).
-        self.updates_received = 0
-        self.queries_served = 0
         core.peer.register(MessageKind.LOCATION_UPDATE, self._handle_update)
         core.peer.register(MessageKind.LOCATION_QUERY, self._handle_query)
 
-    # -- publishing (receiving side of every move) ----------------------------
+    # -- the strategy --------------------------------------------------------------
+
+    def first_hop(self, tracker: Tracker) -> TrackerAddress:
+        """Where a walk from the remote ``tracker`` starts: its next hop."""
+        if tracker.next_hop is None:
+            raise DanglingReferenceError(
+                f"reference to {tracker.target_id} dangles: target was destroyed"
+            )
+        return tracker.next_hop
+
+    def recover_route(self, tracker: Tracker) -> TrackerAddress | None:
+        """Where a call goes once the forward to ``tracker``'s next hop failed, or None.
+
+        A re-walk, which helps only when the chain no longer runs through
+        the failed hop (it was shortened, or failed downstream of it).
+        """
+        failed = tracker.next_hop
+        try:
+            final = self.core.references.resolve_final(tracker)
+        except (CoreError, CompletError):
+            return None
+        return final if final != failed else None
+
+    def announce(self, addresses: dict[CompletId, TrackerAddress]) -> None:
+        """Complets arrived behind ``addresses``: a chain needs nobody told."""
+
+    # -- home registrar --------------------------------------------------------------
 
     def publish(self, complet_id: CompletId, address: TrackerAddress) -> None:
-        """Record that ``complet_id`` now lives behind ``address``.
-
-        Called by the movement unit after installing an arrival; the
-        update to a remote home is one-way and best-effort — a missed
-        update only costs a fallback to chain walking later.
-        """
+        """Tell the home that ``complet_id`` lives behind ``address``: one-way, best effort."""
         if complet_id.birth_core == self.core.name:
             self._locations[complet_id] = address
-            self.updates_received += 1
             return
         try:
             self.core.peer.notify(
@@ -82,15 +93,8 @@ class LocationRegistry:
                 complet_id.birth_core,
             )
 
-    # -- resolution --------------------------------------------------------------
-
     def resolve(self, complet_id: CompletId) -> TrackerAddress | None:
-        """Current address of ``complet_id`` per its home, or None.
-
-        None means the home is unreachable or has no record (the complet
-        never moved, or updates were lost) — callers fall back to the
-        tracker chain.
-        """
+        """The home's record of ``complet_id``; None if it has none or is unreachable."""
         if complet_id.birth_core == self.core.name:
             return self._locations.get(complet_id)
         try:
@@ -102,16 +106,10 @@ class LocationRegistry:
         assert answer is None or isinstance(answer, TrackerAddress)
         return answer
 
-    def known_count(self) -> int:
-        return len(self._locations)
-
     def forget_core(self, core_name: str) -> int:
-        """Drop every record pointing at ``core_name``; returns the count.
+        """Drop every record naming ``core_name``, declared dead; returns the count.
 
-        Used by recovery: once a Core is declared dead, registry records
-        naming it would send resolvers straight into the failure.  The
-        records reappear naturally when the complets are republished from
-        their recovery destination.
+        The complets are republished from where recovery restores them.
         """
         stale = [
             complet_id
@@ -127,9 +125,31 @@ class LocationRegistry:
     def _handle_update(self, src: str, body: object) -> None:
         complet_id, address = body  # type: ignore[misc]
         self._locations[complet_id] = address
-        self.updates_received += 1
 
     def _handle_query(self, src: str, complet_id: object) -> TrackerAddress | None:
         assert isinstance(complet_id, CompletId)
-        self.queries_served += 1
         return self._locations.get(complet_id)
+
+
+class LocationRegistry(Locator):
+    """The home registry (§7 future work): walks start at the home's record."""
+
+    def first_hop(self, tracker: Tracker) -> TrackerAddress:
+        """The home's record, unless it has none or names ``tracker``, which the target left."""
+        registered = self.resolve(tracker.target_id)
+        if registered is not None and registered != tracker.address:
+            return registered
+        return super().first_hop(tracker)
+
+    def recover_route(self, tracker: Tracker) -> TrackerAddress | None:
+        """The home's record, unless it is the failed hop; ``tracker`` re-points there."""
+        registered = self.resolve(tracker.target_id)
+        if registered is None or registered == tracker.next_hop:
+            return None
+        self.core.references.shorten(tracker, registered)
+        return registered
+
+    def announce(self, addresses: dict[CompletId, TrackerAddress]) -> None:
+        """Tell each arrival's home where it lives now."""
+        for complet_id, address in addresses.items():
+            self.publish(complet_id, address)

@@ -305,22 +305,24 @@ class MovementUnit:
             target_id = target
         else:
             raise CompletError(f"cannot forward a move of {target!r}")
-        # No lookup first: the tracker's next hop gets the request, chases
-        # the complet if it has moved on, and does nothing if it is in place.
-        address, _final = self.core.references.first_hop(tracker)
-        pointer = tracker.address if self.core.eager_pointer_updates else None
+        # No lookup first: the walk's first hop gets the request, chases the
+        # complet if it has moved on, and does nothing if it is in place.
+        address = self.core.locator.first_hop(tracker)
         try:
             moved_to = self.core.peer.request(
                 address.core,
                 MessageKind.MOVE_REQUEST,
-                self._request_body(target_id, destination, continuation, pointer=pointer),
+                self._request_body(target_id, destination, continuation, pointer=tracker.address),
             )
         except INDETERMINATE_ERRORS:
             self.core.references.reclaim(tracker)
             raise
         if moved_to is not None:
-            # The host that moved it handed this tracker over to the destination.
-            self.core.references.shorten(tracker, moved_to, registered=True, released=True)
+            # The host that moved it handed this tracker over to the
+            # destination, and released it if it was the next hop.
+            self.core.references.shorten(
+                tracker, moved_to, registered=True, released=address == tracker.next_hop
+            )
 
     def _request_body(
         self,
@@ -336,8 +338,7 @@ class MovementUnit:
         marshaled with the invocation marshaler rather than pickled raw.
         ``hops`` counts tracker-chain forwards so a cycle of stale
         trackers cannot bounce the request forever.  ``pointer`` is the
-        requesting tracker, to be handed over, when the requester keeps
-        pointer sets.
+        requesting tracker, to be handed over.
         """
         if continuation is None:
             return (target_id, destination, None, None, hops, pointer)
@@ -377,9 +378,7 @@ class MovementUnit:
             for pointer in (member.source_tracker, member.requester):
                 if pointer is not None and pointer != tracker.address:
                     tracker.remote_pointers.add(pointer)
-        if self.core.use_location_registry:
-            for complet_id, address in addresses.items():
-                self.core.locator.publish(complet_id, address)  # type: ignore[arg-type]
+        self.core.locator.announce(addresses)
 
         if self.core.sanitizer is not None:
             # Join each in-flight move's stamp into this Core's clock

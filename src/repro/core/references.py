@@ -9,20 +9,20 @@ This unit of Figure 1 realizes complet references at runtime:
 - it maintains the distributed remote-pointer sets that make
   unreferenced trackers collectable.
 
-Pointer bookkeeping is *eager* by default: every tracker knows which
-remote trackers forward to it.  A re-point is settled by the message that
-causes it: the Core that answers "the target is at F" discards the
-requester from its own tracker and has F register it, inside a message it
-sends toward F anyway — the LOOKUPs of a chain walk, the collapse of a
-forwarded call, the commit of a requested move.  A one-way TRACKER_UPDATE
-is left only where no message of the operation reaches the Core that must
-learn (collection, failure repairs, a token materialized at a new Core, a
-stale arrival pointing at a third Core, the old hop of a ``forward``
-answer, a registry-resolved shortening) and after a request that may have
-handed a tracker over failed (:meth:`ReferenceHandler.reclaim`); a
-reclaim that reaches the hop while its handler still runs cancels the
-handover (:meth:`ReferenceHandler.handing_over`).  Lazy mode
-(``eager_pointer_updates=False``, the ablation) carries and posts nothing.
+Every tracker knows which remote trackers forward to it.  A re-point is
+settled by the message that causes it: the Core that answers "the target
+is at F" discards the requester from its own tracker and has F register
+it, inside a message it sends toward F anyway — the LOOKUPs of a chain
+walk, the collapse of a forwarded call, the commit of a requested move.
+A one-way TRACKER_UPDATE is left only where no message of the operation
+reaches the Core that must learn (collection, failure repairs, a token
+materialized at a new Core, a stale arrival pointing at a third Core, the
+old hop of a walk that started or was forwarded past it) and after a
+request that may have handed a tracker over failed
+(:meth:`ReferenceHandler.reclaim`); a reclaim that reaches the hop while
+its handler still runs cancels the handover
+(:meth:`ReferenceHandler.handing_over`).  Where a walk starts is the
+Core's :mod:`~repro.core.locator` strategy's choice.
 """
 
 from __future__ import annotations
@@ -171,35 +171,28 @@ class ReferenceHandler:
     ) -> TrackerAddress:
         """Walk the chain to the tracker colocated with the target.
 
-        When the location registry is enabled, the home Core is asked
-        first — one message, independent of migration history — and the
-        chain is only walked when the registry has no answer.
-
-        With eager bookkeeping a walk hands its pointers over: every
-        TRACKER_LOOKUP carries the trackers that re-point at the final —
-        ``carried`` (a collapsing hop's requesters), then ``tracker`` —
-        the hop that answers ``local`` registers them all, and a hop that
-        answers ``final`` discards its requester.  Re-pointing ``tracker``
-        then posts nothing, unless a ``forward`` answer sent the walk past
-        its old hop, which must still be told.  ``carried`` that the
-        registry resolved are registered with a post each.
+        The walk starts where the Core's locator says: the tracker's next
+        hop, or the home registry's record of the target.  It hands its
+        pointers over: every TRACKER_LOOKUP carries the trackers that
+        re-point at the final — ``carried`` (a collapsing hop's
+        requesters), then ``tracker`` — the hop that answers ``local``
+        registers them all, and a hop that answers ``final`` discards its
+        requester.  Re-pointing ``tracker`` then posts nothing, unless the
+        walk went past its old hop (it started elsewhere, or a ``forward``
+        answer sent it on), which must still be told.
         """
         if tracker.is_local:
             return tracker.address
-        address, known = self.first_hop(tracker)
-        if known:
-            for pointer in carried:  # no LOOKUP takes them to the final
-                self._notify_pointer(address, pointer, register=True)
-            return address
-        pointers = (*carried, tracker.address) if self.core.eager_pointer_updates else ()
-        forwarded = False
+        address = self.core.locator.first_hop(tracker)
+        pointers = (*carried, tracker.address)
+        forwarded = address != tracker.next_hop
         for _ in range(MAX_CHAIN_HOPS):
             try:
                 state, next_hop = self.core.peer.request(
                     address.core, MessageKind.TRACKER_LOOKUP, (address.serial, pointers)
                 )
             except INDETERMINATE_ERRORS:
-                if pointers and not forwarded:
+                if not forwarded:
                     self.reclaim(tracker)
                 raise
             if state == "forward":
@@ -214,33 +207,12 @@ class ReferenceHandler:
             # on our behalf and answered with the target's own address.
             final = address if state == "local" else next_hop
             assert final is not None
-            handed_over = bool(pointers)
-            self.shorten(
-                tracker, final, registered=handed_over, released=handed_over and not forwarded
-            )
+            self.shorten(tracker, final, registered=True, released=not forwarded)
             return final
         raise CompletError(
             f"tracker chain for {tracker.target_id} exceeds {MAX_CHAIN_HOPS} hops; "
             "routing loop suspected"
         )
-
-    def first_hop(self, tracker: Tracker) -> tuple[TrackerAddress, bool]:
-        """Where the chain of a remote ``tracker`` starts, and whether that is its end.
-
-        No message, unless the location registry is enabled: then the
-        home Core is asked, and its answer is final.  A request sent
-        to the first hop is forwarded by a Core the target has left.
-        """
-        if self.core.use_location_registry:
-            registered = self.core.locator.resolve(tracker.target_id)
-            if registered is not None and registered != tracker.address:
-                self.shorten(tracker, registered)
-                return registered, True
-        if tracker.next_hop is None:
-            raise DanglingReferenceError(
-                f"reference to {tracker.target_id} dangles: target was destroyed"
-            )
-        return tracker.next_hop, False
 
     def shorten(
         self,
@@ -283,10 +255,8 @@ class ReferenceHandler:
     def pointer_from(self, tracker: Tracker, core: str) -> TrackerAddress | None:
         """The tracker of ``core`` that points at ``tracker``, to hand over.
 
-        None in lazy mode, and unless exactly one is registered.
+        None unless exactly one is registered.
         """
-        if not self.core.eager_pointer_updates:
-            return None
         # A snapshot: one-way updates change the set from other threads.
         found = [pointer for pointer in tuple(tracker.remote_pointers) if pointer.core == core]
         return found[0] if len(found) == 1 else None
@@ -377,8 +347,6 @@ class ReferenceHandler:
     def _notify_pointer(
         self, target: TrackerAddress, pointer: TrackerAddress, *, register: bool
     ) -> None:
-        if not self.core.eager_pointer_updates:
-            return
         if target.core == self.core.name:
             self._apply_pointer_update(target.serial, pointer, register)
             return
@@ -438,7 +406,7 @@ class ReferenceHandler:
         self._resolving.add(serial)
         try:
             # The requester, last, is registered at the final by the walk.
-            with self.handing_over(tracker, pointers[-1] if pointers else None) as handover:
+            with self.handing_over(tracker, pointers[-1]) as handover:
                 final = self.resolve_final(tracker, pointers)
                 handover.settled = True
         except DanglingReferenceError:

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError, CoreNotFoundError, DuplicateCoreErr
 from repro.cluster import CoreProcesses
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter, Echo
+from repro.core.locator import LocationRegistry
 from repro.net import BatchingTransport, SimTransport
 from repro.net.retry import RetryPolicy
 from repro.sim.clock import VirtualClock
@@ -56,8 +57,8 @@ class TestConstruction:
         assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == [
             "bandwidth", "latency", "clock", "transport", "store", "sanitize",
         ]
-        cluster = Cluster(["a"], rpc_timeout=2.5, use_location_registry=True)
-        assert cluster["a"].use_location_registry
+        cluster = Cluster(["a"], rpc_timeout=2.5, locator=LocationRegistry)
+        assert isinstance(cluster["a"].locator, LocationRegistry)
         assert cluster["a"].peer.endpoint.default_timeout == 2.5
 
     def test_seat_is_the_first_core_by_name(self):

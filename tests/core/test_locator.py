@@ -4,13 +4,15 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter
+from repro.core.locator import LocationRegistry
 from repro.errors import CoreDownError
 from repro.net.messages import MessageKind
+from tests.pointers import kinds, pointer_set_violations
 
 
 @pytest.fixture
 def registry_cluster():
-    return Cluster(["a", "b", "c", "d"], use_location_registry=True)
+    return Cluster(["a", "b", "c", "d"], locator=LocationRegistry)
 
 
 class TestRegistryMaintenance:
@@ -74,17 +76,18 @@ class TestRegistryResolution:
         for destination in ("b", "c", "d", "b", "c"):
             cluster.move_via_host(counter, destination)
         cluster.reset_stats()
-        # The stub lives at the complet's home Core: resolution needs no
-        # query or chain walk (only shorten bookkeeping posts).
+        # The stub lives at the complet's home Core: no query, and one LOOKUP
+        # round trip to the record, which registers the stub's tracker there;
+        # the skipped first hop b is told by a post.
         assert cluster.locate(counter) == "c"
-        assert cluster.stats.by_kind[MessageKind.LOCATION_QUERY] == 0
-        assert cluster.stats.by_kind[MessageKind.TRACKER_LOOKUP] == 0
-        # From any other Core: one LOCATION_QUERY round trip, no chain walk.
+        assert kinds(cluster) == {"TRACKER_LOOKUP": 2, "TRACKER_UPDATE": 1}
+        # From any other Core: one LOCATION_QUERY round trip more.
         foreign = cluster.stub_at("d", counter)
         cluster.reset_stats()
         assert cluster["d"].references.locate(foreign._fargo_tracker) == "c"
-        assert cluster.stats.by_kind[MessageKind.LOCATION_QUERY] == 2
-        assert cluster.stats.by_kind[MessageKind.TRACKER_LOOKUP] == 0
+        assert kinds(cluster) == {
+            "LOCATION_QUERY": 2, "TRACKER_LOOKUP": 2, "TRACKER_UPDATE": 1
+        }
 
     def test_invocation_survives_dead_intermediate_core(self, registry_cluster):
         """The headline benefit over chains: a dead Core on the migration
@@ -115,6 +118,23 @@ class TestRegistryResolution:
         with pytest.raises(CoreDownError):
             counter.increment()
 
+    def test_a_stale_record_starts_the_walk(self, registry_cluster):
+        """A dropped update leaves the home naming a Core the complet has
+        left: the walk starts there and that Core's tracker sends it on."""
+        cluster = registry_cluster
+        counter = Counter(0, _core=cluster["a"])
+        foreign = cluster.stub_at("d", counter)
+        cluster.move(counter, "b")
+        cluster.transport.set_node_down("a")
+        cluster["b"].move(counter._fargo_target_id, "c")  # the update to a is lost
+        cluster.transport.set_node_down("a", down=False)
+        assert cluster["a"].locator.resolve(counter._fargo_target_id).core == "b"
+        assert cluster.locate(counter) == "c"
+        assert cluster["d"].references.locate(foreign._fargo_tracker) == "c"
+        entry = cluster["d"].movement.fetch_remote_clone(foreign)
+        assert entry.anchor_ref == foreign._fargo_tracker.anchor_ref
+        assert not pointer_set_violations(cluster.cores.values())
+
     def test_registry_shortens_tracker(self, registry_cluster):
         cluster = registry_cluster
         counter = Counter(0, _core=cluster["a"])
@@ -122,15 +142,6 @@ class TestRegistryResolution:
         cluster.move_via_host(counter, "c")
         assert cluster.locate(counter) == "c"
         assert counter._fargo_tracker.next_hop.core == "c"
-
-    def test_stats_counters(self, registry_cluster):
-        cluster = registry_cluster
-        counter = Counter(0, _core=cluster["a"])
-        cluster.move(counter, "b")
-        assert cluster["a"].locator.updates_received == 1
-        assert cluster["a"].locator.known_count() == 1
-        cluster["d"].locator.resolve(counter._fargo_target_id)
-        assert cluster["a"].locator.queries_served == 1
 
 
 class TestRegistryWithGroups:

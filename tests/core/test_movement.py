@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.locator import LocationRegistry
 from repro.errors import CompletError, MovementDeniedError
 from repro.net.messages import MessageKind
 from repro.cluster.workload import Counter, DataSource, Echo, Worker
@@ -108,7 +109,7 @@ class TestRemoteInitiatedMoves:
             cluster["alpha"].move(counter._fargo_target_id, "alpha")
 
     def test_forwarded_move_asks_the_location_registry_first(self, make_cluster):
-        cluster = make_cluster(["a", "b", "c"], use_location_registry=True)
+        cluster = make_cluster(["a", "b", "c"], locator=LocationRegistry)
         counter = Counter(0, _core=cluster["a"])
         cluster.move_via_host(counter, "b")
         cluster.move_via_host(counter, "c")  # a's tracker still says b; a's registry says c
@@ -116,6 +117,16 @@ class TestRemoteInitiatedMoves:
         cluster["a"].move(counter._fargo_target_id, "a")
         assert cluster.stats.by_kind[MessageKind.MOVE_REQUEST] - requests == 2  # straight to c
         assert cluster["a"].repository.get(counter._fargo_target_id) is not None
+
+    def test_a_move_sent_past_the_next_hop_releases_it(self, make_cluster):
+        """The record's host, not b, hands a's tracker over: b is told to let it go."""
+        cluster = make_cluster(["a", "b", "c", "d"], locator=LocationRegistry)
+        counter = Counter(0, _core=cluster["a"])
+        cluster.move_via_host(counter, "b")
+        cluster.move_via_host(counter, "c")
+        cluster["a"].move(counter._fargo_target_id, "d")
+        assert counter._fargo_tracker.next_hop.core == "d"
+        assert not pointer_set_violations(cluster.cores.values())
 
 
 class TestGroupMovement:
@@ -274,8 +285,7 @@ class TestHandover:
 
     #: The move back of a four-member pull group (head and three members)
     #: that left alpha for beta, in every mode: the messages of that move
-    #: and every pointer set afterwards.  Eager and registry posted four
-    #: TRACKER_UPDATEs; lazy left each beta tracker listing its alpha one.
+    #: and every pointer set afterwards.
     GROUP_BACK = (
         {"MOVE_REQUEST": 2, "MOVE_COMPLET": 2},
         {**{f"alpha/t{i}": [f"beta/t{i}"] for i in range(1, 5)},
@@ -283,11 +293,9 @@ class TestHandover:
     )
 
     #: ``driver.move`` then one call, three times over a <-> b: the messages
-    #: of each round.  Each mode sent two INVOKEs and a TRACKER_LOOKUP more
-    #: per round, and eager and registry two or three TRACKER_UPDATEs.
+    #: of each round.
     MOVE_THEN_CALL = {
         "eager": [{"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2}] * 3,
-        "lazy": [{"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2}] * 3,
         "registry": [
             {"MOVE_REQUEST": 2, "MOVE_COMPLET": 2, "INVOKE": 2,
              "LOCATION_QUERY": 2, "LOCATION_UPDATE": 1},
@@ -333,5 +341,4 @@ class TestHandover:
             rounds.append(kinds(cluster))
         assert rounds == self.MOVE_THEN_CALL[mode]
         assert counter._fargo_tracker.next_hop.core == "b"
-        if mode != "lazy":
-            assert eventually(lambda: not pointer_set_violations(cluster.cores.values()))
+        assert eventually(lambda: not pointer_set_violations(cluster.cores.values()))

@@ -7,6 +7,7 @@ from repro.cluster.failures import FailureInjector
 from repro.cluster.workload import Counter, Echo
 from repro.core.core import Core
 from repro.core.events import CALL_RETRIED, MOVE_FAILED
+from repro.core.locator import LocationRegistry
 from repro.core.movement import MAX_FORWARD_HOPS
 from repro.errors import (
     CompletError,
@@ -206,7 +207,7 @@ class TestInvocationRelocation:
         return cluster, echo
 
     def test_registry_recovers_a_route_through_a_dead_hop(self):
-        cluster, echo = self._scattered_cluster(use_location_registry=True)
+        cluster, echo = self._scattered_cluster(locator=LocationRegistry)
         cluster.transport.set_node_down("b")
         assert echo.ping() == "x"  # re-located via the home registry
         # The tracker was shortened to c; the dead hop is out of the path.
@@ -225,7 +226,7 @@ class TestInvocationRelocation:
         """A timeout is indeterminate: the handler may have executed, so
         re-locating and retrying would silently duplicate the call."""
         cluster, echo = self._scattered_cluster(
-            rpc_timeout=1.0, use_location_registry=True
+            rpc_timeout=1.0, locator=LocationRegistry
         )
         cluster.set_link("a", "b", latency=2.0)  # the forward hop is now slow
         with pytest.raises(DeadlineExceededError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.persistence import SNAPSHOT_VERSION, Snapshot, restore, snapshot
+from repro.core.locator import LocationRegistry
 from repro.errors import CompletError
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter, DataSource, Desktop, Printer, Worker
@@ -112,7 +113,7 @@ class TestRestore:
             restore(cluster["alpha"], snap, keep_identity=True)
 
     def test_keep_identity_refused_while_registry_knows(self):
-        cluster = Cluster(["a", "b"], use_location_registry=True)
+        cluster = Cluster(["a", "b"], locator=LocationRegistry)
         counter = Counter(0, _core=cluster["a"])
         snap = snapshot(cluster["a"], counter)
         cluster.move(counter, "b")  # registry records the move
@@ -123,7 +124,7 @@ class TestRestore:
         """The identity check cannot consult a dead home: with no local
         copy and no registry answer, reclaiming the identity is legal —
         the fail-stop assumption says the original cannot answer."""
-        cluster = Cluster(["a", "b", "c"], use_location_registry=True)
+        cluster = Cluster(["a", "b", "c"], locator=LocationRegistry)
         counter = Counter(5, _core=cluster["a"])
         original_id = counter._fargo_target_id
         snap = snapshot(cluster["a"], counter)
@@ -135,7 +136,7 @@ class TestRestore:
         # fail typed — RecoveryManager, not raw restore, repairs those.)
 
     def test_keep_identity_allowed_when_home_partitioned(self):
-        cluster = Cluster(["a", "b"], use_location_registry=True)
+        cluster = Cluster(["a", "b"], locator=LocationRegistry)
         counter = Counter(9, _core=cluster["a"])
         snap = snapshot(cluster["a"], counter)
         cluster.partition({"a"}, {"b"})

@@ -103,19 +103,6 @@ class TestPointerBookkeeping:
         )
         assert alpha_tracker.address in gamma_tracker.remote_pointers
 
-    def test_lazy_mode_skips_updates(self, make_cluster):
-        lazy = make_cluster(["a", "b", "c"], eager_pointer_updates=False)
-        counter = Counter(0, _core=lazy["a"])
-        lazy.move_via_host(counter, "b")
-        b_tracker = lazy["b"].repository.existing_tracker(counter._fargo_target_id)
-        # Arrival pre-registration still happens (it rides the payload),
-        # but shortening housekeeping does not.
-        lazy.move_via_host(counter, "c")
-        counter.increment()
-        assert counter._fargo_tracker.address not in {
-            p for p in b_tracker.remote_pointers if p.core == "a"
-        } or not lazy["a"].eager_pointer_updates
-
     def test_pointer_update_to_dead_core_swallowed(self, cluster):
         """Pointer housekeeping is best-effort: dead peers are skipped."""
         from repro.complet.tracker import TrackerAddress
@@ -149,22 +136,18 @@ class TestHandover:
     """A re-point is settled by the message that causes it: nothing is posted."""
 
     #: One ping through a -> b -> c -> d -> e, per mode: the messages it sends
-    #: (request and reply each) and every pointer set afterwards.  Lazy is
-    #: what it was before the handover; eager sent six TRACKER_UPDATEs and
-    #: registry four (its driver's shortening, resolved by the registry,
-    #: still posts), each leaving the same sets.
+    #: (request and reply each) and every pointer set afterwards.  The
+    #: registry's record (e, at the home b) is where b's walk starts: one
+    #: LOOKUP registers a and b there, and only c, the hop it skipped, is
+    #: told by a post.
     STALE_PING = {
         "eager": (
             {"INVOKE": 4, "TRACKER_LOOKUP": 6},
             {"a/t1": [], "b/t1": [], "c/t1": [], "d/t1": [],
              "e/t1": ["a/t1", "b/t1", "c/t1", "d/t1"]},
         ),
-        "lazy": (
-            {"INVOKE": 4, "TRACKER_LOOKUP": 6},
-            {"a/t1": [], "b/t1": [], "c/t1": ["b/t1"], "d/t1": ["c/t1"], "e/t1": ["d/t1"]},
-        ),
         "registry": (
-            {"INVOKE": 4, "TRACKER_UPDATE": 3},
+            {"INVOKE": 4, "TRACKER_LOOKUP": 2, "TRACKER_UPDATE": 1},
             {"a/t1": [], "b/t1": [], "c/t1": [], "d/t1": ["c/t1"],
              "e/t1": ["a/t1", "b/t1", "d/t1"]},
         ),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.persistence import Snapshot, restore, snapshot
+from repro.core.locator import LocationRegistry
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter, DataSource, Worker
 from repro.script.interpreter import ScriptEngine
@@ -48,7 +49,7 @@ class TestScriptedCheckpoints:
 
 class TestRegistryInterplay:
     def test_restored_copy_registers_cleanly(self):
-        cluster = Cluster(["a", "b"], use_location_registry=True)
+        cluster = Cluster(["a", "b"], locator=LocationRegistry)
         counter = Counter(9, _core=cluster["a"])
         snap = snapshot(cluster["a"], counter)
         restored = restore(cluster["b"], snap)
@@ -58,7 +59,7 @@ class TestRegistryInterplay:
         assert location is not None and location.core == "a"
 
     def test_identity_reclaim_after_registry_forgets(self):
-        cluster = Cluster(["a", "b"], use_location_registry=True)
+        cluster = Cluster(["a", "b"], locator=LocationRegistry)
         counter = Counter(2, _core=cluster["a"])
         snap = snapshot(cluster["a"], counter)
         cluster["a"].repository.destroy(counter._fargo_target_id)

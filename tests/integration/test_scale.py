@@ -11,6 +11,7 @@ import random
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import configure_wan
 from repro.cluster.workload import Counter, Echo
+from repro.core.locator import LocationRegistry
 from repro.script.interpreter import ScriptEngine
 
 
@@ -76,7 +77,7 @@ def test_cluster_wide_monitoring_scales():
 
 def test_registry_mode_at_scale():
     names = [f"r{i}" for i in range(10)]
-    cluster = Cluster(names, use_location_registry=True)
+    cluster = Cluster(names, locator=LocationRegistry)
     rng = random.Random(3)
     stubs = [Counter(0, _core=cluster[names[0]]) for _ in range(30)]
     for _ in range(150):

@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from repro.core.locator import LocationRegistry
+
 
 def pointer_set_violations(cores) -> list[str]:
     """Where the reference graph of ``cores`` and its remote-pointer sets disagree.
@@ -41,11 +43,11 @@ def pointer_set_violations(cores) -> list[str]:
 #: twin, on in-process TCP hubs; both must count the same messages.
 BACKENDS = ["sim", pytest.param("tcp", marks=pytest.mark.tcp)]
 
-#: Bookkeeping modes: eager (the default), lazy, and the location registry.
+#: Locating strategies: tracker chains (``eager``, the default) and the
+#: location registry.
 MODES = {
     "eager": {},
-    "lazy": {"eager_pointer_updates": False},
-    "registry": {"use_location_registry": True},
+    "registry": {"locator": LocationRegistry},
 }
 
 
@@ -71,10 +73,9 @@ def pointer_sets(cluster) -> dict[str, list[str]]:
 
 def settle(cluster, stub) -> None:
     """Wait for what the set-up posted: pointer updates, a location update."""
-    if cluster.seat.eager_pointer_updates:
-        assert eventually(lambda: not pointer_set_violations(cluster.cores.values()))
+    assert eventually(lambda: not pointer_set_violations(cluster.cores.values()))
     target = stub._fargo_target_id
-    if cluster.seat.use_location_registry:
+    if isinstance(cluster.seat.locator, LocationRegistry):
         home, host = cluster[target.birth_core], cluster.find_host(target)
 
         def published() -> bool:
