@@ -8,9 +8,11 @@ here (``"procs"``, :mod:`repro.cluster.launch`).  What the cluster
 *observes* — where a complet is, what a Core hosts, its metrics, spans
 and store view — it asks through :class:`~repro.core.admin.CoreAdmin`,
 which answers without a hop for a Core of this process and over the wire
-for a child, so those members are written once and work on all three.
-What reads a Core's objects (``cluster[name]``, recovery, analysis, the
-sanitizer) refuses, typed, for a Core that is not in this process.
+for a child, so those members are written once and work on all three;
+recovery and checkpoints (:meth:`Cluster.enable_recovery`) are written
+the same way.  What still reads a Core's objects (``cluster[name]``,
+analysis, the sanitizer) refuses, typed, for a Core that is not in this
+process.
 """
 
 from __future__ import annotations
@@ -352,13 +354,20 @@ class Cluster:
     def heal_partition(self) -> None:
         self.transport.heal_partition()
 
+    def _exited(self, name: str) -> bool:
+        """Whether ``name`` is a child whose process has exited (waitpid says so)."""
+        child = self._children().get(name)
+        return child is not None and child.poll() is not None
+
     def is_core_up(self, name: str) -> bool:
-        """Whether ``name`` is attached to the transport and not down."""
-        return self.transport.is_up(name)
+        """Whether ``name`` is attached to the transport and not down: a child
+        whose process has exited is down, whatever an address book says."""
+        return not self._exited(name) and self.transport.is_up(name)
 
     def can_reach(self, src: str, dst: str) -> bool:
-        """Whether transport-level traffic from ``src`` reaches ``dst``."""
-        return self.transport.can_reach(src, dst)
+        """Whether transport-level traffic from ``src`` reaches ``dst``; never
+        to or from a child whose process has exited."""
+        return not (self._exited(src) or self._exited(dst)) and self.transport.can_reach(src, dst)
 
     def shutdown_core(self, name: str) -> None:
         self.core(name).shutdown()
@@ -386,23 +395,32 @@ class Cluster:
 
         ``store`` is where checkpoints go: a fresh in-memory
         :class:`~repro.recovery.CheckpointStore` by default, or pass
-        ``CheckpointStore(path)`` for a durable directory — the shape the
-        multi-process supervisor shares with its children.
-        """
-        from repro.recovery import (
-            CheckpointManager,
-            DetectorConfig,
-            RecoveryManager,
-        )
+        ``CheckpointStore(path)`` for a durable directory.
 
-        self._local("enable_recovery()")
-        self._detector_config = detector if detector is not None else DetectorConfig()
+        On ``procs`` the store is ``CheckpointStore(checkpoint_dir)``, the
+        directory the children sweep their complets into, and no
+        detector is attached: a :class:`~repro.cluster.supervisor.Supervisor`
+        publishes ``coreFailed`` at :attr:`seat` for a child whose restart
+        budget is spent.  There the deployment needs a ``checkpoint_dir``
+        and neither ``detector`` nor ``store`` is taken.
+        """
+        from repro.recovery import CheckpointManager, CheckpointStore, DetectorConfig, RecoveryManager
+
+        procs = self.processes
+        if procs is not None:
+            if procs.checkpoint_dir is None or detector is not None or store is not None:
+                raise ConfigurationError(
+                    "enable_recovery() on transport='procs' reads the children's checkpoint_dir "
+                    "and takes no detector= or store=: the Supervisor is the liveness source there"
+                )
+            store = CheckpointStore(procs.checkpoint_dir)
+        else:
+            self._detector_config = detector if detector is not None else DetectorConfig()
         self.checkpoints = CheckpointManager(self, store=store)
-        self.recovery = RecoveryManager(
-            self, self.checkpoints, auto_recover=auto_recover
-        )
-        for core in self.cores.values():
-            self._attach_detector(core)
+        self.recovery = RecoveryManager(self, self.checkpoints, auto_recover=auto_recover)
+        if self._detector_config is not None:
+            for core in self.cores.values():
+                self._attach_detector(core)
         return self.recovery
 
     def _attach_detector(self, core: Core) -> None:

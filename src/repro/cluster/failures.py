@@ -57,17 +57,14 @@ class FailureInjector:
         return timer
 
     def _annotate(self, kind: str, description: str) -> None:
-        """Stamp the injection into the trace as an instant root span."""
-        for name in sorted(self.cluster.cores):
-            tracer = self.cluster.cores[name].tracer
-            if not tracer.enabled:
-                continue
-            span = tracer.start_span(
-                f"inject:{kind}", category="failure", root=True,
-                description=description,
+        """Stamp the injection into the seat's trace as an instant root span."""
+        tracer = self.cluster.seat.tracer
+        if tracer.enabled:
+            tracer.finish(
+                tracer.start_span(
+                    f"inject:{kind}", category="failure", root=True, description=description
+                )
             )
-            tracer.finish(span)
-            return
 
     def degrade_link_at(
         self, time: float, a: str, b: str, *, bandwidth: float | None = None,

@@ -65,7 +65,6 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro.complet.stub import stub_target_id
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
@@ -154,9 +153,11 @@ class ChildCheckpointer:
             anchor = core.repository.get(complet_id)
             if anchor is None or complet_id in covered:
                 continue  # gone, or captured with an earlier complet's group
-            group, count = checkpoint_group(core, anchor, self.store)
+            group, records = checkpoint_group(core, anchor)
+            for record in records:
+                self.store.put(record)
             covered.update(group)
-            written += count
+            written += len(records)
         return written
 
 
@@ -165,22 +166,19 @@ def restore_from_store(core: Core, store: CheckpointStore) -> list[str]:
 
     Runs in a freshly-started child before it announces READY: every
     record whose last known host is this Core's name is brought back
-    under its *original* identity (the repository is empty and no
-    registry entry can contradict a newborn process, so
-    ``keep_identity`` cannot be refused locally).  Returns the restored
-    ids' display forms.
+    under its *original* identity (the repository is empty, so only a
+    location record naming a live copy elsewhere refuses one, and that
+    one is left to its copy).  Returns the restored ids' display forms.
     """
     restored: list[str] = []
     for record in store.hosted_at(core.name):
         try:
-            stub = restore_record(core, record)
+            restored.append(str(restore_record(core, record.snapshot)))
         except FarGoError:
             logger.warning(
                 "restore of %s at reborn %s failed",
                 record.complet_id, core.name, exc_info=True,
             )
-            continue
-        restored.append(str(stub_target_id(stub)))
     return restored
 
 

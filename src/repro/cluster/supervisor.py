@@ -1,9 +1,7 @@
 """Process supervision: self-healing multi-process TCP deployments.
 
-The multi-process launcher (:mod:`repro.cluster.launch`) historically
-treated a dead child as fatal — ROADMAP item 1 left "restarting dead
-children from the recovery layer" open.  The :class:`Supervisor` closes
-that loop:
+The :class:`Supervisor` keeps the children of a multi-process deployment
+(:mod:`repro.cluster.launch`) alive:
 
 - **Watch** — a monitor thread fuses two liveness sources per child:
   ``waitpid`` (``poll()`` on the child's handle, fed by the template
@@ -15,31 +13,32 @@ that loop:
   unreachable is *partitioned* — restarting it would fork the
   deployment, so the supervisor only records the verdict.
 
-- **Restart** — a per-Core :class:`RestartPolicy` bounds the healing:
-  at most ``max_restarts`` within ``window`` seconds, exponential
+- **Restart** — one :class:`RestartPolicy` bounds the healing of every
+  child: at most ``max_restarts`` within ``window`` seconds, exponential
   backoff between consecutive respawns (via the existing
-  :class:`~repro.net.retry.RetryPolicy` schedule), then escalation to
-  permanent failure.  The child respawns on its preallocated port
-  (listener sockets use ``SO_REUSEADDR``); when that port turns out
-  unusable, a fresh port is allocated and every surviving Core's
-  address book is updated through the ``add_peer`` admin operation.
+  :class:`~repro.net.retry.RetryPolicy` schedule), then it gives up.
+  The child respawns on its preallocated port (listener sockets use
+  ``SO_REUSEADDR``); when that port turns out unusable, a fresh port is
+  allocated and every surviving Core's address book is updated through
+  the ``add_peer`` admin operation.
 
 - **Re-admit** — the respawned child restores its predecessor's durable
-  checkpoints (``--recover`` against the shared
-  :class:`~repro.recovery.CheckpointStore` directory) under the *original*
-  identities before announcing READY; the supervisor waits for that
-  line (the child answers requests sooner, with the restore still
-  running, and would report half a tracker map), then refreshes the
-  driver's address book (invalidating stale pooled connections),
-  hands the successor the driver's tracing setting, fetches its tracker map
-  (``hosted_trackers``), and repairs every survivor's trackers and
-  location records with the sequence simulated recovery runs
-  (:func:`repro.recovery.recovery.written_off`).
+  checkpoints (``--recover`` against the shared checkpoint directory)
+  under the *original* identities before announcing READY; the
+  supervisor waits for that line (the child answers requests sooner,
+  with the restore still running, and would report half a tracker map),
+  then refreshes the driver's address book (invalidating stale pooled
+  connections), hands the successor the driver's tracing setting,
+  fetches its tracker map (``hosted_trackers``), and repairs every
+  survivor's trackers and location records with the sequence recovery
+  runs (:func:`repro.recovery.recovery.written_off`).
 
-- **Escalate** — a child that exhausts its restart budget is declared
-  permanently failed; its last durable checkpoints are restored on a
-  surviving Core under *fresh* identities (the PR 4 degraded path:
-  stale references dangle with typed errors rather than split-brain).
+- **Give up** — a child that exhausts its restart budget stays down,
+  and the supervisor publishes a ``coreFailed`` verdict for it on the
+  driver's bus.  Whoever trusts it restores the child's complets: the
+  cluster's :class:`~repro.recovery.RecoveryManager`
+  (``Cluster.enable_recovery()``, which trusts it because ``waitpid`` says
+  the process is gone), or a layout script's ``failover``.
 
 Observability: ``supervisor.restarts`` counter, ``supervisor.mttr``
 histogram (detection-to-readmission, real seconds), and
@@ -57,11 +56,11 @@ from dataclasses import dataclass, field
 
 from repro.cluster.launch import CoreProcesses, free_ports
 from repro.core.admin import CoreAdmin
+from repro.core.events import CORE_FAILED
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.retry import RetryPolicy
 from repro.recovery.detector import DetectorConfig
 from repro.recovery.recovery import written_off
-from repro.recovery.store import CheckpointStore
 
 logger = logging.getLogger(__name__)
 
@@ -74,19 +73,17 @@ class RestartPolicy:
     """How stubbornly one child Core is kept alive.
 
     ``max_restarts`` bounds restarts within the sliding ``window``
-    (seconds); exceeding it escalates the child to permanent failure.
+    (seconds); exceeding it gives the child up as failed.
     ``backoff`` is the delay schedule between *consecutive* respawns —
     ``backoff.backoff(n)`` before the n-th restart of an unhealthy
     streak; the streak resets once a child stays up ``healthy_after``
-    seconds.  ``recover=False`` respawns children stateless (no durable
-    checkpoint restore) even when a checkpoint directory is shared.
+    seconds.
     """
 
     max_restarts: int = 3
     window: float = 60.0
     backoff: RetryPolicy = field(default=DEFAULT_BACKOFF)
     healthy_after: float = 5.0
-    recover: bool = True
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -114,8 +111,6 @@ class _ChildState:
     last_restart_at: float | None = None
     last_mttr: float | None = None
     next_backoff: float = 0.0
-    #: Fresh-identity ids created by escalation, if any.
-    escalated_to: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -127,7 +122,6 @@ class _ChildState:
             "last_verdict": self.last_verdict,
             "last_mttr": self.last_mttr,
             "next_backoff": self.next_backoff,
-            "escalated_to": list(self.escalated_to),
         }
 
 
@@ -152,10 +146,9 @@ class Supervisor:
             ...                       # SIGKILL a child; it comes back
             supervisor.stop()
 
-    One policy applies to every child unless ``policies`` overrides a
-    specific name.  The supervisor attaches itself to the driver Core,
-    so ``admin(driver).supervisor_state()`` works from anywhere in the
-    deployment.
+    One policy applies to every child.  The supervisor attaches itself
+    to the driver Core, so ``admin(driver).supervisor_state()`` works
+    from anywhere in the deployment.
     """
 
     def __init__(
@@ -163,7 +156,6 @@ class Supervisor:
         procs: CoreProcesses,
         *,
         policy: RestartPolicy | None = None,
-        policies: dict[str, RestartPolicy] | None = None,
         detector: DetectorConfig | None = None,
         poll_interval: float = 0.05,
     ) -> None:
@@ -172,7 +164,6 @@ class Supervisor:
         self.procs = procs
         self.driver = procs.driver
         self.policy = policy if policy is not None else RestartPolicy()
-        self.policies = dict(policies or {})
         self.detector = detector if detector is not None else DetectorConfig()
         self.poll_interval = poll_interval
         self.children: dict[str, _ChildState] = {
@@ -184,9 +175,6 @@ class Supervisor:
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self.driver.supervisor = self
-
-    def policy_for(self, name: str) -> RestartPolicy:
-        return self.policies.get(name, self.policy)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -224,7 +212,6 @@ class Supervisor:
                     "max_restarts": self.policy.max_restarts,
                     "window": self.policy.window,
                     "healthy_after": self.policy.healthy_after,
-                    "recover": self.policy.recover,
                 },
             }
 
@@ -238,11 +225,6 @@ class Supervisor:
                 except FarGoError:
                     logger.warning("supervision pass for %s failed", name, exc_info=True)
             self._stop.wait(self.poll_interval)
-
-    def check_now(self) -> None:
-        """One synchronous supervision pass (tests, shell)."""
-        for name in list(self.procs.names):
-            self._check_child(name)
 
     def _check_child(self, name: str) -> None:
         child = self.children[name]
@@ -269,7 +251,7 @@ class Supervisor:
                 if (
                     child.streak
                     and child.last_restart_at is not None
-                    and now - child.last_restart_at >= self.policy_for(name).healthy_after
+                    and now - child.last_restart_at >= self.policy.healthy_after
                 ):
                     child.streak = 0  # stayed up: the unhealthy streak is over
             elif silent >= self.detector.fail_after:
@@ -288,10 +270,10 @@ class Supervisor:
     # -- restart path ------------------------------------------------------
 
     def _restart(self, name: str, child: _ChildState, cause: str, detected_at: float) -> None:
-        policy = self.policy_for(name)
+        policy = self.policy
         child.recent = [t for t in child.recent if detected_at - t <= policy.window]
         if len(child.recent) >= policy.max_restarts:
-            self._escalate(name, child, cause)
+            self._give_up(name, child, cause)
             return
         child.status = "restarting"
         child.streak += 1
@@ -300,7 +282,7 @@ class Supervisor:
         self._log(f"child {name} died ({cause}); restart #{child.streak} in {delay:.2f}s")
         if delay > 0.0 and self._stop.wait(delay):
             return
-        recover = policy.recover and self.procs.checkpoint_dir is not None
+        recover = self.procs.checkpoint_dir is not None
         with self.driver.tracer.span(
             "supervisor:restart", category="supervision",
             child=name, cause=cause, attempt=child.streak, recover=recover,
@@ -380,52 +362,17 @@ class Supervisor:
                 alive.append(CoreAdmin(self.driver, name))
         return alive
 
-    # -- escalation --------------------------------------------------------
-
-    def _escalate(self, name: str, child: _ChildState, cause: str) -> None:
-        """Budget exhausted: permanent failure + fresh-identity failover.
-
-        The child's newest durable checkpoints are restored on a
-        surviving Core under *fresh* identities — the degraded path of
-        simulated recovery: old references dangle with typed errors
-        instead of resurrecting an identity the deployment has given up
-        supervising.
-        """
+    def _give_up(self, name: str, child: _ChildState, cause: str) -> None:
+        """Budget exhausted: the child stays down, and the driver's bus hears
+        a ``coreFailed`` verdict for whoever restores its complets."""
         child.status = "failed"
-        policy = self.policy_for(name)
         self._log(
             f"child {name} exceeded restart budget "
-            f"({policy.max_restarts}/{policy.window:.0f}s, last cause {cause}); "
-            f"escalating to permanent failure"
+            f"({self.policy.max_restarts}/{self.policy.window:.0f}s, last cause {cause}); "
+            f"it stays down"
         )
         self.driver.metrics.counter("supervisor.escalations").inc()
-        records = self._durable_records(name)
-        children = self._survivors(name)
-        destination = children[0] if children else CoreAdmin(self.driver)
-
-        # Fresh identities: nothing relocated for the old references to follow.
-        with self.driver.tracer.span(
-            "supervisor:escalate", category="supervision",
-            child=name, cause=cause, records=len(records), destination=destination.target,
-        ), written_off([CoreAdmin(self.driver), *children], name, {}):
-            for record in records:
-                try:
-                    new_id = destination.restore(record.snapshot.to_bytes(), keep_identity=False)
-                    child.escalated_to.append(new_id)
-                except (CoreError, TransportError, FarGoError) as exc:
-                    self._log(
-                        f"fresh-identity restore of {record.complet_id} failed: {exc}"
-                    )
-        if child.escalated_to:
-            self._log(
-                f"escalation restored {len(child.escalated_to)} complets "
-                f"on {destination.target} under fresh identities"
-            )
-
-    def _durable_records(self, name: str) -> list:
-        if self.procs.checkpoint_dir is None:
-            return []
-        return CheckpointStore(self.procs.checkpoint_dir).hosted_at(name)
+        self.driver.events.publish(CORE_FAILED, core=name, cause=cause)
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -220,15 +220,34 @@ class CoreAdmin:
 
         return persistence.snapshot(self.via, self._hosted(complet)).to_bytes()
 
-    def restore_complet(self, data: bytes, *, keep_identity: bool = False) -> str:
-        """Restore snapshot bytes at the target Core; returns the new id."""
-        from repro.core import persistence
+    def checkpoint_group(self, complet: str) -> tuple:
+        """Checkpoint a hosted complet's local pull-group: ``(ids, records)``.
 
-        snap = persistence.Snapshot.from_bytes(data)
-        stub = persistence.restore(self.via, snap, keep_identity=keep_identity)
-        return str(stub_target_id(stub))
+        The records are :class:`~repro.recovery.store.CheckpointRecord`
+        values for the caller to store; a member whose snapshot failed has none.
+        """
+        from repro.recovery.checkpoint import checkpoint_group
+
+        return checkpoint_group(self.via, self._hosted(complet))
+
+    def restore_complet(self, data: bytes, *, keep_identity: bool = False) -> "CompletId":
+        """Restore snapshot bytes at the target Core; returns the revival's id.
+
+        The one restore: the sanitizer stamps it and its location is
+        published.  ``keep_identity`` reclaims the original identity,
+        refused with a typed error while a live copy is known.
+        """
+        from repro.core.persistence import Snapshot
+        from repro.recovery.checkpoint import restore_record
+
+        snapshot = Snapshot.from_bytes(data)
+        return restore_record(self.via, snapshot, keep_identity=keep_identity)
 
     restore = restore_complet
+
+    def publish(self, event: str, **data) -> None:
+        """Publish monitor event ``event`` on the target Core's bus."""
+        self.via.events.publish(event, **data)
 
     def detector(self) -> dict:
         """Per-peer liveness verdicts of the target Core's failure detector.
@@ -285,9 +304,40 @@ class CoreAdmin:
         """Repair trackers at the target Core that forward to a dead Core."""
         return self.via.references.repair_dead_core(failed, relocated)
 
+    def forwarding_to(self, core: str) -> list:
+        """Ids of the complets whose tracker at the target Core forwards to ``core``."""
+        return [
+            tracker.target_id
+            for tracker in self.via.repository.trackers()
+            if tracker.next_hop is not None and tracker.next_hop.core == core
+        ]
+
     def locator_forget(self, core: str) -> int:
         """Drop the target Core's location records naming a dead Core."""
         return self.via.locator.forget_core(core)
+
+    def reconcile(self, homes: dict) -> dict:
+        """A revived Core gives up its copies of complets that live elsewhere.
+
+        Each complet of ``homes`` (id -> the tracker address it lives
+        behind) is dropped at the target and its tracker forwards there.
+        The complets the target still hosts are republished and returned
+        as ``hosted_trackers()`` does.
+        """
+        repository = self.via.repository
+        for complet_id, home in homes.items():
+            repository.release(complet_id)
+            tracker = repository.existing_tracker(complet_id)
+            assert tracker is not None  # the one it hosted the complet behind
+            tracker.point_to(home)
+        hosted = self.hosted_trackers()
+        for complet_id, address in hosted.items():
+            self.via.locator.publish(complet_id, address)
+        return hosted
+
+    def repair_revived(self, hosted: dict) -> int:
+        """Re-point the target's dangling trackers at complets ``hosted`` alive after all."""
+        return self.via.references.repair_revived(hosted)
 
     # -- observability ---------------------------------------------------------
 

@@ -31,7 +31,7 @@ from repro.complet.relocators import Pull
 from repro.complet.stub import Stub, stub_meta, stub_target_id, stub_tracker
 from repro.core import persistence
 from repro.core.events import COMPLET_ARRIVED
-from repro.errors import CompletError, FarGoError
+from repro.errors import FarGoError
 from repro.recovery.store import CheckpointRecord, CheckpointStore
 from repro.sim.scheduler import Timer
 from repro.util.ids import CompletId
@@ -65,20 +65,21 @@ def local_pull_group(host: "Core", anchor: Anchor) -> list[Anchor]:
 
 
 def checkpoint_group(
-    host: "Core", anchor: Anchor, store: CheckpointStore
-) -> tuple[tuple[CompletId, ...], int]:
-    """Snapshot ``anchor``'s local pull-group at ``host`` into ``store``.
+    host: "Core", anchor: Anchor
+) -> tuple[tuple[CompletId, ...], list[CheckpointRecord]]:
+    """Snapshot ``anchor``'s local pull-group at ``host``: its ids and records.
 
-    The one way a checkpoint is taken: the cluster-wide
-    :class:`CheckpointManager` and the child-process sweep in
-    :mod:`repro.cluster.launch` both call it.  Returns the group's ids
-    and how many of them were written; a member whose snapshot fails is
-    logged and left out, the rest of the group is still captured.
+    The one way a checkpoint is taken, at the Core that hosts it: the
+    child-process sweep in :mod:`repro.cluster.launch` calls it, and the
+    cluster-wide :class:`CheckpointManager` through the ``checkpoint_group``
+    admin operation.  The caller stores the records; a member whose
+    snapshot fails is logged and left out, the rest of the group is still
+    captured.
     """
     members = local_pull_group(host, anchor)
     group = tuple(member.complet_id for member in members)
     taken = host.metrics.counter("checkpoint.taken")
-    written = 0
+    records = []
     with host.tracer.span(
         "checkpoint", category="recovery", complet=str(anchor.complet_id), members=len(members)
     ):
@@ -90,35 +91,29 @@ def checkpoint_group(
                     "checkpoint of %s at %s failed", member.complet_id, host.name, exc_info=True
                 )
                 continue
-            store.put(CheckpointRecord(snap, host.name, group))
+            records.append(CheckpointRecord(snap, host.name, group))
             taken.inc()
-            written += 1
-    return group, written
+    return group, records
 
 
-def restore_record(core: "Core", record: CheckpointRecord, *, keep_identity: bool = True) -> Stub:
-    """Restore ``record`` on ``core``; returns a stub for the revival.
+def restore_record(
+    core: "Core", snapshot: persistence.Snapshot, *, keep_identity: bool = True
+) -> CompletId:
+    """Restore a checkpoint's ``snapshot`` on ``core``; the revival's id.
 
-    The one way a checkpoint comes back: the original identity is
-    reclaimed when asked for *and* free — ``core`` does not host it and
-    the location registry knows no live copy — otherwise the revival
-    gets a fresh identity (compare the stub's target id with
-    ``record.complet_id``).  Either way its location is published.
+    The one way a checkpoint comes back, at the Core it lands on (the
+    ``restore_complet`` admin operation and a reborn child): the sanitizer
+    stamps it and its location is published.  ``keep_identity`` reclaims
+    the original identity, refused with a typed error while ``core``
+    hosts it or the location registry knows a live copy.
     """
     if core.sanitizer is not None:
         core.sanitizer.record(
-            "restore", str(record.complet_id), core=core, detail=core.name, actor="recovery"
+            "restore", str(snapshot.original_id), core=core, detail=core.name, actor="recovery"
         )
-    stub = None
-    if keep_identity:
-        try:
-            stub = persistence.restore(core, record.snapshot, keep_identity=True)
-        except CompletError:
-            pass  # the registry (or core itself) still knows a live copy
-    if stub is None:
-        stub = persistence.restore(core, record.snapshot)
+    stub = persistence.restore(core, snapshot, keep_identity=keep_identity)
     core.locator.publish(stub_target_id(stub), stub_tracker(stub).address)
-    return stub
+    return stub_target_id(stub)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +137,13 @@ class _Protection:
 
 
 class CheckpointManager:
-    """Tracks protected complets and runs their checkpoint policies."""
+    """Tracks protected complets and runs their checkpoint policies.
+
+    It finds a complet's host and takes its checkpoint through the
+    cluster's handles, so it runs on every backend.  It hears arrivals
+    only at the Cores of this process: on ``procs`` a child's arrivals are
+    checkpointed by that child's own sweep.
+    """
 
     def __init__(self, cluster: "Cluster", store: CheckpointStore | None = None) -> None:
         self.cluster = cluster
@@ -206,21 +207,21 @@ class CheckpointManager:
         ``at`` names the authoritative host when the caller knows it
         (mid-move, the departing copy still exists on the source).
         """
+        cluster, complet = self.cluster, str(complet_id)
         hosts = [
-            core
-            for core in self.cluster.running_cores()
-            if (at is None or core.name == at)
-            and self.cluster.transport.is_up(core.name)
-            and core.repository.hosts(complet_id)
+            name
+            for name in cluster.running_names()
+            if (at is None or name == at)
+            and cluster.is_core_up(name)
+            and complet in cluster.admin(name).complets()
         ]
         if len(hosts) != 1:
             self.skipped += 1
             return False
-        (host,) = hosts
-        anchor = host.repository.get(complet_id)
-        assert anchor is not None
-        group, written = checkpoint_group(host, anchor, self.store)
-        self.skipped += len(group) - written
+        group, records = cluster.admin(hosts[0]).checkpoint_group(complet)
+        for record in records:
+            self.store.put(record)
+        self.skipped += len(group) - len(records)
         return True
 
     def checkpoint_all(self) -> int:

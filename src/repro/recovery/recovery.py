@@ -1,10 +1,14 @@
 """Automatic complet recovery after a Core failure.
 
-The :class:`RecoveryManager` listens for the failure detector's
-``coreFailed`` verdicts on every Core's bus and — once it trusts a
-verdict — restores the dead Core's checkpointed complets on a surviving
-Core, repairs the cluster's distributed pointers, and announces each
-revival with a ``completRecovered`` event.
+The :class:`RecoveryManager` listens for ``coreFailed`` verdicts on the
+buses of the Cores in this process — a failure detector's on the
+simulated and TCP backends, the :class:`~repro.cluster.supervisor.Supervisor`'s
+on ``procs`` — and, once it trusts a verdict, restores the dead Core's
+checkpointed complets on a surviving Core, repairs the cluster's
+distributed pointers, and announces each revival with a
+``completRecovered`` event.  It reads the deployment only through the
+cluster's handles (``running_names()``, ``is_core_up``, ``can_reach``,
+``admin(name)``), so the same decisions run on every backend.
 
 Trusting a verdict is the delicate part.  Detection is per-observer, so
 a partition makes *both* sides declare the other failed; acting on the
@@ -13,8 +17,8 @@ the split.  The guard:
 
 - a verdict from a Core that is itself down is ignored (a crashed Core's
   timers keep firing locally; its detector sees everyone as silent);
-- when the named Core is genuinely down (crashed or deregistered), the
-  verdict is trusted;
+- when the named Core is genuinely down (crashed, deregistered, or its
+  process gone), the verdict is trusted;
 - otherwise (a partition), the observer's reachability component must be
   a strict majority of the running Cores — ties broken toward the
   component with the alphabetically-first Core — and must exclude the
@@ -42,21 +46,16 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.complet.stub import stub_target_id, stub_tracker
 from repro.core.admin import CoreAdmin
-from repro.core.events import (
-    COMPLET_RECOVERED,
-    CORE_FAILED,
-    CORE_RECONCILED,
-    CORE_RECOVERED,
-)
+from repro.core.events import COMPLET_RECOVERED, CORE_FAILED, CORE_RECONCILED, CORE_RECOVERED
 from repro.errors import CompletError, CoreError, CoreNotFoundError, FarGoError, TransportError
-from repro.recovery.checkpoint import CheckpointManager, restore_record
+from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.store import CheckpointRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.core.core import Core
+    from repro.util.ids import CompletId
 
 logger = logging.getLogger(__name__)
 
@@ -85,6 +84,17 @@ def written_off(survivors: list[CoreAdmin], failed: str, relocated: dict) -> Ite
     at_each(lambda admin: admin.repair_trackers(failed, relocated))
 
 
+def _restore(dest: CoreAdmin, data: bytes, keep_identity: bool) -> "CompletId":
+    """Restore snapshot ``data`` at ``dest``: the original identity when asked
+    for and free, else a fresh one."""
+    if keep_identity:
+        try:
+            return dest.restore_complet(data, keep_identity=True)
+        except CompletError:
+            pass  # the registry (or dest itself) still knows a live copy
+    return dest.restore_complet(data)
+
+
 @dataclass(slots=True)
 class RecoveryReport:
     """What one :meth:`RecoveryManager.recover_core` pass did."""
@@ -103,7 +113,7 @@ class RecoveryReport:
     #: still pointing at the dead Core after repair ("core:complet_id").
     #: Non-empty means the tracker-repair guarantee was broken.
     unrepaired: list[str] = field(default_factory=list)
-    #: Virtual time the pass started / took.
+    #: Cluster time the pass started / took.
     at: float = 0.0
     duration: float = 0.0
 
@@ -136,7 +146,7 @@ class RecoveryManager:
             self.attach(core)
 
     def attach(self, core: "Core") -> None:
-        """Listen for detector verdicts published at ``core``."""
+        """Listen for liveness verdicts published at ``core``."""
         core.events.subscribe(CORE_FAILED, self._on_core_failed)
         core.events.subscribe(CORE_RECOVERED, self._on_core_recovered)
 
@@ -158,20 +168,16 @@ class RecoveryManager:
             self.reconcile(revived)
 
     def _should_act(self, observer: str, failed: str) -> bool:
-        network = self.cluster.transport
-        if not network.is_up(observer):
+        cluster = self.cluster
+        if not cluster.is_core_up(observer):
             return False  # a crashed Core's own detector still ticking
-        if not network.is_up(failed):
-            return True  # genuinely down: crashed or deregistered
+        if not cluster.is_core_up(failed):
+            return True  # genuinely down: crashed, deregistered, or exited
         # Both up yet unreachable: a partition.  Act only from the
         # majority component, and never from the side that still sees
         # the accused Core.
-        running = sorted(
-            core.name
-            for core in self.cluster.running_cores()
-            if network.is_up(core.name)
-        )
-        component = [name for name in running if network.can_reach(observer, name)]
+        running = sorted(filter(cluster.is_core_up, cluster.running_names()))
+        component = [name for name in running if cluster.can_reach(observer, name)]
         if failed in component:
             return False
         rest = [name for name in running if name not in component]
@@ -181,6 +187,21 @@ class RecoveryManager:
         return min(component) < min(rest)
 
     # -- recovery ----------------------------------------------------------------
+
+    def _destination(self, candidates: list[str], pinned: str | None) -> str:
+        """Where a revival lands: ``pinned``, else the candidate hosting the
+        fewest complets, then the first by name.  On ``procs`` never the seat,
+        which nothing restarts and no sweep checkpoints."""
+        cluster = self.cluster
+        if cluster.processes is not None:
+            candidates = [name for name in candidates if name != cluster.seat.name]
+        if pinned is not None:
+            if pinned not in candidates:
+                raise CoreNotFoundError(f"Core {pinned!r} is not a reachable survivor")
+            return pinned
+        if not candidates:
+            raise CoreNotFoundError("no reachable survivor to restore on")
+        return min(candidates, key=lambda name: (len(cluster.admin(name).complets()), name))
 
     def recover_core(
         self,
@@ -193,69 +214,55 @@ class RecoveryManager:
 
         ``destination`` pins the Core the complets land on (default: the
         reachable survivor hosting the fewest complets).  ``seen_from``
-        names the Core whose detector triggered the pass; only survivors
+        names the Core whose verdict triggered the pass; only survivors
         it can reach participate, which keeps a partition-side recovery
         inside its own component.
         """
-        network = self.cluster.transport
-        started = self.cluster.scheduler.clock.now()
+        cluster = self.cluster
+        started = cluster.now
         self._handled.add(failed)
         survivors = [
-            core
-            for core in self.cluster.running_cores()
-            if core.name != failed
-            and network.is_up(core.name)
-            and (seen_from is None or network.can_reach(seen_from, core.name))
+            name
+            for name in cluster.running_names()
+            if name != failed
+            and cluster.is_core_up(name)
+            and (seen_from is None or cluster.can_reach(seen_from, name))
         ]
         if not survivors:
-            raise CoreNotFoundError(
-                f"cannot recover Core {failed!r}: no reachable survivor"
-            )
-        if destination is not None:
-            dest = self.cluster.core(destination)
-            if dest not in survivors:
-                raise CoreNotFoundError(
-                    f"recovery destination {destination!r} is not a reachable survivor"
-                )
-        else:
-            dest = min(survivors, key=lambda core: (len(core.repository), core.name))
-
-        report = RecoveryReport(failed=failed, destination=dest.name, at=started)
+            raise CoreNotFoundError(f"cannot recover Core {failed!r}: no reachable survivor")
+        dest = cluster.admin(self._destination(survivors, destination))
+        report = RecoveryReport(failed=failed, destination=dest.target, at=started)
         records = self.store.hosted_at(failed)
         # Originals may survive the "failure" if it is only a partition,
         # or live on a survivor this side cannot see; then a revival must
         # not claim the original identity.
-        identity_safe = not network.is_up(failed) and all(
-            core in survivors for core in self.cluster.running_cores() if core.name != failed
+        identity_safe = not cluster.is_core_up(failed) and all(
+            name in survivors for name in cluster.running_names() if name != failed
         )
-
-        with dest.tracer.span(
+        handles = [cluster.admin(name) for name in survivors]
+        seat = cluster.seat
+        with seat.tracer.span(
             "recovery:core", category="recovery", failed=failed, records=len(records)
         ):
-            handles = [CoreAdmin(core) for core in survivors]
             with written_off(handles, failed, report.relocated):
                 for record in records:
-                    self._recover_record(record, dest, survivors, identity_safe, report)
+                    self._recover_record(record, dest, handles, identity_safe, report)
             # Post-condition: no survivor tracker for a relocated complet
             # may still forward into the grave.  (Checked synchronously —
             # references minted later from stale tokens are out of scope;
             # they resolve through the registry or fail typed.)
-            for survivor in survivors:
-                for old_id in report.relocated:
-                    tracker = survivor.repository.existing_tracker(old_id)
-                    if (
-                        tracker is not None
-                        and tracker.next_hop is not None
-                        and tracker.next_hop.core == failed
-                    ):
-                        report.unrepaired.append(f"{survivor.name}:{old_id}")
+            for admin in handles:
+                forwarding = admin.forwarding_to(failed)
+                report.unrepaired.extend(
+                    f"{admin.target}:{old_id}" for old_id in report.relocated if old_id in forwarding
+                )
 
-        report.duration = self.cluster.scheduler.clock.now() - started
-        dest.metrics.histogram("recovery.duration").observe(report.duration)
+        report.duration = cluster.now - started
+        seat.metrics.histogram("recovery.duration").observe(report.duration)
         self.reports.append(report)
         self._note(
             f"recovered core {failed}: {len(report.restored)} restored, "
-            f"{len(report.degraded)} degraded, {len(report.skipped)} skipped -> {dest.name}",
+            f"{len(report.degraded)} degraded, {len(report.skipped)} skipped -> {dest.target}",
             at=report.at,
         )
         return report
@@ -266,46 +273,45 @@ class RecoveryManager:
     def _recover_record(
         self,
         record: CheckpointRecord,
-        dest: "Core",
-        survivors: list["Core"],
+        dest: CoreAdmin,
+        survivors: list[CoreAdmin],
         identity_safe: bool,
         report: RecoveryReport,
     ) -> None:
         original = record.complet_id
-        if any(core.repository.hosts(original) for core in survivors):
+        if any(str(original) in admin.complets() for admin in survivors):
             # Moved (or evacuated) after its last checkpoint: alive.
             report.skipped.append(str(original))
             return
-        recovered = dest.metrics.counter("recovery.complets_recovered")
         try:
-            stub = restore_record(dest, record, keep_identity=identity_safe)
+            new_id = _restore(dest, record.snapshot.to_bytes(), identity_safe)
         except FarGoError:
             logger.warning(
-                "recovery of %s at %s failed", original, dest.name, exc_info=True
+                "recovery of %s at %s failed", original, dest.target, exc_info=True
             )
             report.skipped.append(str(original))
             return
-        new_id = stub_target_id(stub)
         degraded = new_id != original
-        address = stub_tracker(stub).address
         if not degraded:
             report.restored.append(str(new_id))
-            report.relocated[original] = address
+            report.relocated[original] = dest.hosted_tracker(new_id)
         else:
             report.degraded.append(str(new_id))
-        recovered.inc()
-        dest.events.publish(
+        self.cluster.seat.metrics.counter("recovery.complets_recovered").inc()
+        dest.publish(
             COMPLET_RECOVERED,
             complet=str(new_id),
             original=str(original),
             from_core=record.host,
-            at=dest.name,
+            at=dest.target,
             degraded=degraded,
         )
         if not degraded:
             # The revival IS the complet now; refresh its checkpoint so
-            # the store names the new host instead of the dead one.
-            self.checkpoints.checkpoint(new_id)
+            # the store names the new host instead of the dead one.  On
+            # procs the sweep of the child it landed on does that.
+            if self.cluster.processes is None:
+                self.checkpoints.checkpoint(new_id)
         elif self.checkpoints.is_protected(original):
             # The original may still be alive somewhere — that is what
             # made the revival degraded — so its protection and its last
@@ -330,46 +336,31 @@ class RecoveryManager:
         the living originals and the locations republished.
         """
         self._handled.discard(revived)
-        core = self.cluster.cores.get(revived)
-        network = self.cluster.transport
-        if core is None or not core.is_running or not network.is_up(revived):
+        cluster = self.cluster
+        if revived not in cluster.running_names() or not cluster.is_core_up(revived):
             return []
         peers = [
-            other
-            for other in self.cluster.running_cores()
-            if other is not core
-            and network.is_up(other.name)
-            and network.can_reach(core.name, other.name)
+            cluster.admin(name)
+            for name in cluster.running_names()
+            if name != revived and cluster.is_core_up(name) and cluster.can_reach(revived, name)
         ]
-        dropped: list[str] = []
-        for complet_id in core.repository.complet_ids():
-            winner = next((peer for peer in peers if peer.repository.hosts(complet_id)), None)
-            if winner is None:
-                continue
-            core.repository.release(complet_id)
-            tracker = core.repository.existing_tracker(complet_id)
-            if tracker is not None:
-                remote = winner.repository.existing_tracker(complet_id)
-                if remote is not None:
-                    tracker.point_to(remote.address)
-                else:  # pragma: no cover - winner hosts it, tracker exists
-                    tracker.mark_dangling()
-            dropped.append(str(complet_id))
+        living: dict = {}
+        for peer in reversed(peers):  # the first peer hosting a complet is its home
+            living.update(peer.hosted_trackers())
+        here = cluster.admin(revived)
+        homes = {cid: living[cid] for cid in here.hosted_trackers() if cid in living}
         # Inverse repair: complets this Core still hosts were declared
         # dead by a degraded recovery — un-dangle the cluster's trackers
         # and restore the registry entries survivors forgot.
-        hosted = CoreAdmin(core).hosted_trackers()
-        for complet_id, address in hosted.items():
-            core.locator.publish(complet_id, address)
-        repaired = sum(peer.references.repair_revived(hosted) for peer in peers)
+        hosted = here.reconcile(homes)
+        repaired = sum(peer.repair_revived(hosted) for peer in peers)
+        dropped = [str(complet_id) for complet_id in homes]
         if dropped or repaired:
             self._note(
                 f"reconciled revived core {revived}: dropped {len(dropped)} "
                 f"stale copies, repaired {repaired} trackers"
             )
-            core.events.publish(
-                CORE_RECONCILED, core=revived, dropped=dropped, repaired=repaired
-            )
+            here.publish(CORE_RECONCILED, core=revived, dropped=dropped, repaired=repaired)
         return dropped
 
     # -- manual restore (shell / scripts) ------------------------------------------
@@ -384,23 +375,12 @@ class RecoveryManager:
         record = self.store.by_str(complet_id_str)
         if record is None:
             raise CompletError(f"no checkpoint stored for complet {complet_id_str!r}")
-        network = self.cluster.transport
-        candidates = [
-            core
-            for core in self.cluster.running_cores()
-            if network.is_up(core.name)
-        ]
-        if destination is not None:
-            dest = self.cluster.core(destination)
-            if dest not in candidates:
-                raise CoreNotFoundError(f"Core {destination!r} is not up")
-        else:
-            if not candidates:
-                raise CoreNotFoundError("no running Core to restore on")
-            dest = min(candidates, key=lambda core: (len(core.repository), core.name))
-        alive = any(core.repository.hosts(record.complet_id) for core in candidates)
-        new_id = stub_target_id(restore_record(dest, record, keep_identity=not alive))
-        self._note(f"restored {complet_id_str} as {new_id} at {dest.name}")
+        cluster = self.cluster
+        candidates = [name for name in cluster.running_names() if cluster.is_core_up(name)]
+        dest = cluster.admin(self._destination(candidates, destination))
+        alive = any(str(record.complet_id) in cluster.admin(name).complets() for name in candidates)
+        new_id = _restore(dest, record.snapshot.to_bytes(), not alive)
+        self._note(f"restored {complet_id_str} as {new_id} at {dest.target}")
         return str(new_id)
 
     def __repr__(self) -> str:

@@ -403,10 +403,6 @@ class FarGoShell:
                 + (f"  mttr {mttr:.2f}s" if mttr is not None else "")
                 + (f"  last exit: {view['last_exit']}" if view.get("last_exit") else "")
             )
-            if view.get("escalated_to"):
-                lines.append(
-                    "               escalated to: " + ", ".join(view["escalated_to"])
-                )
         return "\n".join(lines)
 
     def _cmd_help(self, args: list[str]) -> str:

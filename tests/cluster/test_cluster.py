@@ -203,7 +203,6 @@ class TestProcesses:
             procs_cluster["nowhere"]
         for refused in (
             lambda: procs_cluster.add_core("gamma"),
-            procs_cluster.enable_recovery,
             procs_cluster.analyze,
             lambda: list(procs_cluster),
             procs_cluster.running_cores,

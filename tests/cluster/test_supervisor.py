@@ -23,11 +23,11 @@ class TestRestartPolicy:
         policy = RestartPolicy()
         assert policy.max_restarts == 3
         assert policy.window == 60.0
-        assert policy.recover is True
         assert policy.backoff is DEFAULT_BACKOFF
+        assert not hasattr(policy, "recover")  # every respawn restores when a directory is shared
 
     def test_zero_budget_is_legal(self):
-        # max_restarts=0 means "never restart, escalate immediately".
+        # max_restarts=0 means "never restart, give the child up at once".
         assert RestartPolicy(max_restarts=0).max_restarts == 0
 
     def test_negative_budget_rejected(self):
@@ -64,7 +64,7 @@ class TestChildState:
         assert as_dict["status"] == "running"
         assert as_dict["restarts"] == 0
         assert as_dict["last_exit"] is None
-        assert as_dict["escalated_to"] == []
+        assert "escalated_to" not in as_dict  # the RecoveryManager restores a given-up child
         for key in ("streak", "last_verdict", "last_mttr", "next_backoff"):
             assert key in as_dict
 
@@ -74,6 +74,10 @@ class TestSupervisorConstruction:
         procs = CoreProcesses(["alpha"])  # not started
         with pytest.raises(ConfigurationError):
             Supervisor(procs)
+
+    def test_one_policy_for_every_child(self):
+        with pytest.raises(TypeError):
+            Supervisor(CoreProcesses(["alpha"]), policies={})  # type: ignore[call-arg]
 
 
 class TestRecoveryStoreWiring:

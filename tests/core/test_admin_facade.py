@@ -147,9 +147,14 @@ CONTRACT = {
         {"service": "completSize", "params": {"complet": "CID"}}, "profile",
     ),
     "checkpoint": ("checkpoint", ("CID",), {}, {"complet": "CID"}, None),
+    "checkpoint_group": ("checkpoint_group", ("CID",), {}, {"complet": "CID"}, None),
     "restore_complet": (
         "restore", ("DATA",), {"keep_identity": False}, {"data": "DATA", "keep_identity": False},
         None,
+    ),
+    "publish": (
+        "publish", ("completRecovered",), {"complet": "CID"},
+        {"event": "completRecovered", "data": {"complet": "CID"}}, None,
     ),
     "detector": ("detector_state", (), {}, {}, "recovery"),
     "supervisor": ("supervisor_state", (), {}, {}, None),
@@ -162,7 +167,10 @@ CONTRACT = {
     "repair_trackers": (
         "repair_trackers", ("gamma", {}), {}, {"failed": "gamma", "relocated": {}}, None,
     ),
+    "forwarding_to": ("forwarding_to", ("beta",), {}, {"core": "beta"}, None),
     "locator_forget": ("locator_forget", ("gamma",), {}, {"core": "gamma"}, None),
+    "reconcile": ("reconcile", ({},), {}, {"homes": {}}, None),
+    "repair_revived": ("repair_revived", ({},), {}, {"hosted": {}}, None),
     "metrics": ("metrics", (), {}, {}, None),
     "store": ("store", (), {}, {}, None),
     "spans": ("spans", (), {}, {}, "traced"),

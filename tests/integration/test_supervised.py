@@ -5,7 +5,9 @@ process and checks the :class:`~repro.cluster.supervisor.Supervisor`
 end-to-end: death detected via ``waitpid``, the successor respawned on
 the preallocated port, durable checkpoints replayed identity-preserving
 from the shared :class:`~repro.recovery.CheckpointStore`, and the
-surviving deployment repaired so pre-kill references keep working.
+surviving deployment repaired so pre-kill references keep working.  A
+child past its budget, or killed with no supervisor at all, is restored
+by the cluster's :class:`~repro.recovery.RecoveryManager` on ``procs``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
+from repro.errors import ConfigurationError
 from repro.recovery import CheckpointStore
 from tests.anchors import Holder, Probe
 
@@ -158,32 +161,105 @@ class TestIdentityPreservingRestart:
             shutil.rmtree(checkpoint_dir, ignore_errors=True)
 
 
+@pytest.fixture()
+def recovering():
+    """A two-child cluster on ``procs`` with recovery over its checkpoint directory."""
+    checkpoint_dir = tempfile.mkdtemp(prefix="repro-supervised-")
+    cluster = Cluster(
+        transport=CoreProcesses(
+            ["alpha", "beta"],
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_interval=CHECKPOINT_INTERVAL,
+        )
+    )
+    try:
+        cluster.enable_recovery()
+        yield cluster, checkpoint_dir
+    finally:
+        cluster.close()
+        shutil.rmtree(checkpoint_dir, ignore_errors=True)
+
+
+def killed_with_a_checkpoint(cluster: Cluster, checkpoint_dir: str) -> Probe:
+    """A Probe at alpha, durably checkpointed, whose host was then SIGKILLed."""
+    probe = Probe(_core=cluster.seat, _at="alpha")
+    probe.note("pre-kill")
+    wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
+    process = cluster.processes.processes["alpha"]
+    os.kill(process.pid, signal.SIGKILL)
+    process.wait(timeout=10.0)
+    return probe
+
+
 class TestEscalation:
-    def test_budget_exhaustion_escalates_to_fresh_identity(self, deployment):
-        procs, checkpoint_dir = deployment
-        # Zero budget: the very first death is a permanent failure.
-        policy = RestartPolicy(max_restarts=0)
-        with Supervisor(procs, policies={"alpha": policy}) as supervisor:
-            probe = Probe(_core=procs.driver, _at="alpha")
-            probe.note("will-be-escalated")
+    def test_budget_exhaustion_recovers_with_identity(self, recovering):
+        """A given-up child is a coreFailed verdict; the RecoveryManager restores it."""
+        cluster, checkpoint_dir = recovering
+        # Zero budget: the very first death gives the child up.
+        with Supervisor(cluster.processes, policy=RestartPolicy(max_restarts=0)) as supervisor:
+            probe = Probe(_core=cluster.seat, _at="alpha")
+            probe.note("pre-kill")
             original_id = str(probe._fargo_target_id)
             wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
 
-            procs.processes["alpha"].kill()
-            # "failed" is set the moment the decision is made; the
-            # fresh-identity restores land moments later.
-            assert wait_until(
-                lambda: child_state(supervisor, "alpha")["escalated_to"]
-            ), "no fresh-identity restore happened"
+            cluster.processes.processes["alpha"].kill()
+            assert wait_until(lambda: cluster.recovery.reports), "nothing was recovered"
+            report = cluster.recovery.reports[-1]
+            assert (report.failed, report.destination) == ("alpha", "beta")
+            assert report.restored == [original_id] and report.unrepaired == []
             state = child_state(supervisor, "alpha")
             assert state["status"] == "failed"
             assert state["restarts"] == 0
-            # Restored on the survivor, under a *different* identity.
-            survivor_hosted = hosted_at(procs, "beta")
-            for new_id in state["escalated_to"]:
-                assert new_id in survivor_hosted
-                assert new_id != original_id
-            assert procs.driver.metrics.counter("supervisor.escalations").value >= 1
+            assert cluster.seat.metrics.counter("supervisor.escalations").value == 1
+            # Identity kept: the pre-kill stub answers from beta, state intact.
+            assert original_id in cluster.complets_at("beta")
+            probe.note("post-recovery")
+            assert probe.get_history() == ["pre-kill", "post-recovery"]
+
+
+class TestRecoveryWithoutSupervisor:
+    def test_recover_core_by_hand(self, recovering):
+        cluster, checkpoint_dir = recovering
+        probe = killed_with_a_checkpoint(cluster, checkpoint_dir)
+        report = cluster.recovery.recover_core("alpha")
+        assert report.destination == "beta"  # never the seat
+        assert report.restored == [str(probe._fargo_target_id)]
+        assert "pre-kill" in probe.get_history()
+
+    def test_restore_complet_by_hand(self, recovering):
+        cluster, checkpoint_dir = recovering
+        probe = killed_with_a_checkpoint(cluster, checkpoint_dir)
+        original_id = str(probe._fargo_target_id)
+        assert cluster.recovery.restore_complet(original_id) == original_id
+        assert original_id in cluster.complets_at("beta")
+        # Alive now: a second restore is a fresh identity beside it.
+        again = cluster.recovery.restore_complet(original_id)
+        assert again != original_id and again in cluster.complets_at("beta")
+
+    def test_needs_the_childrens_checkpoint_directory(self):
+        cluster = Cluster(["alpha"], transport="procs")
+        try:
+            with pytest.raises(ConfigurationError, match="checkpoint_dir"):
+                cluster.enable_recovery()
+            assert cluster.recovery is None
+        finally:
+            cluster.close()
+
+
+class TestLiveness:
+    def test_an_exited_child_is_down_and_unreachable(self):
+        """waitpid, not the driver's address book, says whether a child is up."""
+        cluster = Cluster(["alpha", "beta"], transport="procs")
+        try:
+            process = cluster.processes.processes["alpha"]
+            os.kill(process.pid, signal.SIGKILL)
+            process.wait(timeout=10.0)
+            assert "alpha" not in cluster.running_names()
+            assert not cluster.is_core_up("alpha")
+            assert not cluster.can_reach("driver", "alpha")
+            assert cluster.is_core_up("beta") and cluster.can_reach("driver", "beta")
+        finally:
+            cluster.close()
 
 
 class TestDurableCheckpoints:

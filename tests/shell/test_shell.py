@@ -303,7 +303,6 @@ class TestSupervisorCommand:
                             "last_verdict": "alive",
                             "last_mttr": 0.42,
                             "next_backoff": 0.2,
-                            "escalated_to": [],
                         },
                         "gamma": {
                             "status": "failed",
@@ -314,14 +313,12 @@ class TestSupervisorCommand:
                             "last_verdict": "dead",
                             "last_mttr": None,
                             "next_backoff": 0.8,
-                            "escalated_to": ["alpha/c7:Probe"],
                         },
                     },
                     "policy": {
                         "max_restarts": 3,
                         "window": 60.0,
                         "healthy_after": 5.0,
-                        "recover": True,
                     },
                 }
 
@@ -332,7 +329,7 @@ class TestSupervisorCommand:
         assert "restarts 2" in out
         assert "signal SIGKILL" in out
         assert "mttr 0.42s" in out
-        assert "escalated to: alpha/c7:Probe" in out
+        assert "gamma        failed" in out and "last exit: exit 1" in out
 
     def test_explicit_core_argument(self, cluster3, shell):
         out = shell.execute("supervisor beta")
