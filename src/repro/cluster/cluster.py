@@ -26,6 +26,7 @@ from repro.complet.anchor import Anchor
 from repro.complet.stub import Stub, stub_core, stub_target_id, stub_tracker
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
+from repro.core.events import CORE_SHUTDOWN
 from repro.errors import ConfigurationError, CoreError, CoreNotFoundError, TransportError
 from repro.metrics.registry import merge_snapshots
 from repro.net.simnet import SimTransport
@@ -370,7 +371,18 @@ class Cluster:
         return not (self._exited(src) or self._exited(dst)) and self.transport.can_reach(src, dst)
 
     def shutdown_core(self, name: str) -> None:
-        self.core(name).shutdown()
+        """Graceful shutdown (``coreShutdown`` fires first); a child exits 0."""
+        # Any positive delay lets a child write the reply before it leaves.
+        self.admin(name).shutdown(delay=1e-9 if name in self._children() else 0.0)
+
+    def crash_core(self, name: str) -> None:
+        """Hard crash, no shutdown event: the node stops answering, and a
+        child's process is SIGKILLed."""
+        child = self._children().get(name)
+        if child is not None:
+            child.kill()
+        else:
+            self.transport.set_node_down(name)
 
     # -- liveness and recovery ------------------------------------------------------------
 
@@ -399,10 +411,11 @@ class Cluster:
 
         On ``procs`` the store is ``CheckpointStore(checkpoint_dir)``, the
         directory the children sweep their complets into, and no
-        detector is attached: a :class:`~repro.cluster.supervisor.Supervisor`
-        publishes ``coreFailed`` at :attr:`seat` for a child whose restart
-        budget is spent.  There the deployment needs a ``checkpoint_dir``
-        and neither ``detector`` nor ``store`` is taken.
+        detector is attached here: a :class:`~repro.cluster.supervisor.Supervisor`
+        runs the one at :attr:`seat`, and publishes ``coreFailed`` there
+        for a child whose restart budget is spent.  There the deployment
+        needs a ``checkpoint_dir`` and neither ``detector`` nor ``store``
+        is taken.
         """
         from repro.recovery import CheckpointManager, CheckpointStore, DetectorConfig, RecoveryManager
 
@@ -434,7 +447,14 @@ class Cluster:
         def peers() -> list[str]:
             return [name for name in self.core_names() if name != core.name]
 
-        core.detector = FailureDetector(core, peers, config)
+        def stop(event) -> None:
+            if event.data.get("core") == core.name:
+                timer.cancel()
+
+        core.detector = detector = FailureDetector(core, peers, config)
+        # The heartbeat cadence: one round per interval until the Core shuts down.
+        timer = self.scheduler.call_every(config.interval, detector.tick)
+        core.events.subscribe(CORE_SHUTDOWN, stop)
 
     # -- application conveniences -------------------------------------------------------------
 

@@ -26,11 +26,12 @@ from repro.sim.scheduler import Timer
 class FailureInjector:
     """Deterministic scheduler of environmental changes.
 
-    Every injection goes through the transport-level chaos hooks, so
-    crash/revive, link cuts, latency, and partitions work on any
-    backend that advertises the capability — the simulated network and
-    real TCP alike.  A knob the backend does not model (e.g. bandwidth
-    shaping on TCP) raises
+    A crash or shutdown goes through the cluster handle, so it also
+    ends a child's process on ``procs``.  Revival, link cuts, latency
+    and partitions go through the transport-level chaos hooks, and work
+    on any backend that advertises the capability — the simulated
+    network and real TCP alike.  A knob the backend does not model
+    (e.g. bandwidth shaping on TCP) raises
     :class:`~repro.errors.TransportCapabilityError` when the injection
     fires; check ``cluster.transport.supports(...)`` when scheduling
     against an unknown backend.
@@ -118,12 +119,13 @@ class FailureInjector:
         )
 
     def crash_core_at(self, time: float, name: str) -> Timer:
-        """Hard crash: no shutdown event, the node simply stops answering."""
+        """Hard crash: no shutdown event, the node simply stops answering
+        (:meth:`~repro.cluster.cluster.Cluster.crash_core`)."""
         return self._at(
             time,
             "crash_core",
             f"core {name} crashes",
-            lambda: self.cluster.transport.set_node_down(name),
+            lambda: self.cluster.crash_core(name),
         )
 
     def revive_core_at(self, time: float, name: str) -> Timer:
@@ -147,12 +149,9 @@ class FailureInjector:
 
     def injected_count(self, kind: str | None = None) -> int:
         """Injections fired so far, optionally of one kind."""
-        if kind is not None:
-            return int(self.metrics.counter_value("injector.events", kind=kind))
-        return sum(
-            int(counter.value)
-            for counter in self.metrics.counters_named("injector.events").values()
-        )
+        if kind is None:
+            return len(self.log)
+        return int(self.metrics.counter_value("injector.events", kind=kind))
 
     def cancel_all(self) -> None:
         for timer in self._timers:

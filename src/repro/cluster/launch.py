@@ -418,15 +418,21 @@ class ChildProcess:
         self.returncode: int | None = None
 
     def poll(self) -> int | None:
-        if self.returncode is None:
-            self.returncode = self._template.exit_code(self.pid, 0.0)
-        return self.returncode
+        return self._take(0.0)
 
     def wait(self, timeout: float | None = None) -> int:
-        if self.returncode is None:
-            self.returncode = self._template.exit_code(self.pid, timeout)
-        if self.returncode is None:
+        code = self._take(timeout)
+        if code is None:
             raise subprocess.TimeoutExpired(f"child Core (pid {self.pid})", timeout or 0.0)
+        return code
+
+    def _take(self, timeout: float | None) -> int | None:
+        if self.returncode is None:
+            # The template's report is taken once: a thread that lost the
+            # race to it must not write None over the winner's code.
+            code = self._template.exit_code(self.pid, timeout)
+            if code is not None:
+                self.returncode = code
         return self.returncode
 
     def kill(self) -> None:

@@ -3,35 +3,28 @@
 The :class:`Supervisor` keeps the children of a multi-process deployment
 (:mod:`repro.cluster.launch`) alive:
 
-- **Watch** — a monitor thread fuses two liveness sources per child:
-  ``waitpid`` (``poll()`` on the child's handle, fed by the template
-  process that forked it: the OS says the process exited, with an exit
-  code or signal) and failure-detector-style probe verdicts over
-  the driver's :class:`~repro.net.tcp.TcpTransport` (the network says
-  the Core stopped answering).  A SIGKILLed child is *dead* (poll
-  reports the signal) and gets restarted; a child that is alive but
-  unreachable is *partitioned* — restarting it would fork the
-  deployment, so the supervisor only records the verdict.
+- **Watch** — a monitor thread fuses ``waitpid`` (``poll()`` on the
+  child's handle, fed by the template process that forked it: an exit
+  code or signal) with the verdicts of the driver's
+  :class:`~repro.recovery.FailureDetector` (``driver.detector``), whose
+  heartbeat rounds it runs over the children ``waitpid`` says are alive.
+  A dead child is restarted.  One alive but failed by the detector —
+  hung, or cut off — is *partitioned*: restarting it would fork the
+  deployment, so only the verdict is recorded.
 
 - **Restart** — one :class:`RestartPolicy` bounds the healing of every
-  child: at most ``max_restarts`` within ``window`` seconds, exponential
-  backoff between consecutive respawns (via the existing
-  :class:`~repro.net.retry.RetryPolicy` schedule), then it gives up.
-  The child respawns on its preallocated port (listener sockets use
-  ``SO_REUSEADDR``); when that port turns out unusable, a fresh port is
-  allocated and every surviving Core's address book is updated through
-  the ``add_peer`` admin operation.
+  child: at most ``max_restarts`` within ``window`` seconds, with
+  :class:`~repro.net.retry.RetryPolicy` backoff between consecutive
+  respawns, then it gives up.  A child respawns on its preallocated port,
+  or on a fresh one that every survivor learns through ``add_peer``.
 
-- **Re-admit** — the respawned child restores its predecessor's durable
-  checkpoints (``--recover`` against the shared checkpoint directory)
-  under the *original* identities before announcing READY; the
-  supervisor waits for that line (the child answers requests sooner,
-  with the restore still running, and would report half a tracker map),
-  then refreshes the driver's address book (invalidating stale pooled
-  connections), hands the successor the driver's tracing setting,
-  fetches its tracker map (``hosted_trackers``), and repairs every
-  survivor's trackers and location records with the sequence recovery
-  runs (:func:`repro.recovery.recovery.written_off`).
+- **Re-admit** — the successor restores its predecessor's durable
+  checkpoints under the *original* identities before it prints READY,
+  and the supervisor waits for that line.  It then refreshes the
+  driver's address book, hands the successor the driver's tracing
+  setting, and repairs every survivor's trackers and location records
+  from the successor's tracker map, with the sequence recovery runs
+  (:func:`repro.recovery.recovery.written_off`).
 
 - **Give up** — a child that exhausts its restart budget stays down,
   and the supervisor publishes a ``coreFailed`` verdict for it on the
@@ -59,7 +52,7 @@ from repro.core.admin import CoreAdmin
 from repro.core.events import CORE_FAILED
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.retry import RetryPolicy
-from repro.recovery.detector import DetectorConfig
+from repro.recovery.detector import FAILED, DetectorConfig, FailureDetector
 from repro.recovery.recovery import written_off
 
 logger = logging.getLogger(__name__)
@@ -106,8 +99,6 @@ class _ChildState:
     streak: int = 0
     last_exit: str | None = None
     last_verdict: str = "alive"
-    last_ok: float = 0.0
-    last_probe: float = 0.0
     last_restart_at: float | None = None
     last_mttr: float | None = None
     next_backoff: float = 0.0
@@ -164,11 +155,12 @@ class Supervisor:
         self.procs = procs
         self.driver = procs.driver
         self.policy = policy if policy is not None else RestartPolicy()
-        self.detector = detector if detector is not None else DetectorConfig()
         self.poll_interval = poll_interval
-        self.children: dict[str, _ChildState] = {
-            name: _ChildState(last_ok=time.monotonic()) for name in procs.names
-        }
+        self.children: dict[str, _ChildState] = {name: _ChildState() for name in procs.names}
+        #: The driver's view of the network, ticked by the monitor thread.
+        self.detector = self.driver.detector = FailureDetector(
+            self.driver, self._alive, detector
+        )
         #: (monotonic, message) decision log, mirroring RecoveryManager.log.
         self.log: list[tuple[float, str]] = []
         self._thread: threading.Thread | None = None
@@ -217,8 +209,17 @@ class Supervisor:
 
     # -- monitor loop ------------------------------------------------------
 
+    def _alive(self) -> list[str]:
+        """The children ``waitpid`` says are alive: the detector's peers."""
+        children = list(self.procs.processes.items())
+        return [name for name, process in children if process.poll() is None]
+
     def _monitor(self) -> None:
+        next_round = 0.0
         while not self._stop.is_set():
+            if time.monotonic() >= next_round:
+                next_round = time.monotonic() + self.detector.config.interval
+                self.detector.tick()
             for name in list(self.procs.names):
                 try:
                     self._check_child(name)
@@ -234,37 +235,25 @@ class Supervisor:
         returncode = process.poll() if process is not None else None
         now = time.monotonic()
         if returncode is None and process is not None:
-            # The OS says alive; fuse with the network's opinion.  An
-            # unreachable-but-running child is a partition or a hang —
-            # restarting it would fork the deployment, so only the
-            # verdict is recorded (mirrors FailureDetector's
-            # alive/suspect/failed ladder, driven by probes).
-            if now - child.last_probe < self.detector.interval:
-                return  # heartbeat cadence, not poll cadence
-            child.last_probe = now
-            silent = now - child.last_ok
-            if self.procs.transport.probe(name, timeout=min(1.0, self.detector.interval)):
-                child.last_ok = now
-                if child.status in ("partitioned", "restarting"):
-                    child.status = "running"
-                child.last_verdict = "alive"
-                if (
-                    child.streak
-                    and child.last_restart_at is not None
-                    and now - child.last_restart_at >= self.policy.healthy_after
-                ):
-                    child.streak = 0  # stayed up: the unhealthy streak is over
-            elif silent >= self.detector.fail_after:
-                child.last_verdict = "partitioned"
-                child.status = "partitioned"
-            elif silent >= self.detector.suspect_after:
-                child.last_verdict = "suspect"
+            # The OS says alive; the detector says whether it answers.  A
+            # hung or cut-off child is only recorded: restarting it would
+            # fork the deployment.
+            verdict = self.detector.verdict(name)
+            child.status = "partitioned" if verdict == FAILED else "running"
+            child.last_verdict = "partitioned" if verdict == FAILED else verdict
+            if (
+                child.streak
+                and child.last_restart_at is not None
+                and now - child.last_restart_at >= self.policy.healthy_after
+            ):
+                child.streak = 0  # stayed up: the unhealthy streak is over
             return
         # The process is gone: waitpid gives the ground truth the
         # network-level detector cannot — exit code or fatal signal.
         cause = describe_exit(returncode) if returncode is not None else "never started"
         child.last_exit = cause
         child.last_verdict = "dead"
+        self.detector.forget(name)  # a successor is a new peer, with its own grace
         self._restart(name, child, cause, detected_at=now)
 
     # -- restart path ------------------------------------------------------
@@ -301,7 +290,6 @@ class Supervisor:
         child.last_restart_at = time.monotonic()
         child.last_mttr = mttr
         child.status = "running"
-        child.last_ok = time.monotonic()
         child.last_verdict = "alive"
         self.driver.metrics.counter("supervisor.restarts").inc()
         self.driver.metrics.histogram("supervisor.mttr").observe(mttr)
@@ -335,7 +323,7 @@ class Supervisor:
         # pooled connections point at the dead predecessor.
         self.procs.transport.add_peer(name, address)
         reborn = CoreAdmin(self.driver, name)
-        children = self._survivors(name)
+        children = [CoreAdmin(self.driver, other) for other in self._alive() if other != name]
         for admin in children:
             try:
                 admin.add_peer(name, address)
@@ -352,15 +340,6 @@ class Supervisor:
                 relocated.update(reborn.hosted_trackers())
             except (CoreError, TransportError) as exc:
                 self._log(f"reborn {name} did not answer the driver: {exc}")
-
-    def _survivors(self, failed: str) -> list[CoreAdmin]:
-        """The driver's handles on the children that outlived ``failed``."""
-        alive = []
-        for name in self.procs.names:
-            process = self.procs.processes.get(name)
-            if name != failed and process is not None and process.poll() is None:
-                alive.append(CoreAdmin(self.driver, name))
-        return alive
 
     def _give_up(self, name: str, child: _ChildState, cause: str) -> None:
         """Budget exhausted: the child stays down, and the driver's bus hears

@@ -108,8 +108,9 @@ class Core:
         self.movement = MovementUnit(self)
         self.naming = NamingService(self)
         #: Heartbeat-based failure detector, attached by the recovery
-        #: layer (:meth:`repro.cluster.Cluster.enable_recovery`).  Every
-        #: Core answers heartbeats whether or not it runs a detector.
+        #: layer (:meth:`repro.cluster.Cluster.enable_recovery`) or, at a
+        #: multi-process driver, by the Supervisor.  Every Core answers
+        #: heartbeats whether or not it runs a detector.
         self.detector: object | None = None
         #: Shared dynamic race detector, attached by the cluster when
         #: built with ``sanitize=True`` (:mod:`repro.analysis.sanitizer`).
@@ -288,8 +289,6 @@ class Core:
         if not self.is_running:
             return
         self.events.publish(CORE_SHUTDOWN, core=self.name)
-        if self.detector is not None:
-            self.detector.stop()  # type: ignore[attr-defined]
         self.monitor.shutdown()
         self.profiler.shutdown()
         self.is_running = False

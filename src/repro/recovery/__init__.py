@@ -5,7 +5,7 @@ supplies the missing robustness story so layout experiments can include
 Core *failure* as an environmental event, next to the link degradation
 and shutdown the monitoring layer already reports:
 
-- :class:`FailureDetector` — heartbeat pings on the virtual clock,
+- :class:`FailureDetector` — heartbeat rounds on the caller's cadence,
   publishing ``coreSuspected`` / ``coreFailed`` / ``coreRecovered``
   monitor events per peer;
 - :class:`CheckpointManager` + :class:`CheckpointPolicy` — periodic and

@@ -1,13 +1,16 @@
 """Heartbeat-based failure detection between Cores.
 
-Each Core that runs a :class:`FailureDetector` pings its peers every
-``interval`` seconds of virtual time with a tiny ``HEARTBEAT`` request
-(answered by every Core, detector or not).  A peer that stays silent
-past ``suspect_after`` is *suspected*; past ``fail_after`` it is
-declared *failed*.  Verdict transitions are published as monitor events
-on the detecting Core's bus — ``coreSuspected``, ``coreFailed``,
-``coreRecovered`` — so layout scripts (``on coreFailed ... failover``)
-and the :class:`~repro.recovery.recovery.RecoveryManager` can react.
+Each :meth:`~FailureDetector.tick` pings every peer with a tiny
+``HEARTBEAT`` request (answered by every Core, detector or not).  Whoever
+ticks it owns the cadence: a scheduler timer on sim and tcp
+(:meth:`repro.cluster.Cluster.enable_recovery`), the
+:class:`~repro.cluster.supervisor.Supervisor`'s thread at a multi-process
+driver.  A peer silent past ``suspect_after`` is *suspected*; past
+``fail_after`` it is declared *failed*.  Verdict transitions are
+published as monitor events on the detecting Core's bus —
+``coreSuspected``, ``coreFailed``, ``coreRecovered`` — so layout scripts
+(``on coreFailed ... failover``) and the
+:class:`~repro.recovery.recovery.RecoveryManager` can react.
 
 Detection is per-observer: a partition makes each side declare the other
 failed, and both are right about reachability.  Whether a verdict should
@@ -22,8 +25,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SHUTDOWN, CORE_SUSPECTED
-from repro.errors import ConfigurationError, CoreError
+from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SUSPECTED
+from repro.errors import ConfigurationError, CoreError, TransportError
 from repro.net.messages import MessageKind
 from repro.net.retry import NO_RETRY
 
@@ -40,7 +43,7 @@ FAILED = "failed"
 
 @dataclass(frozen=True, slots=True)
 class DetectorConfig:
-    """Tuning knobs of the failure detector (virtual-time seconds).
+    """Tuning knobs of the failure detector (seconds of the Core's clock).
 
     ``interval`` is the ping period; a peer silent for ``suspect_after``
     seconds is suspected, and for ``fail_after`` seconds is declared
@@ -77,7 +80,8 @@ class FailureDetector:
     """One Core's view of its peers' liveness.
 
     ``peers`` is a callable returning the current peer names, so Cores
-    added to the cluster later are picked up on the next tick.
+    added to the cluster later are picked up on the next tick; a peer it
+    stops naming is forgotten.
     """
 
     def __init__(
@@ -92,22 +96,11 @@ class FailureDetector:
         self._states: dict[str, _PeerState] = {}
         self._latency = core.metrics.histogram("detector.detection_latency")
         self._ticks = core.metrics.counter("detector.ticks")
-        self._timer = core.scheduler.call_every(self.config.interval, self._tick)
-        core.events.subscribe(CORE_SHUTDOWN, self._on_shutdown)
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- the heartbeat round ---------------------------------------------------
 
-    def stop(self) -> None:
-        """Cancel all future pings."""
-        self._timer.cancel()
-
-    def _on_shutdown(self, event) -> None:
-        if event.data.get("core") == self.core.name:
-            self.stop()
-
-    # -- the heartbeat loop ----------------------------------------------------
-
-    def _tick(self) -> None:
+    def tick(self) -> None:
+        """Ping every peer once and move each along the ladder."""
         if not self.core.is_running:
             return
         self._ticks.inc()
@@ -126,11 +119,13 @@ class FailureDetector:
                 self._mark_silent(peer, state, now)
 
     def _ping(self, peer: str) -> bool:
+        # The deadline keeps a hung peer from holding up the round.
         try:
             self.core.peer.request(
-                peer, MessageKind.HEARTBEAT, self.core.name, retry=NO_RETRY
+                peer, MessageKind.HEARTBEAT, self.core.name,
+                timeout=min(1.0, self.config.interval), retry=NO_RETRY,
             )
-        except CoreError:
+        except (CoreError, TransportError):
             return False
         return True
 
@@ -158,13 +153,12 @@ class FailureDetector:
         self.core.metrics.counter(counter, peer=peer).inc()
         tracer = self.core.tracer
         if tracer.enabled:
-            span = tracer.start_span(
-                f"{counter.split('.')[-1].rstrip('s')}:{peer}",
-                category="detector",
-                root=True,
-                peer=peer,
-            )
-            tracer.finish(span)
+            name = f"{counter.split('.')[-1].rstrip('s')}:{peer}"
+            tracer.finish(tracer.start_span(name, category="detector", root=True, peer=peer))
+
+    def forget(self, peer: str) -> None:
+        """Drop what is known of ``peer``: its next round starts a fresh grace period."""
+        self._states.pop(peer, None)
 
     # -- introspection ---------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Automatic complet recovery after a Core failure.
 
 The :class:`RecoveryManager` listens for ``coreFailed`` verdicts on the
-buses of the Cores in this process — a failure detector's on the
-simulated and TCP backends, the :class:`~repro.cluster.supervisor.Supervisor`'s
-on ``procs`` — and, once it trusts a verdict, restores the dead Core's
+buses of the Cores in this process — a failure detector's, or on
+``procs`` the :class:`~repro.cluster.supervisor.Supervisor`'s for a child
+it gave up — and, once it trusts a verdict, restores the dead Core's
 checkpointed complets on a surviving Core, repairs the cluster's
 distributed pointers, and announces each revival with a
 ``completRecovered`` event.  It reads the deployment only through the

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cluster.chaos import ChaosReport, ChaosRun, ProcessChaosRun, main, run_seeds
+from repro.cluster.chaos import ChaosReport, ChaosRun, main, run_seeds
 
 #: The fixed seed battery CI soaks; every seed must pass.
 SOAK_SEEDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
@@ -66,10 +66,17 @@ def test_summary_names_the_clock_the_run_was_timed_on():
     assert "over 2.2s wall" in ChaosReport(seed=1, duration=2.2, clock="wall").summary()
 
 
+def test_a_crash_past_the_mttr_budget_is_a_violation():
+    """A simulated crash lasts 4-7 virtual seconds: a 1 s budget cannot hold."""
+    report = ChaosRun(1, events=2, mttr_budget=1.0).execute()
+    assert not report.passed
+    assert "did not heal within the 1s MTTR budget" in report.summary()
+
+
 @pytest.mark.tcp
 def test_real_run_holds_its_deployment_through_the_handle():
     """And reads every Core's spans for the trace before it closes it."""
-    run = ProcessChaosRun(1, kills=1, tracing=True)
+    run = ChaosRun(1, transport="procs", cores=2, events=1, tracing=True)
     report = run.execute()
     assert report.passed, report.summary()
     assert report.recoveries == 1 and "s wall" in report.summary()
@@ -77,6 +84,15 @@ def test_real_run_holds_its_deployment_through_the_handle():
     processes = {event["args"]["name"] for event in events if event["ph"] == "M"}
     assert processes == {"Core core0", "Core core1", "Core driver"}
     assert any(event["name"] == "supervisor:restart" for event in events)
+
+
+@pytest.mark.tcp
+def test_real_run_holds_heals_to_the_mttr_budget():
+    """No respawn is instantaneous: a zero budget fails every kill."""
+    report = ChaosRun(2, transport="procs", cores=2, events=1, mttr_budget=0.0).execute()
+    assert not report.passed
+    assert report.injections == 1
+    assert "did not heal within the 0s MTTR budget" in report.summary()
 
 
 def test_main_exit_codes(tmp_path, capsys):

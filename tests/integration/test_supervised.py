@@ -21,8 +21,11 @@ import time
 import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
+from repro.cluster.failures import FailureInjector
+from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SUSPECTED
 from repro.errors import ConfigurationError
-from repro.recovery import CheckpointStore
+from repro.recovery import CheckpointStore, DetectorConfig
+from repro.shell.shell import FarGoShell
 from tests.anchors import Holder, Probe
 
 pytestmark = pytest.mark.tcp
@@ -247,6 +250,58 @@ class TestRecoveryWithoutSupervisor:
 
 
 class TestLiveness:
+    def test_a_hung_child_is_failed_but_not_restarted(self, recovering):
+        """SIGSTOP: waitpid says alive and the listen backlog still accepts a
+        connect, but no heartbeat is answered.  The driver's detector fails
+        the child; nothing restarts or restores it; SIGCONT brings it back."""
+        cluster, _ = recovering
+        verdicts: list[str] = []
+
+        def record(event) -> None:
+            if event.data["core"] == "alpha":
+                verdicts.append(event.name)
+
+        for name in (CORE_SUSPECTED, CORE_FAILED, CORE_RECOVERED):
+            cluster.seat.events.subscribe(name, record)
+        config = DetectorConfig(interval=0.1, suspect_after=0.2, fail_after=0.4)
+        with Supervisor(cluster.processes, detector=config) as supervisor:
+            pid = cluster.processes.processes["alpha"].pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                assert wait_until(
+                    lambda: child_state(supervisor, "alpha")["status"] == "partitioned",
+                    timeout=10.0,
+                ), child_state(supervisor, "alpha")
+                assert verdicts == [CORE_SUSPECTED, CORE_FAILED]
+                assert child_state(supervisor, "alpha")["last_verdict"] == "partitioned"
+                assert child_state(supervisor, "alpha")["restarts"] == 0
+                assert cluster.recovery.reports == []
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            assert wait_until(lambda: child_state(supervisor, "alpha")["status"] == "running")
+            assert verdicts == [CORE_SUSPECTED, CORE_FAILED, CORE_RECOVERED]
+            assert child_state(supervisor, "alpha")["restarts"] == 0
+            assert "alpha" in cluster.seat.detector.state()
+
+    def test_crash_and_shutdown_of_a_child_heal(self, recovering):
+        """The injector's crash is a SIGKILL and the shell's shutdown a clean
+        exit; the Supervisor brings both children back."""
+        cluster, _ = recovering
+        with Supervisor(cluster.processes) as supervisor:
+            FailureInjector(cluster).crash_core_at(cluster.now, "alpha")
+            cluster.advance(0.05)
+            assert FarGoShell(cluster).execute("shutdown beta") == "core beta shut down"
+
+            def healed(name: str) -> bool:
+                state = child_state(supervisor, name)
+                return state["restarts"] == 1 and state["status"] == "running"
+
+            assert wait_until(lambda: healed("alpha") and healed("beta")), supervisor.state()
+            assert child_state(supervisor, "alpha")["last_exit"] == "signal SIGKILL"
+            assert child_state(supervisor, "beta")["last_exit"] == "exit 0"
+            assert sorted(cluster.running_names()) == ["alpha", "beta", "driver"]
+            assert cluster.recovery.reports == []
+
     def test_an_exited_child_is_down_and_unreachable(self):
         """waitpid, not the driver's address book, says whether a child is up."""
         cluster = Cluster(["alpha", "beta"], transport="procs")
