@@ -1,16 +1,14 @@
-"""Experiment S1 — large-payload offloading and envelope batching.
+"""Experiment S1 — large-payload offloading.
 
 The object store claims move traffic for heavy complets drops from
-O(state) to O(reference), that content keying gives `duplicate`
-references copy-on-first-read behaviour, and that batching coalesces
-one-way envelope storms into a few wire transfers.  Measured here under
-the virtual clock (real clocks are forbidden — determinism is the whole
+O(state) to O(reference), and that content keying gives `duplicate`
+references copy-on-first-read behaviour.  Measured here under the
+virtual clock (real clocks are forbidden — determinism is the whole
 point of the bench baselines):
 
 - transport bytes for a 1 MiB complet move, eager vs store-backed;
 - resolve-cache hits when several holders duplicate one unchanged
-  original;
-- wire messages for a 64-envelope one-way storm, raw vs batched.
+  original.
 
 One case is wall-clock, on a real directory: what a ``FileStore`` put and
 evict cost on an entry that two other references hold.
@@ -20,9 +18,7 @@ import os
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import DataSource, Echo
-from repro.net import BatchPolicy, BatchingTransport, Envelope, MessageKind, SimTransport
-from repro.sim.clock import VirtualClock, forbid_real_clocks
-from repro.sim.scheduler import Scheduler
+from repro.sim.clock import forbid_real_clocks
 from repro.store import FileStore
 from benchmarks.conftest import print_table
 
@@ -99,47 +95,6 @@ def test_copy_on_first_read(benchmark):
         finally:
             cluster.close()
     assert hits >= 3, "second and later duplicates must hit the resolve cache"
-    benchmark(lambda: None)
-
-
-def test_batching_message_count(benchmark):
-    """64 one-way envelopes coalesce into a handful of wire transfers."""
-    with forbid_real_clocks():
-        scheduler = Scheduler(VirtualClock())
-        raw = SimTransport(scheduler)
-        raw.register("a", lambda env: b"")
-        raw.register("b", lambda env: b"")
-        for _ in range(64):
-            raw.post(
-                Envelope(src="b", dst="a", kind=MessageKind.EVENT_NOTIFY, payload=b"e" * 96)
-            )
-        unbatched = raw.stats.messages
-
-        batch_scheduler = Scheduler(VirtualClock())
-        inner = SimTransport(batch_scheduler)
-        transport = BatchingTransport(inner, BatchPolicy(max_messages=16, max_delay=0.005))
-        delivered = []
-
-        def _deliver(env):
-            delivered.append(env)
-            return b""
-
-        transport.register("a", _deliver)
-        transport.register("b", lambda env: b"")
-        for _ in range(64):
-            transport.post(
-                Envelope(src="b", dst="a", kind=MessageKind.EVENT_NOTIFY, payload=b"e" * 96)
-            )
-        batch_scheduler.advance(0.1)
-        batched = inner.stats.messages
-
-    print_table(
-        "S1: one-way storm, wire messages",
-        ["mode", "wire msgs", "logical msgs"],
-        [("raw", unbatched, 64), ("batched", batched, len(delivered))],
-    )
-    assert len(delivered) == 64, "batching must not lose messages"
-    assert batched <= unbatched / 8
     benchmark(lambda: None)
 
 

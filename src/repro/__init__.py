@@ -47,14 +47,7 @@ from repro.cluster.topology import configure_star, configure_uniform, configure_
 from repro.errors import TransportCapabilityError, TransportError
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.monitor.profiler import ProfilingSession
-from repro.net import (
-    BatchingTransport,
-    BatchPolicy,
-    SimTransport,
-    TcpTransport,
-    Transport,
-    TransportGroup,
-)
+from repro.net import SimTransport, TcpTransport, Transport, TransportGroup
 from repro.store import (
     FileStore,
     InMemoryStore,
@@ -85,8 +78,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Anchor",
-    "BatchPolicy",
-    "BatchingTransport",
     "Carrier",
     "CheckpointManager",
     "CheckpointPolicy",

@@ -599,48 +599,6 @@ def transport() -> dict:
     )
     metrics["frames_decoded"] = frames_decoded
     metrics["decoder_residue_bytes"] = decoder.pending_bytes
-
-    # Batching segment: the same one-way burst raw vs coalesced through
-    # a BatchingTransport (repro.net.batching) — message count drops to
-    # ceil(N / max_messages) while every envelope still arrives.
-    from repro.net.batching import BatchingTransport, BatchPolicy
-
-    oneway = [
-        Envelope(src="b", dst="a", kind=MessageKind.EVENT_NOTIFY, payload=b"e" * 96)
-        for _ in range(64)
-    ]
-    raw_net = SimTransport(
-        Scheduler(VirtualClock()), default_bandwidth=1_000_000.0, default_latency=0.01
-    )
-    raw_net.register("a", lambda env: b"")
-    raw_net.register("b", lambda env: b"")
-    for envelope in oneway:
-        raw_net.post(envelope)
-    metrics["oneway_unbatched_messages"] = raw_net.stats.messages
-
-    batch_scheduler = Scheduler(VirtualClock())
-    batched = BatchingTransport(
-        SimTransport(
-            batch_scheduler, default_bandwidth=1_000_000.0, default_latency=0.01
-        ),
-        BatchPolicy(max_messages=16, max_delay=0.005),
-    )
-    delivered = []
-
-    def _deliver(env) -> bytes:
-        delivered.append(env)
-        return b""
-
-    batched.register("a", _deliver)
-    batched.register("b", lambda env: b"")
-    for envelope in oneway:
-        batched.post(envelope)
-    batch_scheduler.advance(0.1)  # drain deadline timers and deliveries
-    assert len(delivered) == len(oneway)
-    metrics["oneway_batched_messages"] = batched.stats.messages
-    metrics["batch_mean_occupancy_inv"] = round(
-        1.0 / max(batched.batch_stats.mean_occupancy, 1.0), 6
-    )
     # The one part of this area on real sockets (TCP hubs on loopback, on
     # the virtual clock): counted in bytes, not timed.
     metrics["move_peak_bytes_per_payload_byte"] = move_peak_ratio("tcp")

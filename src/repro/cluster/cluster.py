@@ -69,7 +69,7 @@ class Cluster:
         bandwidth: float = 1_000_000.0,
         latency: float = 0.01,
         clock: Clock | None = None,
-        transport: "str | Transport | CoreProcesses" = "sim",
+        transport: "str | CoreProcesses" = "sim",
         store: "str | ObjectStore | None" = None,
         sanitize: bool = False,
         **core_options,
@@ -89,11 +89,6 @@ class Cluster:
           Pass a not-yet-started ``CoreProcesses`` instead to choose its
           checkpoint directory; either way the cluster starts it, keeps
           it as :attr:`processes` and stops it in :meth:`close`.
-        - a :class:`~repro.net.transport.Transport` instance — shared
-          by every Core (it must host multiple nodes).  The cluster runs
-          on the transport's scheduler, so ``clock`` cannot be given as
-          well.  Decorators compose here:
-          ``BatchingTransport(SimTransport(Scheduler(VirtualClock())))``.
 
         ``store`` enables large-payload offloading (:mod:`repro.store`):
         ``"memory"`` shares one :class:`~repro.store.InMemoryStore` across
@@ -147,16 +142,7 @@ class Cluster:
         #: Per-Core TCP hubs (empty when one shared transport carries all Cores).
         self.transports: dict[str, TcpTransport] = {}
         self._shared_transport: Transport | None = None
-        if isinstance(transport, Transport):
-            # It brings its scheduler: on a second one, timers, detectors and
-            # span timestamps would run on a clock no delivery advances.
-            if clock is not None:
-                raise ConfigurationError(
-                    "clock= cannot be given with a Transport instance: "
-                    "the cluster runs on transport.scheduler"
-                )
-            self._shared_transport, self.scheduler = transport, transport.scheduler
-        elif transport == "sim":
+        if transport == "sim":
             self.scheduler = Scheduler(clock if clock is not None else VirtualClock())
             self._shared_transport = SimTransport(
                 self.scheduler,
@@ -167,8 +153,7 @@ class Cluster:
             self.scheduler = Scheduler(clock if clock is not None else RealClock())
         elif procs is None:
             raise ConfigurationError(
-                f"transport must be 'sim', 'tcp', 'procs', a CoreProcesses, or a "
-                f"Transport; got {transport!r}"
+                f"transport must be 'sim', 'tcp', 'procs' or a CoreProcesses; got {transport!r}"
             )
         self._store: ObjectStore | None = None
         self._owned_store_dir: str | None = None
@@ -347,13 +332,21 @@ class Cluster:
     # -- topology and failures -------------------------------------------------------------
 
     def set_link(self, a: str, b: str, **kwargs) -> None:
-        self.transport.set_link(a, b, **kwargs)
+        self._chaos("set_link", a, b, **kwargs)
 
     def partition(self, *groups: set[str]) -> None:
-        self.transport.partition(*groups)
+        self._chaos("partition", *groups)
 
     def heal_partition(self) -> None:
-        self.transport.heal_partition()
+        self._chaos("heal_partition")
+
+    def _chaos(self, hook: str, *args, **kwargs) -> None:
+        """Apply a transport chaos hook at the hubs of this process, then at
+        every running child's, so the children refuse what it cuts too."""
+        getattr(self.transport, hook)(*args, **kwargs)
+        for name in self.running_names():
+            if name not in self.cores:
+                self.admin(name).chaos(hook, args, **kwargs)
 
     def _exited(self, name: str) -> bool:
         """Whether ``name`` is a child whose process has exited (waitpid says so)."""
@@ -383,6 +376,15 @@ class Cluster:
             child.kill()
         else:
             self.transport.set_node_down(name)
+
+    def revive_core(self, name: str) -> None:
+        """Bring a crashed Core's node back up.  A child is not revived here:
+        its process is gone, and a Supervisor is what respawns it."""
+        if name in self._children():
+            raise ConfigurationError(
+                f"revive_core({name!r}) on transport='procs': a Supervisor respawns a child"
+            )
+        self.transport.set_node_down(name, down=False)
 
     # -- liveness and recovery ------------------------------------------------------------
 

@@ -26,11 +26,12 @@ from repro.sim.scheduler import Timer
 class FailureInjector:
     """Deterministic scheduler of environmental changes.
 
-    A crash or shutdown goes through the cluster handle, so it also
-    ends a child's process on ``procs``.  Revival, link cuts, latency
-    and partitions go through the transport-level chaos hooks, and work
-    on any backend that advertises the capability — the simulated
-    network and real TCP alike.  A knob the backend does not model
+    Every injection goes through the cluster handle.  A crash or
+    shutdown also ends a child's process on ``procs``, and a revival
+    there is the Supervisor's to make.  Link cuts, latency and
+    partitions reach every hub, a child's included, on any backend that
+    advertises the capability — the simulated network and real TCP
+    alike.  A knob the backend does not model
     (e.g. bandwidth shaping on TCP) raises
     :class:`~repro.errors.TransportCapabilityError` when the injection
     fires; check ``cluster.transport.supports(...)`` when scheduling
@@ -129,11 +130,12 @@ class FailureInjector:
         )
 
     def revive_core_at(self, time: float, name: str) -> Timer:
+        """The crashed node answers again (:meth:`~repro.cluster.cluster.Cluster.revive_core`)."""
         return self._at(
             time,
             "revive_core",
             f"core {name} revives",
-            lambda: self.cluster.transport.set_node_down(name, down=False),
+            lambda: self.cluster.revive_core(name),
         )
 
     def partition_at(self, time: float, *groups: set[str]) -> Timer:

@@ -14,7 +14,9 @@ virtual time, also at a Core that has shut down.  Otherwise the call
 travels as an ``ADMIN_QUERY`` with the body ``(method name, keywords)``
 and the target runs what :data:`OPERATIONS` — the table built from the
 methods, the only thing a name from the wire is looked up in — holds
-under that name.  :meth:`Core.admin` is the same table by hand:
+under that name.  :meth:`chaos` alone travels as ``CHAOS``, the kind a
+cut link or a partition does not stop, so what cuts a child off can
+heal it again.  :meth:`Core.admin` is the same table by hand:
 ``core.admin("beta", "retype", complet=..., target=..., type="pull")``.
 """
 
@@ -45,9 +47,8 @@ OPERATIONS: dict[str, Callable[["CoreAdmin", dict], object]] = {}
 def dispatch(admin: "CoreAdmin", operation: str, keywords: dict) -> object:
     """Operation ``operation`` by name: sent to the target, or looked up and run here."""
     if admin.target != admin.via.name:
-        return admin.via.peer.request(
-            admin.target, MessageKind.ADMIN_QUERY, (operation, keywords)
-        )
+        kind = MessageKind.CHAOS if operation == "chaos" else MessageKind.ADMIN_QUERY
+        return admin.via.peer.request(admin.target, kind, (operation, keywords))
     at_target = OPERATIONS.get(operation)
     if at_target is None:
         raise CompletError(f"unknown admin operation {operation!r}")
@@ -299,6 +300,13 @@ class CoreAdmin:
         if add_peer is None:
             raise CompletError(f"transport of Core {self.via.name!r} has no address book")
         add_peer(peer, tuple(address))
+
+    def chaos(self, hook: str, args: tuple = (), **params) -> None:
+        """Apply chaos hook ``hook`` — ``set_link``, ``partition`` or
+        ``heal_partition`` — to the target Core's transport."""
+        if hook not in ("set_link", "partition", "heal_partition"):
+            raise CompletError(f"{hook!r} is not a chaos hook")
+        getattr(self.via.peer.transport, hook)(*args, **params)
 
     def repair_trackers(self, failed: str, relocated: dict) -> int:
         """Repair trackers at the target Core that forward to a dead Core."""

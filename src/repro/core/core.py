@@ -18,7 +18,7 @@ from repro.complet.continuation import Continuation
 from repro.complet.metaref import MetaRef
 from repro.complet.relocators import relocator_from_name
 from repro.complet.stub import Stub, stub_class_for, stub_core, stub_meta, stub_tracker
-from repro.core.admin import CoreAdmin, dispatch
+from repro.core.admin import OPERATIONS, CoreAdmin, dispatch
 from repro.core.events import CALL_RETRIED, CORE_SHUTDOWN, ONEWAY_FAILED, EventBus
 from repro.core.invocation import InvocationUnit
 from repro.core.locator import Locator
@@ -123,6 +123,7 @@ class Core:
         self.peer.register(MessageKind.HEARTBEAT, self._handle_heartbeat)
         self.peer.register_raw(MessageKind.INSTANTIATE, self._handle_instantiate)
         self.peer.register_raw(MessageKind.PROFILE_PROBE, self._handle_probe)
+        self.peer.register(MessageKind.CHAOS, self._handle_chaos)
         # Last on purpose: the multi-process launcher takes an answered admin
         # query to mean every handler of this Core is registered.
         self.peer.register(MessageKind.ADMIN_QUERY, self._handle_admin)
@@ -322,6 +323,11 @@ class Core:
     def _handle_admin(self, src: str, body: object) -> object:
         operation, kwargs = body  # type: ignore[misc]
         return dispatch(CoreAdmin(self), operation, kwargs)
+
+    def _handle_chaos(self, src: str, body: object) -> object:
+        # The kind that crosses cut links and partitions runs the chaos hook and nothing else.
+        _operation, kwargs = body  # type: ignore[misc]
+        return OPERATIONS["chaos"](CoreAdmin(self), kwargs)
 
     def _handle_probe(self, src: str, payload: bytes) -> bytes:
         # Echo probe: first 8 bytes carry the size already received; the

@@ -23,10 +23,6 @@ sockets.  Here the substrate is pluggable behind one abstract protocol:
   plus one-way posts, with by-value exception propagation.
 - :mod:`repro.net.peer` — the Peer Interface of Figure 1: the typed
   facade Cores use to talk to each other.
-- :mod:`repro.net.batching` — :class:`BatchingTransport`, a decorator
-  over any backend that coalesces one-way envelopes per link into
-  single :data:`MessageKind.BATCH` transfers under a
-  :class:`BatchPolicy` (count/bytes/deadline flush).
 """
 
 from repro.errors import TransportCapabilityError, TransportError
@@ -50,12 +46,8 @@ from repro.net.simnet import Link, SimTransport
 from repro.net.tcp import TcpTransport
 from repro.net.rpc import RpcEndpoint
 from repro.net.peer import PeerInterface
-from repro.net.batching import BatchingTransport, BatchPolicy, BatchStats
 
 __all__ = [
-    "BatchPolicy",
-    "BatchStats",
-    "BatchingTransport",
     "Envelope",
     "MessageKind",
     "Serializer",

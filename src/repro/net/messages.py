@@ -48,8 +48,7 @@ class MessageKind(str, Enum):
     PROFILE_PROBE = "profile_probe"         # measure latency/bandwidth
     # Administration (shell / viewer)
     ADMIN_QUERY = "admin_query"             # layout snapshots, complet lists
-    # Transport-level aggregation (repro.net.batching)
-    BATCH = "batch"                         # several one-way envelopes, one transfer
+    CHAOS = "chaos"                         # a chaos hook; crosses cut links and partitions
 
     def __str__(self) -> str:  # pragma: no cover - display only
         return self.value

@@ -251,17 +251,18 @@ class SimTransport(Transport):
 
     def _deliver(self, envelope: Envelope) -> None:
         envelope.msg_id = next(self._msg_ids)
-        self._check_reachable(envelope.src, envelope.dst)
+        self._check_reachable(envelope.src, envelope.dst, envelope.kind)
         self.trace.append(envelope)
         self._charge(envelope.src, envelope.dst, envelope.kind, len(envelope.payload))
 
-    def _check_reachable(self, src: str, dst: str) -> None:
+    def _check_reachable(self, src: str, dst: str, kind: str = "") -> None:
         for name in (src, dst):
             if name not in self._handlers:
                 raise CoreUnreachableError(f"node {name!r} is not on the network")
             if name in self._down:
                 raise CoreDownError(f"node {name!r} is down")
-        if src == dst:
+        # A cut link or a partition does not stop the message that may heal it.
+        if src == dst or kind == MessageKind.CHAOS:
             return
         if not self.link(src, dst).up:
             raise CoreUnreachableError(f"link {src!r} -> {dst!r} is down")

@@ -81,7 +81,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.net import framing
-from repro.net.messages import Envelope
+from repro.net.messages import Envelope, MessageKind
 from repro.net.retry import RetryPolicy
 from repro.net.transport import (
     CAP_LATENCY,
@@ -480,19 +480,21 @@ class TcpTransport(Transport):
     def can_reach(self, src: str, dst: str) -> bool:
         return self._refusal(src, dst) is None
 
-    def _refusal(self, src: str, dst: str) -> CoreError | None:
+    def _refusal(self, src: str, dst: str, kind: str = "") -> CoreError | None:
         """The typed error delivery from src to dst would hit, if any.
 
         Covers what this hub can know locally: administrative down marks,
         cut links, and partitions.  A remote crash this hub was never
-        told about surfaces later, as a connection failure.
+        told about surfaces later, as a connection failure.  A ``CHAOS``
+        message crosses cut links and partitions: it may be the one that
+        heals them.
         """
         for name in (src, dst):
             if name not in self._peers:
                 return CoreUnreachableError(f"node {name!r} is not on the network")
             if name in self._down:
                 return CoreDownError(f"node {name!r} is down")
-        if src == dst:
+        if src == dst or kind == MessageKind.CHAOS:
             return None
         if (src, dst) in self._blocked:
             return CoreUnreachableError(f"link {src!r} -> {dst!r} is down")
@@ -569,7 +571,7 @@ class TcpTransport(Transport):
 
     def _admit(self, envelope: Envelope, oneway: bool = False) -> tuple[int, bytes | list[bytes]]:
         """Refuse, typed, what cannot be delivered; else delay, trace and frame the envelope."""
-        error = self._refusal(envelope.src, envelope.dst)
+        error = self._refusal(envelope.src, envelope.dst, envelope.kind)
         if error is not None:
             raise error
         delay = self._latency.get((envelope.src, envelope.dst), 0.0)
@@ -677,7 +679,7 @@ class TcpTransport(Transport):
         """Run one incoming frame through its node handler and write the reply: on the
         connection's serving thread for a REQUEST, on a dispatch thread for a ONEWAY."""
         oneway = frame.type == framing.ONEWAY
-        error = self._refusal(frame.src, frame.dst)
+        error = self._refusal(frame.src, frame.dst, frame.kind)
         handler = self._handlers.get(frame.dst)
         if error is None and handler is None:
             error = CoreUnreachableError(f"node {frame.dst!r} is not served by this transport")

@@ -6,12 +6,18 @@ import signal
 
 import pytest
 
-from repro.errors import ConfigurationError, CoreNotFoundError, DuplicateCoreError, FarGoError
+from repro.errors import (
+    ConfigurationError,
+    CoreError,
+    CoreNotFoundError,
+    DuplicateCoreError,
+    FarGoError,
+)
 from repro.cluster import CoreProcesses
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter, Echo
 from repro.core.locator import LocationRegistry
-from repro.net import BatchingTransport, SimTransport
+from repro.net import SimTransport
 from repro.net.retry import RetryPolicy
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
@@ -69,39 +75,12 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="store must be"):
             Cluster(["a"], store=value)
 
-
-class TestTransportInstance:
-    """``transport=`` given a Transport: the cluster runs on that transport's clock."""
-
-    def test_cluster_adopts_the_transports_scheduler(self):
-        transport = SimTransport(Scheduler(VirtualClock()))
-        cluster = Cluster(["a", "b"], transport=transport)
-        assert cluster.scheduler is transport.scheduler
-        assert cluster["a"].scheduler is transport.scheduler
-        counter = Counter(0, _core=cluster["a"], _at="b")
-        before = cluster.now
-        counter.increment()
-        assert cluster.now > before  # the parent read 0.0 here: a second clock
-        assert cluster.now == transport.scheduler.clock.now()
-
-    def test_a_clock_beside_a_transport_instance_is_refused(self):
-        transport = SimTransport(Scheduler(VirtualClock()))
-        with pytest.raises(ConfigurationError, match="transport.scheduler"):
-            Cluster(["a"], transport=transport, clock=VirtualClock())
-
-    def test_batching_composes_as_a_transport_decorator(self):
-        transport = BatchingTransport(SimTransport(Scheduler(VirtualClock())))
-        cluster = Cluster(["a", "b"], transport=transport)
-        heard = []
-        cluster["b"].events.subscribe_remote("a", "tick", heard.append)
-        for n in range(5):
-            cluster["a"].events.publish("tick", n=n)
-        assert heard == []  # queued on the a -> b link, not yet on the wire
-        cluster.advance(0.01)  # past BatchPolicy.max_delay, on the adopted clock
-        assert [event.data["n"] for event in heard] == [0, 1, 2, 3, 4]
-        stats = transport.batch_stats
-        assert (stats.batches, stats.batched_messages) == (1, 5)
-        assert stats.flush_triggers == {"deadline": 1}
+    @pytest.mark.parametrize(
+        "transport", ["hubs", SimTransport(Scheduler(VirtualClock()))], ids=["name", "instance"]
+    )
+    def test_transport_takes_a_shape_name_or_a_core_processes(self, transport):
+        with pytest.raises(ConfigurationError, match="or a CoreProcesses"):
+            Cluster(["a"], transport=transport)
 
 
 class TestTimeDriving:
@@ -238,6 +217,19 @@ class TestProcesses:
         assert sorted(procs_cluster.running_names()) == ["beta", "driver"]
         snapshot = procs_cluster.metrics_snapshot()
         assert sorted(core["core"] for core in snapshot["cores"]) == ["beta", "driver"]
+
+    def test_a_partition_reaches_the_childrens_hubs(self, procs_cluster):
+        echo = Echo("far", _core=procs_cluster.seat, _at="alpha")
+        holder = Holder(echo, _core=procs_cluster.seat, _at="beta")
+        procs_cluster.partition({"alpha"})
+        with pytest.raises(CoreError):
+            holder.call_ref()  # driver -> beta is open; beta -> alpha is cut at beta
+        procs_cluster.heal_partition()
+        assert holder.call_ref() == "far"
+
+    def test_a_child_is_revived_by_a_supervisor_not_the_cluster(self, procs_cluster):
+        with pytest.raises(ConfigurationError, match="Supervisor"):
+            procs_cluster.revive_core("alpha")
 
     def test_one_connected_trace_across_three_processes(self, procs_cluster):
         echo = Echo("far", _core=procs_cluster.seat, _at="alpha")

@@ -6,7 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Client, Counter, Echo, Server
 from repro.complet.stub import stub_target_id
 from repro.core.admin import OPERATIONS, CoreAdmin
-from repro.errors import CompletError, FarGoError
+from repro.errors import CompletError, CoreUnreachableError, FarGoError
 
 
 @pytest.fixture
@@ -94,6 +94,20 @@ class TestMonitoringSurface:
         assert admin.spans() == []
 
 
+class TestChaos:
+    def test_the_chaos_hook_crosses_the_partition_it_heals(self, cluster3):
+        cluster3.partition({"alpha"})
+        with pytest.raises(CoreUnreachableError):
+            cluster3["beta"].admin("alpha", "complets")
+        cluster3.admin("alpha", via="beta").chaos("heal_partition")
+        assert cluster3["beta"].admin("alpha", "complets") == []
+
+    def test_only_the_chaos_hooks_run(self, cluster):
+        with pytest.raises(CompletError, match="not a chaos hook"):
+            cluster.admin("alpha", via="beta").chaos("set_node_down", ("alpha",))
+        assert cluster.transport.is_up("alpha")
+
+
 class TestLegacyPathStillWorks:
     def test_stringly_admin_op_unchanged(self, admin_rig):
         """The facade wraps — not replaces — the wire-level admin op."""
@@ -171,6 +185,10 @@ CONTRACT = {
     "locator_forget": ("locator_forget", ("gamma",), {}, {"core": "gamma"}, None),
     "reconcile": ("reconcile", ({},), {}, {"homes": {}}, None),
     "repair_revived": ("repair_revived", ({},), {}, {"hosted": {}}, None),
+    "chaos": (
+        "chaos", ("set_link", ("alpha", "beta")), {"latency": 0.5},
+        {"hook": "set_link", "args": ("alpha", "beta"), "params": {"latency": 0.5}}, None,
+    ),
     "metrics": ("metrics", (), {}, {}, None),
     "store": ("store", (), {}, {}, None),
     "spans": ("spans", (), {}, {}, "traced"),

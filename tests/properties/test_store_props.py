@@ -1,6 +1,6 @@
-"""Property-based tests for store offloading and envelope batching.
+"""Property-based tests for store offloading.
 
-Four invariants the ISSUEs pin down:
+Three invariants:
 
 - a proxied payload resolves to *byte-identical* content vs the eager
   marshal, for any payload;
@@ -9,9 +9,7 @@ Four invariants the ISSUEs pin down:
   offloads, resolves and releases;
 - copy-on-first-read is version-stamped: an unchanged complet marshals
   under one content key, and any mutation (or reference retarget) lands
-  the next marshal under a new key;
-- batching preserves per-link FIFO order under arbitrary interleavings
-  of posts, sends, and clock advances.
+  the next marshal under a new key.
 """
 
 from __future__ import annotations
@@ -22,9 +20,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.workload import DataSource
 from repro.complet.marshal import _resolve_stream, marshal_clone
 from repro.complet.stub import stub_target_id
-from repro.net import BatchPolicy, BatchingTransport, Envelope, MessageKind, SimTransport
-from repro.sim.clock import VirtualClock
-from repro.sim.scheduler import Scheduler
 from repro.store import InMemoryStore, StoreClient, StoreKey, StoreProxy
 
 THRESHOLD = 1_024
@@ -156,73 +151,3 @@ class TestVersionStampedInvalidation:
             assert retargeted.size == original.size  # only the token differs
         finally:
             cluster.close()
-
-
-def _one_way(dst: str, payload: bytes) -> Envelope:
-    return Envelope(src="src", dst=dst, kind=MessageKind.EVENT_NOTIFY, payload=payload)
-
-
-# One schedule step: (action, destination index, payload seed)
-_steps = st.lists(
-    st.tuples(
-        st.sampled_from(["post", "post", "post", "send", "advance", "flush"]),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=255),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-class TestBatchOrdering:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        steps=_steps,
-        max_messages=st.integers(min_value=1, max_value=6),
-        max_bytes=st.integers(min_value=1, max_value=512),
-    )
-    def test_per_link_fifo_under_random_schedules(self, steps, max_messages, max_bytes):
-        sim = SimTransport(Scheduler(VirtualClock()))
-        transport = BatchingTransport(
-            sim, BatchPolicy(max_messages=max_messages, max_bytes=max_bytes, max_delay=0.01)
-        )
-        destinations = ["d0", "d1", "d2"]
-        received: dict[str, list[bytes]] = {d: [] for d in destinations}
-        posted: dict[str, list[bytes]] = {d: [] for d in destinations}
-
-        def recorder(dst: str):
-            def handler(envelope: Envelope) -> bytes:
-                received[dst].append(envelope.payload)
-                return b"ok"
-
-            return handler
-
-        transport.register("src", lambda e: b"")
-        for dst in destinations:
-            transport.register(dst, recorder(dst))
-
-        sequence = 0
-        for action, dst_idx, seed in steps:
-            dst = destinations[dst_idx]
-            if action == "post":
-                payload = bytes([seed]) * (seed % 7 + 1) + str(sequence).encode()
-                sequence += 1
-                posted[dst].append(payload)
-                transport.post(_one_way(dst, payload))
-            elif action == "send":
-                payload = b"rpc" + str(sequence).encode()
-                sequence += 1
-                posted[dst].append(payload)
-                transport.send(
-                    Envelope(
-                        src="src", dst=dst, kind=MessageKind.ADMIN_QUERY, payload=payload
-                    )
-                )
-            elif action == "advance":
-                sim.scheduler.advance(0.02)
-            else:
-                transport.flush_all()
-
-        transport.flush_all()
-        for dst in destinations:
-            assert received[dst] == posted[dst]
