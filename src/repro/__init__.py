@@ -47,7 +47,7 @@ from repro.cluster.topology import configure_star, configure_uniform, configure_
 from repro.errors import TransportCapabilityError, TransportError
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.monitor.profiler import ProfilingSession
-from repro.net import SimTransport, TcpTransport, Transport, TransportGroup
+from repro.net import SimTransport, TcpTransport, Transport
 from repro.store import (
     FileStore,
     InMemoryStore,
@@ -115,7 +115,6 @@ __all__ = [
     "Transport",
     "TransportCapabilityError",
     "TransportError",
-    "TransportGroup",
     "assemble_traces",
     "chrome_trace_json",
     "compile_complet",

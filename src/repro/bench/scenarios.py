@@ -270,8 +270,6 @@ def monitoring() -> dict:
 
 def movement() -> dict:
     """A pull group of nine complets ping-ponged between two Cores."""
-    from repro.cluster.workload import DataSource
-
     cluster = Cluster(["a", "b"])
     head = _pull_group(cluster["a"], 8, 512)
     _reset_counters(cluster)
@@ -279,23 +277,6 @@ def movement() -> dict:
     for destination in ("b", "a", "b", "a", "b", "a"):
         cluster.move(head, destination)
     metrics = _collect(cluster, ops=6, virtual_seconds=cluster.now - t0)
-
-    # Heavy-move segment: a 1 MiB complet shipped eagerly vs offloaded
-    # through the object store (repro.store) — the payload crosses the
-    # link as a content-keyed proxy instead of inline bytes.
-    heavy = {}
-    for label, kwargs in (("heavy_eager", {}), ("heavy_store", {"store": "memory"})):
-        heavy_cluster = Cluster(["a", "b"], **kwargs)
-        source = DataSource(1_048_576, _core=heavy_cluster["a"])
-        _reset_counters(heavy_cluster)
-        heavy_cluster.move(source, "b")
-        heavy[f"{label}_net_bytes"] = heavy_cluster.stats.bytes
-        heavy[f"{label}_net_messages"] = heavy_cluster.stats.messages
-        heavy_cluster.close()
-    heavy["heavy_store_pct_of_eager"] = round(
-        100.0 * heavy["heavy_store_net_bytes"] / heavy["heavy_eager_net_bytes"], 6
-    )
-    metrics.update(heavy)
     metrics["move_peak_bytes_per_payload_byte"] = move_peak_ratio("sim")
     return metrics
 
@@ -599,7 +580,7 @@ def transport() -> dict:
     )
     metrics["frames_decoded"] = frames_decoded
     metrics["decoder_residue_bytes"] = decoder.pending_bytes
-    # The one part of this area on real sockets (TCP hubs on loopback, on
+    # The one part of this area on real sockets (a TCP hub on loopback, on
     # the virtual clock): counted in bytes, not timed.
     metrics["move_peak_bytes_per_payload_byte"] = move_peak_ratio("tcp")
     return metrics

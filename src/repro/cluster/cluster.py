@@ -2,8 +2,8 @@
 
 ``transport=`` picks the deployment shape (docs/TRANSPORT.md): every Core
 in this process over the deterministic simulated network (``"sim"``, the
-default), every Core in this process on a real TCP hub of its own
-(``"tcp"``), or every Core in an OS process of its own with a driver Core
+default), every Core in this process on one real TCP hub, a listener
+each (``"tcp"``), or every Core in an OS process of its own with a driver Core
 here (``"procs"``, :mod:`repro.cluster.launch`).  What the cluster
 *observes* — where a complet is, what a Core hosts, its metrics, spans
 and store view — it asks through :class:`~repro.core.admin.CoreAdmin`,
@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, CoreError, CoreNotFoundError, Trans
 from repro.metrics.registry import merge_snapshots
 from repro.net.simnet import SimTransport
 from repro.net.tcp import TcpTransport
-from repro.net.transport import NetworkStats, Transport, TransportGroup
+from repro.net.transport import NetworkStats, Transport
 from repro.store import FileStore, InMemoryStore, ObjectStore
 from repro.sim.clock import Clock, RealClock, VirtualClock
 from repro.sim.scheduler import Scheduler
@@ -79,8 +79,9 @@ class Cluster:
         - ``"sim"`` (default) — one shared deterministic
           :class:`~repro.net.simnet.SimTransport`; ``bandwidth`` and
           ``latency`` configure its default links.
-        - ``"tcp"`` — a real :class:`~repro.net.tcp.TcpTransport` hub
-          per Core on loopback; the clock defaults to a
+        - ``"tcp"`` — one real :class:`~repro.net.tcp.TcpTransport` hub
+          on loopback, which gives every Core a listener of its own, so
+          their traffic crosses real sockets; the clock defaults to a
           :class:`~repro.sim.clock.RealClock` and :meth:`advance`
           becomes a real-time pump.
         - ``"procs"`` — every named Core in an OS process of its own
@@ -139,19 +140,7 @@ class Cluster:
             for what, applies in refused.items():
                 if applies:
                     raise ConfigurationError(f"transport='procs' cannot take {what}")
-        #: Per-Core TCP hubs (empty when one shared transport carries all Cores).
-        self.transports: dict[str, TcpTransport] = {}
-        self._shared_transport: Transport | None = None
-        if transport == "sim":
-            self.scheduler = Scheduler(clock if clock is not None else VirtualClock())
-            self._shared_transport = SimTransport(
-                self.scheduler,
-                default_bandwidth=bandwidth,
-                default_latency=latency,
-            )
-        elif transport == "tcp":
-            self.scheduler = Scheduler(clock if clock is not None else RealClock())
-        elif procs is None:
+        elif transport not in ("sim", "tcp"):
             raise ConfigurationError(
                 f"transport must be 'sim', 'tcp', 'procs' or a CoreProcesses; got {transport!r}"
             )
@@ -177,6 +166,18 @@ class Cluster:
                 f"store must be 'memory', 'file', an ObjectStore, or None; "
                 f"got {store!r}"
             )
+        #: The one transport of the deployment: the simulated network, the
+        #: TCP hub every Core of this process is on, or on ``procs`` the
+        #: driver's hub (set once the children are up).
+        self.transport: Transport
+        if transport == "sim":
+            self.scheduler = Scheduler(clock if clock is not None else VirtualClock())
+            self.transport = SimTransport(
+                self.scheduler, default_bandwidth=bandwidth, default_latency=latency
+            )
+        elif transport == "tcp":
+            self.scheduler = Scheduler(clock if clock is not None else RealClock())
+            self.transport = TcpTransport(self.scheduler)
         #: The Cores of this process: all of them, or on ``procs`` the driver.
         self.cores: dict[str, Core] = {}
         #: Recovery layer, attached by :meth:`enable_recovery`.
@@ -211,7 +212,7 @@ class Cluster:
         assert procs.driver is not None and procs.transport is not None
         self.scheduler = procs.driver.scheduler
         self.cores[procs.driver.name] = procs.driver
-        self.transports[procs.driver.name] = procs.transport
+        self.transport = procs.transport
         if self._core_options.get("tracing"):
             self.set_tracing(True)
 
@@ -227,19 +228,10 @@ class Cluster:
     def add_core(self, name: str, **core_kwargs) -> Core:
         """Create and register a new Core (the cluster's options unless overridden)."""
         self._local("add_core()")
-        hub = self._shared_transport
-        if hub is None:
-            hub = self.transports[name] = TcpTransport(self.scheduler)
         options = {**self._core_options, "store": self._store, **core_kwargs}
-        core = Core(name, hub, self.scheduler, **options)
+        core = Core(name, self.transport, self.scheduler, **options)
         core.sanitizer = self.sanitizer
         self.cores[name] = core
-        if self._shared_transport is None:
-            # Per-Core hubs learn each other's listener addresses.
-            for other, other_hub in self.transports.items():
-                if other != name:
-                    other_hub.add_peer(name, hub.local_address(name))
-                    hub.add_peer(other, other_hub.local_address(other))
         if self._detector_config is not None:
             self._attach_detector(core)
         if self.checkpoints is not None:
@@ -249,16 +241,12 @@ class Cluster:
         return core
 
     @property
-    def transport(self) -> Transport:
-        """The cluster-wide transport view.
-
-        The shared hub when one transport carries every Core; otherwise
-        a :class:`~repro.net.transport.TransportGroup` over the hubs of
-        this process (fresh each access, so it tracks Cores added later).
-        """
-        if self._shared_transport is not None:
-            return self._shared_transport
-        return TransportGroup(dict(self.transports))
+    def transports(self) -> dict[str, TcpTransport]:
+        """The TCP hub of this process under :attr:`seat`'s name, listed
+        once; ``{}`` on the simulated network."""
+        if isinstance(self.transport, TcpTransport) and self.cores:
+            return {self.seat.name: self.transport}
+        return {}
 
     def core(self, name: str) -> Core:
         """Core ``name`` of this process; a child's is reached by :meth:`admin`."""
@@ -341,7 +329,7 @@ class Cluster:
         self._chaos("heal_partition")
 
     def _chaos(self, hook: str, *args, **kwargs) -> None:
-        """Apply a transport chaos hook at the hubs of this process, then at
+        """Apply a transport chaos hook at the hub of this process, then at
         every running child's, so the children refuse what it cuts too."""
         getattr(self.transport, hook)(*args, **kwargs)
         for name in self.running_names():
@@ -707,20 +695,17 @@ class Cluster:
             core.shutdown()  # a no-op at a Core that already has
 
     def close(self) -> None:
-        """Shut every Core down and release the transport(s).
+        """Shut every Core down and release the transport.
 
         A no-op beyond :meth:`shutdown_all` on the simulated backend;
-        on TCP it closes listener sockets and joins the hubs' threads, and
+        on TCP it closes listener sockets and joins the hub's threads, and
         on ``procs`` it first ends the child processes.
         """
         if self.processes is not None:
             self.processes.stop()  # the children, then the driver and its hub
         else:
             self.shutdown_all()
-        if self._shared_transport is not None:
-            self._shared_transport.close()
-        for hub in self.transports.values():
-            hub.close()
+            self.transport.close()
         if self._store is not None and self._owns_store:
             self._store.close()
         if self._owned_store_dir is not None:

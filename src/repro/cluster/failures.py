@@ -29,13 +29,11 @@ class FailureInjector:
     Every injection goes through the cluster handle.  A crash or
     shutdown also ends a child's process on ``procs``, and a revival
     there is the Supervisor's to make.  Link cuts, latency and
-    partitions reach every hub, a child's included, on any backend that
-    advertises the capability — the simulated network and real TCP
-    alike.  A knob the backend does not model
-    (e.g. bandwidth shaping on TCP) raises
+    partitions reach every hub, a child's included, on the simulated
+    network and real TCP alike.  Bandwidth shaping is the simulated
+    network's alone: on TCP it raises
     :class:`~repro.errors.TransportCapabilityError` when the injection
-    fires; check ``cluster.transport.supports(...)`` when scheduling
-    against an unknown backend.
+    fires.
     """
 
     cluster: Cluster

@@ -24,11 +24,6 @@ per machine/process, complets moving between them — realised with
   instantiate, move, admin — everything goes through ordinary Core APIs
   over TCP), and tears its own children down on exit.
 
-``python -m repro.cluster.launch --serve --name B --port N --peer
-A=127.0.0.1:M ...`` runs one Core by hand over the same :func:`serve`,
-for a deployment whose Cores are started from a shell or on other
-machines.
-
 The template inherits the driver's ``sys.path`` via ``PYTHONPATH`` and
 every fork request carries the path of that moment, so anchor classes
 defined in the driving program (e.g. a test suite's shared module)
@@ -104,17 +99,6 @@ def free_ports(host: str, count: int) -> list[int]:
         return ports
 
 
-def _parse_peer(spec: str) -> tuple[str, tuple[str, int]]:
-    try:
-        name, address = spec.split("=", 1)
-        host, port = address.rsplit(":", 1)
-        return name, (host, int(port))
-    except ValueError:
-        raise ConfigurationError(
-            f"peer spec {spec!r} is not of the form name=host:port"
-        ) from None
-
-
 class ChildCheckpointer:
     """Periodic durable checkpoints of every complet a child Core hosts.
 
@@ -124,7 +108,7 @@ class ChildCheckpointer:
     repository instead — every hosted complet, with its local pull-group
     — into the shared :class:`~repro.recovery.CheckpointStore` directory.
     Each record names this Core as host, which is exactly what a
-    successor process (``--recover``) and the cluster-side
+    successor process (``serve(recover=True)``) and the cluster-side
     :class:`~repro.recovery.RecoveryManager` key on.
     """
 
@@ -188,7 +172,6 @@ def serve(
     peers: dict[str, tuple[str, int]],
     *,
     host: str = "127.0.0.1",
-    ready_stream=None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float = 0.5,
     recover: bool = False,
@@ -227,8 +210,7 @@ def serve(
                 )
         checkpointer = ChildCheckpointer(core, store, checkpoint_interval)
         checkpointer.start()
-    stream = ready_stream if ready_stream is not None else sys.stdout
-    print(f"{READY_PREFIX} {name} {transport.local_address(name)[1]}", file=stream, flush=True)
+    print(f"{READY_PREFIX} {name} {transport.local_address(name)[1]}", flush=True)
     try:
         while core.is_running:
             scheduler.fire_due()
@@ -822,54 +804,14 @@ class CoreProcesses:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.launch",
-        description="Run one FarGo Core as an OS process over TCP, "
-        "or the template process a CoreProcesses deployment forks its Cores from.",
+        description="The template process a CoreProcesses deployment forks its Cores from.",
     )
-    parser.add_argument("--serve", action="store_true", help="run a Core until shut down")
     parser.add_argument(
-        "--template", type=int, metavar="FD",
+        "--template", type=int, metavar="FD", required=True,
         help="fork Cores on the requests read from this inherited socket "
         "(what CoreProcesses starts; not for the command line)",
     )
-    parser.add_argument("--name", help="Core name")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0, help="listener port (0 = ephemeral)")
-    parser.add_argument(
-        "--peer", action="append", default=[], metavar="NAME=HOST:PORT",
-        help="address of another Core (repeatable)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", default=None,
-        help="shared CheckpointStore directory for durable checkpoints",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=float, default=0.5,
-        help="seconds between durable checkpoint sweeps",
-    )
-    parser.add_argument(
-        "--recover", action="store_true",
-        help="restore this Core's last durable checkpoints before READY",
-    )
-    parser.add_argument(
-        "--store-dir", default=None,
-        help="shared FileStore directory for offloaded payloads (every Core the same)",
-    )
-    args = parser.parse_args(argv)
-    if args.template is not None:
-        return run_template(args.template)
-    if not args.serve or not args.name:
-        parser.error("--serve and --name are required")
-    if args.recover and not args.checkpoint_dir:
-        parser.error("--recover requires --checkpoint-dir")
-    peers = dict(_parse_peer(spec) for spec in args.peer)
-    serve(
-        args.name, args.port, peers, host=args.host,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        recover=args.recover,
-        store_dir=args.store_dir,
-    )
-    return 0
+    return run_template(parser.parse_args(argv).template)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry point

@@ -294,6 +294,10 @@ class Core:
         self.profiler.shutdown()
         self.is_running = False
         self.peer.close()
+        if self.store_client is not None:
+            # A Core is freed only by a full cyclic collection; its cached
+            # payloads need not wait for one.
+            self.store_client.clear_cache()
 
     # -- administration (shell, viewer, scripts) ----------------------------------------------------
 

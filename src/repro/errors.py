@@ -173,11 +173,10 @@ class TransportError(FarGoError):
 class TransportCapabilityError(TransportError):
     """A transport was asked for a knob it does not model.
 
-    Raised by the default :class:`repro.net.transport.Transport` chaos
-    hooks: e.g. bandwidth shaping is meaningful on the simulated network
-    but not on a real TCP link, so ``TcpTransport.set_link(bandwidth=...)``
-    raises this instead of silently doing nothing.  Callers that want to
-    degrade gracefully check ``transport.supports(capability)`` first.
+    Bandwidth shaping is meaningful on the simulated network but not on a
+    real TCP link, so ``TcpTransport.set_link(bandwidth=...)`` raises this
+    instead of silently doing nothing.  The failure model (crashes, cut
+    links, partitions) is every backend's and never raises it.
     """
 
 

@@ -4,14 +4,14 @@ The paper implements Core-to-Core communication on Java RMI over real
 sockets.  Here the substrate is pluggable behind one abstract protocol:
 
 - :mod:`repro.net.transport` — the abstract :class:`Transport` protocol
-  (attach/send/post/close, peer addressing, stats and trace hooks,
-  capability-gated chaos) that :class:`RpcEndpoint` and
-  :class:`PeerInterface` depend on, plus :class:`TransportGroup` for
-  presenting per-Core hubs as one cluster-wide view.
+  (attach/send/post/close) that :class:`RpcEndpoint` and
+  :class:`PeerInterface` depend on, with the one failure model (crashed
+  nodes, cut links, partitions), reachability and accounting every
+  backend shares.
 - :mod:`repro.net.simnet` — :class:`SimTransport`, a simulated network
   of named nodes connected by links with configurable bandwidth and
-  latency (mutable at runtime), partitions, and full transfer
-  accounting.  Deterministic; the default backend for tests.
+  latency (mutable at runtime) and virtual-time transfer accounting.
+  Deterministic; the default backend for tests.
 - :mod:`repro.net.tcp` — :class:`TcpTransport`, real TCP
   sockets with the length-prefixed framing of :mod:`repro.net.framing`,
   so Cores run as separate OS processes (see :mod:`repro.cluster.launch`).
@@ -29,19 +29,7 @@ from repro.errors import TransportCapabilityError, TransportError
 from repro.net.framing import FrameDecoder, FramingError
 from repro.net.messages import Envelope, MessageKind
 from repro.net.serializer import Serializer
-from repro.net.transport import (
-    CAP_BANDWIDTH,
-    CAP_LATENCY,
-    CAP_LINK_STATE,
-    CAP_NODE_DOWN,
-    CAP_PARTITION,
-    CAP_VIRTUAL_TIME,
-    LinkStats,
-    NetworkStats,
-    TraceLog,
-    Transport,
-    TransportGroup,
-)
+from repro.net.transport import LinkStats, NetworkStats, TraceLog, Transport
 from repro.net.simnet import Link, SimTransport
 from repro.net.tcp import TcpTransport
 from repro.net.rpc import RpcEndpoint
@@ -56,7 +44,6 @@ __all__ = [
     "NetworkStats",
     "TraceLog",
     "Transport",
-    "TransportGroup",
     "TransportError",
     "TransportCapabilityError",
     "SimTransport",
@@ -65,10 +52,4 @@ __all__ = [
     "FramingError",
     "RpcEndpoint",
     "PeerInterface",
-    "CAP_NODE_DOWN",
-    "CAP_LINK_STATE",
-    "CAP_LATENCY",
-    "CAP_BANDWIDTH",
-    "CAP_PARTITION",
-    "CAP_VIRTUAL_TIME",
 ]

@@ -1,12 +1,13 @@
 """Real TCP transport: Cores as separate OS processes.
 
-One :class:`TcpTransport` is a *hub* for the Cores of one process —
-usually exactly one.  Each registered node gets its own listener socket;
-remote peers are named in an address book (:meth:`add_peer`).  The wire
-format is the length-prefixed framing of :mod:`repro.net.framing`, with
-the RPC payload bytes (struct-framed INVOKE, 1-byte status-prefix
-replies) passed through untouched, so application-level encoding is
-byte-identical with the simulated backend.
+One :class:`TcpTransport` is a *hub* for the Cores of one process: the
+one Core of a child, or every Core of a ``Cluster(transport="tcp")``,
+whose traffic still crosses real sockets.  Each registered node gets its
+own listener socket; remote peers are named in an address book
+(:meth:`add_peer`).  The wire format is the length-prefixed framing of
+:mod:`repro.net.framing`, with the RPC payload bytes (struct-framed
+INVOKE, 1-byte status-prefix replies) passed through untouched, so
+application-level encoding is byte-identical with the simulated backend.
 
 Threading model — a connection carries one call at a time, as an RMI
 connection does, so a round trip wakes its two endpoints and no other
@@ -52,8 +53,10 @@ node administratively marked down answers (or refuses) with
 — connect, write and wait together — raises
 :class:`~repro.errors.DeadlineExceededError`.  Outgoing connections
 reconnect per peer under a :class:`~repro.net.retry.RetryPolicy`.
-Chaos hooks support node crash/revive, link cuts, injected latency, and
-partitions; bandwidth shaping is simnet-only and raises
+The failure model (node crash/revive, link cuts, partitions) is the
+:class:`~repro.net.transport.Transport` base class's, refused at both the
+sending and the receiving hub; ``set_link`` injects latency as a real
+sleep, and bandwidth shaping is simnet-only and raises
 :class:`~repro.errors.TransportCapabilityError`.
 """
 
@@ -73,27 +76,17 @@ from typing import TYPE_CHECKING
 
 from repro.errors import (
     ConfigurationError,
-    CoreDownError,
     CoreError,
     CoreUnreachableError,
     DeadlineExceededError,
     DuplicateCoreError,
+    TransportCapabilityError,
     TransportError,
 )
 from repro.net import framing
-from repro.net.messages import Envelope, MessageKind
+from repro.net.messages import Envelope
 from repro.net.retry import RetryPolicy
-from repro.net.transport import (
-    CAP_LATENCY,
-    CAP_LINK_STATE,
-    CAP_NODE_DOWN,
-    CAP_PARTITION,
-    LinkStats,
-    NetworkStats,
-    NodeHandler,
-    TraceLog,
-    Transport,
-)
+from repro.net.transport import NodeHandler, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Scheduler
@@ -220,8 +213,6 @@ class _Connection:
 class TcpTransport(Transport):
     """TCP hub implementing the :class:`Transport` protocol."""
 
-    CAPABILITIES = frozenset({CAP_NODE_DOWN, CAP_LINK_STATE, CAP_LATENCY, CAP_PARTITION})
-
     def __init__(
         self,
         scheduler: "Scheduler | None" = None,
@@ -241,9 +232,8 @@ class TcpTransport(Transport):
             scheduler = Scheduler(RealClock())
         if request_timeout <= 0.0 or connect_timeout <= 0.0:
             raise ConfigurationError("timeouts must be positive")
-        self.scheduler = scheduler
-        self.stats = NetworkStats()
-        self.trace = TraceLog(trace_capacity)
+        self._peers: dict[str, Address] = {}
+        super().__init__(scheduler, self._peers, trace_capacity)
         self._host = host
         self._ports = dict(ports or {})
         self._reconnect = reconnect
@@ -251,12 +241,7 @@ class TcpTransport(Transport):
         self._connect_timeout = connect_timeout
         self._handlers: dict[str, NodeHandler] = {}
         self._listeners: dict[str, socket.socket] = {}
-        self._peers: dict[str, Address] = {}
-        self._down: set[str] = set()
-        self._blocked: set[tuple[str, str]] = set()
         self._latency: dict[tuple[str, str], float] = {}
-        self._partition_of: dict[str, int] = {}
-        self._link_stats: dict[tuple[str, str], LinkStats] = {}
         self._stats_lock = threading.Lock()
         self._request_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
@@ -465,54 +450,17 @@ class TcpTransport(Transport):
             raise TransportError(f"node {name!r} is not served by this transport")
         return self._peers[name]
 
-    def known_peers(self) -> dict[str, Address]:
-        """Every known node address (local and remote)."""
-        return dict(self._peers)
+    # -- link speed and accounting ---------------------------------------------
 
-    # -- addressing / reachability -------------------------------------------
-
-    def nodes(self) -> list[str]:
-        return sorted(self._peers)
-
-    def is_up(self, name: str) -> bool:
-        return name in self._peers and name not in self._down
-
-    def can_reach(self, src: str, dst: str) -> bool:
-        return self._refusal(src, dst) is None
-
-    def _refusal(self, src: str, dst: str, kind: str = "") -> CoreError | None:
-        """The typed error delivery from src to dst would hit, if any.
-
-        Covers what this hub can know locally: administrative down marks,
-        cut links, and partitions.  A remote crash this hub was never
-        told about surfaces later, as a connection failure.  A ``CHAOS``
-        message crosses cut links and partitions: it may be the one that
-        heals them.
-        """
-        for name in (src, dst):
-            if name not in self._peers:
-                return CoreUnreachableError(f"node {name!r} is not on the network")
-            if name in self._down:
-                return CoreDownError(f"node {name!r} is down")
-        if src == dst or kind == MessageKind.CHAOS:
-            return None
-        if (src, dst) in self._blocked:
-            return CoreUnreachableError(f"link {src!r} -> {dst!r} is down")
-        if self._partition_of:
-            if self._partition_of.get(src) != self._partition_of.get(dst):
-                return CoreUnreachableError(
-                    f"nodes {src!r} and {dst!r} are in different partitions"
-                )
-        return None
-
-    # -- accounting ----------------------------------------------------------
-
-    def link_stats(self, src: str, dst: str) -> LinkStats:
-        key = (src, dst)
-        stats = self._link_stats.get(key)
-        if stats is None:
-            stats = self._link_stats.setdefault(key, LinkStats())
-        return stats
+    def _shape_link(
+        self, key: tuple[str, str], bandwidth: float | None, latency: float | None
+    ) -> None:
+        if bandwidth is not None:
+            raise TransportCapabilityError(
+                "TcpTransport does not model bandwidth: real wire time is measured"
+            )
+        if latency is not None:
+            self._latency[key] = latency
 
     def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
         """Injected latency only; real wire time is measured, not modelled."""
@@ -713,56 +661,6 @@ class TcpTransport(Transport):
         except OSError:
             connection.abort()  # the serving thread's next read ends, and it closes
             logger.debug("reply to %s could not be written", connection.peer, exc_info=True)
-
-    # -- chaos hooks -----------------------------------------------------------
-
-    def set_node_down(self, name: str, down: bool = True) -> None:
-        """Crash (or revive) a node as seen from this hub.
-
-        For a local node this refuses incoming requests with
-        :class:`~repro.errors.CoreDownError`; for a remote one it blocks
-        outgoing traffic at the sender (a cluster-level injector
-        broadcasts the mark to every hub).
-        """
-        if down:
-            self._down.add(name)
-        else:
-            self._down.discard(name)
-
-    def set_link(
-        self,
-        a: str,
-        b: str,
-        *,
-        bandwidth: float | None = None,
-        latency: float | None = None,
-        up: bool | None = None,
-        symmetric: bool = True,
-    ) -> None:
-        if bandwidth is not None:
-            self._require("bandwidth", "bandwidth shaping")
-        if latency is not None and latency < 0:
-            raise ConfigurationError(f"latency must be non-negative, got {latency}")
-        directions = [(a, b), (b, a)] if symmetric else [(a, b)]
-        for key in directions:
-            if latency is not None:
-                self._latency[key] = latency
-            if up is True:
-                self._blocked.discard(key)
-            elif up is False:
-                self._blocked.add(key)
-
-    def partition(self, *groups: set[str]) -> None:
-        partition_of: dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for name in group:
-                if name in partition_of:
-                    raise ConfigurationError(f"node {name!r} appears in two partitions")
-                partition_of[name] = index
-        self._partition_of = partition_of
-
-    def heal_partition(self) -> None:
-        self._partition_of = {}
 
     # -- lifecycle --------------------------------------------------------------
 

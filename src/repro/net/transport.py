@@ -11,31 +11,28 @@ interchangeable: :class:`Transport` names exactly the surface the
 Two implementations ship:
 
 - :class:`~repro.net.simnet.SimTransport` — the deterministic simulated
-  network (virtual clock, configurable links, partitions).  Default
+  network (virtual clock, links with bandwidth and latency).  Default
   backend for tests and benchmarks.
 - :class:`~repro.net.tcp.TcpTransport` — real TCP sockets with
-  length-prefixed framing, so Cores run as separate OS processes on one
-  or many hosts (see :mod:`repro.cluster.launch`).
+  length-prefixed framing, so Cores run as separate OS processes (see
+  :mod:`repro.cluster.launch`).
 
-A transport is a *hub*: one instance can carry several local nodes
-(simnet carries the whole cluster; a TCP hub usually carries the one
-Core of its process plus an address book of remote peers).  Failure
-injection goes through the capability-gated chaos hooks — a knob a
-backend does not model raises
-:class:`~repro.errors.TransportCapabilityError` instead of silently
-doing nothing, and callers that want to degrade gracefully check
-:meth:`Transport.supports` first.
+A transport is a *hub*: one instance carries several local nodes (every
+Core of a cluster in this process, or the one Core of a child process
+plus an address book of remote peers).  The failure model — crashed
+nodes, cut links, partitions — is written here once, and both backends
+refuse what it forbids through the same check.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter, deque
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import TransportCapabilityError, TransportError
+from repro.errors import ConfigurationError, CoreDownError, CoreError, CoreUnreachableError
 from repro.net.messages import Envelope, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,22 +43,6 @@ NodeHandler = Callable[[Envelope], bytes]
 
 #: Bandwidth meaning "effectively infinite" (loopback, un-modelled links).
 UNLIMITED = float("inf")
-
-
-# -- capability names ---------------------------------------------------------
-
-#: Crash/revive a node without deregistering it (``set_node_down``).
-CAP_NODE_DOWN = "node_down"
-#: Cut and restore individual links (``set_link(up=...)``).
-CAP_LINK_STATE = "link_state"
-#: Inject per-link delivery delay (``set_link(latency=...)``).
-CAP_LATENCY = "latency"
-#: Model finite link bandwidth (``set_link(bandwidth=...)``).
-CAP_BANDWIDTH = "bandwidth"
-#: Split the node set into isolated groups (``partition``).
-CAP_PARTITION = "partition"
-#: Deliveries charge deterministic virtual time to the scheduler.
-CAP_VIRTUAL_TIME = "virtual_time"
 
 
 @dataclass(slots=True)
@@ -127,36 +108,37 @@ class TraceLog:
 class Transport(ABC):
     """Abstract Core-to-Core message substrate (connect/listen/send/close).
 
-    Concrete transports provide three things:
+    Concrete transports provide attachment (:meth:`register`, the
+    "listen" side: a TCP hub opens a listener socket per node, simnet adds
+    a dispatch entry), delivery (:meth:`send` is synchronous
+    request/reply returning the destination handler's bytes, :meth:`post`
+    is fire-and-forget) and what they model of a link's speed
+    (:meth:`_shape_link`).
 
-    - **attachment**: local nodes :meth:`register` a handler (this is the
-      "listen" side; a TCP hub opens a listener socket per node, simnet
-      adds a dispatch entry);
-    - **delivery**: :meth:`send` is synchronous request/reply returning
-      the destination handler's bytes, :meth:`post` is fire-and-forget;
-    - **introspection**: peer addressing (:meth:`nodes`, :meth:`is_up`,
-      :meth:`can_reach`) and accounting (:attr:`stats`,
-      :meth:`link_stats`, :attr:`trace`) with identical meaning on every
-      backend, so envelope spans and link counters work the same over
-      simnet and TCP.
-
-    The chaos hooks (:meth:`set_node_down`, :meth:`set_link`,
-    :meth:`partition`, :meth:`heal_partition`) have capability-gated
-    default implementations raising
-    :class:`~repro.errors.TransportCapabilityError`; backends override
-    the ones they model and advertise them in :attr:`CAPABILITIES`.
+    The base class owns the rest, with one meaning on every backend: the
+    failure model (:meth:`set_node_down`, :meth:`set_link`'s ``up``,
+    :meth:`partition`, :meth:`heal_partition`), the reachability it
+    implies (:meth:`is_up`, :meth:`can_reach`, and :meth:`_refusal`,
+    which the send paths call) and the accounting (:attr:`stats`,
+    :meth:`link_stats`, :attr:`trace`).
     """
 
-    #: Chaos/modelling knobs this backend implements (see ``CAP_*``).
-    CAPABILITIES: frozenset[str] = frozenset()
-
-    #: Timer scheduler whose clock stamps durations (virtual for simnet,
-    #: real for TCP).  Set by concrete ``__init__``.
-    scheduler: "Scheduler"
-    #: Global accounting for traffic through this hub.
-    stats: NetworkStats
-    #: Bounded log of recent envelopes.
-    trace: TraceLog
+    def __init__(
+        self, scheduler: "Scheduler", nodes: Mapping[str, object], trace_capacity: int
+    ) -> None:
+        #: Timer scheduler whose clock stamps durations (virtual for simnet,
+        #: real for TCP).
+        self.scheduler = scheduler
+        #: Global accounting for traffic through this hub.
+        self.stats = NetworkStats()
+        #: Bounded log of recent envelopes.
+        self.trace = TraceLog(trace_capacity)
+        #: Every node this hub can address, by name (the backend's own table).
+        self._nodes = nodes
+        self._down: set[str] = set()
+        self._blocked: set[tuple[str, str]] = set()
+        self._partition_of: dict[str, int] = {}
+        self._link_stats: dict[tuple[str, str], LinkStats] = {}
 
     # -- attachment ---------------------------------------------------------
 
@@ -185,57 +167,47 @@ class Transport(ABC):
 
     # -- addressing / reachability ------------------------------------------
 
-    @abstractmethod
     def nodes(self) -> list[str]:
         """Sorted names of every node this hub can address."""
+        return sorted(self._nodes)
 
-    @abstractmethod
     def is_up(self, name: str) -> bool:
         """Whether ``name`` is attached and not known to be down."""
+        return name in self._nodes and name not in self._down
 
-    @abstractmethod
     def can_reach(self, src: str, dst: str) -> bool:
         """Would a message from ``src`` to ``dst`` be deliverable now?"""
+        return self._refusal(src, dst) is None
 
-    # -- accounting ---------------------------------------------------------
+    def _refusal(self, src: str, dst: str, kind: str = "") -> CoreError | None:
+        """The typed error delivery from src to dst would hit now, if any.
 
-    @abstractmethod
-    def link_stats(self, src: str, dst: str) -> LinkStats:
-        """Cumulative accounting for the directed link ``src`` → ``dst``."""
+        A remote crash this hub was never told about surfaces later, as a
+        connection failure.  A ``CHAOS`` message crosses cut links and
+        partitions: it may be the one that heals them.
+        """
+        for name in (src, dst):
+            if name not in self._nodes:
+                return CoreUnreachableError(f"node {name!r} is not on the network")
+            if name in self._down:
+                return CoreDownError(f"node {name!r} is down")
+        if src == dst or kind == MessageKind.CHAOS:
+            return None
+        if (src, dst) in self._blocked:
+            return CoreUnreachableError(f"link {src!r} -> {dst!r} is down")
+        if self._partition_of and self._partition_of.get(src) != self._partition_of.get(dst):
+            return CoreUnreachableError(f"nodes {src!r} and {dst!r} are in different partitions")
+        return None
 
-    def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
-        """Predicted one-way transfer seconds (0.0 when not modelled)."""
-        return 0.0
-
-    def reset_stats(self) -> None:
-        """Zero the global accounting (per-experiment measurement)."""
-        self.stats = NetworkStats()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the whole transport down (listeners, connections, threads)."""
-
-    # -- chaos hooks (capability-gated) -------------------------------------
-
-    def capabilities(self) -> frozenset[str]:
-        return self.CAPABILITIES
-
-    def supports(self, capability: str) -> bool:
-        return capability in self.capabilities()
-
-    def _require(self, capability: str, knob: str) -> None:
-        if capability not in self.capabilities():
-            raise TransportCapabilityError(
-                f"{type(self).__name__} does not support {knob} "
-                f"(capability {capability!r}; available: "
-                f"{sorted(self.capabilities()) or 'none'})"
-            )
+    # -- the failure model --------------------------------------------------
 
     def set_node_down(self, name: str, down: bool = True) -> None:
-        """Crash (or revive) a node without deregistering it."""
-        self._require(CAP_NODE_DOWN, "crashing nodes")
-        raise NotImplementedError  # pragma: no cover - capability mismatch
+        """Crash (or revive) a node without deregistering it: this hub
+        refuses its traffic, sent or received, with ``CoreDownError``."""
+        if down:
+            self._down.add(name)
+        else:
+            self._down.discard(name)
 
     def set_link(
         self,
@@ -247,146 +219,61 @@ class Transport(ABC):
         up: bool | None = None,
         symmetric: bool = True,
     ) -> None:
-        """Reconfigure the a→b link (and b→a unless ``symmetric=False``)."""
-        if bandwidth is not None:
-            self._require(CAP_BANDWIDTH, "bandwidth shaping")
-        if latency is not None:
-            self._require(CAP_LATENCY, "latency injection")
-        if up is not None:
-            self._require(CAP_LINK_STATE, "cutting links")
-        raise NotImplementedError  # pragma: no cover - capability mismatch
+        """Reconfigure the a→b link (and b→a unless ``symmetric=False``):
+        ``up`` cuts or restores it, ``bandwidth`` and ``latency`` set what
+        the backend models of its speed."""
+        if bandwidth is not None and bandwidth <= 0:
+            raise ConfigurationError(f"bandwidth must be positive, got {bandwidth}")
+        if latency is not None and latency < 0:
+            raise ConfigurationError(f"latency must be non-negative, got {latency}")
+        for key in ([(a, b), (b, a)] if symmetric else [(a, b)]):
+            self._shape_link(key, bandwidth, latency)
+            if up is True:
+                self._blocked.discard(key)
+            elif up is False:
+                self._blocked.add(key)
+
+    @abstractmethod
+    def _shape_link(
+        self, key: tuple[str, str], bandwidth: float | None, latency: float | None
+    ) -> None:
+        """Set the directed link's speed; ``None`` leaves that part as it is."""
 
     def partition(self, *groups: set[str]) -> None:
-        """Split the network: traffic flows only within each group."""
-        self._require(CAP_PARTITION, "partitions")
-        raise NotImplementedError  # pragma: no cover - capability mismatch
+        """Split the network: traffic flows only within each group.
+
+        Nodes *not* listed in any group form an implicit group of their
+        own: they can still reach each other, but not any grouped node.
+        (Think of the groups as islands that broke off the mainland —
+        whatever was not named stays on the mainland together, a node
+        attached later included.)
+        """
+        partition_of: dict[str, int] = {}
+        for index, group in enumerate(groups):
+            for name in group:
+                if name in partition_of:
+                    raise ConfigurationError(f"node {name!r} appears in two partitions")
+                partition_of[name] = index
+        self._partition_of = partition_of
 
     def heal_partition(self) -> None:
         """Remove any partition; link up/down state is unaffected."""
-        self._require(CAP_PARTITION, "partitions")
-        raise NotImplementedError  # pragma: no cover - capability mismatch
+        self._partition_of = {}
 
-
-class TransportGroup(Transport):
-    """Several per-node transports presented as one cluster-wide view.
-
-    When every Core of a cluster runs its own hub (the TCP backend:
-    one listener per Core), cluster-level code still wants one object to
-    query reachability, aggregate accounting, and broadcast chaos to.
-    The group routes :meth:`send`/:meth:`post` through the *source*
-    node's hub, answers queries from the owning hub, and fans chaos
-    hooks out to every member.
-    """
-
-    def __init__(self, members: dict[str, Transport]) -> None:
-        if not members:
-            raise TransportError("TransportGroup needs at least one member")
-        #: node name -> the hub that owns (locally hosts) it.
-        self._members = dict(members)
-        first = next(iter(self._members.values()))
-        self.scheduler = first.scheduler
-        self.trace = first.trace
-
-    def _owner(self, name: str) -> Transport:
-        try:
-            return self._members[name]
-        except KeyError:
-            raise TransportError(f"no transport in the group owns node {name!r}") from None
-
-    def transports(self) -> list[Transport]:
-        """The distinct member hubs (insertion order, deduplicated)."""
-        seen: list[Transport] = []
-        for transport in self._members.values():
-            if all(transport is not other for other in seen):
-                seen.append(transport)
-        return seen
-
-    # -- attachment: nodes attach to their own hub, not to the group --------
-
-    def register(self, name: str, handler: NodeHandler) -> None:
-        raise TransportError("register nodes on their own hub, not on the group")
-
-    def deregister(self, name: str) -> None:
-        self._owner(name).deregister(name)
-
-    # -- delivery: route through the source's hub ---------------------------
-
-    def send(self, envelope: Envelope, timeout: float | None = None) -> bytes:
-        return self._owner(envelope.src).send(envelope, timeout)
-
-    def post(self, envelope: Envelope) -> None:
-        self._owner(envelope.src).post(envelope)
-
-    # -- queries ------------------------------------------------------------
-
-    def nodes(self) -> list[str]:
-        names: set[str] = set()
-        for transport in self.transports():
-            names.update(transport.nodes())
-        return sorted(names)
-
-    def is_up(self, name: str) -> bool:
-        if name in self._members:
-            return self._members[name].is_up(name)
-        return any(t.is_up(name) for t in self.transports())
-
-    def can_reach(self, src: str, dst: str) -> bool:
-        if src not in self._members:
-            return False
-        return self._members[src].can_reach(src, dst)
-
-    def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
-        if src in self._members:
-            return self._members[src].transfer_time(src, dst, nbytes)
-        return 0.0
-
-    # -- accounting: aggregate over members ---------------------------------
-
-    @property
-    def stats(self) -> NetworkStats:  # type: ignore[override]
-        merged = NetworkStats()
-        for transport in self.transports():
-            member = transport.stats
-            merged.messages += member.messages
-            merged.bytes += member.bytes
-            merged.seconds += member.seconds
-            merged.by_kind.update(member.by_kind)
-        return merged
+    # -- accounting ---------------------------------------------------------
 
     def link_stats(self, src: str, dst: str) -> LinkStats:
-        if src in self._members:
-            return self._members[src].link_stats(src, dst)
-        return LinkStats()
+        """Cumulative accounting for the directed link ``src`` → ``dst``."""
+        stats = self._link_stats.get((src, dst))
+        if stats is None:
+            stats = self._link_stats.setdefault((src, dst), LinkStats())
+        return stats
 
     def reset_stats(self) -> None:
-        for transport in self.transports():
-            transport.reset_stats()
+        """Zero the global accounting (per-experiment measurement)."""
+        self.stats = NetworkStats()
 
-    # -- chaos: broadcast to every member -----------------------------------
-
-    def capabilities(self) -> frozenset[str]:
-        members = self.transports()
-        caps = members[0].capabilities()
-        for transport in members[1:]:
-            caps = caps & transport.capabilities()
-        return caps
-
-    def set_node_down(self, name: str, down: bool = True) -> None:
-        for transport in self.transports():
-            transport.set_node_down(name, down)
-
-    def set_link(self, a: str, b: str, **kwargs) -> None:
-        for transport in self.transports():
-            transport.set_link(a, b, **kwargs)
-
-    def partition(self, *groups: set[str]) -> None:
-        for transport in self.transports():
-            transport.partition(*groups)
-
-    def heal_partition(self) -> None:
-        for transport in self.transports():
-            transport.heal_partition()
+    # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        for transport in self.transports():
-            transport.close()
+        """Shut the whole transport down (listeners, connections, threads)."""

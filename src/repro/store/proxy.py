@@ -205,6 +205,12 @@ class StoreClient:
             except Exception:  # noqa: BLE001 - release is best-effort
                 pass
 
+    def clear_cache(self) -> None:
+        """Let go of every cached buffer at once."""
+        with self._lock:
+            self._cache.clear()
+            self._ids.clear()
+
     # -- introspection ------------------------------------------------------
 
     def cache_len(self) -> int:

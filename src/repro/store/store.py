@@ -21,7 +21,7 @@ invalidation without any coordination).
 Two backends ship:
 
 - :class:`InMemoryStore` — one shared dict, for the in-process backends
-  (the simulated network, loopback TCP hubs in one process).
+  (the simulated network, the loopback TCP hub of one process).
 - :class:`FileStore` — a directory of blob files (and sidecar counts above
   one), readable across OS processes (the multi-process launcher's shape).
 """

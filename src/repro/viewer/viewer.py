@@ -108,8 +108,8 @@ class LayoutMonitor:
         transport = self.cluster.transport
         names = self.cluster.running_names()
         # Configured bandwidth/latency only exist where the backend
-        # models links (simnet); elsewhere show observed traffic and
-        # live reachability instead of configuration.
+        # models links (simnet); every backend shows observed traffic and
+        # live reachability.
         link_model = getattr(transport, "link", None)
         lines = ["links (bandwidth / latency / observed traffic):"]
         for i, a in enumerate(names):
@@ -117,16 +117,15 @@ class LayoutMonitor:
                 forward = transport.link_stats(a, b)
                 backward = transport.link_stats(b, a)
                 traffic = human_bytes(forward.bytes + backward.bytes)
+                state = "up" if transport.can_reach(a, b) else "DOWN"
                 if link_model is not None:
                     link = link_model(a, b)
-                    state = "up" if link.up else "DOWN"
                     lines.append(
                         f"  {a:<10} <-> {b:<10} {link.bandwidth / 1000:8.0f} KB/s  "
                         f"{link.latency * 1000:6.1f} ms  "
                         f"{traffic:>10}  {state}"
                     )
                 else:
-                    state = "up" if transport.can_reach(a, b) else "DOWN"
                     lines.append(
                         f"  {a:<10} <-> {b:<10} {'unmodelled':>8}  "
                         f"{traffic:>10}  {state}"

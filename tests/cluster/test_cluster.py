@@ -23,6 +23,8 @@ from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
 from tests.anchors import Holder
 
+BACKENDS = ["sim", pytest.param("tcp", marks=pytest.mark.tcp)]
+
 
 class TestConstruction:
     def test_named_cores_created(self):
@@ -159,6 +161,30 @@ class TestObservationsOutliveACore:
         assert cluster.running_names() == ["alpha"]
 
 
+@pytest.mark.parametrize("transport", BACKENDS)
+class TestOneTransport:
+    """Every Core of the cluster is on its one transport, and one failure model answers."""
+
+    def test_every_core_is_on_the_one_transport(self, deploy, transport):
+        cluster = deploy(["b", "a"], transport=transport)
+        cluster.add_core("c")
+        assert all(core.peer.transport is cluster.transport for core in cluster)
+        assert cluster.transports == ({} if transport == "sim" else {"a": cluster.transport})
+
+    def test_a_core_added_after_a_partition_is_on_the_mainland(self, deploy, transport):
+        cluster = deploy(["a", "b", "c"], transport=transport)
+        echo = Echo("far", _core=cluster["a"])
+        cluster.partition({"a"}, {"b", "c"})
+        cluster.add_core("d")
+        assert [cluster.can_reach("d", name) for name in "abcd"] == [False, False, False, True]
+        assert not cluster.can_reach("a", "d") and cluster.can_reach("b", "c")
+        stub = cluster.stub_at("d", echo)
+        with pytest.raises(CoreError):
+            stub.ping()
+        cluster.heal_partition()
+        assert cluster.can_reach("d", "a") and stub.ping() == "far"
+
+
 @pytest.mark.tcp
 class TestProcesses:
     """``transport="procs"``: the same handle over Cores in OS processes of their own."""
@@ -173,6 +199,8 @@ class TestProcesses:
         assert procs_cluster.core_names() == ["alpha", "beta", "driver"]
         assert procs_cluster.seat is procs_cluster.processes.driver
         assert procs_cluster["driver"] is procs_cluster.seat
+        assert procs_cluster.transport is procs_cluster.seat.peer.transport
+        assert procs_cluster.transports == {"driver": procs_cluster.transport}
         assert sorted(procs_cluster.running_names()) == ["alpha", "beta", "driver"]
 
     def test_what_needs_a_core_of_this_process_says_so(self, procs_cluster):

@@ -135,5 +135,5 @@ class TestCancellation:
         inject.cut_link_at(1.0, "a", "b")
         inject.cancel_all()
         cluster.advance(5.0)
-        assert cluster.transport.link("a", "b").up
+        assert cluster.can_reach("a", "b")
         assert inject.log == []

@@ -280,7 +280,7 @@ class TestHandover:
     """The move's own messages settle the pointer sets: nothing is posted.
 
     Each scenario runs per bookkeeping mode on the simulated network and,
-    as its ``tcp`` twin, on TCP hubs.
+    as its ``tcp`` twin, on the TCP hub.
     """
 
     #: The move back of a four-member pull group (head and three members)

@@ -3,7 +3,7 @@
 ``tracemalloc`` counts what the interpreter allocates, not what the
 host's allocator keeps, so the bound holds wherever the suite runs.  The
 same ratio is the ``move_peak_bytes_per_payload_byte`` metric of the
-``movement`` (sim) and ``transport`` (TCP hubs) bench areas.  With the
+``movement`` (sim) and ``transport`` (TCP hub) bench areas.  With the
 bulk pickled in-band the ratios were 4.03 and 6.04.
 """
 

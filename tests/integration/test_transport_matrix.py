@@ -1,8 +1,8 @@
 """Integration: the same application scenarios over all three deployments.
 
 Every test here is parametrized over the deployment shape — the
-deterministic simnet, the real TCP hubs (one per Core, in-process, real
-sockets on loopback), and Cores in OS processes of their own with a
+deterministic simnet, the real TCP hub (in-process, a listener per Core,
+real sockets on loopback), and Cores in OS processes of their own with a
 driver Core in this one.  The application code is byte-for-byte
 identical; only the ``transport=`` knob differs, which is the point of
 the one deployment handle.  The program sits at ``cluster.seat`` (the

@@ -1,21 +1,12 @@
-"""The abstract Transport protocol, capabilities, and group."""
+"""The abstract Transport protocol and the failure model it owns."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import TransportCapabilityError, TransportError
-from repro.net import (
-    CAP_BANDWIDTH,
-    CAP_NODE_DOWN,
-    CAP_VIRTUAL_TIME,
-    Envelope,
-    MessageKind,
-    SimTransport,
-    Transport,
-    TransportGroup,
-)
-from repro.net.transport import LinkStats, NetworkStats, NodeHandler
+from repro.net import Envelope, MessageKind, SimTransport, TcpTransport, Transport
+from repro.net.transport import NodeHandler
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
 
@@ -29,15 +20,11 @@ def envelope(src: str, dst: str, payload: bytes = b"x") -> Envelope:
 
 
 class MinimalTransport(Transport):
-    """The smallest conforming backend: no chaos capabilities at all."""
+    """The smallest conforming backend: delivery, and no model of link speed."""
 
     def __init__(self) -> None:
-        self.scheduler = Scheduler(VirtualClock())
-        self.stats = NetworkStats()
-        from repro.net.transport import TraceLog
-
-        self.trace = TraceLog(8)
         self._handlers: dict[str, NodeHandler] = {}
+        super().__init__(Scheduler(VirtualClock()), self._handlers, trace_capacity=8)
 
     def register(self, name, handler):
         self._handlers[name] = handler
@@ -51,17 +38,9 @@ class MinimalTransport(Transport):
     def post(self, envelope):
         self._handlers[envelope.dst](envelope)
 
-    def nodes(self):
-        return sorted(self._handlers)
-
-    def is_up(self, name):
-        return name in self._handlers
-
-    def can_reach(self, src, dst):
-        return src in self._handlers and dst in self._handlers
-
-    def link_stats(self, src, dst):
-        return LinkStats()
+    def _shape_link(self, key, bandwidth, latency):
+        if bandwidth is not None or latency is not None:
+            raise TransportCapabilityError("MinimalTransport models no link speed")
 
 
 class TestProtocol:
@@ -70,8 +49,11 @@ class TestProtocol:
 
     def test_sim_capabilities_include_virtual_time_and_bandwidth(self):
         net = fresh_sim()
-        assert net.supports(CAP_VIRTUAL_TIME)
-        assert net.supports(CAP_BANDWIDTH)
+        net.register("a", lambda env: b"")
+        net.register("b", lambda env: b"")
+        net.set_link("a", "b", bandwidth=1000.0, latency=0.5)
+        net.post(envelope("a", "b", b"x" * 500))
+        assert net.scheduler.clock.now() == pytest.approx(0.5 + 500 / 1000.0)
 
     def test_minimal_backend_serves_rpc(self):
         transport = MinimalTransport()
@@ -79,14 +61,32 @@ class TestProtocol:
         result = transport.send(envelope("b", "a"))
         assert result == b"pong"
 
-    def test_unsupported_chaos_knob_raises_typed_error(self):
+    def test_a_backend_gets_the_failure_model_from_the_base(self):
         transport = MinimalTransport()
-        with pytest.raises(TransportCapabilityError):
-            transport.set_node_down("a")
-        with pytest.raises(TransportCapabilityError):
-            transport.set_link("a", "b", bandwidth=10.0)
-        with pytest.raises(TransportCapabilityError):
-            transport.partition({"a"}, {"b"})
+        for name in ("a", "b", "c"):
+            transport.register(name, lambda env: b"")
+        transport.partition({"a"}, {"b"})
+        assert not transport.can_reach("a", "b")
+        assert not transport.can_reach("c", "a")  # unnamed: the mainland
+        transport.heal_partition()
+        transport.set_link("a", "b", up=False, symmetric=False)
+        assert not transport.can_reach("a", "b") and transport.can_reach("b", "a")
+        transport.set_node_down("c")
+        assert not transport.is_up("c") and not transport.can_reach("b", "c")
+        assert transport.nodes() == ["a", "b", "c"]
+
+    @pytest.mark.tcp
+    def test_unsupported_chaos_knob_raises_typed_error(self):
+        """TCP models no bandwidth: it refuses the knob before cutting anything."""
+        hub = TcpTransport()
+        try:
+            hub.add_peer("a", ("127.0.0.1", 1))
+            hub.add_peer("b", ("127.0.0.1", 2))
+            with pytest.raises(TransportCapabilityError):
+                hub.set_link("a", "b", bandwidth=10.0, up=False)
+            assert hub.can_reach("a", "b")
+        finally:
+            hub.close()
 
     def test_capability_error_is_a_transport_error(self):
         assert issubclass(TransportCapabilityError, TransportError)
@@ -105,74 +105,3 @@ class TestProtocol:
         assert net.stats.messages > 0
         net.reset_stats()
         assert net.stats.messages == 0
-
-
-class TestTransportGroup:
-    def build(self):
-        hub_ab = fresh_sim()
-        hub_c = SimTransport(hub_ab.scheduler)
-        hub_ab.register("a", lambda env: b"from-a")
-        hub_ab.register("b", lambda env: b"from-b")
-        hub_c.register("c", lambda env: b"from-c")
-        group = TransportGroup({"a": hub_ab, "b": hub_ab, "c": hub_c})
-        return hub_ab, hub_c, group
-
-    def test_empty_group_is_rejected(self):
-        with pytest.raises(TransportError):
-            TransportGroup({})
-
-    def test_nodes_union(self):
-        _ab, _c, group = self.build()
-        assert group.nodes() == ["a", "b", "c"]
-
-    def test_transports_deduplicates(self):
-        hub_ab, hub_c, group = self.build()
-        members = group.transports()
-        assert len(members) == 2
-        assert members[0] is hub_ab
-        assert members[1] is hub_c
-
-    def test_send_routes_via_source_hub(self):
-        _ab, _c, group = self.build()
-        assert group.send(envelope("a", "b")) == b"from-b"
-
-    def test_send_from_unknown_node_fails(self):
-        _ab, _c, group = self.build()
-        with pytest.raises(TransportError):
-            group.send(envelope("zz", "a"))
-
-    def test_register_on_group_is_rejected(self):
-        _ab, _c, group = self.build()
-        with pytest.raises(TransportError):
-            group.register("d", lambda env: b"")
-
-    def test_stats_aggregate(self):
-        hub_ab, _c, group = self.build()
-        group.send(envelope("a", "b", b"12345"))
-        assert group.stats.messages == hub_ab.stats.messages
-        assert group.stats.bytes >= 5
-
-    def test_reset_stats_broadcasts(self):
-        _ab, _c, group = self.build()
-        group.send(envelope("a", "b"))
-        group.reset_stats()
-        assert group.stats.messages == 0
-
-    def test_chaos_broadcasts_to_members(self):
-        hub_ab, hub_c, group = self.build()
-        group.set_node_down("a")
-        assert not hub_ab.is_up("a")
-        assert not hub_c.is_up("a") or "a" not in hub_c.nodes()
-        assert not group.is_up("a")
-        group.set_node_down("a", down=False)
-        assert group.is_up("a")
-
-    def test_capabilities_intersect(self):
-        _ab, _c, group = self.build()
-        assert group.capabilities() == SimTransport.CAPABILITIES
-        group_mixed = TransportGroup({"m": MinimalTransport()})
-        assert group_mixed.capabilities() == frozenset()
-
-    def test_is_up_for_foreign_node(self):
-        _ab, _c, group = self.build()
-        assert not group.is_up("unknown")

@@ -40,7 +40,7 @@ def pointer_set_violations(cores) -> list[str]:
 
 
 #: Each scenario below runs on the simulated network and, as its ``tcp``
-#: twin, on in-process TCP hubs; both must count the same messages.
+#: twin, on the in-process TCP hub; both must count the same messages.
 BACKENDS = ["sim", pytest.param("tcp", marks=pytest.mark.tcp)]
 
 #: Locating strategies: tracker chains (``eager``, the default) and the

@@ -34,8 +34,8 @@ def is_running(pid: int) -> bool:
     """False once ``pid`` is gone or only waits to be reaped."""
     try:
         return not status_field(pid, "State").startswith("Z")
-    except FileNotFoundError:
-        return False
+    except (FileNotFoundError, ProcessLookupError):
+        return False  # reaped, also while its status was being read
 
 
 def open_files(pid: int, kind: str) -> set[str]:

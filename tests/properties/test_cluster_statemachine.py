@@ -15,7 +15,7 @@ after every step:
   (:func:`tests.pointers.pointer_set_violations`).
 
 Every rule goes through the deployment handle only, so the same machine
-runs on the simulated network, on in-process TCP hubs and on Cores in OS
+runs on the simulated network, on the in-process TCP hub and on Cores in OS
 processes of their own.  The first invariant is read through
 ``complets_at`` on every backend; the two that look inside a Core look
 inside the Cores of this process: all of them on ``sim`` and ``tcp``,
