@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench realpath-quick examples experiments loc clean
+.PHONY: install test bench realpath-quick examples loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -18,8 +18,10 @@ loc:
 	@printf '%-24s %6d\n' "src/repro/*.py" "$$(cat src/repro/*.py | wc -l)"
 	@printf '%-24s %6d\n' "total" "$$(find src -name '*.py' | xargs cat | wc -l)"
 
+# Every bench area, with the series EXPERIMENTS.md quotes (virtual clock,
+# about 2 s); `--check` compares them against the committed BENCH_*.json.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.bench
 
 # The wall-clock benchmark of BENCHMARK.json at 2 s per run, then its own unit
 # tests: fails when a transport change breaks a name benchmarks/realpath/sut.py
@@ -27,10 +29,6 @@ bench:
 realpath-quick:
 	$(PYTHON) benchmarks/realpath/run.py --quick
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q benchmarks/realpath/tests
-
-# Benchmark run with the experiment tables printed (EXPERIMENTS.md data).
-experiments:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 examples:
 	@for script in examples/*.py; do \

@@ -103,7 +103,7 @@ MODULE_VERDICTS = {
 #: Modules cut once this table showed no consumer, with the row it printed for them.
 CUT = {
     "net/batching.py": (
-        "263 lines; importers outside `net/`: `bench/`, `benchmarks/bench_store`, `repro/`; "
+        "263 lines; importers outside `net/`: `bench/`, the store benchmark, `repro/`; "
         "run by the `transport` area alone, in a segment that measured nothing but itself "
         "(49 of its 104 function lines by nothing at all); no example, realpath workload or "
         "EXPERIMENTS id ran it.  Its policy and stats classes, its message kind and the "

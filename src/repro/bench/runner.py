@@ -47,8 +47,9 @@ UNCOMPARED_SUFFIX = "_wall_seconds"
 def is_uncompared(name: str) -> bool:
     return name in UNCOMPARED_METRICS or name.endswith(UNCOMPARED_SUFFIX)
 
-#: Metric names where a larger value is an improvement.
-_HIGHER_BETTER_SUFFIXES = ("_per_vsec",)
+#: Metric names where a larger value is an improvement: throughput, and
+#: the store's cache hits and the bytes they saved.
+_HIGHER_BETTER_SUFFIXES = ("_per_vsec", "_hits", "_saved")
 
 
 def metric_direction(name: str) -> str:

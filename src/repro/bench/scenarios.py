@@ -1,6 +1,6 @@
-"""Deterministic bench scenarios, one per ``benchmarks/bench_*.py`` area.
+"""Deterministic bench scenarios: the one place a benchmark is written.
 
-Every scenario drives a freshly built cluster entirely on the virtual
+Every scenario drives freshly built clusters entirely on the virtual
 clock and returns a flat ``{metric: number}`` dict.  All quantities are
 simulation-derived (virtual seconds, network bytes/messages, serializer
 and fan-out counters), so two runs of the same code produce the same
@@ -8,14 +8,19 @@ numbers on any machine — the property ``python -m repro.bench --check``
 relies on.  Wall-clock time is measured by the runner, reported for
 context, and never compared.
 
-The scenarios deliberately mirror the shapes of the pytest-benchmark
-files (chains built with ``move_via_host``, pull groups hung off an
-anchor attribute, watch-driven monitoring) so a regression caught here
-points straight at the corresponding ``benchmarks/bench_<area>.py``.
+An area first measures its own workload (``_collect``), then the series
+EXPERIMENTS.md quotes for the paper's claims, each in clusters of its
+own, as more flat metrics (``hops4_first_messages``,
+``link50k_dynamic_net_seconds``).  The shapes those series must have are
+tier-1 tests over :func:`repro.bench.runner.run_area` output
+(tests/bench/test_areas.py).  Where an area and a test need the same
+workload (:func:`affinity_flip`, :func:`_pipeline`, :func:`_farm`), it
+is built here once.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -101,6 +106,18 @@ def _pull_group(core, members: int, member_bytes: int):
     return head
 
 
+def _hopped(names: list[str], hops: int, **options):
+    """A cluster over ``names`` and a counter born at the first that hopped
+    host-side through the next ``hops``."""
+    from repro.cluster.workload import Counter
+
+    cluster = Cluster(names, **options)
+    counter = Counter(0, _core=cluster[names[0]])
+    for name in names[1 : hops + 1]:
+        cluster.move_via_host(counter, name)
+    return cluster, counter
+
+
 def move_peak_ratio(transport: str) -> float:
     """Peak memory one group move allocates, per payload byte (lower is better).
 
@@ -116,6 +133,7 @@ def move_peak_ratio(transport: str) -> float:
     from repro.sim.clock import VirtualClock
 
     leaves, leaf_bytes = 3, 256 * 1024
+    gc.collect()  # garbage of what ran before must not be freed mid-move
     cluster = Cluster(["a", "b"], transport=transport, clock=VirtualClock())
     try:
         root = _pull_group(cluster["a"], leaves, leaf_bytes)
@@ -163,12 +181,13 @@ def bulk_bytes_echoes(echoes: int = 8) -> tuple[list[int], int]:
 
 
 def marshal() -> dict:
-    """Repeated checkpoints of unchanged complets (the memoization case)."""
+    """Repeated checkpoints of unchanged complets (the memoization case),
+    then closure size against wire bytes for one move."""
+    from repro.cluster.workload import DataSource
+    from repro.complet.closure import compute_closure
     from repro.core.persistence import snapshot
 
     cluster = Cluster(["a", "b"])
-    from repro.cluster.workload import DataSource
-
     sources = [DataSource(2_000, _core=cluster["a"]) for _ in range(8)]
     _reset_counters(cluster)
     t0 = cluster.now
@@ -178,12 +197,24 @@ def marshal() -> dict:
             snapshot(cluster["a"], source)
             ops += 1
         cluster.advance(0.5)
-    return _collect(cluster, ops=ops, virtual_seconds=cluster.now - t0)
+    metrics = _collect(cluster, ops=ops, virtual_seconds=cluster.now - t0)
+    for size in (1_000, 10_000, 100_000):
+        pair = Cluster(["a", "b"])
+        source = DataSource(size, _core=pair["a"])
+        anchor = pair["a"].repository.get(source._fargo_target_id)
+        metrics[f"blob{size}_closure_bytes"] = compute_closure(anchor).size_bytes
+        pair.reset_stats()
+        pair.move(source, "b")
+        metrics[f"blob{size}_wire_bytes"] = pair.stats.bytes
+    return metrics
 
 
 def tracker_chains() -> dict:
-    """A bulk payload invoked through a 5-hop tracker chain."""
+    """A bulk payload invoked through a 5-hop tracker chain, then F2/C2:
+    a counter that hopped 1, 2, 4 or 8 times, called twice from its birth
+    Core (INVOKE messages and seconds per call, trackers collected after)."""
     from repro.cluster.workload import Echo
+    from repro.net.messages import MessageKind
 
     cluster = Cluster(["n0", "n1", "n2", "n3", "n4", "n5"])
     echo = Echo("tag", _core=cluster["n0"])
@@ -197,13 +228,25 @@ def tracker_chains() -> dict:
         start = cluster.now
         echo.echo(payload)
         latencies.append(cluster.now - start)
-    return _collect(
+    metrics = _collect(
         cluster, ops=4, virtual_seconds=cluster.now - t0, latencies=latencies
     )
+    for hops in (1, 2, 4, 8):
+        chain, counter = _hopped([f"c{i}" for i in range(hops + 1)], hops)
+        for call in ("first", "second"):
+            invokes, start = chain.stats.by_kind[MessageKind.INVOKE], chain.now
+            counter.increment()
+            metrics[f"hops{hops}_{call}_messages"] = (
+                chain.stats.by_kind[MessageKind.INVOKE] - invokes
+            )
+            metrics[f"hops{hops}_{call}_seconds"] = round(chain.now - start, 9)
+        metrics[f"hops{hops}_trackers_collected"] = chain.collect_all_trackers()
+    return metrics
 
 
 def invocation() -> dict:
-    """Small remote calls in a tight loop (framing overhead dominates)."""
+    """Small remote calls in a tight loop (framing overhead dominates), a
+    bulk argument inline and offloaded, then C1's trackers and payloads."""
     from repro.cluster.workload import Counter
 
     cluster = Cluster(["a", "b"])
@@ -238,12 +281,32 @@ def invocation() -> dict:
         100.0 * bulk["bulk_store_net_bytes"] / bulk["bulk_eager_net_bytes"], 6
     )
     metrics.update(bulk)
+
+    # C1: one tracker per target per Core however many references hold it,
+    # and the simulated price of a call growing with its argument.
+    for count in (1, 8, 64):
+        fresh = Cluster(["a", "b"])
+        target = Counter(0, _core=fresh["a"])
+        fresh.move(target, "b")
+        for stub in [fresh.stub_at("a", target) for _ in range(count)]:
+            stub.increment()
+        metrics[f"refs{count}_trackers"] = fresh["a"].repository.tracker_count()
+    sized = Cluster(["a", "b"])
+    echo = Echo("e", _core=sized["a"])
+    sized.move(echo, "b")
+    for size in (100, 10_000, 1_000_000):
+        start = sized.now
+        echo.echo(bytes(size))
+        metrics[f"payload{size}_sim_seconds"] = round(sized.now - start, 9)
     return metrics
 
 
 def monitoring() -> dict:
-    """Event fan-out under load plus watch-driven sampling."""
-    from repro.cluster.workload import Echo
+    """Event fan-out under load plus watch-driven sampling, then the
+    evaluation counts of C4 (the instant-read cache), C5 (sampling follows
+    started profiles; a stopped one costs nothing) and C6 (one measurement
+    for any number of threshold listeners)."""
+    from repro.cluster.workload import DataSource, Echo
 
     cluster = Cluster(["a", "b"])
     core = cluster["a"]
@@ -262,14 +325,63 @@ def monitoring() -> dict:
         core.events.publish("tick", seq=sequence)
         if sequence % 25 == 24:
             cluster.advance(0.5)
-    return _collect(cluster, ops=300, virtual_seconds=cluster.now - t0)
+    metrics = _collect(cluster, ops=300, virtual_seconds=cluster.now - t0)
+
+    loaded = Cluster(["a", "b"])
+    for _ in range(20):
+        DataSource(4_096, _core=loaded["a"])
+    for label, use_cache in (("cached", True), ("uncached", False)):
+        before = loaded["a"].profiler.evaluations["coreMemory"]
+        for _ in range(100):
+            loaded["a"].profile_instant("coreMemory", use_cache=use_cache)
+        metrics[f"{label}_reads_evaluations"] = (
+            loaded["a"].profiler.evaluations["coreMemory"] - before
+        )
+    for started in (0, 1, 4, 16):
+        quiet = Cluster(["a", "b"])
+        for index in range(started):
+            quiet["a"].profiler.register_service(f"svc{index}", lambda c, p: 1.0)
+            quiet["a"].profile(f"svc{index}", interval=1.0)
+        quiet.advance(10.0)
+        metrics[f"profiles{started}_evaluations"] = sum(
+            quiet["a"].profiler.evaluations.values()
+        )
+    stopped = Cluster(["a", "b"])
+    session = stopped["a"].profile("completLoad", interval=1.0)
+    stopped.advance(5.0)
+    session.stop()
+    before = stopped["a"].profiler.evaluations["completLoad"]
+    stopped.advance(50.0)
+    metrics["stopped_profile_evaluations"] = (
+        stopped["a"].profiler.evaluations["completLoad"] - before
+    )
+    metrics["stopped_pending_timers"] = stopped.scheduler.pending
+    for listeners in (1, 10, 100):
+        shared = Cluster(["a", "b"])
+        for index in range(listeners):
+            shared["a"].events.subscribe("load-evt", seen.append)
+            shared["a"].monitor.watch(
+                "completLoad", ">", float(index % 7), interval=1.0, event_name="load-evt"
+            )
+        Echo("x", _core=shared["a"])
+        shared.advance(10.0)
+        metrics[f"listeners{listeners}_evaluations"] = shared["a"].profiler.evaluations[
+            "completLoad"
+        ]
+        metrics[f"listeners{listeners}_profiles"] = shared["a"].profiler.active_profiles()
+    return metrics
 
 
-# -- coverage areas (one per remaining bench file) --------------------------------------
+# -- coverage areas ----------------------------------------------------------------------
 
 
 def movement() -> dict:
-    """A pull group of nine complets ping-ponged between two Cores."""
+    """A pull group of nine complets ping-ponged between two Cores, then C3:
+    MOVE_COMPLET requests and bytes for a pull group of N against the same
+    complets moved one by one, and group bytes against member size."""
+    from repro.cluster.workload import DataSource
+    from repro.net.messages import MessageKind
+
     cluster = Cluster(["a", "b"])
     head = _pull_group(cluster["a"], 8, 512)
     _reset_counters(cluster)
@@ -278,38 +390,89 @@ def movement() -> dict:
         cluster.move(head, destination)
     metrics = _collect(cluster, ops=6, virtual_seconds=cluster.now - t0)
     metrics["move_peak_bytes_per_payload_byte"] = move_peak_ratio("sim")
+
+    def moved(label: str, members: int, member_bytes: int, naive: bool = False) -> None:
+        pair = Cluster(["a", "b"])
+        pulled = 0 if naive else members
+        complets = [_pull_group(pair["a"], pulled, member_bytes)]
+        complets += [DataSource(member_bytes, _core=pair["a"]) for _ in range(members - pulled)]
+        pair.reset_stats()
+        for complet in complets:
+            pair.move(complet, "b")
+        metrics[f"{label}_requests"] = pair.stats.by_kind[MessageKind.MOVE_COMPLET] // 2
+        metrics[f"{label}_bytes"] = pair.stats.bytes
+
+    for size in (1, 4, 16):
+        moved(f"group{size}", size, 512)
+        moved(f"naive{size}", size, 512, naive=True)
+    for member_bytes in (256, 4_096, 65_536):
+        moved(f"member{member_bytes}_group", 4, member_bytes)
     return metrics
 
 
 def tracking_modes() -> dict:
-    """Chain-following vs location-registry resolution, side by side."""
-    from repro.cluster.workload import Counter
+    """Chain-following vs location-registry resolution, side by side; then
+    C12: all messages to use a reference left stale at the birth Core after
+    2, 4 or 8 hops, all messages of one move, and whether a call breaks
+    once a Core on the migration path is down (1) or not (0)."""
+    from repro.complet.relocators import Link
+    from repro.complet.tokens import RefToken
     from repro.core.locator import LocationRegistry, Locator
+    from repro.errors import CoreDownError
 
+    modes = (("chain", Locator), ("registry", LocationRegistry))
     results = {}
-    for label, locator in (("chain", Locator), ("registry", LocationRegistry)):
-        cluster = Cluster(["a", "b", "c", "d"], locator=locator)
-        counter = Counter(0, _core=cluster["a"])
-        for dest in ("b", "c", "d"):
-            cluster.move_via_host(counter, dest)
+    for label, locator in modes:
+        cluster, counter = _hopped(["a", "b", "c", "d"], 3, locator=locator)
         _reset_counters(cluster)
         for _ in range(3):
             counter.increment()
         results[f"{label}_messages"] = cluster.stats.messages
         results[f"{label}_bytes"] = cluster.stats.bytes
     results["ops"] = 6
+
+    for label, locator in modes:
+        for hops in (2, 4, 8):
+            names = [f"c{i}" for i in range(hops + 2)]
+            cluster, counter = _hopped(names, hops, locator=locator)
+            tracker = counter._fargo_tracker  # the birth Core's: stale
+            token = RefToken(
+                counter._fargo_target_id, tracker.anchor_ref, tracker.address, Link()
+            )
+            stale = cluster[names[-1]].references.materialize(token)
+            cluster.reset_stats()
+            stale.increment()
+            results[f"hops{hops}_{label}_stale_messages"] = cluster.stats.messages
+        cluster, counter = _hopped(["a", "b", "c"], 1, locator=locator)
+        cluster.reset_stats()
+        cluster.move_via_host(counter, "c")
+        results[f"{label}_move_messages"] = cluster.stats.messages
+        cluster, counter = _hopped(["a", "b", "c"], 2, locator=locator)
+        cluster.transport.set_node_down("b")
+        try:
+            counter.increment()
+            results[f"{label}_breaks_on_path_death"] = 0
+        except CoreDownError:
+            results[f"{label}_breaks_on_path_death"] = 1
     return results
 
 
-def recovery() -> dict:
-    """Crash-to-verdict detection latency on the virtual clock."""
+def _crash_verdict(interval: float, fail_after: float) -> tuple[Cluster, float, float]:
+    """Core ``a`` crashes at 2 s under a detector of this config.
+
+    Returns the cluster, the virtual seconds run after the counters were
+    reset, and the seconds from the crash to ``b``'s ``coreFailed`` (-1.0
+    if no verdict came within ``fail_after`` plus two intervals).
+    """
     from repro.cluster.failures import FailureInjector
     from repro.core.events import CORE_FAILED
     from repro.recovery import DetectorConfig
 
     cluster = Cluster(["a", "b", "c"])
     cluster.enable_recovery(
-        detector=DetectorConfig(interval=0.5, suspect_after=0.75, fail_after=1.5),
+        detector=DetectorConfig(
+            interval=interval, suspect_after=fail_after / 2, fail_after=fail_after
+        ),
         auto_recover=False,
     )
     verdicts: list[float] = []
@@ -320,18 +483,29 @@ def recovery() -> dict:
     t0 = cluster.now
     crash_at = 2.0
     FailureInjector(cluster).crash_core_at(crash_at, "a")
-    cluster.advance(crash_at + 1.5 + 1.1)
-    metrics = _collect(cluster, ops=1, virtual_seconds=cluster.now - t0)
-    metrics["detection_latency_vs"] = (
-        round(verdicts[0] - crash_at, 9) if verdicts else -1.0
-    )
+    cluster.advance(crash_at + fail_after + 2 * interval + 0.1)
+    latency = round(verdicts[0] - crash_at, 9) if verdicts else -1.0
+    return cluster, cluster.now - t0, latency
+
+
+def recovery() -> dict:
+    """Crash-to-verdict detection latency on the virtual clock: the
+    (interval 0.5 s, fail_after 1.5 s) detector's run and counters, then
+    the latency of three more configurations."""
+    cluster, seconds, latency = _crash_verdict(0.5, 1.5)
+    metrics = _collect(cluster, ops=1, virtual_seconds=seconds)
+    metrics["detection_latency_vs"] = latency
+    for interval, fail_after in ((0.2, 0.6), (0.5, 3.0), (1.0, 5.0)):
+        name = f"interval{int(interval * 1000)}_fail{int(fail_after * 1000)}_detection_vs"
+        metrics[name] = _crash_verdict(interval, fail_after)[2]
     return metrics
 
 
 def runtime_ops() -> dict:
-    """Instantiation, naming, and checkpoint/restore round trips."""
+    """Instantiation, naming, and checkpoint/restore round trips, then
+    snapshot bytes against the complet's blob size."""
+    from repro.cluster.workload import DataSource, Echo, Echo_
     from repro.core.persistence import restore, snapshot
-    from repro.cluster.workload import Echo, Echo_
 
     cluster = Cluster(["a", "b"])
     _reset_counters(cluster)
@@ -351,21 +525,38 @@ def runtime_ops() -> dict:
     for _ in range(5):
         restore(cluster["a"], snapshot(cluster["a"], service))
         ops += 1
-    return _collect(cluster, ops=ops, virtual_seconds=cluster.now - t0)
+    metrics = _collect(cluster, ops=ops, virtual_seconds=cluster.now - t0)
+    pair = Cluster(["a", "b"])
+    for size in (1_000, 10_000, 100_000):
+        source = DataSource(size, _core=pair["a"])
+        metrics[f"blob{size}_snapshot_bytes"] = len(snapshot(pair["a"], source).stream)
+    return metrics
 
 
 def tracing() -> dict:
-    """Remote calls with full span recording enabled."""
+    """Remote calls with full span recording enabled, then the spans 50
+    calls leave with tracing off and on."""
     from repro.cluster.workload import Counter
 
-    cluster = Cluster(["n1", "n2"], tracing=True)
-    counter = Counter(0, _core=cluster["n1"])
-    cluster.move(counter, "n2")
+    def traced(enabled: bool):
+        cluster = Cluster(["n1", "n2"], tracing=enabled)
+        counter = Counter(0, _core=cluster["n1"])
+        cluster.move(counter, "n2")
+        return cluster, counter
+
+    cluster, counter = traced(True)
     _reset_counters(cluster)
     t0 = cluster.now
     for _ in range(50):
         counter.increment()
-    return _collect(cluster, ops=50, virtual_seconds=cluster.now - t0)
+    metrics = _collect(cluster, ops=50, virtual_seconds=cluster.now - t0)
+    for label, enabled in (("off", False), ("on", True)):
+        cluster, counter = traced(enabled)
+        cluster.clear_spans()
+        for _ in range(50):
+            counter.increment()
+        metrics[f"tracing_{label}_spans"] = len(cluster.spans())
+    return metrics
 
 
 def analysis() -> dict:
@@ -443,59 +634,132 @@ def analysis() -> dict:
     }
 
 
-def adaptive_layout() -> dict:
-    """Script-driven colocation under a two-phase affinity workload."""
-    from repro.script.interpreter import ScriptEngine
-    from repro.cluster.workload import Client, Server
+def affinity_flip(
+    bandwidth: float,
+    *,
+    rounds: int,
+    calls: int,
+    client_home: str = "site1",
+    adaptive: bool = True,
+) -> tuple[Cluster, float, int]:
+    """C7's workload: a client talks to server1 at site1, then to server2.
 
-    cluster = Cluster(["site1", "site2"], bandwidth=100_000.0, latency=0.02)
+    Both servers are pinned.  Each second the client makes ``calls`` calls
+    from where it is; after ``rounds`` seconds its server becomes server2
+    for ``rounds`` more.  With ``adaptive`` the §4.1 rules colocate the
+    client with whichever server it calls at more than 2/s.  Counters are
+    reset before the first round.  Returns the cluster, the virtual
+    seconds of the two phases, and the seconds after the flip at which the
+    client was first found at site2 (``rounds`` if it never was).
+    """
+    from repro.cluster.workload import Client, Server
+    from repro.script.interpreter import ScriptEngine
+
+    cluster = Cluster(["site1", "site2"], bandwidth=bandwidth, latency=0.02)
     server1 = Server(reply_size=4_096, _core=cluster["site1"], _at="site1")
     server2 = Server(reply_size=4_096, _core=cluster["site2"], _at="site2")
-    client = Client(server1, request_size=2_048, _core=cluster["site1"], _at="site1")
-    engine = ScriptEngine(cluster, home="site1")
-    engine._globals.update({"c": client, "s1": server1, "s2": server2})
-    engine.run(
-        "on methodInvokeRate(2) from $c to $s1 do move $c to coreOf $s1 end\n"
-        "on methodInvokeRate(2) from $c to $s2 do move $c to coreOf $s2 end"
+    client = Client(
+        server1, request_size=2_048, _core=cluster[client_home], _at=client_home
     )
+    if adaptive:
+        engine = ScriptEngine(cluster, home="site1")
+        engine._globals.update({"c": client, "s1": server1, "s2": server2})
+        engine.run(
+            "on methodInvokeRate(2) from $c to $s1 do move $c to coreOf $s1 end\n"
+            "on methodInvokeRate(2) from $c to $s2 do move $c to coreOf $s2 end"
+        )
     _reset_counters(cluster)
     t0 = cluster.now
-    ops = 0
-    for _ in range(4):
-        cluster.stub_at(cluster.locate(client), client).run(4)
-        cluster.advance(1.0)
-        ops += 4
-    host = cluster.core(cluster.locate(client))
-    host.repository.get(client._fargo_target_id).server = cluster.stub_at(
-        host.name, server2
-    )
-    for _ in range(4):
-        cluster.stub_at(cluster.locate(client), client).run(4)
-        cluster.advance(1.0)
-        ops += 4
-    return _collect(cluster, ops=ops, virtual_seconds=cluster.now - t0)
+    reaction = rounds
+    for phase in (1, 2):
+        if phase == 2:
+            host = cluster.core(cluster.locate(client))
+            host.repository.get(client._fargo_target_id).server = cluster.stub_at(
+                host.name, server2
+            )
+        for second in range(rounds):
+            where = cluster.locate(client)
+            if phase == 2 and where == "site2":
+                reaction = min(reaction, second)
+            cluster.stub_at(where, client).run(calls)
+            cluster.advance(1.0)
+    return cluster, cluster.now - t0, reaction
 
 
-def pipeline() -> dict:
-    """Items through a three-stage pipeline spread over three Cores."""
+def adaptive_layout() -> dict:
+    """Script-driven colocation under a two-phase affinity workload, then
+    C7: total network seconds of the client pinned at site1, pinned at
+    site2, and under the rules, at three link speeds, and the rules'
+    reaction to the flip in seconds on the 250 kB/s link."""
+    cluster, seconds, _ = affinity_flip(100_000.0, rounds=4, calls=4)
+    metrics = _collect(cluster, ops=32, virtual_seconds=seconds)
+    for bandwidth in (1_000_000.0, 250_000.0, 50_000.0):
+        link = f"link{int(bandwidth) // 1000}k"
+        for label, home, adaptive in (
+            ("static_site1", "site1", False),
+            ("static_site2", "site2", False),
+            ("dynamic", "site1", True),
+        ):
+            run, _, reaction = affinity_flip(
+                bandwidth, rounds=10, calls=6, client_home=home, adaptive=adaptive
+            )
+            metrics[f"{link}_{label}_net_seconds"] = round(run.stats.seconds, 9)
+        if link == "link250k":
+            metrics["policy_reaction_vs"] = reaction
+    return metrics
+
+
+def _pipeline(homes: str):
+    """Three 256-byte stages at ``homes`` (one Core name each) on 250 kB/s
+    links; the cluster and the stages, head first."""
     from repro.cluster.workload import Stage
 
     cluster = Cluster(["a", "b", "c"], bandwidth=250_000.0, latency=0.02)
-    last = Stage(None, cost_bytes=256, _core=cluster["c"], _at="c")
-    middle = Stage(last, cost_bytes=256, _core=cluster["b"], _at="b")
-    first = Stage(middle, cost_bytes=256, _core=cluster["a"], _at="a")
-    driver = cluster.stub_at("a", first)
+    last = Stage(None, cost_bytes=256, _core=cluster[homes[2]], _at=homes[2])
+    middle = Stage(last, cost_bytes=256, _core=cluster[homes[1]], _at=homes[1])
+    first = Stage(middle, cost_bytes=256, _core=cluster[homes[0]], _at=homes[0])
+    return cluster, (first, middle, last)
+
+
+def pipeline() -> dict:
+    """Items through a three-stage pipeline spread over three Cores, then
+    one item's seconds per placement, and after pull re-colocation: both
+    internal references retyped to pull, the head moved once."""
+    from repro.complet.relocators import Pull
+    from repro.core.core import Core
+
     item = b"x" * 512
+
+    def item_seconds(cluster: Cluster, head) -> float:
+        start = cluster.now
+        head.process(item)
+        return round(cluster.now - start, 9)
+
+    cluster, (first, _, _) = _pipeline("abc")
+    driver = cluster.stub_at("a", first)
     _reset_counters(cluster)
     t0 = cluster.now
-    latencies = []
-    for _ in range(10):
-        start = cluster.now
-        driver.process(item)
-        latencies.append(cluster.now - start)
-    return _collect(
+    latencies = [item_seconds(cluster, driver) for _ in range(10)]
+    metrics = _collect(
         cluster, ops=10, virtual_seconds=cluster.now - t0, latencies=latencies
     )
+
+    for label, homes in (("colocated", "aaa"), ("spread", "abc"), ("head_remote", "acc")):
+        cluster, stages = _pipeline(homes)
+        metrics[f"{label}_item_seconds"] = item_seconds(
+            cluster, cluster.stub_at(homes[0], stages[0])
+        )
+    cluster, stages = _pipeline("abc")
+    for holder in stages[:2]:
+        host = cluster.core(cluster.locate(holder))
+        successor = host.repository.get(holder._fargo_target_id).successor
+        Core.get_meta_ref(successor).set_relocator(Pull())
+    cluster.move(stages[0], "c")
+    metrics["pulled_stages_left_behind"] = sum(
+        cluster.locate(stage) != "c" for stage in stages
+    )
+    metrics["pulled_item_seconds"] = item_seconds(cluster, cluster.stub_at("c", stages[0]))
+    return metrics
 
 
 def script() -> dict:
@@ -583,6 +847,12 @@ def transport() -> dict:
     # The one part of this area on real sockets (a TCP hub on loopback, on
     # the virtual clock): counted in bytes, not timed.
     metrics["move_peak_bytes_per_payload_byte"] = move_peak_ratio("tcp")
+    # The request frame's overhead by payload size: a constant header.
+    for size in (0, 64, 512, 8_192):
+        envelope = Envelope(src="b", dst="a", kind=MessageKind.INVOKE, payload=b"x" * size)
+        metrics[f"payload{size}_frame_overhead_bytes"] = (
+            len(framing.encode_request(envelope, 1)) - size
+        )
     return metrics
 
 
@@ -679,19 +949,69 @@ def store() -> dict:
     return metrics
 
 
-def taskfarm() -> dict:
-    """The adaptive task farm application, static placement."""
+def _farm(
+    bandwidth: float,
+    *,
+    count: int,
+    payload: int,
+    workers: tuple[str, ...] = ("edge1", "edge2"),
+    adaptive: bool = False,
+) -> tuple[Cluster, float, float]:
+    """``count`` tasks of ``payload`` bytes through a task farm at ``hub``,
+    counters reset before the run; the cluster, its virtual seconds and
+    the makespan."""
     from repro.apps.taskfarm import Farm
 
-    cluster = Cluster(["hub", "edge1", "edge2"], bandwidth=500_000.0, latency=0.01)
-    farm = Farm(cluster, "hub", ["edge1", "edge2"], batch=4)
-    farm.submit(payload_size=4_096, count=12)
+    cluster = Cluster(["hub", *workers], bandwidth=bandwidth, latency=0.01)
+    farm = Farm(cluster, "hub", list(workers), batch=4)
+    if adaptive:
+        farm.enable_adaptive_placement(
+            byte_rate_threshold=5_000.0, bandwidth_threshold=500_000.0
+        )
+    farm.submit(payload_size=payload, count=count)
     _reset_counters(cluster)
     t0 = cluster.now
     makespan = farm.run_until_drained()
-    metrics = _collect(cluster, ops=12, virtual_seconds=cluster.now - t0)
+    return cluster, cluster.now - t0, makespan
+
+
+def taskfarm() -> dict:
+    """The adaptive task farm application, static placement; then network
+    seconds and makespan of 40 tasks static against adaptive at three link
+    speeds, and makespan by worker count on fast links."""
+    cluster, seconds, makespan = _farm(500_000.0, count=12, payload=4_096)
+    metrics = _collect(cluster, ops=12, virtual_seconds=seconds)
     metrics["makespan_vs"] = round(makespan, 9)
+    for bandwidth in (1_000_000.0, 100_000.0, 30_000.0):
+        for label in ("static", "adaptive"):
+            cluster, _, makespan = _farm(
+                bandwidth, count=40, payload=8_192, adaptive=label == "adaptive"
+            )
+            link = f"link{int(bandwidth) // 1000}k_{label}"
+            metrics[f"{link}_net_seconds"] = round(cluster.stats.seconds, 9)
+            metrics[f"{link}_makespan_vs"] = round(makespan, 9)
+    for workers in (1, 2, 4):
+        names = tuple(f"e{i}" for i in range(workers))
+        _, _, makespan = _farm(1_000_000.0, count=40, payload=1_024, workers=names)
+        metrics[f"workers{workers}_makespan_vs"] = round(makespan, 9)
     return metrics
+
+
+def rebirth_counts(restarts: int, identity_preserved: bool, post_value: int) -> dict:
+    """The supervision area's counts, which must hold exactly.
+
+    One restart, the complet back under its original id, and a read
+    through the pre-kill stub: a run that misses one fails here, since a
+    zero would read as an improvement to the lower-is-better check.
+    """
+    for holds, failure in (
+        (restarts == 1, f"{restarts} restarts of the killed child, not 1"),
+        (identity_preserved, "the restored complet lost its identity"),
+        (post_value >= 0, f"the read through the pre-kill stub gave {post_value}"),
+    ):
+        if not holds:
+            raise AssertionError(failure)  # not an assert: it must fail under -O too
+    return {"supervisor_restarts": 1, "identity_preserved": 1, "post_rebirth_reads": 1}
 
 
 def supervision() -> dict:
@@ -702,7 +1022,8 @@ def supervision() -> dict:
     Timing metrics carry the ``_wall_seconds`` suffix (recorded for
     context, never compared across machines); the counts — restarts,
     restored identities, completed post-rebirth invocations — are
-    deterministic and regression-checked.  So is ``interpreter_starts``:
+    deterministic and must hold exactly (:func:`rebirth_counts`).
+    ``interpreter_starts`` is deterministic too, and regression-checked:
     a second deployment comes up once the first has stopped, and the
     count is of the processes the children of both were forked from (one:
     the template belongs to the process, not to the deployment).
@@ -751,10 +1072,10 @@ def supervision() -> dict:
                 healed_at = real_time.monotonic()
                 child = supervisor.state()["children"]["w1"]
                 post_value = counter.read()  # pre-kill stub, reborn host
-                metrics["supervisor_restarts"] = child["restarts"]
                 hosted = CoreAdmin(procs.driver, "w1").complets()
-                metrics["identity_preserved"] = int(original_id in hosted)
-                metrics["post_rebirth_reads"] = int(post_value >= 0)
+                metrics.update(
+                    rebirth_counts(child["restarts"], original_id in hosted, post_value)
+                )
                 metrics["kill_to_healed_wall_seconds"] = round(
                     healed_at - killed_at, 4
                 )

@@ -10,7 +10,7 @@ starts at the home's record (one LOCATION_QUERY) rather than at the
 tracker's next hop.  The record is only a start: after a dropped update
 it names a Core the complet has left, whose tracker sends the walk on.
 The registry survives dead Cores on the migration path, depends on the
-home, and costs one update per move (``benchmarks/bench_tracking_modes.py``).
+home, and costs one update per move (the ``tracking_modes`` bench area).
 
 A strategy makes the three locating choices of the units that route:
 where a walk starts (:meth:`Locator.first_hop`), where a call goes after

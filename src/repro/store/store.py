@@ -28,7 +28,6 @@ Two backends ship:
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import weakref
@@ -168,7 +167,7 @@ class ObjectStore(ABC):
         }
 
     def close(self) -> None:
-        """Release backend resources (a no-op for the in-memory store)."""
+        """Release backend resources."""
 
 
 # -- in-memory backend ---------------------------------------------------------
@@ -178,7 +177,7 @@ class ObjectStore(ABC):
 _MEMORY_STORES: "weakref.WeakValueDictionary[str, InMemoryStore]" = (
     weakref.WeakValueDictionary()
 )
-_memory_store_ids = itertools.count(1)
+_MEMORY_IDS_LOCK = threading.Lock()
 
 
 class InMemoryStore(ObjectStore):
@@ -186,16 +185,22 @@ class InMemoryStore(ObjectStore):
 
     Every Core of a simulated (or loopback-TCP) cluster shares the same
     instance, so a ``get`` at the destination is a local dict read — the
-    transport only ever carries the proxy.
+    transport only ever carries the proxy.  Its id is the lowest number no
+    open store holds: the id travels in every proxy, so a process that
+    opens and closes stores in turn sends the same bytes each time.
     """
 
     def __init__(self) -> None:
-        self.store_id = f"mem-{next(_memory_store_ids)}"
         self.stats = StoreStats()
         #: digest -> [data, refcount, hits]
         self._entries: dict[str, list] = {}
         self._lock = threading.Lock()
-        _MEMORY_STORES[self.store_id] = self
+        with _MEMORY_IDS_LOCK:
+            number = 1
+            while f"mem-{number}" in _MEMORY_STORES:
+                number += 1
+            self.store_id = f"mem-{number}"
+            _MEMORY_STORES[self.store_id] = self
 
     def put(self, data: bytes, key: StoreKey | None = None) -> StoreKey:
         key = self._key_for(data, key)
@@ -247,6 +252,12 @@ class InMemoryStore(ObjectStore):
 
     def locator(self) -> tuple:
         return (MEMORY_BACKEND, self.store_id)
+
+    def close(self) -> None:
+        """Give the id back: its proxies stop resolving, a new store may take it."""
+        with _MEMORY_IDS_LOCK:
+            if _MEMORY_STORES.get(self.store_id) is self:
+                del _MEMORY_STORES[self.store_id]
 
     def __repr__(self) -> str:
         return f"<InMemoryStore {self.store_id} ({len(self._entries)} entries)>"

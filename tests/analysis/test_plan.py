@@ -146,7 +146,7 @@ class TestPaperScripts:
     def test_section_4_3_example_scripts_pass_with_a_plan(self):
         # The paper's §4.3 policy (evacuate-on-shutdown + colocate-on-rate)
         # must not fight a straightforward evacuation plan.
-        from benchmarks.bench_script import PAPER_SCRIPT
+        from tests.script.test_paper_script import PAPER_SCRIPT
 
         effects = script_set_effects(
             coerce_scripts([(PAPER_SCRIPT, "paper-4.3")])

@@ -9,13 +9,14 @@ from repro.bench.runner import (
     baseline_path,
     check_area,
     compare_metrics,
+    is_uncompared,
     load_baseline,
     main,
     metric_direction,
     record_entry,
     run_area,
 )
-from repro.bench.scenarios import SCENARIOS
+from repro.bench.scenarios import SCENARIOS, rebirth_counts
 from repro.errors import ConfigurationError
 from repro.sim.clock import RealClock, forbid_real_clocks
 
@@ -23,6 +24,10 @@ from repro.sim.clock import RealClock, forbid_real_clocks
 class TestMetricDirection:
     def test_throughput_metrics_are_higher_better(self):
         assert metric_direction("ops_per_vsec") == "higher"
+
+    def test_cache_hits_and_bytes_saved_are_higher_better(self):
+        for name in ("pingpong_cache_hits", "pingpong_store_hits", "pingpong_bytes_saved"):
+            assert metric_direction(name) == "higher"
 
     def test_everything_else_is_lower_better(self):
         for name in ("net_bytes", "latency_p99_vs", "serializer_dumps"):
@@ -64,6 +69,38 @@ class TestCompareMetrics:
         (delta,) = compare_metrics("x", {"net_bytes": 0}, {"net_bytes": 5})
         assert delta.regressed
 
+    def test_cache_hits_and_bytes_saved_falling_to_zero_regress(self):
+        base = {"pingpong_cache_hits": 3, "pingpong_bytes_saved": 786_432}
+        lost = {"pingpong_cache_hits": 0, "pingpong_bytes_saved": 0}
+        deltas = compare_metrics("store", base, lost)
+        assert len(deltas) == 2 and all(delta.regressed for delta in deltas)
+
+    def test_one_more_cache_hit_is_no_regression(self):
+        (delta,) = compare_metrics(
+            "store", {"pingpong_cache_hits": 3}, {"pingpong_cache_hits": 4}
+        )
+        assert not delta.regressed and delta.worsening < 0
+
+
+class TestExactCounts:
+    """The supervision area's counts fail the run instead of reading as a drop."""
+
+    def test_a_healed_run_reports_one_of_each(self):
+        assert set(rebirth_counts(1, True, 5).values()) == {1}
+
+    def test_a_lost_identity_fails_the_run(self):
+        with pytest.raises(AssertionError, match="identity"):
+            rebirth_counts(1, False, 5)
+
+    def test_a_failed_post_rebirth_read_fails_the_run(self):
+        with pytest.raises(AssertionError, match="read"):
+            rebirth_counts(1, True, -1)
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_a_restart_count_other_than_one_fails_the_run(self, restarts):
+        with pytest.raises(AssertionError, match="restarts"):
+            rebirth_counts(restarts, True, 5)
+
 
 class TestBaselineFiles:
     def test_record_entry_creates_and_replaces_by_label(self, tmp_path):
@@ -84,12 +121,15 @@ class TestBaselineFiles:
 
 
 class TestDeterminism:
-    def test_run_area_is_deterministic_modulo_wall_clock(self):
-        first = run_area("marshal")
-        second = run_area("marshal")
-        first.pop("wall_seconds")
-        second.pop("wall_seconds")
-        assert first == second
+    @pytest.mark.parametrize(
+        "area", [name for name, scenario in SCENARIOS.items() if not scenario.real_clock]
+    )
+    def test_run_area_is_deterministic_modulo_wall_clock(self, area):
+        first, second = run_area(area), run_area(area)
+        compared = [name for name in first if not is_uncompared(name)]
+        assert {name: first[name] for name in compared} == {
+            name: second.get(name) for name in compared
+        }
 
     def test_real_clocks_are_banned_during_runs(self):
         with forbid_real_clocks(), pytest.raises(ConfigurationError):

@@ -4,60 +4,32 @@ The introduction argues that "static component layout might lead to low
 resource utilization [and] high network-latency ... it is impossible to
 set a priori the structure of the application in a way that best
 leverages the dynamically changing computing and networking resources."
-This module builds a workload whose affinity shifts halfway through and
-shows that *no* static placement matches the adaptive policy on total
-simulated network time.  (benchmarks/bench_adaptive_layout.py sweeps
-this scenario; here we assert the qualitative outcome.)
+:func:`repro.bench.scenarios.affinity_flip` is a workload whose affinity
+shifts halfway through; here *no* static placement matches the adaptive
+policy on total simulated network time.  (The ``adaptive_layout`` bench
+area sweeps it over three link speeds.)
 """
 
 import pytest
 
+from repro.bench.scenarios import affinity_flip
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Client, Server
 from repro.script.interpreter import ScriptEngine
 
 
-def _run_scenario(*, adaptive: bool, client_home: str) -> float:
-    """A client that talks to server1 first, then to server2.
-
-    Servers are pinned (site-bound resources); only the client may move.
-    Returns total simulated network seconds.
-    """
-    cluster = Cluster(["site1", "site2"], bandwidth=200_000.0, latency=0.02)
-    server1 = Server(reply_size=4_096, _core=cluster["site1"], _at="site1")
-    server2 = Server(reply_size=4_096, _core=cluster["site2"], _at="site2")
-    client = Client(server1, request_size=2_048, _core=cluster[client_home], _at=client_home)
-
-    engine = None
-    if adaptive:
-        engine = ScriptEngine(cluster, home="site1")
-        engine._globals.update({"c": client, "s1": server1, "s2": server2})
-        engine.run(
-            "on methodInvokeRate(2) from $c to $s1 do move $c to coreOf $s1 end\n"
-            "on methodInvokeRate(2) from $c to $s2 do move $c to coreOf $s2 end"
-        )
-
-    cluster.reset_stats()
-    # Phase 1: chatty with server1.
-    for _ in range(6):
-        client.run(8)
-        cluster.advance(1.0)
-    # Phase change: the client now needs server2.
-    host = cluster.core(cluster.locate(client))
-    anchor = host.repository.get(client._fargo_target_id)
-    anchor.server = cluster.stub_at(host.name, server2)
-    for _ in range(6):
-        fresh = cluster.stub_at(cluster.locate(client), client)
-        fresh.run(8)
-        cluster.advance(1.0)
+def _network_seconds(*, adaptive: bool, client_home: str) -> float:
+    cluster, _, _ = affinity_flip(
+        200_000.0, rounds=6, calls=8, client_home=client_home, adaptive=adaptive
+    )
     return cluster.stats.seconds
 
 
 class TestAdaptiveBeatsStatic:
     @pytest.mark.parametrize("static_home", ["site1", "site2"])
     def test_adaptive_beats_each_static_placement(self, static_home):
-        static_cost = _run_scenario(adaptive=False, client_home=static_home)
-        adaptive_cost = _run_scenario(adaptive=True, client_home="site1")
+        static_cost = _network_seconds(adaptive=False, client_home=static_home)
+        adaptive_cost = _network_seconds(adaptive=True, client_home="site1")
         assert adaptive_cost < static_cost
 
     def test_adaptive_follows_the_phase_change(self):

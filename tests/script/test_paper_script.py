@@ -54,6 +54,11 @@ class TestVerbatimText:
         assert script.rules[0].event == "shutdown"
         assert script.rules[1].event == "methodInvokeRate"
 
+    def test_the_analyzer_finds_nothing(self):
+        from repro.analysis import check_script
+
+        assert check_script(PAPER_SCRIPT) == []
+
 
 class TestReliabilityRule:
     def test_shutdown_evacuates_all_complets(self, deployment):
