@@ -44,8 +44,10 @@ identity preserved — before announcing READY (see docs/FAILURES.md).
 from __future__ import annotations
 
 import argparse
+import array
 import atexit
 import contextlib
+import fcntl
 import json
 import logging
 import os
@@ -55,6 +57,7 @@ import signal
 import socket
 import subprocess
 import sys
+import termios
 import threading
 import time
 import traceback
@@ -63,7 +66,6 @@ from dataclasses import dataclass, field
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
-from repro.net.messages import MessageKind
 from repro.net.tcp import TcpTransport
 from repro.recovery.checkpoint import checkpoint_group, restore_record
 from repro.recovery.store import CheckpointStore
@@ -694,63 +696,35 @@ class CoreProcesses:
         self.processes[name] = process
         return process
 
-    def await_child(
-        self, name: str, timeout: float | None = None, *, restored: bool = False
-    ) -> None:
-        """Block until child ``name`` has answered one request.
+    def await_child(self, name: str, timeout: float | None = None) -> None:
+        """Block until child ``name`` has printed its READY line.
 
-        A listener that merely accepts is not enough: it does so before
-        the child's Core has registered its handlers.  ``ADMIN_QUERY`` is
-        the last one it registers, so an answered admin request means
-        every request the caller sends next finds its handler.  Until the
-        listener is there, one refused connect every 10 ms is all it
-        costs to notice it promptly.
-
-        A ``recover`` child answers while it is still restoring and
-        prints READY only afterwards; with ``restored`` (whoever respawns
-        one and then asks what it hosts) the READY line is waited for as
-        well.  :meth:`start` never reads a child's stdout — that stream
-        belongs to its caller.
+        A child prints it once its Core has registered every handler and
+        learnt its peers, and a ``recover`` child once it has restored its
+        checkpoints too: every request the caller sends next finds its
+        handler.  The line is only peeked at (``FIONREAD``) and left in the
+        pipe, which belongs to whoever reads the child's stdout.  A pipe
+        that ends instead means the child died.
         """
-        assert self.driver is not None and self.transport is not None
         budget = timeout if timeout is not None else self.startup_timeout
-        deadline = time.monotonic() + budget
         process = self.processes[name]
-        while True:
-            if self.transport.probe(name, timeout=1.0):
-                try:
-                    self.driver.peer.request(
-                        name, MessageKind.ADMIN_QUERY, ("complets", {}), timeout=1.0
-                    )
-                    break
-                except (CoreError, TransportError):
-                    pass  # listening before its handlers are up
-            if process.poll() is not None:
-                raise CoreError(
-                    f"child Core {name!r} exited with status "
-                    f"{process.returncode} during startup:\n{process.stderr.read()}"
-                )
-            if time.monotonic() > deadline:
-                raise CoreError(
-                    f"child Core {name!r} did not come up within {budget}s"
-                )
-            time.sleep(0.01)
-        if restored:
-            assert process.stdout is not None
-            with selectors.DefaultSelector() as readable:
-                readable.register(process.stdout, selectors.EVENT_READ)
-                line = "nothing"
-                # READY is the only line a child prints there, whole and flushed.
-                if readable.select(max(0.0, deadline - time.monotonic())):
-                    line = process.stdout.readline()
-            if not line.startswith(READY_PREFIX):
-                raise CoreError(
-                    f"child Core {name!r} printed {line!r} where READY was "
-                    f"expected within {budget}s"
-                )
+        with selectors.DefaultSelector() as readable:
+            readable.register(process.stdout, selectors.EVENT_READ)
+            if not readable.select(budget):
+                raise CoreError(f"child Core {name!r} did not come up within {budget}s")
+        waiting = array.array("i", [0])
+        fcntl.ioctl(process.stdout.fileno(), termios.FIONREAD, waiting)
+        if not waiting[0]:
+            last_words = process.stderr.read()  # to the end: the child is gone
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                process.wait(timeout=self.shutdown_timeout)
+            raise CoreError(
+                f"child Core {name!r} exited with status {process.returncode} "
+                f"during startup:\n{last_words}"
+            )
 
     def _await_ready(self) -> None:
-        """Block until every child has answered one request."""
+        """Block until every child has printed READY."""
         deadline = time.monotonic() + self.startup_timeout
         for name in self.names:
             self.await_child(name, timeout=max(0.1, deadline - time.monotonic()))

@@ -15,8 +15,11 @@ The :class:`Supervisor` keeps the children of a multi-process deployment
 - **Restart** — one :class:`RestartPolicy` bounds the healing of every
   child: at most ``max_restarts`` within ``window`` seconds, with
   :class:`~repro.net.retry.RetryPolicy` backoff between consecutive
-  respawns, then it gives up.  A child respawns on its preallocated port,
-  or on a fresh one that every survivor learns through ``add_peer``.
+  respawns, then it gives up.  Before a dead child respawns, every
+  survivor forgets the pointer updates the dead child's trackers sent
+  (the successor numbers its trackers and their epochs from 1 again).  It
+  respawns on its preallocated port, or on a fresh one that every
+  survivor learns through ``add_peer``.
 
 - **Re-admit** — the successor restores its predecessor's durable
   checkpoints under the *original* identities before it prints READY,
@@ -276,6 +279,7 @@ class Supervisor:
             "supervisor:restart", category="supervision",
             child=name, cause=cause, attempt=child.streak, recover=recover,
         ):
+            self._forget(name)
             try:
                 self._respawn(name, recover=recover)
             except (CoreError, TransportError, OSError) as exc:
@@ -295,11 +299,28 @@ class Supervisor:
         self.driver.metrics.histogram("supervisor.mttr").observe(mttr)
         self._log(f"child {name} restored in {mttr:.2f}s (restart #{child.restarts})")
 
+    def _forget(self, name: str) -> None:
+        """Every survivor forgets the pointer updates of dead ``name``'s trackers.
+
+        Its successor restores before READY and registers its trackers at
+        epochs from 1 again: a tombstone the predecessor left would drop
+        them, and the tracker they point at could be collected.  The
+        predecessor was dead by ``waitpid`` a monitor round ago, time for
+        what it sent to land.
+        """
+        for admin in [CoreAdmin(self.driver)] + [
+            CoreAdmin(self.driver, other) for other in self._alive() if other != name
+        ]:
+            try:
+                admin.forget_pointers(name)
+            except (CoreError, TransportError) as exc:
+                self._log(f"pointers of {name} not forgotten at {admin.target}: {exc}")
+
     def _respawn(self, name: str, *, recover: bool) -> None:
         """Spawn the successor on the preallocated port, or a fresh one."""
         self.procs.spawn_child(name, recover=recover)
         try:
-            self.procs.await_child(name, restored=recover)
+            self.procs.await_child(name)
             return
         except CoreError:
             process = self.procs.processes.get(name)
@@ -314,7 +335,7 @@ class Supervisor:
         self.procs.addresses[name] = fresh
         self._log(f"child {name} could not rebind {old[1]}; moving to port {fresh[1]}")
         self.procs.spawn_child(name, recover=recover)
-        self.procs.await_child(name, restored=recover)
+        self.procs.await_child(name)
 
     def _readmit(self, name: str) -> None:
         """Reconnect and repair the deployment around the reborn Core."""

@@ -35,7 +35,7 @@ from repro.complet.continuation import Continuation
 from repro.complet.relocators import Link, Relocator, Stamp
 from repro.complet.stub import Stub
 from repro.complet.tokens import CloneToken, InGroupToken, RefToken, StampToken
-from repro.complet.tracker import Tracker, TrackerAddress
+from repro.complet.tracker import Pointer, Tracker, TrackerAddress
 from repro.errors import CompletBoundaryError, CompletError, SerializationError
 from repro.net.serializer import Segments, Serializer
 from repro.store.proxy import StoreProxy
@@ -83,17 +83,18 @@ def _resolve_stream(core: "Core", obj: "bytes | Segments | StoreProxy") -> "byte
 class MemberInfo:
     """Metadata for one complet travelling in a movement payload.
 
-    ``source_tracker`` is the sending Core's tracker for the member; the
-    receiving Core pre-registers it as a remote pointer because the
-    sender will re-point that tracker here the moment the move commits.
-    ``requester`` is the tracker of the Core whose MOVE_REQUEST this move
-    serves, which re-points here on the answer: it is registered beside.
+    ``source_tracker`` is the sending Core's tracker for the member, at
+    its epoch; the receiving Core pre-registers it as a remote pointer
+    because the sender will re-point that tracker here the moment the move
+    commits.  ``requester`` is the tracker of the Core whose MOVE_REQUEST
+    this move serves, which re-points here on the answer: it is
+    registered beside.
     """
 
     complet_id: CompletId
     anchor_ref: str
-    source_tracker: "TrackerAddress | None" = None
-    requester: "TrackerAddress | None" = None
+    source_tracker: "Pointer | None" = None
+    requester: "Pointer | None" = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,14 +207,18 @@ class MovementMarshaler:
         }
 
     def payload(
-        self, continuation: Continuation | None, requester: "TrackerAddress | None" = None
+        self, continuation: Continuation | None, requester: "Pointer | None" = None
     ) -> MovementPayload:
         """The payload; ``requester`` travels on the root, the first member."""
         members = []
         for cid, anchor in self.plan.movers.items():
             ref = _anchor_ref(anchor)
-            source = self.core.repository.tracker_for(cid, ref).address
-            members.append(MemberInfo(cid, ref, source, None if members else requester))
+            source = self.core.repository.tracker_for(cid, ref)
+            members.append(
+                MemberInfo(
+                    cid, ref, (source.address, source.epoch), None if members else requester
+                )
+            )
         # A serializer of its own, not an attribute: one holding this
         # marshaler's hook would be a cycle keeping the departed group in
         # memory until the next garbage collection.

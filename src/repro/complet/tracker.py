@@ -15,7 +15,9 @@ is :class:`TrackerAddress`.
 
 from __future__ import annotations
 
+import threading
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,6 +49,25 @@ class TrackerAddress:
         return (TrackerAddress, (self.core, self.serial))
 
 
+#: A tracker address at one of its epochs: what a pointer update names.
+Pointer = tuple[TrackerAddress, int]
+
+#: Discards a tracker remembers, oldest forgotten first.
+TOMBSTONES = 64
+
+#: Pointer updates arrive on many threads: each is a compare, then a write.
+_POINTERS_LOCK = threading.Lock()
+
+
+def next_epoch(epoch: int) -> int:
+    """The epoch a tracker at ``epoch`` takes when it re-points.
+
+    A pointer handed over in-band is registered at it, since its tracker
+    re-points on the answer, and a release of that registration names it.
+    """
+    return epoch + 1
+
+
 class Tracker:
     """One Core's view of where a target complet lives.
 
@@ -70,10 +91,14 @@ class Tracker:
         self.anchor_ref = anchor_ref
         self.local_anchor: "Anchor | None" = None
         self.next_hop: TrackerAddress | None = None
-        #: Addresses of remote trackers known to forward to this tracker;
-        #: maintained by the reference handler so unreferenced trackers
-        #: can be collected.
-        self.remote_pointers: set[TrackerAddress] = set()
+        #: Bumped whenever ``next_hop`` changes (and by a reclaim): every
+        #: registration and discard of this tracker names it.
+        self.epoch = 0
+        #: Remote trackers known to forward to this tracker, each with the
+        #: epoch that registered it, so unreferenced trackers can be
+        #: collected; and the epoch of each one's last discard.
+        self.remote_pointers: dict[TrackerAddress, int] = {}
+        self._discarded: dict[TrackerAddress, int] = {}
         #: Live local stubs delegating to this tracker.
         self._stubs: "weakref.WeakSet[Stub]" = weakref.WeakSet()
         #: Invocations served locally / forwarded onward (for profiling).
@@ -102,6 +127,7 @@ class Tracker:
         """The target complet now lives on this Core."""
         self.local_anchor = anchor
         self.next_hop = None
+        self.epoch = next_epoch(self.epoch)
 
     def point_to(self, address: TrackerAddress) -> None:
         """The target complet is (believed to be) reachable via ``address``."""
@@ -109,13 +135,59 @@ class Tracker:
             raise CompletError(f"tracker {self.tracker_id} cannot forward to itself")
         self.local_anchor = None
         self.next_hop = address
+        self.epoch = next_epoch(self.epoch)
 
     def mark_dangling(self) -> None:
         """The target complet was destroyed."""
         self.local_anchor = None
         self.next_hop = None
+        self.epoch = next_epoch(self.epoch)
 
     # -- pointer bookkeeping -------------------------------------------------
+
+    def note_pointer(self, pointer: TrackerAddress, epoch: int, *, registered: bool) -> None:
+        """Apply a registration or a discard of ``pointer``, sent at its ``epoch``.
+
+        The newest update of each pointer wins, a discard winning a tie, so
+        one that arrives after a newer one is dropped: the order of arrival
+        does not matter.
+        """
+        if pointer == self.address:
+            return
+        with _POINTERS_LOCK:
+            held = self.remote_pointers.get(pointer, -1)
+            discarded = self._discarded.get(pointer, -1)
+            if registered and epoch > held and epoch > discarded:
+                self.remote_pointers[pointer] = epoch
+                self._discarded.pop(pointer, None)
+            elif not registered and epoch >= held and epoch > discarded:
+                self.remote_pointers.pop(pointer, None)
+                self._discarded[pointer] = epoch
+                if len(self._discarded) > TOMBSTONES:
+                    del self._discarded[next(iter(self._discarded))]
+
+    def take_over(self, pointers: Iterable[Pointer]) -> None:
+        """Register ``pointers`` handed over here: each re-points at its next epoch."""
+        for pointer, epoch in pointers:
+            self.note_pointer(pointer, next_epoch(epoch), registered=True)
+
+    def forget_core(self, core: str) -> bool:
+        """Drop every registration and discard heard from ``core``'s trackers.
+
+        For a Core whose process died: its successor numbers its trackers
+        from 1 again, at epochs from 1 again, which a tombstone its
+        predecessor left would outrank.  True if anything was dropped.
+        """
+        with _POINTERS_LOCK:
+            stale = [
+                (updates, pointer)
+                for updates in (self.remote_pointers, self._discarded)
+                for pointer in updates
+                if pointer.core == core
+            ]
+            for updates, pointer in stale:
+                del updates[pointer]
+        return bool(stale)
 
     def attach_stub(self, stub: "Stub") -> None:
         self._stubs.add(stub)

@@ -50,23 +50,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 
 #: INVOKE wire framing.  The request prepends the target tracker serial
-#: to the marshaled call; the reply prepends (core-name length, final
-#: serial) and the UTF-8 core name to the marshaled result.  Fixed-width
-#: prefixes instead of pickling a wrapper tuple around every hop.
-_REQ_HEADER = struct.Struct("<q")
+#: and the calling tracker's epoch to the marshaled call; the reply
+#: prepends (core-name length, final serial) and the UTF-8 core name to
+#: the marshaled result.  Fixed-width prefixes instead of pickling a
+#: wrapper tuple around every hop.
+_REQ_HEADER = struct.Struct("<II")
 _REPLY_HEADER = struct.Struct("<Hq")
 #: Top bit of the reply's core-name length: the forwarder that answered
 #: handed its caller's tracker over to the final one.
 _HANDED_OVER = 0x8000
 
 
-def _pack_request(serial: int, request: bytes) -> bytes:
-    return _REQ_HEADER.pack(serial) + request
+def _pack_request(serial: int, epoch: int, request: bytes) -> bytes:
+    return _REQ_HEADER.pack(serial, epoch) + request
 
 
-def _unpack_request(frame: bytes) -> tuple[int, bytes]:
-    (serial,) = _REQ_HEADER.unpack_from(frame)
-    return serial, frame[_REQ_HEADER.size:]
+def _unpack_request(frame: bytes) -> tuple[int, int, bytes]:
+    serial, epoch = _REQ_HEADER.unpack_from(frame)
+    return serial, epoch, frame[_REQ_HEADER.size:]
 
 
 def _pack_reply(result_bytes: bytes, final: TrackerAddress, handed_over: bool = False) -> bytes:
@@ -149,7 +150,7 @@ class InvocationUnit:
             )
         try:
             try:
-                reply = self._forward(tracker.next_hop, request)
+                reply = self._forward(tracker, tracker.next_hop, request)
             except REACHABILITY_ERRORS:
                 # A hop on the chain is gone (the RPC layer already spent its
                 # retries).  Re-locate the target and go direct.  Only
@@ -160,7 +161,7 @@ class InvocationUnit:
                 recovered = self.core.locator.recover_route(tracker)
                 if recovered is None:
                     raise
-                reply = self._forward(recovered, request)
+                reply = self._forward(tracker, recovered, request)
         except INDETERMINATE_ERRORS:
             # A forwarder may have handed this tracker over before the reply was lost.
             self.core.references.reclaim(tracker)
@@ -171,12 +172,12 @@ class InvocationUnit:
         )
         return result_bytes, final
 
-    def _forward(self, address: TrackerAddress, request: bytes) -> bytes:
-        frame = _pack_request(address.serial, request)
+    def _forward(self, tracker: Tracker, address: TrackerAddress, request: bytes) -> bytes:
+        frame = _pack_request(address.serial, tracker.epoch, request)
         return self.core.peer.request_raw(address.core, MessageKind.INVOKE, frame)
 
     def _handle_invoke(self, src: str, raw: bytes) -> bytes:
-        serial, request = _unpack_request(raw)
+        serial, epoch, request = _unpack_request(raw)
         tracker = self.core.repository.tracker_by_serial(serial)
         if tracker is None:
             raise DanglingReferenceError(
@@ -187,26 +188,30 @@ class InvocationUnit:
         tracker.forwarded_invocations += 1
         self._forwarded.inc()
         references = self.core.references
-        caller = references.pointer_from(tracker, src)
-        with references.handing_over(tracker, caller) as handover:
-            holder = self._collapse(tracker, caller)
-            try:
-                result_bytes, final = self._route(tracker, request)
-                handover.settled = final == holder
-            finally:
-                if holder is not None and not handover.settled:
-                    # The call ended elsewhere, or not at all: the caller still points here.
-                    references.unregister_remote_pointer(holder, caller)
-        return _pack_reply(result_bytes, final, handover.settled)
+        caller = references.pointer_from(tracker, src, epoch)
+        holder = self._collapse(tracker, caller, epoch)
+        handed_over = False
+        try:
+            result_bytes, final = self._route(tracker, request)
+            handed_over = final == holder
+        finally:
+            if holder is not None and not handed_over:
+                # The call ended elsewhere, or not at all: the caller still points here.
+                references.release(holder, (caller, epoch))
+        if handed_over:
+            tracker.note_pointer(caller, epoch, registered=False)
+        return _pack_reply(result_bytes, final, handed_over)
 
-    def _collapse(self, tracker: Tracker, caller: TrackerAddress | None) -> TrackerAddress | None:
+    def _collapse(
+        self, tracker: Tracker, caller: TrackerAddress | None, epoch: int
+    ) -> TrackerAddress | None:
         """Resolve a forwarder's chain with TRACKER_LOOKUPs before the call crosses.
 
         The request body then crosses one link instead of riding every
-        hop.  ``caller``, the calling Core's tracker, rides the LOOKUPs;
-        returns the final tracker, which registered it, if it rode.
+        hop.  ``caller``, the calling Core's tracker at ``epoch``, rides the
+        LOOKUPs; returns the final tracker, which registered it, if it rode.
         """
-        carried = (caller,) if caller is not None else ()
+        carried = ((caller, epoch),) if caller is not None else ()
         try:
             final = self.core.references.resolve_final(tracker, carried)
         except DanglingReferenceError:

@@ -51,7 +51,7 @@ from repro.complet.marshal import (
     MovementUnmarshaler,
 )
 from repro.complet.stub import Stub, stub_target_id, stub_tracker
-from repro.complet.tracker import TrackerAddress
+from repro.complet.tracker import Pointer, TrackerAddress
 from repro.core.events import MOVE_COMPLETED, MOVE_FAILED
 from repro.core.references import INDETERMINATE_ERRORS
 from repro.errors import CompletError, MovementDeniedError
@@ -158,7 +158,7 @@ class MovementUnit:
         anchor: Anchor,
         destination: str,
         continuation: Continuation | None,
-        requester: TrackerAddress | None = None,
+        requester: Pointer | None = None,
     ) -> TrackerAddress:
         tracer = self.core.tracer
         if tracer.enabled:
@@ -176,7 +176,7 @@ class MovementUnit:
         anchor: Anchor,
         destination: str,
         continuation: Continuation | None,
-        requester: TrackerAddress | None,
+        requester: Pointer | None,
     ) -> TrackerAddress:
         """Move ``anchor``'s group; returns the root's tracker at ``destination``.
 
@@ -220,8 +220,8 @@ class MovementUnit:
                     sanitizer.abort_move(subject, destination)
             self._abort_departure(plan, anchor, destination, exc)
             raise
-        addresses: dict[CompletId, TrackerAddress]
-        addresses = PLAIN.loads(raw_reply)  # type: ignore[assignment]
+        arrived: dict[CompletId, Pointer]
+        arrived = PLAIN.loads(raw_reply)  # type: ignore[assignment]
         self._moves_sent.inc()
         if sanitizer is not None:
             # The commit orders everything the sender publishes next
@@ -232,10 +232,11 @@ class MovementUnit:
         for complet_id, mover in plan.movers.items():
             tracker = self.core.repository.existing_tracker(complet_id)
             assert tracker is not None
-            tracker.point_to(addresses[complet_id])
+            address, epoch = arrived[complet_id]
+            tracker.point_to(address)
             # The destination reused its stale tracker, which may have
-            # pointed here: a tracker is not pointed at by its own pointee.
-            tracker.remote_pointers.discard(addresses[complet_id])
+            # pointed here until that epoch.
+            tracker.note_pointer(address, epoch, registered=False)
             with execution_context(self.core, complet_id):
                 mover.post_departure()
             self.core.repository.release(complet_id)
@@ -254,7 +255,7 @@ class MovementUnit:
         )
         for stub in plan.remote_pulls:
             self._forward_request(stub, destination, None)
-        return addresses[anchor.complet_id]
+        return arrived[anchor.complet_id][0]
 
     def _abort_departure(
         self, plan: MovementPlan, root: Anchor, destination: str, error: BaseException
@@ -312,7 +313,9 @@ class MovementUnit:
             moved_to = self.core.peer.request(
                 address.core,
                 MessageKind.MOVE_REQUEST,
-                self._request_body(target_id, destination, continuation, pointer=tracker.address),
+                self._request_body(
+                    target_id, destination, continuation, pointer=(tracker.address, tracker.epoch)
+                ),
             )
         except INDETERMINATE_ERRORS:
             self.core.references.reclaim(tracker)
@@ -330,7 +333,7 @@ class MovementUnit:
         destination: str,
         continuation: Continuation | None,
         hops: int = 0,
-        pointer: TrackerAddress | None = None,
+        pointer: Pointer | None = None,
     ) -> tuple:
         """Encode a forwarded move request.
 
@@ -338,7 +341,7 @@ class MovementUnit:
         marshaled with the invocation marshaler rather than pickled raw.
         ``hops`` counts tracker-chain forwards so a cycle of stale
         trackers cannot bounce the request forever.  ``pointer`` is the
-        requesting tracker, to be handed over.
+        requesting tracker at its epoch, to be handed over.
         """
         if continuation is None:
             return (target_id, destination, None, None, hops, pointer)
@@ -359,26 +362,23 @@ class MovementUnit:
             with execution_context(self.core, anchor._complet_id):
                 anchor.pre_arrival()
 
-        sources = {member.complet_id: member.source_tracker for member in payload.members}
-        addresses: dict[CompletId, TrackerAddress] = {}
+        sources = {member.complet_id: member.source_tracker[0] for member in payload.members}
+        arrived: dict[CompletId, Pointer] = {}
         for anchor in arrivals:
             # If this Core already tracked the arriving complet through a
             # chain, it stops forwarding now.  The old pointee must learn
             # it: the sender does so itself from the commit reply when it
             # is that pointee; any other is told.
             stale = self.core.repository.existing_tracker(anchor.complet_id)
-            if stale is not None and stale.next_hop not in (None, sources.get(anchor.complet_id)):
-                self.core.references.unregister_remote_pointer(
-                    stale.next_hop, stale.address
-                )
+            hop = stale.next_hop if stale is not None else None
             tracker = self.core.repository.adopt(anchor)
-            addresses[anchor.complet_id] = tracker.address
+            if hop not in (None, sources.get(anchor.complet_id)):
+                self.core.references.unregister_remote_pointer(hop, tracker.address, tracker.epoch)
+            arrived[anchor.complet_id] = (tracker.address, tracker.epoch)
         for member in payload.members:
             tracker = self.core.repository.tracker_for(member.complet_id, member.anchor_ref)
-            for pointer in (member.source_tracker, member.requester):
-                if pointer is not None and pointer != tracker.address:
-                    tracker.remote_pointers.add(pointer)
-        self.core.locator.announce(addresses)
+            tracker.take_over(p for p in (member.source_tracker, member.requester) if p is not None)
+        self.core.locator.announce({cid: address for cid, (address, _) in arrived.items()})
 
         if self.core.sanitizer is not None:
             # Join each in-flight move's stamp into this Core's clock
@@ -411,7 +411,7 @@ class MovementUnit:
                 0.0, self._run_continuation, root, method, continuation
             )
 
-        return PLAIN.dumps(addresses)
+        return PLAIN.dumps(arrived)
 
     def _run_continuation(self, root: Anchor, method, continuation: Continuation) -> None:
         if not self.core.repository.hosts(root.complet_id):
@@ -443,11 +443,10 @@ class MovementUnit:
             if destination == self.core.name:
                 return None
             assert tracker is not None  # a hosted complet's own tracker
-            # Discarded from the root's tracker once the whole move is done,
-            # so a failure anywhere leaves the requester registered here.
-            with self.core.references.handing_over(tracker, pointer) as handover:
-                moved_to = self._move_local(anchor, destination, continuation, pointer)
-                handover.settled = True
+            moved_to = self._move_local(anchor, destination, continuation, pointer)
+            if pointer is not None:
+                # Only once the move is done: a failure leaves the requester registered.
+                tracker.note_pointer(*pointer, registered=False)
             return moved_to
         # The complet moved on; chase it via our tracker if we have one.
         if tracker is None:

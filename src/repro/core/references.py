@@ -19,24 +19,27 @@ reaches the Core that must learn (collection, failure repairs, a token
 materialized at a new Core, a stale arrival pointing at a third Core, the
 old hop of a walk that started or was forwarded past it) and after a
 request that may have handed a tracker over failed
-(:meth:`ReferenceHandler.reclaim`); a reclaim that reaches the hop while
-its handler still runs cancels the handover
-(:meth:`ReferenceHandler.handing_over`).  Where a walk starts is the
-Core's :mod:`~repro.core.locator` strategy's choice.
+(:meth:`ReferenceHandler.reclaim`).  Where a walk starts is the Core's
+:mod:`~repro.core.locator` strategy's choice.
+
+No update depends on the order it arrives in.  Each names the pointer's
+re-point epoch, and a tracker keeps the newest it heard of each pointer
+(:meth:`~repro.complet.tracker.Tracker.note_pointer`).  A pointer handed
+over in-band travels with the epoch it had at the hop it asked; the final
+registers it at the next one, and the hop discards it at the one it had.
+A requester whose request failed indeterminately takes a new epoch before
+it registers again, so the hop's discard, however late it runs, loses.
 """
 
 from __future__ import annotations
 
-import collections
 import logging
-import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.complet.anchor import resolve_class_ref
 from repro.complet.stub import Stub, stub_class_for
 from repro.complet.tokens import CloneToken, InGroupToken, RefToken, StampToken
-from repro.complet.tracker import Tracker, TrackerAddress
+from repro.complet.tracker import Pointer, Tracker, TrackerAddress, next_epoch
 from repro.errors import (
     CompletError,
     CoreError,
@@ -65,16 +68,6 @@ INDETERMINATE_ERRORS: tuple[type[BaseException], ...] = (
 )
 
 
-class Handover:
-    """A handler's hold on a requester's pointer; see :meth:`ReferenceHandler.handing_over`."""
-
-    __slots__ = ("settled",)
-
-    def __init__(self) -> None:
-        #: Set by the handler once the final tracker registered the pointer.
-        self.settled = False
-
-
 class ReferenceHandler:
     """One Core's reference-handling unit."""
 
@@ -83,11 +76,6 @@ class ReferenceHandler:
         #: Serials with a lookup in flight; guards the recursive collapse
         #: in :meth:`_handle_lookup` against chain cycles re-entering it.
         self._resolving: set[int] = set()
-        #: ``(serial, pointer)`` pairs a handler here is handing over, with
-        #: how many handlers do, and those registered again meanwhile.
-        self._in_flight: collections.Counter = collections.Counter()
-        self._reclaimed: set[tuple[int, TrackerAddress]] = set()
-        self._handovers_lock = threading.Lock()
         core.peer.register(MessageKind.TRACKER_LOOKUP, self._handle_lookup)
         core.peer.register(MessageKind.TRACKER_UPDATE, self._handle_update)
 
@@ -113,8 +101,7 @@ class ReferenceHandler:
             # since (there is one tracker per target per Core): nothing is
             # left to follow, and the reference dangles.
             if token.last_known.core != self.core.name:
-                self._notify_pointer(token.last_known, tracker.address, register=True)
-                tracker.point_to(token.last_known)
+                self.shorten(tracker, token.last_known)
         return self._stub_for(tracker, token.relocator)
 
     def _materialize_stamp(self, token: StampToken) -> Stub:
@@ -166,25 +153,24 @@ class ReferenceHandler:
         final = self.resolve_final(tracker)
         return final.core
 
-    def resolve_final(
-        self, tracker: Tracker, carried: tuple[TrackerAddress, ...] = ()
-    ) -> TrackerAddress:
+    def resolve_final(self, tracker: Tracker, carried: tuple[Pointer, ...] = ()) -> TrackerAddress:
         """Walk the chain to the tracker colocated with the target.
 
         The walk starts where the Core's locator says: the tracker's next
         hop, or the home registry's record of the target.  It hands its
         pointers over: every TRACKER_LOOKUP carries the trackers that
         re-point at the final — ``carried`` (a collapsing hop's
-        requesters), then ``tracker`` — the hop that answers ``local``
-        registers them all, and a hop that answers ``final`` discards its
-        requester.  Re-pointing ``tracker`` then posts nothing, unless the
-        walk went past its old hop (it started elsewhere, or a ``forward``
-        answer sent it on), which must still be told.
+        requesters), then ``tracker`` — each at its epoch: the hop that
+        answers ``local`` registers them all, and a hop that answers
+        ``final`` discards its requester.  Re-pointing ``tracker`` then
+        posts nothing, unless the walk went past its old hop (it started
+        elsewhere, or a ``forward`` answer sent it on), which must still be
+        told.
         """
         if tracker.is_local:
             return tracker.address
         address = self.core.locator.first_hop(tracker)
-        pointers = (*carried, tracker.address)
+        pointers = (*carried, (tracker.address, tracker.epoch))
         forwarded = address != tracker.next_hop
         for _ in range(MAX_CHAIN_HOPS):
             try:
@@ -224,74 +210,56 @@ class ReferenceHandler:
     ) -> None:
         """Point ``tracker`` directly at ``final`` (§3.1 chain shortening).
 
-        Both Cores' pointer sets must learn it: ``final``'s tracker gains
-        ``tracker`` before the re-point, the previously pointed-at one
-        loses it after.  ``registered`` and ``released`` say the message
-        that brought ``final`` already did either; what is left goes as one
-        TRACKER_UPDATE each.
+        Both Cores' pointer sets must learn it at the re-point's epoch:
+        ``final``'s tracker gains ``tracker``, the previously pointed-at one
+        loses it.  ``registered`` and ``released`` say the message that
+        brought ``final`` already did either; what is left goes as one
+        TRACKER_UPDATE each.  A registration carried in-band named the next
+        epoch, which ``tracker`` takes even if it pointed at ``final`` already.
         """
-        if tracker.is_local or tracker.next_hop == final or final == tracker.address:
-            return
         old = tracker.next_hop
-        if not registered:
-            self._notify_pointer(final, tracker.address, register=True)
+        if tracker.is_local or final == tracker.address or (old == final and not registered):
+            return
         tracker.point_to(final)
-        if old is not None and not released:
-            self._notify_pointer(old, tracker.address, register=False)
+        if not registered:
+            self._notify_pointer(final, tracker.address, tracker.epoch, register=True)
+        if old not in (None, final) and not released:
+            self._notify_pointer(old, tracker.address, tracker.epoch, register=False)
 
     def reclaim(self, tracker: Tracker) -> None:
-        """Have ``tracker``'s unchanged next hop register it again.
+        """Have ``tracker``'s unchanged next hop register it again, at a new epoch.
 
         For a request that may have handed ``tracker`` over and then
         failed: the hop may have run it and discarded ``tracker`` before
-        the reply was lost, or may still be running it, and a hop nobody
-        is registered at can be collected under a live reference.  A
-        duplicate registration is harmless, and one that arrives while
-        the hop's handler runs cancels its discard (:meth:`handing_over`).
+        the reply was lost, or may not have read it yet, and a hop nobody
+        is registered at can be collected under a live reference.  The
+        hop's discard names the epoch the request carried, older than this
+        registration's, so it loses whenever it runs.
         """
         if tracker.next_hop is not None:
-            self._notify_pointer(tracker.next_hop, tracker.address, register=True)
+            tracker.epoch = next_epoch(tracker.epoch)
+            self._notify_pointer(tracker.next_hop, tracker.address, tracker.epoch, register=True)
 
-    def pointer_from(self, tracker: Tracker, core: str) -> TrackerAddress | None:
-        """The tracker of ``core`` that points at ``tracker``, to hand over.
+    def release(self, holder: TrackerAddress, pointer: Pointer) -> None:
+        """Undo ``holder``'s :meth:`~repro.complet.tracker.Tracker.take_over`
+        of ``pointer``, whose call ended elsewhere: discard it there at the
+        epoch that registered it."""
+        address, epoch = pointer
+        self._notify_pointer(holder, address, next_epoch(epoch), register=False)
 
-        None unless exactly one is registered.
+    def pointer_from(self, tracker: Tracker, core: str, epoch: int) -> TrackerAddress | None:
+        """The tracker of ``core`` registered at ``tracker`` at ``epoch``, to hand over.
+
+        None unless exactly one is: a requester that registered again since
+        has given up on the request.
         """
         # A snapshot: one-way updates change the set from other threads.
-        found = [pointer for pointer in tuple(tracker.remote_pointers) if pointer.core == core]
+        found = [
+            pointer
+            for pointer, held in tuple(tracker.remote_pointers.items())
+            if pointer.core == core and held == epoch
+        ]
         return found[0] if len(found) == 1 else None
-
-    @contextmanager
-    def handing_over(self, tracker: Tracker, pointer: TrackerAddress | None) -> Iterator[Handover]:
-        """Run a handler that may hand ``pointer``, registered at ``tracker``, over.
-
-        The handler sets ``settled`` once the final tracker has registered
-        ``pointer`` and the answer naming it is about to go back; on exit
-        ``tracker`` then lets ``pointer`` go.  Unless ``pointer`` was
-        registered again while the handler ran: its requester gave up on
-        the request (a deadline passed meanwhile), still points here, and
-        :meth:`reclaim`\\ ed it.  The final then keeps a registration it
-        may not need, which only delays collection there.  Without a
-        ``pointer`` there is nothing to hand over.
-        """
-        handover = Handover()
-        if pointer is None:
-            yield handover
-            return
-        key = (tracker.address.serial, pointer)
-        with self._handovers_lock:
-            self._in_flight[key] += 1
-        try:
-            yield handover
-        finally:
-            with self._handovers_lock:
-                reclaimed = key in self._reclaimed
-                self._in_flight[key] -= 1
-                if not self._in_flight[key]:
-                    del self._in_flight[key]
-                    self._reclaimed.discard(key)
-                if handover.settled and not reclaimed:
-                    tracker.remote_pointers.discard(pointer)
 
     def repair_dead_core(
         self, failed: str, relocated: dict[object, TrackerAddress]
@@ -312,8 +280,7 @@ class ReferenceHandler:
                 continue
             replacement = relocated.get(tracker.target_id)
             if replacement is not None and replacement != tracker.address:
-                self._notify_pointer(replacement, tracker.address, register=True)
-                tracker.point_to(replacement)
+                self.shorten(tracker, replacement, released=True)
             else:
                 tracker.mark_dangling()
             repaired += 1
@@ -337,24 +304,23 @@ class ReferenceHandler:
             replacement = hosted.get(tracker.target_id)
             if replacement is None or replacement == tracker.address:
                 continue
-            self._notify_pointer(replacement, tracker.address, register=True)
-            tracker.point_to(replacement)
+            self.shorten(tracker, replacement)
             repaired += 1
         return repaired
 
     # -- pointer bookkeeping -------------------------------------------------------------
 
     def _notify_pointer(
-        self, target: TrackerAddress, pointer: TrackerAddress, *, register: bool
+        self, target: TrackerAddress, pointer: TrackerAddress, epoch: int, *, register: bool
     ) -> None:
         if target.core == self.core.name:
-            self._apply_pointer_update(target.serial, pointer, register)
+            self._apply_pointer_update(target.serial, pointer, epoch, register)
             return
         try:
             self.core.peer.notify(
                 target.core,
                 MessageKind.TRACKER_UPDATE,
-                (target.serial, pointer, register),
+                (target.serial, pointer, epoch, register),
             )
         except CoreError:
             # Best effort: an unreachable Core cannot be told.  A dropped
@@ -365,27 +331,17 @@ class ReferenceHandler:
             )
 
     def unregister_remote_pointer(
-        self, target: TrackerAddress, pointer: TrackerAddress
+        self, target: TrackerAddress, pointer: TrackerAddress, epoch: int
     ) -> None:
-        """Tell ``target``'s Core that ``pointer`` no longer forwards to it."""
-        self._notify_pointer(target, pointer, register=False)
+        """Tell ``target``'s Core that ``pointer``, at ``epoch``, no longer forwards to it."""
+        self._notify_pointer(target, pointer, epoch, register=False)
 
     def _apply_pointer_update(
-        self, serial: int, pointer: TrackerAddress, register: bool
+        self, serial: int, pointer: TrackerAddress, epoch: int, register: bool
     ) -> None:
         tracker = self.core.repository.tracker_by_serial(serial)
-        if tracker is None:
-            return
-        if not register:
-            tracker.remote_pointers.discard(pointer)
-            return
-        with self._handovers_lock:
-            if (serial, pointer) in self._in_flight:
-                self._reclaimed.add((serial, pointer))
-            # A tracker is not pointed at by the tracker it points at: such
-            # a registration was overtaken by a move that settled it.
-            if pointer != tracker.next_hop:
-                tracker.remote_pointers.add(pointer)
+        if tracker is not None:
+            tracker.note_pointer(pointer, epoch, registered=register)
 
     # -- message handlers ------------------------------------------------------------------
 
@@ -395,7 +351,7 @@ class ReferenceHandler:
         if tracker is None or (tracker.next_hop is None and not tracker.is_local):
             return ("dangling", None)
         if tracker.is_local:
-            tracker.remote_pointers.update(p for p in pointers if p != tracker.address)
+            tracker.take_over(pointers)
             return ("local", None)
         if serial in self._resolving:
             return ("forward", tracker.next_hop)
@@ -405,10 +361,7 @@ class ReferenceHandler:
         # caller repoints in one hop instead of walking every forwarder.
         self._resolving.add(serial)
         try:
-            # The requester, last, is registered at the final by the walk.
-            with self.handing_over(tracker, pointers[-1]) as handover:
-                final = self.resolve_final(tracker, pointers)
-                handover.settled = True
+            final = self.resolve_final(tracker, pointers)
         except DanglingReferenceError:
             return ("dangling", None)
         except (CoreError, CompletError):
@@ -417,11 +370,14 @@ class ReferenceHandler:
             return ("forward", tracker.next_hop)
         finally:
             self._resolving.discard(serial)
+        # The walk registered the requester, last, at the final.
+        requester, epoch = pointers[-1]
+        tracker.note_pointer(requester, epoch, registered=False)
         return ("final", final)
 
     def _handle_update(self, src: str, body: object) -> None:
-        serial, pointer, register = body  # type: ignore[misc]
-        self._apply_pointer_update(serial, pointer, register)
+        serial, pointer, epoch, register = body  # type: ignore[misc]
+        self._apply_pointer_update(serial, pointer, epoch, register)
 
 
 def _class_ref(cls: type) -> str:

@@ -166,7 +166,7 @@ class Repository:
                 del self._tracker_by_target[tracker.target_id]
             if tracker.next_hop is not None:
                 self._core.references.unregister_remote_pointer(
-                    tracker.next_hop, tracker.address
+                    tracker.next_hop, tracker.address, tracker.epoch
                 )
         self.collected_trackers += len(removable)
         return len(removable)

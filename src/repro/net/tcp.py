@@ -549,13 +549,13 @@ class TcpTransport(Transport):
             return error
         return TransportError(f"transport-level failure at {dst!r}: {error!r}")
 
-    def _checkout(self, dst: str, deadline: float, attempts: int | None = None) -> _Connection:
+    def _checkout(self, dst: str, deadline: float) -> _Connection:
         """A connection to ``dst`` for this thread alone, until :meth:`_checkin`.
 
         The idle one returned last, if its peer has not hung up on it; else a new
         one.  Raises :class:`TimeoutError` when ``deadline`` passes first and
-        :class:`~repro.errors.CoreUnreachableError` when ``attempts`` connects
-        (default: the reconnect policy's) all failed.
+        :class:`~repro.errors.CoreUnreachableError` when the reconnect policy's
+        connects all failed.
         """
         while True:
             with self._lock:
@@ -566,7 +566,6 @@ class TcpTransport(Transport):
             if not connection.poller.poll(0):  # open, and nothing to read: fit for a call
                 return connection
             self._discard(connection)  # the peer restarted, or sent what nobody asked for
-        attempts = attempts or self._reconnect.max_attempts
         attempt = 1
         while True:
             if self._closed:
@@ -581,7 +580,7 @@ class TcpTransport(Transport):
                 timeout = min(self._connect_timeout, remaining)
                 sock = socket.create_connection(address, timeout=timeout)
             except OSError as exc:
-                if attempt >= attempts:
+                if attempt >= self._reconnect.max_attempts:
                     raise CoreUnreachableError(
                         f"cannot connect to node {dst!r} at "
                         f"{address[0]}:{address[1]} after {attempt} attempts: {exc!r}"
@@ -606,20 +605,6 @@ class TcpTransport(Transport):
                 pool.append(connection)
         if not keep:
             self._discard(connection)
-
-    def probe(self, dst: str, timeout: float | None = None) -> bool:
-        """Reuse an idle connection to ``dst``, or try once to establish one.
-
-        Readiness and liveness check: True once the peer's listener
-        accepts.  One connect attempt, no back-off — callers bring their
-        own cadence.  Never raises on ordinary connection failure.
-        """
-        deadline = time.monotonic() + (timeout or self._connect_timeout)
-        try:
-            self._checkin(self._checkout(dst, deadline, attempts=1))
-        except (CoreError, TransportError, OSError):
-            return False
-        return True
 
     # -- delivery: receiving side --------------------------------------------
 

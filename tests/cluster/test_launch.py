@@ -90,7 +90,7 @@ class TestChildHandle:
             old.kill()
             assert old.wait(timeout=5.0) == -9
             new = procs.spawn_child("alpha", recover=True)
-            procs.await_child("alpha", restored=True)  # reads the successor's READY
+            procs.await_child("alpha")  # peeks at the successor's READY
             assert new is procs.processes["alpha"]
             assert new.pid != old.pid
             assert parent_of(new.pid) == template

@@ -84,7 +84,9 @@ class TestMarshalerPayload:
         assert payload.source_core == "alpha"
         assert payload.member_ids == [echo._fargo_target_id]
         member = payload.members[0]
-        assert member.source_tracker.core == "alpha"
+        source, epoch = member.source_tracker
+        assert source.core == "alpha"
+        assert epoch == echo._fargo_tracker.epoch
 
     def test_payload_is_plain_picklable(self, cluster):
         """The whole movement payload crosses in one PLAIN message."""

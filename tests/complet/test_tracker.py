@@ -1,5 +1,10 @@
 """Tests for trackers: states, chains, shortening, collectability (§3.1)."""
 
+import itertools
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.complet.tracker import Tracker, TrackerAddress
@@ -63,7 +68,7 @@ class TestCollectability:
     def test_pointed_tracker_not_collectable(self):
         tracker = _tracker()
         tracker.point_to(TrackerAddress("beta", 2))
-        tracker.remote_pointers.add(TrackerAddress("gamma", 3))
+        tracker.note_pointer(TrackerAddress("gamma", 3), 1, registered=True)
         assert not tracker.is_collectable
 
     def test_orphan_tracker_collectable(self):
@@ -77,6 +82,71 @@ class TestCollectability:
         tracker = echo._fargo_tracker
         assert tracker.live_stub_count == 1
         assert not tracker.is_collectable
+
+
+class TestPointerEpochs:
+    """A tracker keeps the newest update of each pointer, whatever the order."""
+
+    POINTER = TrackerAddress("gamma", 3)
+
+    @pytest.mark.parametrize(
+        "updates, registered",
+        [
+            ([(1, True), (1, False)], False),  # a discard wins a tie
+            ([(1, True), (2, False), (3, True)], True),  # re-pointed back: a reclaim
+            ([(2, True), (1, False), (1, True)], True),  # a late discard, a late register
+        ],
+    )
+    def test_every_order_of_arrival_ends_alike(self, updates, registered):
+        for order in itertools.permutations(updates):
+            tracker = _tracker()
+            for epoch, register in order:
+                tracker.note_pointer(self.POINTER, epoch, registered=register)
+            assert (self.POINTER in tracker.remote_pointers) is registered, order
+
+    def test_updates_on_many_threads_keep_the_newest(self):
+        """Eight threads apply the updates of 58 pointers in a shuffled order:
+        a compare and a write that another thread splits loses the newest."""
+        pointers = [TrackerAddress("gamma", serial) for serial in range(2, 60)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                updates = [
+                    (pointer, epoch, register)
+                    for pointer in pointers
+                    for epoch in range(1, 21)
+                    for register in (True, False)
+                ]
+                updates += [(pointer, 21, True) for pointer in pointers]
+                random.Random(seed).shuffle(updates)
+                tracker = _tracker()
+
+                def apply(chunk, tracker=tracker):
+                    for pointer, epoch, register in chunk:
+                        tracker.note_pointer(pointer, epoch, registered=register)
+
+                threads = [threading.Thread(target=apply, args=(updates[i::8],)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert tracker.remote_pointers == dict.fromkeys(pointers, 21), seed
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_forgotten_core_registers_from_epoch_one_again(self):
+        """A respawned Core's trackers start at serial 1 and epoch 1 again."""
+        tracker = _tracker()
+        other = TrackerAddress("delta", 3)
+        tracker.note_pointer(self.POINTER, 1, registered=True)
+        tracker.note_pointer(self.POINTER, 2, registered=False)
+        tracker.note_pointer(other, 1, registered=True)
+        assert tracker.forget_core("gamma")
+        assert not tracker.forget_core("gamma")
+        tracker.note_pointer(self.POINTER, 1, registered=True)
+        assert tracker.remote_pointers == {self.POINTER: 1, other: 1}
 
 
 class TestChains:

@@ -110,7 +110,7 @@ class TestPointerBookkeeping:
         counter = Counter(0, _core=cluster["alpha"])
         cluster.transport.set_node_down("beta")
         cluster["alpha"].references._notify_pointer(
-            TrackerAddress("beta", 1), counter._fargo_tracker.address, register=True
+            TrackerAddress("beta", 1), counter._fargo_tracker.address, 1, register=True
         )  # must not raise
 
     def test_chain_breaks_when_intermediate_core_dies(self, cluster3):
@@ -198,14 +198,32 @@ class TestHandover:
         assert cluster["b"].repository.tracker_by_serial(forwarder.address.serial) is forwarder
         assert counter.increment() == (2 if lost is MessageKind.INVOKE else 1)
 
+    KINDS_HANDED_OVER = [MessageKind.TRACKER_LOOKUP, MessageKind.INVOKE, MessageKind.MOVE_REQUEST]
+
     @pytest.mark.tcp
-    @pytest.mark.parametrize(
-        "kind", [MessageKind.TRACKER_LOOKUP, MessageKind.INVOKE, MessageKind.MOVE_REQUEST]
-    )
+    @pytest.mark.parametrize("kind", KINDS_HANDED_OVER)
     def test_a_caller_that_gives_up_while_the_hop_still_runs(self, deploy, kind):
         """a's deadline passes while b's handler waits on c.  a registers its
         tracker at b again, and that reaches b before b's handler ends: the
         handler keeps the pointer it would have handed over."""
+        self._give_up(deploy, kind, late_read=False)
+
+    @pytest.mark.tcp
+    @pytest.mark.parametrize("kind", KINDS_HANDED_OVER)
+    def test_a_hop_that_reads_the_request_after_the_caller_gave_up(self, deploy, kind):
+        """a's deadline passes before b's handler starts, and a's new
+        registration lands at b first.  The handler's discard, when it
+        runs, names a's older epoch and loses."""
+        self._give_up(deploy, kind, late_read=True)
+
+    @staticmethod
+    def _give_up(deploy, kind, *, late_read):
+        """a's request of ``kind`` to the hop b times out and a registers again.
+
+        The handler at b runs once that registration has landed: from the
+        start (``late_read``), or from where it waits on c.  Either way b
+        keeps a's pointer and survives collection.
+        """
         cluster = deploy(["a", "b", "c"], "tcp")
         counter = Counter(0, _core=cluster["a"], _at="b")
         moving = kind is MessageKind.MOVE_REQUEST
@@ -214,32 +232,35 @@ class TestHandover:
         settle(cluster, counter)
         pointer = counter._fargo_tracker.address
         hop = cluster["b"].repository.existing_tracker(counter._fargo_target_id)
-        at_b = cluster["b"].peer.endpoint._handlers
-        at_c = cluster["c"].peer.endpoint._handlers
-        reregistered, finished = threading.Event(), threading.Event()
-        update, handler = at_b[MessageKind.TRACKER_UPDATE], at_b[kind]
-        # What b asks of c on a's behalf: the rest of the chain, or the move's commit.
+        # The handler that waits: b's own, or what b asks of c on a's behalf
+        # (the rest of the chain, or the move's commit).
         asked = MessageKind.MOVE_COMPLET if moving else MessageKind.TRACKER_LOOKUP
-        answer = at_c[asked]
+        at_b = cluster["b"].peer.endpoint._handlers
+        waiting = at_b if late_read else cluster["c"].peer.endpoint._handlers
+        waits_for = kind if late_read else asked
+        reregistered, finished = threading.Event(), threading.Event()
+        update, handler, answer = at_b[MessageKind.TRACKER_UPDATE], at_b[kind], waiting[waits_for]
 
         def update_then_signal(src, payload):
             result = update(src, payload)
             reregistered.set()
             return result
 
-        def handle_then_signal(src, payload):
-            try:
-                return handler(src, payload)
-            finally:
-                finished.set()
-
         def answer_once_reregistered(src, payload):
             reregistered.wait(5.0)
             return answer(src, payload)
 
         at_b[MessageKind.TRACKER_UPDATE] = update_then_signal
+        waiting[waits_for] = answer_once_reregistered
+        inner = at_b[kind]
+
+        def handle_then_signal(src, payload):
+            try:
+                return inner(src, payload)
+            finally:
+                finished.set()
+
         at_b[kind] = handle_then_signal
-        at_c[asked] = answer_once_reregistered
         cluster["a"].peer.endpoint.set_timeout(0.2, kind)
         with pytest.raises(DeadlineExceededError):
             if kind is MessageKind.INVOKE:
@@ -250,7 +271,7 @@ class TestHandover:
                 cluster.locate(counter)
         assert finished.wait(10.0) and reregistered.is_set()
         cluster["a"].peer.endpoint.set_timeout(None, kind)
-        at_b[MessageKind.TRACKER_UPDATE], at_b[kind], at_c[asked] = update, handler, answer
+        at_b[MessageKind.TRACKER_UPDATE], at_b[kind], waiting[waits_for] = update, handler, answer
         assert counter._fargo_tracker.next_hop == hop.address
         assert pointer in hop.remote_pointers
         cluster.collect_all_trackers()

@@ -22,6 +22,7 @@ import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
 from repro.cluster.failures import FailureInjector
+from repro.cluster.workload import Echo
 from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SUSPECTED
 from repro.errors import ConfigurationError
 from repro.recovery import CheckpointStore, DetectorConfig
@@ -381,8 +382,43 @@ class TestTransportReconnect:
             assert wait_until(
                 lambda: child_state(supervisor, "alpha")["restarts"] >= 1
             )
-            assert procs.transport.probe("alpha", timeout=2.0)
             snapshot = procs.driver.admin("alpha", "snapshot")
             assert snapshot["core"] == "alpha"
             admin_state = procs.driver.admin(procs.driver.name, "supervisor")
             assert admin_state["children"]["alpha"]["restarts"] >= 1
+
+
+class TestPointersAcrossRebirth:
+    def test_a_successor_registers_where_its_predecessor_left_a_tombstone(self):
+        """A reborn Core numbers its trackers, and their epochs, from 1 again.
+
+        beta's tracker for the echo shortens away from alpha's, which keeps
+        a tombstone of it, while beta's last checkpoint still names alpha's.
+        The successor restores that checkpoint under the same tracker
+        serial; its registration at alpha must stand, or a sweep collects
+        alpha's tracker under a live reference.
+        """
+        checkpoint_dir = tempfile.mkdtemp(prefix="repro-supervised-")
+        try:
+            # Long sweeps: beta dies before one checkpoints the shortened reference.
+            with CoreProcesses(
+                ["alpha", "beta"], checkpoint_dir=checkpoint_dir, checkpoint_interval=1.0
+            ) as procs, Supervisor(procs) as supervisor:
+                driver = procs.driver
+                echo = Echo("e", _core=driver, _at="alpha")
+                # Created with its reference, as a restore creates it: the
+                # echo's tracker at beta is the first there, both times.
+                holder = Holder(echo, _core=driver, _at="beta")
+                wait_for_checkpoint(checkpoint_dir, holder._fargo_target_id)
+                driver.move(echo, driver.name)
+                assert holder.call_ref() == "e"  # beta's tracker now points at the driver's
+                procs.processes["beta"].kill()
+                assert wait_until(
+                    lambda: child_state(supervisor, "beta")["restarts"] >= 1
+                    and child_state(supervisor, "beta")["status"] == "running"
+                ), f"beta never healed: {child_state(supervisor, 'beta')}"
+
+                assert wait_until(lambda: driver.admin("alpha", "collect_trackers") == 0)
+                assert holder.call_ref() == "e"
+        finally:
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)

@@ -238,7 +238,6 @@ class TestReconnect:
             hub_a.register("a", lambda env: b"v2:" + env.payload)
             hub_a.add_peer("b", hub_b.local_address("b"))
             assert hub_b.send(envelope("b", "a", b"two")) == b"v2:two"
-            assert hub_b.probe("a")
         finally:
             hub_a.close()
             hub_b.close()
@@ -393,18 +392,6 @@ class TestLifecycle:
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
             probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             probe.bind(("127.0.0.1", port))  # must not raise
-
-    def test_probe(self, pair):
-        _hub_a, hub_b = pair
-        assert hub_b.probe("a", timeout=5.0)
-        assert not hub_b.probe("nonexistent", timeout=1.0)
-
-    def test_probe_is_one_attempt_without_backoff(self, pair, refusing_address):
-        _hub_a, hub_b = pair
-        hub_b.add_peer("ghost", refusing_address)
-        started = time.monotonic()
-        assert not hub_b.probe("ghost", timeout=5.0)
-        assert time.monotonic() - started < 0.04  # the ladder's first rung is 0.05 s
 
 
 def io_threads() -> list[threading.Thread]:

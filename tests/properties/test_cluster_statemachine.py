@@ -19,9 +19,13 @@ runs on the simulated network, on the in-process TCP hub and on Cores in OS
 processes of their own.  The first invariant is read through
 ``complets_at`` on every backend; the two that look inside a Core look
 inside the Cores of this process: all of them on ``sim`` and ``tcp``,
-the driver on ``procs``.  The pointer sets are checked on ``sim`` after
-every step and on ``tcp`` after ``advance_time`` has let the posted
-updates land; on ``procs`` they live in the children.
+the driver on ``procs``.  The pointer sets are checked after every step
+on ``sim`` and on ``tcp``, with no pause between steps: over TCP a step
+whose one-way updates are still in flight is not looked at, and the next
+step starts at once, so an update overtaken by a later step's messages is
+overtaken.  Only a tracker sweep waits for them to land: a sweep that
+overtakes a registration still in flight is an open race (ROADMAP item
+10).  On ``procs`` the sets live in the children.
 """
 
 import collections
@@ -39,6 +43,7 @@ from hypothesis.stateful import (
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter
+from repro.net.messages import MessageKind
 from tests.pointers import eventually, pointer_set_violations
 
 CORES = ["a", "b", "c"]
@@ -55,6 +60,21 @@ class ClusterMachine(RuleBasedStateMachine):
         self.expected: dict = {}
         #: The first reference each complet was known by.
         self.first: dict = {}
+        #: One entry per TRACKER_UPDATE a Core of this process has applied.
+        self.landed: list = []
+        for core in self.cluster.cores.values():
+            handlers = core.peer.endpoint._handlers
+            handlers[MessageKind.TRACKER_UPDATE] = self._counted(
+                handlers[MessageKind.TRACKER_UPDATE]
+            )
+
+    def _counted(self, handler):
+        def apply_then_count(src, body):
+            result = handler(src, body)
+            self.landed.append(src)  # atomic: updates land on many threads
+            return result
+
+        return apply_then_count
 
     def teardown(self):
         cluster = getattr(self, "cluster", None)
@@ -63,6 +83,9 @@ class ClusterMachine(RuleBasedStateMachine):
         try:
             for complet_id, value in self.expected.items():
                 assert self.first[complet_id].read() == value
+            if self.TRANSPORT != "procs":
+                assert eventually(self._all_landed)
+                assert not pointer_set_violations(self.cluster.cores.values())
         finally:
             cluster.close()
 
@@ -101,19 +124,17 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @rule()
     def collect_trackers(self):
+        if self.TRANSPORT == "tcp":
+            # The order of pointer updates does not matter, their presence
+            # does: a sweep that overtakes a registration still in flight
+            # collects a tracker under a live reference (ROADMAP item 10
+            # has the minimised sequence).
+            assert eventually(self._all_landed)
         self.cluster.collect_all_trackers()
 
     @rule()
     def advance_time(self):
         self.cluster.advance(1.0 if self.cluster.scheduler.clock.is_virtual else 0.001)
-        if self.TRANSPORT == "tcp":
-            # The pointer updates still posted are one-way: let them land.
-            eventually(lambda: not self._pointer_violations())
-            violations = self._pointer_violations()
-            assert not violations, violations
-
-    def _pointer_violations(self) -> list[str]:
-        return pointer_set_violations(self.cluster.cores.values())
 
     # -- invariants ---------------------------------------------------------------------
 
@@ -138,15 +159,15 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @invariant()
     def pointer_sets_mirror_next_hops(self):
-        if self.TRANSPORT == "sim":  # posts land before the step returns
-            violations = self._pointer_violations()
+        # On procs the sets live in the children.  Nothing waits for posts to
+        # land: on sim they have, and over TCP a step that left some in
+        # flight is looked at by the next step that leaves none.
+        if self.TRANSPORT != "procs" and self._all_landed():
+            violations = pointer_set_violations(self.cluster.cores.values())
             assert not violations, violations
-        elif self.TRANSPORT == "tcp":
-            # Checked after advance_time's drain.  Until then, let this
-            # step's one-way updates land before the next step starts: a
-            # post overtaken by a later operation is a known race
-            # (ROADMAP item 3), not what this machine checks.
-            eventually(lambda: not self._pointer_violations(), within=0.5)
+
+    def _all_landed(self) -> bool:
+        return len(self.landed) == self.cluster.stats.by_kind[MessageKind.TRACKER_UPDATE]
 
     @invariant()
     def authoritative_state_matches(self):
