@@ -11,9 +11,10 @@ per machine/process, complets moving between them — realised with
 - **Template**: ``python -m repro.cluster.launch --template FD``, one
   per driver *process* and its only ``exec``: the first deployment
   starts it, every later one uses it, and it stays until the driver
-  exits.  It imports this package once and then, on each request read
-  from the control socket ``FD``, ``fork()``s one child that starts from
-  the imported image (:func:`run_template`).  It is the children's
+  exits.  It imports this package once, with all a child Core imports
+  besides, and then, on each request read from the control socket
+  ``FD``, ``fork()``s one child that starts from the imported image
+  (:func:`run_template`) and compiles nothing more.  It is the children's
   parent: it reaps them and reports every exit back, it terminates the
   ones a stopping deployment names, and when the control socket reaches
   end of file — the driver is gone, however it went — it terminates
@@ -32,6 +33,21 @@ the template had started.  Everything else a child sees is the
 template's: its environment, its working directory, and the code it
 imported (a module edited since is not read again).
 
+Before it forks, the template imports the driver's complet modules too:
+a request names, as ``(module, file)``, each module of the driver but
+``__main__`` that defines an :class:`~repro.complet.anchor.Anchor`
+subclass.  It imports them with the request's path in front of its own,
+keeps a module only if it came from the file named (one of that name
+from another file is dropped, and the child imports its own) and skips
+one that fails to import.  After any new import it collects garbage and
+hands the freed heap back to the system (glibc's ``malloc_trim``), so
+that no child starts with it resident.  A complet module should not
+start a thread at import: ``fork()`` copies the calling thread alone,
+so a template that has imported one forks no more.  It still serves the
+children it has, until the driver exits; the spawn that named the
+module goes to a new template, and the driver's process never names
+that module again, so that its children import it themselves.
+
 Cross-process recovery rides on durable checkpoints: pass
 ``checkpoint_dir`` and every child periodically snapshots its hosted
 complets into a shared :class:`~repro.recovery.CheckpointStore`
@@ -47,11 +63,15 @@ import argparse
 import array
 import atexit
 import contextlib
+import encodings.idna  # noqa: F401 - a child's first create_connection would import it
 import fcntl
+import gc
+import importlib
 import json
 import logging
 import os
 import queue
+import select
 import selectors
 import signal
 import socket
@@ -63,6 +83,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
+from repro.complet.anchor import Anchor
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
@@ -237,6 +258,83 @@ def serve(
 _TERMINATE_GRACE = 2.0
 
 
+def _file_of(module) -> str | None:
+    """The absolute path ``module`` was loaded from; None for one without a file."""
+    file = getattr(module, "__file__", None)
+    return os.path.abspath(file) if file else None
+
+
+def _trim_heap() -> None:
+    """Collect what the imports left behind and hand the freed heap back to the
+    system, so that a child is not forked with it resident (glibc only)."""
+    import ctypes  # the template's alone: drivers import this module too
+
+    gc.collect()
+    with contextlib.suppress(OSError, AttributeError):  # no libc, or not glibc's
+        ctypes.CDLL(None).malloc_trim(0)
+
+
+class _Preloads:
+    """The template's imports of the driver's complet modules (:meth:`load`)."""
+
+    def __init__(self) -> None:
+        #: ``(module, file)`` pairs that failed, or came from another file:
+        #: not tried again (each try costs an import and a heap trim).
+        self.missed: set[tuple[str, str]] = set()
+        #: The module whose import started a thread, once one has: the
+        #: template forks no more then (see :func:`_fork_child`).
+        self.threaded: str | None = None
+
+    def load(self, modules, path) -> bool:
+        """Import the complet modules a request names, so its child need not.
+
+        ``modules`` is ``[module, file]`` pairs (:func:`_complet_modules`),
+        imported with what ``path`` (the requester's ``sys.path``) has in
+        front of the template's own, as the child would.  A module stays
+        loaded only if it came from that file: one of the same name from
+        another file is dropped, so that the child imports the right one
+        itself.  One that fails to import is skipped, and its child fails
+        as it would have.  A module whose import starts a thread is kept
+        in :attr:`threaded`, and nothing more is imported.  Returns whether
+        one has: the template may fork no more.
+        """
+        if self.threaded is not None:
+            return True
+        wanted = []
+        for name, file in modules:
+            if _file_of(sys.modules.get(name)) != file:
+                sys.modules.pop(name, None)  # another file's: the child imports its own
+                if (name, file) not in self.missed:
+                    wanted.append((name, file))
+        if not wanted:
+            return False
+        imported = False
+        saved = sys.path[:]
+        sys.path[:0] = [entry for entry in path if entry not in sys.path]
+        importlib.invalidate_caches()
+        try:
+            for name, file in wanted:
+                threads = threading.active_count()
+                try:
+                    loaded = importlib.import_module(name)
+                except Exception:  # noqa: BLE001 - the child meets it again, and says so
+                    logger.debug("preloading %s failed", name, exc_info=True)
+                    self.missed.add((name, file))
+                    continue
+                imported = True
+                if threading.active_count() != threads:
+                    self.threaded = name
+                    return True
+                if _file_of(loaded) != file:
+                    del sys.modules[name]
+                    self.missed.add((name, file))
+        finally:
+            sys.path[:] = saved
+            if imported:
+                _trim_heap()
+        return False
+
+
 def _fork_child(spec: dict, stdout_fd: int, stderr_fd: int, inherited, path=()) -> int:
     """Fork one child that runs ``serve(**spec)``; its pid, in the template.
 
@@ -288,15 +386,21 @@ def _report(control: socket.socket, message: dict) -> None:
         control.sendall(json.dumps(message).encode() + b"\n")
 
 
-def _answer_request(control: socket.socket, children: set[int], inherited) -> bool:
+def _answer_request(
+    control: socket.socket, children: set[int], inherited, preloads: _Preloads
+) -> bool:
     """Read one request and answer it; False at end of file.
 
-    A request is one JSON line.  ``{"spec": ..., "path": ...}`` asks for a
-    fork (:func:`_fork_child`) and comes with the write ends of the
-    child's stdout and stderr pipes; the template closes its copies at
-    once, so that no later sibling inherits them and a dead child's
-    pipes reach end of file.  ``{"terminate": pids}`` ends those children
-    (:func:`_terminate`) and is answered once they are reaped.
+    A request is one JSON line.  ``{"spec": ..., "path": ..., "preload":
+    ...}`` asks for a fork (:func:`_fork_child`) after the preload
+    (:meth:`_Preloads.load`) and comes with the write ends of the child's stdout
+    and stderr pipes; the template closes its copies at once, so that no
+    later sibling inherits them and a dead child's pipes reach end of
+    file.  ``{"terminate": pids}`` ends those children (:func:`_terminate`)
+    and is answered once they are reaped.  Once a preload has started a
+    thread, every fork request is refused with a reply that names the
+    module; the template still reaps, reports and terminates the children
+    it has, until the driver hangs up.
     """
     data, fds = b"", []
     while not data.endswith(b"\n"):
@@ -310,6 +414,12 @@ def _answer_request(control: socket.socket, children: set[int], inherited) -> bo
         if "terminate" in request:
             _terminate(request["terminate"], children, control)
             reply = {}
+        elif preloads.load(request["preload"], request["path"]):
+            reply = {
+                "error": f"importing {preloads.threaded!r} started a thread, and a "
+                "template that runs two forks no more",
+                "threaded": preloads.threaded,
+            }
         else:
             stdout_fd, stderr_fd = fds
             pid = _fork_child(request["spec"], stdout_fd, stderr_fd, inherited, request["path"])
@@ -357,6 +467,7 @@ def run_template(control_fd: int) -> int:
     there is an exit to report; SIGTERM and end of file on the control
     socket both mean the driver is done, and no child outlives it.
     """
+    _trim_heap()  # of what importing this module cost
     control = socket.socket(fileno=control_fd)
     wake_in, wake_out = socket.socketpair()
     wake_in.setblocking(False)
@@ -365,6 +476,7 @@ def run_template(control_fd: int) -> int:
     for signum in (signal.SIGCHLD, signal.SIGTERM):
         signal.signal(signum, lambda *_: None)  # the wake-up byte is the message
     children: set[int] = set()
+    preloads = _Preloads()
     with selectors.DefaultSelector() as ready, control, wake_in, wake_out:
         ready.register(control, selectors.EVENT_READ)
         ready.register(wake_in, selectors.EVENT_READ)
@@ -376,7 +488,7 @@ def run_template(control_fd: int) -> int:
                         if signal.SIGTERM in wake_in.recv(4096):
                             return 0
                         _reap(children, control)
-                    elif not _answer_request(control, children, inherited):
+                    elif not _answer_request(control, children, inherited, preloads):
                         return 0
         finally:
             _terminate(children, children, control)
@@ -457,6 +569,9 @@ class _Template:
         self._exited = threading.Condition()
         self._exit_codes: dict[int, int] = {}
         self._gone = ""  # why, once the template is
+        #: Why the template forks no more, once a preload started a thread there;
+        #: it still serves the children it has.
+        self.retired = ""
         self._reader = threading.Thread(
             target=self._read, name="template-reader", daemon=True
         )
@@ -504,15 +619,20 @@ class _Template:
                 self.process.terminate()
                 return {"error": f"no answer from the template within {timeout}s"}
 
-    def spawn(self, spec: dict, timeout: float) -> ChildProcess:
-        """Have the template fork a child running ``serve(**spec)``."""
+    def spawn(self, spec: dict, timeout: float) -> ChildProcess | None:
+        """Have the template fork a child running ``serve(**spec)``; None if
+        it has retired instead (:attr:`retired`): another template must."""
         stdout, stdout_w = os.pipe()
         stderr, stderr_w = os.pipe()
         pipes = [
             open(fd, encoding="utf-8", errors="replace") for fd in (stdout, stderr)  # noqa: SIM115
         ]
         try:
-            request = {"spec": spec, "path": [entry for entry in sys.path if entry]}
+            request = {
+                "spec": spec,
+                "path": [entry for entry in sys.path if entry],
+                "preload": _complet_modules(),
+            }
             reply = self._ask(request, [stdout_w, stderr_w], timeout)
         finally:
             os.close(stdout_w)
@@ -520,6 +640,15 @@ class _Template:
         if "error" in reply:
             for pipe in pipes:
                 pipe.close()
+            if "threaded" in reply:
+                if reply["threaded"] not in _threaded_at_import:
+                    logger.warning(
+                        "%s starts a thread at import: its children import it themselves",
+                        reply["threaded"],
+                    )
+                    _threaded_at_import.add(reply["threaded"])
+                self.retired = reply["error"]
+                return None
             raise CoreError(
                 f"child Core {spec['name']!r} could not be forked: {reply['error']}"
             )
@@ -557,9 +686,27 @@ class _Template:
 
 
 #: The process's template: started by its first deployment, used by every
-#: later one, replaced once found dead.  Nothing is started at import.
+#: later one, replaced once found dead or retired.  Nothing is started at import.
 _shared: _Template | None = None
 _shared_lock = threading.Lock()
+
+#: Complet modules whose import started a thread in a template: never preloaded again.
+_threaded_at_import: set[str] = set()
+
+
+def _complet_modules() -> list[tuple[str, str]]:
+    """``(module, file)`` of every module of this process, but ``__main__``, that
+    defines an :class:`~repro.complet.anchor.Anchor` subclass: what a child
+    imports to unpickle the complets that arrive, and the template preloads."""
+    found: dict[str, str] = {}
+    classes = Anchor.__subclasses__()
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        file = _file_of(sys.modules.get(cls.__module__))
+        if file and cls.__module__ not in ("__main__", *_threaded_at_import):
+            found[cls.__module__] = file
+    return sorted(found.items())
 
 
 def _shared_template() -> _Template:
@@ -573,6 +720,8 @@ def _shared_template() -> _Template:
             logger.warning("starting another template: %s", _shared._gone or "it exited")
             _shared.close(_TERMINATE_GRACE + 1.0)
             _shared = None
+        if _shared is not None and _shared.retired:
+            _shared = None  # it serves its children until the driver exits (atexit)
         if _shared is None:
             env = dict(os.environ)
             env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
@@ -580,6 +729,23 @@ def _shared_template() -> _Template:
             # The hang-up of a driver that exits in good order: no Popen left un-waited.
             atexit.register(_shared.close, _TERMINATE_GRACE + 1.0)
         return _shared
+
+
+def _await_exit(pid: int, timeout: float) -> None:
+    """Wait, ``timeout`` at most, until ``pid`` has exited.
+
+    It is not this process's child, so no ``waitpid``: its pidfd reads
+    ready once it has exited, whether anybody reaped it or not.  Where
+    there are no pidfds (Linux only) nothing is waited for.
+    """
+    try:
+        pidfd = os.pidfd_open(pid)
+    except (AttributeError, OSError):
+        return  # no pidfds here (ENOSYS, a seccomp EPERM), or it is gone and reaped
+    try:
+        select.select([pidfd], [], [], max(0.0, timeout))
+    finally:
+        os.close(pidfd)
 
 
 @dataclass
@@ -689,7 +855,11 @@ class CoreProcesses:
             "recover": recover,
             "store_dir": self.store_dir,
         }
-        process = self._template.spawn(spec, self.startup_timeout)
+        process = None
+        while process is None:  # each template that retires names one module fewer
+            if self._template.dead or self._template.retired:
+                self._template = _shared_template()
+            process = self._template.spawn(spec, self.startup_timeout)
         previous = self.processes.get(name)
         if previous is not None:
             previous.close()
@@ -758,13 +928,19 @@ class CoreProcesses:
         for process in self.processes.values():
             with contextlib.suppress(subprocess.TimeoutExpired):
                 process.wait(timeout=self.shutdown_timeout)
-        left = [process.pid for process in self.processes.values() if process.returncode is None]
-        if left and self._template is not None:
+        left = [process for process in self.processes.values() if process.returncode is None]
+        for template in {process._template for process in left}:
             # These and no others: the template serves the process's next deployment.
-            self._template.terminate(left, self.shutdown_timeout)
+            template.terminate(
+                [process.pid for process in left if process._template is template],
+                self.shutdown_timeout,
+            )
         self._template = None
+        deadline = time.monotonic() + self.shutdown_timeout
         for process in self.processes.values():
-            process.kill()  # by pid, when the template is gone and ended nothing
+            if process.poll() is None:  # its template is gone and ended nothing
+                process.kill()
+                _await_exit(process.pid, deadline - time.monotonic())
             process.close()
         self.processes.clear()
         if driver is not None and driver.is_running:
@@ -785,7 +961,12 @@ def main(argv: list[str] | None = None) -> int:
         help="fork Cores on the requests read from this inherited socket "
         "(what CoreProcesses starts; not for the command line)",
     )
-    return run_template(parser.parse_args(argv).template)
+    status = run_template(parser.parse_args(argv).template)
+    if threading.active_count() > 1:
+        # A thread some import started would hold the interpreter's exit up.
+        sys.stderr.flush()
+        os._exit(status)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry point

@@ -25,6 +25,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.errors import ProfilingNotStartedError, UnknownServiceError
+from repro.monitor.services import register_builtin_services
 from repro.sim.scheduler import Timer
 from repro.util.ema import ExponentialAverage, RateMeter
 from repro.util.ids import CompletId
@@ -190,8 +191,6 @@ class Profiler:
         self._byte_meters: dict[tuple[str, str], RateMeter] = {}
         self._served_meters: dict[str, RateMeter] = {}
         self._cpu_meter = RateMeter()
-        from repro.monitor.services import register_builtin_services
-
         register_builtin_services(self)
 
     # -- service registry -----------------------------------------------------------

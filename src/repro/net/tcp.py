@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import mmap
 import os
 import queue
 import select
@@ -130,7 +131,9 @@ class _Connection:
         self.peer = peer
         self.address = address  # what an outgoing connection connected to
         self.decoder = framing.FrameDecoder()
-        self.buffer = memoryview(bytearray(_READ_CHUNK))
+        # An anonymous mapping, not a zero-filled bytearray: a page becomes
+        # resident when a frame first lands in it, which most never do.
+        self.buffer = memoryview(mmap.mmap(-1, _READ_CHUNK))
         self.poller = select.poll()
         self.poller.register(sock, select.POLLIN)
 

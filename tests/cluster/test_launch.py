@@ -6,12 +6,14 @@ handle in ``processes`` stands in for what ``subprocess`` would have
 given; the first class checks the part of that surface deployments use.
 The second checks, through ``/proc``, what each child keeps and drops of
 the template it was forked from; the third, what deployments that share
-the template may and may not share with it.
+the template may and may not share with it; the fourth, that the
+template imports what a child would, so that the child imports nothing.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import select
 import signal
@@ -27,6 +29,7 @@ from repro.cluster import CoreProcesses
 from repro.cluster import launch
 from repro.cluster.supervisor import describe_exit
 from repro.errors import ConfigurationError, CoreError
+from tests import anchors
 from tests.procfs import catches, children_of, is_running, open_files, parent_of
 
 pytestmark = [
@@ -279,21 +282,29 @@ class TestOneTemplatePerProcess:
         orphaned = CoreProcesses(["alpha", "beta"]).start()
         try:
             template = template_of(orphaned)
-            pids = [child.pid for child in orphaned.processes.values()]
+            alpha, beta = (orphaned.processes[name] for name in ("alpha", "beta"))
             os.kill(template, signal.SIGKILL)
             assert gone_within([template], 5.0)
             with CoreProcesses(["alpha"]) as procs:
                 fresh = template_of(procs)
                 assert fresh != template and parent_of(fresh) == os.getpid()
                 assert procs.driver.admin("alpha", "complets") == []
-            assert all(is_running(pid) for pid in pids)  # nobody was there to end them
+            assert is_running(alpha.pid) and is_running(beta.pid)  # nobody ended them
+            # The orphaned deployment respawns alpha, from the template there is now.
+            alpha.kill()
+            launch._await_exit(alpha.pid, 5.0)
+            reborn = orphaned.spawn_child("alpha")
+            orphaned.await_child("alpha")
+            assert parent_of(reborn.pid) == fresh
+            assert orphaned.driver.admin("alpha", "complets") == []
         finally:
             started = time.monotonic()
             orphaned.stop()
         assert time.monotonic() - started < orphaned.shutdown_timeout
-        # SIGKILLed by pid, and nobody reports when that has taken effect.
-        assert gone_within(pids, 2.0)
-        assert is_running(fresh)
+        # reborn through the template that forked it, beta by pid; both are gone.
+        assert reborn.returncode == 0
+        assert not is_running(beta.pid) and not is_running(reborn.pid)
+        assert is_running(fresh) and not children_of(fresh)
 
     def test_a_forked_copy_of_the_driver_starts_a_template_of_its_own(self, monkeypatch):
         with CoreProcesses(["alpha"]) as first:
@@ -351,3 +362,173 @@ class TestOneTemplatePerProcess:
             env=env, capture_output=True, text=True, timeout=60.0, check=True,
         )
         assert fresh.stdout.split() == ["1", "0"]
+
+
+#: A process set up as the template is (the launcher, then the preload of the
+#: test suite's complet module), whose Cores then do what children do.
+AS_A_CHILD = """
+import json, os, sys
+import repro.cluster.launch as launch
+launch._Preloads().load([["tests.anchors", os.path.abspath("tests/anchors.py")]], sys.path)
+from tests.anchors import Leaf, Probe, Root
+from repro.complet.stub import stub_target_id
+from repro.core.core import Core
+from repro.net.tcp import TcpTransport
+from repro.sim.clock import RealClock
+from repro.sim.scheduler import Scheduler
+
+loaded = set(sys.modules)
+names = ["driver", "a", "b"]
+ports = dict(zip(names, launch.free_ports("127.0.0.1", len(names))))
+cores, transports = {}, []
+for name in names:
+    scheduler = Scheduler(RealClock())
+    transports.append(TcpTransport(scheduler, ports={name: ports[name]}))
+    for peer in names:
+        if peer != name:
+            transports[-1].add_peer(peer, ("127.0.0.1", ports[peer]))
+    cores[name] = Core(name, transports[-1], scheduler)
+driver = cores["driver"]
+leaves = [Leaf(bytes(2048), _core=driver, _at="a") for _ in range(2)]
+root = Root(leaves, _core=driver, _at="a")
+for leaf in leaves:
+    driver.admin("a", "retype", complet=str(stub_target_id(root)),
+                 target=str(stub_target_id(leaf)), type="pull")
+driver.move(root, "b")
+host, members = root.report()
+probe = Probe(_core=driver, _at="a")
+driver.admin("a", "move", complet=str(stub_target_id(probe)), destination="b")
+probe.note("through a")  # the driver's tracker still names a
+hosted = len(driver.admin("b", "complets"))
+for core, transport in zip(cores.values(), transports):
+    core.shutdown()
+    transport.close()
+print(json.dumps({
+    "gained": sorted(set(sys.modules) - loaded),
+    "hosts": [host, *(where for where, _crc in members)], "hosted": hosted,
+}))
+"""
+
+
+def write_complet_module(directory, name: str, body: str = "", answer: str = "") -> None:
+    """``directory/name.py``: an anchor class ``Mod_`` (compiled as ``Mod``) whose
+    ``answer()`` returns ``answer`` and the Core it runs at, after ``body``."""
+    (directory / f"{name}.py").write_text(
+        body
+        + "from repro.complet.anchor import Anchor\n"
+        "from repro.complet.stub import compile_complet\n"
+        "class Mod_(Anchor):\n"
+        "    def answer(self):\n"
+        f"        return {answer!r}, self.core.name\n"
+        "Mod = compile_complet(Mod_)\n"
+    )
+
+
+@pytest.fixture()
+def complet_module(tmp_path, monkeypatch):
+    """Import a module written by :func:`write_complet_module` from a directory
+    of its own, put in front of ``sys.path``; all are forgotten afterwards."""
+    imported = []
+
+    def load(name: str, directory=tmp_path, **content):
+        directory.mkdir(exist_ok=True)
+        write_complet_module(directory, name, **content)
+        monkeypatch.syspath_prepend(str(directory))
+        sys.modules.pop(name, None)
+        imported.append(name)
+        return importlib.import_module(name)
+
+    yield load
+    for name in imported:
+        sys.modules.pop(name, None)
+
+
+class TestPreload:
+    """The template imports the driver's complet modules before it forks."""
+
+    def test_a_child_imports_nothing_after_fork(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        fresh = subprocess.run(
+            [sys.executable, "-c", AS_A_CHILD],
+            env=env, capture_output=True, text=True, timeout=60.0, check=True,
+        )
+        outcome = json.loads(fresh.stdout)
+        # hashlib is the one module a Core imports late, and only with a store
+        # or checkpoints, which these Cores do not have.
+        assert outcome["gained"] == []
+        assert outcome["hosts"] == ["b", "b", "b"] and outcome["hosted"] == 4
+
+    def test_the_driver_names_the_modules_that_define_its_anchors(self, complet_module):
+        module = complet_module("preloaded_here")
+        named = dict(launch._complet_modules())
+        assert named["preloaded_here"] == module.__file__
+        assert named["tests.anchors"] == os.path.abspath(anchors.__file__)
+        assert "__main__" not in named
+
+    def test_a_module_that_fails_in_the_template_leaves_the_fork_working(
+        self, complet_module, tmp_path
+    ):
+        module = complet_module("fails_in_the_template")
+        # What the template reads now raises: it skips the module and forks.
+        (tmp_path / "fails_in_the_template.py").write_text("raise ImportError('not here')\n")
+        assert "fails_in_the_template" in dict(launch._complet_modules())
+        with CoreProcesses(["alpha"]) as procs:
+            assert procs.driver.admin("alpha", "complets") == []
+            assert anchors.Probe(_core=procs.driver, _at="alpha").get_history() == []
+        assert module.Mod_.__module__ == "fails_in_the_template"
+
+    def test_each_deployment_gets_the_file_its_driver_imported(self, complet_module, tmp_path):
+        for answer in ("first", "second"):
+            module = complet_module(
+                "latecomer", directory=tmp_path / answer, answer=answer
+            )
+            with CoreProcesses(["alpha"]) as procs:
+                stub = module.Mod(_core=procs.driver, _at="alpha")
+                assert stub.answer() == (answer, "alpha")
+
+    def test_a_pair_that_missed_is_not_tried_again(self, tmp_path, monkeypatch):
+        trims = []
+        monkeypatch.setattr(launch, "_trim_heap", lambda: trims.append(True))
+        tries = tmp_path / "tries"
+        (tmp_path / "never_imports.py").write_text(
+            f"open({str(tries)!r}, 'a').write('x')\nraise ImportError('not here')\n"
+        )
+        write_complet_module(tmp_path, "imports_once")
+        preloads = launch._Preloads()
+        pairs = [[name, str(tmp_path / f"{name}.py")] for name in ("never_imports", "imports_once")]
+        try:
+            for _ in range(3):
+                assert preloads.load(pairs, [str(tmp_path)]) is False
+            assert tries.read_text() == "x" and "never_imports" not in sys.modules
+            assert sys.modules["imports_once"].__file__ == pairs[1][1]
+            assert trims == [True]  # after the one import that succeeded
+        finally:
+            sys.modules.pop("imports_once", None)
+
+    def test_a_module_that_starts_a_thread_retires_the_template_alone(self, complet_module):
+        with CoreProcesses(["alpha", "beta"]) as running:
+            retired = launch._shared
+            pids = [child.pid for child in running.processes.values()]
+            module = complet_module(
+                "starts_a_thread",
+                body="import threading, time\n"
+                "threading.Thread(target=time.sleep, args=(2.0,), daemon=True).start()\n",
+            )
+            # The spawn that named it goes to a new template, whose child
+            # imports the module itself when a complet of it arrives.
+            with CoreProcesses(["gamma"]) as procs:
+                assert retired.retired and launch._shared is not retired
+                assert template_of(procs) == launch._shared.process.pid
+                assert module.Mod(_core=procs.driver, _at="gamma").answer() == ("", "gamma")
+            assert "starts_a_thread" not in dict(launch._complet_modules())
+            # The running deployment kept its children, and respawns from the new template.
+            assert all(is_running(pid) for pid in pids)
+            assert running.driver.admin("alpha", "complets") == []
+            running.processes["beta"].kill()
+            assert running.processes["beta"].wait(5.0) == -signal.SIGKILL  # reaped, reported
+            reborn = running.spawn_child("beta")
+            running.await_child("beta")
+            assert parent_of(reborn.pid) == launch._shared.process.pid
+        # alpha through the retired template, reborn beta through the new one.
+        assert retired.process.poll() is None and not children_of(retired.process.pid)
+        assert not is_running(pids[0]) and not is_running(reborn.pid)
