@@ -497,12 +497,21 @@ def run_template(control_fd: int) -> int:
 # -- the driver's side --------------------------------------------------------
 
 
+#: The :attr:`ChildProcess.returncode` of a child that exited after its
+#: template: the status died with the process that would have reaped it.
+#: Neither an exit status (0-255) nor a signal (negative).
+UNREPORTED_EXIT = 256
+
+
 class ChildProcess:
     """The driver's handle on one child Core, shaped like ``subprocess``'s.
 
     The child's parent is the template, so nothing here can ``waitpid``:
     the exit code is whatever the template reported (negative for a
-    signal, as ``subprocess`` has it).  ``stdout`` carries the ``READY`` line,
+    signal, as ``subprocess`` has it).  Once the template is gone, the
+    child's pidfd, opened with the handle, tells that it has exited, and
+    the code is :data:`UNREPORTED_EXIT` (where there are no pidfds, such a
+    child reads as alive).  ``stdout`` carries the ``READY`` line,
     ``stderr`` the child's last words.
     """
 
@@ -512,6 +521,12 @@ class ChildProcess:
         self.stdout = stdout
         self.stderr = stderr
         self.returncode: int | None = None
+        try:  # readable once the child has exited, whoever reaps it
+            self._pidfd: int | None = os.pidfd_open(pid)
+        except (AttributeError, OSError):
+            # No pidfds here (ENOSYS, a seccomp EPERM), or the child is gone
+            # and reaped already: then the template's report is on its way.
+            self._pidfd = None
 
     def poll(self) -> int | None:
         return self._take(0.0)
@@ -524,10 +539,17 @@ class ChildProcess:
 
     def _take(self, timeout: float | None) -> int | None:
         if self.returncode is None:
+            deadline = None if timeout is None else time.monotonic() + timeout
             # The template's report is taken once: a thread that lost the
             # race to it must not write None over the winner's code.
             code = self._template.exit_code(self.pid, timeout)
-            if code is not None:
+            if code is None and self._pidfd is not None and self._template.dead:
+                exited = select.poll()
+                exited.register(self._pidfd, select.POLLIN)
+                wait = None if deadline is None else max(0.0, deadline - time.monotonic()) * 1000
+                if exited.poll(wait):
+                    code = UNREPORTED_EXIT
+            if code is not None and self.returncode is None:
                 self.returncode = code
         return self.returncode
 
@@ -539,6 +561,9 @@ class ChildProcess:
     def close(self) -> None:
         self.stdout.close()
         self.stderr.close()
+        if self._pidfd is not None:
+            os.close(self._pidfd)
+            self._pidfd = None
 
 
 class _Template:
@@ -729,23 +754,6 @@ def _shared_template() -> _Template:
             # The hang-up of a driver that exits in good order: no Popen left un-waited.
             atexit.register(_shared.close, _TERMINATE_GRACE + 1.0)
         return _shared
-
-
-def _await_exit(pid: int, timeout: float) -> None:
-    """Wait, ``timeout`` at most, until ``pid`` has exited.
-
-    It is not this process's child, so no ``waitpid``: its pidfd reads
-    ready once it has exited, whether anybody reaped it or not.  Where
-    there are no pidfds (Linux only) nothing is waited for.
-    """
-    try:
-        pidfd = os.pidfd_open(pid)
-    except (AttributeError, OSError):
-        return  # no pidfds here (ENOSYS, a seccomp EPERM), or it is gone and reaped
-    try:
-        select.select([pidfd], [], [], max(0.0, timeout))
-    finally:
-        os.close(pidfd)
 
 
 @dataclass
@@ -940,7 +948,8 @@ class CoreProcesses:
         for process in self.processes.values():
             if process.poll() is None:  # its template is gone and ended nothing
                 process.kill()
-                _await_exit(process.pid, deadline - time.monotonic())
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    process.wait(max(0.0, deadline - time.monotonic()))
             process.close()
         self.processes.clear()
         if driver is not None and driver.is_running:

@@ -5,7 +5,7 @@ The :class:`Supervisor` keeps the children of a multi-process deployment
 
 - **Watch** — a monitor thread fuses ``waitpid`` (``poll()`` on the
   child's handle, fed by the template process that forked it: an exit
-  code or signal) with the verdicts of the driver's
+  code or signal; once that template is dead, the child's pidfd) with the verdicts of the driver's
   :class:`~repro.recovery.FailureDetector` (``driver.detector``), whose
   heartbeat rounds it runs over the children ``waitpid`` says are alive.
   A dead child is restarted.  One alive but failed by the detector —
@@ -50,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.cluster.launch import CoreProcesses, free_ports
+from repro.cluster.launch import UNREPORTED_EXIT, CoreProcesses, free_ports
 from repro.core.admin import CoreAdmin
 from repro.core.events import CORE_FAILED
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
@@ -121,6 +121,8 @@ class _ChildState:
 
 def describe_exit(returncode: int) -> str:
     """Human-readable exit cause from a ``Popen.returncode``."""
+    if returncode == UNREPORTED_EXIT:
+        return "exit unreported (its template died first)"
     if returncode < 0:
         try:
             return f"signal {signal_module.Signals(-returncode).name}"

@@ -123,17 +123,16 @@ STATS = SerializerStats()
 
 
 class _HookedPickler(pickle.Pickler):
+    """Calls the encode hook, if there is one, as its ``persistent_id``:
+    without one, a dump makes no Python-level call per object."""
+
     #: What the last dump put beside the stream: nothing, in-band.
     beside: tuple | list = ()
 
     def __init__(self, buffer: io.BytesIO, encode_hook: EncodeHook | None, **options) -> None:
+        if encode_hook is not None:
+            self.persistent_id = encode_hook  # type: ignore[method-assign]
         super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL, **options)
-        self._encode_hook = encode_hook
-
-    def persistent_id(self, obj: object) -> object | None:  # noqa: D102
-        if self._encode_hook is None:
-            return None
-        return self._encode_hook(obj)
 
 
 class _SegmentPickler(_HookedPickler):
@@ -153,7 +152,8 @@ class _SegmentPickler(_HookedPickler):
             beside.append(view)
             return False
 
-        super().__init__(buffer, encode_hook, buffer_callback=collect)
+        self._encode_hook = encode_hook  # called below, not as the persistent_id
+        super().__init__(buffer, None, buffer_callback=collect)
 
     def persistent_id(self, obj: object) -> object | None:  # noqa: D102
         if type(obj) is bytes and len(obj) >= BULK_BYTES:
@@ -162,7 +162,8 @@ class _SegmentPickler(_HookedPickler):
                 return (_BULK_TAG, ordinal, None)
             ordinal = self._ordinals[id(obj)] = len(self._ordinals)
             return (_BULK_TAG, ordinal, pickle.PickleBuffer(obj))
-        return super().persistent_id(obj)
+        hook = self._encode_hook
+        return None if hook is None else hook(obj)
 
     def clear_memo(self) -> None:
         """Also forget what the last dump put beside the stream."""

@@ -37,14 +37,16 @@ thread (docs/TRANSPORT.md has the measurements and the dead ends):
   while the handler runs, and a handler that calls its sender back would
   block the thread that has to read that call.  They are queued for
   ``fargo-tcp-dispatch`` threads; one more starts when more frames are
-  outstanding than there are threads, up to ``max_dispatch_threads``.
-- **Who accepts and who closes.**  One I/O thread per hub
-  (``fargo-tcp-io``) accepts, starts serving threads and runs control
-  calls; it reads no connection and runs no handler.  A connection is
-  closed by its owner: a caller its failed one, a serving thread its own
-  when the peer hangs up, the hub the idle ones.  :meth:`TcpTransport.close`
-  shuts every socket down, which wakes every serving thread and every
-  caller blocked on a reply, and joins the hub's threads.
+  outstanding than there are threads, up to :data:`_MAX_DISPATCH_THREADS`.
+- **Who accepts and who closes.**  Each registered node's listener has one
+  accept thread (``fargo-tcp-accept``) that blocks in ``accept()`` and
+  starts a serving thread per connection; it reads no connection and runs
+  no handler.  A socket is closed by its owner: a caller its failed
+  connection, a serving thread its own when the peer hangs up, the hub the
+  idle ones, and :meth:`~TcpTransport.deregister` a listener once its
+  accept thread has left.  Shutting a socket down wakes the thread blocked
+  on it, so :meth:`TcpTransport.close` shuts every socket down, listeners
+  included, and joins the hub's threads.
 
 Failure semantics mirror the simulated network's types: a refused or
 lost connection raises :class:`~repro.errors.CoreUnreachableError`, a
@@ -68,11 +70,9 @@ import mmap
 import os
 import queue
 import select
-import selectors
 import socket
 import threading
 import time
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -109,16 +109,27 @@ _IDLE_CAP = 8
 
 _LISTEN_BACKLOG = 100
 
+#: Most threads that run ONEWAY handlers at once, per hub.
+_MAX_DISPATCH_THREADS = 32
+
 #: Most buffers one ``sendmsg`` takes; a longer list is EMSGSIZE.
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _shut_down(sock: socket.socket) -> None:
+    """Wake the thread blocked on ``sock`` from any thread; its owner closes it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # closed already, or never connected
 
 
 class _Connection:
     """One established socket, outgoing or accepted, owned by one thread at a time.
 
     Only the owner — the caller that checked it out, or an accepted one's
-    serving thread — writes, reads and closes it; any thread may
-    :meth:`abort` it to wake the owner.  Reads block; writes pass
+    serving thread — writes, reads and closes it; any thread may shut its
+    socket down to wake the owner.  Reads block; writes pass
     ``MSG_DONTWAIT`` and wait for room themselves, to honour a deadline.
     """
 
@@ -205,13 +216,6 @@ class _Connection:
             )
         return frame
 
-    def abort(self) -> None:
-        """Wake the owner from any thread: its read ends, and it closes the socket."""
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # closed already, or never connected
-
 
 class TcpTransport(Transport):
     """TCP hub implementing the :class:`Transport` protocol."""
@@ -226,7 +230,6 @@ class TcpTransport(Transport):
         request_timeout: float = 30.0,
         connect_timeout: float = 10.0,
         trace_capacity: int = 256,
-        max_dispatch_threads: int = 32,
     ) -> None:
         if scheduler is None:
             from repro.sim.clock import RealClock
@@ -243,7 +246,8 @@ class TcpTransport(Transport):
         self._request_timeout = request_timeout
         self._connect_timeout = connect_timeout
         self._handlers: dict[str, NodeHandler] = {}
-        self._listeners: dict[str, socket.socket] = {}
+        #: Each local node's listener and the thread that accepts on it.
+        self._listeners: dict[str, tuple[socket.socket, threading.Thread | None]] = {}
         self._latency: dict[tuple[str, str], float] = {}
         self._stats_lock = threading.Lock()
         self._request_ids = itertools.count(1)
@@ -260,79 +264,6 @@ class TcpTransport(Transport):
         self._oneway: queue.SimpleQueue = queue.SimpleQueue()
         self._oneway_load = 0  # ONEWAY frames queued or running
         self._dispatchers = 0
-        self._max_dispatch_threads = max_dispatch_threads
-        # The selector belongs to the I/O thread.  Other threads ask it
-        # to watch or drop a listener through _io_calls and the wake pair.
-        self._selector = selectors.DefaultSelector()
-        self._io_calls: deque[tuple] = deque()
-        self._io_calls_lock = threading.Lock()
-        self._wake_recv, self._wake_send = socket.socketpair()
-        self._wake_recv.setblocking(False)
-        self._wake_send.setblocking(False)
-        self._selector.register(self._wake_recv, selectors.EVENT_READ, None)
-        self._io_thread = threading.Thread(target=self._io_loop, name="fargo-tcp-io", daemon=True)
-        self._io_thread.start()
-
-    # -- the I/O thread: accept, nothing else ----------------------------------
-
-    def _io_call(self, function, *args) -> None:
-        """Have the I/O thread run ``function(*args)`` (control path only)."""
-        with self._io_calls_lock:
-            if self._closed:
-                raise TransportError("transport is closed")
-            self._io_calls.append((function, args))
-            self._wake()
-
-    def _wake(self) -> None:
-        """Make the selector return; call with ``_io_calls_lock`` held: close() takes it
-        before it lets go of the wake pair, so no wake-up is sent into a closed socket."""
-        try:
-            self._wake_send.send(b"\0")
-        except BlockingIOError:
-            pass  # enough wake-ups are already queued
-
-    def _io_loop(self) -> None:
-        while not self._closed or self._io_calls:
-            for key, _events in self._selector.select():
-                try:
-                    if key.data is None:
-                        self._run_io_calls()
-                    else:
-                        self._accept_ready(key.fileobj, key.data)
-                except Exception:  # noqa: BLE001 - the hub is deaf without this thread
-                    logger.exception("TcpTransport I/O thread: event on %r failed", key.data)
-        self._selector.unregister(self._wake_recv)  # close() owns the wake pair
-        for key in list(self._selector.get_map().values()):
-            self._drop(key.fileobj)
-        self._selector.close()
-
-    def _run_io_calls(self) -> None:
-        try:
-            self._wake_recv.recv(4096)
-        except BlockingIOError:
-            pass
-        while self._io_calls:
-            function, args = self._io_calls.popleft()
-            function(*args)
-
-    def _drop(self, listener: socket.socket) -> None:
-        """Stop watching ``listener`` and close it."""
-        try:
-            self._selector.unregister(listener)
-        except (KeyError, ValueError):
-            return  # never watched, or dropped already
-        listener.close()
-
-    def _accept_ready(self, listener: socket.socket, name: str) -> None:
-        try:
-            sock, address = listener.accept()
-        except OSError:
-            return  # the connecting peer gave up first
-        connection = _Connection(sock, f"{address[0]}:{address[1]} (calling {name!r})")
-        if self._adopt(connection) and not self._start_thread(
-            "fargo-tcp-conn", self._serve, connection
-        ):
-            self._discard(connection)  # closing: the connecting peer sees the end of the stream
 
     # -- connections and the threads that own them ----------------------------
 
@@ -351,15 +282,34 @@ class TcpTransport(Transport):
             self._live.discard(connection)
         connection.sock.close()
 
-    def _start_thread(self, name: str, target, *args) -> bool:
-        """Start a daemon thread that :meth:`close` joins; False once closed."""
+    def _start_thread(self, name: str, target, *args) -> threading.Thread | None:
+        """Start a daemon thread that :meth:`close` joins; None once closed."""
         thread = threading.Thread(target=target, args=args, name=name, daemon=True)
         with self._lock:
             if self._closed:
-                return False
+                return None
             self._threads.add(thread)
             thread.start()  # under the lock: close() joins only started threads
-        return True
+        return thread
+
+    def _accept(self, listener: socket.socket, name: str) -> None:
+        """Accept thread of one listener: give each connection a serving thread."""
+        try:
+            while True:
+                try:
+                    sock, (host, port, *_) = listener.accept()
+                    connection = _Connection(sock, f"{host}:{port} (calling {name!r})")
+                except OSError:
+                    if self._closed or self._listeners.get(name, (None,))[0] is not listener:
+                        return  # deregister() or close() shut the listener down
+                    continue  # the connecting peer gave up first
+                if self._adopt(connection) and not self._start_thread(
+                    "fargo-tcp-conn", self._serve, connection
+                ):
+                    self._discard(connection)  # closing: the peer sees the end of the stream
+        finally:
+            with self._lock:
+                self._threads.discard(threading.current_thread())
 
     def _serve(self, connection: _Connection) -> None:
         """Serving thread of one accepted connection: read a frame, run it, reply."""
@@ -385,7 +335,7 @@ class TcpTransport(Transport):
         """Queue a ONEWAY frame; start a dispatch thread if none is free for it."""
         with self._lock:
             self._oneway_load += 1
-            spawn = self._dispatchers < min(self._oneway_load, self._max_dispatch_threads)
+            spawn = self._dispatchers < min(self._oneway_load, _MAX_DISPATCH_THREADS)
             if spawn:
                 self._dispatchers += 1
         self._oneway.put((frame, connection))
@@ -412,29 +362,29 @@ class TcpTransport(Transport):
         listener = socket.create_server(
             (self._host, self._ports.get(name, 0)), family=family, backlog=_LISTEN_BACKLOG
         )
-        listener.setblocking(False)
-        try:
-            self._io_call(self._selector.register, listener, selectors.EVENT_READ, name)
-        except TransportError:
+        self._listeners[name] = (listener, None)  # listed first: a close() from now shuts it
+        thread = self._start_thread("fargo-tcp-accept", self._accept, listener, name)
+        if thread is None:
+            self._listeners.pop(name, None)
             listener.close()
-            raise
-        self._listeners[name] = listener
+            raise TransportError("transport is closed")
+        self._listeners[name] = (listener, thread)
         self._handlers[name] = handler
         self._peers[name] = (self._host, listener.getsockname()[1])
         self._down.discard(name)
 
     def deregister(self, name: str) -> None:
-        """Detach a local node: close its listener, refuse its traffic."""
-        listener = self._listeners.pop(name, None)
+        """Detach a local node: close its listener, refuse its traffic.
+
+        The accept thread is joined before the socket is closed, so the port
+        is free on return and no thread accepts on a reused descriptor.
+        """
+        listener, thread = self._listeners.pop(name, (None, None))
         if listener is not None:
-            dropped = threading.Event()
-            try:
-                self._io_call(self._drop, listener)
-                self._io_call(dropped.set)
-            except TransportError:
-                pass  # closed: the I/O thread dropped it on its way out
-            else:
-                dropped.wait(self._connect_timeout)  # the port is free on return
+            _shut_down(listener)  # wakes the accept thread
+            if thread is not None:
+                thread.join(timeout=self._connect_timeout)
+            listener.close()
         self._handlers.pop(name, None)
         self._down.add(name)
 
@@ -647,7 +597,7 @@ class TcpTransport(Transport):
             # peer that stopped reading from pinning the thread.
             connection.write(data, time.monotonic() + self._request_timeout)
         except OSError:
-            connection.abort()  # the serving thread's next read ends, and it closes
+            _shut_down(connection.sock)  # the serving thread's next read ends, and it closes
             logger.debug("reply to %s could not be written", connection.peer, exc_info=True)
 
     # -- lifecycle --------------------------------------------------------------
@@ -663,25 +613,21 @@ class TcpTransport(Transport):
             self._closed = True
             for connection in self._live:
                 connection.sock.close()
-            self._selector.close()
             self._release_descriptors()
             return
-        with self._io_calls_lock:
+        with self._lock:  # nothing is adopted, started or pooled once _closed is seen here
             if self._closed:
                 return
-            self._closed = True  # no _io_call is accepted from here on
-            self._wake()
-        # Never far from its selector, the I/O thread drops every listener on the way out.
-        self._io_thread.join(timeout=self._connect_timeout)
-        with self._lock:  # nothing is adopted, started or pooled once _closed is seen here
+            self._closed = True
+            listeners = [listener for listener, _thread in self._listeners.values()]
             idle = [connection for pool in self._idle.values() for connection in pool]
             self._idle.clear()
             live = [*self._live]
             # A thread inside a handler leaves when that returns; close() called from one
             # cannot join itself.
             threads = [t for t in self._threads if t is not threading.current_thread()]
-        for connection in live:
-            connection.abort()  # its owner wakes with the end of the stream and closes it
+        for sock in (*listeners, *(connection.sock for connection in live)):
+            _shut_down(sock)  # its accept or serving thread wakes, and a caller's read ends
         for connection in idle:
             self._discard(connection)  # these have no owner
         for _ in range(self._dispatchers):
@@ -689,15 +635,14 @@ class TcpTransport(Transport):
         deadline = time.monotonic() + self._connect_timeout
         for thread in threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        if self._io_thread.is_alive() or any(thread.is_alive() for thread in threads):
+        if any(thread.is_alive() for thread in threads):
             logger.warning("TcpTransport threads still running after close()")
         self._release_descriptors()
 
     def _release_descriptors(self) -> None:
-        """Close the listeners (the I/O thread's way out closed them already) and the
-        wake pair, and forget the local nodes: the end of either way to close."""
-        for sock in (*self._listeners.values(), self._wake_send, self._wake_recv):
-            sock.close()
+        """Close the listeners and forget the local nodes: the end of either way to close."""
+        for listener, _thread in self._listeners.values():
+            listener.close()
         self._listeners.clear()
         self._handlers.clear()
 

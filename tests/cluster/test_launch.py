@@ -292,7 +292,7 @@ class TestOneTemplatePerProcess:
             assert is_running(alpha.pid) and is_running(beta.pid)  # nobody ended them
             # The orphaned deployment respawns alpha, from the template there is now.
             alpha.kill()
-            launch._await_exit(alpha.pid, 5.0)
+            assert alpha.wait(timeout=5.0) == launch.UNREPORTED_EXIT  # its pidfd says so
             reborn = orphaned.spawn_child("alpha")
             orphaned.await_child("alpha")
             assert parent_of(reborn.pid) == fresh

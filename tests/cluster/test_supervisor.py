@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
+from repro.cluster.launch import UNREPORTED_EXIT
 from repro.cluster.supervisor import DEFAULT_BACKOFF, _ChildState, describe_exit
 from repro.cluster.workload import Counter
 from repro.errors import ConfigurationError
@@ -55,6 +56,9 @@ class TestDescribeExit:
     def test_exit_codes(self):
         assert describe_exit(0) == "exit 0"
         assert describe_exit(3) == "exit 3"
+
+    def test_an_exit_its_template_did_not_live_to_report(self):
+        assert describe_exit(UNREPORTED_EXIT) == "exit unreported (its template died first)"
 
 
 class TestChildState:

@@ -22,12 +22,15 @@ import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
 from repro.cluster.failures import FailureInjector
+from repro.cluster.launch import UNREPORTED_EXIT
+from repro.cluster.supervisor import describe_exit
 from repro.cluster.workload import Echo
 from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SUSPECTED
 from repro.errors import ConfigurationError
 from repro.recovery import CheckpointStore, DetectorConfig
 from repro.shell.shell import FarGoShell
 from tests.anchors import Holder, Probe
+from tests.procfs import is_running, parent_of
 
 pytestmark = pytest.mark.tcp
 
@@ -116,6 +119,29 @@ class TestIdentityPreservingRestart:
             state = child_state(supervisor, "alpha")
             assert state["last_exit"] == "signal SIGKILL"
             assert state["last_mttr"] is not None and state["last_mttr"] > 0.0
+
+    def test_a_child_outliving_its_template_is_seen_to_die_and_restarted(self, deployment):
+        """No template is left to report alpha's exit: its pidfd does, and it comes back."""
+        procs, _checkpoint_dir = deployment
+        with Supervisor(procs) as supervisor:
+            steady = Probe(_core=procs.driver, _at="beta")
+            alpha = procs.processes["alpha"]
+            template = parent_of(alpha.pid)
+            os.kill(template, signal.SIGKILL)
+            assert wait_until(lambda: not is_running(template))
+            steady.note("template gone")
+            os.kill(alpha.pid, signal.SIGKILL)
+            assert wait_until(
+                lambda: child_state(supervisor, "alpha")["restarts"] >= 1
+                and child_state(supervisor, "alpha")["status"] == "running"
+            ), f"alpha never healed: {child_state(supervisor, 'alpha')}"
+            assert child_state(supervisor, "alpha")["last_exit"] == describe_exit(UNREPORTED_EXIT)
+            reborn = procs.processes["alpha"]
+            assert reborn.pid != alpha.pid and parent_of(reborn.pid) != template
+            assert procs.driver.admin("alpha", "complets") == []
+            steady.note("alpha back")
+            assert steady.get_history() == ["template gone", "alpha back"]
+            assert child_state(supervisor, "beta")["restarts"] == 0
 
     def test_restart_metrics_and_spans(self, deployment):
         procs, checkpoint_dir = deployment

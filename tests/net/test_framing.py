@@ -211,7 +211,7 @@ def bulk_payload() -> Segments:
 
 
 def feed_in_place(decoder: FrameDecoder, chunks) -> list[Frame]:
-    """What the TCP I/O thread does: receive into the tail where one is offered."""
+    """What a TCP connection does: receive into the tail where one is offered."""
     frames: list[Frame] = []
     for chunk in chunks:
         chunk = memoryview(chunk)

@@ -47,6 +47,22 @@ class TestPlainSerializer:
         with pytest.raises(SerializationError):
             PLAIN.dumps(lambda: None)
 
+    def test_a_dump_without_hooks_makes_no_python_call_per_object(self):
+        control = [{"kind": "lookup", "id": i, "at": ("a", 7000 + i)} for i in range(1000)]
+        PLAIN.dumps(control)  # the pickler exists before the count starts
+        calls: list[str] = []
+
+        def count(frame, event, _arg) -> None:
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            PLAIN.dumps(control)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["dumps", "_dump"]  # the serializer's own two frames, nothing per object
+
     def test_token_without_decode_hook_raises(self):
         encoder = Serializer(encode_hook=lambda o: "tok" if isinstance(o, Diverted) else None)
         data = encoder.dumps(Diverted("x"))

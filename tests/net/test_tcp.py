@@ -382,6 +382,15 @@ class TestLifecycle:
         with pytest.raises(TransportError):
             hub.send(envelope("x", "x"))
 
+    def test_register_after_close_fails_and_binds_nothing(self):
+        hub = TcpTransport()
+        hub.close()
+        with pytest.raises(TransportError):
+            hub.register("x", lambda env: b"")
+        assert hub.nodes() == []
+        with pytest.raises(TransportError):  # nothing was bound
+            hub.local_address("x")
+
     def test_listener_port_released_after_close(self):
         import socket
 
@@ -392,10 +401,6 @@ class TestLifecycle:
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
             probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             probe.bind(("127.0.0.1", port))  # must not raise
-
-
-def io_threads() -> list[threading.Thread]:
-    return [thread for thread in threading.enumerate() if thread.name == "fargo-tcp-io"]
 
 
 def hub_threads(*kinds: str) -> list[threading.Thread]:
@@ -428,7 +433,7 @@ class TestThreading:
     """A caller reads its own reply; the thread that read a request runs it."""
 
     def test_reentrant_chain_over_two_connections(self, pair):
-        """a -> b -> a -> b: every hop waits on a reply only the I/O thread can read."""
+        """a -> b -> a -> b: every hop waits on a reply only a second connection can carry."""
         hub_a, hub_b = pair
         hub_a.deregister("a")
         hub_b.deregister("b")
@@ -483,7 +488,8 @@ class TestThreading:
             assert hub_b.send(envelope("b", "a")) == b"ok"
         assert len(ran_on) == 1 and len(accepted) == 1
         assert sorted(thread.name for thread in threading.enumerate()) == threads
-        assert threading.get_ident() not in ran_on and io_threads()[0].ident not in ran_on
+        assert threading.get_ident() not in ran_on
+        assert not ran_on & {thread.ident for thread in hub_threads("accept")}
 
     def test_oneway_handler_calls_its_sender_back_which_calls_again(self, pair):
         """post, then b -> a -> b: the ONEWAY handler is off the thread that reads a's call."""
@@ -530,20 +536,56 @@ class TestThreading:
         finally:
             release.set()
 
-    def test_one_io_thread_per_hub_gone_after_close(self):
-        before = len(io_threads())
+    def test_one_accept_thread_per_node_gone_after_deregister_and_close(self):
+        before = len(hub_threads("accept"))
         others = len(hub_threads("conn", "dispatch"))
         hub = TcpTransport()
-        assert len(io_threads()) == before + 1
-        hub.register("x", lambda env: b"")
-        hub.register("y", lambda env: b"")
+        assert len(hub_threads("accept")) == before  # a hub with no node accepts nothing
+        for count, name in enumerate("xyz", start=1):
+            hub.register(name, lambda env: b"")
+            assert len(hub_threads("accept")) == before + count
         assert hub.send(envelope("x", "y")) == b""
         hub.post(envelope("x", "y"))
-        assert len(io_threads()) == before + 1
+        assert len(hub_threads("accept")) == before + 3
         assert len(hub_threads("conn")) == others + 1
+        hub.deregister("z")
+        assert len(hub_threads("accept")) == before + 2
         hub.close()
-        assert len(io_threads()) == before
+        assert len(hub_threads("accept")) == before
         assert len(hub_threads("conn", "dispatch")) == others
+
+    def test_deregister_under_connects_frees_the_port_and_spares_the_other_node(self):
+        hub, peer = TcpTransport(), TcpTransport()
+        hub.register("x", lambda env: b"x")
+        hub.register("y", lambda env: b"y")
+        peer.register("p", lambda env: b"")
+        peer.add_peer("x", hub.local_address("x"))
+        hub.add_peer("p", peer.local_address("p"))
+        address = hub.local_address("y")
+        stop = threading.Event()
+
+        def knock() -> None:  # a peer that keeps connecting to y
+            while not stop.is_set():
+                try:
+                    socket.create_connection(address, timeout=0.5).close()
+                except OSError:
+                    pass
+
+        knocker = threading.Thread(target=knock)
+        knocker.start()
+        try:
+            time.sleep(0.05)
+            hub.deregister("y")
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as rebound:
+                rebound.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                rebound.bind(address)  # free on return: must not raise
+            for _ in range(20):
+                assert peer.send(envelope("p", "x")) == b"x"
+        finally:
+            stop.set()
+            knocker.join(timeout=5)
+            peer.close()
+            hub.close()
 
     def test_stalled_peer_fails_the_write_then_reconnects(self):
         """A peer that accepts and never reads cannot hold a sender past its budget."""
