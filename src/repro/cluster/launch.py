@@ -8,7 +8,7 @@ per machine/process, complets moving between them — realised with
   shut down (remotely via the ``shutdown`` admin operation, or by
   signal).  It prints ``READY <name> <port>`` on stdout once its
   listener accepts.
-- **Template**: ``python -m repro.cluster.launch --template FD``, one
+- **Template**: ``python -S -m repro.cluster.launch --template FD``, one
   per driver *process* and its only ``exec``: the first deployment
   starts it, every later one uses it, and it stays until the driver
   exits.  It imports this package once, with all a child Core imports
@@ -25,12 +25,15 @@ per machine/process, complets moving between them — realised with
   instantiate, move, admin — everything goes through ordinary Core APIs
   over TCP), and tears its own children down on exit.
 
-The template inherits the driver's ``sys.path`` via ``PYTHONPATH`` and
-every fork request carries the path of that moment, so anchor classes
+The template's path is ``PYTHONPATH``, which carries the driver's
+``sys.path`` (site directories and ``.pth`` entries included), plus
+what each fork request's path, that of the moment, adds: anchor classes
 defined in the driving program (e.g. a test suite's shared module)
 unpickle in the children, also when their directory was added after
-the template had started.  Everything else a child sees is the
-template's: its environment, its working directory, and the code it
+the template had started.  It runs without ``site`` (``-S``), so the
+``.pth`` import lines, ``sitecustomize`` and the ``exit``/``quit``
+builtins do not reach the children.  Everything else a child sees is
+the template's: its environment, its working directory, and the code it
 imported (a module edited since is not read again).
 
 Before it forks, the template imports the driver's complet modules too:
@@ -59,12 +62,11 @@ identity preserved — before announcing READY (see docs/FAILURES.md).
 
 from __future__ import annotations
 
-import argparse
-import array
+# Every child inherits what the template imports, and the template imports
+# this module: what the driver alone uses (subprocess, the FIONREAD peek's
+# fcntl and termios) is imported in the functions that use it.
 import atexit
 import contextlib
-import encodings.idna  # noqa: F401 - a child's first create_connection would import it
-import fcntl
 import gc
 import importlib
 import json
@@ -75,9 +77,7 @@ import select
 import selectors
 import signal
 import socket
-import subprocess
 import sys
-import termios
 import threading
 import time
 import traceback
@@ -534,6 +534,8 @@ class ChildProcess:
     def wait(self, timeout: float | None = None) -> int:
         code = self._take(timeout)
         if code is None:
+            import subprocess
+
             raise subprocess.TimeoutExpired(f"child Core (pid {self.pid})", timeout or 0.0)
         return code
 
@@ -575,6 +577,8 @@ class _Template:
     """
 
     def __init__(self, command: list[str], env: dict[str, str]) -> None:
+        import subprocess
+
         #: The process that started it: a forked copy of that process holds
         #: copies of this handle's descriptors and must not speak through them.
         self.owner = os.getpid()
@@ -696,6 +700,8 @@ class _Template:
         In a forked copy of the owner only the copies of the descriptors
         are closed, which tells the owner's template nothing.
         """
+        import subprocess
+
         if self.owner == os.getpid():
             with contextlib.suppress(OSError):
                 self._control.shutdown(socket.SHUT_WR)
@@ -709,6 +715,9 @@ class _Template:
         assert self.process.stderr is not None
         self.process.stderr.close()
 
+
+#: How a template starts: without ``site``, its path all in PYTHONPATH.
+_TEMPLATE_COMMAND = [sys.executable, "-S", "-m", "repro.cluster.launch"]
 
 #: The process's template: started by its first deployment, used by every
 #: later one, replaced once found dead or retired.  Nothing is started at import.
@@ -750,7 +759,7 @@ def _shared_template() -> _Template:
         if _shared is None:
             env = dict(os.environ)
             env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-            _shared = _Template([sys.executable, "-m", "repro.cluster.launch"], env)
+            _shared = _Template(_TEMPLATE_COMMAND, env)
             # The hang-up of a driver that exits in good order: no Popen left un-waited.
             atexit.register(_shared.close, _TERMINATE_GRACE + 1.0)
         return _shared
@@ -884,6 +893,11 @@ class CoreProcesses:
         pipe, which belongs to whoever reads the child's stdout.  A pipe
         that ends instead means the child died.
         """
+        import array
+        import fcntl
+        import subprocess
+        import termios
+
         budget = timeout if timeout is not None else self.startup_timeout
         process = self.processes[name]
         with selectors.DefaultSelector() as readable:
@@ -915,6 +929,8 @@ class CoreProcesses:
         process's: the copy closes its copies of the hub and of the
         children's pipes, and asks, ends or kills nothing.
         """
+        import subprocess
+
         driver = self.driver
         if self.transport is not None and self.transport.forked:
             for process in self.processes.values():
@@ -961,16 +977,13 @@ class CoreProcesses:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.launch",
-        description="The template process a CoreProcesses deployment forks its Cores from.",
-    )
-    parser.add_argument(
-        "--template", type=int, metavar="FD", required=True,
-        help="fork Cores on the requests read from this inherited socket "
-        "(what CoreProcesses starts; not for the command line)",
-    )
-    status = run_template(parser.parse_args(argv).template)
+    """The template a CoreProcesses deployment forks its Cores from: it serves the
+    requests read from the inherited socket ``--template FD``.  The arguments
+    are read without argparse, which every child would inherit."""
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2 or argv[0] != "--template" or not argv[1].isdigit():
+        sys.exit("usage: python -S -m repro.cluster.launch --template FD (CoreProcesses starts it)")
+    status = run_template(int(argv[1]))
     if threading.active_count() > 1:
         # A thread some import started would hold the interpreter's exit up.
         sys.stderr.flush()

@@ -14,12 +14,14 @@ settled by the message that causes it: the Core that answers "the target
 is at F" discards the requester from its own tracker and has F register
 it, inside a message it sends toward F anyway — the LOOKUPs of a chain
 walk, the collapse of a forwarded call, the commit of a requested move.
-A one-way TRACKER_UPDATE is left only where no message of the operation
-reaches the Core that must learn (collection, failure repairs, a token
-materialized at a new Core, a stale arrival pointing at a third Core, the
-old hop of a walk that started or was forwarded past it) and after a
-request that may have handed a tracker over failed
-(:meth:`ReferenceHandler.reclaim`).  Where a walk starts is the Core's
+A TRACKER_UPDATE of its own is left only where no message of the
+operation reaches the Core that must learn (collection, failure repairs, a
+token materialized at a new Core, a stale arrival pointing at a third
+Core, the old hop of a walk that started or was forwarded past it) and
+after a request that may have handed a tracker over failed
+(:meth:`ReferenceHandler.reclaim`).  Such a registration is answered, so
+that no tracker sweep after it can collect its pointee under the new
+reference; a discard goes one-way.  Where a walk starts is the Core's
 :mod:`~repro.core.locator` strategy's choice.
 
 No update depends on the order it arrives in.  Each names the pointer's
@@ -313,15 +315,18 @@ class ReferenceHandler:
     def _notify_pointer(
         self, target: TrackerAddress, pointer: TrackerAddress, epoch: int, *, register: bool
     ) -> None:
+        """Tell ``target`` that ``pointer`` forwards to it at ``epoch``, or no longer does.
+
+        A registration is a request, answered once ``target`` holds it: a
+        tracker sweep that runs after it returns cannot overtake it and
+        collect ``target`` under a live reference.  A discard goes one-way.
+        """
         if target.core == self.core.name:
             self._apply_pointer_update(target.serial, pointer, epoch, register)
             return
+        send = self.core.peer.request if register else self.core.peer.notify
         try:
-            self.core.peer.notify(
-                target.core,
-                MessageKind.TRACKER_UPDATE,
-                (target.serial, pointer, epoch, register),
-            )
+            send(target.core, MessageKind.TRACKER_UPDATE, (target.serial, pointer, epoch, register))
         except CoreError:
             # Best effort: an unreachable Core cannot be told.  A dropped
             # unregister only delays collection there; a dropped register

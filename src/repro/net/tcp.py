@@ -531,7 +531,10 @@ class TcpTransport(Transport):
                 raise TimeoutError("not connected by the deadline")
             try:
                 timeout = min(self._connect_timeout, remaining)
-                sock = socket.create_connection(address, timeout=timeout)
+                # An ASCII host goes as bytes: getaddrinfo then needs no idna
+                # codec, which a child Core would import on its first connect.
+                host = address[0].encode() if address[0].isascii() else address[0]
+                sock = socket.create_connection((host, address[1]), timeout=timeout)
             except OSError as exc:
                 if attempt >= self._reconnect.max_attempts:
                     raise CoreUnreachableError(

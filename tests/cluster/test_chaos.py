@@ -26,7 +26,7 @@ seed 2: PASS — 83 ok, 10 typed errors, 12 injections, 2 recoveries over 37.3s 
 seed 3: PASS — 78 ok, 13 typed errors, 12 injections, 3 recoveries over 36.4s virtual
 seed 4: PASS — 94 ok, 9 typed errors, 12 injections, 4 recoveries over 41.3s virtual
 seed 5: PASS — 85 ok, 14 typed errors, 12 injections, 4 recoveries over 39.8s virtual
-seed 6: PASS — 80 ok, 13 typed errors, 12 injections, 2 recoveries over 37.3s virtual
+seed 6: PASS — 80 ok, 13 typed errors, 12 injections, 2 recoveries over 37.4s virtual
 seed 7: PASS — 70 ok, 16 typed errors, 12 injections, 2 recoveries over 34.4s virtual
 seed 8: PASS — 71 ok, 6 typed errors, 12 injections, 1 recoveries over 30.8s virtual
 seed 9: PASS — 106 ok, 7 typed errors, 12 injections, 4 recoveries over 45.3s virtual

@@ -364,8 +364,9 @@ class TestOneTemplatePerProcess:
         assert fresh.stdout.split() == ["1", "0"]
 
 
-#: A process set up as the template is (the launcher, then the preload of the
-#: test suite's complet module), whose Cores then do what children do.
+#: A process set up as the template is (its interpreter flags, the launcher, then
+#: the preload of the test suite's complet module), whose Cores then do what
+#: children do.
 AS_A_CHILD = """
 import json, os, sys
 import repro.cluster.launch as launch
@@ -406,6 +407,8 @@ for core, transport in zip(cores.values(), transports):
 print(json.dumps({
     "gained": sorted(set(sys.modules) - loaded),
     "hosts": [host, *(where for where, _crc in members)], "hosted": hosted,
+    "no_site": sys.flags.no_site,
+    "driver_only": sorted({"argparse", "subprocess", "encodings.idna"} & loaded),
 }))
 """
 
@@ -448,8 +451,9 @@ class TestPreload:
 
     def test_a_child_imports_nothing_after_fork(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        interpreter = launch._TEMPLATE_COMMAND[:-2]  # without "-m repro.cluster.launch"
         fresh = subprocess.run(
-            [sys.executable, "-c", AS_A_CHILD],
+            [*interpreter, "-c", AS_A_CHILD],
             env=env, capture_output=True, text=True, timeout=60.0, check=True,
         )
         outcome = json.loads(fresh.stdout)
@@ -457,6 +461,9 @@ class TestPreload:
         # or checkpoints, which these Cores do not have.
         assert outcome["gained"] == []
         assert outcome["hosts"] == ["b", "b", "b"] and outcome["hosted"] == 4
+        # Nothing of site's start-up, and nothing only the driver uses, is in the image.
+        assert outcome["no_site"] == 1
+        assert outcome["driver_only"] == []
 
     def test_the_driver_names_the_modules_that_define_its_anchors(self, complet_module):
         module = complet_module("preloaded_here")
@@ -485,6 +492,17 @@ class TestPreload:
             with CoreProcesses(["alpha"]) as procs:
                 stub = module.Mod(_core=procs.driver, _at="alpha")
                 assert stub.answer() == (answer, "alpha")
+
+    def test_a_complet_module_that_imports_from_site_packages(self, complet_module):
+        """The template runs without ``site``: the path it inherits must still
+        name site-packages, where hypothesis alone is installed."""
+        module = complet_module("needs_site_packages", body="import hypothesis\n")
+        with CoreProcesses(["alpha", "beta"]) as procs:
+            stub = module.Mod(_core=procs.driver, _at="alpha")
+            assert stub.answer() == ("", "alpha")
+            procs.driver.move(stub, "beta")
+            assert stub.answer() == ("", "beta")
+            assert not launch._shared.retired
 
     def test_a_pair_that_missed_is_not_tried_again(self, tmp_path, monkeypatch):
         trims = []

@@ -113,6 +113,30 @@ class TestPointerBookkeeping:
             TrackerAddress("beta", 1), counter._fargo_tracker.address, 1, register=True
         )  # must not raise
 
+    @pytest.mark.tcp
+    def test_a_sweep_cannot_overtake_a_registration(self, deploy):
+        """c's registration at b's tracker is slow to land at b.  The alias is
+        handed out only once b holds it, so the sweep after the move, which
+        leaves b forwarding, keeps b's tracker for the alias to go through."""
+        cluster = deploy(["a", "b", "c"], "tcp")
+        at_b = cluster["b"].peer.endpoint._handlers
+        update = at_b[MessageKind.TRACKER_UPDATE]
+        driver_done = threading.Event()
+
+        def held(src, payload):
+            driver_done.wait(0.5)
+            return update(src, payload)
+
+        at_b[MessageKind.TRACKER_UPDATE] = held
+        try:
+            counter = Counter(0, _core=cluster.seat, _at="b")
+            alias = cluster.stub_at("c", counter)
+            cluster.move(counter, "a")
+            cluster.collect_all_trackers()
+            assert alias.increment(1) == 1
+        finally:
+            driver_done.set()
+
     def test_chain_breaks_when_intermediate_core_dies(self, cluster3):
         """The known weakness of tracker chains (the paper's future work
         proposes location-independent naming precisely because of this):

@@ -827,13 +827,16 @@ class TestOversizedFrames:
 
 
 def test_import_repro_loads_neither_asyncio_nor_hashlib():
-    """Child Cores pay every import in their bring-up and their resident set."""
+    """Child Cores pay every import in their bring-up and their resident set;
+    nor does it load what only the driver uses (subprocess, argparse) or the
+    idna codec, which a connect to an ASCII host does not need."""
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-S", "-c",
          "import repro, sys; assert not "
-         "{'asyncio', 'ssl', 'hashlib', 'concurrent.futures'} & set(sys.modules)"],
+         "{'asyncio', 'ssl', 'hashlib', 'concurrent.futures', "
+         "'argparse', 'subprocess', 'encodings.idna'} & set(sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
     )

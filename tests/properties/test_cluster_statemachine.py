@@ -21,11 +21,11 @@ processes of their own.  The first invariant is read through
 inside the Cores of this process: all of them on ``sim`` and ``tcp``,
 the driver on ``procs``.  The pointer sets are checked after every step
 on ``sim`` and on ``tcp``, with no pause between steps: over TCP a step
-whose one-way updates are still in flight is not looked at, and the next
-step starts at once, so an update overtaken by a later step's messages is
-overtaken.  Only a tracker sweep waits for them to land: a sweep that
-overtakes a registration still in flight is an open race (ROADMAP item
-10).  On ``procs`` the sets live in the children.
+whose one-way updates (discards) are still in flight is not looked at,
+and the next step starts at once, so an update overtaken by a later
+step's messages is overtaken, a tracker sweep included.  A registration
+is answered before the step that sent it goes on, so no sweep overtakes
+one.  On ``procs`` the sets live in the children.
 """
 
 import collections
@@ -44,6 +44,7 @@ from hypothesis.stateful import (
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter
 from repro.net.messages import MessageKind
+from repro.net.serializer import PLAIN
 from tests.pointers import eventually, pointer_set_violations
 
 CORES = ["a", "b", "c"]
@@ -60,18 +61,32 @@ class ClusterMachine(RuleBasedStateMachine):
         self.expected: dict = {}
         #: The first reference each complet was known by.
         self.first: dict = {}
-        #: One entry per TRACKER_UPDATE a Core of this process has applied.
+        #: One entry per one-way TRACKER_UPDATE (a discard) a Core of this
+        #: process is about to post, and one per such update one has applied.
+        self.posted: list = []
         self.landed: list = []
         for core in self.cluster.cores.values():
-            handlers = core.peer.endpoint._handlers
+            endpoint = core.peer.endpoint
+            handlers = endpoint._handlers
             handlers[MessageKind.TRACKER_UPDATE] = self._counted(
                 handlers[MessageKind.TRACKER_UPDATE]
             )
+            endpoint.post = self._counting(endpoint.post)
+
+    def _counting(self, post):
+        def count_then_post(dst, kind, payload):
+            if kind is MessageKind.TRACKER_UPDATE:
+                self.posted.append(dst)  # atomic: posts go out on many threads
+            return post(dst, kind, payload)
+
+        return count_then_post
 
     def _counted(self, handler):
-        def apply_then_count(src, body):
-            result = handler(src, body)
-            self.landed.append(src)  # atomic: updates land on many threads
+        def apply_then_count(src, payload):
+            result = handler(src, payload)
+            _serial, _pointer, _epoch, register = PLAIN.loads(payload)
+            if not register:
+                self.landed.append(src)
             return result
 
         return apply_then_count
@@ -124,12 +139,6 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @rule()
     def collect_trackers(self):
-        if self.TRANSPORT == "tcp":
-            # The order of pointer updates does not matter, their presence
-            # does: a sweep that overtakes a registration still in flight
-            # collects a tracker under a live reference (ROADMAP item 10
-            # has the minimised sequence).
-            assert eventually(self._all_landed)
         self.cluster.collect_all_trackers()
 
     @rule()
@@ -167,7 +176,8 @@ class ClusterMachine(RuleBasedStateMachine):
             assert not violations, violations
 
     def _all_landed(self) -> bool:
-        return len(self.landed) == self.cluster.stats.by_kind[MessageKind.TRACKER_UPDATE]
+        """Whether every one-way pointer update has landed (registrations are answered)."""
+        return len(self.landed) == len(self.posted)
 
     @invariant()
     def authoritative_state_matches(self):
