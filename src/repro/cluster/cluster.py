@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable, Iterator
-from typing import TYPE_CHECKING
 
 from repro.cluster.launch import CoreProcesses
 from repro.complet.anchor import Anchor
@@ -41,6 +40,7 @@ from repro.trace.tracer import Span
 #: Granularity of the real-clock :meth:`Cluster.advance` pump.
 _PUMP_INTERVAL = 0.02
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.util.ids import CompletId
     from repro.recovery import (

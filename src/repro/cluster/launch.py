@@ -8,17 +8,19 @@ per machine/process, complets moving between them — realised with
   shut down (remotely via the ``shutdown`` admin operation, or by
   signal).  It prints ``READY <name> <port>`` on stdout once its
   listener accepts.
-- **Template**: ``python -S -m repro.cluster.launch --template FD``, one
-  per driver *process* and its only ``exec``: the first deployment
-  starts it, every later one uses it, and it stays until the driver
-  exits.  It imports this package once, with all a child Core imports
-  besides, and then, on each request read from the control socket
-  ``FD``, ``fork()``s one child that starts from the imported image
-  (:func:`run_template`) and compiles nothing more.  It is the children's
-  parent: it reaps them and reports every exit back, it terminates the
-  ones a stopping deployment names, and when the control socket reaches
-  end of file — the driver is gone, however it went — it terminates
-  them all.
+- **Template**: ``python -S -c "import sys; from repro.cluster.launch
+  import main; sys.exit(main())" --template FD``, one per driver
+  *process* and its only ``exec``: the first deployment starts it,
+  every later one uses it, and it stays until the driver exits.  It
+  imports this package once, with all a child Core imports besides, and
+  executes this module once (``-m`` would run it again as ``__main__``,
+  and every child would carry both copies); then, on each request read
+  from the control socket ``FD``, ``fork()``s one child that starts
+  from the imported image (:func:`run_template`) and compiles nothing
+  more.  It is the children's parent: it reaps them and reports every
+  exit back, it terminates the ones a stopping deployment names, and
+  when the control socket reaches end of file — the driver is gone,
+  however it went — it terminates them all.
 - **Driver**: :class:`CoreProcesses` preallocates a port per Core,
   asks the process's template for the children with the full peer map,
   runs a local *driver* Core on its own hub (the experimenter's seat:
@@ -716,8 +718,12 @@ class _Template:
         self.process.stderr.close()
 
 
-#: How a template starts: without ``site``, its path all in PYTHONPATH.
-_TEMPLATE_COMMAND = [sys.executable, "-S", "-m", "repro.cluster.launch"]
+#: How a template starts: without ``site``, its path all in PYTHONPATH, and
+#: with this module imported once (``-m`` would run it a second time as ``__main__``).
+_TEMPLATE_COMMAND = [
+    sys.executable, "-S", "-c",
+    "import sys; from repro.cluster.launch import main; sys.exit(main())",
+]
 
 #: The process's template: started by its first deployment, used by every
 #: later one, replaced once found dead or retired.  Nothing is started at import.
@@ -982,14 +988,11 @@ def main(argv: list[str] | None = None) -> int:
     are read without argparse, which every child would inherit."""
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2 or argv[0] != "--template" or not argv[1].isdigit():
-        sys.exit("usage: python -S -m repro.cluster.launch --template FD (CoreProcesses starts it)")
+        sys.exit(f"usage: python -S -c {_TEMPLATE_COMMAND[-1]!r} --template FD"
+                 " (CoreProcesses starts it)")
     status = run_template(int(argv[1]))
     if threading.active_count() > 1:
         # A thread some import started would hold the interpreter's exit up.
         sys.stderr.flush()
         os._exit(status)
     return status
-
-
-if __name__ == "__main__":  # pragma: no cover - subprocess entry point
-    sys.exit(main())

@@ -17,11 +17,11 @@ the attribute never pins a Core into the closure).
 from __future__ import annotations
 
 import contextvars
-from typing import TYPE_CHECKING
 
 from repro.errors import CompletError
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -27,7 +27,6 @@ import pickle
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor
 from repro.complet.closure import compute_closure
@@ -37,10 +36,11 @@ from repro.complet.stub import Stub
 from repro.complet.tokens import CloneToken, InGroupToken, RefToken, StampToken
 from repro.complet.tracker import Pointer, Tracker, TrackerAddress
 from repro.errors import CompletBoundaryError, CompletError, SerializationError
-from repro.net.serializer import Segments, Serializer
+from repro.net.serializer import PLAIN, Segments, Serializer
 from repro.store.proxy import StoreProxy
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 
@@ -549,9 +549,10 @@ class InvocationMarshaler:
         ])
 
     def loads(self, data: bytes) -> object:
-        prefix, body = data[:1], data[1:]
+        prefix = data[:1]
+        body: bytes | Segments = data[1:]
         if prefix == _OFFLOADED_PREFIX:
-            parts = pickle.loads(body)
+            parts = PLAIN.loads(body)
             if not (isinstance(parts, list) and parts):
                 raise SerializationError("offloaded invocation payload is not a list of parts")
             parts = [_resolve_stream(self.core, part) for part in parts]

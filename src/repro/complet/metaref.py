@@ -11,12 +11,11 @@ paper's ``Core.getMetaRef``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.complet.relocators import Link, Relocator
 from repro.errors import ConfigurationError
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.complet.stub import Stub
 

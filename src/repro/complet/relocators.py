@@ -32,41 +32,40 @@ compensation logic for the in-group complets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
-
 from repro.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # pragma: no cover - annotations alone use these
+    from typing import Protocol
+
     from repro.complet.stub import Stub
 
+    class GroupPlanner(Protocol):
+        """What a relocator may ask of the movement planner (phase one).
 
-class GroupPlanner(Protocol):
-    """What a relocator may ask of the movement planner (phase one).
+        Implemented by :class:`repro.complet.marshal.MovementPlan`.
+        """
 
-    Implemented by :class:`repro.complet.marshal.MovementPlan`.
-    """
+        def pull(self, stub: "Stub") -> None:
+            """Request that the stub's target complet move in the same stream."""
 
-    def pull(self, stub: "Stub") -> None:
-        """Request that the stub's target complet move in the same stream."""
+        def duplicate(self, stub: "Stub") -> None:
+            """Request that a copy of the stub's target travel in the stream."""
 
-    def duplicate(self, stub: "Stub") -> None:
-        """Request that a copy of the stub's target travel in the stream."""
+    class TokenContext(Protocol):
+        """What a relocator may ask of the marshaler (phase two).
 
+        Implemented by :class:`repro.complet.marshal.MovementMarshaler`.
+        """
 
-class TokenContext(Protocol):
-    """What a relocator may ask of the marshaler (phase two).
+        def reference_token(self, stub: "Stub", relocator: "Relocator") -> object:
+            """Token for a target that stays put (or travels, if in-group)."""
 
-    Implemented by :class:`repro.complet.marshal.MovementMarshaler`.
-    """
+        def clone_token(self, stub: "Stub", relocator: "Relocator") -> object:
+            """Token for the copy registered for this stub during planning."""
 
-    def reference_token(self, stub: "Stub", relocator: "Relocator") -> object:
-        """Token for a target that stays put (or travels, if in-group)."""
-
-    def clone_token(self, stub: "Stub", relocator: "Relocator") -> object:
-        """Token for the copy registered for this stub during planning."""
-
-    def stamp_token(self, stub: "Stub", relocator: "Relocator") -> object:
-        """Token requesting by-type reconnection at the destination."""
+        def stamp_token(self, stub: "Stub", relocator: "Relocator") -> object:
+            """Token requesting by-type reconnection at the destination."""
 
 
 class Relocator:

@@ -20,7 +20,6 @@ offline.  The generated stub class:
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, TypeVar
 
 from repro.complet.anchor import Anchor, anchor_type_name, current_core, qualified_class_ref
 from repro.complet.metaref import MetaRef
@@ -35,10 +34,9 @@ from repro.errors import (
 from repro.util.ids import CompletId
 from repro.util.introspect import public_methods
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
-
-T = TypeVar("T")
 
 
 class Stub:

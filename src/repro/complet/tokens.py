@@ -12,11 +12,11 @@ exactly the paper's pluggable per-type (un)marshaling routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.complet.tracker import TrackerAddress
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.complet.relocators import Relocator
 

@@ -19,11 +19,11 @@ import threading
 import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import CompletError
 from repro.util.ids import CompletId, TrackerId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.complet.anchor import Anchor
     from repro.complet.stub import Stub

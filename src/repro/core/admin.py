@@ -25,20 +25,22 @@ from __future__ import annotations
 import functools
 import inspect
 from collections.abc import Callable
-from typing import TYPE_CHECKING, TypeVar
 
 from repro.complet.relocators import relocator_from_name
 from repro.complet.stub import Stub, stub_meta, stub_target_id
 from repro.errors import CompletError
 from repro.net.messages import MessageKind
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from typing import TypeVar
+
     from repro.complet.anchor import Anchor
     from repro.complet.tracker import TrackerAddress
     from repro.core.core import Core
     from repro.util.ids import CompletId
 
-_T = TypeVar("_T")
+    _T = TypeVar("_T")
 
 #: Operation name -> ``at_target(admin, keywords)``, one per public method of CoreAdmin.
 OPERATIONS: dict[str, Callable[["CoreAdmin", dict], object]] = {}

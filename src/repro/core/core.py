@@ -10,7 +10,6 @@ process boundaries of the application change as they do.
 from __future__ import annotations
 
 import pickle
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor, qualified_class_ref, resolve_class_ref
 from repro.complet.marshal import CloneStreamCache
@@ -33,12 +32,14 @@ from repro.monitor.profiler import Profiler
 from repro.net.messages import Envelope, MessageKind
 from repro.net.peer import PeerInterface
 from repro.net.retry import RetryPolicy
+from repro.net.serializer import PLAIN
 from repro.net.transport import Transport
 from repro.sim.scheduler import Scheduler
 from repro.store.proxy import DEFAULT_OFFLOAD_THRESHOLD, StoreClient
 from repro.store.store import ObjectStore
 from repro.trace.tracer import Tracer
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import LayoutSanitizer
     from repro.monitor.profiler import ProfilingSession
@@ -187,7 +188,7 @@ class Core:
             (qualified_class_ref(anchor_cls), args, kwargs)
         )
         reply = self.peer.request_raw(at, MessageKind.INSTANTIATE, payload)
-        return pickle.loads(reply)
+        return PLAIN.loads(reply)
 
     def _handle_instantiate(self, src: str, payload: bytes) -> bytes:
         anchor_ref, args, kwargs = self.invocation.marshaler.loads(payload)  # type: ignore[misc]

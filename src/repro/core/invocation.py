@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import struct
 from inspect import getattr_static
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import bump_state_version, current_complet, execution_context
 from repro.complet.marshal import InvocationMarshaler
@@ -46,6 +45,7 @@ from repro.errors import (
 from repro.net.messages import MessageKind
 from repro.net.retry import REACHABILITY_ERRORS
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

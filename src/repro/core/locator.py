@@ -24,13 +24,13 @@ Pick per Core with ``Core(..., locator=LocationRegistry)``.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING
 
 from repro.complet.tracker import Tracker, TrackerAddress
 from repro.errors import CompletError, CoreError, DanglingReferenceError
 from repro.net.messages import MessageKind
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -39,7 +39,6 @@ layers — then the original error is re-raised to the caller.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor, bump_state_version, execution_context
 from repro.complet.continuation import Continuation
@@ -60,6 +59,7 @@ from repro.net.rpc import NO_DEADLINE
 from repro.net.serializer import PLAIN, Segments
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -10,12 +10,11 @@ marshaler, so what travels is a reference token, never the complet.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.complet.stub import Stub
 from repro.errors import NameAlreadyBoundError, NameNotFoundError
 from repro.net.messages import MessageKind
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -23,7 +23,6 @@ Semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor
 from repro.complet.marshal import CloneEntry, marshal_clone, unmarshal_clone
@@ -33,6 +32,7 @@ from repro.errors import CompletError
 from repro.net.serializer import PLAIN
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -36,7 +36,6 @@ it registers again, so the hop's discard, however late it runs, loses.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import resolve_class_ref
 from repro.complet.stub import Stub, stub_class_for
@@ -53,6 +52,7 @@ from repro.errors import (
 )
 from repro.net.messages import MessageKind
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -12,13 +12,13 @@ collection").
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor, anchor_type_name, execution_context, qualified_class_ref
 from repro.complet.tracker import Tracker
 from repro.errors import CompletError
 from repro.util.ids import CompletId, IdGenerator, TrackerId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -19,10 +19,10 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from repro.errors import ProfilingNotStartedError, UnknownServiceError
 from repro.monitor.services import register_builtin_services
@@ -30,6 +29,7 @@ from repro.sim.scheduler import Timer
 from repro.util.ema import ExponentialAverage, RateMeter
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -15,12 +15,11 @@ sending ``s₁`` and ``s₂`` byte probes and timing both round trips gives
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.complet.closure import compute_closure
 from repro.errors import MonitoringError
 from repro.net.messages import MessageKind
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
     from repro.monitor.profiler import Profiler

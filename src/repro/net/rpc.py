@@ -34,17 +34,17 @@ from __future__ import annotations
 import logging
 import pickle
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from repro.errors import DeadlineExceededError, RemoteInvocationError, TransportError
 from repro.net.messages import Envelope, MessageKind
 from repro.net.retry import RetryObserver, RetryPolicy
+from repro.net.serializer import PLAIN, Segments
 from repro.net.transport import Transport
 from repro.trace.tracer import context_from_headers
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.registry import MetricsRegistry
-    from repro.net.serializer import Segments
     from repro.trace.tracer import Tracer
 
 logger = logging.getLogger(__name__)
@@ -197,7 +197,7 @@ class RpcEndpoint:
         assert isinstance(frame, bytes)
         if frame[:1] == _OK_PREFIX:
             return frame[1:]
-        body = pickle.loads(frame[1:])
+        body = PLAIN.loads(frame[1:])  # corrupt bytes raise SerializationError
         if isinstance(body, BaseException):
             raise body from RemoteInvocationError(
                 f"raised remotely at Core {dst!r} handling {kind.value!r}"

@@ -73,7 +73,6 @@ import select
 import socket
 import threading
 import time
-from typing import TYPE_CHECKING
 
 from repro.errors import (
     ConfigurationError,
@@ -89,6 +88,7 @@ from repro.net.messages import Envelope
 from repro.net.retry import RetryPolicy
 from repro.net.transport import NodeHandler, Transport
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Scheduler
 

@@ -30,11 +30,11 @@ from abc import ABC, abstractmethod
 from collections import Counter, deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, CoreDownError, CoreError, CoreUnreachableError
 from repro.net.messages import Envelope, MessageKind
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Scheduler
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor
 from repro.complet.closure import compute_closure
@@ -36,6 +35,7 @@ from repro.recovery.store import CheckpointRecord, CheckpointStore
 from repro.sim.scheduler import Timer
 from repro.util.ids import CompletId
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.core.core import Core

@@ -23,13 +23,13 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SUSPECTED
 from repro.errors import ConfigurationError, CoreError, TransportError
 from repro.net.messages import MessageKind
 from repro.net.retry import NO_RETRY
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.core import Core
 

@@ -44,7 +44,6 @@ import contextlib
 import logging
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.admin import CoreAdmin
 from repro.core.events import COMPLET_RECOVERED, CORE_FAILED, CORE_RECONCILED, CORE_RECOVERED
@@ -52,6 +51,7 @@ from repro.errors import CompletError, CoreError, CoreNotFoundError, FarGoError,
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.store import CheckpointRecord
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.core.core import Core

@@ -20,10 +20,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.store.store import ObjectStore, StoreKey, store_for_locator
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metrics.registry import MetricsRegistry
     from repro.trace.tracer import Tracer

@@ -408,7 +408,7 @@ print(json.dumps({
     "gained": sorted(set(sys.modules) - loaded),
     "hosts": [host, *(where for where, _crc in members)], "hosted": hosted,
     "no_site": sys.flags.no_site,
-    "driver_only": sorted({"argparse", "subprocess", "encodings.idna"} & loaded),
+    "driver_only": sorted({"argparse", "subprocess", "encodings.idna", "typing"} & loaded),
 }))
 """
 
@@ -451,7 +451,7 @@ class TestPreload:
 
     def test_a_child_imports_nothing_after_fork(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        interpreter = launch._TEMPLATE_COMMAND[:-2]  # without "-m repro.cluster.launch"
+        interpreter = launch._TEMPLATE_COMMAND[:-2]  # its flags, without its "-c" program
         fresh = subprocess.run(
             [*interpreter, "-c", AS_A_CHILD],
             env=env, capture_output=True, text=True, timeout=60.0, check=True,
@@ -461,9 +461,25 @@ class TestPreload:
         # or checkpoints, which these Cores do not have.
         assert outcome["gained"] == []
         assert outcome["hosts"] == ["b", "b", "b"] and outcome["hosted"] == 4
-        # Nothing of site's start-up, and nothing only the driver uses, is in the image.
+        # Nothing of site's start-up, and nothing only the driver or mypy uses, is in the image.
         assert outcome["no_site"] == 1
         assert outcome["driver_only"] == []
+
+    def test_the_template_executes_the_launcher_once(self):
+        """``-m`` would run launch.py a second time, as ``__main__``, after the
+        package had imported it, and runpy warns about that on stderr."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        ours, theirs = socket.socketpair()
+        with ours:
+            with theirs:
+                template = subprocess.Popen(
+                    [*launch._TEMPLATE_COMMAND, "--template", str(theirs.fileno())],
+                    pass_fds=[theirs.fileno()], stderr=subprocess.PIPE, text=True, env=env,
+                )
+            ours.shutdown(socket.SHUT_WR)  # the hang-up of a driver that exits in good order
+            _out, stderr = template.communicate(timeout=60.0)
+        assert template.returncode == 0
+        assert stderr == ""
 
     def test_the_driver_names_the_modules_that_define_its_anchors(self, complet_module):
         module = complet_module("preloaded_here")

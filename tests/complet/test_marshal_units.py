@@ -357,3 +357,8 @@ class TestInvocationPartsThroughTheStore:
         _sender, receiver, _store = ends
         with pytest.raises(SerializationError):
             receiver.loads(b"\x01" + pickle.dumps(body))
+
+    def test_an_offloaded_body_cut_short_is_a_typed_error(self, ends):
+        _sender, receiver, _store = ends
+        with pytest.raises(SerializationError):
+            receiver.loads(b"\x01" + pickle.dumps([b"head"])[:-2])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CompletError, CoreUnreachableError
+from repro.errors import CompletError, CoreUnreachableError, SerializationError
 from repro.cluster.workload import Counter, Counter_, Echo, Echo_
 
 
@@ -20,6 +20,11 @@ class TestInstantiation:
     def test_remote_instantiation_kwargs(self, cluster):
         stub = cluster["alpha"].instantiate(Counter_, start=7, at="beta")
         assert stub.read() == 7
+
+    def test_a_corrupt_instantiate_reply_is_a_typed_error(self, cluster, monkeypatch):
+        monkeypatch.setattr(cluster["alpha"].peer, "request_raw", lambda *args: b"not a pickle")
+        with pytest.raises(SerializationError):
+            cluster["alpha"].instantiate(Echo_, "far", at="beta")
 
 
 class TestAdminSurface:

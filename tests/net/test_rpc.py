@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RemoteInvocationError, TransportError
+from repro.errors import RemoteInvocationError, SerializationError, TransportError
 from repro.net.messages import MessageKind
 from repro.net.rpc import RpcEndpoint
 from repro.net.simnet import SimTransport
@@ -94,6 +94,12 @@ class TestExceptionPropagation:
 
         b.register(MessageKind.ADMIN_QUERY, handler)
         with pytest.raises(RemoteInvocationError, match="Weird"):
+            a.call("b", MessageKind.ADMIN_QUERY, b"")
+
+    def test_a_corrupt_error_body_is_a_typed_error(self, net):
+        a = RpcEndpoint("a", net)
+        net.register("b", lambda envelope: b"\x01" + b"not a pickle")  # an error frame
+        with pytest.raises(SerializationError):
             a.call("b", MessageKind.ADMIN_QUERY, b"")
 
 

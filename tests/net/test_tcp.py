@@ -828,8 +828,10 @@ class TestOversizedFrames:
 
 def test_import_repro_loads_neither_asyncio_nor_hashlib():
     """Child Cores pay every import in their bring-up and their resident set;
-    nor does it load what only the driver uses (subprocess, argparse) or the
-    idna codec, which a connect to an ASCII host does not need."""
+    nor does it load what only the driver uses (subprocess, argparse), what
+    only mypy reads (typing), what only a checkpoint directory needs (pathlib,
+    with urllib.parse and ipaddress) or the idna codec, which a connect to an
+    ASCII host does not need."""
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -837,6 +839,7 @@ def test_import_repro_loads_neither_asyncio_nor_hashlib():
         [sys.executable, "-S", "-c",
          "import repro, sys; assert not "
          "{'asyncio', 'ssl', 'hashlib', 'concurrent.futures', "
-         "'argparse', 'subprocess', 'encodings.idna'} & set(sys.modules)"],
+         "'argparse', 'subprocess', 'encodings.idna', "
+         "'typing', 'pathlib', 'urllib.parse', 'ipaddress'} & set(sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
     )
