@@ -88,6 +88,7 @@ from dataclasses import dataclass, field
 from repro.complet.anchor import Anchor
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
+from repro.core.events import COMPLET_ARRIVED
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.tcp import TcpTransport
 from repro.recovery.checkpoint import checkpoint_group, restore_record
@@ -134,7 +135,9 @@ class ChildCheckpointer:
     — into the shared :class:`~repro.recovery.CheckpointStore` directory.
     Each record names this Core as host, which is exactly what a
     successor process (``serve(recover=True)``) and the cluster-side
-    :class:`~repro.recovery.RecoveryManager` key on.
+    :class:`~repro.recovery.RecoveryManager` key on.  An arrival is
+    checkpointed before its move replies, so the old host's successor
+    does not restore a second copy of it.
     """
 
     def __init__(self, core: Core, store: CheckpointStore, interval: float = 0.5) -> None:
@@ -144,30 +147,45 @@ class ChildCheckpointer:
         self.store = store
         self.interval = interval
         self._timer = None
+        self._arrivals = 0
+        #: Sweeps run on the serve loop, arrivals on a connection's thread.
+        self._lock = threading.Lock()
 
     def start(self) -> None:
         self._timer = self.core.scheduler.call_every(self.interval, self.sweep)
+        self._arrivals = self.core.events.subscribe(COMPLET_ARRIVED, self._arrived)
 
     def stop(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+            self.core.events.unsubscribe(self._arrivals)
 
     def sweep(self) -> int:
         """Checkpoint every hosted complet once; records written."""
-        core = self.core
         written = 0
         covered: set = set()
-        for complet_id in core.repository.complet_ids():
-            anchor = core.repository.get(complet_id)
+        for complet_id in self.core.repository.complet_ids():
+            anchor = self.core.repository.get(complet_id)
             if anchor is None or complet_id in covered:
                 continue  # gone, or captured with an earlier complet's group
-            group, records = checkpoint_group(core, anchor)
+            group, count = self._checkpoint(anchor)
+            covered.update(group)
+            written += count
+        return written
+
+    def _arrived(self, event) -> None:
+        anchor = self.core.repository.find_by_str(event.data["complet"])
+        if anchor is not None:
+            self._checkpoint(anchor)
+
+    def _checkpoint(self, anchor: Anchor) -> tuple[tuple, int]:
+        """Store ``anchor``'s local pull-group: its ids, and records written."""
+        with self._lock:
+            group, records = checkpoint_group(self.core, anchor)
             for record in records:
                 self.store.put(record)
-            covered.update(group)
-            written += len(records)
-        return written
+        return group, len(records)
 
 
 def restore_from_store(core: Core, store: CheckpointStore) -> list[str]:
@@ -201,6 +219,7 @@ def serve(
     checkpoint_interval: float = 0.5,
     recover: bool = False,
     store_dir: str | None = None,
+    life: int = 0,
 ) -> None:
     """Run one Core in this process until it shuts down.
 
@@ -211,7 +230,8 @@ def serve(
     seconds; with ``recover`` it first restores whatever its predecessor
     last checkpointed there (identity preserved), *before* READY.  With
     ``store_dir`` it offloads large payloads to the ``FileStore`` there,
-    the same directory for every Core of the deployment.
+    the same directory for every Core of the deployment.  ``life`` counts
+    the earlier spawns of ``name``: the Core numbers from that life's range.
     """
     scheduler = Scheduler(RealClock())
     transport = TcpTransport(scheduler, host=host, ports={name: port})
@@ -223,6 +243,7 @@ def serve(
         name, transport, scheduler,
         store=FileStore(store_dir) if store_dir is not None else None,
     )
+    core.repository.begin_life(life)
     checkpointer = None
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
@@ -805,6 +826,8 @@ class CoreProcesses:
     transport: TcpTransport | None = field(default=None, init=False)
     processes: dict[str, ChildProcess] = field(default_factory=dict, init=False)
     addresses: dict[str, tuple[str, int]] = field(default_factory=dict, init=False)
+    #: Spawns of each child name so far: the life its next spawn numbers from.
+    lives: dict[str, int] = field(default_factory=dict, init=False)
     # The fork server this deployment's children come from, while started.
     # Not in ``processes`` and not a field.
     _template = None  # type: _Template | None
@@ -860,7 +883,7 @@ class CoreProcesses:
         With ``recover=True`` the child restores its predecessor's
         durable checkpoints before READY (requires ``checkpoint_dir``).
         Replaces any previous process handle for ``name``; the caller is
-        responsible for the old process being gone.
+        responsible for the old process being gone.  Each spawn is a new life.
         """
         if name not in self.addresses:
             raise ConfigurationError(f"unknown child Core {name!r}")
@@ -877,7 +900,9 @@ class CoreProcesses:
             "checkpoint_interval": self.checkpoint_interval,
             "recover": recover,
             "store_dir": self.store_dir,
+            "life": self.lives.get(name, 0),
         }
+        self.lives[name] = spec["life"] + 1
         process = None
         while process is None:  # each template that retires names one module fewer
             if self._template.dead or self._template.retired:

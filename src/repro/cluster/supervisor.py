@@ -15,11 +15,11 @@ The :class:`Supervisor` keeps the children of a multi-process deployment
 - **Restart** — one :class:`RestartPolicy` bounds the healing of every
   child: at most ``max_restarts`` within ``window`` seconds, with
   :class:`~repro.net.retry.RetryPolicy` backoff between consecutive
-  respawns, then it gives up.  Before a dead child respawns, every
-  survivor forgets the pointer updates the dead child's trackers sent
-  (the successor numbers its trackers and their epochs from 1 again).  It
-  respawns on its preallocated port, or on a fresh one that every
-  survivor learns through ``add_peer``.
+  respawns, then it gives up.  A dead child respawns on its preallocated
+  port, or on a fresh one that every survivor learns through
+  ``add_peer``, as a new life of its name: it numbers its complets and
+  trackers from a range no earlier life used, so nothing a survivor
+  heard from the predecessor can be mistaken for the successor.
 
 - **Re-admit** — the successor restores its predecessor's durable
   checkpoints under the *original* identities before it prints READY,
@@ -281,7 +281,6 @@ class Supervisor:
             "supervisor:restart", category="supervision",
             child=name, cause=cause, attempt=child.streak, recover=recover,
         ):
-            self._forget(name)
             try:
                 self._respawn(name, recover=recover)
             except (CoreError, TransportError, OSError) as exc:
@@ -300,23 +299,6 @@ class Supervisor:
         self.driver.metrics.counter("supervisor.restarts").inc()
         self.driver.metrics.histogram("supervisor.mttr").observe(mttr)
         self._log(f"child {name} restored in {mttr:.2f}s (restart #{child.restarts})")
-
-    def _forget(self, name: str) -> None:
-        """Every survivor forgets the pointer updates of dead ``name``'s trackers.
-
-        Its successor restores before READY and registers its trackers at
-        epochs from 1 again: a tombstone the predecessor left would drop
-        them, and the tracker they point at could be collected.  The
-        predecessor was dead by ``waitpid`` a monitor round ago, time for
-        what it sent to land.
-        """
-        for admin in [CoreAdmin(self.driver)] + [
-            CoreAdmin(self.driver, other) for other in self._alive() if other != name
-        ]:
-            try:
-                admin.forget_pointers(name)
-            except (CoreError, TransportError) as exc:
-                self._log(f"pointers of {name} not forgotten at {admin.target}: {exc}")
 
     def _respawn(self, name: str, *, recover: bool) -> None:
         """Spawn the successor on the preallocated port, or a fresh one."""

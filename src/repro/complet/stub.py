@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 
-from repro.complet.anchor import Anchor, anchor_type_name, current_core, qualified_class_ref
+from repro.complet.anchor import Anchor, anchor_type_name, current_core
 from repro.complet.metaref import MetaRef
 from repro.complet.relocators import Link, Relocator
 from repro.complet.tracker import Tracker
@@ -213,11 +213,6 @@ def compile_complet(anchor_cls: type) -> type[Stub]:
 def stub_class_for(anchor_cls: type[Anchor]) -> type[Stub]:
     """Stub class for an anchor class, compiling on first use."""
     return compile_complet(anchor_cls)
-
-
-def anchor_ref_of(anchor_cls: type[Anchor]) -> str:
-    """Wire-format class reference of an anchor class."""
-    return qualified_class_ref(anchor_cls)
 
 
 def _make_stub_method(name: str, anchor_func) -> object:

@@ -171,24 +171,6 @@ class Tracker:
         for pointer, epoch in pointers:
             self.note_pointer(pointer, next_epoch(epoch), registered=True)
 
-    def forget_core(self, core: str) -> bool:
-        """Drop every registration and discard heard from ``core``'s trackers.
-
-        For a Core whose process died: its successor numbers its trackers
-        from 1 again, at epochs from 1 again, which a tombstone its
-        predecessor left would outrank.  True if anything was dropped.
-        """
-        with _POINTERS_LOCK:
-            stale = [
-                (updates, pointer)
-                for updates in (self.remote_pointers, self._discarded)
-                for pointer in updates
-                if pointer.core == core
-            ]
-            for updates, pointer in stale:
-                del updates[pointer]
-        return bool(stale)
-
     def attach_stub(self, stub: "Stub") -> None:
         self._stubs.add(stub)
 

@@ -326,11 +326,6 @@ class CoreAdmin:
         """Drop the target Core's location records naming a dead Core."""
         return self.via.locator.forget_core(core)
 
-    def forget_pointers(self, core: str) -> int:
-        """Drop what the target Core's trackers heard from a dead Core's
-        trackers; trackers touched."""
-        return sum(tracker.forget_core(core) for tracker in self.via.repository.trackers())
-
     def reconcile(self, homes: dict) -> dict:
         """A revived Core gives up its copies of complets that live elsewhere.
 

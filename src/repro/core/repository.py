@@ -31,10 +31,14 @@ class Repository:
         self._complets: dict[CompletId, Anchor] = {}
         self._trackers: dict[int, Tracker] = {}
         self._tracker_by_target: dict[CompletId, Tracker] = {}
-        self._complet_serials = IdGenerator()
-        self._tracker_serials = IdGenerator()
+        self.begin_life(0)
         #: Trackers collected so far (for the GC experiments).
         self.collected_trackers = 0
+
+    def begin_life(self, life: int) -> None:
+        """Number complets and trackers from ``life``'s range (a respawn's count)."""
+        self._complet_serials = IdGenerator.for_life(life)
+        self._tracker_serials = IdGenerator.for_life(life)
 
     # -- complet lifecycle -------------------------------------------------------
 

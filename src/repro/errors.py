@@ -119,6 +119,10 @@ class DuplicateCoreError(CoreError):
     """A Core with the same name is already registered in the cluster."""
 
 
+class SerialsExhaustedError(CoreError):
+    """A Core life has minted every complet or tracker serial of its range."""
+
+
 # ---------------------------------------------------------------------------
 # Naming service
 # ---------------------------------------------------------------------------

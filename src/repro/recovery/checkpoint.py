@@ -224,14 +224,6 @@ class CheckpointManager:
         self.skipped += len(group) - len(records)
         return True
 
-    def checkpoint_all(self) -> int:
-        """One pass over every protected complet; checkpoints taken."""
-        taken = 0
-        for complet_id in self.protected_ids():
-            if self.checkpoint(complet_id):
-                taken += 1
-        return taken
-
     def _checkpoint_quietly(self, complet_id: CompletId, at: str | None = None) -> None:
         # Timer callback: a failing pass must not abort the clock sweep.
         try:

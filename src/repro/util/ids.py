@@ -1,10 +1,10 @@
 """Identifiers for complets and trackers.
 
 Complets are globally identified by the Core that created them plus a
-per-Core sequence number; the identity is immutable and travels with the
-complet as it migrates.  Trackers are identified per hosting Core.  Using
-deterministic counters (rather than UUIDs) keeps test output and traces
-reproducible.
+sequence number per life of that Core; the identity is immutable and
+travels with the complet as it migrates.  Trackers are identified per
+hosting Core, numbered per life alike.  Using deterministic counters
+(rather than UUIDs) keeps test output and traces reproducible.
 """
 
 from __future__ import annotations
@@ -13,17 +13,33 @@ import itertools
 import threading
 from dataclasses import dataclass
 
+from repro.errors import SerialsExhaustedError
+
+#: Serials of one Core life: a respawned Core is a new life, and life ``n``
+#: mints from ``n * LIFE_SPAN + 1``, never a number an earlier life handed
+#: out.  4096 lives fill the unsigned 32-bit serial of an INVOKE header.
+LIFE_SPAN = 1 << 20
+
 
 class IdGenerator:
-    """Thread-safe monotonically increasing integer id source."""
+    """Thread-safe monotonically increasing integer id source, below ``stop``."""
 
-    def __init__(self, start: int = 1) -> None:
+    def __init__(self, start: int = 1, stop: int = 1 << 32) -> None:
         self._counter = itertools.count(start)
+        self._stop = stop
         self._lock = threading.Lock()
+
+    @classmethod
+    def for_life(cls, life: int) -> IdGenerator:
+        """The serials of a Core's ``life`` (0 for its first: 1, 2, ...)."""
+        return cls(life * LIFE_SPAN + 1, min((life + 1) * LIFE_SPAN + 1, 1 << 32))
 
     def next(self) -> int:
         with self._lock:
-            return next(self._counter)
+            value = next(self._counter)
+        if value >= self._stop:
+            raise SerialsExhaustedError(f"serial {value} is past this range's end {self._stop}")
+        return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,8 +27,3 @@ def public_methods(cls: type, *, stop_at: type | None = None) -> Iterator[tuple[
             if inspect.isfunction(member):
                 seen.add(name)
                 yield name, member
-
-
-def method_signature(func: object) -> inspect.Signature:
-    """Return the signature of ``func``, tolerating builtins."""
-    return inspect.signature(func)  # type: ignore[arg-type]

@@ -136,18 +136,6 @@ class TestPointerEpochs:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_forgotten_core_registers_from_epoch_one_again(self):
-        """A respawned Core's trackers start at serial 1 and epoch 1 again."""
-        tracker = _tracker()
-        other = TrackerAddress("delta", 3)
-        tracker.note_pointer(self.POINTER, 1, registered=True)
-        tracker.note_pointer(self.POINTER, 2, registered=False)
-        tracker.note_pointer(other, 1, registered=True)
-        assert tracker.forget_core("gamma")
-        assert not tracker.forget_core("gamma")
-        tracker.note_pointer(self.POINTER, 1, registered=True)
-        assert tracker.remote_pointers == {self.POINTER: 1, other: 1}
-
 
 class TestChains:
     """End-to-end chain behaviour through a real cluster (Figure 2)."""

@@ -183,7 +183,6 @@ CONTRACT = {
     ),
     "forwarding_to": ("forwarding_to", ("beta",), {}, {"core": "beta"}, None),
     "locator_forget": ("locator_forget", ("gamma",), {}, {"core": "gamma"}, None),
-    "forget_pointers": ("forget_pointers", ("gamma",), {}, {"core": "gamma"}, None),
     "reconcile": ("reconcile", ({},), {}, {"homes": {}}, None),
     "repair_revived": ("repair_revived", ({},), {}, {"hosted": {}}, None),
     "chaos": (

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import CompletError
+from repro.core.repository import Repository
+from repro.errors import CompletError, SerialsExhaustedError
 from repro.cluster.workload import Counter, Counter_, Echo, Echo_, Printer_
+from repro.util.ids import LIFE_SPAN
 
 
 class TestCompletLifecycle:
@@ -114,3 +116,31 @@ class TestTrackerTable:
         repo = cluster3["beta"].repository
         removed = repo.collect_trackers()
         assert repo.collected_trackers == removed
+
+
+class TestLives:
+    """A respawned child Core is a new life of its name: it mints afresh."""
+
+    @staticmethod
+    def minted(repo: Repository) -> tuple[list[int], list[int]]:
+        trackers = [repo.install_new(Echo_, (str(n),), {}) for n in range(3)]
+        return (
+            [tracker.target_id.serial for tracker in trackers],
+            [tracker.tracker_id.serial for tracker in trackers],
+        )
+
+    def test_two_lives_of_one_name_mint_disjoint_serials(self, cluster):
+        first = Repository(cluster["alpha"])
+        second = Repository(cluster["alpha"])
+        second.begin_life(1)
+        complets, trackers = self.minted(first)
+        assert complets == trackers == [1, 2, 3]
+        complets, trackers = self.minted(second)
+        assert complets == trackers == [LIFE_SPAN + 1, LIFE_SPAN + 2, LIFE_SPAN + 3]
+
+    def test_a_life_past_the_last_refuses_to_mint(self, cluster):
+        repo = cluster["alpha"].repository
+        repo.begin_life((1 << 32) // LIFE_SPAN)
+        with pytest.raises(SerialsExhaustedError):
+            repo.install_new(Echo_, ("t",), {})
+        assert len(repo) == 0

@@ -416,13 +416,13 @@ class TestTransportReconnect:
 
 class TestPointersAcrossRebirth:
     def test_a_successor_registers_where_its_predecessor_left_a_tombstone(self):
-        """A reborn Core numbers its trackers, and their epochs, from 1 again.
+        """A reborn Core's trackers never take a serial its predecessor's had.
 
         beta's tracker for the echo shortens away from alpha's, which keeps
         a tombstone of it, while beta's last checkpoint still names alpha's.
-        The successor restores that checkpoint under the same tracker
-        serial; its registration at alpha must stand, or a sweep collects
-        alpha's tracker under a live reference.
+        The successor restores that checkpoint under a tracker serial of
+        its own life, so its registration at alpha stands, and no sweep
+        collects alpha's tracker under a live reference.
         """
         checkpoint_dir = tempfile.mkdtemp(prefix="repro-supervised-")
         try:
@@ -438,6 +438,9 @@ class TestPointersAcrossRebirth:
                 wait_for_checkpoint(checkpoint_dir, holder._fargo_target_id)
                 driver.move(echo, driver.name)
                 assert holder.call_ref() == "e"  # beta's tracker now points at the driver's
+                at_driver = driver.repository.existing_tracker(echo._fargo_target_id)
+                predecessor = {p for p in at_driver.remote_pointers if p.core == "beta"}
+                assert len(predecessor) == 1
                 procs.processes["beta"].kill()
                 assert wait_until(
                     lambda: child_state(supervisor, "beta")["restarts"] >= 1
@@ -446,5 +449,69 @@ class TestPointersAcrossRebirth:
 
                 assert wait_until(lambda: driver.admin("alpha", "collect_trackers") == 0)
                 assert holder.call_ref() == "e"
+                # The dead life's registration stays; the successor's is another serial.
+                successor = {p for p in at_driver.remote_pointers if p.core == "beta"}
+                assert len(successor - predecessor) == 1
         finally:
             shutil.rmtree(checkpoint_dir, ignore_errors=True)
+
+
+def healed(supervisor: Supervisor, name: str) -> bool:
+    """Wait until ``name`` has been restarted once and runs again."""
+    return wait_until(
+        lambda: child_state(supervisor, name)["restarts"] >= 1
+        and child_state(supervisor, name)["status"] == "running"
+    )
+
+
+class TestIdentitiesAcrossLives:
+    """A reborn child mints complet ids no earlier life of its name handed out."""
+
+    def test_a_new_complet_beside_a_restored_one(self, deployment):
+        procs, checkpoint_dir = deployment
+        with Supervisor(procs) as supervisor:
+            restored = Probe(_core=procs.driver, _at="alpha")
+            restored.note("pre-kill")
+            wait_for_checkpoint(checkpoint_dir, restored._fargo_target_id)
+            os.kill(procs.processes["alpha"].pid, signal.SIGKILL)
+            assert healed(supervisor, "alpha"), child_state(supervisor, "alpha")
+            assert str(restored._fargo_target_id) in hosted_at(procs, "alpha")
+
+            fresh = Probe(_core=procs.driver, _at="alpha")
+            assert fresh._fargo_target_id != restored._fargo_target_id
+            fresh.note("fresh")
+            assert fresh.get_history() == ["fresh"]
+            assert restored.get_history() == ["pre-kill"]
+
+    def test_a_new_complet_beside_one_that_moved_away(self, deployment):
+        procs, checkpoint_dir = deployment
+        with Supervisor(procs) as supervisor:
+            moved = Probe(_core=procs.driver, _at="alpha")
+            procs.driver.move(moved, "beta")
+            moved.note("at beta")
+            wait_for_checkpoint(checkpoint_dir, moved._fargo_target_id)
+            os.kill(procs.processes["alpha"].pid, signal.SIGKILL)
+            assert healed(supervisor, "alpha"), child_state(supervisor, "alpha")
+            assert hosted_at(procs, "alpha") == set()
+
+            fresh = Probe(_core=procs.driver, _at="alpha")
+            assert fresh._fargo_target_id != moved._fargo_target_id
+            fresh.note("fresh")
+            assert fresh.get_history() == ["fresh"]
+            assert moved.get_history()[-1] == "at beta"
+
+    def test_a_complet_that_left_just_before_the_kill_has_one_home(self, deployment):
+        """The arrival is checkpointed before the move returns: the successor
+        does not restore a copy of what now lives elsewhere."""
+        procs, checkpoint_dir = deployment
+        with Supervisor(procs) as supervisor:
+            probe = Probe(_core=procs.driver, _at="alpha")
+            probe.note("at alpha")
+            wait_for_checkpoint(checkpoint_dir, probe._fargo_target_id)
+            procs.driver.move(probe, "beta")
+            os.kill(procs.processes["alpha"].pid, signal.SIGKILL)
+            assert healed(supervisor, "alpha"), child_state(supervisor, "alpha")
+
+            complet = str(probe._fargo_target_id)
+            assert complet in hosted_at(procs, "beta")
+            assert complet not in hosted_at(procs, "alpha")

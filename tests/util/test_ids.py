@@ -1,8 +1,22 @@
 """Tests for identifier generation and display forms."""
 
+import collections
+import itertools
 import threading
 
-from repro.util.ids import CompletId, IdGenerator, TrackerId
+import pytest
+
+from repro.core.invocation import _REQ_HEADER
+from repro.errors import FarGoError, SerialsExhaustedError
+from repro.util.ids import LIFE_SPAN, CompletId, IdGenerator, TrackerId
+
+#: Lives whose serials fit a 32-bit field: the last one is LIVES - 1.
+LIVES = (1 << 32) // LIFE_SPAN
+
+
+def skip_to_the_last(gen: IdGenerator, minted: int) -> None:
+    """Draw, unseen, every serial between ``minted`` and ``gen``'s last."""
+    collections.deque(itertools.islice(gen._counter, gen._stop - minted - 2), maxlen=0)
 
 
 class TestIdGenerator:
@@ -34,6 +48,29 @@ class TestIdGenerator:
             t.join()
         assert len(results) == 4000
         assert len(set(results)) == 4000
+
+
+class TestLives:
+    def test_the_first_life_numbers_from_one(self):
+        gen = IdGenerator.for_life(0)
+        assert [gen.next() for _ in range(3)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("life", [0, 1, LIVES - 1])
+    def test_a_life_mints_its_own_range_and_no_further(self, life):
+        gen = IdGenerator.for_life(life)
+        first = gen.next()
+        assert first == life * LIFE_SPAN + 1
+        skip_to_the_last(gen, first)
+        last = gen.next()
+        assert last == min((life + 1) * LIFE_SPAN, (1 << 32) - 1)
+        assert _REQ_HEADER.unpack(_REQ_HEADER.pack(last, 0)) == (last, 0)
+        with pytest.raises(SerialsExhaustedError, match="past this range"):
+            gen.next()
+
+    def test_a_life_past_the_last_mints_nothing(self):
+        with pytest.raises(SerialsExhaustedError) as raised:
+            IdGenerator.for_life(LIVES).next()
+        assert isinstance(raised.value, FarGoError)
 
 
 class TestCompletId:
