@@ -9,9 +9,10 @@ One frame is::
 where ``length`` counts everything after itself.  REQUEST/ONEWAY bodies
 carry the envelope coordinates (src, dst, kind as length-prefixed UTF-8,
 then the header dict) followed by the payload; REPLY bodies are raw
-reply bytes; ERROR bodies are a pickled transport-level exception that
-the sender re-raises (reachability failures such as "destination down"
-must surface as the same typed errors the simulated network raises).
+reply bytes; ERROR bodies are a transport-level exception, pickled by
+the plain serializer, that the sender re-raises (reachability failures
+such as "destination down" must surface as the same typed errors the
+simulated network raises).
 
 The payload itself is passed through *untouched*: it is whatever the
 RPC layer already produced — the struct-framed INVOKE encoding and the
@@ -22,13 +23,12 @@ is byte-identical on both backends.
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import dataclass, field
 
 from repro.errors import TransportError
 from repro.net.messages import Envelope, MessageKind
-from repro.net.serializer import BULK_BYTES, Segments
+from repro.net.serializer import BULK_BYTES, PLAIN, Segments
 
 #: Frame types.
 REQUEST = 1
@@ -126,17 +126,17 @@ def encode_reply(
 def encode_error(request_id: int, error: BaseException) -> bytes:
     """Frame a transport-level failure (re-raised at the sender)."""
     try:
-        body = pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL)
+        body = PLAIN.dumps(error)
     except Exception:  # noqa: BLE001 - exotic exception state
-        body = pickle.dumps(TransportError(repr(error)))
+        body = PLAIN.dumps(TransportError(repr(error)))
     return _frame(_HEAD.pack(VERSION, ERROR, request_id), body)  # type: ignore[return-value]
 
 
 def decode_error(payload: bytes) -> BaseException:
     """Recover the exception carried by an ERROR frame."""
     try:
-        error = pickle.loads(payload)
-    except Exception as exc:  # noqa: BLE001 - corrupted peer frame
+        error = PLAIN.loads(payload)
+    except Exception as exc:  # noqa: BLE001 - corrupted peer frame: SerializationError
         raise FramingError(f"undecodable ERROR frame: {exc!r}") from exc
     if not isinstance(error, BaseException):
         raise FramingError(f"ERROR frame carried {type(error).__name__}, not an exception")

@@ -7,16 +7,16 @@ transport in full.  An :class:`ObjectStore` decouples *placement* from
 :class:`~repro.store.proxy.StoreProxy` naming the entry; readers ``get``
 the bytes out of band and ``evict`` their reference when done.
 
-Entries are **content-keyed**: the :class:`StoreKey` is a digest of the
-bytes plus their length, so putting the same payload twice lands on one
-entry (with its reference count tracking how many shipped proxies are
-still outstanding).  Content keying is also what gives ``duplicate`` /
-``stamp`` relocation semantics their copy-on-first-read behaviour — an
-*unchanged* complet marshals to the same bytes, hence the same key, so a
-destination that already resolved the entry hits its local cache; any
-mutation bumps the anchor's state version, invalidates the clone-stream
-cache, and the fresh marshal lands under a *new* key (version-stamped
-invalidation without any coordination).
+Entries are **content-keyed**: the :class:`StoreKey` is a BLAKE2b-256
+digest of the bytes plus their length, so putting the same payload twice
+lands on one entry (with its reference count tracking how many shipped
+proxies are still outstanding).  Content keying is also what gives
+``duplicate`` / ``stamp`` relocation semantics their copy-on-first-read
+behaviour — an *unchanged* complet marshals to the same bytes, hence the
+same key, so a destination that already resolved the entry hits its
+local cache; any mutation bumps the anchor's state version, invalidates
+the clone-stream cache, and the fresh marshal lands under a *new* key
+(version-stamped invalidation without any coordination).
 
 Two backends ship:
 
@@ -43,19 +43,22 @@ FILE_BACKEND = "file"
 
 @dataclass(frozen=True, slots=True)
 class StoreKey:
-    """Content address of one store entry: payload digest plus length."""
+    """Content address of one store entry: payload digest plus length.
+
+    The digest is BLAKE2b-256 from CPython's builtin ``_blake2``, never
+    ``hashlib``, whose OpenSSL probe maps libcrypto (~3.5 MiB resident).
+    """
 
     digest: str
     size: int
 
     @classmethod
     def for_data(cls, data: bytes) -> "StoreKey":
-        # Imported at first use: hashlib maps OpenSSL's libcrypto, about
-        # 3.6 MiB resident, into the process, and a Core with neither a
-        # store nor a checkpoint directory never hashes anything.
-        import hashlib
+        # Imported at first use: a Core with neither a store nor a
+        # checkpoint directory never hashes anything.
+        from _blake2 import blake2b
 
-        return cls(hashlib.sha256(data).hexdigest(), len(data))
+        return cls(blake2b(data, digest_size=32).hexdigest(), len(data))
 
     def short(self) -> str:
         return self.digest[:10]
@@ -130,7 +133,7 @@ class ObjectStore(ABC):
 
     def _key_for(self, data: bytes, key: StoreKey | None) -> StoreKey:
         if key is None:
-            key = StoreKey.for_data(data)  # outside the lock: sha256 lets other threads run
+            key = StoreKey.for_data(data)  # outside the lock: BLAKE2b lets other threads run
             with self._lock:
                 self.stats.bytes_hashed += key.size
         return key

@@ -413,6 +413,26 @@ print(json.dumps({
 """
 
 
+#: A driver whose one child checkpoints to ``sys.argv[1]``: it waits for the
+#: child's first sweep, then prints whether the child maps OpenSSL's libcrypto.
+CHECKPOINTING_DRIVER = """
+import sys, time
+from repro.cluster import CoreProcesses
+from repro.recovery.store import CheckpointStore
+from tests.anchors import Probe
+
+with CoreProcesses(["alpha"], checkpoint_dir=sys.argv[1]) as procs:
+    Probe(_core=procs.driver, _at="alpha")
+    store = CheckpointStore(sys.argv[1])
+    deadline = time.monotonic() + 20.0
+    while not store.hosted_at("alpha") and time.monotonic() < deadline:
+        time.sleep(0.05)
+    print("swept" if store.hosted_at("alpha") else "never-swept")
+    with open(f"/proc/{procs.processes['alpha'].pid}/maps") as maps:
+        print("libcrypto" in maps.read())
+"""
+
+
 def write_complet_module(directory, name: str, body: str = "", answer: str = "") -> None:
     """``directory/name.py``: an anchor class ``Mod_`` (compiled as ``Mod``) whose
     ``answer()`` returns ``answer`` and the Core it runs at, after ``body``."""
@@ -457,13 +477,25 @@ class TestPreload:
             env=env, capture_output=True, text=True, timeout=60.0, check=True,
         )
         outcome = json.loads(fresh.stdout)
-        # hashlib is the one module a Core imports late, and only with a store
+        # _blake2 is the one module a Core imports late, and only with a store
         # or checkpoints, which these Cores do not have.
         assert outcome["gained"] == []
         assert outcome["hosts"] == ["b", "b", "b"] and outcome["hosted"] == 4
         # Nothing of site's start-up, and nothing only the driver or mypy uses, is in the image.
         assert outcome["no_site"] == 1
         assert outcome["driver_only"] == []
+
+    def test_a_checkpointing_child_maps_no_libcrypto(self, tmp_path):
+        """Each sweep puts the closure in a FileStore, keyed by the builtin
+        BLAKE2b: OpenSSL's libcrypto never loads in the child.  The driver
+        is a process of its own, so its template preloads no test module
+        that imports hypothesis, and with it hashlib."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        fresh = subprocess.run(
+            [sys.executable, "-c", CHECKPOINTING_DRIVER, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60.0, check=True,
+        )
+        assert fresh.stdout.split() == ["swept", "False"]
 
     def test_the_template_executes_the_launcher_once(self):
         """``-m`` would run launch.py a second time, as ``__main__``, after the

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.errors import CoreDownError, TransportError
+from repro.errors import CoreDownError, SerializationError, TransportError
 from repro.net import framing
 from repro.net.framing import Frame, FrameDecoder, FramingError
 from repro.net.messages import Envelope, MessageKind
@@ -175,8 +175,10 @@ class TestMalformedInput:
             FrameDecoder().feed(bytes(data))
 
     def test_decode_error_rejects_garbage(self):
-        with pytest.raises(FramingError):
+        with pytest.raises(FramingError) as raised:
             framing.decode_error(b"not-a-pickle")
+        # Decoded by the plain serializer, whose failures are typed.
+        assert isinstance(raised.value.__cause__, SerializationError)
 
     def test_decode_error_rejects_non_exception(self):
         with pytest.raises(FramingError):

@@ -843,3 +843,38 @@ def test_import_repro_loads_neither_asyncio_nor_hashlib():
          "'typing', 'pathlib', 'urllib.parse', 'ipaddress'} & set(sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
     )
+
+
+#: A 256 KiB FileStore put, get and evict, then one checkpoint generation;
+#: afterwards no OpenSSL module is imported, and on Linux libcrypto is not mapped.
+PUT_AND_CHECKPOINT = """
+import os, sys
+from repro.core.persistence import Snapshot
+from repro.recovery.store import CheckpointRecord, CheckpointStore
+from repro.store.store import FileStore
+from repro.util.ids import CompletId
+
+root = sys.argv[1]
+store = FileStore(os.path.join(root, "blobs"))
+data = bytes(range(256)) * 1024
+key = store.put(data)
+assert store.get(key) == data and store.evict(key) and len(store) == 0
+snap = Snapshot(CompletId("alpha", 1, "Probe"), "Probe", data, 0.0)
+CheckpointStore(os.path.join(root, "checkpoints")).put(CheckpointRecord(snap, "alpha"))
+assert not {"hashlib", "_hashlib", "_ssl"} & set(sys.modules), sys.modules.keys()
+if sys.platform == "linux":
+    with open("/proc/self/maps") as maps:
+        assert "libcrypto" not in maps.read()
+"""
+
+
+def test_a_put_and_a_checkpoint_load_no_openssl(tmp_path):
+    """Store keys come from the builtin BLAKE2b: a process that offloads or
+    checkpoints never imports hashlib, which maps OpenSSL's libcrypto."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    subprocess.run(
+        [sys.executable, "-S", "-c", PUT_AND_CHECKPOINT, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    )

@@ -24,11 +24,15 @@ def store(request, tmp_path):
 
 
 class TestStoreKey:
-    def test_key_is_sha256_plus_length(self):
+    def test_key_is_blake2b_256_plus_length(self):
         data = b"some payload bytes"
         key = StoreKey.for_data(data)
-        assert key.digest == hashlib.sha256(data).hexdigest()
+        assert key.digest == hashlib.blake2b(data, digest_size=32).hexdigest()
         assert key.size == len(data)
+        # The published BLAKE2b-256 of "abc": a swapped algorithm fails here.
+        assert StoreKey.for_data(b"abc").digest == (
+            "bddd813c634239723171ef3fee98579b94964e3bb1cb3e427262c8c068d52319"
+        )
 
     def test_same_content_same_key(self):
         assert StoreKey.for_data(b"x" * 100) == StoreKey.for_data(b"x" * 100)
