@@ -90,6 +90,10 @@ MODULE_VERDICTS = {
     "trace/export.py": "kept for aim 4: `cluster.traces()` and the chaos soaks' Chrome traces",
     "viewer/traceview.py": "kept for aim 4: the shell's trace view",
     "cluster/launch.py": "kept for aim 1: `transport=\"procs\"`, realpath's deployments",
+    "cluster/forkserver.py": (
+        "kept for aims 1 and 2: forks every `procs` child from one imported image, "
+        "knowing nothing of Cores (the `supervision` area's `interpreter_starts`)"
+    ),
     "cluster/supervisor.py": "kept for aim 3: respawns `procs` children; the `supervision` area",
     "complet/marshal.py": (
         "paper artifact: marshaling; `_offload_stream` kept: the `store` area's targeted "

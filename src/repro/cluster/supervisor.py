@@ -15,17 +15,19 @@ The :class:`Supervisor` keeps the children of a multi-process deployment
 - **Restart** — one :class:`RestartPolicy` bounds the healing of every
   child: at most ``max_restarts`` within ``window`` seconds, with
   :class:`~repro.net.retry.RetryPolicy` backoff between consecutive
-  respawns, then it gives up.  A dead child respawns on its preallocated
-  port, or on a fresh one that every survivor learns through
-  ``add_peer``, as a new life of its name: it numbers its complets and
-  trackers from a range no earlier life used, so nothing a survivor
-  heard from the predecessor can be mistaken for the successor.
+  respawns, then it gives up.  A respawn is one ``spawn_child`` and
+  the wait for its READY line: the driver binds the successor's socket
+  on the old port, or on a fresh one (logged) when another socket has
+  taken that.  It is a new life of the child's name: it numbers its
+  complets and trackers from a range no earlier life used, so nothing a
+  survivor heard from the predecessor can be mistaken for the successor.
 
 - **Re-admit** — the successor restores its predecessor's durable
   checkpoints under the *original* identities before it prints READY,
-  and the supervisor waits for that line.  It then refreshes the
-  driver's address book, hands the successor the driver's tracing
-  setting, and repairs every survivor's trackers and location records
+  and the supervisor waits for that line.  It then gives the driver and
+  every survivor the successor's address (``add_peer``, which also drops
+  connections to the predecessor), hands the successor the driver's
+  tracing setting, and repairs every survivor's trackers and location records
   from the successor's tracker map, with the sequence recovery runs
   (:func:`repro.recovery.recovery.written_off`).
 
@@ -50,7 +52,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.cluster.launch import UNREPORTED_EXIT, CoreProcesses, free_ports
+from repro.cluster.forkserver import UNREPORTED_EXIT
+from repro.cluster.launch import CoreProcesses
 from repro.core.admin import CoreAdmin
 from repro.core.events import CORE_FAILED
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
@@ -277,17 +280,23 @@ class Supervisor:
         if delay > 0.0 and self._stop.wait(delay):
             return
         recover = self.procs.checkpoint_dir is not None
+        port = self.procs.addresses[name][1]
         with self.driver.tracer.span(
             "supervisor:restart", category="supervision",
             child=name, cause=cause, attempt=child.streak, recover=recover,
         ):
             try:
-                self._respawn(name, recover=recover)
+                self.procs.spawn_child(name, recover=recover)
+                self.procs.await_child(name)
             except (CoreError, TransportError, OSError) as exc:
                 self._log(f"respawn of {name} failed: {exc}")
-                # The next monitor pass sees the corpse and retries
-                # (counting against the same window/backoff streak).
-                return
+                process = self.procs.processes.get(name)
+                if process is not None:
+                    process.kill()  # the next monitor pass sees the corpse and retries
+                return  # (counting against the same window/backoff streak)
+            moved = self.procs.addresses[name][1]
+            if moved != port:
+                self._log(f"child {name} could not rebind {port}; moved to port {moved}")
             self._readmit(name)
         mttr = time.monotonic() - detected_at
         child.restarts += 1
@@ -299,27 +308,6 @@ class Supervisor:
         self.driver.metrics.counter("supervisor.restarts").inc()
         self.driver.metrics.histogram("supervisor.mttr").observe(mttr)
         self._log(f"child {name} restored in {mttr:.2f}s (restart #{child.restarts})")
-
-    def _respawn(self, name: str, *, recover: bool) -> None:
-        """Spawn the successor on the preallocated port, or a fresh one."""
-        self.procs.spawn_child(name, recover=recover)
-        try:
-            self.procs.await_child(name)
-            return
-        except CoreError:
-            process = self.procs.processes.get(name)
-            if process is not None and process.poll() is None:
-                process.kill()
-                process.wait(timeout=5.0)
-        # The preallocated port would not come back (e.g. still held by
-        # a lingering socket) — fall back to a fresh port and tell the
-        # whole deployment about the new address.
-        old = self.procs.addresses[name]
-        fresh = (old[0], free_ports(old[0], 1)[0])
-        self.procs.addresses[name] = fresh
-        self._log(f"child {name} could not rebind {old[1]}; moving to port {fresh[1]}")
-        self.procs.spawn_child(name, recover=recover)
-        self.procs.await_child(name)
 
     def _readmit(self, name: str) -> None:
         """Reconnect and repair the deployment around the reborn Core."""

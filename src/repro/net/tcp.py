@@ -124,6 +124,12 @@ def _shut_down(sock: socket.socket) -> None:
         pass  # closed already, or never connected
 
 
+def listen(host: str, port: int = 0) -> socket.socket:
+    """A socket listening on ``(host, port)``; port 0 takes an ephemeral one."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    return socket.create_server((host, port), family=family, backlog=_LISTEN_BACKLOG)
+
+
 class _Connection:
     """One established socket, outgoing or accepted, owned by one thread at a time.
 
@@ -225,7 +231,7 @@ class TcpTransport(Transport):
         scheduler: "Scheduler | None" = None,
         *,
         host: str = "127.0.0.1",
-        ports: dict[str, int] | None = None,
+        listeners: dict[str, socket.socket] | None = None,
         reconnect: RetryPolicy = DEFAULT_RECONNECT,
         request_timeout: float = 30.0,
         connect_timeout: float = 10.0,
@@ -241,7 +247,8 @@ class TcpTransport(Transport):
         self._peers: dict[str, Address] = {}
         super().__init__(scheduler, self._peers, trace_capacity)
         self._host = host
-        self._ports = dict(ports or {})
+        #: Listening sockets handed in for nodes not registered yet.
+        self._handed = dict(listeners or {})
         self._reconnect = reconnect
         self._request_timeout = request_timeout
         self._connect_timeout = connect_timeout
@@ -351,17 +358,15 @@ class TcpTransport(Transport):
     # -- attachment ----------------------------------------------------------
 
     def register(self, name: str, handler: NodeHandler) -> None:
-        """Attach a local node: its listener socket is bound immediately.
+        """Attach a local node: it accepts on its listener from now on.
 
-        The port comes from the ``ports`` map given at construction
-        (fixed ports for multi-process deployments) or is ephemeral.
+        The listener is the one handed in ``listeners`` at construction (a
+        child's, bound by the process that forked it), else a new one on an
+        ephemeral port.
         """
         if name in self._handlers:
             raise DuplicateCoreError(f"node {name!r} is already registered")
-        family = socket.AF_INET6 if ":" in self._host else socket.AF_INET
-        listener = socket.create_server(
-            (self._host, self._ports.get(name, 0)), family=family, backlog=_LISTEN_BACKLOG
-        )
+        listener = self._handed.pop(name, None) or listen(self._host)
         self._listeners[name] = (listener, None)  # listed first: a close() from now shuts it
         thread = self._start_thread("fargo-tcp-accept", self._accept, listener, name)
         if thread is None:
@@ -370,7 +375,7 @@ class TcpTransport(Transport):
             raise TransportError("transport is closed")
         self._listeners[name] = (listener, thread)
         self._handlers[name] = handler
-        self._peers[name] = (self._host, listener.getsockname()[1])
+        self._peers[name] = listener.getsockname()[:2]
         self._down.discard(name)
 
     def deregister(self, name: str) -> None:
@@ -646,7 +651,10 @@ class TcpTransport(Transport):
         """Close the listeners and forget the local nodes: the end of either way to close."""
         for listener, _thread in self._listeners.values():
             listener.close()
+        for listener in self._handed.values():
+            listener.close()
         self._listeners.clear()
+        self._handed.clear()
         self._handlers.clear()
 
     @property

@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.cluster import CoreProcesses
-from repro.cluster import launch
+from repro.cluster import forkserver, launch
 from repro.cluster.supervisor import describe_exit
 from repro.errors import ConfigurationError, CoreError
 from tests import anchors
@@ -150,20 +150,14 @@ class TestForkHygiene:
         assert beta.poll() is None
         assert procs.driver.admin("beta", "complets") == []
 
-    def test_a_child_that_cannot_bind_fails_start_with_its_stderr(self, monkeypatch):
-        with socket.socket() as squatter:
-            squatter.bind(("127.0.0.1", 0))
-            squatter.listen()
-            taken = squatter.getsockname()[1]
-            reserve = launch.free_ports
-
-            def with_a_taken_port(host, count):
-                return [taken, *reserve(host, count - 1)]
-
-            monkeypatch.setattr(launch, "free_ports", with_a_taken_port)
-            procs = CoreProcesses(["alpha"])
-            with pytest.raises(CoreError, match="(?s)alpha.*exited with status 1.*in use"):
-                procs.start()
+    def test_a_child_that_dies_at_start_fails_start_with_stderr(self, tmp_path):
+        """A checkpoint directory that is a regular file kills each child in
+        ``serve``, before READY (the driver opens no checkpoint store)."""
+        regular_file = tmp_path / "not-a-directory"
+        regular_file.write_text("")
+        procs = CoreProcesses(["alpha"], checkpoint_dir=str(regular_file))
+        with pytest.raises(CoreError, match="(?s)alpha.*exited with status 1.*Error"):
+            procs.start()
         assert procs.processes == {} and procs.driver is None
 
     def test_fork_is_refused_while_another_thread_runs(self):
@@ -172,7 +166,7 @@ class TestForkHygiene:
         thread.start()
         try:
             with pytest.raises(CoreError, match="threads"):
-                launch._fork_child({}, -1, -1, ())
+                forkserver._fork_child(None, {}, -1, -1, ())
         finally:
             release.set()
             thread.join(5.0)
@@ -186,12 +180,12 @@ class TestForkHygiene:
             "sys.exit(main(sys.argv[1:]))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        template = launch._Template([sys.executable, "-c", threaded], env)
+        template = forkserver._Template([sys.executable, "-c", threaded], env)
         try:
-            spec = {"name": "alpha", "port": 0, "peers": {}}
+            spec = {"name": "alpha", "peers": {}}
             for _ in range(2):  # it refuses, and goes on serving
                 with pytest.raises(CoreError, match="alpha.*forks only while it runs one"):
-                    template.spawn(spec, timeout=20.0)
+                    template.spawn(spec, {}, [], timeout=20.0)
             assert template.process.poll() is None
         finally:
             template.close(5.0)
@@ -254,7 +248,7 @@ class TestOneTemplatePerProcess:
         assert alpha.stdout.closed and alpha.stderr.closed
         # The template outlives them, and keeps nothing of theirs to be collected.
         assert is_running(template) and not children_of(template)
-        assert not launch._shared._exit_codes.keys() & {alpha.pid, beta.pid}
+        assert not forkserver._shared._exit_codes.keys() & {alpha.pid, beta.pid}
 
     def test_a_path_entry_added_after_the_template_started_reaches_the_children(
         self, tmp_path, monkeypatch
@@ -292,7 +286,7 @@ class TestOneTemplatePerProcess:
             assert is_running(alpha.pid) and is_running(beta.pid)  # nobody ended them
             # The orphaned deployment respawns alpha, from the template there is now.
             alpha.kill()
-            assert alpha.wait(timeout=5.0) == launch.UNREPORTED_EXIT  # its pidfd says so
+            assert alpha.wait(timeout=5.0) == forkserver.UNREPORTED_EXIT  # its pidfd says so
             reborn = orphaned.spawn_child("alpha")
             orphaned.await_child("alpha")
             assert parent_of(reborn.pid) == fresh
@@ -310,14 +304,14 @@ class TestOneTemplatePerProcess:
         with CoreProcesses(["alpha"]) as first:
             template = template_of(first)
         pid = os.fork()
-        if pid == 0:  # the copy: it inherited launch._shared, the parent's handle
+        if pid == 0:  # the copy: it inherited forkserver._shared, the parent's handle
             status = 1
             try:
                 with CoreProcesses(["a"]) as procs:
                     own = template_of(procs)
                     assert own != template and parent_of(own) == os.getpid()
                     assert procs.driver.admin("a", "complets") == []
-                launch._shared.close(5.0)
+                forkserver._shared.close(5.0)
                 status = 0
             finally:
                 os._exit(status)  # no pytest teardown, no atexit, in the copy
@@ -369,25 +363,26 @@ class TestOneTemplatePerProcess:
 #: children do.
 AS_A_CHILD = """
 import json, os, sys
-import repro.cluster.launch as launch
-launch._Preloads().load([["tests.anchors", os.path.abspath("tests/anchors.py")]], sys.path)
+import repro.cluster.launch
+from repro.cluster.forkserver import _Preloads
+_Preloads().load([["tests.anchors", os.path.abspath("tests/anchors.py")]], sys.path)
 from tests.anchors import Leaf, Probe, Root
 from repro.complet.stub import stub_target_id
 from repro.core.core import Core
-from repro.net.tcp import TcpTransport
+from repro.net.tcp import TcpTransport, listen
 from repro.sim.clock import RealClock
 from repro.sim.scheduler import Scheduler
 
 loaded = set(sys.modules)
 names = ["driver", "a", "b"]
-ports = dict(zip(names, launch.free_ports("127.0.0.1", len(names))))
+listeners = {name: listen("127.0.0.1") for name in names}
 cores, transports = {}, []
 for name in names:
     scheduler = Scheduler(RealClock())
-    transports.append(TcpTransport(scheduler, ports={name: ports[name]}))
+    transports.append(TcpTransport(scheduler, listeners={name: listeners[name]}))
     for peer in names:
         if peer != name:
-            transports[-1].add_peer(peer, ("127.0.0.1", ports[peer]))
+            transports[-1].add_peer(peer, listeners[peer].getsockname())
     cores[name] = Core(name, transports[-1], scheduler)
 driver = cores["driver"]
 leaves = [Leaf(bytes(2048), _core=driver, _at="a") for _ in range(2)]
@@ -550,17 +545,17 @@ class TestPreload:
             assert stub.answer() == ("", "alpha")
             procs.driver.move(stub, "beta")
             assert stub.answer() == ("", "beta")
-            assert not launch._shared.retired
+            assert not forkserver._shared.retired
 
     def test_a_pair_that_missed_is_not_tried_again(self, tmp_path, monkeypatch):
         trims = []
-        monkeypatch.setattr(launch, "_trim_heap", lambda: trims.append(True))
+        monkeypatch.setattr(forkserver, "_trim_heap", lambda: trims.append(True))
         tries = tmp_path / "tries"
         (tmp_path / "never_imports.py").write_text(
             f"open({str(tries)!r}, 'a').write('x')\nraise ImportError('not here')\n"
         )
         write_complet_module(tmp_path, "imports_once")
-        preloads = launch._Preloads()
+        preloads = forkserver._Preloads()
         pairs = [[name, str(tmp_path / f"{name}.py")] for name in ("never_imports", "imports_once")]
         try:
             for _ in range(3):
@@ -573,7 +568,7 @@ class TestPreload:
 
     def test_a_module_that_starts_a_thread_retires_the_template_alone(self, complet_module):
         with CoreProcesses(["alpha", "beta"]) as running:
-            retired = launch._shared
+            retired = forkserver._shared
             pids = [child.pid for child in running.processes.values()]
             module = complet_module(
                 "starts_a_thread",
@@ -583,10 +578,10 @@ class TestPreload:
             # The spawn that named it goes to a new template, whose child
             # imports the module itself when a complet of it arrives.
             with CoreProcesses(["gamma"]) as procs:
-                assert retired.retired and launch._shared is not retired
-                assert template_of(procs) == launch._shared.process.pid
+                assert retired.retired and forkserver._shared is not retired
+                assert template_of(procs) == forkserver._shared.process.pid
                 assert module.Mod(_core=procs.driver, _at="gamma").answer() == ("", "gamma")
-            assert "starts_a_thread" not in dict(launch._complet_modules())
+            assert "starts_a_thread" in forkserver._threaded_at_import
             # The running deployment kept its children, and respawns from the new template.
             assert all(is_running(pid) for pid in pids)
             assert running.driver.admin("alpha", "complets") == []
@@ -594,7 +589,8 @@ class TestPreload:
             assert running.processes["beta"].wait(5.0) == -signal.SIGKILL  # reaped, reported
             reborn = running.spawn_child("beta")
             running.await_child("beta")
-            assert parent_of(reborn.pid) == launch._shared.process.pid
+            assert parent_of(reborn.pid) == forkserver._shared.process.pid
+            assert not forkserver._shared.retired  # it was not asked to import the module
         # alpha through the retired template, reborn beta through the new one.
         assert retired.process.poll() is None and not children_of(retired.process.pid)
         assert not is_running(pids[0]) and not is_running(reborn.pid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
-from repro.cluster.launch import UNREPORTED_EXIT
+from repro.cluster.forkserver import UNREPORTED_EXIT
 from repro.cluster.supervisor import DEFAULT_BACKOFF, _ChildState, describe_exit
 from repro.cluster.workload import Counter
 from repro.errors import ConfigurationError

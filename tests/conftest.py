@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.cluster import launch
+from repro.cluster import forkserver
 from repro.cluster.cluster import Cluster
 from tests.procfs import children_of
 
@@ -52,7 +52,7 @@ def deploy():
 
 
 def _template_children() -> set[int]:
-    template = launch._shared
+    template = forkserver._shared
     if template is None or template.process.poll() is not None:
         return set()
     return children_of(template.process.pid)

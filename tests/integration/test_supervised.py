@@ -3,7 +3,7 @@
 Each test SIGKILLs (or exhausts the restart budget of) a real child
 process and checks the :class:`~repro.cluster.supervisor.Supervisor`
 end-to-end: death detected via ``waitpid``, the successor respawned on
-the preallocated port, durable checkpoints replayed identity-preserving
+its port (a fresh one once that is taken), durable checkpoints replayed identity-preserving
 from the shared :class:`~repro.recovery.CheckpointStore`, and the
 surviving deployment repaired so pre-kill references keep working.  A
 child past its budget, or killed with no supervisor at all, is restored
@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import shutil
 import signal
+import socket
 import tempfile
 import time
 
@@ -22,7 +23,7 @@ import pytest
 
 from repro.cluster import Cluster, CoreProcesses, RestartPolicy, Supervisor
 from repro.cluster.failures import FailureInjector
-from repro.cluster.launch import UNREPORTED_EXIT
+from repro.cluster.forkserver import UNREPORTED_EXIT
 from repro.cluster.supervisor import describe_exit
 from repro.cluster.workload import Echo
 from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SUSPECTED
@@ -412,6 +413,33 @@ class TestTransportReconnect:
             assert snapshot["core"] == "alpha"
             admin_state = procs.driver.admin(procs.driver.name, "supervisor")
             assert admin_state["children"]["alpha"]["restarts"] >= 1
+
+
+    def test_a_child_whose_port_is_taken_comes_back_on_a_fresh_one(self, deployment):
+        """The one respawn path: the driver binds the successor's socket on the
+        dead child's port, else on a fresh one, which the driver and the
+        surviving sibling learn; the supervisor's log names the move."""
+        procs, checkpoint_dir = deployment
+        echo = Echo("moved", _core=procs.driver, _at="alpha")
+        holder = Holder(_core=procs.driver, _at="beta")
+        holder.set_ref(echo)
+        assert holder.call_ref("before") == "before"
+        wait_for_checkpoint(checkpoint_dir, echo._fargo_target_id)
+        taken = procs.addresses["alpha"][1]
+        procs.processes["alpha"].kill()
+        assert procs.processes["alpha"].wait(timeout=5.0) == -signal.SIGKILL
+        # Squatted before the supervisor runs, so that it finds the port taken.
+        with socket.create_server(("127.0.0.1", taken)), Supervisor(procs) as supervisor:
+            assert wait_until(
+                lambda: child_state(supervisor, "alpha")["restarts"] >= 1
+                and child_state(supervisor, "alpha")["status"] == "running"
+            ), f"alpha never healed: {child_state(supervisor, 'alpha')}"
+            fresh = procs.addresses["alpha"][1]
+            assert fresh != taken
+            assert echo.ping() == "moved"  # the driver reaches the reborn child
+            assert holder.call_ref("after") == "after"  # and so does beta
+            log = [message for _at, message in supervisor.log]
+            assert f"child alpha could not rebind {taken}; moved to port {fresh}" in log
 
 
 class TestPointersAcrossRebirth:

@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.net import Envelope, MessageKind, TcpTransport, framing
 from repro.net.retry import RetryPolicy
 from repro.net.serializer import BULK_BYTES, PLAIN, Segments
+from repro.net.tcp import listen
 
 pytestmark = pytest.mark.tcp
 
@@ -203,7 +204,7 @@ class TestReconnect:
             hub_a.close()
 
             # Restart "a" on the same port in a fresh hub.
-            hub_a2 = TcpTransport(ports={"a": port})
+            hub_a2 = TcpTransport(listeners={"a": listen("127.0.0.1", port)})
             try:
                 hub_a2.register("a", lambda env: b"v2:" + env.payload)
                 hub_a2.add_peer("b", hub_b.local_address("b"))
@@ -234,7 +235,7 @@ class TestReconnect:
             assert hub_b.send(envelope("b", "a", b"one")) == b"v1:one"
             port = hub_a.local_address("a")[1]
             hub_a.close()
-            hub_a = TcpTransport(ports={"a": port})
+            hub_a = TcpTransport(listeners={"a": listen("127.0.0.1", port)})
             hub_a.register("a", lambda env: b"v2:" + env.payload)
             hub_a.add_peer("b", hub_b.local_address("b"))
             assert hub_b.send(envelope("b", "a", b"two")) == b"v2:two"
