@@ -84,6 +84,10 @@ VERDICTS = {
 
 #: Module (path under src/repro) -> a verdict of its own.
 MODULE_VERDICTS = {
+    "analysis/layout.py": (
+        "kept for aim 2: the one layout-policy interface; the `adaptive_layout`, `pipeline` "
+        "and `taskfarm` areas run its solvers, every script move its executor"
+    ),
     "apps/catalog.py": "kept: `examples/replicated_catalog.py` runs it",
     "cluster/chaos.py": "kept for aim 3: the seeded chaos soaks (`python -m repro.cluster.chaos`)",
     "complet/compiler.py": "paper artifact: the stub compiler (`python -m repro.complet.compiler`)",

@@ -2,14 +2,16 @@
 
 A TaskQueue complet at the hub holds a bag of tasks; FarmWorker complets
 at the edges pull batches through complet references.  When a worker's
-link to the hub degrades, the farm's placement policy (built on nothing
-but monitor watches and ``move``) relocates that worker next to the
-queue — and the makespan shows why.
+link to the hub degrades, a Threshold layout solver (a monitor watch per
+worker, a plan through the checked executor) relocates that worker next
+to the queue — and the makespan shows why.  The cluster's layout journal
+says which moves it made and what they cost.
 
 Run:  python examples/task_farm.py
 """
 
 from repro import Cluster, FailureInjector
+from repro.analysis.layout import Threshold
 from repro.apps.taskfarm import Farm
 
 
@@ -17,9 +19,7 @@ def run(adaptive: bool) -> tuple[float, float, list[str]]:
     cluster = Cluster(["hub", "edge1", "edge2"], bandwidth=1_000_000.0, latency=0.01)
     farm = Farm(cluster, "hub", ["edge1", "edge2"], batch=4)
     if adaptive:
-        farm.enable_adaptive_placement(
-            byte_rate_threshold=5_000.0, bandwidth_threshold=500_000.0
-        )
+        Threshold(farm.workers, farm.queue, rate=5_000.0, bandwidth=500_000.0).attach(cluster)
     # edge1's uplink collapses shortly after the run starts.
     inject = FailureInjector(cluster)
     inject.degrade_link_at(3.0, "hub", "edge1", bandwidth=20_000.0)
@@ -27,7 +27,12 @@ def run(adaptive: bool) -> tuple[float, float, list[str]]:
     farm.submit(payload_size=8_192, count=60)
     cluster.reset_stats()
     makespan = farm.run_until_drained()
-    return makespan, cluster.stats.seconds, farm.progress()["relocations"]
+    relocations = [
+        f"{step.source}->{step.destination} ({report.bytes_moved} B)"
+        for report in cluster.layout_history
+        for step in report.committed
+    ]
+    return makespan, cluster.stats.seconds, relocations
 
 
 def main() -> None:

@@ -1,17 +1,16 @@
-"""An adaptive bag-of-tasks farm.
+"""A bag-of-tasks farm.
 
 A :class:`TaskQueue` complet holds work items; :class:`FarmWorker`
 complets pull batches through a complet reference, process them, and
 report results back.  The :class:`Farm` driver deploys the pieces across
-a cluster and — when adaptive placement is enabled — watches each
-worker's byte rate toward the queue: a worker that is hauling lots of
-task bytes over a slow link gets moved next to the queue, exactly the
-colocate-or-spread policy of §4.1, expressed with nothing but the public
-monitoring API.
+a cluster.  Where they run is a layout policy's business, not the
+farm's: ``Threshold(farm.workers, farm.queue, rate=..., bandwidth=...)``
+(:mod:`repro.analysis.layout`) moves a worker hauling task bytes over a
+slow link next to the queue, the colocate-or-spread policy of §4.1.
 
 Everything here uses only public surface (anchors, stubs, ``Core``
-methods, monitor watches), so the module doubles as an end-to-end usage
-example of the library.
+methods), so the module doubles as an end-to-end usage example of the
+library.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.complet.anchor import Anchor
-from repro.complet.stub import Stub, compile_complet, stub_target_id
+from repro.complet.stub import Stub, compile_complet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
@@ -86,13 +85,8 @@ FarmWorker = compile_complet(FarmWorker_)
 
 @dataclass
 class Farm:
-    """Driver: deploy a queue and workers, optionally self-placing.
-
-    ``worker_homes`` names the Core for each worker.  With
-    :meth:`enable_adaptive_placement`, each worker is watched and moved
-    next to the queue once it crosses the byte-rate threshold while its
-    link to the queue is slower than ``bandwidth_threshold``.
-    """
+    """Driver: deploy a queue and workers; ``worker_homes`` names the
+    Core for each worker."""
 
     cluster: "Cluster"
     queue_home: str
@@ -100,7 +94,6 @@ class Farm:
     batch: int = 4
     queue: Stub = field(init=False)
     workers: list[Stub] = field(init=False)
-    relocations: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.queue = TaskQueue(_core=self.cluster.core(self.queue_home))
@@ -132,47 +125,6 @@ class Farm:
             self.cluster.advance(seconds_per_round)
         return self.cluster.now - start
 
-    # -- adaptive placement (§4.1, via the public monitoring API) ---------------------
-
-    def enable_adaptive_placement(
-        self,
-        *,
-        byte_rate_threshold: float = 10_000.0,
-        bandwidth_threshold: float = 500_000.0,
-        interval: float = 1.0,
-    ) -> None:
-        queue_id = str(stub_target_id(self.queue))
-        for worker in self.workers:
-            home = self.cluster.core(self.cluster.locate(worker))
-            worker_id = str(stub_target_id(worker))
-            event_name = f"farm:{worker_id}"
-
-            def relocate(event, worker=worker) -> None:
-                queue_site = self.cluster.locate(self.queue)
-                worker_site = self.cluster.locate(worker)
-                if worker_site == queue_site:
-                    return
-                bandwidth = self.cluster.core(worker_site).profile_instant(
-                    "bandwidth", peer=queue_site
-                )
-                if bandwidth < bandwidth_threshold:
-                    self.cluster.move(
-                        self.cluster.stub_at(worker_site, worker), queue_site
-                    )
-                    self.relocations.append(f"{worker_site}->{queue_site}")
-
-            home.events.subscribe(event_name, relocate)
-            home.monitor.watch(
-                "byteRate",
-                ">",
-                byte_rate_threshold,
-                interval=interval,
-                event_name=event_name,
-                repeat=True,
-                src=worker_id,
-                dst=queue_id,
-            )
-
     # -- reporting ---------------------------------------------------------------------------
 
     def progress(self) -> dict:
@@ -180,5 +132,4 @@ class Farm:
             "remaining": self.queue.remaining(),
             "completed": self.queue.completed_count(),
             "worker_locations": [self.cluster.locate(w) for w in self.workers],
-            "relocations": list(self.relocations),
         }

@@ -640,20 +640,20 @@ def affinity_flip(
     rounds: int,
     calls: int,
     client_home: str = "site1",
-    adaptive: bool = True,
+    solver: str = "Script",
 ) -> tuple[Cluster, float, int]:
     """C7's workload: a client talks to server1 at site1, then to server2.
 
     Both servers are pinned.  Each second the client makes ``calls`` calls
     from where it is; after ``rounds`` seconds its server becomes server2
-    for ``rounds`` more.  With ``adaptive`` the §4.1 rules colocate the
-    client with whichever server it calls at more than 2/s.  Counters are
-    reset before the first round.  Returns the cluster, the virtual
+    for ``rounds`` more.  With the ``Script`` solver the §4.1 rules colocate
+    the client with whichever server it calls at more than 2/s.  Counters
+    are reset before the first round.  Returns the cluster, the virtual
     seconds of the two phases, and the seconds after the flip at which the
     client was first found at site2 (``rounds`` if it never was).
     """
+    from repro.analysis.layout import Script, Static
     from repro.cluster.workload import Client, Server
-    from repro.script.interpreter import ScriptEngine
 
     cluster = Cluster(["site1", "site2"], bandwidth=bandwidth, latency=0.02)
     server1 = Server(reply_size=4_096, _core=cluster["site1"], _at="site1")
@@ -661,13 +661,13 @@ def affinity_flip(
     client = Client(
         server1, request_size=2_048, _core=cluster[client_home], _at=client_home
     )
-    if adaptive:
-        engine = ScriptEngine(cluster, home="site1")
-        engine._globals.update({"c": client, "s1": server1, "s2": server2})
-        engine.run(
-            "on methodInvokeRate(2) from $c to $s1 do move $c to coreOf $s1 end\n"
-            "on methodInvokeRate(2) from $c to $s2 do move $c to coreOf $s2 end"
-        )
+    policy = Script(
+        "$c = %1 $s1 = %2 $s2 = %3\n"
+        "on methodInvokeRate(2) from $c to $s1 do move $c to coreOf $s1 end\n"
+        "on methodInvokeRate(2) from $c to $s2 do move $c to coreOf $s2 end",
+        (client, server1, server2),
+    )
+    (policy if solver == "Script" else Static()).attach(cluster)
     _reset_counters(cluster)
     t0 = cluster.now
     reaction = rounds
@@ -695,13 +695,13 @@ def adaptive_layout() -> dict:
     metrics = _collect(cluster, ops=32, virtual_seconds=seconds)
     for bandwidth in (1_000_000.0, 250_000.0, 50_000.0):
         link = f"link{int(bandwidth) // 1000}k"
-        for label, home, adaptive in (
-            ("static_site1", "site1", False),
-            ("static_site2", "site2", False),
-            ("dynamic", "site1", True),
+        for label, home, solver in (
+            ("static_site1", "site1", "Static"),
+            ("static_site2", "site2", "Static"),
+            ("dynamic", "site1", "Script"),
         ):
             run, _, reaction = affinity_flip(
-                bandwidth, rounds=10, calls=6, client_home=home, adaptive=adaptive
+                bandwidth, rounds=10, calls=6, client_home=home, solver=solver
             )
             metrics[f"{link}_{label}_net_seconds"] = round(run.stats.seconds, 9)
         if link == "link250k":
@@ -725,6 +725,8 @@ def pipeline() -> dict:
     """Items through a three-stage pipeline spread over three Cores, then
     one item's seconds per placement, and after pull re-colocation: both
     internal references retyped to pull, the head moved once."""
+    from repro.analysis import MovePlan, PlannedMove
+    from repro.analysis.layout import LoadExisting
     from repro.complet.relocators import Pull
     from repro.core.core import Core
 
@@ -754,7 +756,8 @@ def pipeline() -> dict:
         host = cluster.core(cluster.locate(holder))
         successor = host.repository.get(holder._fargo_target_id).successor
         Core.get_meta_ref(successor).set_relocator(Pull())
-    cluster.move(stages[0], "c")
+    head = PlannedMove(str(stages[0]._fargo_target_id), "c", source="a")
+    LoadExisting(MovePlan((head,), name="pulled")).attach(cluster)
     metrics["pulled_stages_left_behind"] = sum(
         cluster.locate(stage) != "c" for stage in stages
     )
@@ -955,19 +958,18 @@ def _farm(
     count: int,
     payload: int,
     workers: tuple[str, ...] = ("edge1", "edge2"),
-    adaptive: bool = False,
+    solver: str = "Static",
 ) -> tuple[Cluster, float, float]:
-    """``count`` tasks of ``payload`` bytes through a task farm at ``hub``,
-    counters reset before the run; the cluster, its virtual seconds and
-    the makespan."""
+    """``count`` tasks of ``payload`` bytes through a task farm at ``hub``
+    placed by ``solver``, counters reset before the run; the cluster, its
+    virtual seconds and the makespan."""
+    from repro.analysis.layout import Static, Threshold
     from repro.apps.taskfarm import Farm
 
     cluster = Cluster(["hub", *workers], bandwidth=bandwidth, latency=0.01)
     farm = Farm(cluster, "hub", list(workers), batch=4)
-    if adaptive:
-        farm.enable_adaptive_placement(
-            byte_rate_threshold=5_000.0, bandwidth_threshold=500_000.0
-        )
+    policy = Threshold(farm.workers, farm.queue, rate=5_000.0, bandwidth=500_000.0)
+    (policy if solver == "Threshold" else Static()).attach(cluster)
     farm.submit(payload_size=payload, count=count)
     _reset_counters(cluster)
     t0 = cluster.now
@@ -976,17 +978,15 @@ def _farm(
 
 
 def taskfarm() -> dict:
-    """The adaptive task farm application, static placement; then network
-    seconds and makespan of 40 tasks static against adaptive at three link
-    speeds, and makespan by worker count on fast links."""
+    """The task farm application, static placement; then network seconds
+    and makespan of 40 tasks static against adaptive at three link speeds,
+    and makespan by worker count on fast links."""
     cluster, seconds, makespan = _farm(500_000.0, count=12, payload=4_096)
     metrics = _collect(cluster, ops=12, virtual_seconds=seconds)
     metrics["makespan_vs"] = round(makespan, 9)
     for bandwidth in (1_000_000.0, 100_000.0, 30_000.0):
-        for label in ("static", "adaptive"):
-            cluster, _, makespan = _farm(
-                bandwidth, count=40, payload=8_192, adaptive=label == "adaptive"
-            )
+        for label, solver in (("static", "Static"), ("adaptive", "Threshold")):
+            cluster, _, makespan = _farm(bandwidth, count=40, payload=8_192, solver=solver)
             link = f"link{int(bandwidth) // 1000}k_{label}"
             metrics[f"{link}_net_seconds"] = round(cluster.stats.seconds, 9)
             metrics[f"{link}_makespan_vs"] = round(makespan, 9)

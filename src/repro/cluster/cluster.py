@@ -42,6 +42,7 @@ _PUMP_INTERVAL = 0.02
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.layout import LayoutJournal
     from repro.util.ids import CompletId
     from repro.recovery import (
         CheckpointManager,
@@ -187,6 +188,7 @@ class Cluster:
         #: Script engines attached to this cluster (interaction analysis
         #: reads their installed scripts).
         self._engines: list = []
+        self._layout_history: "LayoutJournal | None" = None
         #: Shared dynamic race detector (``sanitize=True``), or None.
         self.sanitizer = None
         if sanitize:
@@ -554,6 +556,16 @@ class Cluster:
         """
         if engine not in self._engines:
             self._engines.append(engine)
+
+    @property
+    def layout_history(self) -> "LayoutJournal":
+        """The bounded journal of every plan the layout executor ran here
+        (:mod:`repro.analysis.layout`): trigger, solver, steps, cost."""
+        if self._layout_history is None:
+            from repro.analysis.layout import LayoutJournal
+
+            self._layout_history = LayoutJournal()
+        return self._layout_history
 
     def analyze(
         self,

@@ -30,7 +30,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.complet.relocators import relocator_from_name
-from repro.complet.stub import Stub, stub_core, stub_target_id
+from repro.complet.stub import Stub, stub_target_id
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
 from repro.core.events import (
@@ -70,6 +70,7 @@ from repro.script.ast import (
     Script,
     VarRef,
 )
+from repro.script.effects import render_expr
 from repro.script.parser import parse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,6 +127,8 @@ class ScriptContext:
 @dataclass(slots=True)
 class _ActiveRule:
     rule: Rule
+    #: How the layout journal names the rule: script label, line, head.
+    label: str
     #: (core, callback_id) handles from subscribe_remote.
     subscriptions: list[tuple[str, int]] = field(default_factory=list)
     #: (core_name, watch_id) pairs for installed threshold watches.
@@ -147,6 +150,8 @@ class ScriptEngine:
         self._args: tuple = ()
         self._actions: dict[str, Callable[..., object]] = {}
         self._active: list[_ActiveRule] = []
+        #: The label of the rule whose actions are running, if one is.
+        self._firing: str | None = None
         #: Scripts this engine has activated, as ``(Script, label)``
         #: pairs — the cluster's interaction analysis reads them.
         self.installed: list[tuple[Script, str]] = []
@@ -224,7 +229,8 @@ class ScriptEngine:
     # -- rule activation -----------------------------------------------------------------------
 
     def _activate(self, rule: Rule) -> None:
-        active = _ActiveRule(rule)
+        line = f":{rule.span.line}" if rule.span is not None else ""
+        active = _ActiveRule(rule, f"{self.installed[-1][1]}{line} {_describe_rule(rule)}")
         self._active.append(active)
         if rule.event == "timer":
             self._activate_timer(rule, active)
@@ -434,7 +440,11 @@ class ScriptEngine:
                         f"script:{rule.event}", category="script", trigger=event.name
                     )
                 )
-            self._run_rule(rule, event)
+            outer, self._firing = self._firing, active.label
+            try:
+                self._run_rule(rule, event)
+            finally:
+                self._firing = outer
 
     def _run_rule(self, rule: Rule, event: Event) -> None:
         env = dict(self._globals)
@@ -458,7 +468,7 @@ class ScriptEngine:
             logger.info("script log: %s", message)
             return
         if isinstance(action, MoveAction):
-            self._run_move(action, env)
+            self._run_move(action, env, event)
             return
         if isinstance(action, RetypeAction):
             reference = self._eval(action.reference, env)
@@ -477,25 +487,43 @@ class ScriptEngine:
             return
         raise ScriptRuntimeError(f"unknown action node {action!r}")
 
-    def _run_move(self, action: MoveAction, env: dict) -> None:
+    def _run_move(self, action: MoveAction, env: dict, event: Event | None) -> None:
         destination = self._eval(action.destination, env)
         if not isinstance(destination, str):
             raise ScriptRuntimeError(f"move destination must be a core name, got {destination!r}")
         targets = self._eval(action.target, env)
         if not isinstance(targets, (list, tuple)):
             targets = [targets]
-        for target in targets:
-            self._move_one(target, destination)
+        self.move(targets, destination, event)
 
-    def _move_one(self, target: object, destination: str) -> None:
-        if isinstance(target, Stub):
-            core = stub_core(target) or self.core
-            core.move(target, destination)
-            return
-        if isinstance(target, str):
-            CoreAdmin(self.core, self._find_host(target)).move(target, destination)
-            return
-        raise ScriptRuntimeError(f"cannot move {target!r}")
+    def move(self, targets: list | tuple, destination: str, event: Event | None = None) -> None:
+        """Move ``targets`` (stubs or complet ids) to ``destination`` as one
+        plan through the layout executor (:func:`repro.analysis.layout.execute`),
+        journaled under the rule firing, if one is; raises the typed error
+        of a refused plan or of the step that failed."""
+        from repro.analysis.layout import execute, trigger_of
+        from repro.analysis.plan import MovePlan, PlannedMove
+
+        handles: dict[str, Stub] = {}
+        steps = []
+        for target in targets:
+            if isinstance(target, Stub):
+                complet = str(stub_target_id(target))
+                handles[complet] = target
+            elif isinstance(target, str):
+                complet = target
+            else:
+                raise ScriptRuntimeError(f"cannot move {target!r}")
+            steps.append(PlannedMove(complet, destination))
+        rule = self._firing or f"<{self.core.name}:script>"
+        execute(
+            self.cluster,
+            MovePlan(tuple(steps), name=rule),
+            handles=handles,
+            via=self.core.name,
+            trigger=trigger_of(event) if event is not None else "caller",
+            solver=rule,
+        ).raise_failure()
 
     def _find_host(self, complet_id: str) -> str:
         try:
@@ -544,6 +572,17 @@ class ScriptEngine:
         if isinstance(value, (int, float)):
             return float(value)
         raise ScriptRuntimeError(f"expected a number, got {value!r}")
+
+
+def _describe_rule(rule: Rule) -> str:
+    """A rule's head as written: ``on methodInvokeRate(2) from $c to $s1``."""
+    head = f"on {rule.event}"
+    if rule.event_args:
+        head += "(" + ", ".join(str(render_expr(arg)) for arg in rule.event_args) + ")"
+    for clause, expr in (("from", rule.source), ("to", rule.target)):
+        if expr is not None:
+            head += f" {clause} {render_expr(expr)}"
+    return head
 
 
 def _as_complet_id(value: object) -> str:

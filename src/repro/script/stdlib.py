@@ -60,7 +60,7 @@ def _colocate(ctx: "ScriptContext", mover: object, anchor_point: object) -> None
     if not isinstance(anchor_point, Stub):
         raise ScriptRuntimeError("colocate expects complet references")
     destination = ctx.engine.cluster.locate(anchor_point)
-    ctx.engine._move_one(mover, destination)
+    ctx.engine.move([mover], destination, ctx.event)
 
 
 def _bind_name(ctx: "ScriptContext", name: object, stub: object) -> None:
@@ -94,7 +94,7 @@ def _retry_move(
 
     def fire() -> None:
         try:
-            engine._move_one(complet, target)
+            engine.move([complet], target, event)
             engine.log.append(f"retried move of {complet} to {target}")
         except FarGoError as exc:
             engine.log.append(f"retryMove of {complet} to {target} failed: {exc}")

@@ -9,6 +9,7 @@ interactive REPL on top).  Commands::
     layout                                  render the layout panel
     feed [<n>]                              tail of the live event feed
     move <complet-id> <core>                relocate a complet
+    why <complet-id>                        the layout decision that placed it
     refs <core> <complet-id>                outgoing references of a complet
     retype <core> <complet-id> <target-id> <type>
     profile <core> <service> [key=value...] instant profiling read
@@ -72,6 +73,7 @@ class FarGoShell:
             "layout": self._cmd_layout,
             "feed": self._cmd_feed,
             "move": self._cmd_move,
+            "why": self._cmd_why,
             "refs": self._cmd_refs,
             "retype": self._cmd_retype,
             "profile": self._cmd_profile,
@@ -167,10 +169,29 @@ class FarGoShell:
         return self.monitor.render_feed(limit)
 
     def _cmd_move(self, args: list[str]) -> str:
+        """move — a one-step plan through the layout executor, journaled
+        as the operator's."""
+        from repro.analysis.layout import execute
+        from repro.analysis.plan import MovePlan, PlannedMove
+
         complet_id, destination = args[0], args[1]
         host = self.cluster.find_host(complet_id)
-        self.admin(host).move(complet_id, destination)
+        step = PlannedMove(complet_id, destination, source=host)
+        execute(
+            self.cluster,
+            MovePlan((step,), name="shell move"),
+            via=self.core.name,
+            trigger="shell",
+            solver="operator",
+        ).raise_failure()
         return f"moved {complet_id} from {host} to {destination}"
+
+    def _cmd_why(self, args: list[str]) -> str:
+        """why <complet> — the newest journaled plan that moved it."""
+        report = self.cluster.layout_history.why(args[0])
+        if report is None:
+            return f"no layout decision recorded for {args[0]}"
+        return report.render()
 
     def _cmd_refs(self, args: list[str]) -> str:
         return self.monitor.references(args[0], args[1])

@@ -138,10 +138,10 @@ class TestRetypeAndRestoreRaces:
         server = Counter(0, _core=cluster["c"], _at="c")
         e1 = ScriptEngine(cluster, home="a")
         e2 = ScriptEngine(cluster, home="b")
-        e1._globals["r"] = server
-        e2._globals["r"] = server
-        e1.run("on completArrived listenAt [a] do retype $r to pull end")
-        e2.run("on completArrived listenAt [b] do retype $r to duplicate end")
+        e1.run("$r = %1\non completArrived listenAt [a] do retype $r to pull end", (server,))
+        e2.run(
+            "$r = %1\non completArrived listenAt [b] do retype $r to duplicate end", (server,)
+        )
         cluster.move(Counter(0, _core=cluster["f"], _at="f"), "a")
         cluster.move(Counter(0, _core=cluster["g"], _at="g"), "b")
         retype_races = [

@@ -18,9 +18,9 @@ from repro.cluster.workload import Client, Server
 from repro.script.interpreter import ScriptEngine
 
 
-def _network_seconds(*, adaptive: bool, client_home: str) -> float:
+def _network_seconds(*, solver: str, client_home: str) -> float:
     cluster, _, _ = affinity_flip(
-        200_000.0, rounds=6, calls=8, client_home=client_home, adaptive=adaptive
+        200_000.0, rounds=6, calls=8, client_home=client_home, solver=solver
     )
     return cluster.stats.seconds
 
@@ -28,8 +28,8 @@ def _network_seconds(*, adaptive: bool, client_home: str) -> float:
 class TestAdaptiveBeatsStatic:
     @pytest.mark.parametrize("static_home", ["site1", "site2"])
     def test_adaptive_beats_each_static_placement(self, static_home):
-        static_cost = _network_seconds(adaptive=False, client_home=static_home)
-        adaptive_cost = _network_seconds(adaptive=True, client_home="site1")
+        static_cost = _network_seconds(solver="Static", client_home=static_home)
+        adaptive_cost = _network_seconds(solver="Script", client_home="site1")
         assert adaptive_cost < static_cost
 
     def test_adaptive_follows_the_phase_change(self):
@@ -38,8 +38,11 @@ class TestAdaptiveBeatsStatic:
         server2 = Server(_core=cluster["site2"], _at="site2")
         client = Client(server1, _core=cluster["site2"], _at="site2")
         engine = ScriptEngine(cluster, home="site1")
-        engine._globals.update({"c": client, "s1": server1})
-        engine.run("on methodInvokeRate(2) from $c to $s1 do move $c to coreOf $s1 end")
+        engine.run(
+            "$c = %1\n$s1 = %2\n"
+            "on methodInvokeRate(2) from $c to $s1 do move $c to coreOf $s1 end",
+            args=(client, server1),
+        )
         for _ in range(5):
             client.run(8)
             cluster.advance(1.0)

@@ -21,10 +21,11 @@ class TestScriptedCheckpoints:
 
         engine = ScriptEngine(cluster, home="beta")
         engine.register_action("checkpoint", checkpoint)
-        engine._globals["c"] = counter
         engine.run(
+            "$c = %1\n"
             'on completLoad(0, ">=") listenAt [alpha] every 2 do'
-            " call checkpoint($c) end"
+            " call checkpoint($c) end",
+            args=(counter,),
         )
         counter.increment(5)
         cluster.advance(2.5)

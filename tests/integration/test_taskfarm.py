@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.analysis.layout import Threshold
 from repro.apps.taskfarm import Farm, FarmWorker, TaskQueue
 from repro.cluster.cluster import Cluster
+
+
+def _place(farm: Farm) -> Threshold:
+    """The farm's adaptive policy: a worker over 1 kB/s on a link under
+    500 kB/s joins the queue."""
+    return Threshold(farm.workers, farm.queue, rate=1_000.0, bandwidth=500_000.0).attach(
+        farm.cluster
+    )
 
 
 @pytest.fixture
@@ -65,33 +74,31 @@ class TestFarm:
 
     def test_adaptive_placement_colocates_on_slow_link(self, farm_cluster):
         farm = Farm(farm_cluster, "hub", ["edge1"], batch=4)
-        farm.enable_adaptive_placement(
-            byte_rate_threshold=1_000.0, bandwidth_threshold=500_000.0
-        )
+        solver = _place(farm)
         farm_cluster.set_link("hub", "edge1", bandwidth=100_000.0)
         farm.submit(payload_size=4_096, count=40)
         farm.run_until_drained()
         assert farm.cluster.locate(farm.workers[0]) == "hub"
-        assert farm.relocations == ["edge1->hub"]
+        (report,) = farm_cluster.layout_history
+        assert report.solver == solver.name
+        assert report.trigger.startswith("byteRate = ")
+        assert [(m.source, m.destination) for m in report.committed] == [("edge1", "hub")]
+        assert report.bytes_moved > 0 and report.seconds > 0
 
     def test_no_relocation_on_fast_link(self, farm_cluster):
         farm = Farm(farm_cluster, "hub", ["edge1"], batch=4)
-        farm.enable_adaptive_placement(
-            byte_rate_threshold=1_000.0, bandwidth_threshold=500_000.0
-        )
+        _place(farm)
         farm.submit(payload_size=4_096, count=40)
         farm.run_until_drained()
         assert farm.cluster.locate(farm.workers[0]) == "edge1"
-        assert farm.relocations == []
+        assert list(farm_cluster.layout_history) == []
 
     def test_adaptive_beats_static_on_slow_link(self):
         def makespan(adaptive: bool) -> float:
             cluster = Cluster(["hub", "edge1"], bandwidth=80_000.0)
             farm = Farm(cluster, "hub", ["edge1"], batch=4)
             if adaptive:
-                farm.enable_adaptive_placement(
-                    byte_rate_threshold=1_000.0, bandwidth_threshold=500_000.0
-                )
+                _place(farm)
             farm.submit(payload_size=8_192, count=40)
             return farm.run_until_drained()
 

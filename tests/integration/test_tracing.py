@@ -113,9 +113,10 @@ class TestWatchScriptMoveTrace:
         engine = ScriptEngine(cluster, home="gamma")
         server = Server(_core=cluster["beta"], _at="beta")
         client = Client(server, _core=cluster["alpha"])
-        engine._globals.update({"c": client, "s": server})
         engine.run(
-            "on methodInvokeRate(3) from $c to $s do move $c to coreOf $s end"
+            "$c = %1\n$s = %2\n"
+            "on methodInvokeRate(3) from $c to $s do move $c to coreOf $s end",
+            args=(client, server),
         )
         cluster.clear_spans()
         for _ in range(4):

@@ -75,9 +75,10 @@ class TestProfileRules:
     def test_method_invoke_rate_rule(self, cluster3, engine3):
         server = Server(_core=cluster3["beta"], _at="beta")
         client = Client(server, _core=cluster3["alpha"])
-        engine3._globals.update({"c": client, "s": server})
         engine3.run(
-            "on methodInvokeRate(3) from $c to $s do move $c to coreOf $s end"
+            "$c = %1\n$s = %2\n"
+            "on methodInvokeRate(3) from $c to $s do move $c to coreOf $s end",
+            args=(client, server),
         )
         for _ in range(4):
             client.run(15)
@@ -87,9 +88,10 @@ class TestProfileRules:
     def test_threshold_not_reached_no_move(self, cluster3, engine3):
         server = Server(_core=cluster3["beta"], _at="beta")
         client = Client(server, _core=cluster3["alpha"])
-        engine3._globals.update({"c": client, "s": server})
         engine3.run(
-            "on methodInvokeRate(50) from $c to $s do move $c to coreOf $s end"
+            "$c = %1\n$s = %2\n"
+            "on methodInvokeRate(50) from $c to $s do move $c to coreOf $s end",
+            args=(client, server),
         )
         for _ in range(4):
             client.run(5)
@@ -128,9 +130,9 @@ class TestProfileRules:
         """§4.2: the rule keeps working after the watched complet moves."""
         server = Server(_core=cluster3["gamma"], _at="gamma")
         client = Client(server, _core=cluster3["alpha"])
-        engine3._globals.update({"c": client, "s": server})
         engine3.run(
-            "on methodInvokeRate(3) from $c to $s do log moved end"
+            "$c = %1\n$s = %2\non methodInvokeRate(3) from $c to $s do log moved end",
+            args=(client, server),
         )
         # Move the client before any threshold crossing.
         cluster3.move(client, "beta")
@@ -145,8 +147,9 @@ class TestActions:
         from repro.core.core import Core
 
         echo = Echo("x", _core=cluster3["alpha"])
-        engine3._globals["r"] = echo
-        engine3.run('on completDeparted listenAt [beta] do retype $r to pull end')
+        engine3.run(
+            "$r = %1\non completDeparted listenAt [beta] do retype $r to pull end", (echo,)
+        )
         probe = Counter(0, _core=cluster3["beta"], _at="beta")
         cluster3.move(probe, "gamma")
         assert Core.get_meta_ref(echo).type_name == "pull"

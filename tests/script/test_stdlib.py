@@ -36,8 +36,10 @@ class TestColocate:
     def test_colocate_moves_to_anchor_core(self, cluster3, engine):
         mover = Counter(0, _core=cluster3["alpha"])
         anchor_point = Echo("x", _core=cluster3["gamma"], _at="gamma")
-        engine._globals.update({"m": mover, "a": anchor_point})
-        engine.run("on completArrived listenAt [beta] do call colocate($m, $a) end")
+        engine.run(
+            "$m = %1\n$a = %2\non completArrived listenAt [beta] do call colocate($m, $a) end",
+            args=(mover, anchor_point),
+        )
         trigger = Counter(0, _core=cluster3["alpha"])
         cluster3.move(trigger, "beta")
         assert cluster3.locate(mover) == "gamma"
@@ -54,8 +56,7 @@ class TestColocate:
 class TestBindName:
     def test_binds_at_home_core(self, cluster3, engine):
         echo = Echo("svc", _core=cluster3["beta"], _at="beta")
-        engine._globals["e"] = echo
-        engine.run('on completArrived do call bindName("service", $e) end')
+        engine.run('$e = %1\non completArrived do call bindName("service", $e) end', (echo,))
         trigger = Counter(0, _core=cluster3["alpha"])
         cluster3.move(trigger, "beta")
         assert cluster3["alpha"].lookup("service").ping() == "svc"

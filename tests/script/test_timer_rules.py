@@ -67,7 +67,6 @@ class TestTimerRules:
             vault.append(snapshot(host, stub))
 
         engine.register_action("checkpoint", checkpoint)
-        engine._globals["c"] = counter
-        engine.run("on timer(5) do call checkpoint($c) end")
+        engine.run("$c = %1\non timer(5) do call checkpoint($c) end", args=(counter,))
         cluster3.advance(16.0)
         assert len(vault) == 3

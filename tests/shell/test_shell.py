@@ -68,6 +68,18 @@ class TestManipulation:
     def test_move_unknown_complet(self, shell):
         assert "error" in shell.execute("move ghost/c9:Ghost beta")
 
+    def test_why_answers_from_the_layout_journal(self, cluster3, shell):
+        counter = Counter(0, _core=cluster3["alpha"])
+        cid = str(counter._fargo_target_id)
+        assert shell.execute(f"why {cid}") == f"no layout decision recorded for {cid}"
+        shell.execute(f"move {cid} beta")
+        shell.execute(f"move {cid} nowhere")
+        answer = shell.execute(f"why {counter._fargo_target_id.short()}")
+        assert "operator, on shell" in answer
+        assert f"{cid} -> beta: committed" in answer
+        assert "nowhere" not in answer
+        assert cluster3.layout_history[-1].refused
+
     def test_refs_and_retype(self, cluster3, shell):
         echo = Echo("x", _core=cluster3["alpha"])
         holder = Holder(echo, _core=cluster3["alpha"])
