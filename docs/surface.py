@@ -88,6 +88,10 @@ MODULE_VERDICTS = {
         "kept for aim 2: the one layout-policy interface; the `adaptive_layout`, `pipeline` "
         "and `taskfarm` areas run its solvers, every script move its executor"
     ),
+    "analysis/model.py": (
+        "kept for aim 3: the executable §3 layout contract; the cluster state machine checks "
+        "`sim`, `tcp` and `procs` against it step by step, and FG201–FG205 are its predicates"
+    ),
     "apps/catalog.py": "kept: `examples/replicated_catalog.py` runs it",
     "cluster/chaos.py": "kept for aim 3: the seeded chaos soaks (`python -m repro.cluster.chaos`)",
     "complet/compiler.py": "paper artifact: the stub compiler (`python -m repro.complet.compiler`)",
@@ -116,6 +120,12 @@ CUT = {
         "(49 of its 104 function lines by nothing at all); no example, realpath workload or "
         "EXPERIMENTS id ran it.  Its policy and stats classes, its message kind and the "
         "Transport-instance form of `Cluster(transport=)`, its one caller, went with it"
+    ),
+    "analysis/relocation.py": (
+        "353 lines; importers outside `analysis/`: `cluster/` (`Cluster.analyze`); run by no "
+        "area or example (192 of its 192 function lines).  Its private reference graph became "
+        "`analysis/model.py`'s `LayoutModel`, whose transitions the cluster state machine "
+        "checks every backend against; FG201–FG205 are predicates over that model"
     ),
 }
 

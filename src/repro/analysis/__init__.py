@@ -5,7 +5,7 @@ Four checker families share one diagnostic framework:
 - :func:`check_script` — layout-script verification (FG1xx) over the
   :mod:`repro.script` AST, optionally resolved against a topology;
 - :func:`check_relocation` — relocation-semantics verification (FG2xx)
-  over a live cluster's reference graph;
+  over :class:`~repro.analysis.model.LayoutModel`, the §3 layout contract;
 - :func:`check_complet_source` / :func:`check_anchor_live` — complet
   movability verification (FG3xx) in source and live modes;
 - :func:`check_interaction` / :func:`check_plan` — plan & interaction
@@ -35,19 +35,20 @@ from repro.analysis.diagnostics import (
     worst_severity,
 )
 from repro.analysis.interaction import check_interaction, script_set_effects
+from repro.analysis.model import LayoutModel, check_relocation, mutating_methods
 from repro.analysis.movability import (
     UNPICKLABLE_FACTORIES,
     check_anchor_live,
     check_complet_source,
 )
 from repro.analysis.plan import MovePlan, PlannedMove, check_plan
-from repro.analysis.relocation import check_relocation, mutating_methods
 from repro.analysis.sanitizer import LayoutSanitizer, ObservedRace
 from repro.analysis.script_check import TopologyInfo, check_script
 
 __all__ = [
     "RULES",
     "Diagnostic",
+    "LayoutModel",
     "LayoutSanitizer",
     "MovePlan",
     "ObservedRace",

@@ -19,7 +19,8 @@ The check reads only what the driver already holds — the Core names,
 the plan's own layout, and where the driver hosts a complet itself — so
 it sends no message.  Steps then run in order through ``Cluster.move``
 (a step that names a complet by id goes through its host's
-:class:`~repro.core.admin.CoreAdmin`).  A no-op step (FG408) is skipped.
+:class:`~repro.core.admin.CoreAdmin`).  A no-op step (FG408, or one whose
+complet its host finds in place) is skipped.
 When step *k* fails, steps 1…k−1 stay committed, the movement unit's
 abort leaves step *k*'s complet hosted and invocable at its source, and
 no later step runs.
@@ -76,7 +77,7 @@ class StepOutcome:
     """What became of one plan step."""
 
     step: PlannedMove
-    #: ``committed``, ``skipped`` (FG408 no-op), ``failed`` or ``not run``.
+    #: ``committed``, ``skipped`` (a no-op: FG408, or found in place), ``failed`` or ``not run``.
     status: str
     #: The typed error of a failed step.
     error: FarGoError | None = None
@@ -211,15 +212,15 @@ def execute(
         try:
             stub = handles.get(step.complet)
             if stub is not None:
-                cluster.move(stub, step.destination)
+                moved = cluster.move(stub, step.destination)
             else:
                 host = layout.get(step.complet) or step.source or cluster.find_host(step.complet)
-                cluster.admin(host, via=via).move(step.complet, step.destination)
+                moved = cluster.admin(host, via=via).move(step.complet, step.destination)
         except FarGoError as exc:
             outcomes.append(StepOutcome(step, FAILED, exc))
             stopped = True
             continue
-        outcomes.append(StepOutcome(step, COMMITTED))
+        outcomes.append(StepOutcome(step, COMMITTED if moved else SKIPPED))
     report = PlanReport(
         plan=plan,
         trigger=trigger,

@@ -92,7 +92,7 @@ def _collect(
     return metrics
 
 
-def _pull_group(core, members: int, member_bytes: int):
+def _pulling_head(core, members: int, member_bytes: int):
     """A head complet at ``core`` pulling ``members`` data holders; its stub."""
     from repro.cluster.workload import DataSource, Echo
     from repro.complet.relocators import Pull
@@ -136,7 +136,7 @@ def move_peak_ratio(transport: str) -> float:
     gc.collect()  # garbage of what ran before must not be freed mid-move
     cluster = Cluster(["a", "b"], transport=transport, clock=VirtualClock())
     try:
-        root = _pull_group(cluster["a"], leaves, leaf_bytes)
+        root = _pulling_head(cluster["a"], leaves, leaf_bytes)
         cluster.move(root, "b")  # connections, thread pools and caches exist from here on
         cluster.move(root, "a")
         tracemalloc.start()
@@ -383,7 +383,7 @@ def movement() -> dict:
     from repro.net.messages import MessageKind
 
     cluster = Cluster(["a", "b"])
-    head = _pull_group(cluster["a"], 8, 512)
+    head = _pulling_head(cluster["a"], 8, 512)
     _reset_counters(cluster)
     t0 = cluster.now
     for destination in ("b", "a", "b", "a", "b", "a"):
@@ -394,7 +394,7 @@ def movement() -> dict:
     def moved(label: str, members: int, member_bytes: int, naive: bool = False) -> None:
         pair = Cluster(["a", "b"])
         pulled = 0 if naive else members
-        complets = [_pull_group(pair["a"], pulled, member_bytes)]
+        complets = [_pulling_head(pair["a"], pulled, member_bytes)]
         complets += [DataSource(member_bytes, _core=pair["a"]) for _ in range(members - pulled)]
         pair.reset_stats()
         for complet in complets:

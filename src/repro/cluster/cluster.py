@@ -454,13 +454,13 @@ class Cluster:
         """Create a complet on Core ``at`` and return its stub."""
         return self.core(at).instantiate(anchor_cls, *args, **kwargs)
 
-    def move(self, stub: Stub, destination: str) -> None:
-        """Move the complet behind ``stub`` to Core ``destination``."""
+    def move(self, stub: Stub, destination: str) -> bool:
+        """Move the complet behind ``stub`` to Core ``destination``; whether it moved."""
         core = stub_core(stub)
         assert core is not None
-        core.move(stub, destination)
+        return core.move(stub, destination)
 
-    def move_via_host(self, stub: Stub, destination: str) -> None:
+    def move_via_host(self, stub: Stub, destination: str) -> bool:
         """Ask the complet's *current host* to move it (no forwarding).
 
         ``move`` routes through the stub's Core, whose tracker gets
@@ -469,7 +469,7 @@ class Cluster:
         way genuine tracker chains form (Figure 2).
         """
         target_id = stub_target_id(stub)
-        self.admin(self.find_host(target_id)).move(str(target_id), destination)
+        return self.admin(self.find_host(target_id)).move(str(target_id), destination)
 
     def locate(self, stub: Stub) -> str:
         """Name of the Core currently hosting ``stub``'s complet.

@@ -133,9 +133,9 @@ class CoreAdmin:
         """Ids of the complets hosted at the target Core."""
         return [str(complet_id) for complet_id in self.via.repository.complet_ids()]
 
-    def move(self, complet: str, destination: str) -> None:
-        """Move a complet hosted at the target Core to ``destination``."""
-        self.via.move(self._hosted(complet), destination)
+    def move(self, complet: str, destination: str) -> bool:
+        """Move a complet hosted at the target Core to ``destination``; whether it moved."""
+        return self.via.move(self._hosted(complet), destination)
 
     def collect_trackers(self) -> int:
         """Run one tracker-GC pass at the target Core; trackers collected."""

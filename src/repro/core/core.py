@@ -247,13 +247,14 @@ class Core:
         continuation: str | None = None,
         args: tuple = (),
         kwargs: dict | None = None,
-    ) -> None:
-        """Move a complet (§3.3), optionally with a continuation method."""
+    ) -> bool:
+        """Move a complet (§3.3), optionally with a continuation method;
+        False when it was at ``destination`` already."""
         require_running(self)
         cont = None
         if continuation is not None:
             cont = Continuation(continuation, tuple(args), dict(kwargs or {}))
-        self.movement.move(target, destination, cont)
+        return self.movement.move(target, destination, cont)
 
     # -- Core API: naming convenience -------------------------------------------------------------
 

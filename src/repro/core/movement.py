@@ -22,7 +22,8 @@ is answered, when the host serves it itself, with the root's new tracker
 address.  The requester's tracker rides the MOVE_COMPLET to be registered
 at the destination, the host discards it from its own tracker, and the
 requester re-points on the answer: its next call goes straight to the new
-host and no TRACKER_UPDATE is sent.
+host and no TRACKER_UPDATE is sent.  A Core that chased the complet on
+answers None, one that found it in place False: a move says if it moved.
 
 Sending is an *abortable two-phase protocol*: phase one runs the
 ``pre_departure`` hooks and marshals the group, phase two ships the
@@ -107,33 +108,33 @@ class MovementUnit:
         target: Stub | Anchor | CompletId,
         destination: str,
         continuation: Continuation | None = None,
-    ) -> None:
+    ) -> bool:
         """Move ``target``'s complet (and whatever its references drag along).
 
         ``target`` may be a stub, the anchor itself (self-movement), or a
         complet id.  If the complet is not hosted here, the request is
         forwarded to its current host, so any Core can initiate any move.
+        Returns False when the complet was at ``destination`` already.
         """
         tracer = self.core.tracer
         if tracer.enabled:
             with tracer.span("move", category="move", destination=destination):
-                self._move(target, destination, continuation)
-        else:
-            self._move(target, destination, continuation)
+                return self._move(target, destination, continuation)
+        return self._move(target, destination, continuation)
 
     def _move(
         self,
         target: Stub | Anchor | CompletId,
         destination: str,
         continuation: Continuation | None,
-    ) -> None:
+    ) -> bool:
         anchor = self._resolve_local(target)
         if anchor is None:
-            self._forward_request(target, destination, continuation)
-            return
+            return self._forward_request(target, destination, continuation)
         if destination == self.core.name:
-            return  # already in place; a move would be a no-op
+            return False  # already in place; a move would be a no-op
         self._move_local(anchor, destination, continuation)
+        return True
 
     def _resolve_local(self, target: Stub | Anchor | CompletId) -> Anchor | None:
         if isinstance(target, Stub):
@@ -293,7 +294,7 @@ class MovementUnit:
         target: Stub | Anchor | CompletId,
         destination: str,
         continuation: Continuation | None,
-    ) -> None:
+    ) -> bool:
         if isinstance(target, Stub):
             target_id = stub_target_id(target)
             tracker = stub_tracker(target)
@@ -320,12 +321,13 @@ class MovementUnit:
         except INDETERMINATE_ERRORS:
             self.core.references.reclaim(tracker)
             raise
-        if moved_to is not None:
+        if isinstance(moved_to, TrackerAddress):
             # The host that moved it handed this tracker over to the
             # destination, and released it if it was the next hop.
             self.core.references.shorten(
                 tracker, moved_to, registered=True, released=address == tracker.next_hop
             )
+        return moved_to is not False
 
     def _request_body(
         self,
@@ -441,7 +443,7 @@ class MovementUnit:
         tracker = self.core.repository.existing_tracker(target_id)
         if anchor is not None:
             if destination == self.core.name:
-                return None
+                return False
             assert tracker is not None  # a hosted complet's own tracker
             moved_to = self._move_local(anchor, destination, continuation, pointer)
             if pointer is not None:
@@ -455,13 +457,14 @@ class MovementUnit:
             )
         host = self.core.references.locate(tracker)
         if host == destination:
-            return None
-        self.core.peer.request(
+            return False
+        moved = self.core.peer.request(
             host,
             MessageKind.MOVE_REQUEST,
             self._request_body(target_id, destination, continuation, hops + 1),
         )
-        return None
+        # Whether it moved, never the far host's address: nothing was handed over.
+        return False if moved is False else None
 
     # -- remote duplicates -------------------------------------------------------------------
 

@@ -118,3 +118,16 @@ def test_why_names_the_rule_behind_the_dynamic_rows_move():
     answer = FarGoShell(cluster).execute(f"why {client}")
     assert "on methodInvokeRate(2) from $c to $s2" in answer
     assert f"{client} -> site2: committed" in answer
+
+
+def test_a_forwarded_move_its_host_finds_in_place_is_skipped():
+    cluster, _, _ = affinity_flip(250_000.0, rounds=10, calls=6, solver="Script")
+    (client,) = [c for c in cluster.complets_at("site2") if c.endswith(":Client")]
+    moves = [r for r in cluster.layout_history if r.steps[0].step.destination == "site2"]
+    assert [(round(r.at, 1), r.steps[0].status) for r in moves] == [
+        (12.0, "committed"),
+        (14.2, "skipped"),
+    ]
+    assert moves[1].bytes_moved == 145  # one MOVE_REQUEST and its answer, as before
+    answer = FarGoShell(cluster).execute(f"why {client}")
+    assert answer.splitlines()[0].startswith("t=12.040 ")

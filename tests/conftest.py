@@ -51,6 +51,40 @@ def deploy():
         cluster.close()
 
 
+class HeldPosts:
+    """Posts of a SimTransport that ``hold`` matches wait in :attr:`queue`
+    until :meth:`release`; every other delivery is the transport's own."""
+
+    def __init__(self, post, hold) -> None:
+        self._post, self.hold = post, hold
+        self.queue: list = []
+
+    def post(self, envelope) -> None:
+        if self.hold(envelope):
+            self.queue.append(envelope)
+        else:
+            self._post(envelope)
+
+    def release(self) -> None:
+        """Deliver every held post, oldest first."""
+        held, self.queue = self.queue, []
+        for envelope in held:
+            self._post(envelope)
+
+
+@pytest.fixture
+def held_posts(monkeypatch):
+    """``held_posts(cluster, hold)``: hold the sim cluster's posts that
+    ``hold(envelope)`` matches from now on, for the test to release."""
+
+    def factory(cluster: Cluster, hold) -> HeldPosts:
+        held = HeldPosts(cluster.transport.post, hold)
+        monkeypatch.setattr(cluster.transport, "post", held.post)
+        return held
+
+    return factory
+
+
 def _template_children() -> set[int]:
     template = forkserver._shared
     if template is None or template.process.poll() is not None:

@@ -35,7 +35,7 @@ class TestBasicMovement:
     def test_move_to_same_core_is_noop(self, cluster):
         counter = Counter(0, _core=cluster["alpha"])
         messages = cluster.stats.messages
-        cluster.move(counter, "alpha")
+        assert cluster.move(counter, "alpha") is False
         assert cluster.stats.messages == messages
         assert cluster.locate(counter) == "alpha"
 
@@ -73,8 +73,8 @@ class TestRemoteInitiatedMoves:
 
     def test_forwarded_move_to_current_host_is_noop(self, cluster):
         counter = Counter(0, _core=cluster["alpha"])
-        cluster.move(counter, "beta")
-        cluster.move(counter, "beta")  # already there
+        assert cluster.move(counter, "beta") is True
+        assert cluster.move(counter, "beta") is False  # already there, the host answers
         assert cluster.locate(counter) == "beta"
 
     def test_chased_move_through_stale_tracker(self, cluster3):
@@ -82,8 +82,10 @@ class TestRemoteInitiatedMoves:
         counter = Counter(0, _core=cluster3["alpha"])
         cluster3.move_via_host(counter, "beta")
         cluster3.move_via_host(counter, "gamma")
-        # alpha's tracker still says beta; the request is forwarded twice.
-        cluster3["alpha"].move(counter._fargo_target_id, "alpha")
+        # alpha's tracker still says beta; beta chases the complet to gamma.
+        assert cluster3["alpha"].move(counter._fargo_target_id, "gamma") is False
+        # The request is forwarded twice; gamma's address is not handed back.
+        assert cluster3["alpha"].move(counter._fargo_target_id, "alpha") is True
         assert cluster3.locate(counter) == "alpha"
 
 

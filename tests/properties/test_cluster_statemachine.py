@@ -1,34 +1,52 @@
-"""Stateful property testing: random interleavings of runtime operations.
+"""Stateful property testing: random interleavings, checked against the layout model.
 
 Hypothesis drives arbitrary sequences of the operations a real
-deployment performs — instantiation, movement (driver- and
-host-initiated), invocation through any reference, reference creation at
-arbitrary Cores, tracker GC — and checks the runtime's global invariants
-after every step:
+deployment performs — instantiating the workload complets (counters, data
+sources and the workers that read them, pipeline stages, printers and the
+desktops that print on them), moving them from the driver or from their
+host, retyping a holder's reference through ``CoreAdmin.retype``,
+invoking through any reference, creating references at other Cores,
+tracker GC, and crashing a Core — and steps a
+:class:`~repro.analysis.model.LayoutModel` beside the cluster.  The model
+is the oracle: after every step the observable state equals the model's,
 
-- every complet is hosted by exactly one running Core;
-- every Core keeps at most one tracker per target;
-- invocation through any reference reaches the authoritative state
-  (counter values are globally consistent);
-- tracker GC never breaks a live reference;
-- every remote-pointer set mirrors the next hops that point at it
-  (:func:`tests.pointers.pointer_set_violations`).
+- each running Core's hosted set (``complets_at``);
+- each holder's reference rows (``admin(host).references``): target,
+  type, and whether the target is local;
+- the step's outcome: whether a move moved, an invocation's success (a
+  counter's value counts the calls that reached it), or the typed error
+  the model names: a stamp with nowhere to rebind, a crashed host;
+
+and the runtime's own bookkeeping holds: every Core keeps at most one
+tracker per target, tracker GC never breaks a live reference, and every
+remote-pointer set mirrors the next hops that point at it
+(:func:`tests.pointers.pointer_set_violations`).  A ``duplicate`` copy gets
+its id from the runtime: the model names it until the holder's rows show
+the id (:meth:`LayoutModel.rename`).
 
 Every rule goes through the deployment handle only, so the same machine
 runs on the simulated network, on the in-process TCP hub and on Cores in OS
-processes of their own.  The first invariant is read through
-``complets_at`` on every backend; the two that look inside a Core look
-inside the Cores of this process: all of them on ``sim`` and ``tcp``,
-the driver on ``procs``.  The pointer sets are checked after every step
+processes of their own.  The workload complets are preloaded in every
+``procs`` child.  A stamp's ``link`` fallback is set on the reference
+itself, which only a Core of this process can do: ``procs`` retypes to
+the ``error`` fallback alone.  The tracker invariant looks inside the
+Cores of this process: all of them on ``sim`` and ``tcp``, the driver on
+``procs``.  The pointer sets are checked after every step
 on ``sim`` and on ``tcp``, with no pause between steps: over TCP a step
 whose one-way updates (discards) are still in flight is not looked at,
 and the next step starts at once, so an update overtaken by a later
 step's messages is overtaken, a tracker sweep included.  A registration
 is answered before the step that sent it goes on, so no sweep overtakes
 one.  On ``procs`` the sets live in the children.
-"""
 
-import collections
+A crash comes once per run, after its twentieth step, at a Core other
+than the seat.  Every
+reference of the driver is located first, so each points straight at its
+complet's host and no walk passes through the dead Core; then a complet
+hosted there is invoked.  After it only invocations that call no other
+complet run (each dead complet once: over ``procs`` a dead child costs
+the RPC layer's connect retries), and the pointer sets are not checked.
+"""
 
 import pytest
 from hypothesis import settings
@@ -38,29 +56,81 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    multiple,
+    precondition,
     rule,
 )
 
+from repro.analysis.model import LayoutModel
 from repro.cluster.cluster import Cluster
-from repro.cluster.workload import Counter
+from repro.cluster.workload import (
+    Counter,
+    Counter_,
+    DataSource,
+    DataSource_,
+    Desktop,
+    Desktop_,
+    Printer,
+    Printer_,
+    Stage,
+    Stage_,
+    Worker,
+    Worker_,
+)
+from repro.complet.closure import compute_closure
+from repro.complet.relocators import Stamp
+from repro.complet.stub import Stub, stub_core, stub_meta
+from repro.errors import FarGoError
 from repro.net.messages import MessageKind
 from repro.net.serializer import PLAIN
 from tests.pointers import eventually, pointer_set_violations
 
 CORES = ["a", "b", "c"]
+#: Complets the model may hold, copies included: bounds the population.
+POPULATION = 8
+#: Steps a run takes before a crash may come: the one that comes leaves only
+#: invocations to run.
+CRASH_AFTER = 20
+#: What a retype may make of a holder's reference; ``stamp-link`` is a stamp
+#: with the ``link`` fallback.
+KINDS = ("link", "pull", "duplicate", "stamp", "stamp-link")
+#: One invocation per anchor class; the holders call through their reference.
+CALLS = {
+    Counter_: lambda stub: stub.increment(1),
+    DataSource_: lambda stub: stub.checksum(),
+    Worker_: lambda stub: stub.work(1),
+    Stage_: lambda stub: stub.process(b""),
+    Printer_: lambda stub: stub.location(),
+    Desktop_: lambda stub: stub.print_report("report"),
+}
+
+
+def _id(stub) -> str:
+    return str(stub._fargo_target_id)
+
+
+def no_crash(machine) -> bool:
+    return not machine.model.crashed
+
+
+def room(machine) -> bool:
+    return no_crash(machine) and len(machine.model.hosts) < POPULATION
 
 
 class ClusterMachine(RuleBasedStateMachine):
     TRANSPORT = "sim"
+    #: Every reference the program holds.
     references = Bundle("references")
 
     @initialize()
     def setup(self):
         self.cluster = Cluster(CORES, transport=self.TRANSPORT)
-        #: Authoritative expected value per complet id.
-        self.expected: dict = {}
-        #: The first reference each complet was known by.
-        self.first: dict = {}
+        self.model = LayoutModel(list(CORES))
+        #: The program's references (located before a crash), and the dead
+        #: complets an invocation has already found so.
+        self.stubs: list = []
+        self.found_dead: set = set()
+        self.steps = 0
         #: One entry per one-way TRACKER_UPDATE (a discard) a Core of this
         #: process is about to post, and one per such update one has applied.
         self.posted: list = []
@@ -96,66 +166,202 @@ class ClusterMachine(RuleBasedStateMachine):
         if cluster is None:  # the run never got to setup
             return
         try:
-            for complet_id, value in self.expected.items():
-                assert self.first[complet_id].read() == value
-            if self.TRANSPORT != "procs":
+            if self.TRANSPORT != "procs" and not self.model.crashed:
                 assert eventually(self._all_landed)
                 assert not pointer_set_violations(self.cluster.cores.values())
         finally:
             cluster.close()
 
-    # -- operations ----------------------------------------------------------------
+    # -- steps on both ---------------------------------------------------------------
 
-    @rule(target=references, core=st.sampled_from(CORES))
-    def create_complet(self, core):
-        if len(self.first) >= 6:  # bound the population
-            return next(iter(self.first.values()))
-        stub = Counter(0, _core=self.cluster.seat, _at=core)
-        self.expected[stub._fargo_target_id] = 0
-        self.first[stub._fargo_target_id] = stub
+    def _step(self, on_model, on_cluster):
+        """One step on the model and on the cluster: the same answer, or the
+        typed error the model names."""
+        try:
+            expected = on_model()
+        except FarGoError as error:
+            with pytest.raises(type(error)):
+                on_cluster()
+            return
+        assert on_cluster() == expected
+
+    def _create(self, stub_cls, core, *args, **kwargs):
+        stub = stub_cls(*args, _core=self.cluster.seat, _at=core, **kwargs)
+        targets = [_id(arg) for arg in args if isinstance(arg, Stub)]
+        self.model.create(_id(stub), core, stub_cls._fargo_anchor_cls, targets)
+        self.stubs.append(stub)
         return stub
 
+    def _bind_copies(self):
+        """Give each copy the model named (``<target>'<n>``) the id its holder's rows show."""
+        for holder, refs in list(self.model.refs.items()):
+            named = [ref.target for ref in refs if "'" in ref.target]
+            if named:
+                rows = self.cluster.admin(self.model.hosts[holder]).references(holder)
+                fresh = [row["target"] for row in rows if row["target"] not in self.model.hosts]
+                for old, new in zip(named, fresh):
+                    self.model.rename(old, new)
+
+    def _call_chain(self, cid: str) -> list:
+        """The complets an invocation of ``cid`` reaches, in call order."""
+        chain = [cid]
+        while self.model.refs[chain[-1]]:
+            chain.append(self.model.refs[chain[-1]][0].target)
+        return chain
+
+    def _invoke(self, ref):
+        cid = _id(ref)
+        call = CALLS[self.model.classes[cid]]
+        try:
+            for complet in self._call_chain(cid):
+                self.model.invoke(complet)
+        except FarGoError as error:
+            with pytest.raises(type(error)):
+                call(ref)
+            self.found_dead.add(cid)
+            return
+        result = call(ref)
+        if self.model.classes[cid] is Counter_:
+            assert result == self.model.calls[cid]
+
+    # -- operations ----------------------------------------------------------------
+
+    @precondition(room)
+    @rule(target=references, core=st.sampled_from(CORES))
+    def create_counter(self, core):
+        return self._create(Counter, core, 0)
+
+    @precondition(room)
+    @rule(target=references, core=st.sampled_from(CORES), source_at=st.sampled_from(CORES))
+    def create_worker(self, core, source_at):
+        source = self._create(DataSource, source_at, size=64)
+        return multiple(source, self._create(Worker, core, source))
+
+    @precondition(room)
+    @rule(target=references, homes=st.lists(st.sampled_from(CORES), min_size=1, max_size=3))
+    def create_pipeline(self, homes):
+        """Stages at ``homes``, head first, each holding the next."""
+        stages = [None]
+        for home in reversed(homes):
+            stages.append(self._create(Stage, home, stages[-1], cost_bytes=1))
+        return multiple(*stages[1:])
+
+    @precondition(room)
+    @rule(target=references, core=st.sampled_from(CORES), printer_at=st.sampled_from(CORES))
+    def create_desktop(self, core, printer_at):
+        printer = self._create(Printer, printer_at, printer_at)
+        return multiple(printer, self._create(Desktop, core, printer))
+
+    @precondition(room)
+    @rule(target=references, core=st.sampled_from(CORES))
+    def create_printer(self, core):
+        return self._create(Printer, core, core)
+
+    @precondition(no_crash)
     @rule(ref=references, destination=st.sampled_from(CORES))
     def move_from_driver(self, ref, destination):
-        self.cluster.move(ref, destination)
+        self._step(
+            lambda: self.model.move(_id(ref), destination),
+            lambda: self.cluster.move(ref, destination),
+        )
+        self._bind_copies()
 
+    @precondition(no_crash)
     @rule(ref=references, destination=st.sampled_from(CORES))
     def move_from_host(self, ref, destination):
-        self.cluster.move_via_host(ref, destination)
+        self._step(
+            lambda: self.model.move(_id(ref), destination),
+            lambda: self.cluster.move_via_host(ref, destination),
+        )
+        self._bind_copies()
 
-    @rule(ref=references, by=st.integers(min_value=1, max_value=5))
-    def invoke(self, ref, by):
-        observed = ref.increment(by)
-        self.expected[ref._fargo_target_id] += by
-        assert observed == self.expected[ref._fargo_target_id]
+    @precondition(lambda self: no_crash(self) and any(self.model.refs.values()))
+    @rule(pick=st.integers(min_value=0, max_value=7), kind=st.sampled_from(KINDS))
+    def retype(self, pick, kind):
+        """Retype a holder's reference (a worker's, a stage's, a desktop's,
+        or a copy's) through the administration handle of its host."""
+        holders = [cid for cid, refs in self.model.refs.items() if refs]
+        source = holders[pick % len(holders)]
+        host, target = self.model.hosts[source], self.model.refs[source][0].target
+        if kind.startswith("stamp") and self.model.classes[source] is Stage_:
+            return  # a stage rebound by type could close a cycle process() never leaves
+        if kind == "stamp-link":
+            if host not in self.cluster.cores:
+                return
+            anchor = self.cluster.cores[host].repository.find_by_str(source)
+            (stub,) = compute_closure(anchor).outgoing
+            stub_meta(stub).set_relocator(Stamp(fallback="link"))
+            self.model.retype(source, target, "stamp", fallback="link")
+            return
+        assert self.cluster.admin(host).retype(source, target, kind)
+        self.model.retype(source, target, kind)
 
+    @rule(ref=references)
+    def invoke(self, ref):
+        if self._checkable(ref):
+            self._invoke(ref)
+
+    def _checkable(self, ref) -> bool:
+        """Before a crash every invocation is; after it, one that calls no other
+        complet, from a live Core, and not of a complet already found dead."""
+        cid = _id(ref)
+        return not self.model.crashed or (
+            len(self._call_chain(cid)) == 1
+            and cid not in self.found_dead
+            and stub_core(ref).name not in self.model.crashed
+        )
+
+    @precondition(no_crash)
     @rule(target=references, ref=references, at=st.sampled_from(CORES))
     def alias_reference(self, ref, at):
         """A second reference to the same complet, wired elsewhere: at any
         Core of this process (stubs live where the program does)."""
         if at not in self.cluster.cores:
             at = self.cluster.seat.name
-        return self.cluster.stub_at(at, ref)
+        alias = self.cluster.stub_at(at, ref)
+        self.stubs.append(alias)
+        return alias
 
+    @precondition(no_crash)
     @rule()
-    def collect_trackers(self):
+    def sweep_trackers(self):
         self.cluster.collect_all_trackers()
 
     @rule()
-    def advance_time(self):
+    def time_passes(self):
         self.cluster.advance(1.0 if self.cluster.scheduler.clock.is_virtual else 0.001)
+
+    @precondition(lambda self: no_crash(self) and self.steps >= CRASH_AFTER)
+    @rule(core=st.sampled_from(CORES[1:]))
+    def crash_core(self, core):
+        assert core != self.cluster.seat.name
+        for stub in self.stubs:
+            self.cluster.locate(stub)
+        self.cluster.crash_core(core)
+        self.model.crash_core(core)
+        dead = [s for s in self.stubs if self.model.hosts[_id(s)] == core and self._checkable(s)]
+        if dead:
+            self._invoke(dead[0])
 
     # -- invariants ---------------------------------------------------------------------
 
     @invariant()
-    def exactly_one_host_per_complet(self):
-        hosted = collections.Counter(
-            complet
-            for name in self.cluster.core_names()
-            for complet in self.cluster.complets_at(name)
-        )
-        for complet_id in self.expected:
-            assert hosted[str(complet_id)] == 1, (complet_id, hosted)
+    def count_steps(self):
+        self.steps += 1
+
+    @invariant()
+    def layout_matches_model(self):
+        for core in CORES:
+            if core not in self.model.crashed:
+                assert sorted(self.cluster.complets_at(core)) == self.model.hosted(core), core
+        for holder, refs in self.model.refs.items():
+            host = self.model.hosts[holder]
+            if refs and host not in self.model.crashed:
+                rows = self.cluster.admin(host).references(holder)
+                assert sorted((r["target"], r["type"], r["local"]) for r in rows) == sorted(
+                    (ref.target, ref.type, self.model.hosts.get(ref.target) == host)
+                    for ref in refs
+                ), holder
 
     @invariant()
     def one_tracker_per_target_per_core(self):
@@ -171,21 +377,13 @@ class ClusterMachine(RuleBasedStateMachine):
         # On procs the sets live in the children.  Nothing waits for posts to
         # land: on sim they have, and over TCP a step that left some in
         # flight is looked at by the next step that leaves none.
-        if self.TRANSPORT != "procs" and self._all_landed():
+        if self.TRANSPORT != "procs" and not self.model.crashed and self._all_landed():
             violations = pointer_set_violations(self.cluster.cores.values())
             assert not violations, violations
 
     def _all_landed(self) -> bool:
         """Whether every one-way pointer update has landed (registrations are answered)."""
         return len(self.landed) == len(self.posted)
-
-    @invariant()
-    def authoritative_state_matches(self):
-        for complet_id, value in self.expected.items():
-            for core in self.cluster.cores.values():
-                anchor = core.repository.get(complet_id)
-                if anchor is not None:
-                    assert anchor.value == value
 
 
 def machine_on(transport: str, examples: int):
