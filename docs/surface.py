@@ -108,6 +108,10 @@ MODULE_VERDICTS = {
         "metric measures it (`store_move_net_bytes` 597 B against 1 049 278 B eager)"
     ),
     "core/locator.py": "kept: the location registry of the paper's future work (EXPERIMENTS C12)",
+    "recovery/checkpoint.py": (
+        "kept for aims 2 and 3: the one checkpointer, one per Core on every backend "
+        "(`enable_recovery()`, each `procs` child's `serve()`; the `supervision` area's children)"
+    ),
     "shell/complet.py": "paper artifact: the shell's complet commands (Figure 1)",
     "viewer/timeline.py": "kept: `examples/wan_deployment.py` runs `MovementTimeline`",
 }

@@ -4,8 +4,8 @@ The recovery stack in three layers, driven entirely by a layout script:
 
 - a :class:`~repro.recovery.FailureDetector` on every Core heartbeats
   its peers and publishes ``coreSuspected`` / ``coreFailed`` verdicts;
-- a :class:`~repro.recovery.CheckpointManager` keeps the protected
-  complets' latest state in the cluster checkpoint store;
+- a :class:`~repro.recovery.Checkpointer` on every Core keeps the
+  latest state of each complet it hosts in the cluster checkpoint store;
 - the script's ``on coreFailed`` rule calls the ``failover`` action,
   which restores the dead Core's checkpointed complets on a survivor
   (automatic recovery is switched *off* — the administrator's script is
@@ -22,7 +22,7 @@ from repro import Cluster
 from repro.analysis import check_script, render_text
 from repro.cluster.failures import FailureInjector
 from repro.cluster.workload import Counter
-from repro.recovery import CheckpointPolicy, DetectorConfig
+from repro.recovery import DetectorConfig
 from repro.script import ScriptEngine
 
 FAILOVER_SCRIPT = """\
@@ -38,7 +38,6 @@ def main() -> None:
         detector=DetectorConfig(interval=0.5, fail_after=3.0),
         auto_recover=False,  # the script, not the manager, decides
     )
-    assert cluster.checkpoints is not None
 
     # Lint the script before attaching it (FG1xx family).
     diagnostics = check_script(FAILOVER_SCRIPT)
@@ -47,10 +46,10 @@ def main() -> None:
     engine = ScriptEngine(cluster, home="alpha")
     engine.run(FAILOVER_SCRIPT)
 
-    # The deployed application: one protected counter on the Core that
-    # is about to die.  Periodic checkpoints keep its state restorable.
+    # The deployed application: one counter on the Core that is about to
+    # die.  Gamma's checkpointer sweeps it every second, which keeps its
+    # state restorable.
     counter = Counter(40, _core=cluster["gamma"], _at="gamma")
-    cluster.checkpoints.protect(counter, CheckpointPolicy(interval=1.0))
     counter.increment(by=2)
     print(f"counter lives at {cluster.locate(counter)}, value {counter.read()}")
 

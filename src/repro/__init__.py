@@ -57,8 +57,6 @@ from repro.store import (
     StoreProxy,
 )
 from repro.recovery import (
-    CheckpointManager,
-    CheckpointPolicy,
     CheckpointStore,
     DetectorConfig,
     FailureDetector,
@@ -79,8 +77,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Anchor",
     "Carrier",
-    "CheckpointManager",
-    "CheckpointPolicy",
     "CheckpointStore",
     "Cluster",
     "Continuation",

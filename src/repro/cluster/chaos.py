@@ -55,7 +55,7 @@ from repro.cluster.supervisor import RestartPolicy, Supervisor
 from repro.cluster.workload import Counter
 from repro.complet.stub import stub_target_id
 from repro.errors import FarGoError
-from repro.recovery import CheckpointPolicy, DetectorConfig
+from repro.recovery import DetectorConfig
 
 #: Units between driver requests (off-phase with the detector).
 DRIVE_PERIOD = 0.4
@@ -126,6 +126,12 @@ class ChaosRun:
         procs = self.cluster.processes
         virtual = self.cluster.scheduler.clock.is_virtual
         self.unit = 1.0 if virtual else REAL_UNIT
+        self._counters = [
+            Counter(0, _core=self.cluster.cores.get(name, self.cluster.seat), _at=name)
+            for name in self.names
+        ]
+        # Placed first: the first sweep of each checkpointer enable_recovery()
+        # starts takes them (on procs the children sweep once a unit).
         self.cluster.enable_recovery()
         self.supervisor: Supervisor | None = None
         if procs is not None:
@@ -134,14 +140,6 @@ class ChaosRun:
             ).start()
         self.injector = FailureInjector(self.cluster)
         self.report = ChaosReport(seed=seed, clock="virtual" if virtual else "wall")
-        self._counters = []
-        policy = CheckpointPolicy(interval=1.0, on_arrival=True)
-        assert self.cluster.checkpoints is not None
-        for name in self.names:
-            counter = Counter(0, _core=self.cluster.cores.get(name, self.cluster.seat), _at=name)
-            if procs is None:
-                self.cluster.checkpoints.protect(counter, policy)
-            self._counters.append(counter)
         self._next_counter = 0
         self._origin = self._last_check = self.cluster.now
         #: (instant, Core) of every crash or shutdown not yet seen healed.

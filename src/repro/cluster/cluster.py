@@ -44,12 +44,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.layout import LayoutJournal
     from repro.util.ids import CompletId
-    from repro.recovery import (
-        CheckpointManager,
-        CheckpointStore,
-        DetectorConfig,
-        RecoveryManager,
-    )
+    from repro.recovery import Checkpointer, CheckpointStore, DetectorConfig, RecoveryManager
 
 
 class Cluster:
@@ -183,7 +178,9 @@ class Cluster:
         self.cores: dict[str, Core] = {}
         #: Recovery layer, attached by :meth:`enable_recovery`.
         self.recovery: "RecoveryManager | None" = None
-        self.checkpoints: "CheckpointManager | None" = None
+        #: Core name -> the Checkpointer :meth:`enable_recovery` started there
+        #: (on ``procs`` each child runs its own, and this stays empty).
+        self.checkpoints: "dict[str, Checkpointer]" = {}
         self._detector_config: "DetectorConfig | None" = None
         #: Script engines attached to this cluster (interaction analysis
         #: reads their installed scripts).
@@ -236,10 +233,9 @@ class Cluster:
         self.cores[name] = core
         if self._detector_config is not None:
             self._attach_detector(core)
-        if self.checkpoints is not None:
-            self.checkpoints.attach(core)
         if self.recovery is not None:
             self.recovery.attach(core)
+            self._start_checkpointer(core)
         return core
 
     @property
@@ -360,12 +356,12 @@ class Cluster:
 
     def crash_core(self, name: str) -> None:
         """Hard crash, no shutdown event: the node stops answering, and a
-        child's process is SIGKILLed."""
+        child's process is SIGKILLed.  This process's hub refuses the node
+        at once (on ``procs`` until a respawn brings it up again)."""
         child = self._children().get(name)
         if child is not None:
             child.kill()
-        else:
-            self.transport.set_node_down(name)
+        self.transport.set_node_down(name)
 
     def revive_core(self, name: str) -> None:
         """Bring a crashed Core's node back up.  A child is not revived here:
@@ -388,9 +384,10 @@ class Cluster:
         """Turn on liveness detection, checkpointing, and recovery.
 
         Attaches a heartbeat :class:`~repro.recovery.FailureDetector` to
-        every running Core (and to Cores added later), a cluster-wide
-        :class:`~repro.recovery.CheckpointManager` (protect complets
-        with ``cluster.checkpoints.protect(stub, policy)``), and a
+        every running Core (and to Cores added later), starts a
+        :class:`~repro.recovery.Checkpointer` there that checkpoints every
+        complet the Core hosts (every second of the cluster clock, and on
+        each arrival or restore; :attr:`checkpoints`), and a
         :class:`~repro.recovery.RecoveryManager` that reacts to
         ``coreFailed`` verdicts — automatically unless
         ``auto_recover=False``, in which case recovery runs only when
@@ -402,14 +399,14 @@ class Cluster:
         ``CheckpointStore(path)`` for a durable directory.
 
         On ``procs`` the store is ``CheckpointStore(checkpoint_dir)``, the
-        directory the children sweep their complets into, and no
-        detector is attached here: a :class:`~repro.cluster.supervisor.Supervisor`
-        runs the one at :attr:`seat`, and publishes ``coreFailed`` there
-        for a child whose restart budget is spent.  There the deployment
-        needs a ``checkpoint_dir`` and neither ``detector`` nor ``store``
-        is taken.
+        directory the children's own checkpointers sweep their complets
+        into, and no detector is attached here: a
+        :class:`~repro.cluster.supervisor.Supervisor` runs the one at
+        :attr:`seat`, and publishes ``coreFailed`` there for a child whose
+        restart budget is spent.  There the deployment needs a
+        ``checkpoint_dir`` and neither ``detector`` nor ``store`` is taken.
         """
-        from repro.recovery import CheckpointManager, CheckpointStore, DetectorConfig, RecoveryManager
+        from repro.recovery import CheckpointStore, DetectorConfig, RecoveryManager
 
         procs = self.processes
         if procs is not None:
@@ -421,12 +418,25 @@ class Cluster:
             store = CheckpointStore(procs.checkpoint_dir)
         else:
             self._detector_config = detector if detector is not None else DetectorConfig()
-        self.checkpoints = CheckpointManager(self, store=store)
-        self.recovery = RecoveryManager(self, self.checkpoints, auto_recover=auto_recover)
-        if self._detector_config is not None:
+        self.recovery = RecoveryManager(
+            self, store if store is not None else CheckpointStore(), auto_recover=auto_recover
+        )
+        if procs is None:
             for core in self.cores.values():
                 self._attach_detector(core)
+                self._start_checkpointer(core)
         return self.recovery
+
+    def _start_checkpointer(self, core: Core) -> None:
+        """Start ``core``'s checkpointer over the recovery store, in place of
+        one an earlier :meth:`enable_recovery` started."""
+        from repro.recovery import Checkpointer
+
+        assert self.recovery is not None
+        if core.name in self.checkpoints:
+            self.checkpoints.pop(core.name).stop()
+        if core.is_running:
+            self.checkpoints[core.name] = Checkpointer(core, self.recovery.store).start()
 
     def _attach_detector(self, core: Core) -> None:
         from repro.recovery import FailureDetector

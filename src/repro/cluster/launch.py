@@ -16,7 +16,8 @@ per machine/process, complets moving between them — realised with
   through ordinary Core APIs over TCP), and tears its own children down.
 
 Cross-process recovery rides on durable checkpoints: pass
-``checkpoint_dir`` and every child periodically snapshots its hosted
+``checkpoint_dir`` and every child runs a
+:class:`~repro.recovery.Checkpointer`, which snapshots its hosted
 complets into a shared :class:`~repro.recovery.CheckpointStore`
 directory there; a child started with ``recover`` (what the
 :class:`~repro.cluster.supervisor.Supervisor` does when it respawns a
@@ -45,10 +46,9 @@ from repro.cluster.forkserver import (
 from repro.complet.anchor import Anchor
 from repro.core.admin import CoreAdmin
 from repro.core.core import Core
-from repro.core.events import COMPLET_ARRIVED
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.tcp import TcpTransport, listen
-from repro.recovery.checkpoint import checkpoint_group, restore_record
+from repro.recovery.checkpoint import Checkpointer, restore_record
 from repro.recovery.store import CheckpointStore
 from repro.sim.clock import RealClock
 from repro.sim.scheduler import Scheduler
@@ -61,69 +61,6 @@ _SERVE_INTERVAL = 0.02
 
 #: stdout line a child prints once its Core serves.
 READY_PREFIX = "READY"
-
-
-class ChildCheckpointer:
-    """Periodic durable checkpoints of every complet a child Core hosts.
-
-    The in-process :class:`~repro.recovery.CheckpointManager` protects
-    individual complets through the cluster harness; a child process has
-    no harness, so this standalone checkpointer sweeps the whole
-    repository instead — every hosted complet, with its local pull-group
-    — into the shared :class:`~repro.recovery.CheckpointStore` directory.
-    Each record names this Core as host, which is exactly what a
-    successor process (``serve(recover=True)``) and the cluster-side
-    :class:`~repro.recovery.RecoveryManager` key on.  An arrival is
-    checkpointed before its move replies, so the old host's successor
-    does not restore a second copy of it.
-    """
-
-    def __init__(self, core: Core, store: CheckpointStore, interval: float = 0.5) -> None:
-        if interval <= 0.0:
-            raise ConfigurationError(f"checkpoint interval must be positive: {interval}")
-        self.core = core
-        self.store = store
-        self.interval = interval
-        self._timer = None
-        self._arrivals = 0
-        #: Sweeps run on the serve loop, arrivals on a connection's thread.
-        self._lock = threading.Lock()
-
-    def start(self) -> None:
-        self._timer = self.core.scheduler.call_every(self.interval, self.sweep)
-        self._arrivals = self.core.events.subscribe(COMPLET_ARRIVED, self._arrived)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-            self.core.events.unsubscribe(self._arrivals)
-
-    def sweep(self) -> int:
-        """Checkpoint every hosted complet once; records written."""
-        written = 0
-        covered: set = set()
-        for complet_id in self.core.repository.complet_ids():
-            anchor = self.core.repository.get(complet_id)
-            if anchor is None or complet_id in covered:
-                continue  # gone, or captured with an earlier complet's group
-            group, count = self._checkpoint(anchor)
-            covered.update(group)
-            written += count
-        return written
-
-    def _arrived(self, event) -> None:
-        anchor = self.core.repository.find_by_str(event.data["complet"])
-        if anchor is not None:
-            self._checkpoint(anchor)
-
-    def _checkpoint(self, anchor: Anchor) -> tuple[tuple, int]:
-        """Store ``anchor``'s local pull-group: its ids, and records written."""
-        with self._lock:
-            group, records = checkpoint_group(self.core, anchor)
-            for record in records:
-                self.store.put(record)
-        return group, len(records)
 
 
 def restore_from_store(core: Core, store: CheckpointStore) -> list[str]:
@@ -182,7 +119,6 @@ def serve(
         store=FileStore(store_dir) if store_dir is not None else None,
     )
     core.repository.begin_life(life)
-    checkpointer = None
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
         if recover:
@@ -192,22 +128,15 @@ def serve(
                     f"RESTORED {name} {len(restored)} {' '.join(restored)}",
                     file=sys.stderr, flush=True,
                 )
-        checkpointer = ChildCheckpointer(core, store, checkpoint_interval)
-        checkpointer.start()
+        Checkpointer(core, store, checkpoint_interval).start()
     print(f"{READY_PREFIX} {name} {transport.local_address(name)[1]}", flush=True)
     try:
         while core.is_running:
             scheduler.fire_due()
             time.sleep(_SERVE_INTERVAL)
     finally:
-        if checkpointer is not None:
-            # A last sweep on graceful shutdown; a SIGKILLed child relies
-            # on its periodic sweeps instead.
-            try:
-                checkpointer.sweep()
-            except FarGoError:
-                pass
-            checkpointer.stop()
+        # A shutdown takes the checkpointer's last sweep; a SIGKILLed child
+        # relies on its periodic sweeps instead.
         if core.is_running:
             core.shutdown()
         transport.close()
@@ -327,14 +256,19 @@ class CoreProcesses:
         """(Re-)spawn child Core ``name`` on its port, or on a fresh one (in
         :attr:`addresses`) if another socket took that; with ``recover=True``
         it restores its predecessor's checkpoints before READY (requires
-        ``checkpoint_dir``).  Each spawn is a new life; the caller is
-        responsible for the old process being gone.
+        ``checkpoint_dir``).  Each spawn is a new life.  The driver's hub
+        learns its address (which drops the connections to the predecessor)
+        and takes the node up again; the caller is responsible for the old
+        process being gone.
         """
         if name not in self.names:
             raise ConfigurationError(f"unknown child Core {name!r}")
-        if self.driver is None:
+        if self.driver is None or self.transport is None:
             raise ConfigurationError("CoreProcesses is not started")
-        return self._spawn(name, self._listen(name), recover)
+        process = self._spawn(name, self._listen(name), recover)
+        self.transport.add_peer(name, self.addresses[name])
+        self.transport.set_node_down(name, down=False)
+        return process
 
     def _listen(self, name: str) -> socket.socket:
         """A listening socket for child ``name``: on its last port, else a fresh one."""

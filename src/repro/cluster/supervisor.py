@@ -24,11 +24,12 @@ The :class:`Supervisor` keeps the children of a multi-process deployment
 
 - **Re-admit** — the successor restores its predecessor's durable
   checkpoints under the *original* identities before it prints READY,
-  and the supervisor waits for that line.  It then gives the driver and
-  every survivor the successor's address (``add_peer``, which also drops
-  connections to the predecessor), hands the successor the driver's
-  tracing setting, and repairs every survivor's trackers and location records
-  from the successor's tracker map, with the sequence recovery runs
+  and the supervisor waits for that line.  It then gives every surviving
+  child the successor's address (``add_peer``, which also drops
+  connections to the predecessor; the driver's hub learnt it at the
+  spawn), hands the successor the driver's tracing setting, and repairs
+  every survivor's trackers and location records from the successor's
+  and the survivors' tracker maps, with the sequence recovery runs
   (:func:`repro.recovery.recovery.written_off`).
 
 - **Give up** — a child that exhausts its restart budget stays down,
@@ -311,10 +312,7 @@ class Supervisor:
 
     def _readmit(self, name: str) -> None:
         """Reconnect and repair the deployment around the reborn Core."""
-        address = self.procs.addresses[name]
-        # Refresh the driver's address book: even on the same port, the
-        # pooled connections point at the dead predecessor.
-        self.procs.transport.add_peer(name, address)
+        address = self.procs.addresses[name]  # the driver's hub learnt it at the spawn
         reborn = CoreAdmin(self.driver, name)
         children = [CoreAdmin(self.driver, other) for other in self._alive() if other != name]
         for admin in children:

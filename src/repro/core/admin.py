@@ -223,16 +223,6 @@ class CoreAdmin:
 
         return persistence.snapshot(self.via, self._hosted(complet)).to_bytes()
 
-    def checkpoint_group(self, complet: str) -> tuple:
-        """Checkpoint a hosted complet's local pull-group: ``(ids, records)``.
-
-        The records are :class:`~repro.recovery.store.CheckpointRecord`
-        values for the caller to store; a member whose snapshot failed has none.
-        """
-        from repro.recovery.checkpoint import checkpoint_group
-
-        return checkpoint_group(self.via, self._hosted(complet))
-
     def restore_complet(self, data: bytes, *, keep_identity: bool = False) -> "CompletId":
         """Restore snapshot bytes at the target Core; returns the revival's id.
 

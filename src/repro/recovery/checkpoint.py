@@ -1,43 +1,46 @@
-"""Checkpoint policies: when and how protected complets are snapshotted.
+"""Checkpoints: every Core sweeps what it hosts into the checkpoint store.
 
-A complet under protection is checkpointed with the persistence
-machinery (:func:`repro.core.persistence.snapshot` — the stream is
-exactly "what would move", with stamp references preserved) into the
-cluster's :class:`~repro.recovery.store.CheckpointStore`:
+One :class:`Checkpointer` runs at each Core of a deployment that
+recovers: :meth:`~repro.cluster.cluster.Cluster.enable_recovery` starts
+one at every Core of its process, and on ``procs`` each child's
+:func:`~repro.cluster.launch.serve` starts its own.  A complet is
+checkpointed with the persistence machinery
+(:func:`repro.core.persistence.snapshot` — the stream is exactly "what
+would move", with stamp references preserved) into the deployment's
+:class:`~repro.recovery.store.CheckpointStore`:
 
-- **immediately** when protection starts;
-- **every** ``interval`` virtual seconds, when the policy sets one;
-- **on arrival**, when the policy asks for it — the complet is
-  re-checkpointed right after every migration, so the stored host is
-  never stale and recovery restores it where it last lived.
+- when the checkpointer starts, every ``interval`` seconds of the
+  Core's clock after that, and when the Core shuts down, for every
+  complet the Core hosts;
+- at once when a complet **arrives** at the Core or is **restored**
+  there, so the stored host is never stale and recovery restores a
+  complet where it last lived.
 
-Each pass also checkpoints the complet's *local pull-group*: complets
-reachable over ``pull``-typed references hosted on the same Core move
-with it, so they must be captured and restored with it too.  (Remote
-group members are captured by their own host's pass; ``duplicate``
-references are *not* followed — fetching a fresh clone is a remote side
-effect, not a checkpoint.)
+Each checkpoint also captures the complet's *local pull-group*:
+complets reachable over ``pull``-typed references hosted on the same
+Core move with it, so they must be captured and restored with it too.
+(Remote group members are captured by their own host's sweep;
+``duplicate`` references are *not* followed — fetching a fresh clone is
+a remote side effect, not a checkpoint.)
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import threading
 
 from repro.complet.anchor import Anchor
 from repro.complet.closure import compute_closure
 from repro.complet.relocators import Pull
-from repro.complet.stub import Stub, stub_meta, stub_target_id, stub_tracker
+from repro.complet.stub import stub_meta, stub_target_id, stub_tracker
 from repro.core import persistence
-from repro.core.events import COMPLET_ARRIVED
-from repro.errors import FarGoError
+from repro.core.events import COMPLET_ARRIVED, COMPLET_RESTORED, CORE_SHUTDOWN
+from repro.errors import ConfigurationError, FarGoError
 from repro.recovery.store import CheckpointRecord, CheckpointStore
-from repro.sim.scheduler import Timer
 from repro.util.ids import CompletId
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.cluster import Cluster
     from repro.core.core import Core
 
 logger = logging.getLogger(__name__)
@@ -69,10 +72,8 @@ def checkpoint_group(
 ) -> tuple[tuple[CompletId, ...], list[CheckpointRecord]]:
     """Snapshot ``anchor``'s local pull-group at ``host``: its ids and records.
 
-    The one way a checkpoint is taken, at the Core that hosts it: the
-    child-process sweep in :mod:`repro.cluster.launch` calls it, and the
-    cluster-wide :class:`CheckpointManager` through the ``checkpoint_group``
-    admin operation.  The caller stores the records; a member whose
+    The one way a checkpoint is taken, by the :class:`Checkpointer` of
+    the Core that hosts it, which stores the records; a member whose
     snapshot fails is logged and left out, the rest of the group is still
     captured.
     """
@@ -116,136 +117,115 @@ def restore_record(
     return stub_target_id(stub)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckpointPolicy:
-    """When a protected complet gets (re-)checkpointed.
 
-    The default policy takes one checkpoint when protection starts and
-    never again; add ``interval`` for periodic passes and/or
-    ``on_arrival=True`` to re-checkpoint after every migration.
+
+#: A record's check and its put are one step for every checkpointer of
+#: this process (a sweep runs on the clock's thread, an arrival on a
+#: connection's).
+_writing = threading.Lock()
+
+
+class Checkpointer:
+    """Durable checkpoints of every complet one Core hosts.
+
+    It sweeps the whole repository — every hosted complet, with its local
+    pull-group — into the deployment's :class:`CheckpointStore` when it
+    starts and every ``interval`` seconds, and checkpoints a complet at
+    once when it arrives or is restored here.  Each record names this Core
+    as host, which is what a successor process (``serve(recover=True)``)
+    and the :class:`~repro.recovery.RecoveryManager` key on.  An arrival
+    is checkpointed before its move replies, so the old host's successor
+    does not restore a second copy of it.
+
+    The write rule, so that the newest record names the complet's one
+    live host:
+
+    - a Core whose node is down takes no checkpoint (a crashed Core of
+      this process, like a SIGKILLed child, writes nothing);
+    - an arrival's or a restore's checkpoint always writes;
+    - a sweep never overwrites a newer record another host wrote, unless
+      this Core acquired the complet (it arrived or was restored here)
+      after that record was taken.  So a sweep that snapshotted a complet
+      before it departed, a revived stale copy and a partitioned one
+      cannot rename the host of a complet that lives elsewhere.
     """
 
-    interval: float | None = None
-    on_arrival: bool = False
+    def __init__(self, core: "Core", store: CheckpointStore, interval: float = 1.0) -> None:
+        if interval <= 0.0:
+            raise ConfigurationError(f"checkpoint interval must be positive: {interval}")
+        self.core = core
+        self.store = store
+        self.interval = interval
+        self._timer = None
+        self._subscriptions: list[int] = []
+        #: Complet -> the store's newest generation when it was last acquired here.
+        self._acquired: dict[CompletId, int] = {}
 
-
-@dataclass(slots=True)
-class _Protection:
-    complet_id: CompletId
-    policy: CheckpointPolicy
-    timer: Timer | None = None
-
-
-class CheckpointManager:
-    """Tracks protected complets and runs their checkpoint policies.
-
-    It finds a complet's host and takes its checkpoint through the
-    cluster's handles, so it runs on every backend.  It hears arrivals
-    only at the Cores of this process: on ``procs`` a child's arrivals are
-    checkpointed by that child's own sweep.
-    """
-
-    def __init__(self, cluster: "Cluster", store: CheckpointStore | None = None) -> None:
-        self.cluster = cluster
-        self.store = store if store is not None else CheckpointStore()
-        self._protected: dict[CompletId, _Protection] = {}
-        self._by_str: dict[str, CompletId] = {}
-        #: Checkpoint passes that found no reachable host (crash window).
-        self.skipped = 0
-        for core in cluster.cores.values():
-            self.attach(core)
-
-    def attach(self, core: "Core") -> None:
-        """Listen for arrivals at ``core`` (on-arrival policies)."""
-        core.events.subscribe(COMPLET_ARRIVED, self._on_arrival)
-
-    # -- protection ------------------------------------------------------------
-
-    def protect(
-        self, target: Stub | CompletId, policy: CheckpointPolicy | None = None
-    ) -> CompletId:
-        """Put a complet under ``policy``; takes the first checkpoint now."""
-        complet_id = stub_target_id(target) if isinstance(target, Stub) else target
-        policy = policy if policy is not None else CheckpointPolicy()
-        self.unprotect(complet_id)
-        protection = _Protection(complet_id, policy)
-        if policy.interval is not None:
-            protection.timer = self.cluster.scheduler.call_every(
-                policy.interval, self._checkpoint_quietly, complet_id
-            )
-        self._protected[complet_id] = protection
-        self._by_str[str(complet_id)] = complet_id
-        self.checkpoint(complet_id)
-        return complet_id
-
-    def unprotect(self, complet_id: CompletId) -> None:
-        protection = self._protected.pop(complet_id, None)
-        if protection is not None:
-            self._by_str.pop(str(complet_id), None)
-            if protection.timer is not None:
-                protection.timer.cancel()
-
-    def policy_of(self, complet_id: CompletId) -> CheckpointPolicy | None:
-        protection = self._protected.get(complet_id)
-        return protection.policy if protection is not None else None
-
-    def protected_ids(self) -> list[CompletId]:
-        return sorted(self._protected, key=str)
-
-    def is_protected(self, complet_id: CompletId) -> bool:
-        return complet_id in self._protected
-
-    # -- checkpointing ----------------------------------------------------------
-
-    def checkpoint(self, complet_id: CompletId, *, at: str | None = None) -> bool:
-        """Checkpoint ``complet_id`` (and its local pull-group) right now.
-
-        Returns False — counting the pass as skipped — when no single
-        reachable running Core hosts the complet: during a crash window
-        there is nothing safe to snapshot, and finding the identity on
-        *two* Cores (a revival race) means neither copy is authoritative.
-        ``at`` names the authoritative host when the caller knows it
-        (mid-move, the departing copy still exists on the source).
-        """
-        cluster, complet = self.cluster, str(complet_id)
-        hosts = [
-            name
-            for name in cluster.running_names()
-            if (at is None or name == at)
-            and cluster.is_core_up(name)
-            and complet in cluster.admin(name).complets()
+    def start(self) -> "Checkpointer":
+        """Sweep now, every ``interval`` and once more when the Core shuts
+        down; checkpoint every acquisition at once."""
+        events = self.core.events
+        self._timer = self.core.scheduler.call_every(self.interval, self.sweep)
+        self._subscriptions = [
+            events.subscribe(COMPLET_ARRIVED, self._acquire),
+            events.subscribe(COMPLET_RESTORED, self._acquire),
+            events.subscribe(CORE_SHUTDOWN, self._leaving),
         ]
-        if len(hosts) != 1:
-            self.skipped += 1
-            return False
-        group, records = cluster.admin(hosts[0]).checkpoint_group(complet)
-        for record in records:
-            self.store.put(record)
-        self.skipped += len(group) - len(records)
-        return True
+        self.sweep()
+        return self
 
-    def _checkpoint_quietly(self, complet_id: CompletId, at: str | None = None) -> None:
-        # Timer callback: a failing pass must not abort the clock sweep.
-        try:
-            self.checkpoint(complet_id, at=at)
-        except FarGoError:
-            logger.warning("periodic checkpoint of %s failed", complet_id, exc_info=True)
-            self.skipped += 1
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+            for subscription in self._subscriptions:
+                self.core.events.unsubscribe(subscription)
 
-    # -- event hooks -------------------------------------------------------------
+    def sweep(self) -> int:
+        """Checkpoint every hosted complet once; records written."""
+        written = 0
+        covered: set = set()
+        for complet_id in self.core.repository.complet_ids():
+            anchor = self.core.repository.get(complet_id)
+            if anchor is None or complet_id in covered:
+                continue  # gone, or captured with an earlier complet's group
+            group, count = self._checkpoint(anchor)
+            covered.update(group)
+            written += count
+        return written
 
-    def _on_arrival(self, event) -> None:
-        complet_id = self._by_str.get(event.data.get("complet", ""))
-        if complet_id is None:
-            return
-        protection = self._protected.get(complet_id)
-        if protection is not None and protection.policy.on_arrival:
-            # The publishing Core just installed the arrival: it is the
-            # authoritative host even while the departing copy lingers.
-            self._checkpoint_quietly(complet_id, at=event.origin)
+    def _leaving(self, event) -> None:
+        if event.data.get("core") == self.core.name:
+            self.sweep()  # the Core still serves while its shutdown is published
+            self.stop()
 
-    def __repr__(self) -> str:
-        return (
-            f"<CheckpointManager {len(self._protected)} protected, "
-            f"{len(self.store)} stored>"
-        )
+    def _acquire(self, event) -> None:
+        anchor = self.core.repository.find_by_str(event.data["complet"])
+        if anchor is not None:
+            self._checkpoint(anchor, acquired=True)
+
+    def _checkpoint(self, anchor: Anchor, acquired: bool = False) -> tuple[tuple, int]:
+        """Store what the write rule lets through of ``anchor``'s local
+        pull-group: its ids, and records written."""
+        core = self.core
+        if not core.peer.is_peer_up(core.name):
+            return (anchor.complet_id,), 0
+        group, records = checkpoint_group(core, anchor)
+        written = 0
+        with _writing:
+            if acquired:
+                self._acquired.update((member, self._newest(member)[1]) for member in group)
+            for record in records:
+                host, generation = self._newest(record.complet_id)
+                if host not in (None, core.name) and generation > self._acquired.get(
+                    record.complet_id, 0
+                ):
+                    continue  # it left, or was restored elsewhere, since it came here
+                self.store.put(record)
+                written += 1
+        return group, written
+
+    def _newest(self, complet_id: CompletId) -> tuple[str | None, int]:
+        """The host and generation of ``complet_id``'s newest record."""
+        newest = self.store.generations(complet_id)[-1:]
+        return (newest[0]["host"], newest[0]["gen"]) if newest else (None, 0)

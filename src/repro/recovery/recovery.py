@@ -48,8 +48,7 @@ from dataclasses import dataclass, field
 from repro.core.admin import CoreAdmin
 from repro.core.events import COMPLET_RECOVERED, CORE_FAILED, CORE_RECONCILED, CORE_RECOVERED
 from repro.errors import CompletError, CoreError, CoreNotFoundError, FarGoError, TransportError
-from repro.recovery.checkpoint import CheckpointManager
-from repro.recovery.store import CheckpointRecord
+from repro.recovery.store import CheckpointRecord, CheckpointStore
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -67,9 +66,10 @@ def written_off(survivors: list[CoreAdmin], failed: str, relocated: dict) -> Ite
     Location records naming it go on entry (a restore under the original
     identity is refused while the registry knows a copy).  The body
     revives its complets and fills ``relocated``, original id -> tracker
-    address, for those that kept theirs; on exit each survivor's trackers
-    into the grave are re-pointed there, or marked dangling.  An
-    unreachable survivor is logged and skipped.
+    address, for those that kept theirs.  On exit each survivor's trackers
+    into the grave are re-pointed at the revival, or at a survivor that
+    hosts the target (the dead Core only forwarded to it), or marked
+    dangling.  An unreachable survivor is logged and skipped.
     """
 
     def at_each(step: Callable[[CoreAdmin], object]) -> None:
@@ -81,7 +81,10 @@ def written_off(survivors: list[CoreAdmin], failed: str, relocated: dict) -> Ite
 
     at_each(lambda admin: admin.locator_forget(failed))
     yield
-    at_each(lambda admin: admin.repair_trackers(failed, relocated))
+    alive: dict = {}
+    at_each(lambda admin: alive.update(admin.hosted_trackers()))
+    alive.update(relocated)
+    at_each(lambda admin: admin.repair_trackers(failed, alive))
 
 
 def _restore(dest: CoreAdmin, data: bytes, keep_identity: bool) -> "CompletId":
@@ -128,13 +131,12 @@ class RecoveryManager:
     def __init__(
         self,
         cluster: "Cluster",
-        checkpoints: CheckpointManager,
+        store: CheckpointStore,
         *,
         auto_recover: bool = True,
     ) -> None:
         self.cluster = cluster
-        self.checkpoints = checkpoints
-        self.store = checkpoints.store
+        self.store = store
         self.auto_recover = auto_recover
         self.reports: list[RecoveryReport] = []
         #: Human-readable log of recovery decisions: (time, message).
@@ -306,17 +308,6 @@ class RecoveryManager:
             at=dest.target,
             degraded=degraded,
         )
-        if not degraded:
-            # The revival IS the complet now; refresh its checkpoint so
-            # the store names the new host instead of the dead one.  On
-            # procs the sweep of the child it landed on does that.
-            if self.cluster.processes is None:
-                self.checkpoints.checkpoint(new_id)
-        elif self.checkpoints.is_protected(original):
-            # The original may still be alive somewhere — that is what
-            # made the revival degraded — so its protection and its last
-            # checkpoint stay put; the fresh copy gets its own.
-            self.checkpoints.protect(new_id, self.checkpoints.policy_of(original))
 
     # -- reconciliation -----------------------------------------------------------
 

@@ -112,13 +112,11 @@ class TestNoFalsePositives:
         # different Cores; the recovery actor's clock chains them, so
         # the two restores are ordered, not racing.
         from repro.cluster.failures import FailureInjector
-        from repro.recovery import CheckpointPolicy
 
         cluster = Cluster(["a", "b", "c", "d"], sanitize=True)
         cluster.enable_recovery()
         injector = FailureInjector(cluster)
         counter = Counter(0, _core=cluster["a"], _at="a")
-        cluster.checkpoints.protect(counter, CheckpointPolicy(interval=0.5))
         injector.crash_core_at(2.0, "a")
         cluster.advance(12.0)
         assert len(cluster.recovery.reports) == 1

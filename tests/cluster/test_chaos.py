@@ -35,7 +35,7 @@ seed 11: PASS — 88 ok, 8 typed errors, 12 injections, 3 recoveries over 38.4s 
 seed 12: PASS — 58 ok, 3 typed errors, 12 injections, 0 recoveries over 24.3s virtual
 seed 13: PASS — 101 ok, 10 typed errors, 12 injections, 4 recoveries over 44.4s virtual
 seed 14: PASS — 74 ok, 9 typed errors, 12 injections, 3 recoveries over 33.4s virtual
-seed 15: PASS — 108 ok, 14 typed errors, 12 injections, 5 recoveries over 48.8s virtual
+seed 15: PASS — 110 ok, 12 typed errors, 12 injections, 5 recoveries over 48.8s virtual
 """.splitlines()
 
 

@@ -92,7 +92,8 @@ class TestRecoveryStoreWiring:
         try:
             manager = cluster.enable_recovery(store=store)
             assert manager.store is store
-            complet_id = cluster.checkpoints.protect(Counter(3, _core=cluster["a"]))
+            complet_id = Counter(3, _core=cluster["a"])._fargo_target_id
+            cluster.checkpoints["a"].sweep()
         finally:
             cluster.close()
         # close() leaves a caller's directory alone, and a fresh handle

@@ -161,7 +161,6 @@ CONTRACT = {
         {"service": "completSize", "params": {"complet": "CID"}}, "profile",
     ),
     "checkpoint": ("checkpoint", ("CID",), {}, {"complet": "CID"}, None),
-    "checkpoint_group": ("checkpoint_group", ("CID",), {}, {"complet": "CID"}, None),
     "restore_complet": (
         "restore", ("DATA",), {"keep_identity": False}, {"data": "DATA", "keep_identity": False},
         None,

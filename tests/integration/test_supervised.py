@@ -27,7 +27,7 @@ from repro.cluster.forkserver import UNREPORTED_EXIT
 from repro.cluster.supervisor import describe_exit
 from repro.cluster.workload import Echo
 from repro.core.events import CORE_FAILED, CORE_RECOVERED, CORE_SUSPECTED
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, CoreError
 from repro.recovery import CheckpointStore, DetectorConfig
 from repro.shell.shell import FarGoShell
 from tests.anchors import Holder, Probe
@@ -266,6 +266,26 @@ class TestRecoveryWithoutSupervisor:
         # Alive now: a second restore is a fresh identity beside it.
         again = cluster.recovery.restore_complet(original_id)
         assert again != original_id and again in cluster.complets_at("beta")
+
+    def test_a_crashed_child_is_refused_at_once_until_it_is_respawned(self):
+        """crash_core marks the child down at the driver's hub: a call fails
+        typed without connect retries, and a respawn brings the node up."""
+        cluster = Cluster(["alpha", "beta"], transport="procs")
+        try:
+            probe = Probe(_core=cluster.seat, _at="alpha")
+            probe.note("pre-crash")
+            cluster.crash_core("alpha")
+            started = time.monotonic()
+            with pytest.raises(CoreError):
+                probe.note("post-crash")
+            assert time.monotonic() - started < 0.1
+            assert not cluster.is_core_up("alpha")
+            cluster.processes.spawn_child("alpha")
+            cluster.processes.await_child("alpha")
+            assert cluster.is_core_up("alpha")
+            assert Probe(_core=cluster.seat, _at="alpha").get_history() == []
+        finally:
+            cluster.close()
 
     def test_needs_the_childrens_checkpoint_directory(self):
         cluster = Cluster(["alpha"], transport="procs")

@@ -26,7 +26,6 @@ from repro.analysis.interaction import (
 )
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter
-from repro.recovery import CheckpointPolicy
 from repro.script.interpreter import ScriptEngine
 
 CORES = ["a", "b", "c", "d", "e", "f", "g", "h"]
@@ -73,9 +72,6 @@ class TestObservedSubsetOfStatic:
             Counter(0, _core=cluster["c"], _at="c"),
         ]
         target_ids = sorted(cluster.complets_at("c"))
-        policy = CheckpointPolicy(interval=0.3, on_arrival=True)
-        for target in targets:
-            cluster.checkpoints.protect(target, policy)
         cluster.advance(1.0)  # every target has a checkpoint to restore
 
     # The dynamic run and the static check see the same script set.

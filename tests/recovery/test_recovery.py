@@ -7,7 +7,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureInjector
 from repro.cluster.workload import Counter
 from repro.errors import CoreNotFoundError, DanglingReferenceError, FarGoError
-from repro.recovery import CheckpointPolicy
 
 
 @pytest.fixture
@@ -17,19 +16,18 @@ def rig():
     return cluster, FailureInjector(cluster)
 
 
-def _protected_counter(cluster, at, value=40):
+def _checkpointed_counter(cluster, at, value=40):
+    """A Counter at ``at`` that reads ``value + 2``, checkpointed there."""
     counter = Counter(value, _core=cluster[at], _at=at)
-    cluster.checkpoints.protect(
-        counter, CheckpointPolicy(interval=1.0, on_arrival=True)
-    )
     counter.increment(by=2)
+    cluster.checkpoints[at].sweep()
     return counter
 
 
 class TestCrashRecovery:
     def test_identity_kept_after_genuine_crash(self, rig):
         cluster, inject = rig
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         inject.crash_core_at(2.0, "gamma")
         cluster.advance(7.0)
         report = cluster.recovery.reports[0]
@@ -46,7 +44,7 @@ class TestCrashRecovery:
         seen = []
         for name in ("alpha", "beta"):
             cluster[name].events.subscribe(COMPLET_RECOVERED, seen.append)
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         inject.crash_core_at(2.0, "gamma")
         cluster.advance(7.0)
         assert len(seen) == 1
@@ -56,7 +54,7 @@ class TestCrashRecovery:
     def test_recovery_is_idempotent_across_observers(self, rig):
         """Both surviving detectors declare the failure; one recovery runs."""
         cluster, inject = rig
-        _protected_counter(cluster, "gamma")
+        _checkpointed_counter(cluster, "gamma")
         inject.crash_core_at(2.0, "gamma")
         cluster.advance(10.0)
         assert len(cluster.recovery.reports) == 1
@@ -65,7 +63,7 @@ class TestCrashRecovery:
         cluster, inject = rig
         Counter(0, _core=cluster["alpha"], _at="alpha")
         Counter(0, _core=cluster["alpha"], _at="alpha")
-        _protected_counter(cluster, "gamma")
+        _checkpointed_counter(cluster, "gamma")
         inject.crash_core_at(2.0, "gamma")
         cluster.advance(7.0)
         assert cluster.recovery.reports[0].destination == "beta"
@@ -73,7 +71,7 @@ class TestCrashRecovery:
     def test_no_survivors_raises_typed(self):
         cluster = Cluster(["alpha", "beta"])
         cluster.enable_recovery(auto_recover=False)
-        _protected_counter(cluster, "beta")
+        _checkpointed_counter(cluster, "beta")
         cluster.transport.set_node_down("alpha")
         cluster.transport.set_node_down("beta")
         with pytest.raises(CoreNotFoundError):
@@ -82,7 +80,7 @@ class TestCrashRecovery:
     def test_pinned_destination(self, rig):
         cluster, inject = rig
         cluster.recovery.auto_recover = False
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         cluster.advance(1.5)  # let the interval checkpoint capture 42
         cluster.transport.set_node_down("gamma")
         report = cluster.recovery.recover_core("gamma", destination="beta")
@@ -94,7 +92,7 @@ class TestPartitionQuorum:
     def test_minority_side_does_not_recover(self, rig):
         """The islanded Core sees everyone failed but must not act."""
         cluster, inject = rig
-        _protected_counter(cluster, "alpha")
+        _checkpointed_counter(cluster, "alpha")
         inject.partition_at(2.0, {"alpha"})
         cluster.advance(8.0)
         for report in cluster.recovery.reports:
@@ -103,7 +101,7 @@ class TestPartitionQuorum:
     def test_majority_recovers_degraded(self, rig):
         """A partitioned original may be alive: the revival is degraded."""
         cluster, inject = rig
-        counter = _protected_counter(cluster, "alpha")
+        counter = _checkpointed_counter(cluster, "alpha")
         inject.partition_at(2.0, {"alpha"})
         cluster.advance(8.0)
         report = next(r for r in cluster.recovery.reports if r.failed == "alpha")
@@ -117,13 +115,14 @@ class TestPartitionQuorum:
     def test_degraded_original_keeps_protection(self, rig):
         """The partition-surviving original must stay recoverable."""
         cluster, inject = rig
-        counter = _protected_counter(cluster, "alpha")
+        counter = _checkpointed_counter(cluster, "alpha")
         original_id = counter._fargo_target_id
         inject.partition_at(2.0, {"alpha"})
         inject.heal_at(8.0)
         cluster.advance(12.0)
-        assert cluster.checkpoints.is_protected(original_id)
-        assert cluster.checkpoints.store.get(original_id) is not None
+        assert cluster.recovery.store.get(original_id) is not None
+        # Its island host still checkpoints it.
+        assert cluster.recovery.store.get(original_id).host == "alpha"
         # A later genuine crash of alpha still recovers the original.
         inject.crash_core_at(14.0, "alpha")
         cluster.advance(20.0)
@@ -136,7 +135,7 @@ class TestPartitionQuorum:
 class TestReconcile:
     def test_revival_drops_stale_copy(self, rig):
         cluster, inject = rig
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         inject.crash_core_at(2.0, "gamma")
         inject.revive_core_at(10.0, "gamma")
         cluster.advance(14.0)
@@ -150,7 +149,7 @@ class TestReconcile:
 
     def test_reconcile_event(self, rig):
         cluster, inject = rig
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         seen = []
         cluster["gamma"].events.subscribe(CORE_RECONCILED, seen.append)
         inject.crash_core_at(2.0, "gamma")
@@ -161,7 +160,7 @@ class TestReconcile:
 
     def test_revived_tracker_forwards_to_winner(self, rig):
         cluster, inject = rig
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         inject.crash_core_at(2.0, "gamma")
         inject.revive_core_at(10.0, "gamma")
         cluster.advance(14.0)
@@ -171,7 +170,7 @@ class TestReconcile:
     def test_healed_partition_repairs_dangling_trackers(self, rig):
         """A false-positive failure must heal completely (chaos seed 5)."""
         cluster, inject = rig
-        counter = _protected_counter(cluster, "alpha")
+        counter = _checkpointed_counter(cluster, "alpha")
         # Seat a reference on the majority side before the split.
         seated = cluster.stub_at("beta", counter)
         assert seated.read() == 42
@@ -189,7 +188,7 @@ class TestManualRestore:
     def test_restore_complet_by_short_id(self, rig):
         cluster, inject = rig
         cluster.recovery.auto_recover = False
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         cluster.advance(1.5)  # let the interval checkpoint capture 42
         cluster.transport.set_node_down("gamma")
         new_id = cluster.recovery.restore_complet(
@@ -200,7 +199,7 @@ class TestManualRestore:
 
     def test_restore_live_complet_gets_fresh_identity(self, rig):
         cluster, _ = rig
-        counter = _protected_counter(cluster, "gamma")
+        counter = _checkpointed_counter(cluster, "gamma")
         new_id = cluster.recovery.restore_complet(str(counter._fargo_target_id))
         assert new_id != str(counter._fargo_target_id)
 
@@ -208,3 +207,18 @@ class TestManualRestore:
         cluster, _ = rig
         with pytest.raises(FarGoError):
             cluster.recovery.restore_complet("ghost/c9")
+
+
+class TestChainsThroughTheDead:
+    def test_a_chain_the_dead_core_only_forwarded_reaches_the_survivor(self):
+        """Born at b and moved on by its host to c, the counter is reached
+        from a through b.  Once b is written off, a's tracker leads to c, not
+        to a dangling end."""
+        cluster = Cluster(["a", "b", "c"])
+        counter = Counter(0, _core=cluster["a"], _at="b")
+        cluster.move_via_host(counter, "c")
+        cluster.crash_core("b")
+        cluster.enable_recovery()
+        cluster.advance(30.0)
+        assert str(counter._fargo_target_id) in cluster.complets_at("c")
+        assert counter.increment() == 1

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.cluster.launch import ChildCheckpointer
+from repro.recovery import Checkpointer
 from repro.cluster.workload import Counter
 from repro.core.core import Core
 from repro.core.persistence import SNAPSHOT_VERSION, Snapshot
@@ -239,7 +239,7 @@ class TestRealClockSweep:
         core = Core("w1", SimTransport(scheduler), scheduler)
         counter = Counter(7, _core=core)
         store = CheckpointStore(tmp_path)
-        sweeper = ChildCheckpointer(core, store)
+        sweeper = Checkpointer(core, store)
         for _ in range(3):
             assert sweeper.sweep() == 1
         complet_id = counter._fargo_target_id

@@ -66,13 +66,9 @@ class TestFailoverAction:
     @pytest.fixture
     def recovering(self, cluster3):
         from repro.cluster.failures import FailureInjector
-        from repro.recovery import CheckpointPolicy
 
         cluster3.enable_recovery(auto_recover=False)
         counter = Counter(40, _core=cluster3["alpha"], _at="gamma")
-        cluster3.checkpoints.protect(
-            counter, CheckpointPolicy(interval=1.0, on_arrival=True)
-        )
         counter.increment(by=2)
         return counter, FailureInjector(cluster3)
 

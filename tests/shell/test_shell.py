@@ -276,12 +276,9 @@ class TestRecoveryCommands:
 
     def test_failures_shows_injections_and_recovery(self, cluster3, recovering):
         from repro.cluster.failures import FailureInjector
-        from repro.recovery import CheckpointPolicy
-
         inject = FailureInjector(cluster3)
         recovering.attach_injector(inject)
         counter = Counter(40, _core=cluster3["alpha"], _at="gamma")
-        cluster3.checkpoints.protect(counter, CheckpointPolicy(interval=1.0))
         inject.crash_core_at(2.0, "gamma")
         cluster3.advance(6.0)
         cluster3.recovery.recover_core("gamma")
