@@ -84,6 +84,22 @@ VERDICTS = {
 
 #: Module (path under src/repro) -> a verdict of its own.
 MODULE_VERDICTS = {
+    "analysis/__init__.py": (
+        "kept: `check_paths`, the one file front end (`python -m repro.analysis`, CI's "
+        "`analysis` job, the shell's `lint @path`)"
+    ),
+    "analysis/__main__.py": "kept: `python -m repro.analysis PATH ...`, CI's `analysis` job",
+    "analysis/diagnostics.py": (
+        "kept: the finding, the rule catalog and the suppression comments every checker shares"
+    ),
+    "analysis/script_check.py": (
+        "kept: the §4.3 language's linter (FG101–FG111) and the one arrival-move graph "
+        "FG108 and FG402 read; the `analysis` area runs it"
+    ),
+    "analysis/movability.py": "kept: FG301–FG303, which `Cluster.analyze` and `check_paths` run",
+    "analysis/plan.py": (
+        "kept for aim 2: FG405–FG409, the check the layout executor runs before every plan"
+    ),
     "analysis/layout.py": (
         "kept for aim 2: the one layout-policy interface; the `adaptive_layout`, `pipeline` "
         "and `taskfarm` areas run its solvers, every script move its executor"
@@ -124,6 +140,13 @@ CUT = {
         "(49 of its 104 function lines by nothing at all); no example, realpath workload or "
         "EXPERIMENTS id ran it.  Its policy and stats classes, its message kind and the "
         "Transport-instance form of `Cluster(transport=)`, its one caller, went with it"
+    ),
+    "analysis/cli.py": (
+        "293 lines; importers outside `analysis/`: `shell/` (`lint @file`); run by no area or "
+        "example (137 of its 137 function lines).  Its file walking, embedded scripts and "
+        "suppressions became `check_paths`, which `python -m repro.analysis` and the shell's "
+        "`lint @path` call; its six flags went, JSON and SARIF reports and `--cluster-spec` "
+        "with them"
     ),
     "analysis/relocation.py": (
         "353 lines; importers outside `analysis/`: `cluster/` (`Cluster.analyze`); run by no "

@@ -18,7 +18,6 @@ unchanged.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -93,7 +92,7 @@ RULES: dict[str, RuleInfo] = _rules(
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
-    """One analyzer finding, renderable as text or JSON."""
+    """One analyzer finding."""
 
     code: str
     message: str
@@ -111,16 +110,6 @@ class Diagnostic:
 
     def render(self) -> str:
         return f"{self.location}: {self.severity.value} {self.code}: {self.message}"
-
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity.value,
-            "message": self.message,
-            "file": self.file,
-            "line": self.line,
-            "column": self.column,
-        }
 
     def at(self, *, file: str | None = None, line: int | None = None) -> "Diagnostic":
         """Copy of this diagnostic re-anchored (embedded-script mapping)."""
@@ -265,77 +254,3 @@ def render_text(diagnostics: list[Diagnostic]) -> str:
     else:
         lines.append(f"{errors} error(s), {warnings} warning(s)")
     return "\n".join(lines)
-
-
-def render_json(diagnostics: list[Diagnostic]) -> str:
-    return json.dumps(
-        [d.to_dict() for d in sort_diagnostics(diagnostics)], indent=2
-    )
-
-
-#: SARIF severity levels for the three severities.
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
-
-
-def render_sarif(diagnostics: list[Diagnostic]) -> str:
-    """The report as SARIF 2.1.0 (the format CI annotation actions eat).
-
-    Results carry the same fields as :meth:`Diagnostic.to_dict` — the
-    JSON reporter and this one are two projections of one record shape.
-    """
-    ordered = sort_diagnostics(diagnostics)
-    used = sorted({d.code for d in ordered})
-    rules = [
-        {
-            "id": code,
-            "name": RULES[code].title if code in RULES else code,
-            "defaultConfiguration": {
-                "level": _SARIF_LEVELS[RULES[code].severity.value]
-                if code in RULES
-                else "warning",
-            },
-        }
-        for code in used
-    ]
-    rule_index = {code: i for i, code in enumerate(used)}
-    results = []
-    for d in ordered:
-        record = d.to_dict()
-        result = {
-            "ruleId": record["code"],
-            "ruleIndex": rule_index[record["code"]],
-            "level": _SARIF_LEVELS[record["severity"]],
-            "message": {"text": record["message"]},
-        }
-        if record["file"] is not None:
-            region: dict = {}
-            if record["line"]:
-                region = {
-                    "startLine": record["line"],
-                    "startColumn": max(1, record["column"]),
-                }
-            location = {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": record["file"]},
-                }
-            }
-            if region:
-                location["physicalLocation"]["region"] = region
-            result["locations"] = [location]
-        results.append(result)
-    document = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.analysis",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2)

@@ -34,6 +34,7 @@ Cores still co-fire when two different complets arrive.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import ScriptSyntaxError
@@ -49,13 +50,14 @@ from repro.script.interpreter import CORE_EVENTS
 from repro.script.parser import parse
 
 from repro.analysis.diagnostics import Diagnostic, diag, sort_diagnostics
-from repro.analysis.script_check import TopologyInfo, find_cycles
+from repro.analysis.script_check import TopologyInfo, check_script, move_cycles
 
 __all__ = [
     "MoveRace",
     "RecoveryConflict",
     "RetypeRace",
     "check_interaction",
+    "check_script_set",
     "co_firable",
     "coerce_scripts",
     "find_move_races",
@@ -80,9 +82,6 @@ _FRONTIERS: dict[str, str] = {
     "shutdown": "shutdown",
     "coreShutdown": "shutdown",
 }
-
-#: Arrival events whose rules can re-trigger each other (cycle frontier).
-_ARRIVAL_EVENTS = {"completArrived", "moveCompleted"}
 
 
 def _is_async_trigger(event: str) -> bool:
@@ -149,18 +148,6 @@ def script_set_effects(
     return effects
 
 
-def _covered_by_fg107(a: RuleEffects, b: RuleEffects) -> bool:
-    """Whether the single-script checker already reports this pair.
-
-    FG107 flags conflicting moves on *literally identical* triggers
-    within one script; re-reporting them as FG401 would double up.
-    """
-    return (
-        a.script_index == b.script_index
-        and a.trigger_key == b.trigger_key
-    )
-
-
 def find_move_races(effects: list[RuleEffects]) -> list[MoveRace]:
     races: list[MoveRace] = []
     for i, a in enumerate(effects):
@@ -174,11 +161,12 @@ def find_move_races(effects: list[RuleEffects]) -> list[MoveRace]:
                     if ma.destination == mb.destination:
                         continue
                     if (
-                        _covered_by_fg107(a, b)
+                        a.script_index == b.script_index
+                        and a.trigger_key == b.trigger_key
                         and ma.destination_literal
                         and mb.destination_literal
                     ):
-                        continue
+                        continue  # one script's same-trigger conflict: its FG107
                     races.append(MoveRace(ma.target, a, ma, b, mb))
     return races
 
@@ -231,128 +219,6 @@ def find_retype_races(effects: list[RuleEffects]) -> list[RetypeRace]:
                         continue
                     races.append(RetypeRace(ra.reference, a, ra, b, rb))
     return races
-
-
-# -- cycles across the installed set -------------------------------------------------
-
-
-def _cross_script_core_cycles(
-    effects: list[RuleEffects], topology: TopologyInfo
-) -> list[tuple[list[str], tuple[str, int, object]]]:
-    """FG108 promoted to the set: cycles whose edges need ≥ 2 scripts.
-
-    Returns ``(cycle, (script, script_index, span))`` anchors.  Cycles
-    coverable by a single script are left to :func:`check_script` so the
-    per-script diagnostics stay byte-identical.
-    """
-    universe: set[str] = set(topology.cores)
-    arrival: list[RuleEffects] = []
-    for e in effects:
-        if e.event not in _ARRIVAL_EVENTS:
-            continue
-        if e.listen_cores is not None:
-            universe.update(e.listen_cores)
-        universe.update(
-            m.destination for m in e.moves if m.destination_literal
-        )
-        arrival.append(e)
-
-    edges: dict[str, set[str]] = {}
-    # Which scripts (and where) contribute each edge.
-    owners: dict[tuple[str, str], set[int]] = {}
-    anchors: dict[tuple[str, str], tuple[str, int, object]] = {}
-    for e in arrival:
-        sources = (
-            list(e.listen_cores) if e.listen_cores is not None else sorted(universe)
-        )
-        for move in e.moves:
-            if not move.destination_literal:
-                continue
-            dest = move.destination
-            for src in sources:
-                if src == dest:
-                    continue
-                edges.setdefault(src, set()).add(dest)
-                owners.setdefault((src, dest), set()).add(e.script_index)
-                anchors.setdefault(
-                    (src, dest),
-                    (e.script, e.script_index,
-                     move.span if move.span is not None else e.rule.span),
-                )
-
-    out = []
-    for cycle in find_cycles(edges):
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        contributing = [owners[pair] for pair in pairs]
-        common = set.intersection(*contributing) if contributing else set()
-        if common:
-            continue  # one script alone forms it: check_script's job
-        out.append((cycle, anchors[pairs[0]]))
-    return out
-
-
-def _oscillation_cycles(
-    effects: list[RuleEffects], topology: TopologyInfo
-) -> list[tuple[str, list[str], tuple[str, int, object]]]:
-    """FG402: per-complet move cycles across scripts.
-
-    Like the core-level cycle check, but restricted to rules that move
-    *one particular complet*: the cycle means that very complet
-    oscillates, even when the Core-level graph is acyclic.
-    """
-    by_target: dict[str, list[RuleEffects]] = {}
-    for e in effects:
-        if e.event not in _ARRIVAL_EVENTS:
-            continue
-        for move in e.moves:
-            if move.destination_literal:
-                by_target.setdefault(move.target, []).append(e)
-
-    findings = []
-    for target, rules in sorted(by_target.items()):
-        if len(rules) < 2:
-            continue
-        universe: set[str] = set(topology.cores)
-        for e in rules:
-            if e.listen_cores is not None:
-                universe.update(e.listen_cores)
-            universe.update(
-                m.destination
-                for m in e.moves
-                if m.destination_literal and m.target == target
-            )
-        edges: dict[str, set[str]] = {}
-        owners: dict[tuple[str, str], set[int]] = {}
-        anchors: dict[tuple[str, str], tuple[str, int, object]] = {}
-        for e in rules:
-            sources = (
-                list(e.listen_cores)
-                if e.listen_cores is not None
-                else sorted(universe)
-            )
-            for move in e.moves:
-                if not move.destination_literal or move.target != target:
-                    continue
-                for src in sources:
-                    if src == move.destination:
-                        continue
-                    edges.setdefault(src, set()).add(move.destination)
-                    owners.setdefault((src, move.destination), set()).add(
-                        e.script_index
-                    )
-                    anchors.setdefault(
-                        (src, move.destination),
-                        (e.script, e.script_index,
-                         move.span if move.span is not None else e.rule.span),
-                    )
-        for cycle in find_cycles(edges):
-            pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-            contributing = [owners[pair] for pair in pairs]
-            common = set.intersection(*contributing) if contributing else set()
-            if common:
-                continue  # single-script oscillation: FG108 territory
-            findings.append((target, cycle, anchors[pairs[0]]))
-    return findings
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -420,20 +286,20 @@ def check_interaction(
             )
         )
 
-    for target, cycle, (script, _idx, span) in _oscillation_cycles(effects, topo):
-        path = " -> ".join([*cycle, cycle[0]])
-        line, column = (span.line, span.column) if span is not None else (0, 0)
-        diagnostics.append(
-            diag(
-                "FG402",
-                f"moves of {target!r} across the installed scripts form a "
-                f"cycle ({path}); the complet would oscillate between these "
-                f"Cores",
-                file=script,
-                line=line,
-                column=column,
+    for target in sorted({m.target for e in effects for m in e.moves if m.destination_literal}):
+        for cycle, rule, span, alone in move_cycles(effects, topo.cores, target):
+            if alone:
+                continue  # one script's oscillation: its FG108, from check_script
+            path = " -> ".join([*cycle, cycle[0]])
+            diagnostics.append(
+                diag(
+                    "FG402",
+                    f"moves of {target!r} across the installed scripts form a "
+                    f"cycle ({path}); the complet would oscillate between these "
+                    f"Cores",
+                    **_anchor(rule, span),
+                )
             )
-        )
 
     for conflict in find_recovery_conflicts(effects):
         d = _anchor(conflict.mover, conflict.move.span)
@@ -467,19 +333,40 @@ def check_interaction(
             )
         )
 
-    for cycle, (script, _idx, span) in _cross_script_core_cycles(effects, topo):
+    for cycle, rule, span, alone in move_cycles(effects, topo.cores):
+        if alone:
+            continue  # one script forms it: its FG108, from check_script
         path = " -> ".join([*cycle, cycle[0]])
-        line, column = (span.line, span.column) if span is not None else (0, 0)
         diagnostics.append(
             diag(
                 "FG108",
                 f"arrival-triggered moves across the installed scripts form "
                 f"a cycle ({path}); complets would ping-pong between these "
                 f"Cores",
-                file=script,
-                line=line,
-                column=column,
+                **_anchor(rule, span),
             )
         )
 
     return sort_diagnostics(diagnostics)
+
+
+def check_script_set(
+    scripts: list[tuple[str, str]],
+    *,
+    topology: TopologyInfo | None = None,
+    expected_args: int | None = None,
+    installed: Sequence[tuple[Script, str]] = (),
+) -> tuple[list[list[Diagnostic]], list[Diagnostic]]:
+    """Each ``(source, label)`` script checked alone, and the set together.
+
+    Returns :func:`check_script`'s report of each script, anchored at its
+    label, in order, and :func:`check_interaction`'s report of the set,
+    which the ``installed`` ``(Script, label)`` pairs (the scripts a
+    cluster runs) join without a report of their own.
+    """
+    each = [
+        check_script(source, topology=topology, expected_args=expected_args, file=label)
+        for source, label in scripts
+    ]
+    pool = [*installed, *scripts]
+    return each, check_interaction(pool, topology=topology) if pool else []

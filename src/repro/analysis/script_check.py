@@ -4,8 +4,13 @@ Walks the :mod:`repro.script` AST without activating anything: variable
 definedness, ``%n`` argument sanity, event-name resolution, clause
 requirements per profiling service, threshold typing, reference types,
 duplicate/conflicting rules, and statically detectable move cycles over
-the rule graph.  With a :class:`TopologyInfo` (from a live cluster or a
-spec file) it also resolves Core and complet identifiers.
+the rule graph.  With a :class:`TopologyInfo` (from a live cluster) it
+also resolves Core and complet identifiers.
+
+Duplicates, conflicts and cycles are read from the rules' effects
+(:func:`~repro.script.effects.extract_effects`), the reading
+:mod:`repro.analysis.interaction` applies to a whole script set; one
+arrival-move graph (:func:`move_cycles`) serves both.
 """
 
 from __future__ import annotations
@@ -37,21 +42,22 @@ from repro.script.ast import (
     Span,
     VarRef,
 )
-from repro.script.interpreter import CORE_EVENTS, SERVICE_ALIASES
+from repro.script.effects import RuleEffects, extract_effects
+from repro.script.interpreter import (
+    COMPLET_SERVICES,
+    CORE_EVENTS,
+    PAIR_SERVICES,
+    PEER_SERVICES,
+    SERVICE_ALIASES,
+)
 from repro.script.parser import parse
 from repro.script.stdlib import STDLIB_ACTIONS
+from repro.util.ids import CompletId
 
 from repro.analysis.diagnostics import Diagnostic, Severity, diag, sort_diagnostics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
-
-#: Profiling services that measure an edge between two complets.
-_PAIR_SERVICES = {"invocationRate", "byteRate", "invocationCount"}
-#: Services that measure a link to a peer Core (need a ``to`` clause).
-_PEER_SERVICES = {"bandwidth", "latency", "linkBytes"}
-#: Services that measure one complet (need a ``from`` clause).
-_COMPLET_SERVICES = {"completSize", "servedRate"}
 
 #: Events announcing that a complet landed somewhere; rules on these can
 #: re-trigger each other, which is what the cycle detector walks.
@@ -71,20 +77,15 @@ class TopologyInfo:
 
     @classmethod
     def from_cluster(cls, cluster: "Cluster") -> "TopologyInfo":
+        """Every Core name, and each running Core's complets in both display
+        forms, read through the cluster's handles (so on every backend)."""
         complets: set[str] = set()
-        for core in cluster.running_cores():
-            for cid in core.repository.complet_ids():
-                complets.add(str(cid))
-                complets.add(cid.short())
+        for name in cluster.running_names():
+            for display in cluster.complets_at(name):
+                birth, _, rest = display.rpartition("/c")
+                serial, _, type_name = rest.partition(":")
+                complets.update((display, CompletId(birth, int(serial), type_name).short()))
         return cls(cores=frozenset(cluster.core_names()), complets=frozenset(complets))
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "TopologyInfo":
-        """From a JSON-style mapping: ``{"cores": [...], "complets": [...]}``."""
-        return cls(
-            cores=frozenset(str(c) for c in spec.get("cores", ())),
-            complets=frozenset(str(c) for c in spec.get("complets", ())),
-        )
 
 
 def _suggest(name: str, candidates) -> str:
@@ -157,8 +158,16 @@ class _ScriptChecker:
             else:
                 self._check_rule(statement, defined)
         self._check_arg_gaps()
-        self._check_duplicates()
-        self._check_move_cycles()
+        effects = extract_effects(self.script)
+        self._check_duplicates(effects)
+        for cycle, _anchor, span, _alone in move_cycles(effects, self.topology.cores):
+            path = " -> ".join([*cycle, cycle[0]])
+            self._emit(
+                "FG108",
+                f"arrival-triggered moves form a cycle ({path}); complets "
+                f"would ping-pong between these Cores",
+                span,
+            )
         return self.diagnostics
 
     # -- expressions --------------------------------------------------------------
@@ -289,17 +298,17 @@ class _ScriptChecker:
                         f"{sorted(OPERATORS)}",
                         op.span,
                     )
-        if service in _PAIR_SERVICES and (rule.source is None or rule.target is None):
+        if service in PAIR_SERVICES and (rule.source is None or rule.target is None):
             self._emit(
                 "FG109",
                 f"{rule.event!r} rules need 'from <complet> to <complet>' clauses",
                 rule.span,
             )
-        elif service in _PEER_SERVICES and rule.target is None:
+        elif service in PEER_SERVICES and rule.target is None:
             self._emit(
                 "FG109", f"{rule.event!r} rules need a 'to <core>' clause", rule.span
             )
-        elif service in _COMPLET_SERVICES and rule.source is None:
+        elif service in COMPLET_SERVICES and rule.source is None:
             self._emit(
                 "FG109", f"{rule.event!r} rules need a 'from <complet>' clause",
                 rule.span,
@@ -307,7 +316,7 @@ class _ScriptChecker:
         if rule.source is not None:
             self._check_expr(rule.source, env, "complet")
         if rule.target is not None:
-            role = "core" if service in _PEER_SERVICES else "complet"
+            role = "core" if service in PEER_SERVICES else "complet"
             self._check_expr(rule.target, env, role)
 
     def _check_number_literal(
@@ -399,10 +408,13 @@ class _ScriptChecker:
                 severity=Severity.WARNING,
             )
 
-    def _check_duplicates(self) -> None:
-        rules = self.script.rules
+    def _check_duplicates(self, effects: list[RuleEffects]) -> None:
+        """A rule that repeats an earlier one, and two rules on one trigger
+        moving one target to two literal Cores."""
         seen: dict[Rule, Rule] = {}
-        for rule in rules:
+        by_trigger: dict[tuple, list[RuleEffects]] = {}
+        for rule_effects in effects:
+            rule = rule_effects.rule
             first = seen.setdefault(rule, rule)
             if first is not rule:
                 at = f" (line {first.span.line})" if first.span else ""
@@ -411,103 +423,78 @@ class _ScriptChecker:
                     f"rule duplicates an earlier 'on {rule.event}' rule{at}",
                     rule.span,
                 )
-        self._check_conflicts(rules)
-
-    def _check_conflicts(self, rules: list[Rule]) -> None:
-        """Two rules on the same trigger moving one target to different cores."""
-        by_trigger: dict[tuple, list[Rule]] = {}
-        for rule in rules:
-            key = (rule.event, rule.event_args, rule.fired_by, rule.source,
-                   rule.target, rule.listen_at, rule.every)
-            by_trigger.setdefault(key, []).append(rule)
+            by_trigger.setdefault(rule_effects.trigger_key, []).append(rule_effects)
         for group in by_trigger.values():
             if len(group) < 2:
                 continue
-            moves: dict[Expr, tuple[object, Rule]] = {}
-            for rule in group:
-                for action in rule.actions:
-                    if not isinstance(action, MoveAction):
+            moves: dict[str, tuple[str, Rule]] = {}
+            for rule_effects in group:
+                for move in rule_effects.moves:
+                    if not move.destination_literal:
                         continue
-                    if not isinstance(action.destination, Literal):
-                        continue
-                    prior = moves.get(action.target)
-                    if prior is None:
-                        moves[action.target] = (action.destination.value, rule)
-                    elif prior[0] != action.destination.value:
+                    prior = moves.setdefault(move.target, (move.destination, rule_effects.rule))
+                    if prior[0] != move.destination:
                         at = f" (line {prior[1].span.line})" if prior[1].span else ""
                         self._emit(
                             "FG107",
                             f"conflicts with an earlier rule{at}: same trigger "
                             f"moves the same target to {prior[0]!r} and to "
-                            f"{action.destination.value!r}",
-                            action.span,
+                            f"{move.destination!r}",
+                            move.span,
                             severity=Severity.ERROR,
                         )
 
-    def _check_move_cycles(self) -> None:
-        """Arrival-triggered moves that can re-trigger each other forever.
 
-        Nodes are Core names; a rule listening for arrivals at Core A
-        that moves complets to literal Core B contributes the edge A→B.
-        Any cycle through ≥ 2 distinct Cores means a move storm the
-        runtime would only stop by accident.
-        """
-        universe: set[str] = set(self.topology.cores)
-        arrival_rules: list[tuple[Rule, list[str] | None, list[tuple[str, Span | None]]]] = []
-        for rule in self.script.rules:
-            if rule.event not in _ARRIVAL_EVENTS:
-                continue
-            listen = self._literal_cores(rule.listen_at)
-            dests = [
-                (a.destination.value, a.span)
-                for a in rule.actions
-                if isinstance(a, MoveAction)
-                and isinstance(a.destination, Literal)
-                and isinstance(a.destination.value, str)
-            ]
-            if listen is not None:
-                universe.update(listen)
-            universe.update(d for d, _ in dests)
-            arrival_rules.append((rule, listen, dests))
+def move_cycles(
+    effects: list[RuleEffects], cores: frozenset[str], target: str | None = None
+) -> list[tuple[list[str], RuleEffects, Span | None, bool]]:
+    """Cycles of the arrival-move graph of ``effects`` (of ``target``'s moves
+    alone, when given): ``(cycle, rule, span, alone)``, anchored at the
+    cycle's first edge; ``alone`` when one script's rules form it.
 
-        edges: dict[str, set[str]] = {}
-        spans: dict[tuple[str, str], Span | None] = {}
-        for rule, listen, dests in arrival_rules:
-            sources = listen if listen is not None else sorted(universe)
-            for src in sources:
-                for dest, span in dests:
-                    if src == dest:
-                        continue  # moving in place re-fires nothing
-                    edges.setdefault(src, set()).add(dest)
-                    spans.setdefault((src, dest), span if span is not None else rule.span)
+    Nodes are Core names; a rule listening for arrivals at Core A that
+    moves a complet to literal Core B contributes the edge A→B, and one
+    listening everywhere an edge from every Core it can see (``cores``,
+    listen scopes, destinations).  Any cycle through ≥ 2 distinct Cores
+    means a move storm the runtime would only stop by accident.
+    """
 
-        for cycle in find_cycles(edges):
-            path = " -> ".join([*cycle, cycle[0]])
-            self._emit(
-                "FG108",
-                f"arrival-triggered moves form a cycle ({path}); complets "
-                f"would ping-pong between these Cores",
-                spans.get((cycle[0], cycle[1])),
-            )
-
-    def _literal_cores(self, expr: Expr | None) -> list[str] | None:
-        return literal_listen_cores(expr)
-
-
-def literal_listen_cores(expr: Expr | None) -> list[str] | None:
-    """Literal core names of a listenAt clause, or None if dynamic/absent."""
-    if expr is None:
-        return None
-    if isinstance(expr, Literal) and isinstance(expr.value, str):
-        return [expr.value]
-    if isinstance(expr, ListExpr):
-        names = [
-            item.value
-            for item in expr.items
-            if isinstance(item, Literal) and isinstance(item.value, str)
+    def moves_of(rule_effects: RuleEffects) -> list:
+        return [
+            move
+            for move in rule_effects.moves
+            if move.destination_literal and target in (None, move.target)
         ]
-        return names if len(names) == len(expr.items) else None
-    return None
+
+    rules = [
+        e for e in effects if e.event in _ARRIVAL_EVENTS and (target is None or moves_of(e))
+    ]
+    universe = set(cores)
+    for e in rules:
+        universe.update(e.listen_cores or ())
+        universe.update(move.destination for move in moves_of(e))
+    edges: dict[str, set[str]] = {}
+    # Which scripts contribute each edge, and the first rule and span that does.
+    owners: dict[tuple[str, str], set[int]] = {}
+    anchors: dict[tuple[str, str], tuple[RuleEffects, Span | None]] = {}
+    for e in rules:
+        sources = e.listen_cores if e.listen_cores is not None else sorted(universe)
+        for move in moves_of(e):
+            for src in sources:
+                if src == move.destination:
+                    continue  # moving in place re-fires nothing
+                edges.setdefault(src, set()).add(move.destination)
+                owners.setdefault((src, move.destination), set()).add(e.script_index)
+                anchors.setdefault(
+                    (src, move.destination),
+                    (e, move.span if move.span is not None else e.rule.span),
+                )
+    found = []
+    for cycle in find_cycles(edges):
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        alone = bool(set.intersection(*(owners[pair] for pair in pairs)))
+        found.append((cycle, *anchors[pairs[0]], alone))
+    return found
 
 
 def find_cycles(edges: dict[str, set[str]]) -> list[list[str]]:

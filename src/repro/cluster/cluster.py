@@ -591,7 +591,9 @@ class Cluster:
         interaction checker (FG401–FG404, cross-script FG108) over every
         installed script; with ``script`` it also verifies the candidate
         layout script against the actual topology (Core and complet
-        names resolve) and includes it in the interaction set.  ``plan``
+        names resolve), anchored at ``<candidate>``, and includes it in
+        the interaction set (:func:`~repro.analysis.check_script_set`).
+        It reads live anchors, so it refuses on ``procs``.  ``plan``
         — a :class:`~repro.analysis.MovePlan` — is vetted against the
         topology and the installed rules (FG405–FG409).  When the
         cluster runs with ``sanitize=True``, every race the sanitizer
@@ -601,10 +603,9 @@ class Cluster:
         from repro.analysis import (
             TopologyInfo,
             check_anchor_live,
-            check_interaction,
             check_plan,
             check_relocation,
-            check_script,
+            check_script_set,
             script_set_effects,
             sort_diagnostics,
         )
@@ -615,22 +616,15 @@ class Cluster:
         for core in self.running_cores():
             for anchor in core.repository.anchors():
                 diagnostics.extend(check_anchor_live(anchor, hosted_at=core.name))
-        if script is not None:
-            diagnostics.extend(
-                check_script(
-                    script,
-                    topology=topology,
-                    expected_args=expected_args,
-                )
-            )
-        installed = [
-            pair for engine in self._engines for pair in engine.installed
-        ]
-        pool = list(installed)
-        if script is not None:
-            pool.append((script, "<candidate>"))
-        if pool:
-            diagnostics.extend(check_interaction(pool, topology=topology))
+        installed = [pair for engine in self._engines for pair in engine.installed]
+        each, together = check_script_set(
+            [(script, "<candidate>")] if script is not None else [],
+            topology=topology,
+            expected_args=expected_args,
+            installed=installed,
+        )
+        diagnostics.extend(d for report in each for d in report)
+        diagnostics.extend(together)
         if plan is not None:
             diagnostics.extend(
                 check_plan(plan, topology, effects=script_set_effects(installed))

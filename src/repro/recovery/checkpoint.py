@@ -121,7 +121,7 @@ def restore_record(
 
 #: A record's check and its put are one step for every checkpointer of
 #: this process (a sweep runs on the clock's thread, an arrival on a
-#: connection's).
+#: connection's); the store's slot lock makes them one for other processes.
 _writing = threading.Lock()
 
 
@@ -216,13 +216,14 @@ class Checkpointer:
             if acquired:
                 self._acquired.update((member, self._newest(member)[1]) for member in group)
             for record in records:
-                host, generation = self._newest(record.complet_id)
-                if host not in (None, core.name) and generation > self._acquired.get(
-                    record.complet_id, 0
-                ):
-                    continue  # it left, or was restored elsewhere, since it came here
-                self.store.put(record)
-                written += 1
+                with self.store.locked(record.complet_id):  # against other processes
+                    host, generation = self._newest(record.complet_id)
+                    if host not in (None, core.name) and generation > self._acquired.get(
+                        record.complet_id, 0
+                    ):
+                        continue  # it left, or was restored elsewhere, since it came here
+                    self.store.put(record)
+                    written += 1
         return group, written
 
     def _newest(self, complet_id: CompletId) -> tuple[str | None, int]:

@@ -14,18 +14,24 @@ process.  ``CheckpointStore(root)`` is durable and cross-process::
 
     root/blobs/                     FileStore (marshaled closures)
     root/<id-digest>/MANIFEST.json  one manifest per complet
+    root/<id-digest>/LOCK           one writer of the slot at a time
 
 Manifests are written through a temp file and :func:`os.replace`, so a
 reader in another process — or the respawned successor of a SIGKILLed
 writer — sees the previous manifest or the complete new one, never a
 torn write; every read consults the disk, so a record is at once
-visible to every handle on the directory.
+visible to every handle on the directory.  A write reads the manifest
+first, so writers of one slot take turns: each holds an exclusive
+``flock`` on the slot's lock file (:meth:`CheckpointStore.locked`) from
+its read to its rename, whatever handle or process it writes through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
 from dataclasses import astuple, dataclass
 
 from repro.core.persistence import Snapshot, check_version
@@ -65,6 +71,7 @@ class CheckpointStore:
     """Generation manifests per complet identity over an object store."""
 
     MANIFEST = "MANIFEST.json"
+    LOCK = "LOCK"
     #: Generations retained per complet; older ones give up their blob reference.
     keep_generations = 3
 
@@ -79,6 +86,8 @@ class CheckpointStore:
         #: slot -> manifest: the whole manifest table when there is no directory.
         self._memory: dict[str, dict] = {}
         self._blobs = InMemoryStore() if self.root is None else FileStore(self.root / "blobs")
+        #: The slots whose lock this thread holds, so that it nests.
+        self._held = threading.local()
 
     # -- the manifest seam: nothing below it knows where manifests live -----
 
@@ -102,6 +111,28 @@ class CheckpointStore:
         tmp = directory / f"{self.MANIFEST}.tmp.{os.getpid()}"
         tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
         os.replace(tmp, directory / self.MANIFEST)
+
+    @contextlib.contextmanager
+    def locked(self, complet_id: CompletId):
+        """Hold ``complet_id``'s slot while the block runs: no other writer,
+        through any handle in any process, reads or writes its manifest
+        until it ends.  Re-entrant in one thread; in memory the callers are
+        the one process's, which serialize on their own."""
+        slot = _slot(complet_id)
+        held = vars(self._held)
+        if self.root is None or slot in held:
+            yield
+            return
+        import fcntl  # a directory's first write: no Core without one pays for it
+
+        directory = self.root / slot
+        directory.mkdir(parents=True, exist_ok=True)
+        held[slot] = os.open(directory / self.LOCK, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(held[slot], fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(held.pop(slot))  # closing the file releases its lock
 
     def _manifests(self) -> list[dict]:
         """Every live manifest, ordered by complet id."""
@@ -129,26 +160,27 @@ class CheckpointStore:
         """Append a generation; an unchanged closure costs no new blob."""
         snap = record.snapshot
         slot = _slot(snap.original_id)
-        manifest = self._read(slot) or {
-            "complet_id": astuple(snap.original_id),
-            "display": str(snap.original_id),
-            "generations": [],
-        }
-        generations = manifest["generations"]
-        generations.append(
-            {
-                "gen": generations[-1]["gen"] + 1 if generations else 1,
-                "blob": astuple(self._blobs.put(snap.stream)),
-                "anchor_ref": snap.anchor_ref,
-                "version": snap.version,
-                "taken_at": snap.taken_at,
-                "host": record.host,
-                "group": [astuple(member) for member in record.group],
+        with self.locked(snap.original_id):
+            manifest = self._read(slot) or {
+                "complet_id": astuple(snap.original_id),
+                "display": str(snap.original_id),
+                "generations": [],
             }
-        )
-        while len(generations) > self.keep_generations:
-            self._blobs.evict(StoreKey(*generations.pop(0)["blob"]))
-        self._write(slot, manifest)
+            generations = manifest["generations"]
+            generations.append(
+                {
+                    "gen": generations[-1]["gen"] + 1 if generations else 1,
+                    "blob": astuple(self._blobs.put(snap.stream)),
+                    "anchor_ref": snap.anchor_ref,
+                    "version": snap.version,
+                    "taken_at": snap.taken_at,
+                    "host": record.host,
+                    "group": [astuple(member) for member in record.group],
+                }
+            )
+            while len(generations) > self.keep_generations:
+                self._blobs.evict(StoreKey(*generations.pop(0)["blob"]))
+            self._write(slot, manifest)
 
     def get(self, complet_id: CompletId) -> CheckpointRecord | None:
         manifest = self._read(_slot(complet_id))
@@ -180,12 +212,13 @@ class CheckpointStore:
 
     def discard(self, complet_id: CompletId) -> None:
         slot = _slot(complet_id)
-        manifest = self._read(slot)
-        if manifest is None:
-            return
-        for generation in manifest["generations"]:
-            self._blobs.evict(StoreKey(*generation["blob"]))
-        self._write(slot, {**manifest, "generations": []})
+        with self.locked(complet_id):
+            manifest = self._read(slot)
+            if manifest is None:
+                return
+            for generation in manifest["generations"]:
+                self._blobs.evict(StoreKey(*generation["blob"]))
+            self._write(slot, {**manifest, "generations": []})
 
     def __len__(self) -> int:
         return len(self._manifests())

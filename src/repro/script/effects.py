@@ -1,8 +1,9 @@
 """Rule → effect extraction: what a layout rule *does*, symbolically.
 
-The interaction analyzer (:mod:`repro.analysis.interaction`) reasons
-about sets of rules — possibly from different scripts — without running
-any of them, so it needs each rule reduced to its externally visible
+The analyzers reason about sets of rules — one script's
+(:mod:`repro.analysis.script_check`: duplicates, conflicts, move cycles)
+or several scripts' (:mod:`repro.analysis.interaction`) — without running
+any of them, so they need each rule reduced to its externally visible
 effects: which complets it moves where, which references it retypes,
 which recovery actions it calls, and under which trigger it fires.
 

@@ -113,6 +113,12 @@ SERVICE_ALIASES = {
     "invocationCount": "invocationCount",
     "trackerLoad": "trackerLoad",
 }
+#: Services that measure an edge between two complets (``from`` and ``to``).
+PAIR_SERVICES = {"invocationRate", "byteRate", "invocationCount"}
+#: Services that measure a link to a peer Core (``to <core>``).
+PEER_SERVICES = {"bandwidth", "latency", "linkBytes"}
+#: Services that measure one complet (``from <complet>``).
+COMPLET_SERVICES = {"completSize", "servedRate"}
 
 
 @dataclass(slots=True)
@@ -315,7 +321,7 @@ class ScriptEngine:
         # The subscription pattern is the unique event name, so the rule
         # keeps matching after the watch is re-installed elsewhere.
         self._subscribe_watch(active, watch_core, event_name, callback)
-        if service in ("invocationRate", "byteRate", "invocationCount"):
+        if service in PAIR_SERVICES:
             self._follow_source(rule, active, service, op, threshold, interval,
                                 event_name, params, callback)
 
@@ -345,7 +351,7 @@ class ScriptEngine:
         if rule.listen_at is not None:
             cores = self._listen_cores(rule)
             return cores[0]
-        if service in ("invocationRate", "byteRate", "invocationCount") and rule.source is not None:
+        if service in PAIR_SERVICES and rule.source is not None:
             value = self._eval(rule.source, self._globals)
             if isinstance(value, Stub):
                 return self.cluster.locate(value)
@@ -358,7 +364,7 @@ class ScriptEngine:
             value = self._eval(expr, self._globals)
             return _as_complet_id(value)
 
-        if service in ("invocationRate", "byteRate", "invocationCount"):
+        if service in PAIR_SERVICES:
             src = complet_id(rule.source)
             dst = complet_id(rule.target)
             if src is None or dst is None:
@@ -366,11 +372,11 @@ class ScriptEngine:
                     f"{service} rules need 'from <complet> to <complet>' clauses"
                 )
             return {"src": src, "dst": dst}
-        if service in ("bandwidth", "latency", "linkBytes"):
+        if service in PEER_SERVICES:
             if rule.target is None:
                 raise ScriptRuntimeError(f"{service} rules need a 'to <core>' clause")
             return {"peer": str(self._eval(rule.target, self._globals))}
-        if service in ("completSize", "servedRate"):
+        if service in COMPLET_SERVICES:
             src = complet_id(rule.source)
             if src is None:
                 raise ScriptRuntimeError(f"{service} rules need a 'from <complet>' clause")

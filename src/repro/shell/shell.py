@@ -20,7 +20,7 @@ interactive REPL on top).  Commands::
     shutdown <core>                         graceful Core shutdown
     advance <seconds>                       advance virtual time
     script <<< ... >>>  or  script @file    run a layout script
-    lint [@file]                            static diagnostics (cluster, or a file)
+    lint [@path ...]                        static diagnostics (cluster, or files)
     trace on|off|clear                      toggle / reset span recording
     trace [list]                            one line per recorded trace
     trace show <trace-id>                   span tree of one trace
@@ -255,16 +255,13 @@ class FarGoShell:
         return self._cmd_script_raw(" ".join(args))
 
     def _cmd_lint(self, args: list[str]) -> str:
-        """lint — analyze the live cluster; lint @file — analyze a file
-        (scripts resolve against the live topology)."""
-        from pathlib import Path
-
-        from repro.analysis import TopologyInfo, render_text
-        from repro.analysis.cli import analyze_file
+        """lint — analyze the live cluster; lint @path ... — analyze files and
+        directories (scripts resolve against the live topology)."""
+        from repro.analysis import TopologyInfo, check_paths, render_text
 
         if args and args[0].startswith("@"):
             topology = TopologyInfo.from_cluster(self.cluster)
-            diagnostics = analyze_file(Path(args[0][1:]), topology=topology)
+            diagnostics = check_paths([arg.removeprefix("@") for arg in args], topology=topology)
         else:
             diagnostics = self.cluster.analyze()
         return render_text(diagnostics)

@@ -1,8 +1,33 @@
-"""Tests for ``python -m repro.analysis``: modes, exit codes, reporters."""
+"""Tests for the file front end: :func:`repro.analysis.check_paths` and
+``python -m repro.analysis``, its exit codes."""
 
-import json
+import runpy
+import sys
+from pathlib import Path
 
-from repro.analysis.cli import extract_embedded_scripts, iter_target_files, main
+import pytest
+
+from repro.analysis import (
+    check_paths,
+    extract_embedded_scripts,
+    has_errors,
+    iter_target_files,
+    render_text,
+)
+
+
+def main(argv: list[str]) -> int:
+    """``python -m repro.analysis ARGV`` in this process; its exit status."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "argv", ["python -m repro.analysis", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("repro.analysis", run_name="__main__")
+    return exit_.value.code
+
+
+def report(paths: list[str]) -> str:
+    return render_text(check_paths(paths))
+
 
 BAD_SCRIPT = 'on timer() do\n log "no interval"\nend\n'
 
@@ -18,6 +43,20 @@ BAD_COMPLET = (
     "on completArived do\n"
     ' log "x"\n'
     'end\n"""\n'
+)
+
+#: ``python -m repro.analysis examples src/repro/apps`` from the repository root.
+BUNDLED_REPORT = (
+    "examples/reliability_script.py:PAPER_SCRIPT:10:2: warning FG403: move of '$comps[0]' "
+    "can race the whole-Core failover in examples/core_failover.py:FAILOVER_SCRIPT:1 "
+    "(on coreFailed); a recovery may re-place the complet while the move is in flight\n"
+    "examples/wan_deployment.py:SCRIPT:4:5: warning FG403: move of '%1' can race the "
+    "whole-Core failover in examples/core_failover.py:FAILOVER_SCRIPT:1 (on coreFailed); "
+    "a recovery may re-place the complet while the move is in flight\n"
+    "examples/wan_deployment.py:SCRIPT:9:3: warning FG401: move of 'completsIn $core' to "
+    "'$survivor' races the move to '$targetCore' in examples/reliability_script.py:"
+    "PAPER_SCRIPT:4 (on shutdown); both rules can fire from the same event frontier\n"
+    "0 error(s), 3 warning(s)\n"
 )
 
 
@@ -88,44 +127,21 @@ class TestMain:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.fgs")]) == 2
 
-    def test_json_reporter(self, tmp_path, capsys):
-        f = tmp_path / "bad.fgs"
-        f.write_text(BAD_SCRIPT)
-        assert main(["--json", str(f)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert [d["code"] for d in payload] == ["FG109"]
-        assert payload[0]["file"] == str(f)
+    def test_bundled_examples_and_apps(self, monkeypatch, capsys):
+        """CI's analysis job: three warnings across the embedded scripts."""
+        monkeypatch.chdir(Path(__file__).resolve().parents[2])
+        assert main(["examples", "src/repro/apps"]) == 0
+        assert capsys.readouterr().out == BUNDLED_REPORT
 
-    def test_strict_promotes_warnings_to_failure(self, tmp_path, capsys):
-        f = tmp_path / "warn.fgs"
-        rule = 'on shutdown firedby $c do\n move completsIn $c to "safe"\nend\n'
-        f.write_text(rule + rule)  # duplicate rule: FG107 warning
-        assert main([str(f)]) == 0
-        assert main(["--strict", str(f)]) == 1
-
-    def test_cluster_spec_enables_identifier_resolution(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"cores": ["c1"], "complets": []}))
-        f = tmp_path / "s.fgs"
-        f.write_text('on timer(5) do\n move "x" to "c9"\nend\n')
-        assert main([str(f)]) == 0  # no topology, no FG104
-        assert main(["--cluster-spec", str(spec), str(f)]) == 1
-
-    def test_args_bound_checks(self, tmp_path, capsys):
-        f = tmp_path / "s.fgs"
-        f.write_text("$a = %4\n")
-        assert main([str(f)]) == 0
-        assert main(["--args", "2", str(f)]) == 1
-
-    def test_suppression_comment_silences_a_line(self, tmp_path, capsys):
+    def test_suppression_comment_silences_a_line(self, tmp_path):
         f = tmp_path / "s.fgs"
         f.write_text("on timer() do  # fargo: ignore[FG109]\n log \"x\"\nend\n")
-        assert main([str(f)]) == 0
+        assert not has_errors(check_paths([str(f)]))
 
-    def test_suppression_of_other_code_does_not_silence(self, tmp_path, capsys):
+    def test_suppression_of_other_code_does_not_silence(self, tmp_path):
         f = tmp_path / "s.fgs"
         f.write_text("on timer() do  # fargo: ignore[FG104]\n log \"x\"\nend\n")
-        assert main([str(f)]) == 1
+        assert has_errors(check_paths([str(f)]))
 
 
 class TestUnusedSuppressionReporting:
@@ -135,52 +151,31 @@ class TestUnusedSuppressionReporting:
         assert main([str(f)]) == 0
         assert "FG001" in capsys.readouterr().out
 
-    def test_strict_escalates_fg001_to_a_failing_warning(self, tmp_path, capsys):
-        f = tmp_path / "s.fgs"
-        f.write_text('on timer(5) do  # fargo: ignore[FG109]\n log "x"\nend\n')
-        assert main(["--strict", str(f)]) == 1
-        assert "warning FG001" in capsys.readouterr().out
-
-    def test_used_suppression_is_not_reported(self, tmp_path, capsys):
+    def test_used_suppression_is_not_reported(self, tmp_path):
         f = tmp_path / "s.fgs"
         f.write_text("on timer() do  # fargo: ignore[FG109]\n log \"x\"\nend\n")
-        assert main([str(f)]) == 0
-        assert "FG001" not in capsys.readouterr().out
-
-
-class TestSarif:
-    def test_sarif_reporter(self, tmp_path, capsys):
-        f = tmp_path / "bad.fgs"
-        f.write_text(BAD_SCRIPT)
-        assert main(["--sarif", str(f)]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-        results = document["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["FG109"]
-        uri = results[0]["locations"][0]["physicalLocation"]["artifactLocation"]
-        assert uri["uri"] == str(f)
+        assert not has_errors(check_paths([str(f)]))
+        assert "FG001" not in report([str(f)])
 
 
 class TestInteractionAcrossFiles:
-    def test_two_script_files_race_as_fg401(self, tmp_path, capsys):
+    def test_two_script_files_race_as_fg401(self, tmp_path):
         (tmp_path / "app.fgs").write_text(
             'on completArrived listenAt [a] do move "w" to "d" end\n'
         )
         (tmp_path / "ops.fgs").write_text(
             'on completArrived listenAt [b] do move "w" to "e" end\n'
         )
-        assert main([str(tmp_path)]) == 0  # FG401 is a warning
-        out = capsys.readouterr().out
-        assert "FG401" in out
+        assert not has_errors(check_paths([str(tmp_path)]))  # FG401 is a warning
+        assert "FG401" in report([str(tmp_path)])
 
-    def test_single_file_runs_no_interaction_pass(self, tmp_path, capsys):
+    def test_single_file_runs_no_interaction_pass(self, tmp_path):
         (tmp_path / "app.fgs").write_text(
             'on completArrived listenAt [a] do move "w" to "d" end\n'
         )
-        assert main([str(tmp_path)]) == 0
-        assert "no diagnostics" in capsys.readouterr().out
+        assert report([str(tmp_path)]) == "no diagnostics"
 
-    def test_interaction_findings_respect_suppressions(self, tmp_path, capsys):
+    def test_interaction_findings_respect_suppressions(self, tmp_path):
         (tmp_path / "app.fgs").write_text(
             'on completArrived listenAt [a] do move "w" to "d" end\n'
         )
@@ -188,48 +183,11 @@ class TestInteractionAcrossFiles:
             'on completArrived listenAt [b] do move "w" to "e" end'
             "  # fargo: ignore[FG401]\n"
         )
-        assert main([str(tmp_path)]) == 0
-        assert "FG401" not in capsys.readouterr().out
+        assert not has_errors(check_paths([str(tmp_path)]))
+        assert "FG401" not in report([str(tmp_path)])
 
 
 class TestPlanChecking:
-    def test_self_preempting_plan_fails(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({
-            "locations": {"w": "c1"},
-            "moves": [
-                {"complet": "w", "to": "c2", "from": "c1"},
-                {"complet": "w", "to": "c1"},
-            ],
-        }))
-        assert main(["--plan", str(plan)]) == 1
-        out = capsys.readouterr().out
-        assert "FG407" in out and str(plan) in out
-
-    def test_plan_checked_against_collected_scripts(self, tmp_path, capsys):
-        (tmp_path / "app.fgs").write_text(
-            'on completArrived listenAt [c2] do move "w" to "c3" end\n'
-        )
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps([{"complet": "w", "to": "c2"}]))
-        assert main(["--plan", str(plan), str(tmp_path / "app.fgs")]) == 0
-        assert "FG409" in capsys.readouterr().out
-
-    def test_clean_plan_alone_is_ok(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps([{"complet": "w", "to": "c2"}]))
-        assert main(["--plan", str(plan)]) == 0
-        assert "no diagnostics" in capsys.readouterr().out
-
-    def test_bad_plan_exits_two(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text('[{"complet": "w"}]')
-        assert main(["--plan", str(plan)]) == 2
-        assert main(["--plan", str(tmp_path / "missing.json")]) == 2
-
     def test_no_paths_and_no_plan_is_a_usage_error(self, capsys):
-        import pytest
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([])
-        assert excinfo.value.code == 2
+        assert main([]) == 2
+        assert "usage" in capsys.readouterr().err

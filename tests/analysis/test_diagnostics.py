@@ -1,7 +1,5 @@
 """Tests for the diagnostic framework: catalog, rendering, suppression."""
 
-import json
-
 import pytest
 
 from repro.analysis.diagnostics import (
@@ -10,8 +8,6 @@ from repro.analysis.diagnostics import (
     apply_suppressions,
     diag,
     has_errors,
-    render_json,
-    render_sarif,
     render_text,
     sort_diagnostics,
     suppressed_lines,
@@ -140,55 +136,6 @@ class TestReporters:
 
     def test_render_text_empty(self):
         assert render_text([]) == "no diagnostics"
-
-    def test_render_json_round_trips(self):
-        payload = json.loads(render_json([diag("FG104", "m", file="f", line=3)]))
-        assert payload == [
-            {
-                "code": "FG104",
-                "severity": "error",
-                "message": "m",
-                "file": "f",
-                "line": 3,
-                "column": 0,
-            }
-        ]
-
-    def test_render_sarif_shape(self):
-        document = json.loads(
-            render_sarif(
-                [
-                    diag("FG104", "unknown Core", file="s.fgs", line=2, column=5),
-                    diag("FG107", "duplicate", file="s.fgs", line=4),
-                ]
-            )
-        )
-        assert document["version"] == "2.1.0"
-        (run,) = document["runs"]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
-        rules = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert rules == {"FG104", "FG107"}
-        results = run["results"]
-        assert [r["ruleId"] for r in results] == ["FG104", "FG107"]
-        assert results[0]["level"] == "error"
-        assert results[1]["level"] == "warning"
-        location = results[0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "s.fgs"
-        assert location["region"] == {"startLine": 2, "startColumn": 5}
-
-    def test_render_sarif_empty_report(self):
-        document = json.loads(render_sarif([]))
-        assert document["runs"][0]["results"] == []
-
-    def test_sarif_and_json_share_the_record_shape(self):
-        d = diag("FG104", "m", file="f.fgs", line=3)
-        json_record = json.loads(render_json([d]))[0]
-        sarif_result = json.loads(render_sarif([d]))["runs"][0]["results"][0]
-        assert sarif_result["ruleId"] == json_record["code"]
-        assert sarif_result["message"]["text"] == json_record["message"]
-        physical = sarif_result["locations"][0]["physicalLocation"]
-        assert physical["artifactLocation"]["uri"] == json_record["file"]
-        assert physical["region"]["startLine"] == json_record["line"]
 
     def test_diagnostic_is_hashable_and_frozen(self):
         d = diag("FG101", "x")

@@ -1,11 +1,8 @@
 """Integration: a deliberately broken deployment reports exactly the
-expected codes — and the three entry points (CLI, shell ``lint``,
-``Cluster.analyze``) agree on the same inputs."""
+expected codes — and the entry points (``check_paths``, the shell's
+``lint``, ``Cluster.analyze``) agree on the same inputs."""
 
-from pathlib import Path
-
-from repro.analysis import TopologyInfo, render_text
-from repro.analysis.cli import analyze_file
+from repro.analysis import TopologyInfo, check_paths, render_text
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import DataSource, Desktop, Printer, Worker
 from repro.shell.shell import FarGoShell
@@ -65,22 +62,22 @@ class TestEntryPointParity:
         script.write_text(BROKEN_SCRIPT)
 
         topology = TopologyInfo.from_cluster(cluster)
-        cli_diagnostics = analyze_file(Path(script), topology=topology)
+        file_diagnostics = check_paths([str(script)], topology=topology)
         shell = FarGoShell(cluster, home="a")
-        assert shell.execute(f"lint @{script}") == render_text(cli_diagnostics)
-        assert sorted(d.code for d in cli_diagnostics) == EXPECTED_SCRIPT_CODES
+        assert shell.execute(f"lint @{script}") == render_text(file_diagnostics)
+        assert sorted(d.code for d in file_diagnostics) == EXPECTED_SCRIPT_CODES
 
     def test_script_codes_agree_between_cli_and_cluster_analyze(self, tmp_path):
         cluster = broken_cluster()
         script = tmp_path / "deploy.fgs"
         script.write_text(BROKEN_SCRIPT)
 
-        cli_diagnostics = analyze_file(
-            Path(script), topology=TopologyInfo.from_cluster(cluster)
+        file_diagnostics = check_paths(
+            [str(script)], topology=TopologyInfo.from_cluster(cluster)
         )
         live = [
             d for d in cluster.analyze(BROKEN_SCRIPT) if d.code.startswith("FG1")
         ]
         assert [
-            (d.code, d.line, d.column, d.message) for d in cli_diagnostics
+            (d.code, d.line, d.column, d.message) for d in file_diagnostics
         ] == [(d.code, d.line, d.column, d.message) for d in live]

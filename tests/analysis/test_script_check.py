@@ -210,11 +210,6 @@ class TestFG111Calls:
 
 
 class TestTopologyInfo:
-    def test_from_spec(self):
-        topo = TopologyInfo.from_spec({"cores": ["a"], "complets": ["x"]})
-        assert topo.cores == frozenset({"a"})
-        assert topo.complets == frozenset({"x"})
-
     def test_from_cluster_includes_short_ids(self):
         from repro import Cluster
         from repro.cluster.workload import Echo
@@ -226,6 +221,18 @@ class TestTopologyInfo:
         full_ids = cluster.complets_at("a")
         assert set(full_ids) <= topo.complets
         assert len(topo.complets) > len(full_ids)  # short forms included
+
+    def test_from_cluster_reads_the_ids_each_core_hosts(self):
+        from repro import Cluster
+        from repro.cluster.workload import Counter, Echo
+
+        cluster = Cluster(["a", "b"])
+        Echo("e", _core=cluster["a"], _at="a")
+        Counter(0, _core=cluster["a"], _at="b")
+        hosted = [cid for core in cluster.running_cores() for cid in core.repository.complet_ids()]
+        assert TopologyInfo.from_cluster(cluster).complets == {
+            form for cid in hosted for form in (str(cid), cid.short())
+        }
 
 
 class TestSpansInDiagnostics:

@@ -177,6 +177,25 @@ class TestTools:
         assert identity in shell.execute("layout")
 
 
+    def test_shell_lints_files_against_the_live_topology(self, cluster, tmp_path):
+        """``lint @path`` reads the topology through the handle: a child's
+        complets and Cores resolve, unknown names are findings."""
+        probe = Probe(_core=cluster.seat, _at="beta")
+        identity = probe._fargo_target_id
+        known = tmp_path / "known.fgs"
+        known.write_text(
+            f'on timer(5) do\n move "{identity}" to "gamma"\nend\n'
+            f'on timer(7) do\n move "{identity.short()}" to "beta"\nend\n'
+        )
+        unknown = tmp_path / "unknown.fgs"
+        unknown.write_text('on timer(5) do\n move "ghost" to "nowhere"\nend\n')
+        shell = FarGoShell(cluster)
+        assert shell.execute(f"lint @{known}") == "no diagnostics"
+        report = shell.execute(f"lint @{unknown}")
+        assert "error FG104: unknown Core 'nowhere'" in report
+        assert "warning FG105: no complet 'ghost'" in report
+
+
 def move_realpath_group(backend: str) -> dict:
     """realpath's ``move_group`` op: a root pulling three 256 KiB leaves, moved once."""
     rng = random.Random(1999)

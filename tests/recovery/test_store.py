@@ -13,6 +13,8 @@ one blob however often it is swept.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -225,6 +227,54 @@ class TestDirectory:
         successor.put(record(1, stream=stream))
         assert successor.get(cid(1)).snapshot.stream == stream
         assert blob.read_bytes() == stream
+
+
+class TestTwoWriters:
+    def test_a_put_between_anothers_read_and_rename_waits_for_it(self, tmp_path):
+        """Two handles on one directory, the shape of two processes: a put
+        by the second while the first is between its manifest read and its
+        rename waits for that rename, so no generation is lost, and a
+        reborn ``a`` cannot take the newest record for its own."""
+        first, second = CheckpointStore(tmp_path), CheckpointStore(tmp_path)
+        first.put(record(host="a"))
+        meanwhile = threading.Thread(target=second.put, args=(record(host="b"),))
+        read = first._read
+
+        def read_then_let_the_other_write(slot: str) -> dict | None:
+            manifest = read(slot)
+            meanwhile.start()
+            meanwhile.join(timeout=0.5)  # it runs to the end here, unless it waits
+            return manifest
+
+        first._read = read_then_let_the_other_write
+        first.put(record(host="a"))
+        meanwhile.join(timeout=10.0)
+        assert not meanwhile.is_alive()
+        hosts = [(generation["gen"], generation["host"]) for generation in second.generations(cid())]
+        assert hosts == [(1, "a"), (2, "a"), (3, "b")]
+
+    def test_concurrent_writers_lose_no_generation(self, tmp_path):
+        """Eight handles, a thread each, five puts apiece on one complet:
+        every put numbers the generation after the newest, so a lost
+        update would leave the last below 40."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [
+                threading.Thread(
+                    target=lambda handle: [handle.put(record(host=f"h{n}")) for n in range(5)],
+                    args=(CheckpointStore(tmp_path),),
+                )
+                for _ in range(8)
+            ]
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert CheckpointStore(tmp_path).generations(cid())[-1]["gen"] == 40
 
 
 class TestRealClockSweep:
