@@ -96,28 +96,28 @@ def check_paths(paths: list[str], *, topology: TopologyInfo | None = None) -> li
     complet mode (movability of every anchor class), and each script
     embedded in it (:func:`extract_embedded_scripts`) at the Python
     file's lines.  Directories are walked recursively.  All the scripts
-    found are then checked as one set (FG401–FG404, cross-script FG108),
-    an embedded one under a ``file:NAME`` label with script-relative
-    lines.  A ``# fargo: ignore`` comment applies to its own file's
-    findings, those of the set included, and one that suppresses nothing
-    is FG001.  ``topology`` resolves Core and complet names.  A missing
-    path raises :class:`FileNotFoundError`.
+    found are then checked as one set (FG401–FG404), an embedded one
+    under a ``file:NAME`` label with script-relative lines.  A ``# fargo:
+    ignore`` comment applies to its own file's findings, those of the set
+    included, and one that suppresses nothing is FG001.  ``topology``
+    resolves Core and complet names.  A missing path raises
+    :class:`FileNotFoundError`.
     """
     sources = {str(path): path.read_text(encoding="utf-8") for path in iter_target_files(paths)}
     per_file: dict[str, list[Diagnostic]] = {}
-    scripts: list[tuple[str, str]] = []
+    scripts: list[tuple[str, str, None]] = []
     #: Per script: its file, and for an embedded one its first line and
     #: whether its lines map one to one.
     placed: list[tuple[str, int | None, bool]] = []
     for name, source in sources.items():
         if name.endswith(SCRIPT_SUFFIX):
             per_file[name] = []
-            scripts.append((source, name))
+            scripts.append((source, name, None))
             placed.append((name, None, True))
             continue
         per_file[name] = check_complet_source(source, file=name)
         for script_name, first_line, text, exact in extract_embedded_scripts(source):
-            scripts.append((text, f"{name}:{script_name}"))
+            scripts.append((text, f"{name}:{script_name}", None))
             placed.append((name, first_line, exact))
     each, together = check_script_set(scripts, topology=topology)
     for report, (name, first_line, exact) in zip(each, placed):

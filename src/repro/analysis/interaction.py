@@ -1,4 +1,4 @@
-"""Cross-rule and cross-script interaction analysis (FG401–FG404, FG108).
+"""Cross-rule and cross-script interaction analysis (FG401–FG404).
 
 :func:`check_script` verifies one script in isolation; nothing there can
 see that *two* installed scripts — or a script and the recovery layer —
@@ -8,15 +8,13 @@ installed set as one unit:
 - **FG401** — two rules that can fire from the same event frontier move
   the same complet to different destinations (a move/move race the
   two-phase protocol only *tolerates* at runtime);
-- **FG402** — arrival-triggered moves of one complet across scripts form
-  a cycle (the complet would ping-pong between Cores forever);
+- **FG402** — arrival-triggered moves across scripts form a cycle no
+  one script forms alone (complets would ping-pong between Cores
+  forever; one script's own cycle is its FG108, never also an FG402);
 - **FG403** — a move races a ``failover``/``restore`` recovery action
   that may concurrently re-place the same complets;
 - **FG404** — two rules retype the same reference edge to different
-  relocation types;
-- **FG108** — the single-script move-cycle check promoted to the whole
-  set: cycles whose edges span several scripts escape every per-script
-  run.
+  relocation types.
 
 Rules are compared through their extracted effects
 (:mod:`repro.script.effects`): identical spellings are assumed to name
@@ -34,7 +32,6 @@ Cores still co-fire when two different complets arrive.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import ScriptSyntaxError
@@ -50,7 +47,7 @@ from repro.script.interpreter import CORE_EVENTS
 from repro.script.parser import parse
 
 from repro.analysis.diagnostics import Diagnostic, diag, sort_diagnostics
-from repro.analysis.script_check import TopologyInfo, check_script, move_cycles
+from repro.analysis.script_check import TopologyInfo, arrival_cycles, check_script
 
 __all__ = [
     "MoveRace",
@@ -274,7 +271,6 @@ def check_interaction(
     diagnostics: list[Diagnostic] = []
 
     for race in find_move_races(effects):
-        d = _anchor(race.second, race.second_move.span)
         diagnostics.append(
             diag(
                 "FG401",
@@ -282,27 +278,24 @@ def check_interaction(
                 f"races the move to {race.first_move.destination!r} in "
                 f"{race.first.location} (on {race.first.event}); both rules "
                 f"can fire from the same event frontier",
-                **d,
+                **_anchor(race.second, race.second_move.span),
             )
         )
 
-    for target in sorted({m.target for e in effects for m in e.moves if m.destination_literal}):
-        for cycle, rule, span, alone in move_cycles(effects, topo.cores, target):
-            if alone:
-                continue  # one script's oscillation: its FG108, from check_script
-            path = " -> ".join([*cycle, cycle[0]])
-            diagnostics.append(
-                diag(
-                    "FG402",
-                    f"moves of {target!r} across the installed scripts form a "
-                    f"cycle ({path}); the complet would oscillate between these "
-                    f"Cores",
-                    **_anchor(rule, span),
-                )
+    for found in arrival_cycles(effects, topo.cores):
+        if found.alone:
+            continue  # one script forms it: its FG108, from check_script
+        diagnostics.append(
+            diag(
+                "FG402",
+                f"moves of {', '.join(map(repr, found.complets))} across the installed "
+                f"scripts form a cycle ({found.path}); complets would oscillate "
+                f"between these Cores",
+                **_anchor(found.rule, found.span),
             )
+        )
 
     for conflict in find_recovery_conflicts(effects):
-        d = _anchor(conflict.mover, conflict.move.span)
         what = (
             f"the {conflict.call.name} of {conflict.subject!r}"
             if conflict.subject is not None
@@ -315,12 +308,11 @@ def check_interaction(
                 f"{conflict.recoverer.location} (on {conflict.recoverer.event}); "
                 f"a recovery may re-place the complet while the move is in "
                 f"flight",
-                **d,
+                **_anchor(conflict.mover, conflict.move.span),
             )
         )
 
     for race in find_retype_races(effects):
-        d = _anchor(race.second, race.second_retype.span)
         diagnostics.append(
             diag(
                 "FG404",
@@ -329,21 +321,7 @@ def check_interaction(
                 f"{race.first_retype.type_name!r} in {race.first.location} "
                 f"(on {race.first.event}); the edge's final type depends on "
                 f"firing order",
-                **d,
-            )
-        )
-
-    for cycle, rule, span, alone in move_cycles(effects, topo.cores):
-        if alone:
-            continue  # one script forms it: its FG108, from check_script
-        path = " -> ".join([*cycle, cycle[0]])
-        diagnostics.append(
-            diag(
-                "FG108",
-                f"arrival-triggered moves across the installed scripts form "
-                f"a cycle ({path}); complets would ping-pong between these "
-                f"Cores",
-                **_anchor(rule, span),
+                **_anchor(race.second, race.second_retype.span),
             )
         )
 
@@ -351,22 +329,16 @@ def check_interaction(
 
 
 def check_script_set(
-    scripts: list[tuple[str, str]],
+    scripts: list[tuple[str | Script, str, int | None]],
     *,
     topology: TopologyInfo | None = None,
-    expected_args: int | None = None,
-    installed: Sequence[tuple[Script, str]] = (),
 ) -> tuple[list[list[Diagnostic]], list[Diagnostic]]:
-    """Each ``(source, label)`` script checked alone, and the set together.
-
-    Returns :func:`check_script`'s report of each script, anchored at its
-    label, in order, and :func:`check_interaction`'s report of the set,
-    which the ``installed`` ``(Script, label)`` pairs (the scripts a
-    cluster runs) join without a report of their own.
-    """
+    """:func:`check_script`'s report of each ``(source, label,
+    expected_args)`` script (text or a parsed :class:`Script`), anchored at
+    its label, in order, and :func:`check_interaction`'s report of the set."""
     each = [
-        check_script(source, topology=topology, expected_args=expected_args, file=label)
-        for source, label in scripts
+        check_script(source, topology=topology, expected_args=args, file=label)
+        for source, label, args in scripts
     ]
-    pool = [*installed, *scripts]
-    return each, check_interaction(pool, topology=topology) if pool else []
+    pool = [(source, label) for source, label, _ in scripts]
+    return each, check_interaction(pool, topology=topology)

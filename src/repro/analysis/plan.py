@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 from repro.script.effects import RuleEffects
 
 from repro.analysis.diagnostics import Diagnostic, Severity, diag, sort_diagnostics
-from repro.analysis.script_check import TopologyInfo
+from repro.analysis.script_check import ARRIVAL_EVENTS, TopologyInfo
 
 __all__ = ["MovePlan", "PlannedMove", "check_plan"]
-
-#: Arrival events whose rules re-place complets right after a move lands.
-_ARRIVAL_EVENTS = {"completArrived", "moveCompleted"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +112,7 @@ def _fighting_rules(
     """Installed arrival rules that re-move ``step.complet`` on landing."""
     fights = []
     for e in effects:
-        if e.event not in _ARRIVAL_EVENTS:
+        if e.event not in ARRIVAL_EVENTS:
             continue
         if e.listen_cores is not None and step.destination not in e.listen_cores:
             continue

@@ -10,7 +10,8 @@ also resolves Core and complet identifiers.
 Duplicates, conflicts and cycles are read from the rules' effects
 (:func:`~repro.script.effects.extract_effects`), the reading
 :mod:`repro.analysis.interaction` applies to a whole script set; one
-arrival-move graph (:func:`move_cycles`) serves both.
+arrival-move graph (:func:`arrival_cycles`) gives a script its FG108 and
+the set its FG402.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.script.ast import (
     Span,
     VarRef,
 )
-from repro.script.effects import RuleEffects, extract_effects
+from repro.script.effects import MoveEffect, RuleEffects, extract_effects
 from repro.script.interpreter import (
     COMPLET_SERVICES,
     CORE_EVENTS,
@@ -59,9 +60,9 @@ from repro.analysis.diagnostics import Diagnostic, Severity, diag, sort_diagnost
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
 
-#: Events announcing that a complet landed somewhere; rules on these can
-#: re-trigger each other, which is what the cycle detector walks.
-_ARRIVAL_EVENTS = {"completArrived", "moveCompleted"}
+#: Events announcing that a complet landed: rules on them move complets right
+#: after a move, so they re-trigger each other (move cycles) and fight plans (FG409).
+ARRIVAL_EVENTS = frozenset({"completArrived", "moveCompleted"})
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,19 @@ def _suggest(name: str, candidates) -> str:
 
 
 def check_script(
-    source: str,
+    source: str | Script,
     *,
     topology: TopologyInfo | None = None,
     expected_args: int | None = None,
     file: str | None = None,
 ) -> list[Diagnostic]:
-    """All script diagnostics for ``source``, sorted by location.
+    """All diagnostics of ``source`` (text or a parsed script), sorted by location.
 
     A syntax error yields a single ``FG100`` diagnostic instead of
     raising, so callers can always treat the result as a report.
     """
     try:
-        script = parse(source)
+        script = source if isinstance(source, Script) else parse(source)
     except ScriptSyntaxError as exc:
         return [
             diag("FG100", str(exc), file=file, line=exc.line, column=exc.column)
@@ -160,13 +161,12 @@ class _ScriptChecker:
         self._check_arg_gaps()
         effects = extract_effects(self.script)
         self._check_duplicates(effects)
-        for cycle, _anchor, span, _alone in move_cycles(effects, self.topology.cores):
-            path = " -> ".join([*cycle, cycle[0]])
+        for found in arrival_cycles(effects, self.topology.cores):
             self._emit(
                 "FG108",
-                f"arrival-triggered moves form a cycle ({path}); complets "
+                f"arrival-triggered moves form a cycle ({found.path}); complets "
                 f"would ping-pong between these Cores",
-                span,
+                found.span,
             )
         return self.diagnostics
 
@@ -445,83 +445,109 @@ class _ScriptChecker:
                         )
 
 
-def move_cycles(
-    effects: list[RuleEffects], cores: frozenset[str], target: str | None = None
-) -> list[tuple[list[str], RuleEffects, Span | None, bool]]:
-    """Cycles of the arrival-move graph of ``effects`` (of ``target``'s moves
-    alone, when given): ``(cycle, rule, span, alone)``, anchored at the
-    cycle's first edge; ``alone`` when one script's rules form it.
+@dataclass(frozen=True)
+class ArrivalCycle:
+    """One strongly connected component of two or more Cores of an
+    arrival-move graph: a witness ``path`` through it (``a -> b -> a``),
+    the first rule that moves along the path's first edge and that move's
+    span, whether one script's own graph has this same component, and
+    what the rules move along the path."""
 
-    Nodes are Core names; a rule listening for arrivals at Core A that
-    moves a complet to literal Core B contributes the edge A→B, and one
-    listening everywhere an edge from every Core it can see (``cores``,
-    listen scopes, destinations).  Any cycle through ≥ 2 distinct Cores
-    means a move storm the runtime would only stop by accident.
+    path: str
+    rule: RuleEffects
+    span: Span | None
+    alone: bool
+    complets: tuple[str, ...]
+
+
+def arrival_cycles(effects: list[RuleEffects], cores: frozenset[str]) -> list[ArrivalCycle]:
+    """One finding per strongly connected component of two or more Cores
+    of the arrival-move graph of ``effects`` (a script set), in Core order.
+
+    A rule listening for arrivals at Core A that moves a complet to
+    literal Core B contributes the edge A→B, and one listening everywhere
+    an edge from every Core it can see (``cores``, listen scopes,
+    destinations).  A component is a move storm the runtime would only
+    stop by accident.  Its witness is the shortest cycle through its first
+    edge that no script's own component holds, which needs two scripts;
+    else, through its first edge when one script forms it alone; else a
+    walk through all its Cores, which no one script's rules make either.
     """
-
-    def moves_of(rule_effects: RuleEffects) -> list:
-        return [
-            move
-            for move in rule_effects.moves
-            if move.destination_literal and target in (None, move.target)
-        ]
-
-    rules = [
-        e for e in effects if e.event in _ARRIVAL_EVENTS and (target is None or moves_of(e))
-    ]
+    rules = [e for e in effects if e.event in ARRIVAL_EVENTS]
     universe = set(cores)
     for e in rules:
         universe.update(e.listen_cores or ())
-        universe.update(move.destination for move in moves_of(e))
-    edges: dict[str, set[str]] = {}
-    # Which scripts contribute each edge, and the first rule and span that does.
-    owners: dict[tuple[str, str], set[int]] = {}
-    anchors: dict[tuple[str, str], tuple[RuleEffects, Span | None]] = {}
+        universe.update(move.destination for move in e.moves if move.destination_literal)
+    #: Each edge's rules and moves, in set order, and each script's edges.
+    edges: dict[tuple[str, str], list[tuple[RuleEffects, MoveEffect]]] = {}
+    own: dict[int, set[tuple[str, str]]] = {}
     for e in rules:
-        sources = e.listen_cores if e.listen_cores is not None else sorted(universe)
-        for move in moves_of(e):
-            for src in sources:
-                if src == move.destination:
-                    continue  # moving in place re-fires nothing
-                edges.setdefault(src, set()).add(move.destination)
-                owners.setdefault((src, move.destination), set()).add(e.script_index)
-                anchors.setdefault(
-                    (src, move.destination),
-                    (e, move.span if move.span is not None else e.rule.span),
-                )
+        for move in e.moves:
+            for src in universe if e.listen_cores is None else e.listen_cores:
+                if move.destination_literal and src != move.destination:  # in place: no re-fire
+                    edges.setdefault((src, move.destination), []).append((e, move))
+                    own.setdefault(e.script_index, set()).add((src, move.destination))
+    formed: list[frozenset[str]] = []
+    held: set[tuple[str, str]] = set()
+    for script_edges in own.values():
+        for component in _components(script_edges):
+            formed.append(component)
+            held.update(pair for pair in script_edges if set(pair) <= component)
+    succ = _adjacency(edges)
     found = []
-    for cycle in find_cycles(edges):
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        alone = bool(set.intersection(*(owners[pair] for pair in pairs)))
-        found.append((cycle, *anchors[pairs[0]], alone))
+    for component in _components(edges):
+        inside = sorted(pair for pair in edges if set(pair) <= component)
+        crossing = [edge for edge in inside if edge not in held]
+        alone = component in formed
+        stops = crossing[0] if crossing else inside[0] if alone else sorted(component)
+        cycle = _walk(succ, component, stops)
+        rule, move = edges[cycle[0], cycle[1]][0]
+        moved = sorted({m.target for pair in zip(cycle, cycle[1:]) for _, m in edges[pair]})
+        found.append(ArrivalCycle(
+            " -> ".join(cycle), rule, move.span or rule.rule.span, alone, tuple(moved)
+        ))
     return found
 
 
-def find_cycles(edges: dict[str, set[str]]) -> list[list[str]]:
-    """Simple cycles (each reported once, rotated to its smallest node)."""
-    cycles: list[list[str]] = []
-    reported: set[tuple[str, ...]] = set()
-    state: dict[str, int] = {}  # 0 unseen implicit, 1 on stack, 2 done
-    stack: list[str] = []
+def _adjacency(edges) -> dict[str, set[str]]:
+    out: dict[str, set[str]] = {}
+    for src, dest in edges:
+        out.setdefault(src, set()).add(dest)
+    return out
 
-    def visit(node: str) -> None:
-        state[node] = 1
-        stack.append(node)
-        for succ in sorted(edges.get(node, ())):
-            mark = state.get(succ, 0)
-            if mark == 0:
-                visit(succ)
-            elif mark == 1:
-                cycle = stack[stack.index(succ):]
-                pivot = cycle.index(min(cycle))
-                canon = tuple(cycle[pivot:] + cycle[:pivot])
-                if canon not in reported:
-                    reported.add(canon)
-                    cycles.append(list(canon))
-        stack.pop()
-        state[node] = 2
 
-    for node in sorted(edges):
-        if state.get(node, 0) == 0:
-            visit(node)
-    return cycles
+def _reach(adjacent: dict[str, set[str]], start: str) -> set[str]:
+    seen, frontier = {start}, [start]
+    while frontier:
+        new = adjacent.get(frontier.pop(), set()) - seen
+        seen |= new
+        frontier.extend(new)
+    return seen
+
+
+def _components(edges) -> list[frozenset[str]]:
+    """The strongly connected components of two or more nodes, in node order."""
+    succ, pred = _adjacency(edges), _adjacency((dest, src) for src, dest in edges)
+    found: list[frozenset[str]] = []
+    for node in sorted(succ.keys() & pred.keys()):
+        if not any(node in component for component in found):
+            component = frozenset(_reach(succ, node) & _reach(pred, node))
+            if len(component) > 1:
+                found.append(component)
+    return found
+
+
+def _walk(succ: dict[str, set[str]], within: frozenset[str], stops) -> list[str]:
+    """The closed walk inside ``within`` through ``stops`` in turn and back
+    to the first, each leg a shortest path (successors in name order)."""
+    walk = [stops[0]]
+    for goal in [*stops[1:], stops[0]]:
+        paths: dict[str, list[str]] = {walk[-1]: []}
+        queue = [walk[-1]]
+        for node in queue:
+            for nxt in sorted(succ[node] & within):
+                if nxt not in paths:
+                    paths[nxt] = [*paths[node], nxt]
+                    queue.append(nxt)
+        walk += paths[goal]
+    return walk

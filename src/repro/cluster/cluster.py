@@ -588,11 +588,11 @@ class Cluster:
 
         Runs the relocation-semantics checker over the live reference
         graph, the movability checker over every hosted anchor, and the
-        interaction checker (FG401–FG404, cross-script FG108) over every
-        installed script; with ``script`` it also verifies the candidate
-        layout script against the actual topology (Core and complet
-        names resolve), anchored at ``<candidate>``, and includes it in
-        the interaction set (:func:`~repro.analysis.check_script_set`).
+        script checker over every installed script, with the arguments it
+        was run with, and over the candidate ``script``, if given, at
+        ``<candidate>``, resolving Core and complet names in the topology;
+        then over all of them as one set (FG401–FG404,
+        :func:`~repro.analysis.check_script_set`).
         It reads live anchors, so it refuses on ``procs``.  ``plan``
         — a :class:`~repro.analysis.MovePlan` — is vetted against the
         topology and the installed rules (FG405–FG409).  When the
@@ -616,19 +616,17 @@ class Cluster:
         for core in self.running_cores():
             for anchor in core.repository.anchors():
                 diagnostics.extend(check_anchor_live(anchor, hosted_at=core.name))
-        installed = [pair for engine in self._engines for pair in engine.installed]
+        installed = [record for engine in self._engines for record in engine.installed]
+        candidate = [(script, "<candidate>", expected_args)] if script is not None else []
         each, together = check_script_set(
-            [(script, "<candidate>")] if script is not None else [],
+            [(source, label, len(args)) for source, label, args in installed] + candidate,
             topology=topology,
-            expected_args=expected_args,
-            installed=installed,
         )
         diagnostics.extend(d for report in each for d in report)
         diagnostics.extend(together)
         if plan is not None:
-            diagnostics.extend(
-                check_plan(plan, topology, effects=script_set_effects(installed))
-            )
+            rules = script_set_effects([(source, label) for source, label, _ in installed])
+            diagnostics.extend(check_plan(plan, topology, effects=rules))
         if self.sanitizer is not None:
             diagnostics.extend(self.sanitizer.diagnostics())
         return sort_diagnostics(diagnostics)

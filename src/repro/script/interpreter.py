@@ -135,6 +135,8 @@ class _ActiveRule:
     rule: Rule
     #: How the layout journal names the rule: script label, line, head.
     label: str
+    #: Its script's positional arguments (``%1``, ``%2``...).
+    args: tuple
     #: (core, callback_id) handles from subscribe_remote.
     subscriptions: list[tuple[str, int]] = field(default_factory=list)
     #: (core_name, watch_id) pairs for installed threshold watches.
@@ -158,9 +160,9 @@ class ScriptEngine:
         self._active: list[_ActiveRule] = []
         #: The label of the rule whose actions are running, if one is.
         self._firing: str | None = None
-        #: Scripts this engine has activated, as ``(Script, label)``
-        #: pairs — the cluster's interaction analysis reads them.
-        self.installed: list[tuple[Script, str]] = []
+        #: Scripts this engine has activated, as ``(Script, label, args)``
+        #: records — :meth:`Cluster.analyze` checks them.
+        self.installed: list[tuple[Script, str, tuple]] = []
         cluster.register_engine(self)
         from repro.script.stdlib import register_stdlib
 
@@ -204,7 +206,7 @@ class ScriptEngine:
     def run_script(self, script: Script, args: tuple | list = ()) -> Script:
         self._args = tuple(args)
         self.installed.append(
-            (script, f"<{self.core.name}:script#{len(self.installed) + 1}>")
+            (script, f"<{self.core.name}:script#{len(self.installed) + 1}>", self._args)
         )
         for statement in script.statements:
             if isinstance(statement, Assignment):
@@ -236,7 +238,8 @@ class ScriptEngine:
 
     def _activate(self, rule: Rule) -> None:
         line = f":{rule.span.line}" if rule.span is not None else ""
-        active = _ActiveRule(rule, f"{self.installed[-1][1]}{line} {_describe_rule(rule)}")
+        _, label, args = self.installed[-1]
+        active = _ActiveRule(rule, f"{label}{line} {_describe_rule(rule)}", args)
         self._active.append(active)
         if rule.event == "timer":
             self._activate_timer(rule, active)
@@ -446,11 +449,13 @@ class ScriptEngine:
                         f"script:{rule.event}", category="script", trigger=event.name
                     )
                 )
-            outer, self._firing = self._firing, active.label
+            # A rule reads %n from its own script's arguments, not the last run's.
+            outer = self._firing, self._args
+            self._firing, self._args = active.label, active.args
             try:
                 self._run_rule(rule, event)
             finally:
-                self._firing = outer
+                self._firing, self._args = outer
 
     def _run_rule(self, rule: Rule, event: Event) -> None:
         env = dict(self._globals)

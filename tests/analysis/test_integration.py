@@ -3,6 +3,7 @@ expected codes — and the entry points (``check_paths``, the shell's
 ``lint``, ``Cluster.analyze``) agree on the same inputs."""
 
 from repro.analysis import TopologyInfo, check_paths, render_text
+from repro.analysis.layout import Script
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import DataSource, Desktop, Printer, Worker
 from repro.shell.shell import FarGoShell
@@ -48,6 +49,27 @@ class TestBrokenDeployment:
         Worker(source, _core=cluster["a"], _at="a")
         good = 'on shutdown firedby $core do\n move completsIn $core to "b"\nend\n'
         assert cluster.analyze(good) == []
+
+
+class TestInstalledScripts:
+    def test_an_installed_scripts_own_cycle_is_fg108(self):
+        text = (
+            'on completArrived listenAt ["a"] do move "x" to "b" end\n'
+            'on completArrived listenAt ["b"] do move "y" to "a" end\n'
+        )
+        cluster = Cluster(["a", "b"])
+        Script(text).attach(cluster)
+        (d,) = cluster.analyze()
+        assert (d.code, d.file, d.line) == ("FG108", "<a:script#1>", 1)
+        assert "(a -> b -> a)" in d.message
+
+    def test_an_installed_script_is_checked_with_its_own_arguments(self):
+        cluster = Cluster(["a", "b"])
+        Script('on timer(5) do move %1 to "b" end', args=("c1",)).attach(cluster)
+        Script('on timer(5) do move %2 to "b" end', args=("c1",)).attach(cluster)
+        (d,) = cluster.analyze()
+        assert d.code == "FG102"
+        assert d.message == "%2 exceeds the 1 declared script argument(s)"
 
 
 class TestEntryPointParity:

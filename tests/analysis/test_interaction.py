@@ -1,4 +1,4 @@
-"""Tests for the cross-script interaction checker (FG401–FG404, FG108)."""
+"""Tests for the cross-script interaction checker (FG401–FG404)."""
 
 from repro.analysis.interaction import (
     check_interaction,
@@ -206,11 +206,42 @@ class TestCrossScriptCycles:
         ('on completArrived listenAt [c2] do move $y to "c1" end', "two.fgs"),
     ]
 
-    def test_cross_script_core_cycle_is_fg108(self):
+    def test_cross_script_core_cycle_is_fg402(self):
         diagnostics = check_interaction(self.TWO_SCRIPT_CYCLE)
-        assert "FG108" in codes(diagnostics)
-        d = next(d for d in diagnostics if d.code == "FG108")
-        assert "across the installed scripts" in d.message
+        assert codes(diagnostics) == ["FG402"]
+        (d,) = diagnostics
+        assert "'$x', '$y' across the installed scripts" in d.message
+        assert "(c1 -> c2 -> c1)" in d.message
+
+    def test_a_two_script_ping_pong_is_one_fg402_and_no_fg108(self):
+        s1 = 'on completArrived listenAt ["a"] do move "x" to "b" end'
+        s2 = 'on completArrived listenAt ["b"] do move "x" to "a" end'
+        cycles = [
+            d for d in check_interaction([(s1, "s1"), (s2, "s2")])
+            if d.code in ("FG108", "FG402")
+        ]
+        assert [d.code for d in cycles] == ["FG402"]
+        assert "moves of 'x' " in cycles[0].message
+        assert check_script(s1) == check_script(s2) == []
+
+    def test_a_cycle_behind_one_scripts_cycle_is_fg402(self):
+        # s1 ping-pongs x between a and b on its own; with s2, x also goes
+        # a -> c -> b -> a, a path neither script makes alone.
+        s1 = (
+            'on completArrived listenAt ["a"] do move "x" to "b" end\n'
+            'on completArrived listenAt ["b"] do move "x" to "a" end\n'
+        )
+        s2 = (
+            'on completArrived listenAt ["a"] do move "x" to "c" end\n'
+            'on completArrived listenAt ["c"] do move "x" to "b" end\n'
+        )
+        fg402 = [d for d in check_interaction([(s1, "s1"), (s2, "s2")]) if d.code == "FG402"]
+        assert len(fg402) == 1
+        assert "(a -> c -> b -> a)" in fg402[0].message
+        assert (fg402[0].file, fg402[0].line) == ("s2", 1)
+        assert [d.code for d in check_script(s1)] == ["FG108"]
+        assert "(a -> b -> a)" in check_script(s1)[0].message
+        assert check_script(s2) == []
 
     def test_single_script_cycle_is_left_to_check_script(self):
         # The same two rules in one script: check_script reports FG108,

@@ -4,25 +4,28 @@
 whole set; between them every move cycle and every same-trigger conflict
 must be reported exactly once, by the checker that can see it:
 
-- a Core-level cycle of the arrival-move graph is one FG108, from the
-  script that forms it alone or, when it needs two scripts, from the set;
-- a cycle of one complet's moves that needs two scripts is one FG402;
+- a strongly connected component of two or more Cores of the set's
+  arrival-move graph is one FG108 from each script whose own graph has
+  that same component, or else one FG402 from the set, whose witness
+  needs two scripts;
 - two rules of one script on one trigger moving one complet to two
   literal Cores are FG107, and never also FG401.
 
-Scripts are drawn from the statically-checkable fragment: arrival rules
-with a literal ``listenAt`` and literal destinations over four Cores,
-three complets, and triggers that repeat.
+The components are computed here by mutual reachability over a
+transitive closure, not by the checker's own search.  Scripts are drawn
+from the statically-checkable fragment: arrival rules with a literal
+``listenAt`` and literal destinations over four Cores, three complets,
+and triggers that repeat.
 """
 
 from __future__ import annotations
 
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.interaction import check_interaction
-from repro.analysis.script_check import check_script, find_cycles
+from repro.analysis.script_check import check_script
 
 CORES = ["a", "b", "c", "d"]
 TARGETS = ["x", "y", "z"]
@@ -42,6 +45,7 @@ SCRIPT = st.lists(TRIGGER, min_size=1, max_size=2).flatmap(
 )
 
 _CYCLE = re.compile(r"form a cycle \(([^)]*)\)")
+_MOVED = re.compile(r"^moves of (.*) across the installed scripts")
 _FG401 = re.compile(r"races the move to '([^']*)' in (\S+):(\d+) ")
 
 
@@ -54,74 +58,94 @@ def source_of(rules) -> str:
     return "\n".join(lines) + "\n"
 
 
-def edges_of(rules, target: str | None = None) -> set[tuple[str, str]]:
+def moves_of(rules) -> set[tuple[str, str, str]]:
+    """``(src, dest, complet)`` for every arrival at ``src`` that moves it on."""
     return {
-        (src, dest)
+        (src, dest, moved)
         for (_event, listen), moves in rules
         for moved, dest in moves
-        if target in (None, moved)
         for src in listen
         if src != dest
     }
 
 
-def graph(edges) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for src, dest in edges:
-        out.setdefault(src, set()).add(dest)
-    return out
+def components(edges) -> set[frozenset[str]]:
+    """Strongly connected components of two or more Cores: the Cores that
+    reach each other, by a transitive closure over ``CORES``."""
+    reach = {(src, dest) for src, dest in edges}
+    for via in CORES:
+        reach |= {(src, dest) for src in CORES for dest in CORES
+                  if (src, via) in reach and (via, dest) in reach}
+    return {
+        frozenset(v for v in CORES if (u, v) in reach and (v, u) in reach)
+        for u in CORES
+        if (u, u) in reach
+    }
 
 
-def cycle_of(d) -> tuple[str, ...]:
-    """The cycle ``a -> b -> a`` a finding names, as ``find_cycles`` gives it."""
-    return tuple(_CYCLE.search(d.message)[1].split(" -> ")[:-1])
+def witness(d) -> list[tuple[str, str]]:
+    """The edges of the cycle ``a -> b -> a`` a finding names."""
+    cores = _CYCLE.search(d.message)[1].split(" -> ")
+    return list(zip(cores, cores[1:]))
 
 
-def needs_two_scripts(cycle, per_script_edges) -> bool:
-    pairs = set(zip(cycle, cycle[1:] + cycle[:1]))
-    return not any(pairs <= edges for edges in per_script_edges)
+def component_of(d, found: set[frozenset[str]]) -> frozenset[str]:
+    cores = {core for edge in witness(d) for core in edge}
+    (component,) = [c for c in found if cores <= c]
+    return component
+
+
+def relay(target: str, *cores: str):
+    """Rules moving ``target`` on from each Core to the next, the last back
+    to the first."""
+    return [
+        (("completArrived", (src,)), [(target, dest)])
+        for src, dest in zip(cores, cores[1:] + cores[:1])
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(SCRIPT, min_size=1, max_size=3))
+# A cycle behind one script's cycle, and two scripts' cycles sharing a Core.
+@example([relay("x", "a", "b"), relay("x", "a", "c", "b")[:2]])
+@example([relay("x", "a", "b"), relay("y", "b", "c")])
 def test_each_finding_is_reported_once(scripts):
     labels = [f"s{i}.fgs" for i in range(len(scripts))]
     sources = [source_of(rules) for rules in scripts]
     single = [check_script(src, file=label) for src, label in zip(sources, labels)]
     together = check_interaction(list(zip(sources, labels)))
 
-    # Core-level cycles: FG108 once each, from each script that forms it
-    # alone, or from the set when it needs two scripts.
-    per_script = [edges_of(rules) for rules in scripts]
+    moves = [moves_of(rules) for rules in scripts]
+    per_script = [{(src, dest) for src, dest, _ in mine} for mine in moves]
     union = set().union(*per_script)
-    alone = [
-        (d.file, cycle_of(d)) for report in single for d in report if d.code == "FG108"
-    ]
-    crossing = [cycle_of(d) for d in together if d.code == "FG108"]
-    assert len(alone) == len(set(alone)) and len(crossing) == len(set(crossing))
-    for label, cycle in alone:
-        assert not needs_two_scripts(cycle, [per_script[labels.index(label)]])
-    for cycle in crossing:
-        assert needs_two_scripts(cycle, per_script)
-    for cycle in find_cycles(graph(union)):
-        if needs_two_scripts(cycle, per_script):
-            assert tuple(cycle) in crossing
-    assert bool(alone or crossing) == bool(find_cycles(graph(union)))
+    own = [components(edges) for edges in per_script]
+    formed = set().union(*own)
 
-    # Per-complet cycles that need two scripts: FG402 once each.
-    for target in TARGETS:
-        mine = [edges_of(rules, target) for rules in scripts]
-        expected = [
-            tuple(cycle)
-            for cycle in find_cycles(graph(set().union(*mine)))
-            if needs_two_scripts(cycle, mine)
-        ]
-        found = [
-            cycle_of(d)
-            for d in together
-            if d.code == "FG402" and d.message.startswith(f"moves of {target!r} ")
-        ]
-        assert sorted(found) == sorted(expected)
+    # Each script's components: one FG108 each, along the script's own edges.
+    for report, edges, mine in zip(single, per_script, own):
+        fg108 = [d for d in report if d.code == "FG108"]
+        assert sorted(map(sorted, (component_of(d, mine) for d in fg108))) == sorted(
+            map(sorted, mine)
+        )
+        for d in fg108:
+            assert set(witness(d)) <= edges
+
+    # The set's other components: one FG402 each, along a path no script
+    # makes alone, naming what the rules move along it.
+    assert not [d for d in together if d.code == "FG108"]
+    fg402 = [d for d in together if d.code == "FG402"]
+    expected = components(union) - formed
+    assert sorted(map(sorted, (component_of(d, expected) for d in fg402))) == sorted(
+        map(sorted, expected)
+    )
+    for d in fg402:
+        path = witness(d)
+        assert set(path) <= union
+        assert not any(set(path) <= edges for edges in per_script)
+        named = re.findall(r"'([^']*)'", _MOVED.search(d.message)[1])
+        assert named == sorted(
+            {moved for mine in moves for src, dest, moved in mine if (src, dest) in path}
+        )
 
     # Same-trigger literal conflicts inside one script: FG107, never FG401.
     for label, rules, report in zip(labels, scripts, single):

@@ -196,6 +196,23 @@ class TestActions:
         assert cluster3.locate(counter) == "beta"
 
 
+class TestScriptArguments:
+    def test_each_rule_reads_its_own_scripts_arguments(self, cluster3, engine3):
+        counter = Counter(0, _core=cluster3["alpha"], _at="beta")
+        engine3.run('on completArrived listenAt [gamma] do move %1 to "alpha" end', args=(counter,))
+        engine3.run('on timer(100) do log "tick" end')
+        cluster3.move(Counter(0, _core=cluster3["alpha"]), "gamma")
+        assert cluster3.locate(counter) == "alpha"
+
+    def test_installed_records_each_scripts_arguments(self, engine3):
+        engine3.run("$first = %1", args=("one",))
+        engine3.run('$second = "two"')
+        assert [(label, args) for _, label, args in engine3.installed] == [
+            ("<alpha:script#1>", ("one",)),
+            ("<alpha:script#2>", ()),
+        ]
+
+
 class TestLifecycle:
     def test_stop_deactivates_rules(self, cluster3, engine3):
         engine3.run('on completArrived do log "seen" end')
