@@ -93,8 +93,9 @@ MODULE_VERDICTS = {
         "kept: the finding, the rule catalog and the suppression comments every checker shares"
     ),
     "analysis/script_check.py": (
-        "kept: the §4.3 language's linter (FG101–FG111) and the one arrival-move graph "
-        "FG108 and FG402 read; the `analysis` area runs it"
+        "kept: the §4.3 language's linter (FG101–FG111), the one arrival-move graph "
+        "FG108 and FG402 read and the one order-dependence check FG107, FG401, FG403 and "
+        "FG404 read; the `analysis` area runs it"
     ),
     "analysis/movability.py": "kept: FG301–FG303, which `Cluster.analyze` and `check_paths` run",
     "analysis/plan.py": (

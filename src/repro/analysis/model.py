@@ -31,7 +31,7 @@ import ast
 import collections
 import inspect
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.complet.anchor import resolve_class_ref
 from repro.complet.closure import compute_closure
@@ -106,6 +106,12 @@ class LayoutModel:
                         except (FarGoError, ImportError, AttributeError):
                             pass
         return model
+
+    def copy(self) -> "LayoutModel":
+        """The same layout, which transitions change apart from this one."""
+        refs = {cid: [replace(ref) for ref in out] for cid, out in self.refs.items()}
+        return LayoutModel(list(self.cores), dict(self.hosts), dict(self.classes),
+                           dict(self.sizes), refs, set(self.crashed))
 
     # -- transitions ------------------------------------------------------------
 
@@ -212,10 +218,10 @@ class LayoutModel:
 
 
 def check_relocation(
-    cluster: Cluster, *, amplification_threshold: float = 3.0
+    layout: "Cluster | LayoutModel", *, amplification_threshold: float = 3.0
 ) -> list[Diagnostic]:
-    """All relocation-semantics diagnostics for the cluster's current state."""
-    model = LayoutModel.of(cluster)
+    """All relocation-semantics diagnostics for a cluster's current state (or its model)."""
+    model = layout if isinstance(layout, LayoutModel) else LayoutModel.of(layout)
     diagnostics = list(model.diagnostics)
     for check in (_amplification, _duplicate_mutability, _stamp_resolution, _mixed, _offload):
         diagnostics.extend(check(model, amplification_threshold))

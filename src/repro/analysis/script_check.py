@@ -11,17 +11,21 @@ Duplicates, conflicts and cycles are read from the rules' effects
 (:func:`~repro.script.effects.extract_effects`), the reading
 :mod:`repro.analysis.interaction` applies to a whole script set; one
 arrival-move graph (:func:`arrival_cycles`) gives a script its FG108 and
-the set its FG402.
+the set its FG402, and one order-dependence check on the layout model
+(:func:`order_dependences`) gives a script its FG107 conflicts and the set
+its FG401, FG403 and FG404.
 """
 
 from __future__ import annotations
 
+import collections
 import difflib
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.complet.relocators import BUILTIN_RELOCATORS
-from repro.errors import ScriptSyntaxError
+from repro.errors import FarGoError, ScriptSyntaxError
 from repro.monitor.events import OPERATORS
 from repro.script.ast import (
     Action,
@@ -43,7 +47,13 @@ from repro.script.ast import (
     Span,
     VarRef,
 )
-from repro.script.effects import MoveEffect, RuleEffects, extract_effects
+from repro.script.effects import (
+    CallEffect,
+    MoveEffect,
+    RetypeEffect,
+    RuleEffects,
+    extract_effects,
+)
 from repro.script.interpreter import (
     COMPLET_SERVICES,
     CORE_EVENTS,
@@ -56,6 +66,7 @@ from repro.script.stdlib import STDLIB_ACTIONS
 from repro.util.ids import CompletId
 
 from repro.analysis.diagnostics import Diagnostic, Severity, diag, sort_diagnostics
+from repro.analysis.model import LayoutModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
@@ -100,11 +111,14 @@ def check_script(
     topology: TopologyInfo | None = None,
     expected_args: int | None = None,
     file: str | None = None,
+    model: LayoutModel | None = None,
 ) -> list[Diagnostic]:
     """All diagnostics of ``source`` (text or a parsed script), sorted by location.
 
-    A syntax error yields a single ``FG100`` diagnostic instead of
-    raising, so callers can always treat the result as a report.
+    ``model`` is the layout its rules would act on (a live cluster's), for
+    the order-dependence check. A syntax error yields a single ``FG100``
+    diagnostic instead of raising, so callers can always treat the result
+    as a report.
     """
     try:
         script = source if isinstance(source, Script) else parse(source)
@@ -112,7 +126,7 @@ def check_script(
         return [
             diag("FG100", str(exc), file=file, line=exc.line, column=exc.column)
         ]
-    checker = _ScriptChecker(script, topology or TopologyInfo(), expected_args, file)
+    checker = _ScriptChecker(script, topology or TopologyInfo(), expected_args, file, model)
     return sort_diagnostics(checker.run())
 
 
@@ -123,8 +137,10 @@ class _ScriptChecker:
         topology: TopologyInfo,
         expected_args: int | None,
         file: str | None,
+        model: LayoutModel | None,
     ) -> None:
         self.script = script
+        self.model = model
         self.topology = topology
         self.expected_args = expected_args
         self.file = file
@@ -160,7 +176,25 @@ class _ScriptChecker:
                 self._check_rule(statement, defined)
         self._check_arg_gaps()
         effects = extract_effects(self.script)
-        self._check_duplicates(effects)
+        seen: dict[Rule, Rule] = {}
+        for rule in self.script.rules:
+            first = seen.setdefault(rule, rule)
+            if first is not rule:
+                at = f" (line {first.span.line})" if first.span else ""
+                self._emit("FG107", f"rule duplicates an earlier 'on {rule.event}' rule{at}",
+                           rule.span)
+        for found in order_dependences(effects, self.model):
+            if found.code == "FG107":
+                rule = found.first.rule
+                at = f" (line {rule.span.line})" if rule.span else ""
+                self._emit(
+                    "FG107",
+                    f"conflicts with an earlier rule{at}: same trigger moves the same "
+                    f"target to {found.first_effect.destination!r} and to "
+                    f"{found.second_effect.destination!r}",
+                    found.second_effect.span,
+                    severity=Severity.ERROR,
+                )
         for found in arrival_cycles(effects, self.topology.cores):
             self._emit(
                 "FG108",
@@ -408,42 +442,6 @@ class _ScriptChecker:
                 severity=Severity.WARNING,
             )
 
-    def _check_duplicates(self, effects: list[RuleEffects]) -> None:
-        """A rule that repeats an earlier one, and two rules on one trigger
-        moving one target to two literal Cores."""
-        seen: dict[Rule, Rule] = {}
-        by_trigger: dict[tuple, list[RuleEffects]] = {}
-        for rule_effects in effects:
-            rule = rule_effects.rule
-            first = seen.setdefault(rule, rule)
-            if first is not rule:
-                at = f" (line {first.span.line})" if first.span else ""
-                self._emit(
-                    "FG107",
-                    f"rule duplicates an earlier 'on {rule.event}' rule{at}",
-                    rule.span,
-                )
-            by_trigger.setdefault(rule_effects.trigger_key, []).append(rule_effects)
-        for group in by_trigger.values():
-            if len(group) < 2:
-                continue
-            moves: dict[str, tuple[str, Rule]] = {}
-            for rule_effects in group:
-                for move in rule_effects.moves:
-                    if not move.destination_literal:
-                        continue
-                    prior = moves.setdefault(move.target, (move.destination, rule_effects.rule))
-                    if prior[0] != move.destination:
-                        at = f" (line {prior[1].span.line})" if prior[1].span else ""
-                        self._emit(
-                            "FG107",
-                            f"conflicts with an earlier rule{at}: same trigger "
-                            f"moves the same target to {prior[0]!r} and to "
-                            f"{move.destination!r}",
-                            move.span,
-                            severity=Severity.ERROR,
-                        )
-
 
 @dataclass(frozen=True)
 class ArrivalCycle:
@@ -551,3 +549,146 @@ def _walk(succ: dict[str, set[str]], within: frozenset[str], stops) -> list[str]
                     queue.append(nxt)
         walk += paths[goal]
     return walk
+
+
+#: Events that are facets of one physical episode; rules on any two
+#: members can be outstanding at the same instant.
+_FRONTIERS: dict[str, str] = {
+    "completArrived": "arrival",
+    "moveCompleted": "arrival",
+    "completDeparted": "arrival",
+    "moveFailed": "arrival",
+    "coreFailed": "failure",
+    "coreSuspected": "failure",
+    "coreRecovered": "failure",
+    "completRecovered": "failure",
+    "completRestored": "failure",
+    "coreReconciled": "failure",
+    "shutdown": "shutdown",
+    "coreShutdown": "shutdown",
+}
+_CODES: dict[frozenset[type], str] = {
+    frozenset({MoveEffect}): "FG401",
+    frozenset({MoveEffect, CallEffect}): "FG403",
+    frozenset({RetypeEffect}): "FG404",
+}
+Effect = MoveEffect | RetypeEffect | CallEffect
+
+
+def _co_enabled(a: RuleEffects, b: RuleEffects) -> bool:
+    """Whether one event episode can have firings of two rules in flight:
+    their events are facets of one frontier, or either is asynchronous (a
+    timer or a profiled threshold). Listen scopes do not separate them."""
+    if a.rule is b.rule:
+        return False
+    if any(e.event == "timer" or e.event not in CORE_EVENTS for e in (a, b)):
+        return True
+    return _FRONTIERS.get(a.event, a.event) == _FRONTIERS.get(b.event, b.event)
+
+
+@dataclass(frozen=True)
+class OrderDependence:
+    """Two effects of co-enabled rules whose two orders end in different
+    layouts, and what ends differently (None for a whole-Core failover)."""
+
+    code: str
+    subject: str | None
+    first: RuleEffects
+    first_effect: Any  # an Effect of ``first``
+    second: RuleEffects
+    second_effect: Any
+
+
+def order_dependences(
+    effects: list[RuleEffects], model: LayoutModel | None = None
+) -> list[OrderDependence]:
+    """Each pair of effects of co-enabled rules in ``effects`` whose pull
+    groups share a complet and whose two orders, each run on a copy of
+    ``model`` (a live cluster's, else an empty layout), end with different
+    hosts, reference types or failures (:mod:`repro.analysis.interaction`).
+
+    A ``restore`` or ``failover`` moves its complet to a Core no rule names
+    (one naming no literal complet, whatever the other effect moves).  Two
+    literal moves on one trigger of one script are its FG107, a rule's own
+    two included once a second rule shares the trigger.
+    """
+    base = model if model is not None else LayoutModel([])
+    ops = [
+        (e, x) for e in effects for x in (*e.moves, *e.retypes, *e.calls)
+        if not isinstance(x, CallEffect) or x.name in ("failover", "restore")
+    ]
+    triggers = collections.Counter((e.script_index, e.trigger_key) for e in effects)
+    touching: dict[str, list[int]] = {}
+    anywhere: list[int] = []  # recoveries that may re-place any complet
+    for index, (_, x) in enumerate(ops):
+        name = _target(x)
+        if isinstance(x, RetypeEffect):
+            name = "&" + x.reference
+        elif name is None:
+            anywhere.append(index)
+            continue
+        for cid in base.pull_group(name) if name in base.hosts else [name]:
+            touching.setdefault(cid, []).append(index)
+    pairs = {pair for indexes in touching.values() for pair in itertools.combinations(indexes, 2)}
+    movers = [index for index, (_, x) in enumerate(ops) if isinstance(x, MoveEffect)]
+    pairs.update((min(r, m), max(r, m)) for r in anywhere for m in movers)
+    found: list[OrderDependence] = []
+    for i, j in sorted(pairs):
+        (a, x), (b, y) = ops[i], ops[j]
+        trigger = (a.script_index, a.trigger_key)
+        if isinstance(x, MoveEffect) and isinstance(y, MoveEffect) and x.destination_literal \
+                and y.destination_literal and trigger == (b.script_index, b.trigger_key):
+            code = "FG107" if a is not b or triggers[trigger] > 1 else None
+        else:
+            code = _CODES.get(frozenset({type(x), type(y)})) if _co_enabled(a, b) else None
+        if code is None:
+            continue
+        ends = [_run(base, x, y), _run(base, y, x)]
+        if ends[0] != ends[1]:
+            found.append(OrderDependence(code, _subject(ends[0][0], ends[1][0], x, y), a, x, b, y))
+    return found
+
+
+def _target(effect: Effect) -> str | None:
+    """The complet a move or a ``restore`` names, if it names one."""
+    if isinstance(effect, MoveEffect):
+        return effect.target
+    if isinstance(effect, CallEffect) and effect.name == "restore" and effect.literal_args:
+        return effect.literal_args[0]
+    return None
+
+
+def _run(base: LayoutModel, first: Effect, then: Effect):
+    """``first`` then ``then`` on a copy of ``base``: each complet's host and
+    reference types after them, and the failure of each effect that failed."""
+    trial = base.copy()
+    for effect in (first, then):
+        name = _target(effect)
+        if name is not None and name not in trial.hosts:
+            trial.create(name, "?", object)  # on a Core no rule names
+        if isinstance(effect, RetypeEffect):
+            trial.create("&" + effect.reference, "?", object, [effect.reference])
+    known, failures = list(trial.hosts), dict[int, str]()
+    for effect, other in ((first, then), (then, first)):
+        try:
+            if isinstance(effect, RetypeEffect):
+                trial.retype("&" + effect.reference, effect.reference, effect.type_name)
+            elif isinstance(effect, MoveEffect):
+                trial.move(effect.target, effect.destination)
+            else:  # a recovery: to a Core no rule names
+                trial.move(str(_target(effect) or _target(other)), "?recovered")
+        except FarGoError as exc:
+            failures[id(effect)] = type(exc).__name__
+    ends = {cid: (trial.hosts[cid], [ref.type for ref in trial.refs[cid]]) for cid in known}
+    return ends, failures
+
+
+def _subject(one: dict, other: dict, x: Effect, y: Effect) -> str | None:
+    """What the two orders leave differently, the effects' own targets first."""
+    if isinstance(x, RetypeEffect):
+        return x.reference
+    if "failover" in (getattr(x, "name", None), getattr(y, "name", None)):
+        return None
+    named = (_target(y), _target(x), *sorted(one))
+    differ = [cid for cid in named if one.get(cid, 0) != other.get(cid, 0)]
+    return [*differ, _target(y) or _target(x)][0]

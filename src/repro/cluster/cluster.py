@@ -592,7 +592,8 @@ class Cluster:
         was run with, and over the candidate ``script``, if given, at
         ``<candidate>``, resolving Core and complet names in the topology;
         then over all of them as one set (FG401–FG404,
-        :func:`~repro.analysis.check_script_set`).
+        :func:`~repro.analysis.check_script_set`), every rule run on the
+        cluster's :class:`~repro.analysis.LayoutModel`.
         It reads live anchors, so it refuses on ``procs``.  ``plan``
         — a :class:`~repro.analysis.MovePlan` — is vetted against the
         topology and the installed rules (FG405–FG409).  When the
@@ -601,6 +602,7 @@ class Cluster:
         list of :class:`repro.analysis.Diagnostic`.
         """
         from repro.analysis import (
+            LayoutModel,
             TopologyInfo,
             check_anchor_live,
             check_plan,
@@ -612,7 +614,8 @@ class Cluster:
 
         self._local("analyze()")
         topology = TopologyInfo.from_cluster(self)
-        diagnostics = list(check_relocation(self))
+        model = LayoutModel.of(self)
+        diagnostics = list(check_relocation(model))
         for core in self.running_cores():
             for anchor in core.repository.anchors():
                 diagnostics.extend(check_anchor_live(anchor, hosted_at=core.name))
@@ -621,6 +624,7 @@ class Cluster:
         each, together = check_script_set(
             [(source, label, len(args)) for source, label, args in installed] + candidate,
             topology=topology,
+            model=model,
         )
         diagnostics.extend(d for report in each for d in report)
         diagnostics.extend(together)

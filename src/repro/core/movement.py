@@ -85,6 +85,9 @@ class MovementUnit:
         self._moves_sent = core.metrics.counter("movement.moves_sent")
         self._moves_received = core.metrics.counter("movement.moves_received")
         self._moves_aborted = core.metrics.counter("movement.moves_aborted")
+        #: complet -> the destination its departure's phase two commits it
+        #: to: until it is released here, a move of it is that Core's to make.
+        self._departing: dict[CompletId, str] = {}
 
     @property
     def moves_sent(self) -> int:
@@ -131,6 +134,8 @@ class MovementUnit:
         anchor = self._resolve_local(target)
         if anchor is None:
             return self._forward_request(target, destination, continuation)
+        if anchor.complet_id in self._departing:
+            return self._chase(anchor.complet_id, destination, continuation, 0) is not False
         if destination == self.core.name:
             return False  # already in place; a move would be a no-op
         self._move_local(anchor, destination, continuation)
@@ -201,6 +206,7 @@ class MovementUnit:
             with execution_context(self.core, mover.complet_id):
                 mover.pre_departure(destination)
                 bump_state_version(mover)
+        self._departing.update(dict.fromkeys(plan.movers, destination))
         try:
             payload = MovementMarshaler(self.core, plan).payload(continuation, requester)
             # The commit request is deadline-exempt: once the destination's
@@ -216,6 +222,8 @@ class MovementUnit:
             )
         except Exception as exc:
             # Phase two never committed: undo phase one and keep hosting.
+            for complet_id in plan.movers:
+                self._departing.pop(complet_id, None)
             if sanitizer is not None:
                 for subject in stamps:
                     sanitizer.abort_move(subject, destination)
@@ -241,6 +249,7 @@ class MovementUnit:
             with execution_context(self.core, complet_id):
                 mover.post_departure()
             self.core.repository.release(complet_id)
+            self._departing.pop(complet_id, None)
             self.core.events.publish(
                 "completDeparted",
                 complet=str(complet_id),
@@ -440,22 +449,32 @@ class MovementUnit:
             args, kwargs = self.core.invocation.marshaler.loads(args_bytes)  # type: ignore[misc]
             continuation = Continuation(method, args, kwargs)
         anchor = self.core.repository.get(target_id)
-        tracker = self.core.repository.existing_tracker(target_id)
-        if anchor is not None:
+        if anchor is not None and target_id not in self._departing:
             if destination == self.core.name:
                 return False
+            tracker = self.core.repository.existing_tracker(target_id)
             assert tracker is not None  # a hosted complet's own tracker
             moved_to = self._move_local(anchor, destination, continuation, pointer)
             if pointer is not None:
                 # Only once the move is done: a failure leaves the requester registered.
                 tracker.note_pointer(*pointer, registered=False)
             return moved_to
-        # The complet moved on; chase it via our tracker if we have one.
-        if tracker is None:
-            raise CompletError(
-                f"Core {self.core.name!r} does not host (or track) {target_id}"
-            )
-        host = self.core.references.locate(tracker)
+        return self._chase(target_id, destination, continuation, hops)
+
+    def _chase(
+        self, target_id: CompletId, destination: str, continuation: Continuation | None, hops: int
+    ) -> bool | None:
+        """Pass a move on to the Core a departure is committing the complet
+        to, else to where this Core's tracker finds it: False if it is at
+        ``destination``, else None (whether it moved, never its address)."""
+        host = self._departing.get(target_id)
+        if host is None:
+            tracker = self.core.repository.existing_tracker(target_id)
+            if tracker is None:
+                raise CompletError(
+                    f"Core {self.core.name!r} does not host (or track) {target_id}"
+                )
+            host = self.core.references.locate(tracker)
         if host == destination:
             return False
         moved = self.core.peer.request(
@@ -463,7 +482,6 @@ class MovementUnit:
             MessageKind.MOVE_REQUEST,
             self._request_body(target_id, destination, continuation, hops + 1),
         )
-        # Whether it moved, never the far host's address: nothing was handed over.
         return False if moved is False else None
 
     # -- remote duplicates -------------------------------------------------------------------

@@ -135,8 +135,9 @@ class _ActiveRule:
     rule: Rule
     #: How the layout journal names the rule: script label, line, head.
     label: str
-    #: Its script's positional arguments (``%1``, ``%2``...).
+    #: Its script's positional arguments (``%1``, ``%2``...) and variables.
     args: tuple
+    env: dict
     #: (core, callback_id) handles from subscribe_remote.
     subscriptions: list[tuple[str, int]] = field(default_factory=list)
     #: (core_name, watch_id) pairs for installed threshold watches.
@@ -154,6 +155,7 @@ class ScriptEngine:
         self.core: Core = cluster.core(home) if home is not None else cluster.seat
         #: ``log <expr>`` output, in order.
         self.log: list[str] = []
+        #: The variables of the script running or firing now: each script has its own.
         self._globals: dict[str, object] = {}
         self._args: tuple = ()
         self._actions: dict[str, Callable[..., object]] = {}
@@ -204,7 +206,7 @@ class ScriptEngine:
         return self.run_script(script, args)
 
     def run_script(self, script: Script, args: tuple | list = ()) -> Script:
-        self._args = tuple(args)
+        self._args, self._globals = tuple(args), {}
         self.installed.append(
             (script, f"<{self.core.name}:script#{len(self.installed) + 1}>", self._args)
         )
@@ -239,7 +241,7 @@ class ScriptEngine:
     def _activate(self, rule: Rule) -> None:
         line = f":{rule.span.line}" if rule.span is not None else ""
         _, label, args = self.installed[-1]
-        active = _ActiveRule(rule, f"{label}{line} {_describe_rule(rule)}", args)
+        active = _ActiveRule(rule, f"{label}{line} {_describe_rule(rule)}", args, self._globals)
         self._active.append(active)
         if rule.event == "timer":
             self._activate_timer(rule, active)
@@ -449,13 +451,13 @@ class ScriptEngine:
                         f"script:{rule.event}", category="script", trigger=event.name
                     )
                 )
-            # A rule reads %n from its own script's arguments, not the last run's.
-            outer = self._firing, self._args
-            self._firing, self._args = active.label, active.args
+            # A rule reads %n and $x from its own script, not the last run's.
+            outer = self._firing, self._args, self._globals
+            self._firing, self._args, self._globals = active.label, active.args, active.env
             try:
                 self._run_rule(rule, event)
             finally:
-                self._firing, self._args = outer
+                self._firing, self._args, self._globals = outer
 
     def _run_rule(self, rule: Rule, event: Event) -> None:
         env = dict(self._globals)

@@ -2,18 +2,37 @@
 
 from repro.analysis.interaction import (
     check_interaction,
-    co_firable,
     coerce_scripts,
-    find_move_races,
-    find_recovery_conflicts,
-    find_retype_races,
     script_set_effects,
 )
-from repro.analysis.script_check import TopologyInfo, check_script
+from repro.analysis.model import LayoutModel
+from repro.analysis.script_check import TopologyInfo, check_script, order_dependences
+from repro.cluster.cluster import Cluster
+from repro.cluster.workload import DataSource, Worker
+from repro.complet.stub import stub_target_id
+from repro.script.interpreter import ScriptEngine
 
 
 def effects_of(*sources: str):
     return script_set_effects(coerce_scripts(list(sources)))
+
+
+def found_in_model(model, *sources: str):
+    """``(code, subject)`` of each order-dependent pair of the set on ``model``."""
+    return [(found.code, found.subject) for found in order_dependences(effects_of(*sources), model)]
+
+
+def found_in(*sources: str):
+    return found_in_model(None, *sources)
+
+
+def race_between(first_head: str, second_head: str) -> bool:
+    """Whether two rules with these heads, moving one complet to two Cores, race."""
+    found = found_in(
+        f'{first_head} do move "w" to "d" end', f'{second_head} do move "w" to "e" end'
+    )
+    assert found in ([], [("FG401", "w")])
+    return bool(found)
 
 
 def codes(diagnostics):
@@ -22,40 +41,22 @@ def codes(diagnostics):
 
 class TestCoFirability:
     def test_same_frontier_events_co_fire(self):
-        a, b = effects_of(
-            'on completArrived do log "x" end',
-            'on moveCompleted do log "y" end',
-        )
-        assert co_firable(a, b)
+        assert race_between("on completArrived", "on moveCompleted")
 
     def test_different_frontiers_do_not_co_fire(self):
-        a, b = effects_of(
-            'on completArrived do log "x" end',
-            'on coreFailed firedby $c do log "y" end',
-        )
-        assert not co_firable(a, b)
+        assert not race_between("on completArrived", "on coreFailed firedby $c")
 
     def test_timer_co_fires_with_everything(self):
-        a, b = effects_of(
-            'on timer(5) do log "x" end',
-            'on coreFailed firedby $c do log "y" end',
-        )
-        assert co_firable(a, b)
+        assert race_between("on timer(5)", "on coreFailed firedby $c")
 
     def test_profiled_events_are_async(self):
-        a, b = effects_of(
-            "on cpuLoad(0.9) firedby $c do log \"x\" end",
-            'on shutdown firedby $c do log "y" end',
-        )
-        assert co_firable(a, b)
+        assert race_between("on cpuLoad(0.9) firedby $c", "on shutdown firedby $c")
 
     def test_listen_scopes_do_not_separate_rules(self):
         # Two arrivals at two different Cores can be in flight together.
-        a, b = effects_of(
-            'on completArrived listenAt [c1] do log "x" end',
-            'on completArrived listenAt [c2] do log "y" end',
+        assert race_between(
+            "on completArrived listenAt [c1]", "on completArrived listenAt [c2]"
         )
-        assert co_firable(a, b)
 
 
 class TestMoveRaces:
@@ -98,17 +99,23 @@ class TestMoveRaces:
         )
         per_script = check_script(source)
         assert "FG107" in [d.code for d in per_script]
-        races = find_move_races(effects_of(source))
-        assert races == []
+        assert found_in(source) == [("FG107", "srv")]
+        assert check_interaction([source]) == []
 
     def test_same_trigger_across_scripts_is_still_a_race(self):
-        races = find_move_races(
-            effects_of(
-                'on shutdown firedby $c do move "srv" to "c1" end',
-                'on shutdown firedby $c do move "srv" to "c2" end',
-            )
-        )
-        assert [race.subject for race in races] == ["srv"]
+        assert found_in(
+            'on shutdown firedby $c do move "srv" to "c1" end',
+            'on shutdown firedby $c do move "srv" to "c2" end',
+        ) == [("FG401", "srv")]
+
+    def test_a_rules_own_moves_are_ordered(self):
+        # One rule's actions run in order: no race, and no FG107 while no
+        # other rule shares its trigger.
+        source = 'on shutdown firedby $c do move "srv" to "c1" move "srv" to "c2" end'
+        assert found_in(source) == []
+        assert found_in(source + '\non shutdown firedby $c do log "x" end') == [
+            ("FG107", "srv")
+        ]
 
 
 class TestOscillation:
@@ -140,13 +147,10 @@ class TestRecoveryConflicts:
         assert "restore of 'w'" in d.message
 
     def test_restore_of_other_complet_does_not_conflict(self):
-        conflicts = find_recovery_conflicts(
-            effects_of(
-                'on completArrived do move "w" to "d" end',
-                'on moveFailed firedby $m do call restore("other") end',
-            )
-        )
-        assert conflicts == []
+        assert found_in(
+            'on completArrived do move "w" to "d" end',
+            'on moveFailed firedby $m do call restore("other") end',
+        ) == []
 
     def test_whole_core_failover_conflicts_with_any_move(self):
         diagnostics = check_interaction(
@@ -160,13 +164,16 @@ class TestRecoveryConflicts:
         assert "whole-Core failover" in d.message
 
     def test_non_co_firable_recovery_is_silent(self):
-        conflicts = find_recovery_conflicts(
-            effects_of(
-                'on completArrived do move "w" to "d" end',
-                'on coreFailed firedby $f do call failover($f) end',
-            )
-        )
-        assert conflicts == []
+        assert found_in(
+            'on completArrived do move "w" to "d" end',
+            'on coreFailed firedby $f do call failover($f) end',
+        ) == []
+
+    def test_a_dynamic_restore_re_places_what_the_move_moves(self):
+        assert found_in(
+            'on completArrived do move $w to "d" end',
+            'on moveFailed firedby $m do call restore($m) end',
+        ) == [("FG403", "$w")]
 
 
 class TestRetypeRaces:
@@ -182,22 +189,16 @@ class TestRetypeRaces:
         assert "'duplicate'" in diagnostics[0].message
 
     def test_same_type_retypes_do_not_race(self):
-        races = find_retype_races(
-            effects_of(
-                "on completArrived do retype $r to pull end",
-                "on moveCompleted do retype $r to pull end",
-            )
-        )
-        assert races == []
+        assert found_in(
+            "on completArrived do retype $r to pull end",
+            "on moveCompleted do retype $r to pull end",
+        ) == []
 
     def test_different_references_do_not_race(self):
-        races = find_retype_races(
-            effects_of(
-                "on completArrived do retype $r to pull end",
-                "on moveCompleted do retype $q to duplicate end",
-            )
-        )
-        assert races == []
+        assert found_in(
+            "on completArrived do retype $r to pull end",
+            "on moveCompleted do retype $q to duplicate end",
+        ) == []
 
 
 class TestCrossScriptCycles:
@@ -291,3 +292,31 @@ class TestInputShapes:
             topology=TopologyInfo(cores=frozenset({"c1", "c2"})),
         )
         assert "FG402" in codes(diagnostics)
+
+
+class TestOnALiveLayout:
+    def test_a_move_carries_its_pull_group_into_a_race(self):
+        # x pulls y: moving x to d takes y along, so a rule that moves y to e
+        # leaves y at d or at e by firing order.
+        cluster = Cluster(["a", "b", "c", "d", "e"])
+        y = DataSource(size=64, _core=cluster["a"], _at="c")
+        x = Worker(y, _core=cluster["a"], _at="c")
+        x_id, y_id = str(stub_target_id(x)), str(stub_target_id(y))
+        assert cluster.admin("c").retype(x_id, y_id, "pull")
+        moves = [
+            f'on completArrived listenAt [a] do move "{x_id}" to "d" end',
+            f'on completArrived listenAt [b] do move "{y_id}" to "e" end',
+        ]
+        ScriptEngine(cluster, home="a").run(moves[0])
+        ScriptEngine(cluster, home="b").run(moves[1])
+        fg401 = [d for d in cluster.analyze() if d.code == "FG401"]
+        assert [d.render() for d in fg401] == [
+            f"<b:script#1>:1:35: warning FG401: move of {y_id!r} to 'e' races the move "
+            f"to 'd' in <a:script#1>:1 (on completArrived); both rules can fire from "
+            f"the same event frontier"
+        ]
+        # Without the model no spelling is shared, so nothing pairs them.
+        assert check_interaction(moves) == []
+        model = LayoutModel.of(cluster)
+        assert found_in_model(model, *moves) == [("FG401", y_id)]
+        assert model.hosts[y_id] == "c"  # the check ran on copies

@@ -1,7 +1,7 @@
 """Property: sanitizer-observed races ⊆ statically-warned races.
 
-The static interaction checker (FG401/FG403) over-approximates: it
-assumes every co-firable rule pair actually fires together.  The
+The static order-dependence check (FG401/FG403) over-approximates: it
+assumes every co-enabled rule pair actually fires together.  The
 LayoutSanitizer under-approximates: it only sees the schedules that
 actually ran.  Soundness of the pair is the containment — under *any*
 random script set and event schedule, every race the sanitizer observes
@@ -18,12 +18,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.interaction import (
-    coerce_scripts,
-    find_move_races,
-    find_recovery_conflicts,
-    script_set_effects,
-)
+from repro.analysis.interaction import coerce_scripts, script_set_effects
+from repro.analysis.script_check import order_dependences
 from repro.cluster.cluster import Cluster
 from repro.cluster.workload import Counter
 from repro.script.interpreter import ScriptEngine
@@ -89,10 +85,10 @@ class TestObservedSubsetOfStatic:
         races = cluster.sanitizer.races
         if not races:
             return
-        effects = script_set_effects(coerce_scripts(sources))
-        move_subjects = {race.subject for race in find_move_races(effects)}
+        found = order_dependences(script_set_effects(coerce_scripts(sources)))
+        move_subjects = {race.subject for race in found if race.code == "FG401"}
         recovery_subjects = {
-            conflict.subject for conflict in find_recovery_conflicts(effects)
+            conflict.subject for conflict in found if conflict.code == "FG403"
         }
         for race in races:
             kinds = {race.first_kind, race.second_kind}

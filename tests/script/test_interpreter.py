@@ -204,6 +204,14 @@ class TestScriptArguments:
         cluster3.move(Counter(0, _core=cluster3["alpha"]), "gamma")
         assert cluster3.locate(counter) == "alpha"
 
+    def test_each_rule_reads_its_own_scripts_variables(self, cluster3, engine3):
+        a = Counter(0, _core=cluster3["alpha"], _at="beta")
+        b = Counter(0, _core=cluster3["alpha"], _at="beta")
+        engine3.run('$c = %1\non completArrived listenAt ["gamma"] do move $c to "alpha" end', (a,))
+        engine3.run("$c = %1", (b,))
+        cluster3.move(Counter(0, _core=cluster3["alpha"]), "gamma")
+        assert (cluster3.locate(a), cluster3.locate(b)) == ("alpha", "beta")
+
     def test_installed_records_each_scripts_arguments(self, engine3):
         engine3.run("$first = %1", args=("one",))
         engine3.run('$second = "two"')
