@@ -106,11 +106,15 @@ MODULE_VERDICTS = {
         "and `taskfarm` areas run its solvers, every script move its executor"
     ),
     "analysis/model.py": (
-        "kept for aim 3: the executable §3 layout contract; the cluster state machine checks "
-        "`sim`, `tcp` and `procs` against it step by step, and FG201–FG205 are its predicates"
+        "kept for aim 3: the executable §3 layout contract, failures and recovery included; "
+        "the chaos soaks and the cluster state machine check their cluster against it step by "
+        "step, and FG201–FG205 are its predicates"
     ),
     "apps/catalog.py": "kept: `examples/replicated_catalog.py` runs it",
-    "cluster/chaos.py": "kept for aim 3: the seeded chaos soaks (`python -m repro.cluster.chaos`)",
+    "cluster/chaos.py": (
+        "kept for aim 3: the seeded chaos soaks (`python -m repro.cluster.chaos`), checked "
+        "against `analysis/model.py`"
+    ),
     "complet/compiler.py": "paper artifact: the stub compiler (`python -m repro.complet.compiler`)",
     "trace/export.py": "kept for aim 4: `cluster.traces()` and the chaos soaks' Chrome traces",
     "viewer/traceview.py": "kept for aim 4: the shell's trace view",

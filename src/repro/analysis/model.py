@@ -14,8 +14,13 @@ their own.  A move to where the complet is changes nothing.
 :meth:`~LayoutModel.invoke` answers the host, or the typed error of a
 crashed one.  :meth:`LayoutModel.of` alone reads a running cluster; the
 transitions call no runtime code, so the model is an oracle independent
-of what it checks (the cluster state machine steps one beside every
-backend).
+of what it checks.  Failures are transitions whose input is where the
+runtime put each complet: :meth:`~LayoutModel.crash_core`,
+:meth:`~LayoutModel.restore` (which returns how a recovery breaks the
+contract), :meth:`~LayoutModel.revive` (stale copies stay until its
+:meth:`~LayoutModel.reconcile`), :meth:`~LayoutModel.partition` and
+:meth:`~LayoutModel.heal`.  The chaos soak and the cluster state machine
+step one beside their cluster and compare with :func:`layout_mismatches`.
 
 :func:`check_relocation` reports what the declared semantics will do
 before a move enacts them: FG201 a pull group that amplifies a move,
@@ -70,8 +75,14 @@ class LayoutModel:
     sizes: dict[str, int] = field(default_factory=dict)
     refs: dict[str, list[Ref]] = field(default_factory=dict)
     crashed: set[str] = field(default_factory=set)
-    #: complet id -> invocations that reached it.
-    calls: collections.Counter = field(default_factory=collections.Counter)
+    #: complet id -> the counts of invocations it may hold (one, until a
+    #: restore brings back a checkpoint), and that count at its last checkpoint.
+    counts: dict[str, range] = field(default_factory=dict)
+    saved: collections.Counter = field(default_factory=collections.Counter)
+    #: Core -> its stale copies, restored elsewhere while it was down.
+    stale: dict[str, set[str]] = field(default_factory=dict)
+    #: The partition's groups (the Cores in none form one more); [] when whole.
+    groups: list[set[str]] = field(default_factory=list)
     #: Core -> the store's offload threshold there; None without a store.
     offload: dict[str, int | None] = field(default_factory=dict)
     #: FG301/FG302 for complets whose closure could not be sized.
@@ -129,11 +140,85 @@ class LayoutModel:
     def crash_core(self, core: str) -> None:
         self.crashed.add(core)
 
+    def checkpoint(self, core: str) -> None:
+        self.saved.update({cid: self.counts.get(cid, range(1)).start for cid in self.hosted(core)})
+
+    def restore(self, failed: str, destination: str, restored=None, degraded=(), skipped=(),
+                unrepaired=()) -> list[str]:
+        """Bring ``failed``'s complets back at ``destination``, where the runtime put them.
+
+        ``restored`` lists those back under their own ids (None: all, as a
+        respawned child restores its predecessor's), ``degraded`` the fresh
+        ids of copies (each paired with an original of its type), ``skipped``
+        those left because they live elsewhere, and ``unrepaired`` the
+        trackers still pointing into the grave.  Returns each breach of the
+        contract, one line each.
+        """
+        mine, respawn = self.hosted(failed), destination == failed
+        kept = list(mine if restored is None else restored)
+        up = failed not in self.crashed and not respawn
+        breaches = [f"tracker {entry} still points into the grave" for entry in unrepaired]
+        if destination in self.crashed or up and self.reaches(failed, destination):
+            breaches.append(f"{failed} recovered at {destination}, which is down or reaches it")
+        breaches += [f"{cid} skipped, but it lives nowhere else" for cid in skipped
+                     if self.hosts.get(cid) in (None, failed, *self.crashed)]
+        breaches += [f"{cid} came back under its identity {kept.count(cid)} times, or while "
+                     f"{failed} runs it" for cid in sorted(set(kept))
+                     if cid not in mine or kept.count(cid) > 1 or up]
+        left = [cid for cid in mine if cid not in kept and cid not in skipped]
+        landed = [(cid, cid) for cid in mine if cid in kept]
+        for fresh in degraded:  # ids end in their type's name
+            twin = next((c for c in left if c.rpartition(":")[2] == fresh.rpartition(":")[2]), None)
+            if twin is None:
+                breaches.append(f"{fresh} came back, a copy of nothing {failed} hosted")
+            else:
+                left.remove(twin)
+                landed.append((twin, fresh))
+        breaches += [f"{cid} of {failed} did not come back" for cid in left]
+        for cid in (cid for twin, cid in landed if cid == twin):
+            del self.hosts[cid]  # hosted nowhere until it lands
+        for twin, cid in sorted(landed):  # in the store's order: a stamp sees those before it
+            if cid == twin:
+                self.hosts[cid] = destination
+                if not respawn:
+                    self.stale.setdefault(failed, set()).add(cid)
+            else:
+                self.create(cid, destination, self.classes[twin], (), self.sizes[twin])
+                self.saved[cid] = self.saved[twin]
+            self.counts[cid] = range(self.saved[twin], self.counts.get(twin, range(1)).stop)
+            # A snapshot keeps its stamps alone; they resolve where it lands.
+            self.refs[cid] = [self._rebind(ref, destination, "link") if ref.type == "stamp"
+                              else Ref(ref.target) for ref in self.refs[twin]]
+        return breaches
+
+    def revive(self, core: str) -> None:
+        self.crashed.discard(core)
+
+    def reconcile(self, core: str) -> None:
+        """A revived ``core`` has dropped its stale copies."""
+        self.stale.pop(core, None)
+
+    def partition(self, *groups: set[str]) -> None:
+        self.groups = [set(group) for group in groups]
+
+    def heal(self) -> None:
+        self.groups = []
+
+    def reaches(self, a: str, b: str) -> bool:
+        sides = {next((i for i, group in enumerate(self.groups) if c in group), -1) for c in (a, b)}
+        return len(sides) == 1
+
     def invoke(self, cid: str) -> str:
         """The Core an invocation of ``cid`` runs at."""
         host = self._reachable(self.hosts[cid])
-        self.calls[cid] += 1
+        count = self.counts.get(cid, range(1))
+        self.counts[cid] = range(count.start + 1, count.stop + 1)
         return host
+
+    def count(self, cid: str, value: int) -> bool:
+        """Whether ``cid`` may count ``value``; the model then knows it does."""
+        possible, self.counts[cid] = value in self.counts[cid], range(value, value + 1)
+        return possible
 
     def move(self, cid: str, destination: str) -> bool:
         """Move ``cid``'s group to ``destination``; False if it is there already."""
@@ -150,16 +235,7 @@ class LayoutModel:
                     self._reachable(self.hosts[ref.target])
                     copies[ref.target] = f"{ref.target}'{len(self.hosts) + len(copies)}"
                 elif ref.type == "stamp":
-                    there = self.hosted_like(self.classes[ref.target], destination)
-                    if there:
-                        rebound[id(ref)] = Ref(there[0], "stamp", ref.fallback)
-                    elif ref.fallback == "link":
-                        rebound[id(ref)] = Ref(ref.target)
-                    else:
-                        raise StampResolutionError(
-                            f"Core {destination!r} hosts no complet of stamped type "
-                            f"{self.classes[ref.target].__name__}"
-                        )
+                    rebound[id(ref)] = self._rebind(ref, destination, ref.fallback)
         for target, copy in copies.items():
             cls, size = self.classes[target], self.sizes.get(target, 0)
             self.create(copy, destination, cls, [r.target for r in self.refs.get(target, ())], size)
@@ -183,6 +259,16 @@ class LayoutModel:
             table[new] = table.pop(old)
         for _source, ref in self.edges():
             ref.target = new if ref.target == old else ref.target
+
+    def _rebind(self, ref: Ref, core: str, fallback: str) -> Ref:
+        """Stamp ``ref`` at ``core``: the first complet of its type there, else
+        a link to its target (``fallback="link"``), else the typed error."""
+        there = self.hosted_like(self.classes[ref.target], core)
+        if there or fallback == "link":
+            return Ref(there[0], "stamp", ref.fallback) if there else Ref(ref.target)
+        raise StampResolutionError(
+            f"Core {core!r} hosts no complet of stamped type {self.classes[ref.target].__name__}"
+        )
 
     def _reachable(self, core: str) -> str:
         if core in self.crashed:
@@ -215,6 +301,29 @@ class LayoutModel:
     def edges(self):
         """Every ``(source, ref)`` pair, in closure order."""
         return ((source, ref) for source, refs in self.refs.items() for ref in refs)
+
+
+def layout_mismatches(model: LayoutModel, cluster: "Cluster") -> list[str]:
+    """Where ``cluster`` differs from ``model``, through its handles alone:
+    each running Core's hosted set (stale copies aside) and each holder's
+    reference rows (target, type, whether local)."""
+    found = []
+    for core in (core for core in model.cores if core not in model.crashed):
+        try:
+            hosted = sorted(cluster.complets_at(core))
+        except FarGoError as exc:
+            found.append(f"Core {core} did not answer: {exc!r}")
+            continue
+        if [cid for cid in hosted if cid not in model.stale.get(core, ())] != model.hosted(core):
+            found.append(f"Core {core} hosts {hosted}, the model {model.hosted(core)}")
+    for holder, refs in model.refs.items():
+        host = model.hosts[holder]
+        if refs and host not in model.crashed:
+            rows = sorted((r["target"], r["type"], r["local"])
+                          for r in cluster.admin(host).references(holder))
+            if rows != sorted((r.target, r.type, model.hosts.get(r.target) == host) for r in refs):
+                found.append(f"complet {holder} holds {rows}")
+    return found
 
 
 def check_relocation(

@@ -18,7 +18,6 @@ its FG401, FG403 and FG404.
 
 from __future__ import annotations
 
-import collections
 import difflib
 import itertools
 from dataclasses import dataclass
@@ -609,15 +608,14 @@ def order_dependences(
 
     A ``restore`` or ``failover`` moves its complet to a Core no rule names
     (one naming no literal complet, whatever the other effect moves).  Two
-    literal moves on one trigger of one script are its FG107, a rule's own
-    two included once a second rule shares the trigger.
+    literal moves of two rules on one trigger of one script are its FG107;
+    a rule's own actions run in order, so its own two moves never pair.
     """
     base = model if model is not None else LayoutModel([])
     ops = [
         (e, x) for e in effects for x in (*e.moves, *e.retypes, *e.calls)
         if not isinstance(x, CallEffect) or x.name in ("failover", "restore")
     ]
-    triggers = collections.Counter((e.script_index, e.trigger_key) for e in effects)
     touching: dict[str, list[int]] = {}
     anywhere: list[int] = []  # recoveries that may re-place any complet
     for index, (_, x) in enumerate(ops):
@@ -638,7 +636,7 @@ def order_dependences(
         trigger = (a.script_index, a.trigger_key)
         if isinstance(x, MoveEffect) and isinstance(y, MoveEffect) and x.destination_literal \
                 and y.destination_literal and trigger == (b.script_index, b.trigger_key):
-            code = "FG107" if a is not b or triggers[trigger] > 1 else None
+            code = "FG107" if a is not b else None
         else:
             code = _CODES.get(frozenset({type(x), type(y)})) if _co_enabled(a, b) else None
         if code is None:

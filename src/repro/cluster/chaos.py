@@ -18,22 +18,15 @@ a request driver keeps calling the complets.  One loop runs it:
 Schedule times are in one unit, chosen by ``clock.is_virtual``: a virtual
 second, or :data:`REAL_UNIT` wall seconds.
 
-Invariants checked throughout the run:
-
-- **no duplicate identities** — a complet identity hosted by two up
-  Cores at two consecutive checks is a violation (one check of grace
-  covers the documented revive-then-reconcile window);
-- **typed failures only** — every driver request either completes or
-  raises a :class:`~repro.errors.FarGoError` subclass; anything else is
-  a violation;
-- **no trackers into the grave** — after every recovery pass, no
-  survivor's tracker for a relocated complet still forwards to the dead
-  Core (stale references minted *later* resolve or fail typed);
-- **MTTR** — a crashed or shut-down Core is up and answering again
-  within ``mttr_budget`` seconds of the run's clock;
-- **full recovery** — once every injected failure has healed and the
-  detectors have settled, every complet answers requests again under its
-  original identity.
+The check: a :class:`~repro.analysis.model.LayoutModel` steps beside the
+cluster, fed each injected failure and each recovery the runtime reports
+(a respawned child restores its complets where it was), and every check
+adds the restore contract's breaches and the
+:func:`~repro.analysis.model.layout_mismatches` of the cluster.  A
+revived Core's stale copies may stay one detector interval, until its
+reconcile.  Besides, every driver request completes or raises a
+:class:`~repro.errors.FarGoError` subclass, and a crashed or shut-down
+Core is up again within ``mttr_budget`` seconds of the run's clock.
 
 Run from the command line (exits non-zero on any violation)::
 
@@ -48,11 +41,12 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 
+from repro.analysis.model import LayoutModel, layout_mismatches
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureInjector
 from repro.cluster.launch import CoreProcesses
 from repro.cluster.supervisor import RestartPolicy, Supervisor
-from repro.cluster.workload import Counter
+from repro.cluster.workload import Counter, Counter_
 from repro.complet.stub import stub_target_id
 from repro.errors import FarGoError
 from repro.recovery import DetectorConfig
@@ -142,13 +136,16 @@ class ChaosRun:
         self.report = ChaosReport(seed=seed, clock="virtual" if virtual else "wall")
         self._next_counter = 0
         self._origin = self._last_check = self.cluster.now
-        #: (instant, Core) of every crash or shutdown not yet seen healed.
+        self.model = LayoutModel(list(self.names))
+        for name, counter in zip(self.names, self._counters):
+            self.model.create(str(stub_target_id(counter)), name, Counter_)
+        #: (instant, Core) of every crash or shutdown not yet seen healed,
+        #: (instant, 1, transition, *args) of each failure fired since the
+        #: last check, and how many recovery reports the model has had.
         self._outages: list[tuple[float, str]] = []
+        self._failures: list[tuple] = []
+        self._fed = 0
         self._end = self._schedule(events, procs is None)
-        #: Identity duplications seen at the previous check (grace window).
-        self._pending_dups: set = set()
-        #: Recovery reports whose post-conditions were already read.
-        self._seen_reports = 0
         self._trace_json = ""
 
     # -- schedule generation -----------------------------------------------------
@@ -176,9 +173,9 @@ class ChaosRun:
                 down_for = self.rng.uniform(4.0, 7.0)
                 self._outages.append((self._at(cursor), victim))
                 down = self.injector.crash_core_at if kind == "crash" else self.injector.shutdown_core_at
-                down(self._at(cursor), victim)
+                self._fail(cursor, down, "crash_core", victim)
                 if simulated:
-                    self.injector.revive_core_at(self._at(cursor + down_for), victim)
+                    self._fail(cursor + down_for, self.injector.revive_core_at, "revive", victim)
                 cursor += down_for
             elif kind == "outage":
                 a, b = self.rng.sample(self.names, 2)
@@ -188,11 +185,25 @@ class ChaosRun:
             else:
                 island = self.rng.choice(self.names)
                 split_for = self.rng.uniform(2.0, 4.0)
-                self.injector.partition_at(self._at(cursor), {island})
-                self.injector.heal_at(self._at(cursor + split_for))
+                self._fail(cursor, self.injector.partition_at, "partition", {island})
+                self._fail(cursor + split_for, self.injector.heal_at, "heal")
                 cursor += split_for
             cursor += self.rng.uniform(1.0, 2.5)
         return cursor
+
+    def _fail(self, units: float, inject, transition: str, *args) -> None:
+        """Inject a failure ``units`` into the run, and give the model its
+        ``transition`` at the next check, timed when it fired.  A detector
+        hears a revived Core within an interval and it reconciles: its stale
+        copies may stay that long."""
+        def fired(transition: str = transition) -> None:
+            self._failures.append((self.cluster.now, 1, transition, *args))
+            if transition == "revive":
+                self.cluster.scheduler.call_after(interval, fired, "reconcile")
+
+        interval = DetectorConfig().interval * self.unit
+        inject(self._at(units), *args)
+        self.cluster.scheduler.call_at(self._at(units), fired)
 
     # -- the request driver --------------------------------------------------------
 
@@ -213,71 +224,45 @@ class ChaosRun:
                 f"untyped failure at t={self._since(self.cluster.now):.2f}: {exc!r}"
             )
 
-    def _up(self) -> list[str]:
-        """Sorted names of the Cores that are neither shut down nor crashed."""
-        return sorted(filter(self.cluster.is_core_up, self.cluster.running_names()))
-
     def _seats(self) -> list[str]:
         """The up Cores of this process, where stubs can be wired."""
-        return [name for name in self._up() if name in self.cluster.cores]
+        up = sorted(filter(self.cluster.is_core_up, self.cluster.running_names()))
+        return [name for name in up if name in self.cluster.cores]
 
     # -- invariants ------------------------------------------------------------------
 
     def _check_invariants(self) -> None:
-        hosts: dict = {}
-        answering = set()
-        for name in self._up():
-            try:
-                complets = self.cluster.complets_at(name)
-            except FarGoError:
-                continue  # a respawned child not yet answering
-            answering.add(name)
-            for complet_id in complets:
-                hosts.setdefault(complet_id, []).append(name)
-        now = self.cluster.now
-        duplicated = {cid for cid, names in hosts.items() if len(names) > 1}
-        # One check of grace: a revived Core holds its stale copies until
-        # a detector notices it and reconciliation runs (≤ one interval).
-        for complet_id in duplicated & self._pending_dups:
-            self.report.violations.append(
-                f"identity {complet_id} hosted at {hosts[complet_id]} "
-                f"for two checks at t={self._since(now):.2f}"
-            )
-        self._pending_dups = duplicated
-
+        now, model = self.cluster.now, self.model
         assert self.cluster.recovery is not None
         reports = self.cluster.recovery.reports
-        for report in reports[self._seen_reports:]:
-            for entry in report.unrepaired:
-                self.report.violations.append(
-                    f"recovery of {report.failed} at t={self._since(report.at):.2f} left "
-                    f"tracker {entry} pointing into the grave"
-                )
-        self._seen_reports = len(reports)
-
+        changes = self._failures + [
+            (r.at, 0, "restore", r.failed, r.destination, r.restored, r.degraded, r.skipped,
+             r.unrepaired) for r in reports[self._fed:]
+        ]
+        self._failures, self._fed = [], len(reports)
+        for _at, _order, transition, *args in sorted(changes, key=lambda change: change[:2]):
+            self._violate(getattr(model, transition)(*args))
         # MTTR: each outage whose injection fired by the previous check.
-        for at, name in list(self._outages):
-            if at >= self._last_check:
-                continue
+        for at, name in [outage for outage in self._outages if outage[0] < self._last_check]:
             late = now - at > self.mttr_budget
             if late:
-                self.report.violations.append(
-                    f"{name} (down at t={self._since(at):.2f}) did not heal within "
-                    f"the {self.mttr_budget:g}s MTTR budget"
-                )
-            if late or name in answering:
+                self._violate([f"{name} (down at t={self._since(at):.2f}) did not heal within "
+                               f"the {self.mttr_budget:g}s MTTR budget"])
+            healed = self.cluster.is_core_up(name) and (
+                self.supervisor is None
+                or self.supervisor.state()["children"][name]["status"] == "running"
+            )
+            if healed and self.supervisor is not None:  # a new life restores its checkpoints
+                model.revive(name)
+                self._violate(model.restore(name, name))
+            if late or healed:
                 self._outages.remove((at, name))
+        self._violate(layout_mismatches(model, self.cluster))
         self._last_check = now
 
-    def _check_final_reachability(self) -> None:
-        for counter in self._counters:
-            try:
-                self.cluster.stub_at(self._seats()[0], counter).read()
-            except Exception as exc:  # noqa: BLE001 - report, do not raise
-                self.report.violations.append(
-                    f"counter born at {stub_target_id(counter).birth_core} "
-                    f"unreachable after full heal: {exc!r}"
-                )
+    def _violate(self, breaches) -> None:
+        at = self._since(self.cluster.now)
+        self.report.violations.extend(f"t={at:.2f}: {breach}" for breach in breaches or ())
 
     # -- execution ---------------------------------------------------------------------
 
@@ -297,7 +282,12 @@ class ChaosRun:
                 self.cluster.advance(CHECK_PERIOD * self.unit)
                 self._check_invariants()
             driver.cancel()
-            self._check_final_reachability()
+            for counter in self._counters:  # healed: each answers where the model has it
+                try:
+                    self.model.invoke(str(stub_target_id(counter)))
+                    self.cluster.stub_at(self._seats()[0], counter).read()
+                except Exception as exc:  # noqa: BLE001 - report, do not raise
+                    self._violate([f"{stub_target_id(counter)} unreachable: {exc!r}"])
             if self.cluster.sanitizer is not None:
                 # No layout script drives this workload, so every operation
                 # the cluster performs is causally ordered — an observed

@@ -374,7 +374,8 @@ def marshal_clone(
     at the original targets, wherever they are.  With ``preserve_stamps``
     (used by persistence snapshots), ``stamp``-typed references keep
     their stamp semantics instead, so a restored complet re-resolves
-    them against whatever the restore destination hosts.
+    them against whatever the restore destination hosts, and keeps the
+    old target as a link where it hosts nothing of that type.
 
     ``offload`` lets the Core's store client substitute a proxy for a
     large stream.  Only wire-bound entries (movement payloads, answered
@@ -402,14 +403,11 @@ def marshal_clone(
             relocator = obj._fargo_meta.get_relocator()
             deps.append((obj, relocator, _token_address(tracker)))
             if preserve_stamps and isinstance(relocator, Stamp):
-                fallback: RefToken | None = None
-                if getattr(relocator, "fallback", "error") == "link":
-                    fallback = RefToken(
-                        obj._fargo_target_id,
-                        tracker.anchor_ref,
-                        _token_address(tracker),
-                        Link(),
-                    )
+                # A restore never fails on a stamp: where nothing of its type
+                # runs, the reference keeps its old target as a link.
+                fallback = RefToken(
+                    obj._fargo_target_id, tracker.anchor_ref, _token_address(tracker), Link()
+                )
                 return (_REF_TAG, StampToken(tracker.anchor_ref, relocator, fallback))
             token = RefToken(
                 obj._fargo_target_id,

@@ -54,7 +54,7 @@ from repro.complet.stub import Stub, stub_target_id, stub_tracker
 from repro.complet.tracker import Pointer, TrackerAddress
 from repro.core.events import MOVE_COMPLETED, MOVE_FAILED
 from repro.core.references import INDETERMINATE_ERRORS
-from repro.errors import CompletError, MovementDeniedError
+from repro.errors import CompletError, FarGoError, MovementDeniedError
 from repro.net.messages import MessageKind
 from repro.net.rpc import NO_DEADLINE
 from repro.net.serializer import PLAIN, Segments
@@ -88,6 +88,9 @@ class MovementUnit:
         #: complet -> the destination its departure's phase two commits it
         #: to: until it is released here, a move of it is that Core's to make.
         self._departing: dict[CompletId, str] = {}
+        #: complet -> the request moving it back here, met before its departure
+        #: committed (an arrival's rule, on sim): sent once it has.
+        self._returning: dict[CompletId, tuple] = {}
 
     @property
     def moves_sent(self) -> int:
@@ -265,6 +268,11 @@ class MovementUnit:
         )
         for stub in plan.remote_pulls:
             self._forward_request(stub, destination, None)
+        for complet_id in self._returning and self._returning.keys() & plan.movers.keys():
+            try:
+                self.core.peer.request(*self._returning.pop(complet_id))
+            except FarGoError:
+                logger.warning("moving %s back failed", complet_id, exc_info=True)
         return arrived[anchor.complet_id][0]
 
     def _abort_departure(
@@ -477,11 +485,12 @@ class MovementUnit:
             host = self.core.references.locate(tracker)
         if host == destination:
             return False
-        moved = self.core.peer.request(
-            host,
-            MessageKind.MOVE_REQUEST,
-            self._request_body(target_id, destination, continuation, hops + 1),
-        )
+        request = (host, MessageKind.MOVE_REQUEST,
+                   self._request_body(target_id, destination, continuation, hops + 1))
+        if destination == self.core.name and target_id in self._departing:
+            self._returning[target_id] = request  # asked once released, as over TCP
+            return None
+        moved = self.core.peer.request(*request)
         return False if moved is False else None
 
     # -- remote duplicates -------------------------------------------------------------------

@@ -22,13 +22,14 @@ Semantics:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 from repro.complet.anchor import Anchor
 from repro.complet.marshal import CloneEntry, marshal_clone, unmarshal_clone
 from repro.complet.stub import Stub, stub_target_id
 from repro.core.events import COMPLET_RESTORED
-from repro.errors import CompletError
+from repro.errors import CompletError, CoreError, TransportError
 from repro.net.serializer import PLAIN
 from repro.util.ids import CompletId
 
@@ -81,8 +82,9 @@ def snapshot(core: "Core", target: Stub | Anchor) -> Snapshot:
     """Checkpoint a complet hosted on ``core``.
 
     ``stamp`` references keep their stamp semantics in the stream (they
-    re-resolve by type wherever the snapshot is restored); every other
-    reference degrades to ``link``, as for any copied graph.
+    re-resolve by type wherever the snapshot is restored, else keep their
+    target as a ``link``); every other reference degrades to ``link``, as
+    for any copied graph.
     """
     anchor = _resolve_hosted(core, target)
     entry: CloneEntry = marshal_clone(
@@ -108,14 +110,21 @@ def restore(core: "Core", snapshot_: Snapshot, *, keep_identity: bool = False) -
 
     entry = CloneEntry(snapshot_.original_id, snapshot_.anchor_ref, snapshot_.stream)
     anchor = unmarshal_clone(core, entry)
+    hop = None
     if not keep_identity:
         anchor._complet_id = core.repository.new_complet_id(anchor)
     else:
         # The identity's old tracker (if any) must host the revenant.
         stale = core.repository.existing_tracker(snapshot_.original_id)
         if stale is not None:
+            hop = stale.next_hop
             stale.mark_dangling()
     tracker = core.repository.adopt(anchor)
+    if hop is not None:
+        # It forwarded there, as an arrival's stale tracker did: a live hop
+        # stops counting it (a dead one refuses the update, and needs none).
+        with contextlib.suppress(CoreError, TransportError):
+            core.references.unregister_remote_pointer(hop, tracker.address, tracker.epoch)
     core.events.publish(
         COMPLET_RESTORED,
         complet=str(anchor.complet_id),

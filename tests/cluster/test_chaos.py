@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cluster.chaos import ChaosReport, ChaosRun, main, run_seeds
+from repro.core.admin import CoreAdmin
+from repro.recovery import RecoveryManager
 
 #: The fixed seed battery CI soaks; every seed must pass.
 SOAK_SEEDS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
@@ -71,6 +73,31 @@ def test_a_crash_past_the_mttr_budget_is_a_violation():
     report = ChaosRun(1, events=2, mttr_budget=1.0).execute()
     assert not report.passed
     assert "did not heal within the 1s MTTR budget" in report.summary()
+
+
+class TestABrokenRecoveryIsAViolation:
+    """Each breaks one step of recovery on a seeded sim run; the run fails."""
+
+    def test_a_stale_copy_outlives_its_revive_window(self, monkeypatch):
+        monkeypatch.setattr(RecoveryManager, "reconcile", lambda self, revived: [])
+        assert not ChaosRun(1).execute().passed
+
+    def test_a_tracker_still_points_into_the_grave(self, monkeypatch):
+        monkeypatch.setattr(CoreAdmin, "repair_trackers", lambda self, failed, relocated: 0)
+        assert not ChaosRun(1).execute().passed
+
+    def test_a_dropped_restore_leaves_its_complet_unreachable(self, monkeypatch):
+        recover_core = RecoveryManager.recover_core
+
+        def dropping(self, failed, destination=None, *, seen_from=None):
+            report = recover_core(self, failed, destination, seen_from=seen_from)
+            host = self.cluster[report.destination]
+            for complet in report.restored:
+                host.repository.release(host.repository.find_by_str(complet).complet_id)
+            return report
+
+        monkeypatch.setattr(RecoveryManager, "recover_core", dropping)
+        assert not ChaosRun(1).execute().passed
 
 
 @pytest.mark.tcp

@@ -348,19 +348,21 @@ class TestHandover:
 
 class TestMovesDuringADeparture:
     @pytest.mark.parametrize("transport", BACKENDS)
-    def test_a_rule_the_arrival_fires_moves_the_complet_on(self, deploy, transport):
+    @pytest.mark.parametrize("then", ["alpha", "beta"])
+    def test_a_rule_the_arrival_fires_moves_the_complet_on(self, deploy, transport, then):
         # The arrival at gamma fires a rule at alpha while beta's departure
         # still awaits gamma's commit reply: the rule's move of x is gamma's
-        # to make, not a second departure from beta.
+        # to make, not a second departure from beta, even back to beta.
         from repro.script.interpreter import ScriptEngine
 
         cluster = deploy(["alpha", "beta", "gamma"], transport)
         x = Counter(0, _core=cluster["alpha"], _at="beta")
         ScriptEngine(cluster, home="alpha").run(
-            'on completArrived listenAt ["gamma"] do move %1 to "alpha" end', (x,)
+            f'on completArrived listenAt ["gamma"] do move %1 to "{then}" end', (x,)
         )
         assert cluster.move(x, "gamma") is True
         hosting = lambda: {n: cluster.complets_at(n) for n in ("alpha", "beta", "gamma")}
-        assert eventually(lambda: hosting()["alpha"] and not hosting()["gamma"])
-        assert hosting() == {"alpha": [str(x._fargo_target_id)], "beta": [], "gamma": []}
+        assert eventually(lambda: hosting()[then] and not hosting()["gamma"])
+        expected = {"alpha": [], "beta": [], "gamma": [], then: [str(x._fargo_target_id)]}
+        assert hosting() == expected
         assert x.increment(1) == 1

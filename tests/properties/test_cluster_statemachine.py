@@ -6,20 +6,17 @@ sources and the workers that read them, pipeline stages, printers and the
 desktops that print on them), moving them from the driver or from their
 host, retyping a holder's reference through ``CoreAdmin.retype``,
 invoking through any reference, creating references at other Cores,
-tracker GC, and crashing a Core — and steps a
+tracker GC, and crashing a Core and recovering it — and steps a
 :class:`~repro.analysis.model.LayoutModel` beside the cluster.  The model
-is the oracle: after every step the observable state equals the model's,
-
-- each running Core's hosted set (``complets_at``);
-- each holder's reference rows (``admin(host).references``): target,
-  type, and whether the target is local;
-- the step's outcome: whether a move moved, an invocation's success (a
-  counter's value counts the calls that reached it), or the typed error
-  the model names: a stamp with nowhere to rebind, a crashed host;
-
-and the runtime's own bookkeeping holds: every Core keeps at most one
-tracker per target, tracker GC never breaks a live reference, and every
-remote-pointer set mirrors the next hops that point at it
+is the oracle: after every step :func:`~repro.analysis.model.layout_mismatches`
+finds nothing (each running Core's hosted set and each holder's
+reference rows: target, type, and whether the target is local), the
+step's outcome is the model's (whether a move moved, an invocation's
+success, a counter's value, or the typed error the model names: a stamp
+with nowhere to rebind, a crashed host), and the runtime's own
+bookkeeping holds: every Core keeps at most one tracker per target,
+tracker GC never breaks a live reference, and every remote-pointer set
+mirrors the next hops that point at it
 (:func:`tests.pointers.pointer_set_violations`).  A ``duplicate`` copy gets
 its id from the runtime: the model names it until the holder's rows show
 the id (:meth:`LayoutModel.rename`).
@@ -31,22 +28,27 @@ processes of their own.  The workload complets are preloaded in every
 itself, which only a Core of this process can do: ``procs`` retypes to
 the ``error`` fallback alone.  The tracker invariant looks inside the
 Cores of this process: all of them on ``sim`` and ``tcp``, the driver on
-``procs``.  The pointer sets are checked after every step
-on ``sim`` and on ``tcp``, with no pause between steps: over TCP a step
-whose one-way updates (discards) are still in flight is not looked at,
-and the next step starts at once, so an update overtaken by a later
+``procs``.  The pointer sets of the running Cores are checked after every
+step on ``sim`` and on ``tcp``, with no pause between steps: over TCP a
+step whose one-way updates (discards) are still in flight is not looked
+at, and the next step starts at once, so an update overtaken by a later
 step's messages is overtaken, a tracker sweep included.  A registration
 is answered before the step that sent it goes on, so no sweep overtakes
 one.  On ``procs`` the sets live in the children.
 
-A crash comes once per run, after its twentieth step, at a Core other
-than the seat.  Every
-reference of the driver is located first, so each points straight at its
-complet's host and no walk passes through the dead Core; then a complet
-hosted there is invoked.  After it only invocations that call no other
-complet run (each dead complet once: over ``procs`` a dead child costs
-the RPC layer's connect retries), and the pointer sets are not checked.
+The crash comes at step :data:`CRASH_AFTER` of every run, at a Core other
+than the seat, once its complets are checkpointed; the runtime's recovery
+is the model's input.  On ``sim`` and ``tcp`` (``enable_recovery()``)
+the ``RecoveryManager`` restores them on a survivor and the Core stays
+down: moves to it fail typed, references held there are dead with it,
+and no reference is made or swept (``Cluster.stub_at`` and tracker GC
+walk every Core the cluster still runs, the crashed one included).  On
+``procs`` a ``Supervisor`` respawns the child, which restores them where
+they were.  Every other step runs after it, through chains of trackers
+that passed the dead Core.
 """
+
+import tempfile
 
 import pytest
 from hypothesis import settings
@@ -61,8 +63,10 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.analysis.model import LayoutModel
+from repro.analysis.model import LayoutModel, layout_mismatches
 from repro.cluster.cluster import Cluster
+from repro.cluster.launch import CoreProcesses
+from repro.cluster.supervisor import Supervisor
 from repro.cluster.workload import (
     Counter,
     Counter_,
@@ -83,14 +87,14 @@ from repro.complet.stub import Stub, stub_core, stub_meta
 from repro.errors import FarGoError
 from repro.net.messages import MessageKind
 from repro.net.serializer import PLAIN
+from repro.recovery import CheckpointStore
 from tests.pointers import eventually, pointer_set_violations
 
 CORES = ["a", "b", "c"]
 #: Complets the model may hold, copies included: bounds the population.
 POPULATION = 8
-#: Steps a run takes before a crash may come: the one that comes leaves only
-#: invocations to run.
-CRASH_AFTER = 20
+#: The step of every run that crashes a Core; twenty more follow it.
+CRASH_AFTER = 10
 #: What a retype may make of a holder's reference; ``stamp-link`` is a stamp
 #: with the ``link`` fallback.
 KINDS = ("link", "pull", "duplicate", "stamp", "stamp-link")
@@ -109,12 +113,17 @@ def _id(stub) -> str:
     return str(stub._fargo_target_id)
 
 
-def no_crash(machine) -> bool:
-    return not machine.model.crashed
+def ready(machine) -> bool:
+    """Whether the step may be any but the crash: it is not yet due, or done."""
+    return machine.steps != CRASH_AFTER or machine.crashed_at is not None
+
+
+def all_up(machine) -> bool:
+    return ready(machine) and not machine.model.crashed
 
 
 def room(machine) -> bool:
-    return no_crash(machine) and len(machine.model.hosts) < POPULATION
+    return ready(machine) and len(machine.model.hosts) < POPULATION
 
 
 class ClusterMachine(RuleBasedStateMachine):
@@ -124,39 +133,44 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        self.cluster = Cluster(CORES, transport=self.TRANSPORT)
+        deployment, self.scratch, self.supervisor = self.TRANSPORT, None, None
+        if self.TRANSPORT == "procs":
+            self.scratch = tempfile.TemporaryDirectory(prefix="repro-machine-ckpt-")
+            deployment = CoreProcesses(CORES, checkpoint_dir=self.scratch.name,
+                                       checkpoint_interval=0.05)
+        self.cluster = Cluster(CORES, transport=deployment)
+        if self.cluster.processes is None:
+            self.cluster.enable_recovery()
+        else:
+            self.supervisor = Supervisor(self.cluster.processes).start()
         self.model = LayoutModel(list(CORES))
-        #: The program's references (located before a crash), and the dead
-        #: complets an invocation has already found so.
-        self.stubs: list = []
-        self.found_dead: set = set()
-        self.steps = 0
-        #: One entry per one-way TRACKER_UPDATE (a discard) a Core of this
-        #: process is about to post, and one per such update one has applied.
+        self.steps, self.crashed_at = 0, None
+        #: (sender, receiver) of each one-way TRACKER_UPDATE (a discard) a
+        #: Core of this process is about to post, and of each one applied.
         self.posted: list = []
         self.landed: list = []
         for core in self.cluster.cores.values():
             endpoint = core.peer.endpoint
             handlers = endpoint._handlers
             handlers[MessageKind.TRACKER_UPDATE] = self._counted(
-                handlers[MessageKind.TRACKER_UPDATE]
+                handlers[MessageKind.TRACKER_UPDATE], core.name
             )
-            endpoint.post = self._counting(endpoint.post)
+            endpoint.post = self._counting(endpoint.post, core.name)
 
-    def _counting(self, post):
+    def _counting(self, post, name):
         def count_then_post(dst, kind, payload):
             if kind is MessageKind.TRACKER_UPDATE:
-                self.posted.append(dst)  # atomic: posts go out on many threads
+                self.posted.append((name, dst))  # atomic: posts go out on many threads
             return post(dst, kind, payload)
 
         return count_then_post
 
-    def _counted(self, handler):
+    def _counted(self, handler, name):
         def apply_then_count(src, payload):
             result = handler(src, payload)
             _serial, _pointer, _epoch, register = PLAIN.loads(payload)
             if not register:
-                self.landed.append(src)
+                self.landed.append((src, name))
             return result
 
         return apply_then_count
@@ -166,11 +180,19 @@ class ClusterMachine(RuleBasedStateMachine):
         if cluster is None:  # the run never got to setup
             return
         try:
-            if self.TRANSPORT != "procs" and not self.model.crashed:
+            if self.TRANSPORT != "procs":
                 assert eventually(self._all_landed)
-                assert not pointer_set_violations(self.cluster.cores.values())
+                assert not pointer_set_violations(self._running())
         finally:
+            if self.supervisor is not None:
+                self.supervisor.stop()
             cluster.close()
+            if self.scratch is not None:
+                self.scratch.cleanup()
+
+    def _running(self) -> list:
+        """The Cores of this process the model does not have crashed."""
+        return [core for core in self.cluster.cores.values() if core.name not in self.model.crashed]
 
     # -- steps on both ---------------------------------------------------------------
 
@@ -186,10 +208,10 @@ class ClusterMachine(RuleBasedStateMachine):
         assert on_cluster() == expected
 
     def _create(self, stub_cls, core, *args, **kwargs):
+        core = CORES[0] if core in self.model.crashed else core
         stub = stub_cls(*args, _core=self.cluster.seat, _at=core, **kwargs)
         targets = [_id(arg) for arg in args if isinstance(arg, Stub)]
         self.model.create(_id(stub), core, stub_cls._fargo_anchor_cls, targets)
-        self.stubs.append(stub)
         return stub
 
     def _bind_copies(self):
@@ -209,6 +231,10 @@ class ClusterMachine(RuleBasedStateMachine):
             chain.append(self.model.refs[chain[-1]][0].target)
         return chain
 
+    def _dead(self, ref) -> bool:
+        """Whether ``ref`` is held at a crashed Core: it is gone with it."""
+        return stub_core(ref).name in self.model.crashed
+
     def _invoke(self, ref):
         cid = _id(ref)
         call = CALLS[self.model.classes[cid]]
@@ -218,11 +244,10 @@ class ClusterMachine(RuleBasedStateMachine):
         except FarGoError as error:
             with pytest.raises(type(error)):
                 call(ref)
-            self.found_dead.add(cid)
             return
         result = call(ref)
         if self.model.classes[cid] is Counter_:
-            assert result == self.model.calls[cid]
+            assert self.model.count(cid, result), (cid, result, self.model.counts[cid])
 
     # -- operations ----------------------------------------------------------------
 
@@ -257,25 +282,27 @@ class ClusterMachine(RuleBasedStateMachine):
     def create_printer(self, core):
         return self._create(Printer, core, core)
 
-    @precondition(no_crash)
+    @precondition(ready)
     @rule(ref=references, destination=st.sampled_from(CORES))
     def move_from_driver(self, ref, destination):
-        self._step(
-            lambda: self.model.move(_id(ref), destination),
-            lambda: self.cluster.move(ref, destination),
-        )
-        self._bind_copies()
+        if not self._dead(ref):
+            self._step(
+                lambda: self.model.move(_id(ref), destination),
+                lambda: self.cluster.move(ref, destination),
+            )
+            self._bind_copies()
 
-    @precondition(no_crash)
+    @precondition(ready)
     @rule(ref=references, destination=st.sampled_from(CORES))
     def move_from_host(self, ref, destination):
-        self._step(
-            lambda: self.model.move(_id(ref), destination),
-            lambda: self.cluster.move_via_host(ref, destination),
-        )
+        # The host the model names: Cluster.move_via_host may take a crashed
+        # Core's stale copy for the host.
+        cid = _id(ref)
+        host = self.cluster.admin(self.model.hosts[cid])
+        self._step(lambda: self.model.move(cid, destination), lambda: host.move(cid, destination))
         self._bind_copies()
 
-    @precondition(lambda self: no_crash(self) and any(self.model.refs.values()))
+    @precondition(lambda self: ready(self) and any(self.model.refs.values()))
     @rule(pick=st.integers(min_value=0, max_value=7), kind=st.sampled_from(KINDS))
     def retype(self, pick, kind):
         """Retype a holder's reference (a worker's, a stage's, a desktop's,
@@ -296,52 +323,66 @@ class ClusterMachine(RuleBasedStateMachine):
         assert self.cluster.admin(host).retype(source, target, kind)
         self.model.retype(source, target, kind)
 
+    @precondition(ready)
     @rule(ref=references)
     def invoke(self, ref):
-        if self._checkable(ref):
+        if not self._dead(ref):
             self._invoke(ref)
 
-    def _checkable(self, ref) -> bool:
-        """Before a crash every invocation is; after it, one that calls no other
-        complet, from a live Core, and not of a complet already found dead."""
-        cid = _id(ref)
-        return not self.model.crashed or (
-            len(self._call_chain(cid)) == 1
-            and cid not in self.found_dead
-            and stub_core(ref).name not in self.model.crashed
-        )
-
-    @precondition(no_crash)
+    @precondition(all_up)
     @rule(target=references, ref=references, at=st.sampled_from(CORES))
     def alias_reference(self, ref, at):
         """A second reference to the same complet, wired elsewhere: at any
         Core of this process (stubs live where the program does)."""
         if at not in self.cluster.cores:
             at = self.cluster.seat.name
-        alias = self.cluster.stub_at(at, ref)
-        self.stubs.append(alias)
-        return alias
+        return self.cluster.stub_at(at, ref)
 
-    @precondition(no_crash)
+    @precondition(all_up)
     @rule()
     def sweep_trackers(self):
         self.cluster.collect_all_trackers()
 
+    @precondition(ready)
     @rule()
     def time_passes(self):
         self.cluster.advance(1.0 if self.cluster.scheduler.clock.is_virtual else 0.001)
 
-    @precondition(lambda self: no_crash(self) and self.steps >= CRASH_AFTER)
+    @precondition(lambda self: not ready(self))
     @rule(core=st.sampled_from(CORES[1:]))
     def crash_core(self, core):
-        assert core != self.cluster.seat.name
-        for stub in self.stubs:
-            self.cluster.locate(stub)
+        """Checkpoint ``core``, crash it, and feed its recovery to the model."""
+        self.crashed_at = self.steps
+        if self.supervisor is None:
+            self.cluster.checkpoints[core].sweep()
+        else:  # until the child's own sweeps have taken each complet there once more
+            store = CheckpointStore(self.scratch.name)
+
+            def newest() -> dict:
+                return {str(record.complet_id): store.generations(record.complet_id)[-1]["gen"]
+                        for record in store.hosted_at(core)}
+
+            taken = newest()
+            assert eventually(lambda: all(
+                newest().get(cid, 0) > taken.get(cid, 0) for cid in self.model.hosted(core)
+            ))
+        self.model.checkpoint(core)
         self.cluster.crash_core(core)
         self.model.crash_core(core)
-        dead = [s for s in self.stubs if self.model.hosts[_id(s)] == core and self._checkable(s)]
-        if dead:
-            self._invoke(dead[0])
+        if self.supervisor is None:
+            r = self.cluster.recovery.recover_core(core)
+            breaches = self.model.restore(
+                r.failed, r.destination, r.restored, r.degraded, r.skipped, r.unrepaired
+            )
+        else:
+            assert eventually(lambda: self._respawned(core), within=30.0)
+            self.model.revive(core)
+            breaches = self.model.restore(core, core)
+        assert not breaches, breaches
+
+    def _respawned(self, core) -> bool:
+        child = self.supervisor.state()["children"][core]
+        return child["restarts"] == 1 and child["status"] == "running"
 
     # -- invariants ---------------------------------------------------------------------
 
@@ -351,17 +392,7 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @invariant()
     def layout_matches_model(self):
-        for core in CORES:
-            if core not in self.model.crashed:
-                assert sorted(self.cluster.complets_at(core)) == self.model.hosted(core), core
-        for holder, refs in self.model.refs.items():
-            host = self.model.hosts[holder]
-            if refs and host not in self.model.crashed:
-                rows = self.cluster.admin(host).references(holder)
-                assert sorted((r["target"], r["type"], r["local"]) for r in rows) == sorted(
-                    (ref.target, ref.type, self.model.hosts.get(ref.target) == host)
-                    for ref in refs
-                ), holder
+        assert not layout_mismatches(self.model, self.cluster)
 
     @invariant()
     def one_tracker_per_target_per_core(self):
@@ -377,13 +408,17 @@ class ClusterMachine(RuleBasedStateMachine):
         # On procs the sets live in the children.  Nothing waits for posts to
         # land: on sim they have, and over TCP a step that left some in
         # flight is looked at by the next step that leaves none.
-        if self.TRANSPORT != "procs" and not self.model.crashed and self._all_landed():
-            violations = pointer_set_violations(self.cluster.cores.values())
+        if self.TRANSPORT != "procs" and self._all_landed():
+            violations = pointer_set_violations(self._running())
             assert not violations, violations
 
     def _all_landed(self) -> bool:
-        """Whether every one-way pointer update has landed (registrations are answered)."""
-        return len(self.landed) == len(self.posted)
+        """Whether every one-way pointer update between running Cores has
+        landed (registrations are answered; a crashed Core's are lost)."""
+        def running(pairs):
+            return sorted(pair for pair in pairs if not set(pair) & self.model.crashed)
+
+        return running(self.landed) == running(self.posted)
 
 
 def machine_on(transport: str, examples: int):

@@ -149,15 +149,15 @@ def test_each_finding_is_reported_once(scripts):
 
     # Same-trigger literal conflicts inside one script: FG107, never FG401.
     for label, rules, report in zip(labels, scripts, single):
-        first_dest: dict[tuple, str] = {}
-        conflicting = set()
-        triggers = [trigger for trigger, _ in rules]
-        for trigger, moves in rules:
-            if triggers.count(trigger) < 2:
-                continue  # one rule's own moves are not two rules' conflict
-            for target, core in moves:
-                if first_dest.setdefault((trigger, target), core) != core:
-                    conflicting.add((trigger, target))
+        conflicting = {
+            (trigger, target)
+            for i, (trigger, moves) in enumerate(rules)
+            for other, others in rules[i + 1:]
+            if other == trigger  # one rule's own moves run in order: never a pair
+            for target, core in moves
+            for target2, core2 in others
+            if target2 == target and core2 != core
+        }
         conflicts = [d for d in report if d.code == "FG107" and "conflicts" in d.message]
         assert bool(conflicts) == bool(conflicting)
         line_trigger = {line: trigger for line, (trigger, _) in enumerate(rules, start=1)}

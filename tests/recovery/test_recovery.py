@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.analysis.model import LayoutModel, layout_mismatches
 from repro.core.events import COMPLET_RECOVERED, CORE_RECONCILED
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureInjector
-from repro.cluster.workload import Counter
+from repro.cluster.workload import Counter, Desktop, Printer
 from repro.errors import CoreNotFoundError, DanglingReferenceError, FarGoError
+from tests.pointers import pointer_set_violations
 
 
 @pytest.fixture
@@ -214,11 +216,46 @@ class TestChainsThroughTheDead:
         """Born at b and moved on by its host to c, the counter is reached
         from a through b.  Once b is written off, a's tracker leads to c, not
         to a dangling end."""
-        cluster = Cluster(["a", "b", "c"])
+        cluster, model = Cluster(["a", "b", "c"]), LayoutModel(["a", "b", "c"])
         counter = Counter(0, _core=cluster["a"], _at="b")
-        cluster.move_via_host(counter, "c")
+        cid = str(counter._fargo_target_id)
+        model.create(cid, "b", Counter._fargo_anchor_cls)
+        assert cluster.move_via_host(counter, "c") is model.move(cid, "c")
         cluster.crash_core("b")
+        model.crash_core("b")
         cluster.enable_recovery()
         cluster.advance(30.0)
-        assert str(counter._fargo_target_id) in cluster.complets_at("c")
+        (r,) = cluster.recovery.reports
+        assert not model.restore(r.failed, r.destination, r.restored, r.degraded, r.skipped,
+                                 r.unrepaired)
+        assert not layout_mismatches(model, cluster)
+        assert model.invoke(cid) == "c" and model.count(cid, counter.increment())
+
+
+class TestWhatARestoreBringsBack:
+    def test_a_stamp_with_nothing_of_its_type_where_it_lands_keeps_its_target(self):
+        cluster = Cluster(["a", "b", "c"])
+        cluster.enable_recovery(auto_recover=False)
+        printer = Printer("site-a", _core=cluster["a"], _at="a")
+        desk = Desktop(printer, _core=cluster["a"], _at="c")
+        desk_id, printer_id = str(desk._fargo_target_id), str(printer._fargo_target_id)
+        assert cluster.admin("c").retype(desk_id, printer_id, "stamp")
+        cluster.checkpoints["c"].sweep()
+        cluster.crash_core("c")
+        assert cluster.recovery.recover_core("c", destination="b").restored == [desk_id]
+        rows = cluster.admin("b").references(desk_id)
+        assert [(row["target"], row["type"]) for row in rows] == [(printer_id, "link")]
+        assert desk.print_report("r") == "printed at site-a: r"
+
+    def test_the_tracker_that_hosts_the_revenant_leaves_the_set_it_forwarded_to(self):
+        """a's tracker forwarded through c to b; restored at a, the complet is
+        hosted behind it, and c's tracker no longer counts it."""
+        cluster = Cluster(["a", "b", "c"])
+        cluster.enable_recovery(auto_recover=False)
+        counter = Counter(0, _core=cluster["a"], _at="c")
+        cluster.move_via_host(counter, "b")
+        cluster.checkpoints["b"].sweep()
+        cluster.crash_core("b")
+        assert cluster.recovery.recover_core("b", destination="a").restored
+        assert not pointer_set_violations([cluster["a"], cluster["c"]])
         assert counter.increment() == 1
