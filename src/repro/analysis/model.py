@@ -75,14 +75,12 @@ class LayoutModel:
     sizes: dict[str, int] = field(default_factory=dict)
     refs: dict[str, list[Ref]] = field(default_factory=dict)
     crashed: set[str] = field(default_factory=set)
-    #: complet id -> the counts of invocations it may hold (one, until a
-    #: restore brings back a checkpoint), and that count at its last checkpoint.
-    counts: dict[str, range] = field(default_factory=dict)
-    saved: collections.Counter = field(default_factory=collections.Counter)
+    #: complet id -> invocations that reached it (a degraded copy, its original's).
+    calls: collections.Counter = field(default_factory=collections.Counter)
     #: Core -> its stale copies, restored elsewhere while it was down.
     stale: dict[str, set[str]] = field(default_factory=dict)
-    #: The partition's groups (the Cores in none form one more); [] when whole.
-    groups: list[set[str]] = field(default_factory=list)
+    #: Core -> its side of a partition (the Cores on none form one more).
+    sides: dict[str, int] = field(default_factory=dict)
     #: Core -> the store's offload threshold there; None without a store.
     offload: dict[str, int | None] = field(default_factory=dict)
     #: FG301/FG302 for complets whose closure could not be sized.
@@ -140,52 +138,43 @@ class LayoutModel:
     def crash_core(self, core: str) -> None:
         self.crashed.add(core)
 
-    def checkpoint(self, core: str) -> None:
-        self.saved.update({cid: self.counts.get(cid, range(1)).start for cid in self.hosted(core)})
-
     def restore(self, failed: str, destination: str, restored=None, degraded=(), skipped=(),
                 unrepaired=()) -> list[str]:
         """Bring ``failed``'s complets back at ``destination``, where the runtime put them.
 
         ``restored`` lists those back under their own ids (None: all, as a
-        respawned child restores its predecessor's), ``degraded`` the fresh
-        ids of copies (each paired with an original of its type), ``skipped``
-        those left because they live elsewhere, and ``unrepaired`` the
-        trackers still pointing into the grave.  Returns each breach of the
-        contract, one line each.
+        respawned child restores its predecessor's), ``degraded`` maps others
+        to their copies' fresh ids, ``skipped`` lists those left because they
+        live elsewhere, and ``unrepaired`` the trackers still pointing into
+        the grave.  Returns each breach of the contract, one line each.
         """
         mine, respawn = self.hosted(failed), destination == failed
         kept = list(mine if restored is None else restored)
         up = failed not in self.crashed and not respawn
+        back = collections.Counter([*kept, *degraded])
         breaches = [f"tracker {entry} still points into the grave" for entry in unrepaired]
-        if destination in self.crashed or up and self.reaches(failed, destination):
+        side = self.sides.get
+        if destination in self.crashed or up and side(failed) == side(destination):
             breaches.append(f"{failed} recovered at {destination}, which is down or reaches it")
         breaches += [f"{cid} skipped, but it lives nowhere else" for cid in skipped
                      if self.hosts.get(cid) in (None, failed, *self.crashed)]
-        breaches += [f"{cid} came back under its identity {kept.count(cid)} times, or while "
-                     f"{failed} runs it" for cid in sorted(set(kept))
-                     if cid not in mine or kept.count(cid) > 1 or up]
-        left = [cid for cid in mine if cid not in kept and cid not in skipped]
-        landed = [(cid, cid) for cid in mine if cid in kept]
-        for fresh in degraded:  # ids end in their type's name
-            twin = next((c for c in left if c.rpartition(":")[2] == fresh.rpartition(":")[2]), None)
-            if twin is None:
-                breaches.append(f"{fresh} came back, a copy of nothing {failed} hosted")
-            else:
-                left.remove(twin)
-                landed.append((twin, fresh))
-        breaches += [f"{cid} of {failed} did not come back" for cid in left]
+        breaches += [f"{cid} of {failed} came back {back[cid]} times"
+                     for cid in sorted(set(mine) | set(back))
+                     if back[cid] != (cid in mine) and cid not in skipped]
+        breaches += [f"{cid} came back under its identity while {failed} runs it"
+                     for cid in sorted(set(kept)) if up]
+        pairs = {**dict(zip(kept, kept)), **dict(degraded)}  # original -> where it came back
+        landed = sorted((twin, cid) for twin, cid in pairs.items() if twin in mine)
         for cid in (cid for twin, cid in landed if cid == twin):
             del self.hosts[cid]  # hosted nowhere until it lands
-        for twin, cid in sorted(landed):  # in the store's order: a stamp sees those before it
+        for twin, cid in landed:  # in the store's order: a stamp sees those before it
             if cid == twin:
                 self.hosts[cid] = destination
                 if not respawn:
                     self.stale.setdefault(failed, set()).add(cid)
             else:
                 self.create(cid, destination, self.classes[twin], (), self.sizes[twin])
-                self.saved[cid] = self.saved[twin]
-            self.counts[cid] = range(self.saved[twin], self.counts.get(twin, range(1)).stop)
+                self.calls[cid] = self.calls[twin]
             # A snapshot keeps its stamps alone; they resolve where it lands.
             self.refs[cid] = [self._rebind(ref, destination, "link") if ref.type == "stamp"
                               else Ref(ref.target) for ref in self.refs[twin]]
@@ -199,26 +188,16 @@ class LayoutModel:
         self.stale.pop(core, None)
 
     def partition(self, *groups: set[str]) -> None:
-        self.groups = [set(group) for group in groups]
+        self.sides = {core: side for side, group in enumerate(groups) for core in group}
 
     def heal(self) -> None:
-        self.groups = []
-
-    def reaches(self, a: str, b: str) -> bool:
-        sides = {next((i for i, group in enumerate(self.groups) if c in group), -1) for c in (a, b)}
-        return len(sides) == 1
+        self.sides = {}
 
     def invoke(self, cid: str) -> str:
         """The Core an invocation of ``cid`` runs at."""
         host = self._reachable(self.hosts[cid])
-        count = self.counts.get(cid, range(1))
-        self.counts[cid] = range(count.start + 1, count.stop + 1)
+        self.calls[cid] += 1
         return host
-
-    def count(self, cid: str, value: int) -> bool:
-        """Whether ``cid`` may count ``value``; the model then knows it does."""
-        possible, self.counts[cid] = value in self.counts[cid], range(value, value + 1)
-        return possible
 
     def move(self, cid: str, destination: str) -> bool:
         """Move ``cid``'s group to ``destination``; False if it is there already."""

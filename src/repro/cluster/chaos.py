@@ -140,8 +140,8 @@ class ChaosRun:
         for name, counter in zip(self.names, self._counters):
             self.model.create(str(stub_target_id(counter)), name, Counter_)
         #: (instant, Core) of every crash or shutdown not yet seen healed,
-        #: (instant, 1, transition, *args) of each failure fired since the
-        #: last check, and how many recovery reports the model has had.
+        #: (instant, 1, transition, *args) of each failure the model has not
+        #: had, and how many recovery reports it has had.
         self._outages: list[tuple[float, str]] = []
         self._failures: list[tuple] = []
         self._fed = 0
@@ -192,18 +192,14 @@ class ChaosRun:
         return cursor
 
     def _fail(self, units: float, inject, transition: str, *args) -> None:
-        """Inject a failure ``units`` into the run, and give the model its
-        ``transition`` at the next check, timed when it fired.  A detector
-        hears a revived Core within an interval and it reconciles: its stale
-        copies may stay that long."""
-        def fired(transition: str = transition) -> None:
-            self._failures.append((self.cluster.now, 1, transition, *args))
-            if transition == "revive":
-                self.cluster.scheduler.call_after(interval, fired, "reconcile")
-
-        interval = DetectorConfig().interval * self.unit
+        """Inject a failure ``units`` into the run; the first check after it
+        gives the model its ``transition``.  A detector hears a revived Core
+        within an interval and reconciles: its stale copies may stay that long."""
         inject(self._at(units), *args)
-        self.cluster.scheduler.call_at(self._at(units), fired)
+        self._failures.append((self._at(units), 1, transition, *args))
+        if transition == "revive":
+            at = self._at(units) + DetectorConfig().interval * self.unit
+            self._failures.append((at, 1, "reconcile", *args))
 
     # -- the request driver --------------------------------------------------------
 
@@ -235,11 +231,12 @@ class ChaosRun:
         now, model = self.cluster.now, self.model
         assert self.cluster.recovery is not None
         reports = self.cluster.recovery.reports
-        changes = self._failures + [
+        changes = [change for change in self._failures if change[0] <= now] + [
             (r.at, 0, "restore", r.failed, r.destination, r.restored, r.degraded, r.skipped,
              r.unrepaired) for r in reports[self._fed:]
         ]
-        self._failures, self._fed = [], len(reports)
+        self._failures = [change for change in self._failures if change[0] > now]
+        self._fed = len(reports)
         for _at, _order, transition, *args in sorted(changes, key=lambda change: change[:2]):
             self._violate(getattr(model, transition)(*args))
         # MTTR: each outage whose injection fired by the previous check.
@@ -282,9 +279,8 @@ class ChaosRun:
                 self.cluster.advance(CHECK_PERIOD * self.unit)
                 self._check_invariants()
             driver.cancel()
-            for counter in self._counters:  # healed: each answers where the model has it
+            for counter in self._counters:  # healed: every complet answers
                 try:
-                    self.model.invoke(str(stub_target_id(counter)))
                     self.cluster.stub_at(self._seats()[0], counter).read()
                 except Exception as exc:  # noqa: BLE001 - report, do not raise
                     self._violate([f"{stub_target_id(counter)} unreachable: {exc!r}"])

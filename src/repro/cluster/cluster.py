@@ -529,7 +529,7 @@ class Cluster:
         return self.admin(name).complets()
 
     def collect_all_trackers(self) -> int:
-        """Run tracker GC to a fixpoint across all Cores; total collected.
+        """Run tracker GC to a fixpoint across the up Cores; total collected.
 
         Collecting a forwarding tracker releases its pointee, which may
         make trackers on other Cores collectable, so the sweep repeats
@@ -538,7 +538,8 @@ class Cluster:
         total = 0
         while True:
             collected = sum(
-                self.admin(name).collect_trackers() for name in self.running_names()
+                self.admin(name).collect_trackers()
+                for name in filter(self.is_core_up, self.running_names())
             )
             total += collected
             if collected == 0:

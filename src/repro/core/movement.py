@@ -227,6 +227,7 @@ class MovementUnit:
             # Phase two never committed: undo phase one and keep hosting.
             for complet_id in plan.movers:
                 self._departing.pop(complet_id, None)
+                self._returning.pop(complet_id, None)  # it stays: it is back
             if sanitizer is not None:
                 for subject in stamps:
                     sanitizer.abort_move(subject, destination)
@@ -268,11 +269,8 @@ class MovementUnit:
         )
         for stub in plan.remote_pulls:
             self._forward_request(stub, destination, None)
-        for complet_id in self._returning and self._returning.keys() & plan.movers.keys():
-            try:
-                self.core.peer.request(*self._returning.pop(complet_id))
-            except FarGoError:
-                logger.warning("moving %s back failed", complet_id, exc_info=True)
+        for complet_id in self._returning and list(plan.movers):
+            self._ask_back(complet_id)
         return arrived[anchor.complet_id][0]
 
     def _abort_departure(
@@ -489,9 +487,21 @@ class MovementUnit:
                    self._request_body(target_id, destination, continuation, hops + 1))
         if destination == self.core.name and target_id in self._departing:
             self._returning[target_id] = request  # asked once released, as over TCP
+            if target_id not in self._departing:  # released meanwhile, on another thread
+                self._ask_back(target_id)
             return None
         moved = self.core.peer.request(*request)
         return False if moved is False else None
+
+    def _ask_back(self, complet_id: CompletId) -> None:
+        """Send the move back here that met ``complet_id``'s departure, if
+        neither this thread nor another has yet: each pop takes it once."""
+        request = self._returning.pop(complet_id, None)
+        try:
+            if request is not None:
+                self.core.peer.request(*request)
+        except FarGoError:
+            logger.warning("moving %s back failed", complet_id, exc_info=True)
 
     # -- remote duplicates -------------------------------------------------------------------
 

@@ -218,8 +218,10 @@ class Checkpointer:
             for record in records:
                 with self.store.locked(record.complet_id):  # against other processes
                     host, generation = self._newest(record.complet_id)
-                    if host not in (None, core.name) and generation > self._acquired.get(
-                        record.complet_id, 0
+                    # An acquisition always writes: the old host's sweep, in
+                    # another process, may have written since it was read.
+                    if not acquired and host not in (None, core.name) and (
+                        generation > self._acquired.get(record.complet_id, 0)
                     ):
                         continue  # it left, or was restored elsewhere, since it came here
                     self.store.put(record)

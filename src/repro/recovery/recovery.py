@@ -106,8 +106,8 @@ class RecoveryReport:
     destination: str
     #: New ids of complets restored under their original identity.
     restored: list[str] = field(default_factory=list)
-    #: New ids of complets restored under a fresh identity (degraded).
-    degraded: list[str] = field(default_factory=list)
+    #: Original id -> the new id of a copy restored under a fresh identity (degraded).
+    degraded: dict[str, str] = field(default_factory=dict)
     #: Original ids skipped (alive elsewhere, or their snapshot failed).
     skipped: list[str] = field(default_factory=list)
     #: Original id -> tracker address now hosting it (identity kept).
@@ -298,7 +298,7 @@ class RecoveryManager:
             report.restored.append(str(new_id))
             report.relocated[original] = dest.hosted_tracker(new_id)
         else:
-            report.degraded.append(str(new_id))
+            report.degraded[str(original)] = str(new_id)
         self.cluster.seat.metrics.counter("recovery.complets_recovered").inc()
         dest.publish(
             COMPLET_RECOVERED,

@@ -105,21 +105,15 @@ def test_an_invoke_answers_the_host_or_the_typed_error_of_a_crashed_one():
         layout.invoke("b/c1:Worker")
     with pytest.raises(CoreError):
         layout.move("a/c1:Worker", "b")
-    assert layout.counts == {"a/c1:Worker": range(1, 2)}
+    assert layout.calls == {"a/c1:Worker": 1}
 
 
 def test_a_restore_under_its_identity_leaves_a_stale_copy_until_the_reconcile():
     layout = model(("b/c1:Worker", "b", Worker_, []))
-    layout.invoke("b/c1:Worker")
-    layout.checkpoint("b")
-    layout.invoke("b/c1:Worker")
     layout.crash_core("b")
     assert layout.restore("b", "a", ["b/c1:Worker"]) == []
     assert layout.hosted("a") == ["b/c1:Worker"] and layout.stale == {"b": {"b/c1:Worker"}}
     assert layout.invoke("b/c1:Worker") == "a"
-    # Checkpointed at 1, crashed at 2, invoked once since: it counts 2 or 3.
-    assert layout.counts["b/c1:Worker"] == range(2, 4) and layout.count("b/c1:Worker", 3)
-    assert layout.counts["b/c1:Worker"] == range(3, 4) and not layout.count("b/c1:Worker", 2)
     layout.revive("b")
     layout.reconcile("b")
     assert layout.stale == {} and layout.hosted("b") == []
@@ -134,24 +128,35 @@ def test_a_restore_that_breaks_the_contract_says_how():
     assert breaches == [
         "tracker a:x still points into the grave",
         "b/c2:Worker skipped, but it lives nowhere else",
-        "b/c1:Worker came back under its identity 2 times, or while b runs it",
+        "b/c1:Worker of b came back 2 times",
     ]
     assert model(("b/c1:Worker", "b", Worker_, [])).restore("b", "a", []) == [
         "b recovered at a, which is down or reaches it",
-        "b/c1:Worker of b did not come back",
+        "b/c1:Worker of b came back 0 times",
     ]
 
 
 def test_a_partition_lets_a_degraded_copy_stand_beside_its_original():
     layout = model(("b/c1:Worker", "b", Worker_, []))
     layout.partition({"b"})
-    assert layout.restore("b", "a", [], degraded=["a/c9:Worker"]) == []
+    assert layout.restore("b", "a", [], degraded={"b/c1:Worker": "a/c9:Worker"}) == []
     assert layout.hosted("a") == ["a/c9:Worker"] and layout.hosted("b") == ["b/c1:Worker"]
     assert layout.restore("b", "a", ["b/c1:Worker"]) == [
-        "b/c1:Worker came back under its identity 1 times, or while b runs it"
+        "b/c1:Worker came back under its identity while b runs it"
     ]
     layout.heal()
-    assert layout.reaches("a", "b")
+    assert layout.sides == {}
+
+
+def test_each_degraded_copy_takes_what_its_own_original_held():
+    layout = model(("b/c1:Worker", "b", Worker_, ["a/c1:Source"]),
+                   ("b/c2:Worker", "b", Worker_, []), ("a/c1:Source", "a", DataSource_, []))
+    layout.invoke("b/c2:Worker")
+    layout.crash_core("b")
+    copies = {"b/c2:Worker": "a/c8:Worker", "b/c1:Worker": "a/c9:Worker"}
+    assert layout.restore("b", "a", [], degraded=copies) == []
+    assert [ref.target for ref in layout.refs["a/c9:Worker"]] == ["a/c1:Source"]
+    assert layout.refs["a/c8:Worker"] == [] and layout.calls["a/c8:Worker"] == 1
 
 
 def test_the_model_of_a_cluster_after_a_move_is_the_model_moved():

@@ -1,9 +1,11 @@
 """Tests for the movement unit: the mobility protocol of §3.3."""
 
+import threading
+
 import pytest
 
 from repro.core.locator import LocationRegistry
-from repro.errors import CompletError, MovementDeniedError
+from repro.errors import CompletError, CoreUnreachableError, FarGoError, MovementDeniedError
 from repro.net.messages import MessageKind
 from repro.cluster.workload import Counter, DataSource, Echo, Worker
 from tests.anchors import Holder, Probe
@@ -366,3 +368,58 @@ class TestMovesDuringADeparture:
         expected = {"alpha": [], "beta": [], "gamma": [], then: [str(x._fargo_target_id)]}
         assert hosting() == expected
         assert x.increment(1) == 1
+
+    def test_a_move_back_met_by_a_departure_that_aborts_is_not_sent_later(
+        self, deploy, monkeypatch
+    ):
+        # The rule's move back to beta meets beta's departure, whose commit
+        # then fails: x never left, so the next departure asks nothing back.
+        cluster = deploy(["alpha", "beta", "gamma"], "sim")
+        x = Counter(0, _core=cluster["alpha"], _at="beta")
+        peer = cluster["beta"].peer
+
+        def commit_fails(*args, **kwargs):
+            cluster.move(x, "beta")
+            raise CoreUnreachableError("the commit was lost")
+
+        monkeypatch.setattr(peer, "request_raw", commit_fails)
+        with pytest.raises(FarGoError):
+            cluster.move(x, "gamma")
+        monkeypatch.undo()
+        assert cluster.complets_at("beta") == [str(x._fargo_target_id)]
+        assert cluster.move(x, "gamma") is True
+        assert cluster.complets_at("gamma") == [str(x._fargo_target_id)]
+        assert cluster.complets_at("beta") == []
+
+    def test_a_move_back_the_commit_overtakes_on_another_thread_is_sent(
+        self, deploy, monkeypatch
+    ):
+        # Over TCP the move request's handler finds x departing, and before
+        # it stores the request the departing thread commits and looks for
+        # one: the handler sends it itself.
+        checked, committed = threading.Event(), threading.Event()
+
+        class Departing(dict):
+            def __contains__(self, key):
+                found = super().__contains__(key)
+                if found and threading.current_thread() is handler:
+                    checked.set()
+                    committed.wait(timeout=10)
+                return found
+
+        cluster = deploy(["alpha", "beta", "gamma"], "sim")
+        x = Counter(0, _core=cluster["alpha"], _at="beta")
+        unit, x_id = cluster["beta"].movement, x._fargo_target_id
+        sent: list = []
+        monkeypatch.setattr(unit, "_departing", Departing({x_id: "gamma"}))
+        monkeypatch.setattr(cluster["beta"].peer, "request", lambda *request: sent.append(request))
+        handler = threading.Thread(target=unit._chase, args=(x_id, "beta", None, 0))
+        handler.start()
+        assert checked.wait(timeout=10)
+        unit._departing.pop(x_id)  # the commit releases x, then asks back what met it
+        for complet_id in unit._returning and [x_id]:
+            unit._ask_back(complet_id)
+        committed.set()
+        handler.join(timeout=10)
+        assert not handler.is_alive() and not unit._returning
+        assert [request[0] for request in sent] == ["gamma"]

@@ -37,15 +37,16 @@ is answered before the step that sent it goes on, so no sweep overtakes
 one.  On ``procs`` the sets live in the children.
 
 The crash comes at step :data:`CRASH_AFTER` of every run, at a Core other
-than the seat, once its complets are checkpointed; the runtime's recovery
-is the model's input.  On ``sim`` and ``tcp`` (``enable_recovery()``)
-the ``RecoveryManager`` restores them on a survivor and the Core stays
-down: moves to it fail typed, references held there are dead with it,
-and no reference is made or swept (``Cluster.stub_at`` and tracker GC
-walk every Core the cluster still runs, the crashed one included).  On
+than the seat, just after its complets are checkpointed; the runtime's
+recovery is the model's input, and each restored counter counts what it
+did (the model's ``calls``).  On
+``sim`` and ``tcp`` (``enable_recovery()``) the ``RecoveryManager``
+restores them on a survivor and the Core stays down: moves to it fail
+typed, references held there are dead with it, and no reference is
+made (``Cluster.stub_at`` may find a crashed Core's stale copy).  On
 ``procs`` a ``Supervisor`` respawns the child, which restores them where
-they were.  Every other step runs after it, through chains of trackers
-that passed the dead Core.
+they were.  Every other rule runs before it and after it, through chains
+of trackers that passed the dead Core.
 """
 
 import tempfile
@@ -94,7 +95,7 @@ CORES = ["a", "b", "c"]
 #: Complets the model may hold, copies included: bounds the population.
 POPULATION = 8
 #: The step of every run that crashes a Core; twenty more follow it.
-CRASH_AFTER = 10
+CRASH_AFTER = 20
 #: What a retype may make of a holder's reference; ``stamp-link`` is a stamp
 #: with the ``link`` fallback.
 KINDS = ("link", "pull", "duplicate", "stamp", "stamp-link")
@@ -247,7 +248,7 @@ class ClusterMachine(RuleBasedStateMachine):
             return
         result = call(ref)
         if self.model.classes[cid] is Counter_:
-            assert self.model.count(cid, result), (cid, result, self.model.counts[cid])
+            assert result == self.model.calls[cid]
 
     # -- operations ----------------------------------------------------------------
 
@@ -295,11 +296,15 @@ class ClusterMachine(RuleBasedStateMachine):
     @precondition(ready)
     @rule(ref=references, destination=st.sampled_from(CORES))
     def move_from_host(self, ref, destination):
-        # The host the model names: Cluster.move_via_host may take a crashed
-        # Core's stale copy for the host.
+        # Cluster.move_via_host takes a crashed Core's stale copy for the
+        # host: after the crash, ask the host the model names.
         cid = _id(ref)
         host = self.cluster.admin(self.model.hosts[cid])
-        self._step(lambda: self.model.move(cid, destination), lambda: host.move(cid, destination))
+        self._step(
+            lambda: self.model.move(cid, destination),
+            lambda: host.move(cid, destination) if self.model.crashed
+            else self.cluster.move_via_host(ref, destination),
+        )
         self._bind_copies()
 
     @precondition(lambda self: ready(self) and any(self.model.refs.values()))
@@ -338,7 +343,7 @@ class ClusterMachine(RuleBasedStateMachine):
             at = self.cluster.seat.name
         return self.cluster.stub_at(at, ref)
 
-    @precondition(all_up)
+    @precondition(ready)
     @rule()
     def sweep_trackers(self):
         self.cluster.collect_all_trackers()
@@ -366,7 +371,6 @@ class ClusterMachine(RuleBasedStateMachine):
             assert eventually(lambda: all(
                 newest().get(cid, 0) > taken.get(cid, 0) for cid in self.model.hosted(core)
             ))
-        self.model.checkpoint(core)
         self.cluster.crash_core(core)
         self.model.crash_core(core)
         if self.supervisor is None:
@@ -392,7 +396,8 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @invariant()
     def layout_matches_model(self):
-        assert not layout_mismatches(self.model, self.cluster)
+        mismatches = layout_mismatches(self.model, self.cluster)
+        assert not mismatches, mismatches
 
     @invariant()
     def one_tracker_per_target_per_core(self):
@@ -422,10 +427,10 @@ class ClusterMachine(RuleBasedStateMachine):
 
 
 def machine_on(transport: str, examples: int):
-    """The machine's test case on one backend, ``examples`` sequences of 30 steps."""
+    """The machine's test case on one backend, ``examples`` sequences of 40 steps."""
     machine = type(f"ClusterMachine_{transport}", (ClusterMachine,), {"TRANSPORT": transport})
     case = machine.TestCase
-    case.settings = settings(max_examples=examples, stateful_step_count=30, deadline=None)
+    case.settings = settings(max_examples=examples, stateful_step_count=40, deadline=None)
     return case
 
 

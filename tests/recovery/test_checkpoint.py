@@ -1,5 +1,7 @@
 """Tests for the per-Core checkpointer and the checkpoint store."""
 
+import contextlib
+
 import pytest
 
 from repro.complet.relocators import Pull
@@ -174,6 +176,31 @@ class TestWriteRule:
         assert _store(cluster).get(complet_id).host == "gamma"
         assert checkpoints["alpha"].sweep() == 1
         assert _store(cluster).get(complet_id).host == "alpha"
+
+
+    def test_an_arrival_writes_though_the_old_host_wrote_since_it_came(self, rig, monkeypatch):
+        """The old host's sweep, in another process, snapshotted the complet
+        before it left and writes between the arrival and the arrival's own
+        write: the arrival still writes, so no successor of the old host
+        restores a second copy."""
+        cluster, _checkpoints = rig
+        counter = Counter(5, _core=cluster["alpha"])
+        complet_id = counter._fargo_target_id
+        store = _store(cluster)
+        alpha = cluster["alpha"]
+        _group, stale = checkpoint_module.checkpoint_group(alpha, alpha.repository.get(complet_id))
+        locked = store.locked
+
+        @contextlib.contextmanager
+        def old_host_writes_first(cid):
+            if stale:
+                store.put(stale.pop())
+            with locked(cid):
+                yield
+
+        monkeypatch.setattr(store, "locked", old_host_writes_first)
+        cluster.move(counter, "gamma")
+        assert not stale and store.get(complet_id).host == "gamma"
 
 
 class TestStore:

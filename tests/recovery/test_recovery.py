@@ -229,7 +229,7 @@ class TestChainsThroughTheDead:
         assert not model.restore(r.failed, r.destination, r.restored, r.degraded, r.skipped,
                                  r.unrepaired)
         assert not layout_mismatches(model, cluster)
-        assert model.invoke(cid) == "c" and model.count(cid, counter.increment())
+        assert model.invoke(cid) == "c" and counter.increment() == model.calls[cid]
 
 
 class TestWhatARestoreBringsBack:
